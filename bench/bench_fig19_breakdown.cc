@@ -40,9 +40,13 @@ int main() {
       // Build the index once (its cost is charged to configs 2-4).
       Timer build_timer;
       auto pre = Preprocess(d.graph, nlc, query, PreprocessOptions{});
+      BuildOptions build_options;
+      build_options.root_candidates = &pre->root_candidates;
+      build_options.filter_table = &pre->filter;
       CeciBuilder builder(d.graph, nlc);
       CeciIndex index =
-          builder.Build(query, pre->tree, BuildOptions{}, nullptr);
+          builder.Build(query, pre->tree, build_options, nullptr);
+      pre->ReleaseBuildInputs();
       RefineCeci(pre->tree, d.graph.num_vertices(), &index, nullptr);
       double build_s = build_timer.Seconds();
       SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);

@@ -157,8 +157,11 @@ class CflMatcher::Impl {
     // CPI: TE candidates only.
     BuildOptions build_options;
     build_options.build_nte_lists = false;
+    build_options.root_candidates = &pre->root_candidates;
+    build_options.filter_table = &pre->filter;
     CeciBuilder builder(data_, nlc_);
     CeciIndex index = builder.Build(query, pre->tree, build_options, nullptr);
+    pre->ReleaseBuildInputs();
     RefineCeci(pre->tree, data_.num_vertices(), &index, nullptr);
 
     SymmetryConstraints symmetry =

@@ -43,12 +43,12 @@ class TurboIsoEngine {
     CECI_CHECK(pre.ok()) << pre.status().ToString();
     if (pre->infeasible) return;
     tree_ = std::move(pre->tree);
+    const std::vector<VertexId> starts = std::move(pre->root_candidates);
+    pre->filter.Release();  // only the CECI builder reads the table
     symmetry_ = options_.break_automorphisms
                     ? SymmetryConstraints::Compute(query_)
                     : SymmetryConstraints::None(query_.num_vertices());
 
-    std::vector<VertexId> starts =
-        CollectCandidates(data_, nlc_, query_, tree_.root());
     region_.assign(query_.num_vertices(), CandidateList{});
     region_candidates_.assign(query_.num_vertices(), {});
     for (VertexId v_s : starts) {

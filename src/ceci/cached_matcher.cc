@@ -98,6 +98,8 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
     auto pre = Preprocess(data_, nlc_, query, pre_options);
     if (!pre.ok()) return pre.status();
     fresh->pre = std::move(pre).value();
+    // An infeasible entry is never built: the cache keeps no filter table.
+    if (fresh->pre.infeasible) fresh->pre.ReleaseBuildInputs();
     fresh->symmetry = options.break_automorphisms
                           ? SymmetryConstraints::Compute(query)
                           : SymmetryConstraints::None(query.num_vertices());
@@ -111,10 +113,13 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
       BuildOptions build_options;
       build_options.pool = options.pool;
       build_options.budget = budget;
+      build_options.root_candidates = &fresh->pre.root_candidates;
+      build_options.filter_table = &fresh->pre.filter;
       CeciBuilder builder(data_, nlc_);
       fresh->index =
           builder.Build(query, fresh->pre.tree, build_options, &stats.build);
       stats.build_seconds = phase.Seconds();
+      fresh->pre.ReleaseBuildInputs();
       phase.Reset();
       RefineCeci(fresh->pre.tree, data_.num_vertices(), &fresh->index,
                  &stats.refine, nullptr, budget);
@@ -240,6 +245,7 @@ Status CachedMatcher::InstallPrebuilt(const std::string& path,
   auto pre = Preprocess(data_, nlc_, *query, PreprocessOptions{});
   if (!pre.ok()) return pre.status();
   fresh->pre = std::move(pre).value();
+  fresh->pre.ReleaseBuildInputs();  // the image replaces the build
   if (fresh->pre.infeasible) {
     return Status::InvalidArgument(
         "prebuilt index pattern is infeasible on this data graph: " + path);
@@ -294,6 +300,16 @@ Result<std::uint64_t> CachedMatcher::Count(const Graph& query,
 std::size_t CachedMatcher::cache_entries() const {
   MutexLock lock(mutex_);
   return cache_.size();
+}
+
+std::size_t CachedMatcher::cached_filter_bytes() const {
+  MutexLock lock(mutex_);
+  std::size_t bytes = 0;
+  for (const auto& [key, entry] : cache_) {
+    bytes += entry->pre.filter.bytes() +
+             entry->pre.root_candidates.size() * sizeof(VertexId);
+  }
+  return bytes;
 }
 
 void CachedMatcher::ClearCache() {

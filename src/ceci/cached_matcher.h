@@ -56,6 +56,10 @@ class CachedMatcher {
   Status InstallPrebuilt(const std::string& path, bool use_mmap = true);
 
   std::size_t cache_entries() const;
+  /// Bytes of build inputs (filter tables, root candidate lists) held by
+  /// cache entries. Entries drop them once built, so this stays 0;
+  /// exposed for tests.
+  std::size_t cached_filter_bytes() const;
   std::uint64_t cache_hits() const {
     MutexLock lock(mutex_);
     return hits_;

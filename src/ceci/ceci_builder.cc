@@ -4,7 +4,6 @@
 
 #include <string>
 
-#include "ceci/preprocess.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -38,23 +37,35 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
   *stats = BuildStats{};
 
   const std::size_t nq = query.num_vertices();
-  const std::size_t nd = data_.num_vertices();
   CeciIndex index(nq);
 
-  std::vector<std::vector<NlcIndex::Entry>> profiles(nq);
-  for (VertexId u = 0; u < nq; ++u) {
-    profiles[u] = NlcIndex::Profile(query, u);
+  // Filter verdicts; bit 7 of each byte is the candidate-set membership
+  // flag that drives the cascading deletions.
+  FilterTable own_table;
+  FilterTable* table = options.filter_table;
+  if (table == nullptr) {
+    own_table = FilterTable::Compute(data_, nlc_, query, nullptr);
+    table = &own_table;
   }
-  // Candidate-set membership flags; drive the cascading deletions.
-  std::vector<std::vector<char>> alive(nq, std::vector<char>(nd, 0));
+  CECI_CHECK(table->bytes() == nq * data_.num_vertices())
+      << "filter table is " << table->bytes() << " bytes for " << nq
+      << " query vertices over " << data_.num_vertices() << " data vertices";
+  CECI_DCHECK(std::none_of(table->row(0), table->row(0) + table->bytes(),
+                           [](std::uint8_t b) {
+                             return (b & FilterTable::kAlive) != 0;
+                           }))
+      << "filter table already carries another build's alive flags";
 
   const VertexId root = tree.root();
   if (options.root_candidates != nullptr) {
     index.at(root).candidates = *options.root_candidates;
   } else {
-    index.at(root).candidates = CollectCandidates(data_, nlc_, query, root);
+    index.at(root).candidates = table->Candidates(data_, query, root);
   }
-  for (VertexId v : index.at(root).candidates) alive[root][v] = 1;
+  std::uint8_t* root_row = table->row(root);
+  for (VertexId v : index.at(root).candidates) {
+    root_row[v] |= FilterTable::kAlive;
+  }
 
   BudgetTracker* budget = options.budget;
   if (budget != nullptr) {
@@ -74,26 +85,23 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
     options.vertex_stats->push_back(root_stats);
   }
 
-  // Expands one frontier vertex of u through LF / DF / NLCF.
+  // Expands one frontier vertex of u, reading each neighbour's LF / DF /
+  // NLCF verdict from the table.
   auto expand_te = [&](VertexId u, VertexId v_f, std::vector<VertexId>* vals,
                        BuildStats* s) {
     ++s->frontier_expansions;
     s->neighbors_scanned += data_.degree(v_f);
+    const std::uint8_t* verdicts = table->row(u);
+    std::uint64_t rejected[4] = {};
     for (VertexId v : data_.neighbors(v_f)) {
-      if (!data_.HasAllLabels(v, query.labels(u))) {
-        ++s->rejected_label;
-        continue;
-      }
-      if (data_.degree(v) < query.degree(u)) {
-        ++s->rejected_degree;
-        continue;
-      }
-      if (!nlc_.Covers(v, profiles[u])) {
-        ++s->rejected_nlc;
-        continue;
-      }
-      vals->push_back(v);  // neighbors are sorted, so vals is sorted
+      const std::uint8_t verdict = verdicts[v] & FilterTable::kVerdictMask;
+      ++rejected[verdict];
+      // Neighbors are sorted, so vals is sorted.
+      if (verdict == FilterTable::kPass) vals->push_back(v);
     }
+    s->rejected_label += rejected[FilterTable::kLabel];
+    s->rejected_degree += rejected[FilterTable::kDegree];
+    s->rejected_nlc += rejected[FilterTable::kNlc];
   };
 
   // Removes `dead` vertices from the candidate set of `u_owner` and drops
@@ -104,18 +112,18 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
   auto cascade_remove = [&](VertexId u_owner,
                             const std::vector<VertexId>& dead) {
     if (dead.empty()) return;
-    for (VertexId v : dead) alive[u_owner][v] = 0;
+    std::uint8_t* owner_alive = table->row(u_owner);
+    for (VertexId v : dead) owner_alive[v] &= FilterTable::kVerdictMask;
+    auto is_alive = [owner_alive](VertexId v) {
+      return (owner_alive[v] & FilterTable::kAlive) != 0;
+    };
     auto& cands = index.at(u_owner).candidates;
     cands.erase(std::remove_if(cands.begin(), cands.end(),
-                               [&](VertexId v) {
-                                 return !alive[u_owner][v];
-                               }),
+                               [&](VertexId v) { return !is_alive(v); }),
                 cands.end());
     for (VertexId u_c : tree.children(u_owner)) {
       if (!processed[u_c]) continue;
-      index.at(u_c).te.Prune(
-          [&](VertexId key) { return alive[u_owner][key] != 0; },
-          [](VertexId) { return true; });
+      index.at(u_c).te.Prune(is_alive, [](VertexId) { return true; });
     }
     // NTE lists built earlier whose parent is u_owner also key by it.
     for (std::uint32_t e : tree.nte_out(u_owner)) {
@@ -124,9 +132,8 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
       auto ids = tree.nte_in(u_c);
       for (std::size_t k = 0; k < ids.size(); ++k) {
         if (ids[k] == e) {
-          index.at(u_c).nte[k].Prune(
-              [&](VertexId key) { return alive[u_owner][key] != 0; },
-              [](VertexId) { return true; });
+          index.at(u_c).nte[k].Prune(is_alive,
+                                     [](VertexId) { return true; });
         }
       }
     }
@@ -215,10 +222,11 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
     }
 
     // Candidate set of u = union of TE values.
+    std::uint8_t* u_alive = table->row(u);
     for (std::size_t i = 0; i < ud.te.num_keys(); ++i) {
       for (VertexId v : ud.te.values_at(i)) {
-        if (!alive[u][v]) {
-          alive[u][v] = 1;
+        if (!(u_alive[v] & FilterTable::kAlive)) {
+          u_alive[v] |= FilterTable::kAlive;
           ud.candidates.push_back(v);
         }
       }
@@ -261,7 +269,7 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
         ++stats->frontier_expansions;
         stats->neighbors_scanned += data_.degree(v_n);
         for (VertexId v : data_.neighbors(v_n)) {
-          if (alive[u][v]) vals.push_back(v);
+          if (u_alive[v] & FilterTable::kAlive) vals.push_back(v);
         }
         if (vals.empty()) {
           dead_nte.push_back(v_n);

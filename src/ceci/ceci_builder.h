@@ -6,15 +6,17 @@
 // degree (DF), neighborhood label count (NLCF), and the empty-key cascade
 // (a frontier vertex whose expansion yields no candidates can match no
 // embedding and is removed from the parent, together with its key entries
-// in sibling lists). NTE candidate lists are then built for every non-tree
-// edge by expanding the NTE parent's candidates against the child's
-// candidate set.
+// in sibling lists). The first three are read, one byte per scanned
+// neighbour, from the FilterTable that preprocessing wrote. NTE candidate
+// lists are then built for every non-tree edge by expanding the NTE
+// parent's candidates against the child's candidate set.
 #ifndef CECI_CECI_CECI_BUILDER_H_
 #define CECI_CECI_CECI_BUILDER_H_
 
 #include <cstdint>
 
 #include "ceci/ceci_index.h"
+#include "ceci/preprocess.h"
 #include "ceci/query_tree.h"
 #include "graph/graph.h"
 #include "graph/nlc_index.h"
@@ -35,11 +37,14 @@ struct BuildOptions {
   /// only have auxiliary data structure equivalent to TE_Candidates");
   /// the CFL baseline sets this to false.
   bool build_nte_lists = true;
-  /// When set, restricts the cluster pivots to this sorted subset of the
-  /// root's candidates instead of scanning the whole data graph. The
-  /// distributed runtime (§5) builds a per-machine CECI over the pivots
-  /// assigned to that machine.
+  /// The cluster pivots: a sorted subset of the root's candidates
+  /// (Preprocessed::root_candidates, or the share of them a machine of the
+  /// distributed runtime (§5) owns). Unset reads them off the filter table.
   const std::vector<VertexId>* root_candidates = nullptr;
+  /// Preprocess's LF/DF/NLC verdicts (Preprocessed::filter). Build() keeps
+  /// its candidate flags in bit 7 of the same bytes, so a table serves one
+  /// build. Unset makes Build() compute its own table first.
+  FilterTable* filter_table = nullptr;
   /// When set, one record per matching-order vertex (root first) is
   /// appended: the candidate count right after that vertex's TE expansion
   /// and union, and the per-filter rejection deltas that produced it. The

@@ -172,6 +172,8 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
   BuildOptions build_options;
   build_options.pool = pool;
   build_options.budget = budget;
+  build_options.root_candidates = &pre->root_candidates;
+  build_options.filter_table = &pre->filter;
   std::vector<BuildVertexStats> vertex_stats;
   if (options.profile) build_options.vertex_stats = &vertex_stats;
   CeciBuilder builder(data_, nlc_);
@@ -179,6 +181,7 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
     TraceSpan span("build");
     return builder.Build(query, pre->tree, build_options, &stats.build);
   }();
+  pre->ReleaseBuildInputs();
   stats.build_seconds = phase.Seconds();
   stats.ceci_bytes_unrefined = index.MemoryBytes();
   stats.candidate_edges_unrefined = index.TotalCandidateEdges();

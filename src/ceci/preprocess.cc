@@ -22,36 +22,48 @@ Label ScanLabel(const Graph& data, const Graph& query, VertexId u) {
   return best;
 }
 
-// Applies the label containment, degree, and NLC filters.
-bool PassesFilters(const Graph& data, const NlcIndex& data_nlc,
-                   const Graph& query, VertexId u,
-                   std::span<const NlcIndex::Entry> u_profile, VertexId v) {
-  if (data.degree(v) < query.degree(u)) return false;
-  if (!data.HasAllLabels(v, query.labels(u))) return false;
-  return data_nlc.Covers(v, u_profile);
-}
-
 }  // namespace
 
-std::size_t CountCandidates(const Graph& data, const NlcIndex& data_nlc,
-                            const Graph& query, VertexId u) {
-  auto profile = NlcIndex::Profile(query, u);
-  std::size_t count = 0;
-  for (VertexId v : data.VerticesWithLabel(ScanLabel(data, query, u))) {
-    if (PassesFilters(data, data_nlc, query, u, profile, v)) ++count;
+FilterTable FilterTable::Compute(const Graph& data, const NlcIndex& data_nlc,
+                                 const Graph& query,
+                                 std::vector<std::size_t>* candidate_counts) {
+  const std::size_t nq = query.num_vertices();
+  FilterTable table;
+  table.num_data_ = data.num_vertices();
+  table.bytes_.assign(nq * table.num_data_, kLabel);
+  if (candidate_counts != nullptr) candidate_counts->assign(nq, 0);
+  for (VertexId u = 0; u < nq; ++u) {
+    const auto labels = query.labels(u);
+    const std::size_t degree = query.degree(u);
+    const auto profile = NlcIndex::Profile(query, u);
+    std::uint8_t* verdicts = table.row(u);
+    std::size_t count = 0;
+    for (VertexId v : data.VerticesWithLabel(ScanLabel(data, query, u))) {
+      // Every bucket vertex carries the scan label, so a single-label u
+      // needs no containment test.
+      Verdict verdict = kPass;
+      if (labels.size() > 1 && !data.HasAllLabels(v, labels)) {
+        verdict = kLabel;
+      } else if (data.degree(v) < degree) {
+        verdict = kDegree;
+      } else if (!data_nlc.Covers(v, profile)) {
+        verdict = kNlc;
+      }
+      verdicts[v] = verdict;
+      count += verdict == kPass;
+    }
+    if (candidate_counts != nullptr) (*candidate_counts)[u] = count;
   }
-  return count;
+  return table;
 }
 
-std::vector<VertexId> CollectCandidates(const Graph& data,
-                                        const NlcIndex& data_nlc,
-                                        const Graph& query, VertexId u) {
-  auto profile = NlcIndex::Profile(query, u);
+std::vector<VertexId> FilterTable::Candidates(const Graph& data,
+                                              const Graph& query,
+                                              VertexId u) const {
+  const std::uint8_t* verdicts = row(u);
   std::vector<VertexId> out;
   for (VertexId v : data.VerticesWithLabel(ScanLabel(data, query, u))) {
-    if (PassesFilters(data, data_nlc, query, u, profile, v)) {
-      out.push_back(v);
-    }
+    if ((verdicts[v] & kVerdictMask) == kPass) out.push_back(v);
   }
   // Label buckets are sorted by vertex id, so `out` is already sorted.
   return out;
@@ -65,11 +77,11 @@ Result<Preprocessed> Preprocess(const Graph& data, const NlcIndex& data_nlc,
   }
   Preprocessed out;
   const std::size_t nq = query.num_vertices();
-  out.candidate_counts.resize(nq);
-  for (VertexId u = 0; u < nq; ++u) {
-    out.candidate_counts[u] = CountCandidates(data, data_nlc, query, u);
-    if (out.candidate_counts[u] == 0) out.infeasible = true;
-  }
+  out.filter =
+      FilterTable::Compute(data, data_nlc, query, &out.candidate_counts);
+  out.infeasible = std::find(out.candidate_counts.begin(),
+                             out.candidate_counts.end(),
+                             0u) != out.candidate_counts.end();
 
   // Root selection (§2.2): argmin |candidate(u)| / degree(u). Isolated
   // query vertices are rejected by QueryTree::Build (disconnected query).
@@ -86,6 +98,7 @@ Result<Preprocessed> Preprocess(const Graph& data, const NlcIndex& data_nlc,
   }
   if (nq == 1) root = 0;  // single-vertex query: trivial tree
   out.root = root;
+  out.root_candidates = out.filter.Candidates(data, query, root);
 
   auto tree = QueryTree::Build(query, root);
   if (!tree.ok()) return tree.status();

@@ -37,7 +37,7 @@ class StreamingCeciBuilder {
   Status PrepareResidentIndexes();
 
   /// Candidate set of one query vertex under the LDF+NLC filters (used
-  /// for the root pivots; mirrors CollectCandidates).
+  /// for the root pivots; mirrors Preprocessed::root_candidates).
   std::vector<VertexId> CollectRootCandidates(const Graph& query,
                                               VertexId u) const;
 

@@ -76,6 +76,9 @@ struct PendingStep {
 /// machine_fn so a FailurePlan replays identically against either).
 struct Partition {
   std::vector<VertexId> pivots;
+  /// This partition's copy of the coordinator's filter verdicts; Build()
+  /// writes its alive flags into it. Released once the build returns.
+  FilterTable filter;
   std::vector<WorkUnit> units;
   BuildStats build_stats;
   double steal_unit_bytes = 0.0;
@@ -443,9 +446,7 @@ Result<DistRunReport> RunDistributed(const Graph& data,
           ? SymmetryConstraints::Compute(query)
           : SymmetryConstraints::None(query.num_vertices());
   std::vector<VertexId> pivots;
-  if (!pre->infeasible) {
-    pivots = CollectCandidates(data, nlc, query, pre->root);
-  }
+  if (!pre->infeasible) pivots = std::move(pre->root_candidates);
   distsim::AssignOptions assign_options;
   assign_options.num_machines = n;
   assign_options.neighbors_visible = true;  // images are host-local
@@ -475,6 +476,10 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   }
 
   // --- Per-partition CECI construction + CEIX images ---
+  for (Partition& part : parts) {
+    if (!part.pivots.empty()) part.filter = pre->filter;
+  }
+  pre->filter.Release();
   EnumOptions enum_options;
   enum_options.symmetry = &symmetry;
   auto build_fn = [&](std::size_t k) {
@@ -483,9 +488,11 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     Timer build_timer;
     BuildOptions build_options;
     build_options.root_candidates = &part.pivots;
+    build_options.filter_table = &part.filter;
     CeciBuilder builder(data, nlc);
     CeciIndex index =
         builder.Build(query, pre->tree, build_options, &part.build_stats);
+    part.filter.Release();
     RefineCeci(pre->tree, data.num_vertices(), &index, nullptr);
     part.units = BuildWorkUnits(data, pre->tree, index, enum_options,
                                 /*workers=*/1, options.beta,
@@ -947,31 +954,34 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     return Status::IoError(fatal_message);
   }
 
-  // --- Teardown: polite shutdown, then reap ---
+  // --- Teardown: polite shutdown to every live worker, then reap them
+  // together, so the workers exit in parallel ---
+  std::vector<WorkerState*> exiting;
   for (WorkerState& w : workers) {
     if (!w.live) continue;
     (void)w.channel->Send(static_cast<std::uint8_t>(MsgType::kShutdown), {});
     w.bytes_to_worker = w.channel->bytes_sent();
     w.bytes_from_worker = w.channel->bytes_received();
     w.channel->Close();  // EOF backstop if the shutdown frame is missed
-    Timer reap;
-    bool reaped = false;
-    ChildExit exit_info;
-    while (reap.Seconds() < 5.0) {
-      if (TryReapChild(w.proc.pid, &exit_info)) {
-        reaped = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    if (!reaped) {
-      SignalChild(w.proc.pid, SIGKILL);
-      exit_info = WaitChild(w.proc.pid);
-    }
-    w.exit_info = exit_info;
-    w.reaped = true;
     w.live = false;
     w.dead = true;
+    exiting.push_back(&w);
+  }
+  Timer reap;
+  while (!exiting.empty() && reap.Seconds() < 5.0) {
+    std::erase_if(exiting, [](WorkerState* w) {
+      if (!TryReapChild(w->proc.pid, &w->exit_info)) return false;
+      w->reaped = true;
+      return true;
+    });
+    if (!exiting.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  for (WorkerState* w : exiting) {
+    SignalChild(w->proc.pid, SIGKILL);
+    w->exit_info = WaitChild(w->proc.pid);
+    w->reaped = true;
   }
 
   // --- Reports, accounting, audit, metrics ---

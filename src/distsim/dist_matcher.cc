@@ -28,6 +28,9 @@ namespace {
 struct MachineState {
   Machine accounting;
   std::vector<VertexId> pivots;
+  /// This machine's copy of the coordinator's filter verdicts; Build()
+  /// writes its alive flags into it. Released once the build returns.
+  FilterTable filter;
   CeciIndex index;
   BuildStats build_stats;
   std::vector<WorkUnit> units;
@@ -429,9 +432,7 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
           ? SymmetryConstraints::Compute(query)
           : SymmetryConstraints::None(query.num_vertices());
   std::vector<VertexId> pivots;
-  if (!pre->infeasible) {
-    pivots = CollectCandidates(data, nlc, query, pre->root);
-  }
+  if (!pre->infeasible) pivots = std::move(pre->root_candidates);
 
   AssignOptions assign_options;
   assign_options.num_machines = options.num_machines;
@@ -450,8 +451,10 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
     state->accounting =
         Machine(static_cast<std::uint32_t>(m), &options.cost_model);
     state->pivots = std::move(assignment.per_machine[m]);
+    if (!state->pivots.empty()) state->filter = pre->filter;
     machines.push_back(std::move(state));
   }
+  pre->filter.Release();
 
   // Pivot distribution messages: coordinator (machine 0) sends each other
   // machine its pivot list; both ends pay.
@@ -483,9 +486,11 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
     const double build_cpu_start = ThreadCpuSeconds();
     BuildOptions build_options;
     build_options.root_candidates = &self.pivots;
+    build_options.filter_table = &self.filter;
     CeciBuilder builder(data, nlc);
     self.index =
         builder.Build(query, pre->tree, build_options, &self.build_stats);
+    self.filter.Release();
     RefineCeci(pre->tree, data.num_vertices(), &self.index, nullptr);
     self.units = BuildWorkUnits(data, pre->tree, self.index, enum_options,
                                 options.threads_per_machine, options.beta,

@@ -131,6 +131,22 @@ TEST(CachedMatcherTest, InfeasibleQueryCachedAsZero) {
   EXPECT_EQ(matcher.cache_misses(), 1u);
 }
 
+TEST(CachedMatcherTest, CachedEntriesCarryNoFilterTable) {
+  // Preprocess's nq x |V| verdict table feeds one build; an entry that
+  // kept it would hold it for the life of the cache.
+  Graph data = GenerateSocialGraph(400, 8, 1);
+  CachedMatcher matcher(data);
+  MatchOptions pointer_layout;
+  pointer_layout.flat_index = false;
+  ASSERT_TRUE(matcher.Match(MakePaperQuery(PaperQuery::kQG1), {}).ok());
+  ASSERT_TRUE(
+      matcher.Match(MakePaperQuery(PaperQuery::kQG2), pointer_layout).ok());
+  Graph infeasible = testing::MakeGraph({7, 7, 7}, {{0, 1}, {1, 2}, {0, 2}});
+  ASSERT_TRUE(matcher.Match(infeasible, {}).ok());
+  EXPECT_EQ(matcher.cache_entries(), 3u);
+  EXPECT_EQ(matcher.cached_filter_bytes(), 0u);
+}
+
 TEST(CachedMatcherTest, ClearCacheForcesRebuild) {
   Graph data = GenerateSocialGraph(200, 6, 8);
   CachedMatcher matcher(data);

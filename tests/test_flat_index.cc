@@ -27,6 +27,7 @@ namespace ceci {
 namespace {
 
 using ::ceci::testing::EmbeddingCollector;
+using ::ceci::testing::GoldenDataGraph;
 using ::ceci::testing::MakeGraph;
 using ::ceci::testing::PaperExample;
 
@@ -298,13 +299,6 @@ struct GoldenArena {
   std::uint32_t crc;
   std::size_t bytes;
 };
-
-Graph GoldenDataGraph(const std::string& family, bool labeled) {
-  Graph g = family == "er"   ? GenerateErdosRenyi(500, 3000, 11)
-            : family == "ba" ? GenerateBarabasiAlbert(500, 4, 12)
-                             : GenerateSocialGraph(600, 6, 13);
-  return labeled ? AssignRandomLabels(g, 4, 14) : g;
-}
 
 FlatCeciIndex FreezeThroughPipeline(const Graph& data, const Graph& query) {
   NlcIndex nlc(data);

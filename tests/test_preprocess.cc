@@ -1,5 +1,9 @@
-// Unit tests for preprocessing: candidate counting, root selection.
+// Unit tests for preprocessing: the filter verdict table, candidate
+// counting, root selection.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "ceci/preprocess.h"
 #include "test_support.h"
@@ -26,19 +30,52 @@ TEST_F(PreprocessPaperTest, CandidateCountsMatchPaper) {
   // §2.2: candidates after label/degree/NLC filtering:
   // u1 {v1,v2}, u2 {v3,v5,v7,v9}, u3 {v4,v6} (v8 NLC-filtered,
   // v10 degree-filtered), u4 {v11,v13,v15}, u5 {v12,v14}.
-  EXPECT_EQ(CountCandidates(data_, nlc_, query_, 0), 2u);
-  EXPECT_EQ(CountCandidates(data_, nlc_, query_, 1), 4u);
-  EXPECT_EQ(CountCandidates(data_, nlc_, query_, 2), 2u);
-  EXPECT_EQ(CountCandidates(data_, nlc_, query_, 3), 3u);
-  EXPECT_EQ(CountCandidates(data_, nlc_, query_, 4), 2u);
+  auto pre = Preprocess(data_, nlc_, query_, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
+  EXPECT_EQ(pre->candidate_counts,
+            (std::vector<std::size_t>{2, 4, 2, 3, 2}));
 }
 
-TEST_F(PreprocessPaperTest, CollectMatchesCount) {
+TEST_F(PreprocessPaperTest, VerdictsNameTheFirstRejectingFilter) {
+  auto pre = Preprocess(data_, nlc_, query_, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
+  const FilterTable& table = pre->filter;
+  ASSERT_EQ(table.bytes(), query_.num_vertices() * data_.num_vertices());
+  // v(k) in the paper is vertex k-1; u3 is query vertex 2.
+  const std::uint8_t* u3 = table.row(2);
+  EXPECT_EQ(u3[3], FilterTable::kPass);    // v4
+  EXPECT_EQ(u3[5], FilterTable::kPass);    // v6
+  EXPECT_EQ(u3[7], FilterTable::kNlc);     // v8
+  EXPECT_EQ(u3[9], FilterTable::kDegree);  // v10
+  EXPECT_EQ(u3[0], FilterTable::kLabel);   // v1 carries A, not C
+}
+
+TEST_F(PreprocessPaperTest, TableCandidatesMatchCounts) {
+  auto pre = Preprocess(data_, nlc_, query_, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
   for (VertexId u = 0; u < query_.num_vertices(); ++u) {
-    auto collected = CollectCandidates(data_, nlc_, query_, u);
-    EXPECT_EQ(collected.size(), CountCandidates(data_, nlc_, query_, u));
-    EXPECT_TRUE(std::is_sorted(collected.begin(), collected.end()));
+    const auto candidates = pre->filter.Candidates(data_, query_, u);
+    EXPECT_EQ(candidates.size(), pre->candidate_counts[u]);
+    EXPECT_TRUE(std::is_sorted(candidates.begin(), candidates.end()));
+    const std::uint8_t* row = pre->filter.row(u);
+    EXPECT_EQ(static_cast<std::size_t>(std::count(
+                  row, row + data_.num_vertices(), FilterTable::kPass)),
+              pre->candidate_counts[u]);
   }
+  EXPECT_EQ(pre->root_candidates,
+            pre->filter.Candidates(data_, query_, pre->root));
+}
+
+TEST_F(PreprocessPaperTest, ReleaseDropsTheBuildInputs) {
+  auto pre = Preprocess(data_, nlc_, query_, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
+  EXPECT_EQ(pre->filter.bytes(),
+            query_.num_vertices() * data_.num_vertices());
+  EXPECT_FALSE(pre->root_candidates.empty());
+  pre->ReleaseBuildInputs();
+  EXPECT_EQ(pre->filter.bytes(), 0u);
+  EXPECT_TRUE(pre->root_candidates.empty());
+  EXPECT_EQ(pre->candidate_counts.size(), query_.num_vertices());
 }
 
 TEST_F(PreprocessPaperTest, RootIsU1) {
@@ -85,7 +122,13 @@ TEST(PreprocessTest, DegreeFilterApplies) {
   Graph query = MakeGraph({0, 0, 0, 0},
                           {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
   NlcIndex nlc(data);
-  EXPECT_EQ(CountCandidates(data, nlc, query, 0), 0u);
+  auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
+  EXPECT_EQ(pre->candidate_counts, (std::vector<std::size_t>(4, 0)));
+  EXPECT_TRUE(pre->infeasible);
+  for (VertexId v = 0; v < data.num_vertices(); ++v) {
+    EXPECT_EQ(pre->filter.row(0)[v], FilterTable::kDegree) << "v" << v;
+  }
 }
 
 TEST(PreprocessTest, EmptyQueryRejected) {
@@ -117,7 +160,14 @@ TEST(PreprocessTest, MultiLabelScanUsesRarestBucket) {
   auto query = qb.Build();
   ASSERT_TRUE(query.ok());
   NlcIndex nlc(*data);
-  EXPECT_EQ(CountCandidates(*data, nlc, *query, 0), 1u);  // only v7
+  auto pre = Preprocess(*data, nlc, *query, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
+  EXPECT_EQ(pre->candidate_counts[0], 1u);  // only v7
+  EXPECT_EQ(pre->filter.Candidates(*data, *query, 0),
+            std::vector<VertexId>{7});
+  // Vertices outside the scanned bucket of label 5 read "label".
+  EXPECT_EQ(pre->filter.row(0)[6], FilterTable::kLabel);
+  EXPECT_EQ(pre->filter.row(0)[7], FilterTable::kPass);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "gen/labels.h"
+#include "gen/random_graphs.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "util/logging.h"
@@ -31,6 +34,16 @@ inline Graph MakeUnlabeled(std::size_t n,
                            const std::vector<std::pair<VertexId, VertexId>>&
                                edges) {
   return MakeGraph(std::vector<Label>(n, 0), edges);
+}
+
+/// The data graphs of the golden tests (arena images, filter-once builds):
+/// "er", "ba" or "social", optionally with 4 random labels. Their fixed
+/// seeds are part of the recorded values.
+inline Graph GoldenDataGraph(const std::string& family, bool labeled) {
+  Graph g = family == "er"   ? GenerateErdosRenyi(500, 3000, 11)
+            : family == "ba" ? GenerateBarabasiAlbert(500, 4, 12)
+                             : GenerateSocialGraph(600, 6, 13);
+  return labeled ? AssignRandomLabels(g, 4, 14) : g;
 }
 
 /// The paper's running example (Figures 1 and 3), reconstructed from the
