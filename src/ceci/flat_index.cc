@@ -373,38 +373,41 @@ Status FlatCeciIndex::ValidateStructure() const {
     const FlatVertexMeta& owner = vertices_[lm.owner];
     for (std::uint32_t i = 0; i < lm.key_count; ++i) {
       const FlatEntry& e = entries_[lm.entry_begin + i];
-      const std::string where =
-          "entry " + std::to_string(i) + " of list " + std::to_string(l);
+      // Formatted only on failure: this loop visits every entry on each
+      // image open, so a per-entry string would dominate the validation.
+      auto where = [&] {
+        return "entry " + std::to_string(i) + " of list " + std::to_string(l);
+      };
       if (e.count() > owner.cand_count) {
-        return Status::Corruption(where + " stores more values than the "
+        return Status::Corruption(where() + " stores more values than the "
                                           "owner has candidates");
       }
       if (e.is_bitmap()) {
         if (std::uint64_t{e.offset} + owner.bitmap_words >
             bitmap_pool_.size()) {
-          return Status::Corruption(where + " bitmap out of pool bounds");
+          return Status::Corruption(where() + " bitmap out of pool bounds");
         }
         const std::span<const std::uint64_t> bits =
             bitmap_pool_.subspan(e.offset, owner.bitmap_words);
         if (BitmapPopcount(bits) != e.count()) {
-          return Status::Corruption(where + " bitmap popcount != count");
+          return Status::Corruption(where() + " bitmap popcount != count");
         }
         if (owner.bitmap_words > 0 && (owner.cand_count & 63) != 0 &&
             (bits[owner.bitmap_words - 1] >>
              (owner.cand_count & 63)) != 0) {
-          return Status::Corruption(where + " bitmap sets ranks past the "
+          return Status::Corruption(where() + " bitmap sets ranks past the "
                                             "owner's candidate count");
         }
       } else {
         if (std::uint64_t{e.offset} + e.count() > array_pool_.size()) {
-          return Status::Corruption(where + " array out of pool bounds");
+          return Status::Corruption(where() + " array out of pool bounds");
         }
         const std::span<const std::uint32_t> ranks =
             array_pool_.subspan(e.offset, e.count());
         for (std::size_t r = 0; r < ranks.size(); ++r) {
           if (ranks[r] >= owner.cand_count ||
               (r > 0 && ranks[r - 1] >= ranks[r])) {
-            return Status::Corruption(where + " ranks unsorted or out of "
+            return Status::Corruption(where() + " ranks unsorted or out of "
                                               "range");
           }
         }

@@ -437,8 +437,10 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   DistRunReport report;
 
   // --- Coordinator: preprocessing + pivot distribution (§5) ---
-  NlcIndex nlc(data);
+  // The NLC build is the coordinator's first step and counts toward
+  // preprocess_seconds.
   Timer phase;
+  NlcIndex nlc(data);
   auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
   if (!pre.ok()) return pre.status();
   SymmetryConstraints symmetry =
@@ -726,36 +728,45 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   // Declared before death() (they recurse through dispatch failures).
   std::function<void(WorkerState&, bool)> death;
 
-  auto send_step = [&](WorkerState& w, const PendingStep& step) -> bool {
+  auto queue_step = [&](WorkerState& w, const PendingStep& step) -> bool {
     AssignMsg assign;
     assign.unit_id = step.unit_id;
     assign.origin = step.origin;
     assign.prefix = table[step.unit_id].prefix;
-    Status status = w.channel->Send(static_cast<std::uint8_t>(MsgType::kAssign),
-                                    EncodeAssign(assign));
+    Status status = w.channel->Queue(
+        static_cast<std::uint8_t>(MsgType::kAssign), EncodeAssign(assign));
     if (!status.ok()) {
       CECI_LOG(Warning) << "dist: assign to worker " << w.id
                         << " failed: " << status.ToString();
       return false;
     }
-    ++units_dispatched;
     return true;
   };
 
+  // Fills the worker's window from the head of its queue and writes the
+  // batch with one flush. A failed write is the worker's death; the death
+  // handler re-adopts the in-flight units the batch carried.
   auto dispatch = [&](WorkerState& w) {
+    std::size_t batch = 0;
     while (w.live && w.inflight.size() < window && !w.queue.empty()) {
       PendingStep& head = w.queue.front();
       if (head.gate != kNoGate && !workers[head.gate].dead) break;
-      PendingStep step = head;
-      w.queue.pop_front();
-      if (!send_step(w, step)) {
-        // Put it back so the death handler re-adopts it with the rest.
-        w.queue.push_front(step);
+      if (!queue_step(w, head)) {
         death(w, /*scripted_kill=*/false);
         return;
       }
-      w.inflight.push_back(step);
+      w.inflight.push_back(head);
+      w.queue.pop_front();
+      ++batch;
     }
+    if (batch == 0) return;
+    if (Status status = w.channel->Flush(); !status.ok()) {
+      CECI_LOG(Warning) << "dist: assign to worker " << w.id
+                        << " failed: " << status.ToString();
+      death(w, /*scripted_kill=*/false);
+      return;
+    }
+    units_dispatched += batch;
   };
 
   death = [&](WorkerState& w, bool scripted_kill) {
@@ -850,7 +861,9 @@ Result<DistRunReport> RunDistributed(const Graph& data,
         doomed.unit_id = lost;
         doomed.origin = table[lost].origin;
         w.discard.insert(lost);
-        (void)send_step(w, doomed);
+        if (queue_step(w, doomed) && w.channel->Flush().ok()) {
+          ++units_dispatched;
+        }
       }
       SignalChild(w.proc.pid, SIGKILL);
       w.killed_by_plan = true;
@@ -881,6 +894,9 @@ Result<DistRunReport> RunDistributed(const Graph& data,
       step.stolen = true;
       w.queue.push_back(step);
       w.remaining_cost += cost;
+      // Send it now rather than after the next poll: the thief is idle,
+      // and that poll may wait on a peer's next result batch.
+      dispatch(w);
     }
   };
 
@@ -974,8 +990,10 @@ Result<DistRunReport> RunDistributed(const Graph& data,
       w->reaped = true;
       return true;
     });
+    // A worker exits within a millisecond of its shutdown frame; a short
+    // poll keeps the reap from adding a sleep quantum to every run.
     if (!exiting.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   }
   for (WorkerState* w : exiting) {

@@ -12,11 +12,12 @@
 // the simulation accounts.
 //
 // Failure handling has two modes:
-//  * Reactive (no FailurePlan): units are pipelined per worker; a worker
-//    that hangs up, gets reaped, or misses the heartbeat deadline is
-//    SIGKILLed to be sure, its channel drained to EOF (buffered results
-//    still count — exactly once), and its unfinished units re-adopted by
-//    the least-loaded survivors, at most once per cluster.
+//  * Reactive (no FailurePlan): units are pipelined per worker, each
+//    window refill written as one batch of frames; a worker that hangs
+//    up, gets reaped, or misses the heartbeat deadline is SIGKILLed to be
+//    sure, its channel drained to EOF (buffered results still count —
+//    exactly once), and its unfinished units re-adopted by the
+//    least-loaded survivors, at most once per cluster.
 //  * Scripted (FailurePlan active): the supervisor first replays the
 //    plan against the modeled timeline — the same deterministic replay
 //    the simulation runs — to fix each worker's execution order, the
@@ -66,7 +67,12 @@ struct DistProcessOptions {
   std::size_t jaccard_top_k = 256;
   /// Max unacknowledged assignments per worker (reactive mode; scripted
   /// runs always use lockstep window 1 so kill points are deterministic).
-  std::size_t pipeline_window = 4;
+  /// Each refill goes out as one coalesced write, and the worker returns
+  /// results in batches, so the window must cover a batch: a deep window
+  /// turns one round trip per unit into one per batch. Only queued units
+  /// can be stolen or re-planned, so the window also bounds how much work
+  /// a worker holds that an idle peer cannot take.
+  std::size_t pipeline_window = 256;
   /// Heartbeat cadence requested from workers, and the silence deadline
   /// after which a worker is declared dead (EOF and reaping are the fast
   /// paths; the deadline is the backstop for a livelocked worker).

@@ -129,8 +129,27 @@ int RunWorker(const WorkerOptions& options) {
     return 1;
   }
 
+  // Result frames are queued and written in batches: before any blocking
+  // receive, every kResultBatch results, and once heartbeat_seconds has
+  // passed since the last write. The batch rule lets the supervisor refill
+  // the window while this worker still has assignments buffered; the time
+  // rule keeps a result from waiting more than a heartbeat interval
+  // behind a slow unit, so the supervisor's liveness view is unchanged.
+  constexpr std::size_t kResultBatch = 64;
+  Timer since_flush;
+  auto flush = [&]() -> Status {
+    since_flush.Reset();
+    return channel.Flush();
+  };
+  auto exit_code_for = [](const Status& status) {
+    return status.message().rfind("eof", 0) == 0 ? 0 : 1;
+  };
+
   std::uint64_t units_done = 0;
   for (;;) {
+    if (channel.queued_frames() > 0 && !channel.WaitReadable(0.0)) {
+      if (Status status = flush(); !status.ok()) return exit_code_for(status);
+    }
     auto frame = channel.Recv(options.heartbeat_seconds);
     if (!frame.ok()) {
       if (frame.status().code() == Status::Code::kNotFound) {
@@ -148,7 +167,7 @@ int RunWorker(const WorkerOptions& options) {
       }
       // EOF means the supervisor exited (clean teardown closes our end
       // from its side); anything else is a transport fault.
-      return frame.status().message().rfind("eof", 0) == 0 ? 0 : 1;
+      return exit_code_for(frame.status());
     }
 
     switch (static_cast<MsgType>(frame->type)) {
@@ -177,12 +196,14 @@ int RunWorker(const WorkerOptions& options) {
             part.enumerator->stats().recursive_calls - part.prev_calls;
         part.prev_calls = part.enumerator->stats().recursive_calls;
         ++units_done;
-        if (Status status =
-                channel.Send(static_cast<std::uint8_t>(MsgType::kResult),
-                             EncodeResult(result));
-            !status.ok()) {
-          return status.message().rfind("eof", 0) == 0 ? 0 : 1;
+        Status status = channel.Queue(
+            static_cast<std::uint8_t>(MsgType::kResult), EncodeResult(result));
+        if (status.ok() &&
+            (channel.queued_frames() >= kResultBatch ||
+             since_flush.Seconds() >= options.heartbeat_seconds)) {
+          status = flush();
         }
+        if (!status.ok()) return exit_code_for(status);
         break;
       }
       case MsgType::kShutdown:

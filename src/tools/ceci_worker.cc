@@ -4,6 +4,8 @@
 // channel on --channel-fd; maps the CEIX partition images under
 // --index-dir and enumerates the work-unit prefixes it is assigned,
 // streaming back one result frame per unit and heartbeating while idle.
+// Result frames are written in batches: before the worker blocks waiting
+// for work, every 64 results, and at least once per heartbeat interval.
 // Not meant to be run by hand; see docs/robustness.md for the protocol.
 //
 // Exit codes: 0 clean shutdown or supervisor hangup, 1 transport or

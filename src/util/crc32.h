@@ -1,4 +1,7 @@
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
+// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), slicing-by-8: eight
+// 256-entry tables consume eight input bytes per step, with a bytewise
+// tail. The values are those of the classic one-table bytewise CRC, so
+// checksums already written to disk stay valid.
 //
 // Used by the flat-index persistence format (ceci/index_io.h) to checksum
 // the header, slab table, and every slab so corrupt or truncated index

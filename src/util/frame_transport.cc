@@ -59,12 +59,15 @@ FrameChannel::FrameChannel(FrameChannel&& other) noexcept
     : fd_(other.fd_),
       options_(other.options_),
       rx_(std::move(other.rx_)),
+      tx_(std::move(other.tx_)),
+      tx_frames_(other.tx_frames_),
       status_(std::move(other.status_)),
       frames_sent_(other.frames_sent_),
       frames_received_(other.frames_received_),
       bytes_sent_(other.bytes_sent_),
       bytes_received_(other.bytes_received_) {
   other.fd_ = -1;
+  other.tx_frames_ = 0;
 }
 
 FrameChannel& FrameChannel::operator=(FrameChannel&& other) noexcept {
@@ -73,12 +76,15 @@ FrameChannel& FrameChannel::operator=(FrameChannel&& other) noexcept {
     fd_ = other.fd_;
     options_ = other.options_;
     rx_ = std::move(other.rx_);
+    tx_ = std::move(other.tx_);
+    tx_frames_ = other.tx_frames_;
     status_ = std::move(other.status_);
     frames_sent_ = other.frames_sent_;
     frames_received_ = other.frames_received_;
     bytes_sent_ = other.bytes_sent_;
     bytes_received_ = other.bytes_received_;
     other.fd_ = -1;
+    other.tx_frames_ = 0;
   }
   return *this;
 }
@@ -90,24 +96,29 @@ void FrameChannel::Close() {
   }
 }
 
-Status FrameChannel::Send(std::uint8_t type,
-                          std::span<const std::uint8_t> payload) {
+Status FrameChannel::Queue(std::uint8_t type,
+                           std::span<const std::uint8_t> payload) {
   if (fd_ < 0) return Status::IoError("send on closed channel");
   if (payload.size() > options_.max_frame_bytes) {
     return Status::InvalidArgument("frame payload exceeds max_frame_bytes");
   }
-  std::vector<std::uint8_t> wire;
-  wire.reserve(kHeaderBytes + payload.size());
-  PutU32(&wire, static_cast<std::uint32_t>(payload.size()));
-  wire.push_back(type);
-  wire.insert(wire.end(), payload.begin(), payload.end());
+  PutU32(&tx_, static_cast<std::uint32_t>(payload.size()));
+  tx_.push_back(type);
+  tx_.insert(tx_.end(), payload.begin(), payload.end());
+  ++tx_frames_;
+  return Status::Ok();
+}
 
+Status FrameChannel::Flush() {
+  if (tx_.empty()) return Status::Ok();
+  Status status = Status::Ok();
+  if (fd_ < 0) status = Status::IoError("send on closed channel");
   Timer deadline;
   double backoff = options_.initial_backoff_seconds;
   std::size_t sent = 0;
-  while (sent < wire.size()) {
-    const ssize_t n = ::send(fd_, wire.data() + sent, wire.size() - sent,
-                             MSG_NOSIGNAL);
+  while (status.ok() && sent < tx_.size()) {
+    const ssize_t n =
+        ::send(fd_, tx_.data() + sent, tx_.size() - sent, MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
       backoff = options_.initial_backoff_seconds;
@@ -115,23 +126,30 @@ Status FrameChannel::Send(std::uint8_t type,
     }
     const int err = n == 0 ? EIO : errno;
     if (err == EPIPE || err == ECONNRESET) {
-      return Status::IoError("eof: peer closed during send");
-    }
-    if (!TransientErrno(err)) {
-      return Status::IoError(std::string("send: ") + std::strerror(err));
-    }
-    if (deadline.Seconds() > options_.io_timeout_seconds) {
-      return Status::IoError("send: deadline exceeded after retries");
-    }
-    if (err == EAGAIN || err == EWOULDBLOCK) {
+      status = Status::IoError("eof: peer closed during send");
+    } else if (!TransientErrno(err)) {
+      status = Status::IoError(std::string("send: ") + std::strerror(err));
+    } else if (deadline.Seconds() > options_.io_timeout_seconds) {
+      status = Status::IoError("send: deadline exceeded after retries");
+    } else if (err == EAGAIN || err == EWOULDBLOCK) {
       PollOne(fd_, POLLOUT, options_.io_timeout_seconds - deadline.Seconds());
     } else {
       BackoffSleep(&backoff, options_);
     }
   }
-  ++frames_sent_;
-  bytes_sent_ += wire.size();
-  return Status::Ok();
+  if (status.ok()) {
+    frames_sent_ += tx_frames_;
+    bytes_sent_ += tx_.size();
+  }
+  tx_.clear();
+  tx_frames_ = 0;
+  return status;
+}
+
+Status FrameChannel::Send(std::uint8_t type,
+                          std::span<const std::uint8_t> payload) {
+  CECI_RETURN_IF_ERROR(Queue(type, payload));
+  return Flush();
 }
 
 bool FrameChannel::FillFromSocket() {

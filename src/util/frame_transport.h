@@ -7,6 +7,11 @@
 //
 //   u32 payload_bytes | u8 type | payload_bytes bytes
 //
+// Frames can be queued and written together: Queue appends a frame to a
+// send buffer, Flush writes the whole buffer in one send loop, and Send is
+// Queue + Flush. Coalescing changes how many syscalls carry the frames,
+// never their bytes.
+//
 // The channel owns its descriptor, keeps it non-blocking, and gives every
 // operation a deadline. Transient failures (EINTR, EAGAIN, ENOBUFS,
 // ENOMEM) are retried under the deadline with capped exponential backoff;
@@ -30,8 +35,9 @@ struct Frame {
 };
 
 struct TransportOptions {
-  /// Per-operation deadline: Send must fully flush and Recv must deliver
-  /// a complete frame (once bytes start arriving) within this window.
+  /// Per-operation deadline: Flush must write every queued byte and Recv
+  /// must deliver a complete frame (once bytes start arriving) within
+  /// this window.
   double io_timeout_seconds = 30.0;
   /// Backoff after a transient error: starts here, doubles per retry.
   double initial_backoff_seconds = 0.0005;
@@ -61,10 +67,23 @@ class FrameChannel {
   bool open() const { return fd_ >= 0; }
   void Close();
 
-  /// Sends one frame, retrying transient errors with capped exponential
-  /// backoff until the options deadline. kIoError("eof ...") when the
-  /// peer has hung up.
+  /// Appends one frame to the send buffer without writing it. The bytes
+  /// are exactly those Send would write; they reach the peer at the next
+  /// Flush (or Send). kInvalidArgument for an over-limit payload,
+  /// kIoError on a closed channel.
+  Status Queue(std::uint8_t type, std::span<const std::uint8_t> payload);
+
+  /// Writes every queued frame in one send loop, retrying transient
+  /// errors with capped exponential backoff until the options deadline.
+  /// kIoError("eof ...") when the peer has hung up. A failed flush drops
+  /// the buffer: a peer that missed part of the stream cannot resync.
+  Status Flush();
+
+  /// Queue + Flush: sends one frame behind any already queued.
   Status Send(std::uint8_t type, std::span<const std::uint8_t> payload);
+
+  /// Frames queued since the last Flush.
+  std::size_t queued_frames() const { return tx_frames_; }
 
   /// Receives one complete frame. `timeout_seconds` bounds the wait for
   /// the *first* byte; once a frame is partially read, the options
@@ -76,6 +95,7 @@ class FrameChannel {
   /// True when at least one byte (or EOF) is ready within the timeout.
   bool WaitReadable(double timeout_seconds) const;
 
+  /// Counted at Flush: frames still queued are not sent yet.
   std::uint64_t frames_sent() const { return frames_sent_; }
   std::uint64_t frames_received() const { return frames_received_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -89,6 +109,8 @@ class FrameChannel {
   int fd_ = -1;
   TransportOptions options_;
   std::vector<std::uint8_t> rx_;  // partial-frame reassembly buffer
+  std::vector<std::uint8_t> tx_;  // queued, unflushed frames
+  std::size_t tx_frames_ = 0;
   Status status_;                 // sticky fatal receive status
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_received_ = 0;

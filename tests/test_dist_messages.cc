@@ -186,6 +186,96 @@ TEST(FrameChannelTest, OversizeLengthPrefixIsCorruption) {
   EXPECT_EQ(right.Recv(1.0).status().code(), Status::Code::kCorruption);
 }
 
+TEST(FrameChannelTest, QueuedFramesArriveInOrderAfterOneFlush) {
+  int a = -1;
+  int b = -1;
+  ASSERT_TRUE(MakeSocketPair(&a, &b).ok());
+  FrameChannel left(a);
+  FrameChannel right(b);
+  constexpr int kFrames = 300;
+  for (int i = 0; i < kFrames; ++i) {
+    ResultMsg result;
+    result.unit_id = static_cast<std::uint64_t>(i);
+    result.embeddings = static_cast<std::uint64_t>(i) * 7;
+    ASSERT_TRUE(left.Queue(static_cast<std::uint8_t>(MsgType::kResult),
+                           EncodeResult(result))
+                    .ok());
+  }
+  EXPECT_EQ(left.queued_frames(), static_cast<std::size_t>(kFrames));
+  // Nothing is written before the flush.
+  EXPECT_EQ(right.Recv(0.0).status().code(), Status::Code::kNotFound);
+  ASSERT_TRUE(left.Flush().ok());
+  EXPECT_EQ(left.queued_frames(), 0u);
+  for (int i = 0; i < kFrames; ++i) {
+    auto frame = right.Recv(1.0);
+    ASSERT_TRUE(frame.ok()) << "frame " << i;
+    ASSERT_EQ(frame->type, static_cast<std::uint8_t>(MsgType::kResult));
+    auto result = DecodeResult(frame->payload);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->unit_id, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(result->embeddings, static_cast<std::uint64_t>(i) * 7);
+  }
+  EXPECT_EQ(right.Recv(0.0).status().code(), Status::Code::kNotFound);
+  EXPECT_EQ(right.frames_received(), static_cast<std::uint64_t>(kFrames));
+}
+
+TEST(FrameChannelTest, CountersAdvanceOnlyAtFlush) {
+  int a = -1;
+  int b = -1;
+  ASSERT_TRUE(MakeSocketPair(&a, &b).ok());
+  FrameChannel left(a);
+  FrameChannel right(b);
+  ASSERT_TRUE(left.Queue(1, std::vector<std::uint8_t>{1, 2, 3}).ok());
+  ASSERT_TRUE(left.Queue(2, std::vector<std::uint8_t>{}).ok());
+  EXPECT_EQ(left.frames_sent(), 0u);
+  EXPECT_EQ(left.bytes_sent(), 0u);
+  ASSERT_TRUE(left.Flush().ok());
+  // Two 5-byte headers plus three payload bytes: the same wire bytes two
+  // Sends would have written.
+  EXPECT_EQ(left.frames_sent(), 2u);
+  EXPECT_EQ(left.bytes_sent(), 13u);
+  // An empty flush writes and counts nothing.
+  ASSERT_TRUE(left.Flush().ok());
+  EXPECT_EQ(left.frames_sent(), 2u);
+  EXPECT_EQ(left.bytes_sent(), 13u);
+}
+
+TEST(FrameChannelTest, SendAfterQueueDeliversBothInOrder) {
+  int a = -1;
+  int b = -1;
+  ASSERT_TRUE(MakeSocketPair(&a, &b).ok());
+  FrameChannel left(a);
+  FrameChannel right(b);
+  ASSERT_TRUE(left.Queue(4, std::vector<std::uint8_t>{44}).ok());
+  ASSERT_TRUE(left.Send(5, std::vector<std::uint8_t>{55, 56}).ok());
+  EXPECT_EQ(left.frames_sent(), 2u);
+  auto first = right.Recv(1.0);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->type, 4);
+  EXPECT_EQ(first->payload, std::vector<std::uint8_t>{44});
+  auto second = right.Recv(1.0);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->type, 5);
+  EXPECT_EQ(second->payload, (std::vector<std::uint8_t>{55, 56}));
+}
+
+TEST(FrameChannelTest, FlushToClosedPeerReturnsEof) {
+  int a = -1;
+  int b = -1;
+  ASSERT_TRUE(MakeSocketPair(&a, &b).ok());
+  FrameChannel left(a);
+  { FrameChannel right(b); }  // peer hangs up
+  ASSERT_TRUE(left.Queue(1, std::vector<std::uint8_t>(64)).ok());
+  Status status = left.Flush();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), Status::Code::kIoError);
+  EXPECT_EQ(status.message().rfind("eof", 0), 0u) << status.ToString();
+  // The failed flush sent nothing countable and left nothing queued.
+  EXPECT_EQ(left.frames_sent(), 0u);
+  EXPECT_EQ(left.bytes_sent(), 0u);
+  EXPECT_EQ(left.queued_frames(), 0u);
+}
+
 TEST(SubprocessTest, SpawnReapAndExitCode) {
   auto child = SpawnWithChannel("/bin/sh", {"-c", "exit 7"});
   ASSERT_TRUE(child.ok()) << child.status().ToString();

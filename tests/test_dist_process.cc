@@ -3,12 +3,19 @@
 // harness (genuine SIGKILL of workers mid-enumeration, 20+ seeded trials),
 // and the sim-vs-real differential — the same FailurePlan must produce
 // identical recovery accounting in distsim::DistributedMatch and
-// dist::RunDistributed. Needs the ceci_worker binary, so this target
+// dist::RunDistributed — plus an unscripted SIGKILL under the default deep
+// dispatch window. Needs the ceci_worker binary, so this target
 // depends on the tools build (CECI_TOOLS_DIR).
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <set>
 #include <string>
@@ -264,6 +271,65 @@ TEST_F(DistProcessTest, ScriptedRunMatchesSimulationAccounting) {
       EXPECT_EQ(rw.stolen_units, sm.stolen_units)
           << "trial " << trial << " w" << m;
     }
+  }
+}
+
+// An unscripted death with a deep window: a wrapper execs the real worker
+// and, for worker 0 only, SIGKILLs it once it has used 40 ms of CPU — a
+// third of the way through its share, with a full dispatch window in
+// flight and results queued but not yet flushed. Reactive recovery must
+// still count every unit exactly once. The trigger is CPU time, not wall
+// time, so a loaded host cannot let the worker finish before the kill.
+TEST_F(DistProcessTest, ReactiveKillWithDeepWindowRecoversExactTotals) {
+  // The 4-cycle gives each worker about 100 ms of enumeration CPU here.
+  Graph data = GenerateSocialGraph(20000, 8, 21);
+  auto query = ParsePattern("(a:0)-(b:0)-(c:0)-(d:0)-(a)");
+  ASSERT_TRUE(query.ok());
+  CeciMatcher matcher(data);
+  auto expected = matcher.Count(*query);
+  ASSERT_TRUE(expected.ok());
+
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "ceci_reactive_kill.XXXXXX")
+                        .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string wrapper = dir + "/kill_worker0.sh";
+  {
+    std::ofstream script(wrapper);
+    // $$ is the shell that becomes ceci_worker through exec. The watcher
+    // reads its utime + stime (fields 14 and 15 of /proc/PID/stat, in
+    // 10 ms ticks) and drops the channel descriptor so EOF follows the
+    // kill.
+    script << "#!/bin/sh\n"
+           << "case \" $* \" in *\" --worker-id 0 \"*)\n"
+           << "  ( while :; do\n"
+           << "      set -- $(cat /proc/$$/stat 2>/dev/null)\n"
+           << "      [ $# -ge 15 ] || exit 0\n"
+           << "      [ $((${14} + ${15})) -ge 4 ] && break\n"
+           << "      sleep 0.002\n"
+           << "    done\n"
+           << "    kill -9 $$ ) 3>&- & ;;\n"
+           << "esac\n"
+           << "exec " << WorkerBinary() << " \"$@\"\n";
+  }
+  ASSERT_EQ(::chmod(wrapper.c_str(), 0755), 0);
+
+  auto options = BaseOptions(3);
+  options.worker_binary = wrapper;
+  auto report = dist::RunDistributed(data, *query, options);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GT(report->total_units, 1000u);
+  EXPECT_EQ(report->embeddings, *expected);
+  EXPECT_TRUE(report->audit_ok) << report->audit_summary;
+  EXPECT_EQ(report->crashed_workers, 1u);
+  EXPECT_TRUE(report->workers[0].crashed);
+  EXPECT_FALSE(report->workers[0].killed_by_plan);
+  EXPECT_TRUE(report->workers[0].signaled);
+  EXPECT_EQ(report->workers[0].term_signal, SIGKILL);
+  EXPECT_FALSE(report->orphan_events.empty());
+  for (const auto& [dead, pivot] : report->orphan_events) {
+    EXPECT_EQ(dead, 0u) << "pivot " << pivot;
   }
 }
 

@@ -1,6 +1,8 @@
 // Unit tests for the Graph CSR representation, builder, and NLC index.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "graph/nlc_index.h"
@@ -152,6 +154,48 @@ TEST(NlcIndexTest, MatchesProfileForEveryVertex) {
       EXPECT_EQ(got[i].count, expected[i].count);
     }
   }
+
+  // At scale: 3000 vertices, up to three labels each out of 11, every
+  // tenth vertex isolated, and hubs so most neighborhoods repeat labels.
+  std::mt19937 rng(0x41c);
+  GraphBuilder builder;
+  const VertexId n = 3000;
+  builder.ReserveVertices(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const int num = 1 + static_cast<int>(rng() % 3);
+    for (int k = 0; k < num; ++k) builder.AddLabel(v, rng() % 11);
+  }
+  auto linked = [](VertexId v) { return v % 10 != 0; };
+  for (VertexId v = 0; v < n; ++v) {
+    if (!linked(v)) continue;
+    for (int k = 0; k < 6; ++k) {
+      // Half the edges land on the 50 lowest ids, which become hubs.
+      const VertexId w = static_cast<VertexId>(
+          k % 2 == 0 ? rng() % 50 : rng() % n);
+      if (linked(w)) builder.AddEdge(v, w);
+    }
+  }
+  auto big = builder.Build();
+  ASSERT_TRUE(big.ok());
+  ASSERT_EQ(big->num_vertices(), n);
+  NlcIndex big_index(*big);
+  std::size_t total_entries = 0;
+  bool saw_repeat = false;
+  for (VertexId v = 0; v < n; ++v) {
+    if (!linked(v)) ASSERT_EQ(big->degree(v), 0u);
+    auto expected = NlcIndex::Profile(*big, v);
+    auto got = big_index.entries(v);
+    ASSERT_EQ(got.size(), expected.size()) << "vertex " << v;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(got[i].label, expected[i].label) << "vertex " << v;
+      ASSERT_EQ(got[i].count, expected[i].count) << "vertex " << v;
+      saw_repeat = saw_repeat || expected[i].count > 1;
+    }
+    total_entries += expected.size();
+  }
+  EXPECT_TRUE(saw_repeat);
+  EXPECT_EQ(big_index.MemoryBytes(),
+            (n + 1) * sizeof(EdgeId) + total_entries * sizeof(NlcIndex::Entry));
 }
 
 }  // namespace

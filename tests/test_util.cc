@@ -1,4 +1,5 @@
-// Unit tests for util: Status/Result, intersection kernels, thread pool.
+// Unit tests for util: Status/Result, intersection kernels, thread pool,
+// CRC-32.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +8,7 @@
 #include <set>
 
 #include "graph/types.h"
+#include "util/crc32.h"
 #include "util/intersection.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -228,6 +230,65 @@ TEST(SaturatingArithmeticTest, MulSaturates) {
   EXPECT_EQ(SaturatingMul(kCardinalityCap, 2), kCardinalityCap);
   EXPECT_EQ(SaturatingMul(Cardinality{1} << 31, Cardinality{1} << 32),
             kCardinalityCap);
+}
+
+/// Bit-at-a-time CRC-32 straight from the polynomial: the definition the
+/// table-driven Crc32 must reproduce.
+std::uint32_t BitwiseCrc32(const std::uint8_t* p, std::size_t size,
+                           std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, KnownVectors) {
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog", 43),
+            0x414FA339u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  std::mt19937 rng(0xc3c);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* p = buf.data() + offset;
+    // The reference for length len extends the one for len - 1 by a byte.
+    std::uint32_t expected = 0;
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      if (len > 0) expected = BitwiseCrc32(p + len - 1, 1, expected);
+      ASSERT_EQ(Crc32(p, len), expected) << "offset " << offset << " len "
+                                         << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedsEqualOneShot) {
+  std::mt19937 rng(0x5eed);
+  std::vector<std::uint8_t> buf(4096);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  const std::uint32_t whole = Crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, BitwiseCrc32(buf.data(), buf.size(), 0));
+  std::uniform_int_distribution<std::size_t> cut(0, buf.size());
+  for (int trial = 0; trial < 200; ++trial) {
+    std::size_t a = cut(rng);
+    std::size_t b = cut(rng);
+    if (a > b) std::swap(a, b);
+    std::uint32_t crc = Crc32(buf.data(), a);
+    crc = Crc32(buf.data() + a, b - a, crc);
+    crc = Crc32(buf.data() + b, buf.size() - b, crc);
+    ASSERT_EQ(crc, whole) << "cuts " << a << ", " << b;
+    // An arbitrary seed chains the same way in both implementations.
+    const auto seed = static_cast<std::uint32_t>(rng());
+    ASSERT_EQ(Crc32(buf.data() + a, b - a, seed),
+              BitwiseCrc32(buf.data() + a, b - a, seed));
+  }
 }
 
 }  // namespace
