@@ -25,6 +25,7 @@ int main() {
   for (PaperQuery pq : kAllPaperQueries) {
     Graph query = MakePaperQuery(pq);
     MatchOptions plain;
+    plain.leaf_count_shortcut = false;
     Timer t;
     auto a = matcher.Match(query, plain);
     double plain_s = t.Seconds();

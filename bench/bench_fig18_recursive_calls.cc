@@ -21,9 +21,14 @@ int main() {
   for (const char* abbr : {"WT", "LJ", "OK"}) {
     Dataset d = MakeDataset(abbr);
     CeciMatcher matcher(d.graph);
+    // Paper accounting: BFS order and one call per last-level candidate,
+    // as in the baselines the counts are compared with.
+    MatchOptions options;
+    options.order = OrderStrategy::kBfs;
+    options.leaf_count_shortcut = false;
     for (PaperQuery pq : kAllPaperQueries) {
       Graph query = MakePaperQuery(pq);
-      auto ceci = matcher.Match(query, MatchOptions{});
+      auto ceci = matcher.Match(query, options);
       WriteMetricsSidecar("fig18_recursive_calls", *ceci,
                           {{"dataset", abbr}, {"query", PaperQueryName(pq)}});
       PsglResult psgl = PsglCount(d.graph, query, PsglOptions{});

@@ -46,7 +46,6 @@ int main() {
     CECI_CHECK(query.ok()) << query.status().ToString();
     MatchOptions options;
     options.threads = 2;
-    options.leaf_count_shortcut = true;  // frequencies only
     auto result = matcher.Match(*query, options);
     CECI_CHECK(result.ok());
     std::printf("%-28s %14llu %9.1fms %14llu\n", motif.name,

@@ -427,8 +427,10 @@ if [[ "$index_pass" == 1 ]]; then
   # Persisted-index round trip (docs/index_layout.md#serving-a-prebuilt-index):
   # build + freeze + persist offline with ceci_query, then serve the mmap'd
   # image and require the served embedding count to equal the offline one.
+  # The image is saved under a non-default matching order, so the server
+  # must adopt the order the image records.
   "$build_dir/src/ceci_query" --data "$index_tmp/g.txt" --format labeled \
-    --pattern "(a:0)-(b:1)-(c:2); (a)-(c)" --stats \
+    --pattern "(a:0)-(b:1)-(c:2); (a)-(c)" --stats --order path-ranked \
     --save-index "$index_tmp/tri.idx" | tee "$index_tmp/offline.txt"
   want="$(grep '^embeddings:' "$index_tmp/offline.txt" | awk '{print $2}')"
   [[ -n "$want" ]] || { echo "offline run printed no embeddings" >&2; exit 1; }

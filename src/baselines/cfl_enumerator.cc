@@ -146,7 +146,9 @@ class CflMatcher::Impl {
     CflResult result;
     result.used_matrix = matrix_ != nullptr;
 
+    // The baseline keeps its BFS plan whatever CECI's default order is.
     PreprocessOptions pre_options;
+    pre_options.order = OrderStrategy::kBfs;
     auto pre = Preprocess(data_, nlc_, query, pre_options);
     CECI_CHECK(pre.ok()) << pre.status().ToString();
     if (pre->infeasible) {

@@ -240,30 +240,41 @@ Status CachedMatcher::InstallPrebuilt(const std::string& path,
   auto query = ParsePattern(loaded->pattern);
   if (!query.ok()) return query.status();
 
+  // The image records the matching order it was built under, which need
+  // not be the order the default pipeline picks today: adopt it.
   auto fresh = std::make_shared<Entry>();
   MatchStats& stats = fresh->build_stats;
-  auto pre = Preprocess(data_, nlc_, *query, PreprocessOptions{});
-  if (!pre.ok()) return pre.status();
-  fresh->pre = std::move(pre).value();
-  fresh->pre.ReleaseBuildInputs();  // the image replaces the build
-  if (fresh->pre.infeasible) {
-    return Status::InvalidArgument(
-        "prebuilt index pattern is infeasible on this data graph: " + path);
-  }
-  const auto& order = fresh->pre.tree.matching_order();
+  auto tree = ImageQueryTree(loaded->index, *query);
+  if (!tree.ok()) return tree.status();
+  fresh->pre.tree = std::move(tree).value();
+  fresh->pre.root = fresh->pre.tree.root();
   const FlatCeciIndex& flat = loaded->index;
-  if (flat.num_query_vertices() != order.size() ||
-      !std::equal(order.begin(), order.end(),
-                  flat.matching_order().begin())) {
-    return Status::InvalidArgument(
-        "prebuilt index was built with a different matching order than this "
-        "data graph produces: " +
-        path);
-  }
-  if (flat.TotalCandidateEdges() + flat.candidates(order[0]).size() > 0 &&
+  const VertexId root = fresh->pre.root;
+  if (flat.TotalCandidateEdges() + flat.candidates(root).size() > 0 &&
       flat.MaxCandidateId() >= data_.num_vertices()) {
     return Status::InvalidArgument(
         "prebuilt index references data vertices beyond this graph: " + path);
+  }
+  // An image built on other vertex ids than its pattern's parse (one
+  // written from a parse that numbered the vertices differently) can still
+  // carry an order that fits; its candidates then lack the labels of the
+  // query vertex that reads them.
+  for (VertexId u = 0; u < query->num_vertices(); ++u) {
+    for (VertexId v : flat.candidates(u)) {
+      if (v >= data_.num_vertices() ||
+          !data_.HasAllLabels(v, query->labels(u))) {
+        return Status::InvalidArgument(
+            "prebuilt index candidates do not carry their pattern vertex's "
+            "labels: " + path);
+      }
+    }
+  }
+  FilterTable::Compute(data_, nlc_, *query, &fresh->pre.candidate_counts);
+  if (std::find(fresh->pre.candidate_counts.begin(),
+                fresh->pre.candidate_counts.end(),
+                0u) != fresh->pre.candidate_counts.end()) {
+    return Status::InvalidArgument(
+        "prebuilt index pattern is infeasible on this data graph: " + path);
   }
   fresh->symmetry = SymmetryConstraints::Compute(*query);
   fresh->flat = std::move(loaded->index);

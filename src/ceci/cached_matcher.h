@@ -49,10 +49,13 @@ class CachedMatcher {
   /// query shape skips construction and refinement entirely. With
   /// `use_mmap` the arena stays memory-mapped read-only: every worker,
   /// connection, and process serving the same file shares one physical
-  /// copy. Fails with kInvalidArgument when the image carries no pattern
-  /// text, was built for a different matching order than this data
-  /// graph's default pipeline produces, or references data vertices this
-  /// graph does not have; kCorruption/kIoError propagate from the loader.
+  /// copy. The entry enumerates under the matching order stored in the
+  /// image, whatever order the default pipeline would pick today. Fails
+  /// with kInvalidArgument when the image carries no pattern text, its
+  /// order or NTE lists do not fit the pattern, a candidate is not a
+  /// vertex of this graph or lacks its pattern vertex's labels, or the
+  /// pattern is infeasible here; kCorruption/kIoError propagate from the
+  /// loader.
   Status InstallPrebuilt(const std::string& path, bool use_mmap = true);
 
   std::size_t cache_entries() const;

@@ -275,42 +275,23 @@ void Enumerator::Candidates(std::span<const VertexId> mapping, VertexId u,
 
 std::uint64_t Enumerator::CountLeafCandidates(VertexId u) {
   if (flat_ != nullptr) return CountLeafCandidatesFlat(u);
-  const CeciVertexData& ud = index_->at(u);
+  if (!tree_.nte_in(u).empty()) {
+    // Two or more lists: materialize them as Candidates does. A matched
+    // vertex adjacent to every NTE parent lands in most such intersections,
+    // and subtracting it from a kernel count would cost a search per list.
+    // The last depth's buffer is free: the shortcut never recurses into it.
+    std::vector<VertexId>& survivors = scratch_.back();
+    Candidates(mapping_, u, &survivors);
+    return survivors.size();
+  }
+  // Lone TE list: its length, minus the matched vertices inside it.
   VertexId lo, hi;
   SymmetryRange(mapping_, u, &lo, &hi);
-  std::span<const VertexId> te =
-      ClampToRange(ud.te.Find(mapping_[tree_.parent(u)]), lo, hi);
-
-  const auto nte_ids = tree_.nte_in(u);
-  span_scratch_.clear();
-  span_scratch_.push_back(te);
-  for (std::size_t k = 0; k < nte_ids.size(); ++k) {
-    const VertexId u_n = tree_.non_tree_edges()[nte_ids[k]].parent;
-    span_scratch_.push_back(ud.nte[k].Find(mapping_[u_n]));
-  }
-  if (!nte_ids.empty()) {
-    ++stats_.intersections;
-    for (const auto& list : span_scratch_) {
-      stats_.intersection_elements_in += list.size();
-    }
-  }
-  std::size_t count = IntersectionSizeMulti(span_scratch_);
-  if (!nte_ids.empty()) stats_.intersection_elements_out += count;
-  if (count > 0) {
-    // Injectivity: mapped data vertices inside the window were counted by
-    // the kernel but cannot extend the embedding. The TE span is already
-    // clamped, so membership in every list implies membership in [lo, hi).
-    for (VertexId m : mapping_) {
-      if (m == kInvalidVertex) continue;
-      bool in_all = true;
-      for (const auto& list : span_scratch_) {
-        if (!SortedContains(list, m)) {
-          in_all = false;
-          break;
-        }
-      }
-      if (in_all) --count;
-    }
+  const std::span<const VertexId> te = ClampToRange(
+      index_->at(u).te.Find(mapping_[tree_.parent(u)]), lo, hi);
+  std::size_t count = te.size();
+  for (VertexId m : mapping_) {
+    if (m != kInvalidVertex && SortedContains(te, m)) --count;
   }
   return count;
 }
@@ -345,17 +326,10 @@ bool Enumerator::GatherFlatRefs(std::span<const VertexId> mapping,
   return *hi == kInvalidVertex || *lo < *hi;
 }
 
-void Enumerator::CandidatesFlat(std::span<const VertexId> mapping, VertexId u,
-                                std::vector<VertexId>* out) {
-  out->clear();
-  VertexId lo, hi;
-  if (!GatherFlatRefs(mapping, u, options_.nte_intersection, &lo, &hi)) {
-    return;
-  }
-  const std::span<const VertexId> cand = flat_->candidates(u);
-
-  // Split by representation. Rank arrays are sorted u32 — exactly what the
-  // SIMD kernels eat — so they reuse span_scratch_ (VertexId == u32).
+bool Enumerator::SplitFlatRefs(std::span<const VertexId> cand, VertexId lo,
+                               VertexId hi) {
+  // Rank arrays are sorted u32 — exactly what the SIMD kernels eat — so
+  // they reuse span_scratch_ (VertexId == u32).
   span_scratch_.clear();
   bool have_bitmap = false;
   for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
@@ -365,80 +339,101 @@ void Enumerator::CandidatesFlat(std::span<const VertexId> mapping, VertexId u,
       span_scratch_.push_back(ref.ranks);
     }
   }
-  const bool count_stats = entry_scratch_.size() > 1;
-  if (count_stats) {
+  if (entry_scratch_.size() > 1) {
     ++stats_.intersections;
     for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
       stats_.intersection_elements_in += ref.count;
     }
   }
-
-  rank_scratch_.clear();
+  // The symmetry window clamps the first array through the cand[]
+  // projection (the intersection output is a subset of every input), so
+  // no global rank window is ever materialized.
   if (!span_scratch_.empty()) {
-    // At least one rank array: the symmetry window clamps the first array
-    // through the cand[] projection (the intersection output is a subset
-    // of every input), so no global rank window is ever materialized.
     span_scratch_[0] = ClampRanksById(span_scratch_[0], cand, lo, hi);
-    if (!have_bitmap && span_scratch_.size() == 1) {
-      // Lone TE array (no NTE constraints): decode straight from the
-      // clamped rank span — no intersection kernel, no intermediate copy.
-      // This mirrors the pointer path's plain-assign case.
-      out->reserve(span_scratch_[0].size());
-      for (VertexId r : span_scratch_[0]) {
-        const VertexId v = cand[r];
-        if (!IsUsed(v)) out->push_back(v);
-      }
-      ApplyEdgeVerification(mapping, u, out);
-      return;
-    }
-    if (!have_bitmap) {
-      IntersectSortedMulti(span_scratch_, &rank_scratch_);
+  }
+  return have_bitmap;
+}
+
+void Enumerator::IntersectFlatRanks(bool have_bitmap) {
+  rank_scratch_.clear();
+  if (!have_bitmap) {
+    IntersectSortedMulti(span_scratch_, &rank_scratch_);
+    return;
+  }
+  // Mixed: accumulate the dense entries (seeded from the first, no window
+  // mask needed — the array side is already windowed), intersect the
+  // array side, probe the accumulator per survivor.
+  bool seeded = false;
+  for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
+    if (!ref.is_bitmap()) continue;
+    if (!seeded) {
+      bitmap_scratch_.assign(ref.bits.begin(), ref.bits.end());
+      seeded = true;
     } else {
-      // Mixed: accumulate the dense entries (seeded from the first, no
-      // window mask needed — the array side is already windowed),
-      // intersect the array side, probe the accumulator per survivor.
-      bool seeded = false;
-      for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
-        if (!ref.is_bitmap()) continue;
-        if (!seeded) {
-          bitmap_scratch_.assign(ref.bits.begin(), ref.bits.end());
-          seeded = true;
-        } else {
-          BitmapAndInPlace(bitmap_scratch_, ref.bits);
-        }
-      }
-      IntersectSortedMulti(span_scratch_, &rank_tmp_);
-      for (VertexId r : rank_tmp_) {
-        if (BitmapTest(bitmap_scratch_, r)) rank_scratch_.push_back(r);
-      }
-    }
-  } else {
-    // All-bitmap: here the window must be translated to rank space after
-    // all. Accumulator seeded all-ones, windowed, ANDed with every entry.
-    const std::uint32_t rlo =
-        lo == 0 ? 0
-                : static_cast<std::uint32_t>(
-                      std::lower_bound(cand.begin(), cand.end(), lo) -
-                      cand.begin());
-    const std::uint32_t rhi =
-        hi == kInvalidVertex
-            ? static_cast<std::uint32_t>(cand.size())
-            : static_cast<std::uint32_t>(
-                  std::lower_bound(cand.begin(), cand.end(), hi) -
-                  cand.begin());
-    if (rlo >= rhi) return;
-    bitmap_scratch_.assign(flat_->bitmap_words(u), ~std::uint64_t{0});
-    BitmapMaskWindow(bitmap_scratch_, rlo, rhi);
-    for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
       BitmapAndInPlace(bitmap_scratch_, ref.bits);
     }
-    BitmapExtract(bitmap_scratch_, &rank_scratch_);
   }
-  if (count_stats) stats_.intersection_elements_out += rank_scratch_.size();
+  IntersectSortedMulti(span_scratch_, &rank_tmp_);
+  for (VertexId r : rank_tmp_) {
+    if (BitmapTest(bitmap_scratch_, r)) rank_scratch_.push_back(r);
+  }
+}
+
+bool Enumerator::AndFlatBitmaps(VertexId u, std::span<const VertexId> cand,
+                                VertexId lo, VertexId hi) {
+  // Here the window must be translated to rank space after all.
+  const std::uint32_t rlo =
+      lo == 0 ? 0
+              : static_cast<std::uint32_t>(
+                    std::lower_bound(cand.begin(), cand.end(), lo) -
+                    cand.begin());
+  const std::uint32_t rhi =
+      hi == kInvalidVertex
+          ? static_cast<std::uint32_t>(cand.size())
+          : static_cast<std::uint32_t>(
+                std::lower_bound(cand.begin(), cand.end(), hi) -
+                cand.begin());
+  if (rlo >= rhi) return false;
+  bitmap_scratch_.assign(flat_->bitmap_words(u), ~std::uint64_t{0});
+  BitmapMaskWindow(bitmap_scratch_, rlo, rhi);
+  for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
+    BitmapAndInPlace(bitmap_scratch_, ref.bits);
+  }
+  return true;
+}
+
+void Enumerator::CandidatesFlat(std::span<const VertexId> mapping, VertexId u,
+                                std::vector<VertexId>* out) {
+  out->clear();
+  VertexId lo, hi;
+  if (!GatherFlatRefs(mapping, u, options_.nte_intersection, &lo, &hi)) {
+    return;
+  }
+  const std::span<const VertexId> cand = flat_->candidates(u);
+  const bool have_bitmap = SplitFlatRefs(cand, lo, hi);
+
+  std::span<const VertexId> ranks;
+  if (span_scratch_.empty()) {
+    if (!AndFlatBitmaps(u, cand, lo, hi)) return;
+    rank_scratch_.clear();
+    BitmapExtract(bitmap_scratch_, &rank_scratch_);
+    ranks = rank_scratch_;
+  } else if (!have_bitmap && span_scratch_.size() == 1) {
+    // Lone TE array (no NTE constraints): decode straight from the
+    // clamped rank span — no intersection kernel, no intermediate copy.
+    // This mirrors the pointer path's plain-assign case.
+    ranks = span_scratch_[0];
+  } else {
+    IntersectFlatRanks(have_bitmap);
+    ranks = rank_scratch_;
+  }
+  if (entry_scratch_.size() > 1) {
+    stats_.intersection_elements_out += ranks.size();
+  }
 
   // Decode ranks to data-vertex ids, folding in injectivity.
-  out->reserve(rank_scratch_.size());
-  for (VertexId r : rank_scratch_) {
+  out->reserve(ranks.size());
+  for (VertexId r : ranks) {
     const VertexId v = cand[r];
     if (!IsUsed(v)) out->push_back(v);
   }
@@ -446,8 +441,8 @@ void Enumerator::CandidatesFlat(std::span<const VertexId> mapping, VertexId u,
   ApplyEdgeVerification(mapping, u, out);
 }
 
-// Edge-verification ablation filter (no-op under NTE intersection), shared
-// by both CandidatesFlat exits; matches the pointer path's behaviour.
+// Edge-verification ablation filter (no-op under NTE intersection); matches
+// the pointer path's behaviour.
 void Enumerator::ApplyEdgeVerification(std::span<const VertexId> mapping,
                                        VertexId u,
                                        std::vector<VertexId>* out) {
@@ -472,102 +467,50 @@ std::uint64_t Enumerator::CountLeafCandidatesFlat(VertexId u) {
   VertexId lo, hi;
   if (!GatherFlatRefs(mapping_, u, true, &lo, &hi)) return 0;
   const std::span<const VertexId> cand = flat_->candidates(u);
+  const bool have_bitmap = SplitFlatRefs(cand, lo, hi);
 
-  span_scratch_.clear();
-  bool have_bitmap = false;
-  for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
-    if (ref.is_bitmap()) {
-      have_bitmap = true;
-    } else {
-      span_scratch_.push_back(ref.ranks);
-    }
-  }
-  const bool count_stats = entry_scratch_.size() > 1;
-  if (count_stats) {
-    ++stats_.intersections;
-    for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
-      stats_.intersection_elements_in += ref.count;
-    }
+  if (have_bitmap ? !span_scratch_.empty() : span_scratch_.size() > 1) {
+    // Two or more rank arrays, or a mixed set: materialize the surviving
+    // ranks and probe the injectivity bitmap, exactly as CandidatesFlat
+    // does. Subtracting matched vertices after a counting kernel would cost
+    // a search per entry for each one, and a matched vertex adjacent to
+    // every NTE parent sits in nearly every such intersection.
+    IntersectFlatRanks(have_bitmap);
+    stats_.intersection_elements_out += rank_scratch_.size();
+    return static_cast<std::uint64_t>(
+        std::count_if(rank_scratch_.begin(), rank_scratch_.end(),
+                      [&](VertexId r) { return !IsUsed(cand[r]); }));
   }
 
+  // A lone (windowed) rank array or an all-bitmap set: count by arithmetic,
+  // then subtract the matched vertices inside the result. Each one costs a
+  // single search — through the array, or over cand[] plus one bit test.
   std::size_t count;
-  if (!span_scratch_.empty()) {
-    // Window the array side through the cand[] projection, as in
-    // CandidatesFlat; the counting kernels then never see ranks outside
-    // the symmetry window.
-    span_scratch_[0] = ClampRanksById(span_scratch_[0], cand, lo, hi);
-    if (!have_bitmap) {
-      count = IntersectionSizeMulti(span_scratch_);
-    } else {
-      bool seeded = false;
-      for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
-        if (!ref.is_bitmap()) continue;
-        if (!seeded) {
-          bitmap_scratch_.assign(ref.bits.begin(), ref.bits.end());
-          seeded = true;
-        } else {
-          BitmapAndInPlace(bitmap_scratch_, ref.bits);
-        }
-      }
-      IntersectSortedMulti(span_scratch_, &rank_tmp_);
-      count = 0;
-      for (VertexId r : rank_tmp_) {
-        count += BitmapTest(bitmap_scratch_, r) ? 1 : 0;
-      }
-    }
-  } else {
-    const std::uint32_t rlo =
-        lo == 0 ? 0
-                : static_cast<std::uint32_t>(
-                      std::lower_bound(cand.begin(), cand.end(), lo) -
-                      cand.begin());
-    const std::uint32_t rhi =
-        hi == kInvalidVertex
-            ? static_cast<std::uint32_t>(cand.size())
-            : static_cast<std::uint32_t>(
-                  std::lower_bound(cand.begin(), cand.end(), hi) -
-                  cand.begin());
-    if (rlo >= rhi) return 0;
-    bitmap_scratch_.assign(flat_->bitmap_words(u), ~std::uint64_t{0});
-    BitmapMaskWindow(bitmap_scratch_, rlo, rhi);
-    for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
-      BitmapAndInPlace(bitmap_scratch_, ref.bits);
-    }
+  if (span_scratch_.empty()) {
+    if (!AndFlatBitmaps(u, cand, lo, hi)) return 0;
     count = BitmapPopcount(bitmap_scratch_);
+  } else {
+    count = span_scratch_[0].size();
   }
-  if (count_stats) stats_.intersection_elements_out += count;
-
-  if (count > 0) {
-    // Injectivity: mapped data vertices inside the window were counted by
-    // the kernels but cannot extend the embedding. The rank of a mapped
-    // vertex is recovered through the first (already windowed) array entry
-    // when one exists — absence there already rules it out — and only the
-    // all-bitmap case falls back to a search over the candidate array.
-    for (VertexId m : mapping_) {
-      if (m == kInvalidVertex) continue;
-      if (m < lo || (hi != kInvalidVertex && m >= hi)) continue;
-      std::uint32_t r;
-      if (!span_scratch_.empty()) {
-        const std::span<const VertexId> rs = span_scratch_[0];
-        auto it = std::lower_bound(
-            rs.begin(), rs.end(), m,
-            [&](VertexId rr, VertexId id) { return cand[rr] < id; });
-        if (it == rs.end() || cand[*it] != m) continue;
-        r = *it;
-      } else {
-        auto it = std::lower_bound(cand.begin(), cand.end(), m);
-        if (it == cand.end() || *it != m) continue;
-        r = static_cast<std::uint32_t>(it - cand.begin());
+  if (entry_scratch_.size() > 1) stats_.intersection_elements_out += count;
+  for (VertexId m : mapping_) {
+    if (count == 0) break;
+    if (m == kInvalidVertex || m < lo || (hi != kInvalidVertex && m >= hi)) {
+      continue;
+    }
+    if (span_scratch_.empty()) {
+      auto it = std::lower_bound(cand.begin(), cand.end(), m);
+      if (it != cand.end() && *it == m &&
+          BitmapTest(bitmap_scratch_,
+                     static_cast<std::uint32_t>(it - cand.begin()))) {
+        --count;
       }
-      bool in_all = true;
-      for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
-        if (ref.is_bitmap() ? !BitmapTest(ref.bits, r)
-                            : !SortedContains(ref.ranks, r)) {
-          in_all = false;
-          break;
-        }
-      }
-      if (in_all) --count;
+    } else {
+      const std::span<const VertexId> rs = span_scratch_[0];
+      auto it = std::lower_bound(
+          rs.begin(), rs.end(), m,
+          [&](VertexId r, VertexId id) { return cand[r] < id; });
+      if (it != rs.end() && cand[*it] == m) --count;
     }
   }
   return count;
@@ -618,7 +561,7 @@ bool Enumerator::Recurse(std::size_t pos) {
   if (options_.leaf_count_shortcut && visitor_ == nullptr &&
       pos + 1 == order.size()) {
     // Counting fast path: every candidate completes exactly one embedding,
-    // so count through the kernel without materializing the final level.
+    // so count the final level instead of recursing once per candidate.
     std::uint64_t admit;
     if (options_.nte_intersection) {
       admit = CountLeafCandidates(u);

@@ -42,9 +42,9 @@ struct EnumOptions {
   /// matching-order position adds |candidates| to the count instead of
   /// recursing once per candidate (the candidate set already encodes
   /// injectivity, symmetry, and every remaining edge constraint). Exact
-  /// by construction; disabled by default so recursive-call statistics
-  /// stay comparable with the paper's Fig. 18 accounting.
-  bool leaf_count_shortcut = false;
+  /// by construction. recursive_calls then has no completion call per
+  /// embedding; set false for the paper's Fig. 18 accounting.
+  bool leaf_count_shortcut = true;
   /// Symmetry constraints; pass SymmetryConstraints::None(n) to disable.
   const SymmetryConstraints* symmetry = nullptr;
   /// Track recursive calls per matching-order position (EnumStats::
@@ -67,9 +67,9 @@ struct EnumStats {
   /// Embeddings this worker emitted.
   std::uint64_t embeddings = 0;
   /// Recursive calls per matching-order position (Fig. 18 per-level
-  /// accounting). Empty unless EnumOptions::per_position_stats; the
-  /// leaf-count shortcut never recurses into the last position, so that
-  /// entry reads 0 under the fast path.
+  /// accounting). Empty unless EnumOptions::per_position_stats. The calls
+  /// that complete an embedding past the last position are counted only in
+  /// recursive_calls, and the leaf-count shortcut makes none of them.
   std::vector<std::uint64_t> calls_per_position;
 
   EnumStats& operator+=(const EnumStats& other) {
@@ -177,9 +177,12 @@ class Enumerator {
   void Candidates(std::span<const VertexId> mapping, VertexId u,
                   std::vector<VertexId>* out);
   // Counting twin of Candidates for the last matching-order position:
-  // computes |candidates| through the counting intersection kernel without
-  // materializing the final level's list. Requires options_.nte_intersection
-  // (the edge-verification ablation must probe each candidate).
+  // computes |candidates| without building the final level's id list. A
+  // lone entry is counted by arithmetic; an intersection of two or more is
+  // materialized and its survivors probed against the injectivity bitmap,
+  // so counting never costs more than Candidates. Requires
+  // options_.nte_intersection (the edge-verification ablation must probe
+  // each candidate).
   std::uint64_t CountLeafCandidates(VertexId u);
   // Flat-layout twins of Candidates / CountLeafCandidates, operating in
   // rank space (see class comment). Dispatched to when flat_ != nullptr.
@@ -197,6 +200,19 @@ class Enumerator {
   // absent/empty entry).
   bool GatherFlatRefs(std::span<const VertexId> mapping, VertexId u,
                       bool with_nte, VertexId* lo, VertexId* hi);
+  // Splits entry_scratch_ into span_scratch_ (the rank arrays, the first
+  // clamped to [lo, hi) through cand[]) and records the intersection stats
+  // when two or more entries take part. Returns whether any entry is a
+  // bitmap.
+  bool SplitFlatRefs(std::span<const VertexId> cand, VertexId lo,
+                     VertexId hi);
+  // Intersects the split entries into rank_scratch_; needs at least one
+  // rank array and, without a bitmap, at least two.
+  void IntersectFlatRanks(bool have_bitmap);
+  // All-bitmap case: ANDs every entry, windowed to [lo, hi), into
+  // bitmap_scratch_. Returns false when the window holds no rank.
+  bool AndFlatBitmaps(VertexId u, std::span<const VertexId> cand,
+                      VertexId lo, VertexId hi);
   // The symmetry-breaking [lo, hi) admissible window for u under `mapping`
   // (hi == kInvalidVertex when unbounded above).
   void SymmetryRange(std::span<const VertexId> mapping, VertexId u,

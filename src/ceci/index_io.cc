@@ -222,6 +222,28 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
   return loaded;
 }
 
+Result<QueryTree> ImageQueryTree(const FlatCeciIndex& flat,
+                                 const Graph& query) {
+  const std::span<const VertexId> order = flat.matching_order();
+  if (order.empty() || flat.num_query_vertices() != query.num_vertices()) {
+    return Status::InvalidArgument(
+        "index image order does not fit its query");
+  }
+  auto tree = QueryTree::Build(query, order[0]);
+  if (!tree.ok()) return tree.status();
+  CECI_RETURN_IF_ERROR(tree->SetMatchingOrder(
+      std::vector<VertexId>(order.begin(), order.end())));
+  // An order can fit a query whose vertices are numbered otherwise than
+  // the ones the image was built on; the NTE lists per vertex then differ.
+  for (VertexId u = 0; u < query.num_vertices(); ++u) {
+    if (flat.nte_count(u) != tree->nte_in(u).size()) {
+      return Status::InvalidArgument(
+          "index image non-tree edges do not fit its query");
+    }
+  }
+  return tree;
+}
+
 Result<FlatCeciIndex> ReadFlatIndex(const QueryTree& tree,
                                     const std::string& path,
                                     const IndexLoadOptions& options) {

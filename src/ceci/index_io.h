@@ -63,6 +63,15 @@ Status WriteFlatIndex(const FlatCeciIndex& flat, const std::string& pattern,
 Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
                                       const IndexLoadOptions& options = {});
 
+/// The query tree an image was built under: the BFS tree rooted at the
+/// first vertex of the stored matching order, with that order applied.
+/// Images record their order, so a reader follows the writer's choice
+/// rather than re-deriving one. Fails with kInvalidArgument when the
+/// order does not fit `query` (wrong size, or not a topological order of
+/// that tree) or a vertex's NTE list count differs from the tree's.
+Result<QueryTree> ImageQueryTree(const FlatCeciIndex& flat,
+                                 const Graph& query);
+
 /// Loads an image for a known query. Fails with kInvalidArgument if the
 /// image's query size or matching order does not match `tree`'s.
 Result<FlatCeciIndex> ReadFlatIndex(const QueryTree& tree,

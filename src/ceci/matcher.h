@@ -38,8 +38,11 @@ struct MatchOptions {
   /// Stop after this many embeddings (paper's first-1,024 experiments);
   /// 0 enumerates everything.
   std::uint64_t limit = 0;
-  /// Matching-order heuristic (§2.2).
-  OrderStrategy order = OrderStrategy::kBfs;
+  /// Matching-order heuristic (§2.2). Edge-ranked places the vertices
+  /// that close cycles early, so non-tree edges prune the search before it
+  /// fans out; BFS and path-ranked stay available for the paper's order
+  /// ablation.
+  OrderStrategy order = OrderStrategy::kEdgeRanked;
   /// List each embedding once, breaking query automorphisms (§2.2).
   bool break_automorphisms = true;
   /// Set-intersection NTE handling (§4); false = edge-verification
@@ -47,8 +50,10 @@ struct MatchOptions {
   bool nte_intersection = true;
   /// Counting fast path for visitor-less matches: the final matching-order
   /// position contributes |candidates| without recursing per candidate.
-  /// Exact; off by default to keep search statistics paper-comparable.
-  bool leaf_count_shortcut = false;
+  /// Exact, and never slower than materializing the last level. Under it
+  /// recursive_calls has no completion call per embedding; set false for
+  /// the paper's Fig. 18 accounting. A visitor always turns it off.
+  bool leaf_count_shortcut = true;
   /// Collect a QueryProfile (MatchResult::profile): per-vertex pipeline
   /// candidate counts, measured index bytes, cluster/work-unit skew, and
   /// worker occupancy. Opt-in; when off no per-candidate instrumentation

@@ -20,7 +20,8 @@
 namespace ceci {
 
 struct PreprocessOptions {
-  OrderStrategy order = OrderStrategy::kBfs;
+  /// Matching-order heuristic (§2.2); see MatchOptions::order.
+  OrderStrategy order = OrderStrategy::kEdgeRanked;
 };
 
 /// One contiguous nq × |V| byte buffer, row u holding query vertex u's

@@ -49,18 +49,11 @@ Status BuildContext(const WorkerOptions& options, std::uint32_t origin,
   auto query = ParsePattern(loaded->pattern);
   CECI_RETURN_IF_ERROR(query.status());
 
-  const std::span<const VertexId> order = loaded->index.matching_order();
-  if (order.empty() ||
-      loaded->index.num_query_vertices() != query->num_vertices()) {
-    return Status::Corruption("index image order/query size mismatch: " +
-                              path);
+  auto tree = ImageQueryTree(loaded->index, query.value());
+  if (!tree.ok()) {
+    return Status::Corruption("index image order/query mismatch: " + path +
+                              ": " + tree.status().ToString());
   }
-  // The stored matching order is a topological order of the BFS tree
-  // rooted at its first vertex; SetMatchingOrder re-validates that.
-  auto tree = QueryTree::Build(query.value(), order[0]);
-  CECI_RETURN_IF_ERROR(tree.status());
-  CECI_RETURN_IF_ERROR(tree->SetMatchingOrder(
-      std::vector<VertexId>(order.begin(), order.end())));
 
   ctx->query = std::move(query).value();
   ctx->symmetry = options.break_automorphisms

@@ -15,7 +15,7 @@
 //   --query PATH      query as a labeled-graph file (alternative)
 //   --threads N       worker threads                   (default: 1)
 //   --limit N         stop after N embeddings, 0 = all (default: 0)
-//   --order NAME      bfs | edge-ranked | path-ranked  (default: bfs)
+//   --order NAME      bfs | edge-ranked | path-ranked  (default: edge-ranked)
 //   --distribution D  st | cgd | fgd                   (default: cgd)
 //   --beta F          extreme-cluster threshold factor (default: 0.2)
 //   --no-symmetry     list automorphic duplicates
@@ -47,7 +47,9 @@
 //                     reports "termination: cancelled", exit 0)
 //   --save-index P    write the frozen flat index (plus the pattern text)
 //                     to P in the index_io format; serve it later with
-//                     `ceci_serve --index P`
+//                     `ceci_serve --index P`. The query is renumbered as
+//                     that text parses (first appearance), which --print's
+//                     u-ids then follow
 //   --no-flat-index   enumerate from the pointer-rich CECI layout instead
 //                     of the arena-backed flat layout (A/B comparisons)
 //   --dist N          run the query across N real ceci_worker processes
@@ -97,7 +99,7 @@ struct Args {
   std::string query_file;
   std::size_t threads = 1;
   std::uint64_t limit = 0;
-  std::string order = "bfs";
+  std::string order;  // empty: the library default (MatchOptions::order)
   std::string distribution = "cgd";
   double beta = 0.2;
   bool symmetry = true;
@@ -344,7 +346,7 @@ int main(int argc, char** argv) {
     options.order = OrderStrategy::kEdgeRanked;
   } else if (args.order == "path-ranked") {
     options.order = OrderStrategy::kPathRanked;
-  } else {
+  } else if (!args.order.empty()) {
     std::fprintf(stderr, "unknown --order %s\n", args.order.c_str());
     return 2;
   }
@@ -360,9 +362,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // An image stores its query as pattern text, and parsing numbers
+  // vertices by first appearance, which can differ from this parse. A
+  // saved index is built on the parse of that same text (as RunDistributed
+  // does), so whoever loads the image reads the ids it was built on.
+  const std::string pattern_text = FormatPattern(*query);
+  if (!args.save_index.empty()) {
+    query = ParsePattern(pattern_text);
+    if (!query.ok()) {
+      std::fprintf(stderr, "query: %s\n", query.status().ToString().c_str());
+      return 1;
+    }
+  }
+
   std::printf("data:  %s\n", data->Summary().c_str());
   std::printf("query: %s  (%s)\n", query->Summary().c_str(),
-              FormatPattern(*query).c_str());
+              pattern_text.c_str());
 
   if (args.dist_workers > 0) {
     dist::DistProcessOptions dist_options;
@@ -513,7 +528,7 @@ int main(int argc, char** argv) {
       }
       if (!args.save_index.empty()) {
         save_status =
-            WriteFlatIndex(flat, FormatPattern(*query), args.save_index);
+            WriteFlatIndex(flat, pattern_text, args.save_index);
         index_saved = save_status.ok();
       }
     };

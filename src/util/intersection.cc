@@ -365,44 +365,6 @@ std::size_t IntersectionSize(std::span<const std::uint32_t> a,
   return CountCore(a.data(), a.size(), b.data(), b.size());
 }
 
-std::size_t IntersectionSizeMulti(
-    std::span<const std::span<const std::uint32_t>> lists) {
-  if (lists.empty()) return 0;
-  if (lists.size() == 1) return lists[0].size();
-  // Leave the largest list for the final counting pass so the materialized
-  // intermediate stays as small as possible.
-  std::size_t largest = 0;
-  for (std::size_t i = 1; i < lists.size(); ++i) {
-    if (lists[i].size() > lists[largest].size()) largest = i;
-  }
-  if (lists.size() == 2) {
-    const std::size_t other = 1 - largest;
-    return IntersectionSize(lists[other], lists[largest]);
-  }
-  std::size_t s0 = largest == 0 ? 1 : 0;
-  for (std::size_t i = 0; i < lists.size(); ++i) {
-    if (i != largest && lists[i].size() < lists[s0].size()) s0 = i;
-  }
-  thread_local std::vector<std::uint32_t> scratch;
-  scratch.resize(lists[s0].size() + kKernelPad);
-  std::size_t n = 0;
-  bool seeded = false;
-  for (std::size_t i = 0; i < lists.size(); ++i) {
-    if (i == largest || i == s0) continue;
-    if (!seeded) {
-      n = IntersectCore(lists[s0].data(), lists[s0].size(), lists[i].data(),
-                        lists[i].size(), scratch.data());
-      seeded = true;
-    } else {
-      n = IntersectCore(scratch.data(), n, lists[i].data(), lists[i].size(),
-                        scratch.data());
-    }
-    if (n == 0) return 0;
-  }
-  return CountCore(scratch.data(), n, lists[largest].data(),
-                   lists[largest].size());
-}
-
 bool SortedContains(std::span<const std::uint32_t> sorted, std::uint32_t x) {
   return std::binary_search(sorted.begin(), sorted.end(), x);
 }

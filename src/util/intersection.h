@@ -41,12 +41,6 @@ void IntersectSortedMulti(std::span<const std::span<const std::uint32_t>> lists,
 std::size_t IntersectionSize(std::span<const std::uint32_t> a,
                              std::span<const std::uint32_t> b);
 
-/// |∩ lists| without materializing the final result (intermediate results
-/// for k >= 3 use a thread-local scratch buffer — allocation-free after
-/// warmup). k == 0 yields 0; k == 1 yields lists[0].size().
-std::size_t IntersectionSizeMulti(
-    std::span<const std::span<const std::uint32_t>> lists);
-
 /// Binary search membership test on a sorted list.
 bool SortedContains(std::span<const std::uint32_t> sorted, std::uint32_t x);
 

@@ -92,6 +92,7 @@ TEST(CachedMatcherTest, OptionsThatChangeTheIndexSplitEntries) {
   CachedMatcher matcher(data);
   Graph query = MakePaperQuery(PaperQuery::kQG3);
   MatchOptions bfs;
+  bfs.order = OrderStrategy::kBfs;
   MatchOptions ranked;
   ranked.order = OrderStrategy::kEdgeRanked;
   MatchOptions no_sym;

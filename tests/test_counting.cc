@@ -17,9 +17,11 @@ TEST(LeafShortcutTest, AgreesOnPaperExample) {
   Graph data = testing::PaperExample::Data();
   Graph query = testing::PaperExample::Query();
   CeciMatcher matcher(data);
+  MatchOptions plain;
+  plain.leaf_count_shortcut = false;
   MatchOptions fast;
   fast.leaf_count_shortcut = true;
-  auto a = matcher.Match(query, MatchOptions{});
+  auto a = matcher.Match(query, plain);
   auto b = matcher.Match(query, fast);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
@@ -40,6 +42,7 @@ TEST_P(LeafShortcutSweep, CountsMatchAcrossWorkloads) {
   ASSERT_TRUE(query.has_value());
   CeciMatcher matcher(data);
   MatchOptions plain;
+  plain.leaf_count_shortcut = false;
   MatchOptions fast;
   fast.leaf_count_shortcut = true;
   fast.threads = 2;
@@ -109,6 +112,50 @@ TEST(LeafShortcutTest, MatchesOracleOnDenseGraph) {
   auto result = matcher.Match(query, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->embedding_count, oracle.embeddings);
+}
+
+// QG2, QG3 and QG5 close a cycle at their last vertex: a matched vertex
+// adjacent to both of the leaf's matched neighbours lies in the leaf's
+// intersection, and the count must leave it out. Both layouts, with and
+// without symmetry breaking, on a sparse graph (rank-array entries) and a
+// dense one (bitmap entries).
+TEST(LeafShortcutTest, MatchedVertexInsideTheLeafIntersection) {
+  const Graph sparse = GenerateSocialGraph(500, 8, 11);
+  const Graph dense = GenerateErdosRenyi(150, 2000, 12);
+  for (const Graph* data : {&sparse, &dense}) {
+    CeciMatcher matcher(*data);
+    for (PaperQuery pq :
+         {PaperQuery::kQG2, PaperQuery::kQG3, PaperQuery::kQG5}) {
+      const Graph query = MakePaperQuery(pq);
+      for (bool flat : {true, false}) {
+        for (bool symmetry : {true, false}) {
+          SCOPED_TRACE(::testing::Message()
+                       << (data == &sparse ? "sparse " : "dense ")
+                       << PaperQueryName(pq) << (flat ? " flat" : " pointer")
+                       << (symmetry ? " sym" : " nosym"));
+          MatchOptions plain;
+          plain.flat_index = flat;
+          plain.break_automorphisms = symmetry;
+          plain.leaf_count_shortcut = false;
+          MatchOptions fast = plain;
+          fast.leaf_count_shortcut = true;
+          auto a = matcher.Match(query, plain);
+          auto b = matcher.Match(query, fast);
+          ASSERT_TRUE(a.ok());
+          ASSERT_TRUE(b.ok());
+          ASSERT_GT(a->embedding_count, 0u);
+          EXPECT_EQ(b->embedding_count, a->embedding_count);
+          EXPECT_LT(b->stats.enumeration.recursive_calls,
+                    a->stats.enumeration.recursive_calls);
+          if (flat) {
+            EXPECT_GT(data == &sparse ? b->stats.flat_array_entries
+                                      : b->stats.flat_bitmap_entries,
+                      0u);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(LeafShortcutTest, SingleVertexQuery) {

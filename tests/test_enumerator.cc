@@ -275,9 +275,10 @@ TEST(EnumeratorRegressionTest, CandidatesMatchOldPathOnErdosRenyi) {
 }
 
 TEST(EnumeratorRegressionTest, LeafCountShortcutMatchesMaterializedCount) {
-  // The shortcut routes the last level through CountLeafCandidates — the
-  // counting kernel plus clamped symmetry window plus injectivity
-  // subtraction — and must agree with full materialization everywhere.
+  // The shortcut routes the last level through CountLeafCandidates — a
+  // lone list counted by arithmetic, an intersection materialized and
+  // probed for injectivity, both under the clamped symmetry window — and
+  // must agree with full materialization everywhere.
   for (std::uint64_t seed : {31, 32}) {
     for (bool with_symmetry : {true, false}) {
       for (PaperQuery q : kAllPaperQueries) {
@@ -285,6 +286,7 @@ TEST(EnumeratorRegressionTest, LeafCountShortcutMatchesMaterializedCount) {
                      (with_symmetry ? " sym" : " nosym"));
         Fixture f(GenerateSocialGraph(150, 4, seed), MakePaperQuery(q));
         auto slow_opts = f.Options(with_symmetry);
+        slow_opts.leaf_count_shortcut = false;
         auto fast_opts = slow_opts;
         fast_opts.leaf_count_shortcut = true;
         Enumerator slow(f.data, f.tree, f.index, slow_opts);
@@ -300,6 +302,7 @@ TEST(EnumeratorRegressionTest, LeafCountShortcutMatchesMaterializedCount) {
 TEST(EnumeratorRegressionTest, LeafCountShortcutHonorsSharedLimit) {
   Fixture f(GenerateSocialGraph(150, 4, 41), MakePaperQuery(PaperQuery::kQG1));
   auto opts = f.Options();
+  opts.leaf_count_shortcut = false;
   Enumerator full(f.data, f.tree, f.index, opts);
   const std::uint64_t total = full.EnumerateAll(nullptr);
   ASSERT_GT(total, 4u);

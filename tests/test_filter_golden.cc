@@ -92,10 +92,14 @@ void RecordArena(const FlatCeciIndex& flat, Observation* o) {
   o->arena_bytes = flat.ArenaBytes();
 }
 
+// The recorded arenas were built under the BFS matching order, which
+// fixes each non-tree edge's orientation; every path here pins it.
+constexpr OrderStrategy kGoldenOrder = OrderStrategy::kBfs;
+
 std::vector<std::size_t> CandidateCounts(const Graph& data,
                                          const NlcIndex& nlc,
                                          const Graph& query) {
-  auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
+  auto pre = Preprocess(data, nlc, query, PreprocessOptions{kGoldenOrder});
   CECI_CHECK(pre.ok()) << pre.status().ToString();
   return pre->candidate_counts;
 }
@@ -106,6 +110,7 @@ Observation ObserveMatch(const Graph& data, const Graph& query) {
   o.candidate_counts = CandidateCounts(data, NlcIndex(data), query);
   CeciMatcher matcher(data);
   MatchOptions options;
+  options.order = kGoldenOrder;
   options.index_inspector = [&](const QueryTree&, const CeciIndex& index,
                                 bool refined) {
     if (refined) return;
@@ -129,7 +134,7 @@ Observation ObserveBareBuild(const Graph& data, const Graph& query,
                              ThreadPool* pool) {
   Observation o;
   NlcIndex nlc(data);
-  auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
+  auto pre = Preprocess(data, nlc, query, PreprocessOptions{kGoldenOrder});
   CECI_CHECK(pre.ok()) << pre.status().ToString();
   o.candidate_counts = pre->candidate_counts;
   BuildOptions options;

@@ -300,9 +300,12 @@ struct GoldenArena {
   std::size_t bytes;
 };
 
+// The recorded arenas were built under the BFS matching order, which fixes
+// each non-tree edge's orientation, so the pipeline pins it.
 FlatCeciIndex FreezeThroughPipeline(const Graph& data, const Graph& query) {
   NlcIndex nlc(data);
-  auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
+  auto pre =
+      Preprocess(data, nlc, query, PreprocessOptions{OrderStrategy::kBfs});
   CECI_CHECK(pre.ok()) << pre.status().ToString();
   CeciIndex index =
       CeciBuilder(data, nlc).Build(query, pre->tree, BuildOptions{}, nullptr);

@@ -205,19 +205,16 @@ TEST(IntersectionKernelTest, MultiWayShortCircuitsEmptyAndSingle) {
   // k = 0: cleared, no scratch involved.
   IntersectSortedMulti({}, &out);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(IntersectionSizeMulti({}), 0u);
   // k = 1: straight copy.
   List only = Iota(5, 13);
   std::vector<std::span<const std::uint32_t>> lists = {only};
   IntersectSortedMulti(lists, &out);
   EXPECT_EQ(out, only);
-  EXPECT_EQ(IntersectionSizeMulti(lists), only.size());
   // k = 1 with an empty list.
   List empty;
   lists = {empty};
   IntersectSortedMulti(lists, &out);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(IntersectionSizeMulti(lists), 0u);
 }
 
 TEST(IntersectionKernelTest, MultiWayAndCountAgreeOnRandomLists) {
@@ -239,7 +236,9 @@ TEST(IntersectionKernelTest, MultiWayAndCountAgreeOnRandomLists) {
     List out;
     IntersectSortedMulti(lists, &out);
     EXPECT_EQ(out, expected);
-    EXPECT_EQ(IntersectionSizeMulti(lists), expected.size());
+    if (k == 2) {
+      EXPECT_EQ(IntersectionSize(lists[0], lists[1]), expected.size());
+    }
   }
 }
 

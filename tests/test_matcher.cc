@@ -133,6 +133,28 @@ TEST(MatcherTest, OrderStrategiesAgreeOnCounts) {
   }
 }
 
+TEST(MatcherTest, DefaultOrderIntersectsLessThanBfsOnTheDiamond) {
+  // Edge-ranked places the chord's far end before the two degree-2
+  // vertices, so both of them close a cycle when they extend; BFS extends
+  // one of them from the root's whole neighbourhood first.
+  for (std::uint64_t seed : {1, 2}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Graph data = GenerateSocialGraph(2000, 8, seed);
+    CeciMatcher matcher(data);
+    const Graph query = MakePaperQuery(PaperQuery::kQG3);
+    MatchOptions bfs;
+    bfs.order = OrderStrategy::kBfs;
+    auto by_default = matcher.Match(query, MatchOptions{});
+    auto by_bfs = matcher.Match(query, bfs);
+    ASSERT_TRUE(by_default.ok());
+    ASSERT_TRUE(by_bfs.ok());
+    ASSERT_GT(by_bfs->embedding_count, 0u);
+    EXPECT_EQ(by_default->embedding_count, by_bfs->embedding_count);
+    EXPECT_LT(by_default->stats.enumeration.intersection_elements_in,
+              by_bfs->stats.enumeration.intersection_elements_in);
+  }
+}
+
 TEST(MatcherTest, IntersectionAblationAgrees) {
   Graph data = GenerateBarabasiAlbert(500, 4, 29);
   CeciMatcher matcher(data);

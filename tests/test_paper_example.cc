@@ -152,11 +152,15 @@ TEST(PaperMatcherTest, FullPipelineFindsTwoEmbeddings) {
 TEST(PaperMatcherTest, SearchCardinalityReductionFromIntro) {
   // §1: with embedding clusters the search cardinality drops from 32
   // (4×4×2) to 10. Our recursive-call count over the refined CECI must be
-  // far below the unfiltered product of candidate set sizes.
+  // far below the unfiltered product of candidate set sizes. The paper's
+  // plan: BFS order, and every level recursed into (no leaf counting).
   Graph data = PaperExample::Data();
   Graph query = PaperExample::Query();
   CeciMatcher matcher(data);
-  auto result = matcher.Match(query, MatchOptions{});
+  MatchOptions options;
+  options.order = OrderStrategy::kBfs;
+  options.leaf_count_shortcut = false;
+  auto result = matcher.Match(query, options);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->stats.enumeration.recursive_calls, 16u);
 }

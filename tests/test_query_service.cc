@@ -282,14 +282,14 @@ TEST(QueryServiceTest, MalformedPatternReturnsErrorStatus) {
   EXPECT_FALSE(response.status.ok());
 }
 
-// Writes a flat index image for `pattern` exactly as `ceci_query
-// --save-index` would (Preprocess picks the tree, so the stored matching
-// order is the one InstallPrebuiltIndex re-derives and validates).
-std::string SavePrebuiltIndex(const Graph& data, const std::string& pattern,
-                              const std::string& name) {
-  const Graph query = ParsePattern(pattern).value();
+// Writes a flat index image built on `query`'s vertex ids that stores
+// `stored` as its pattern text: Preprocess picks the tree and the matching
+// order, which the image records.
+std::string SaveImage(const Graph& data, const Graph& query,
+                      const std::string& stored, const std::string& name,
+                      const PreprocessOptions& pre_options = {}) {
   NlcIndex nlc(data);
-  auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
+  auto pre = Preprocess(data, nlc, query, pre_options);
   CECI_CHECK(pre.ok() && !pre->infeasible);
   CeciBuilder builder(data, nlc);
   CeciIndex index = builder.Build(query, pre->tree, BuildOptions{}, nullptr);
@@ -299,8 +299,17 @@ std::string SavePrebuiltIndex(const Graph& data, const std::string& pattern,
       (std::filesystem::temp_directory_path() /
        (name + "_" + std::to_string(::getpid()) + ".idx"))
           .string();
-  CECI_CHECK(WriteFlatIndex(flat, pattern, path).ok());
+  CECI_CHECK(WriteFlatIndex(flat, stored, path).ok());
   return path;
+}
+
+// Writes an image for `pattern` built on the ids of that text's own parse,
+// as `ceci_query --save-index [--order ...]` does.
+std::string SavePrebuiltIndex(const Graph& data, const std::string& pattern,
+                              const std::string& name,
+                              const PreprocessOptions& pre_options = {}) {
+  return SaveImage(data, ParsePattern(pattern).value(), pattern, name,
+                   pre_options);
 }
 
 TEST(QueryServiceTest, PrebuiltIndexServesIdenticalResults) {
@@ -331,6 +340,112 @@ TEST(QueryServiceTest, PrebuiltIndexServesIdenticalResults) {
   EXPECT_EQ(response.embeddings, want);
   EXPECT_EQ(response.termination, TerminationReason::kCompleted);
   std::filesystem::remove(path);
+}
+
+TEST(QueryServiceTest, PrebuiltIndexKeepsTheOrderItWasBuiltUnder) {
+  // An image saved under a non-default order (e.g. by an older release
+  // whose default differed) must still install and serve exact counts.
+  const Graph data = TestData();
+  const char* kHouse = "(a:0)-(b:1)-(c:2)-(d:0)-(e:1)-(a); (b)-(e)";
+  const Graph query = ParsePattern(kHouse).value();
+  NlcIndex nlc(data);
+  const PreprocessOptions path_ranked{OrderStrategy::kPathRanked};
+  auto by_default = Preprocess(data, nlc, query, PreprocessOptions{});
+  auto by_path = Preprocess(data, nlc, query, path_ranked);
+  ASSERT_TRUE(by_default.ok());
+  ASSERT_TRUE(by_path.ok());
+  ASSERT_NE(by_path->tree.matching_order(),
+            by_default->tree.matching_order());
+  const std::string path =
+      SavePrebuiltIndex(data, kHouse, "svc_path_ranked", path_ranked);
+
+  ServiceOptions options;
+  options.pool_threads = 2;
+  std::uint64_t want = 0;
+  {
+    QueryService cold(data, options);
+    ServeRequest request;
+    request.pattern = kHouse;
+    ServeResponse response = cold.Execute(request);
+    ASSERT_TRUE(response.status.ok());
+    want = response.embeddings;
+  }
+  ASSERT_GT(want, 0u);
+
+  QueryService warm(data, options);
+  ASSERT_TRUE(warm.InstallPrebuiltIndex(path, /*use_mmap=*/true).ok());
+  ServeRequest request;
+  request.pattern = kHouse;
+  ServeResponse response = warm.Execute(request);
+  EXPECT_TRUE(response.status.ok());
+  EXPECT_TRUE(response.cache_hit);  // served from the image
+  EXPECT_EQ(response.embeddings, want);
+  std::filesystem::remove(path);
+}
+
+TEST(QueryServiceTest, PrebuiltIndexOfARenumberedPatternNeverMiscounts) {
+  // FormatPattern names vertices by id, but parsing numbers them by first
+  // appearance, so these texts parse back with some ids swapped. An image
+  // built on the caller's ids that stores FormatPattern's text must be
+  // rejected or count exactly. One built on the parse of its stored text,
+  // which is what `ceci_query --save-index` writes, must install and count
+  // exactly. The cache key follows the parse's ids, so the stored text is
+  // what hits the image. Each rotation of the labeled 4-cycle puts the
+  // rarest label, and so the root, on another vertex; with the root on `a`
+  // the caller's BFS order [a, b, d, c] is also a valid order of the parse.
+  const Graph data = AssignRandomLabels(GenerateSocialGraph(800, 5, 9), 4, 9);
+  ServiceOptions options;
+  options.pool_threads = 2;
+  for (const char* pattern :
+       {"(a:0)-(b:1)-(c:2)-(d:3)-(a)", "(a:1)-(b:2)-(c:3)-(d:0)-(a)",
+        "(a:2)-(b:3)-(c:0)-(d:1)-(a)", "(a:3)-(b:0)-(c:1)-(d:2)-(a)",
+        "(a:0)-(b:1)-(c:2)-(d:0)-(e:1)-(a); (b)-(e)",
+        "(a)-(b)-(c)-(d)-(a)"}) {
+    SCOPED_TRACE(pattern);
+    const Graph caller = ParsePattern(pattern).value();
+    const std::string text = FormatPattern(caller);
+    const Graph reparsed = ParsePattern(text).value();
+    ASSERT_NE(FormatPattern(reparsed), text);  // the parse renumbers
+
+    ServeRequest request;
+    request.pattern = pattern;
+    std::uint64_t want = 0;
+    {
+      QueryService cold(data, options);
+      ServeResponse response = cold.Execute(request);
+      ASSERT_TRUE(response.status.ok());
+      want = response.embeddings;
+    }
+    ASSERT_GT(want, 0u);
+
+    request.pattern = text;
+    for (OrderStrategy order : {OrderStrategy::kBfs, OrderStrategy::kEdgeRanked,
+                                OrderStrategy::kPathRanked}) {
+      const std::string stale_path =
+          SaveImage(data, caller, text, "svc_renumbered_stale",
+                    PreprocessOptions{order});
+      QueryService stale(data, options);
+      Status installed = stale.InstallPrebuiltIndex(stale_path);
+      if (installed.ok()) {
+        ServeResponse response = stale.Execute(request);
+        EXPECT_TRUE(response.status.ok());
+        EXPECT_EQ(response.embeddings, want);
+      } else {
+        EXPECT_EQ(installed.code(), Status::Code::kInvalidArgument);
+      }
+      std::filesystem::remove(stale_path);
+    }
+
+    const std::string path =
+        SaveImage(data, reparsed, text, "svc_renumbered");
+    QueryService warm(data, options);
+    ASSERT_TRUE(warm.InstallPrebuiltIndex(path).ok());
+    ServeResponse response = warm.Execute(request);
+    EXPECT_TRUE(response.status.ok());
+    EXPECT_TRUE(response.cache_hit);
+    EXPECT_EQ(response.embeddings, want);
+    std::filesystem::remove(path);
+  }
 }
 
 TEST(QueryServiceTest, PrebuiltIndexRequiresTheCache) {
