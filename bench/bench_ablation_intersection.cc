@@ -65,11 +65,12 @@ struct EnumFixture {
     CeciIndex index =
         builder.Build(query, pre->tree, BuildOptions{}, nullptr);
     RefineCeci(pre->tree, dataset.graph.num_vertices(), &index, nullptr);
+    const FlatCeciIndex flat = FlatCeciIndex::Build(index, pre->tree);
     SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
     ScheduleOptions options;
     options.enumeration.symmetry = &symmetry;
     options.enumeration.nte_intersection = intersect;
-    auto result = RunParallelEnumeration(dataset.graph, pre->tree, index,
+    auto result = RunParallelEnumeration(dataset.graph, pre->tree, flat,
                                          options, nullptr);
     return result.SimulatedMakespan();
   }

@@ -44,6 +44,7 @@ int main() {
       CeciIndex index = builder.Build(query, pre->tree, BuildOptions{},
                                       nullptr);
       RefineCeci(pre->tree, d.graph.num_vertices(), &index, nullptr);
+      const FlatCeciIndex flat = FlatCeciIndex::Build(index, pre->tree);
       SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
 
       double makespans[3] = {0, 0, 0};
@@ -57,7 +58,7 @@ int main() {
         options.distribution = dists[i];
         options.beta = 0.2;
         options.enumeration.symmetry = &symmetry;
-        auto result = RunParallelEnumeration(d.graph, pre->tree, index,
+        auto result = RunParallelEnumeration(d.graph, pre->tree, flat,
                                              options, nullptr);
         makespans[i] = result.SimulatedMakespan() +
                        result.decomposition.seconds;

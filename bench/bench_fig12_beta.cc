@@ -34,6 +34,7 @@ int main() {
   CeciBuilder builder(d.graph, nlc);
   CeciIndex index = builder.Build(query, pre->tree, BuildOptions{}, nullptr);
   RefineCeci(pre->tree, d.graph.num_vertices(), &index, nullptr);
+  const FlatCeciIndex flat = FlatCeciIndex::Build(index, pre->tree);
   SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
 
   std::printf("%6s %9s %10s %10s %10s %9s %12s\n", "beta", "units",
@@ -45,7 +46,7 @@ int main() {
     options.beta = beta;
     options.enumeration.symmetry = &symmetry;
     auto result =
-        RunParallelEnumeration(d.graph, pre->tree, index, options, nullptr);
+        RunParallelEnumeration(d.graph, pre->tree, flat, options, nullptr);
     double min_w = 1e300;
     double max_w = 0.0;
     for (double w : result.worker_seconds) {

@@ -29,12 +29,13 @@ double CeciMakespan(const Graph& data, const NlcIndex& nlc,
   CeciBuilder builder(data, nlc);
   CeciIndex index = builder.Build(query, pre->tree, BuildOptions{}, nullptr);
   RefineCeci(pre->tree, data.num_vertices(), &index, nullptr);
+  const FlatCeciIndex flat = FlatCeciIndex::Build(index, pre->tree);
   SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
   ScheduleOptions options;
   options.threads = threads;
   options.distribution = Distribution::kFineDynamic;
   options.enumeration.symmetry = &symmetry;
-  auto result = RunParallelEnumeration(data, pre->tree, index, options,
+  auto result = RunParallelEnumeration(data, pre->tree, flat, options,
                                        nullptr);
   *count = result.embeddings;
   return result.SimulatedMakespan();

@@ -14,9 +14,8 @@
 
 #include "baselines/bare_enumerator.h"
 #include "bench/bench_common.h"
-#include "ceci/ceci_builder.h"
+#include "ceci/matcher.h"
 #include "ceci/preprocess.h"
-#include "ceci/refinement.h"
 #include "ceci/scheduler.h"
 #include "util/timer.h"
 
@@ -43,11 +42,9 @@ int main() {
       BuildOptions build_options;
       build_options.root_candidates = &pre->root_candidates;
       build_options.filter_table = &pre->filter;
-      CeciBuilder builder(d.graph, nlc);
-      CeciIndex index =
-          builder.Build(query, pre->tree, build_options, nullptr);
-      pre->ReleaseBuildInputs();
-      RefineCeci(pre->tree, d.graph.num_vertices(), &index, nullptr);
+      MatchStats stats;
+      const FlatCeciIndex flat = BuildRefineFreeze(
+          d.graph, nlc, query, pre->tree, build_options, &stats);
       double build_s = build_timer.Seconds();
       SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
 
@@ -58,7 +55,7 @@ int main() {
         options.distribution = dist;
         options.enumeration.symmetry = &symmetry;
         options.enumeration.nte_intersection = intersect;
-        auto result = RunParallelEnumeration(d.graph, pre->tree, index,
+        auto result = RunParallelEnumeration(d.graph, pre->tree, flat,
                                              options, nullptr);
         if (result.embeddings != bare.embeddings) {
           std::printf("COUNT MISMATCH on %s %s\n", abbr,

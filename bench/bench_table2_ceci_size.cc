@@ -44,12 +44,11 @@ int main() {
       CeciMatcher matcher(d.graph);
       MatchOptions options;
       options.limit = 1;  // index statistics only; skip full enumeration
-      options.flat_index = true;
       std::size_t pointer_measured = 0;
       options.index_inspector = [&](const QueryTree&, const CeciIndex& idx,
                                     bool refined) {
-        // refined=true fires after refinement: this measures the pointer
-        // layout exactly as the non-flat enumeration path would hold it.
+        // refined=true fires after refinement: this measures the mutable
+        // pointer-rich layout build and refinement hold.
         if (refined) pointer_measured = idx.MeasuredHeapBytes();
       };
       auto result = matcher.Match(query, options);

@@ -2,19 +2,16 @@
 //
 // When one query shape is matched repeatedly against a static data graph
 // (monitoring dashboards, scheduled pattern scans), construction and
-// refinement can be paid once: build the index, persist it, and reload it
-// for later enumerations. This example measures the build-once/reuse-many
+// refinement can be paid once: prepare the query (build, refine, freeze),
+// persist the frozen index, and reload it for later enumerations. This example measures the build-once/reuse-many
 // saving end to end.
 #include <cstdio>
 
 #include <filesystem>
 
-#include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
 #include "ceci/index_io.h"
-#include "ceci/preprocess.h"
-#include "ceci/refinement.h"
-#include "ceci/symmetry.h"
+#include "ceci/matcher.h"
 #include "gen/labels.h"
 #include "gen/random_graphs.h"
 #include "graphio/pattern_parser.h"
@@ -32,37 +29,35 @@ int main() {
   std::printf("data:  %s\nquery: %s\n\n", data.Summary().c_str(),
               FormatPattern(*query).c_str());
 
-  // --- Build once ---
+  // --- Build once: CeciMatcher::Prepare stops at the frozen arena ---
   Timer build_timer;
-  NlcIndex nlc(data);
-  auto pre = Preprocess(data, nlc, *query, PreprocessOptions{});
-  CECI_CHECK(pre.ok());
-  CeciBuilder builder(data, nlc);
-  CeciIndex index = builder.Build(*query, pre->tree, BuildOptions{}, nullptr);
-  RefineCeci(pre->tree, data.num_vertices(), &index, nullptr);
+  CeciMatcher matcher(data);
+  auto prepared = matcher.Prepare(*query, MatchOptions{});
+  CECI_CHECK(prepared.ok());
   double build_s = build_timer.Seconds();
+  const QueryTree& tree = prepared->tree;
 
-  Status st = WriteCeciIndex(index, pre->tree, index_path);
+  Status st = WriteFlatIndex(prepared->flat, "", index_path);
   CECI_CHECK(st.ok()) << st.ToString();
-  std::printf("built + refined in %.1fms; persisted %zu candidate edges "
-              "to %s\n",
-              build_s * 1e3, index.TotalCandidateEdges(), index_path.c_str());
+  std::printf("built + refined + frozen in %.1fms; persisted %zu candidate "
+              "edges to %s\n",
+              build_s * 1e3, prepared->flat.TotalCandidateEdges(),
+              index_path.c_str());
 
   // --- Reuse many times ---
-  SymmetryConstraints sym = SymmetryConstraints::Compute(*query);
   EnumOptions eo;
-  eo.symmetry = &sym;
+  eo.symmetry = &prepared->symmetry;
   double load_s = 0.0;
   double enum_s = 0.0;
   std::uint64_t count = 0;
   constexpr int kRuns = 5;
   for (int run = 0; run < kRuns; ++run) {
     Timer t;
-    auto loaded = ReadCeciIndex(pre->tree, index_path);
+    auto loaded = ReadFlatIndex(tree, index_path);
     CECI_CHECK(loaded.ok()) << loaded.status().ToString();
     load_s += t.Seconds();
     t.Reset();
-    Enumerator e(data, pre->tree, *loaded, eo);
+    Enumerator e(data, tree, *loaded, eo);
     count = e.EnumerateAll(nullptr);
     enum_s += t.Seconds();
   }
@@ -78,12 +73,12 @@ int main() {
   IndexLoadOptions mmap_opts;
   mmap_opts.use_mmap = true;
   Timer t;
-  auto flat = ReadFlatIndex(pre->tree, index_path, mmap_opts);
+  auto flat = ReadFlatIndex(tree, index_path, mmap_opts);
   CECI_CHECK(flat.ok()) << flat.status().ToString();
   CECI_CHECK(flat->mapped());
   double map_s = t.Seconds();
   t.Reset();
-  Enumerator flat_enum(data, pre->tree, *flat, eo);
+  Enumerator flat_enum(data, tree, *flat, eo);
   std::uint64_t flat_count = flat_enum.EnumerateAll(nullptr);
   CECI_CHECK(flat_count == count);
   std::printf("mmap'd arena (%zu bytes): map %.1fms + enumerate %.1fms "

@@ -8,12 +8,10 @@
 #   scripts/bench_index.sh --reps 5         # best-of-N timing reps
 #   scripts/bench_index.sh --validate PATH  # schema + claims check (CI)
 #
-# Validation enforces the claims the flat layout is sold on: every
-# (dataset, query) has both layouts with equal embedding counts; the exact
-# flat arena is smaller than malloc_usable_size over the mutable
-# pointer-rich index it is frozen from on every cell, and at least one
-# dataset shows a >= 2x reduction; and per dataset the summed QG1-QG5 flat
-# enumeration latency is no worse than pointer within a 1.25x tolerance.
+# Validation enforces the byte claims the flat layout is sold on: every
+# (dataset, query) cell is present once; the exact flat arena is smaller
+# than malloc_usable_size over the mutable pointer-rich index it is frozen
+# from on every cell; and at least one dataset shows a >= 2x reduction.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -46,30 +44,20 @@ runs = doc["runs"]
 by_cell = {}
 for r in runs:
     key = (r["dataset"], r["query"])
-    by_cell.setdefault(key, {})[r["layout"]] = r
+    assert key not in by_cell, f"{key[0]}/{key[1]} listed twice"
+    by_cell[key] = r
 assert len(by_cell) >= 25, f"need >= 25 (dataset, query) cells, got {len(by_cell)}"
 datasets = sorted({d for d, _ in by_cell})
 best_reduction = {}
-enum_sums = {d: {"pointer": 0.0, "flat": 0.0} for d in datasets}
-for (d, q), pair in sorted(by_cell.items()):
-    assert set(pair) == {"pointer", "flat"}, f"{d}/{q} missing a layout"
-    ptr, flat = pair["pointer"], pair["flat"]
-    assert ptr["embeddings"] == flat["embeddings"], \
-        f"{d}/{q}: layouts disagree ({ptr['embeddings']} vs {flat['embeddings']})"
-    mut, fx = ptr["bytes_mutable_measured"], ptr["bytes_flat_exact"]
+for (d, q), run in sorted(by_cell.items()):
+    mut, fx = run["bytes_mutable_measured"], run["bytes_flat_exact"]
     assert mut > 0 and fx > 0, f"{d}/{q}: zero measured bytes"
     # The byte claims are against the pointer-rich layout (one heap vector
     # per TE/NTE key) that the flat arena is frozen from.
     assert fx < mut, f"{d}/{q}: flat arena not below mutable ({fx} vs {mut})"
     best_reduction[d] = max(best_reduction.get(d, 0.0), mut / fx)
-    enum_sums[d]["pointer"] += ptr["enumerate_seconds"]
-    enum_sums[d]["flat"] += flat["enumerate_seconds"]
 hit = [d for d in datasets if best_reduction[d] >= 2.0]
 assert hit, f"no dataset reached a 2x measured-byte reduction: {best_reduction}"
-for d in datasets:
-    p, f = enum_sums[d]["pointer"], enum_sums[d]["flat"]
-    assert f <= p * 1.25 + 1e-6, \
-        f"{d}: flat QG1-QG5 enumeration slower than pointer ({f:.4f}s vs {p:.4f}s)"
 print(f"BENCH_index.json OK: {len(runs)} runs over {len(datasets)} datasets; "
       f">=2x byte reduction on {hit}; "
       f"best reduction per dataset: "
@@ -107,8 +95,9 @@ doc = {
         "threads": 1,
         "datasets": "Table-2 analogs FS LJ OK WT YT (bench_common.h)",
         "command": f"bench_index --out runs.jsonl --reps {reps} --limit {limit}",
-        "bytes_measured": "pointer = malloc_usable_size over the refined "
-                          "mutable index; flat = exact arena size",
+        "bytes_measured": "bytes_mutable_measured = malloc_usable_size over "
+                          "the refined mutable index; bytes_flat_exact = "
+                          "exact arena size",
     },
     "runs": runs,
 }

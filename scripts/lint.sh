@@ -62,6 +62,18 @@ if [[ -n "$hits" ]]; then
   fail "raw allocation / owning pointer in arena-backed index code" "$hits"
 fi
 
+# --- Rule: enumeration reads only the frozen arena. The mutable CeciIndex
+# is the build/refine structure; the enumerator, the scheduler, the
+# extreme-cluster decomposition and the dist worker take FlatCeciIndex, so
+# a second enumeration layout cannot creep back in (docs/architecture.md).
+enum_sources=$(echo "$sources" \
+  | grep -E 'src/ceci/(enumerator|scheduler|extreme_cluster)\.|src/dist/worker\.cc' || true)
+hits=$(echo "$enum_sources" | xargs grep -nw 'CeciIndex' 2>/dev/null || true)
+if [[ -n "$hits" ]]; then
+  fail "mutable CeciIndex in the enumeration layer (take const FlatCeciIndex&)" \
+    "$hits"
+fi
+
 # --- Rule: lock through util/sync.h, never the raw std primitives. The
 # capability analysis (docs/static_analysis.md#capability-analysis) only
 # sees locks taken through the annotated Mutex/MutexLock/CondVar wrappers;

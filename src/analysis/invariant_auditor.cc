@@ -829,7 +829,7 @@ struct TrieNode {
 // True when the partial embedding `prefix` (matching-order positions
 // 0..len-1) extends to at least one full embedding.
 bool PrefixHasEmbedding(const Graph& data, const QueryTree& tree,
-                        const CeciIndex& index,
+                        const FlatCeciIndex& index,
                         const EnumOptions& enum_options,
                         std::span<const VertexId> prefix) {
   std::atomic<std::uint64_t> budget{0};
@@ -843,7 +843,7 @@ bool PrefixHasEmbedding(const Graph& data, const QueryTree& tree,
 // the partial embedding of the path to `node` (by query vertex and by
 // matching-order position respectively).
 void CheckTrie(const TrieNode& node, const Graph& data, const QueryTree& tree,
-               const CeciIndex& index, const EnumOptions& enum_options,
+               const FlatCeciIndex& index, const EnumOptions& enum_options,
                Enumerator* helper, std::vector<VertexId>* mapping,
                std::vector<VertexId>* prefix, AuditReport* report) {
   const auto& order = tree.matching_order();
@@ -907,10 +907,11 @@ void CheckTrie(const TrieNode& node, const Graph& data, const QueryTree& tree,
 }  // namespace
 
 void AuditWorkUnits(const Graph& data, const QueryTree& tree,
-                    const CeciIndex& index, const EnumOptions& enum_options,
+                    const FlatCeciIndex& index,
+                    const EnumOptions& enum_options,
                     std::span<const WorkUnit> units, AuditReport* report) {
   const auto& order = tree.matching_order();
-  const auto pivots = std::span<const VertexId>(index.pivots(tree));
+  const std::span<const VertexId> pivots = index.candidates(tree.root());
 
   std::map<VertexId, TrieNode> roots;
   for (std::size_t i = 0; i < units.size(); ++i) {
@@ -983,82 +984,6 @@ void AuditWorkUnits(const Graph& data, const QueryTree& tree,
     CheckTrie(it->second, data, tree, index, enum_options, &helper, &mapping,
               &prefix, report);
     mapping[tree.root()] = kInvalidVertex;
-  }
-}
-
-void AuditQueryProfile(const QueryTree& tree, const CeciIndex& index,
-                       const QueryProfile& profile, AuditReport* report) {
-  ++report->checks_run;
-  if (profile.vertices.size() != tree.num_vertices()) {
-    std::ostringstream d;
-    d << "profile has " << profile.vertices.size()
-      << " vertex records, query tree has " << tree.num_vertices();
-    report->Add(InvariantClass::kProfileMismatch, d.str());
-    return;  // per-vertex comparisons below would misalign
-  }
-
-  const auto& order = tree.matching_order();
-  std::size_t te_bytes = 0;
-  std::size_t nte_bytes = 0;
-  std::size_t candidate_bytes = 0;
-  for (std::size_t i = 0; i < profile.vertices.size(); ++i) {
-    const VertexProfile& vp = profile.vertices[i];
-    ++report->checks_run;
-    if (vp.order_position != i || vp.u != order[i]) {
-      std::ostringstream d;
-      d << "record " << i << " claims u" << vp.u << " at position "
-        << vp.order_position << ", matching order has u" << order[i];
-      report->Add(InvariantClass::kProfileMismatch, d.str());
-      continue;
-    }
-    const CeciVertexData& vd = index.at(vp.u);
-    ++report->checks_run;
-    if (vp.candidates_refined != vd.candidates.size()) {
-      std::ostringstream d;
-      d << "u" << vp.u << ": profile reports " << vp.candidates_refined
-        << " refined candidates, index holds " << vd.candidates.size();
-      report->Add(InvariantClass::kProfileMismatch, d.str());
-    }
-    ++report->checks_run;
-    if (vp.te_keys != vd.te.num_keys() ||
-        vp.te_edges != vd.te.TotalValues()) {
-      std::ostringstream d;
-      d << "u" << vp.u << ": profile reports " << vp.te_keys << " TE keys / "
-        << vp.te_edges << " TE edges, index holds " << vd.te.num_keys()
-        << " / " << vd.te.TotalValues();
-      report->Add(InvariantClass::kProfileMismatch, d.str());
-    }
-    std::size_t nte_edges = 0;
-    for (const CandidateList& list : vd.nte) nte_edges += list.TotalValues();
-    ++report->checks_run;
-    if (vp.nte_lists != vd.nte.size() || vp.nte_edges != nte_edges) {
-      std::ostringstream d;
-      d << "u" << vp.u << ": profile reports " << vp.nte_lists
-        << " NTE lists / " << vp.nte_edges << " NTE edges, index holds "
-        << vd.nte.size() << " / " << nte_edges;
-      report->Add(InvariantClass::kProfileMismatch, d.str());
-    }
-    te_bytes += vp.te_bytes;
-    nte_bytes += vp.nte_bytes;
-    candidate_bytes += vp.candidate_bytes;
-  }
-
-  ++report->checks_run;
-  if (profile.te_bytes != te_bytes || profile.nte_bytes != nte_bytes ||
-      profile.candidate_bytes != candidate_bytes ||
-      profile.index_bytes != te_bytes + nte_bytes + candidate_bytes) {
-    std::ostringstream d;
-    d << "profile byte totals (" << profile.index_bytes
-      << ") disagree with per-vertex sums ("
-      << te_bytes + nte_bytes + candidate_bytes << ")";
-    report->Add(InvariantClass::kProfileMismatch, d.str());
-  }
-  ++report->checks_run;
-  if (profile.index_bytes != index.MemoryBytes()) {
-    std::ostringstream d;
-    d << "profile measures " << profile.index_bytes
-      << " index bytes, MemoryBytes() reports " << index.MemoryBytes();
-    report->Add(InvariantClass::kProfileMismatch, d.str());
   }
 }
 

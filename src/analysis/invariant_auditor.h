@@ -201,7 +201,8 @@ AuditReport AuditDistRun(const DistRunAccounting& accounting);
 /// partial embeddings, no unit's subtree contains another's (disjoint),
 /// and together they cover every embedding of every pivot (exhaustive).
 void AuditWorkUnits(const Graph& data, const QueryTree& tree,
-                    const CeciIndex& index, const EnumOptions& enum_options,
+                    const FlatCeciIndex& index,
+                    const EnumOptions& enum_options,
                     std::span<const WorkUnit> units, AuditReport* report);
 
 /// Audits the arena layout of a frozen flat index against the query tree
@@ -225,17 +226,12 @@ void AuditFlatIndex(const QueryTree& tree, const FlatCeciIndex& flat,
 void AuditFlatAgainstIndex(const QueryTree& tree, const CeciIndex& index,
                            const FlatCeciIndex& flat, AuditReport* report);
 
-/// Cross-checks a QueryProfile against the refined index it was collected
-/// from: per-vertex refined candidate counts must equal the actual
-/// candidate-set sizes, TE key/edge counts must equal the TE list sizes,
-/// and the profile's measured byte totals must equal MemoryBytes(). Every
-/// mismatch reports kProfileMismatch. Appends to `report`.
-void AuditQueryProfile(const QueryTree& tree, const CeciIndex& index,
-                       const QueryProfile& profile, AuditReport* report);
-
-/// Flat-layout variant: when Match() ran with MatchOptions::flat_index the
-/// profile's footprints were measured over the arena slabs, so the
-/// cross-check compares against FlatCeciIndex::MemoryFootprint instead.
+/// Cross-checks a QueryProfile against the frozen index it was collected
+/// from (PreparedQuery::flat): per-vertex refined candidate counts must
+/// equal the actual candidate-set sizes, TE/NTE key, edge and byte counts
+/// must equal FlatCeciIndex::MemoryFootprint, and the profile's byte totals
+/// must equal their sum. Every mismatch reports kProfileMismatch. Appends
+/// to `report`.
 void AuditQueryProfile(const QueryTree& tree, const FlatCeciIndex& flat,
                        const QueryProfile& profile, AuditReport* report);
 

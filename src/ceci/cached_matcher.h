@@ -2,10 +2,12 @@
 //
 // Dashboards and monitoring workloads re-run the same small set of query
 // shapes continuously. The CECI for a (data, query, matching order) triple
-// is immutable once refined, so this facade memoizes the preprocessed
-// query tree, symmetry constraints, and refined index per structural query
-// key and pays only enumeration on repeats — the in-memory counterpart of
-// the on-disk persistence in `ceci/index_io.h`.
+// is immutable once refined, so this facade is a cache of prepared
+// queries around one CeciMatcher: a miss runs CeciMatcher::Prepare and
+// keeps its PreparedQuery (query tree, symmetry constraints, frozen arena)
+// under the structural query key; every request, hit or miss, runs
+// CeciMatcher::Execute on the entry. It is the in-memory counterpart of the
+// on-disk persistence in `ceci/index_io.h`.
 #ifndef CECI_CECI_CACHED_MATCHER_H_
 #define CECI_CECI_CACHED_MATCHER_H_
 
@@ -18,24 +20,24 @@
 
 namespace ceci {
 
-/// Thread-safe memoizing wrapper around the CECI pipeline.
+/// Thread-safe cache of CeciMatcher::Prepare results.
 class CachedMatcher {
  public:
-  /// Indexes `data` (NLC) once; the graph must outlive the matcher.
+  /// Indexes `data` (NLC) once, in the owned CeciMatcher; the graph must
+  /// outlive the matcher.
   explicit CachedMatcher(const Graph& data);
 
   CachedMatcher(const CachedMatcher&) = delete;
   CachedMatcher& operator=(const CachedMatcher&) = delete;
 
-  /// Same contract as CeciMatcher::Match; construction and refinement are
-  /// served from the cache when the same query shape (and order strategy /
-  /// symmetry setting) was matched before. Budgets (MatchOptions::budget)
-  /// and a shared worker pool (MatchOptions::pool) are honoured exactly as
-  /// in CeciMatcher: a budget that trips while building a fresh entry
-  /// returns a truthfully-labelled partial result and the partial index is
-  /// *not* cached. Concurrent Match() calls are safe; two threads missing
-  /// the same key may both build (first writer wins, the loser's entry is
-  /// dropped) — enumeration against cached entries is read-only.
+  /// Same contract as CeciMatcher::Match; Prepare is skipped when the same
+  /// query shape (and order strategy / symmetry setting) was matched
+  /// before. One budget tracker spans the lookup, a miss's Prepare and the
+  /// Execute: a budget that trips while preparing a fresh entry returns a
+  /// truthfully-labelled partial result and the partial entry is *not*
+  /// cached. Concurrent Match() calls are safe; two threads missing the
+  /// same key may both prepare it (first writer wins, the loser's entry is
+  /// dropped) — Execute against cached entries is read-only.
   Result<MatchResult> Match(const Graph& query, const MatchOptions& options,
                             const EmbeddingVisitor* visitor = nullptr);
 
@@ -59,10 +61,6 @@ class CachedMatcher {
   Status InstallPrebuilt(const std::string& path, bool use_mmap = true);
 
   std::size_t cache_entries() const;
-  /// Bytes of build inputs (filter tables, root candidate lists) held by
-  /// cache entries. Entries drop them once built, so this stays 0;
-  /// exposed for tests.
-  std::size_t cached_filter_bytes() const;
   std::uint64_t cache_hits() const {
     MutexLock lock(mutex_);
     return hits_;
@@ -79,14 +77,11 @@ class CachedMatcher {
                               const MatchOptions& options);
 
  private:
-  struct Entry;
-
-  const Graph& data_;
-  NlcIndex nlc_;
+  CeciMatcher matcher_;
   // Guards the map and the hit/miss tallies; entries themselves are
-  // immutable once published, so enumeration never holds the lock.
+  // immutable once published, so Execute never holds the lock.
   mutable Mutex mutex_;
-  std::map<std::string, std::shared_ptr<const Entry>> cache_
+  std::map<std::string, std::shared_ptr<const PreparedQuery>> cache_
       CECI_GUARDED_BY(mutex_);
   std::uint64_t hits_ CECI_GUARDED_BY(mutex_) = 0;
   std::uint64_t misses_ CECI_GUARDED_BY(mutex_) = 0;

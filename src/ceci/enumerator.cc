@@ -10,18 +10,6 @@
 namespace ceci {
 namespace {
 
-// Restricts a sorted span to the symmetry window [lo, hi). Candidate lists
-// are sorted, so the restriction is two binary searches on the input rather
-// than a filter over the intersection output.
-std::span<const VertexId> ClampToRange(std::span<const VertexId> s,
-                                       VertexId lo, VertexId hi) {
-  if (lo == 0 && hi == kInvalidVertex) return s;
-  auto begin = std::lower_bound(s.begin(), s.end(), lo);
-  auto end = std::lower_bound(begin, s.end(), hi);
-  return s.subspan(static_cast<std::size_t>(begin - s.begin()),
-                   static_cast<std::size_t>(end - begin));
-}
-
 // Restricts a sorted rank array to the data-id window [lo, hi). Ranks index
 // the sorted `cand` array, so id order equals rank order and the bounds
 // translate by binary search through the cand[] projection — O(log |entry|)
@@ -41,32 +29,19 @@ std::span<const VertexId> ClampRanksById(std::span<const VertexId> ranks,
 }  // namespace
 
 Enumerator::Enumerator(const Graph& data, const QueryTree& tree,
-                       IndexView index, const EnumOptions& options)
-    : data_(&data),
-      tree_(tree),
-      index_(index.pointer()),
-      flat_(index.flat()),
-      options_(options) {
-  CECI_CHECK(options.symmetry != nullptr)
-      << "pass SymmetryConstraints::None() to disable symmetry breaking";
-  symmetry_ = options.symmetry;
-  const std::size_t nq = tree.num_vertices();
-  mapping_.assign(nq, kInvalidVertex);
-  scratch_.resize(nq);
-  span_scratch_.reserve(nq);
-  if (options.per_position_stats) stats_.calls_per_position.assign(nq, 0);
-  InitUsedBitmap();
-}
+                       const FlatCeciIndex& index, const EnumOptions& options)
+    : Enumerator(&data, tree, index, options) {}
 
-Enumerator::Enumerator(const QueryTree& tree, IndexView index,
+Enumerator::Enumerator(const QueryTree& tree, const FlatCeciIndex& index,
                        const EnumOptions& options)
-    : data_(nullptr),
-      tree_(tree),
-      index_(index.pointer()),
-      flat_(index.flat()),
-      options_(options) {
+    : Enumerator(nullptr, tree, index, options) {
   CECI_CHECK(options.nte_intersection)
       << "graph-free enumeration requires NTE intersection";
+}
+
+Enumerator::Enumerator(const Graph* data, const QueryTree& tree,
+                       const FlatCeciIndex& index, const EnumOptions& options)
+    : data_(data), tree_(tree), flat_(index), options_(options) {
   CECI_CHECK(options.symmetry != nullptr)
       << "pass SymmetryConstraints::None() to disable symmetry breaking";
   symmetry_ = options.symmetry;
@@ -75,20 +50,14 @@ Enumerator::Enumerator(const QueryTree& tree, IndexView index,
   scratch_.resize(nq);
   span_scratch_.reserve(nq);
   if (options.per_position_stats) stats_.calls_per_position.assign(nq, 0);
-  InitUsedBitmap();
-}
-
-void Enumerator::InitUsedBitmap() {
   // Sized for every data vertex that can appear in a mapping; MarkUsed
-  // still grows on demand as a safety net (e.g. unrefined test indexes).
+  // still grows on demand as a safety net.
   std::size_t num_data = 0;
   if (data_ != nullptr) {
     num_data = data_->num_vertices();
   } else {
-    const IndexView view =
-        flat_ != nullptr ? IndexView(*flat_) : IndexView(*index_);
-    for (VertexId u = 0; u < tree_.num_vertices(); ++u) {
-      const auto cands = view.candidates(u);
+    for (VertexId u = 0; u < nq; ++u) {
+      const auto cands = flat_.candidates(u);
       if (!cands.empty()) {
         num_data = std::max<std::size_t>(num_data, cands.back() + 1);
       }
@@ -132,10 +101,7 @@ std::size_t Enumerator::StateBytes() const {
 
 std::uint64_t Enumerator::EnumerateAll(const EmbeddingVisitor* visitor) {
   std::uint64_t total = 0;
-  const std::span<const VertexId> pivots =
-      flat_ != nullptr ? flat_->candidates(tree_.root())
-                       : std::span<const VertexId>(index_->pivots(tree_));
-  for (VertexId pivot : pivots) {
+  for (VertexId pivot : flat_.candidates(tree_.root())) {
     total += EnumerateCluster(pivot, visitor);
     if (stopped_ || LimitReached()) break;
   }
@@ -207,95 +173,6 @@ void Enumerator::SymmetryRange(std::span<const VertexId> mapping, VertexId u,
   *hi = h;
 }
 
-void Enumerator::Candidates(std::span<const VertexId> mapping, VertexId u,
-                            std::vector<VertexId>* out) {
-  if (flat_ != nullptr) {
-    CandidatesFlat(mapping, u, out);
-    return;
-  }
-  const CeciVertexData& ud = index_->at(u);
-  const VertexId parent_match = mapping[tree_.parent(u)];
-  // The matching order is a topological order of the query tree: by the
-  // time u extends, its tree parent (and every NTE parent, checked below)
-  // must already be matched.
-  CECI_DCHECK_NE(parent_match, kInvalidVertex)
-      << "tree parent of u" << u << " unmatched";
-  // Symmetry first: narrowing the TE input bounds the intersection's output
-  // (and usually its work) before any element is materialized.
-  VertexId lo, hi;
-  SymmetryRange(mapping, u, &lo, &hi);
-  std::span<const VertexId> te =
-      ClampToRange(ud.te.Find(parent_match), lo, hi);
-
-  const auto nte_ids = tree_.nte_in(u);
-  if (options_.nte_intersection && !nte_ids.empty()) {
-    span_scratch_.clear();
-    span_scratch_.push_back(te);
-    for (std::size_t k = 0; k < nte_ids.size(); ++k) {
-      const VertexId u_n = tree_.non_tree_edges()[nte_ids[k]].parent;
-      CECI_DCHECK_NE(mapping[u_n], kInvalidVertex)
-          << "NTE parent u" << u_n << " of u" << u << " unmatched";
-      span_scratch_.push_back(ud.nte[k].Find(mapping[u_n]));
-    }
-    ++stats_.intersections;
-    for (const auto& list : span_scratch_) {
-      stats_.intersection_elements_in += list.size();
-    }
-    IntersectSortedMulti(span_scratch_, out);
-    stats_.intersection_elements_out += out->size();
-  } else {
-    out->assign(te.begin(), te.end());
-  }
-
-  // Injectivity: drop vertices already used by the partial embedding. The
-  // bitmap mirrors `mapping`, turning the old per-candidate scan over the
-  // mapping into one bit probe.
-  out->erase(std::remove_if(out->begin(), out->end(),
-                            [&](VertexId v) { return IsUsed(v); }),
-             out->end());
-
-  // Edge-verification ablation: each surviving candidate must close every
-  // matched non-tree edge on the data graph.
-  if (!options_.nte_intersection && !nte_ids.empty()) {
-    out->erase(std::remove_if(out->begin(), out->end(),
-                              [&](VertexId v) {
-                                for (std::uint32_t e : nte_ids) {
-                                  const VertexId u_n =
-                                      tree_.non_tree_edges()[e].parent;
-                                  ++stats_.edge_verifications;
-                                  if (!data_->HasEdge(v, mapping[u_n])) {
-                                    return true;
-                                  }
-                                }
-                                return false;
-                              }),
-               out->end());
-  }
-}
-
-std::uint64_t Enumerator::CountLeafCandidates(VertexId u) {
-  if (flat_ != nullptr) return CountLeafCandidatesFlat(u);
-  if (!tree_.nte_in(u).empty()) {
-    // Two or more lists: materialize them as Candidates does. A matched
-    // vertex adjacent to every NTE parent lands in most such intersections,
-    // and subtracting it from a kernel count would cost a search per list.
-    // The last depth's buffer is free: the shortcut never recurses into it.
-    std::vector<VertexId>& survivors = scratch_.back();
-    Candidates(mapping_, u, &survivors);
-    return survivors.size();
-  }
-  // Lone TE list: its length, minus the matched vertices inside it.
-  VertexId lo, hi;
-  SymmetryRange(mapping_, u, &lo, &hi);
-  const std::span<const VertexId> te = ClampToRange(
-      index_->at(u).te.Find(mapping_[tree_.parent(u)]), lo, hi);
-  std::size_t count = te.size();
-  for (VertexId m : mapping_) {
-    if (m != kInvalidVertex && SortedContains(te, m)) --count;
-  }
-  return count;
-}
-
 bool Enumerator::GatherFlatRefs(std::span<const VertexId> mapping,
                                 VertexId u, bool with_nte, VertexId* lo,
                                 VertexId* hi) {
@@ -303,7 +180,7 @@ bool Enumerator::GatherFlatRefs(std::span<const VertexId> mapping,
   const VertexId parent_match = mapping[tree_.parent(u)];
   CECI_DCHECK_NE(parent_match, kInvalidVertex)
       << "tree parent of u" << u << " unmatched";
-  const FlatCeciIndex::EntryRef te = flat_->Te(u, parent_match);
+  const FlatCeciIndex::EntryRef te = flat_.Te(u, parent_match);
   if (te.count == 0) return false;
   entry_scratch_.push_back(te);
   if (with_nte) {
@@ -312,7 +189,7 @@ bool Enumerator::GatherFlatRefs(std::span<const VertexId> mapping,
       const VertexId u_n = tree_.non_tree_edges()[nte_ids[k]].parent;
       CECI_DCHECK_NE(mapping[u_n], kInvalidVertex)
           << "NTE parent u" << u_n << " of u" << u << " unmatched";
-      const FlatCeciIndex::EntryRef ref = flat_->Nte(u, k, mapping[u_n]);
+      const FlatCeciIndex::EntryRef ref = flat_.Nte(u, k, mapping[u_n]);
       if (ref.count == 0) return false;
       entry_scratch_.push_back(ref);
     }
@@ -394,7 +271,7 @@ bool Enumerator::AndFlatBitmaps(VertexId u, std::span<const VertexId> cand,
                 std::lower_bound(cand.begin(), cand.end(), hi) -
                 cand.begin());
   if (rlo >= rhi) return false;
-  bitmap_scratch_.assign(flat_->bitmap_words(u), ~std::uint64_t{0});
+  bitmap_scratch_.assign(flat_.bitmap_words(u), ~std::uint64_t{0});
   BitmapMaskWindow(bitmap_scratch_, rlo, rhi);
   for (const FlatCeciIndex::EntryRef& ref : entry_scratch_) {
     BitmapAndInPlace(bitmap_scratch_, ref.bits);
@@ -402,14 +279,14 @@ bool Enumerator::AndFlatBitmaps(VertexId u, std::span<const VertexId> cand,
   return true;
 }
 
-void Enumerator::CandidatesFlat(std::span<const VertexId> mapping, VertexId u,
-                                std::vector<VertexId>* out) {
+void Enumerator::Candidates(std::span<const VertexId> mapping, VertexId u,
+                            std::vector<VertexId>* out) {
   out->clear();
   VertexId lo, hi;
   if (!GatherFlatRefs(mapping, u, options_.nte_intersection, &lo, &hi)) {
     return;
   }
-  const std::span<const VertexId> cand = flat_->candidates(u);
+  const std::span<const VertexId> cand = flat_.candidates(u);
   const bool have_bitmap = SplitFlatRefs(cand, lo, hi);
 
   std::span<const VertexId> ranks;
@@ -421,7 +298,6 @@ void Enumerator::CandidatesFlat(std::span<const VertexId> mapping, VertexId u,
   } else if (!have_bitmap && span_scratch_.size() == 1) {
     // Lone TE array (no NTE constraints): decode straight from the
     // clamped rank span — no intersection kernel, no intermediate copy.
-    // This mirrors the pointer path's plain-assign case.
     ranks = span_scratch_[0];
   } else {
     IntersectFlatRanks(have_bitmap);
@@ -441,8 +317,7 @@ void Enumerator::CandidatesFlat(std::span<const VertexId> mapping, VertexId u,
   ApplyEdgeVerification(mapping, u, out);
 }
 
-// Edge-verification ablation filter (no-op under NTE intersection); matches
-// the pointer path's behaviour.
+// Edge-verification ablation filter (no-op under NTE intersection).
 void Enumerator::ApplyEdgeVerification(std::span<const VertexId> mapping,
                                        VertexId u,
                                        std::vector<VertexId>* out) {
@@ -463,15 +338,15 @@ void Enumerator::ApplyEdgeVerification(std::span<const VertexId> mapping,
              out->end());
 }
 
-std::uint64_t Enumerator::CountLeafCandidatesFlat(VertexId u) {
+std::uint64_t Enumerator::CountLeafCandidates(VertexId u) {
   VertexId lo, hi;
   if (!GatherFlatRefs(mapping_, u, true, &lo, &hi)) return 0;
-  const std::span<const VertexId> cand = flat_->candidates(u);
+  const std::span<const VertexId> cand = flat_.candidates(u);
   const bool have_bitmap = SplitFlatRefs(cand, lo, hi);
 
   if (have_bitmap ? !span_scratch_.empty() : span_scratch_.size() > 1) {
     // Two or more rank arrays, or a mixed set: materialize the surviving
-    // ranks and probe the injectivity bitmap, exactly as CandidatesFlat
+    // ranks and probe the injectivity bitmap, exactly as Candidates
     // does. Subtracting matched vertices after a counting kernel would cost
     // a search per entry for each one, and a matched vertex adjacent to
     // every NTE parent sits in nearly every such intersection.

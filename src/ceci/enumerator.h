@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "ceci/ceci_index.h"
 #include "ceci/flat_index.h"
 #include "ceci/query_tree.h"
 #include "ceci/symmetry.h"
@@ -89,24 +88,27 @@ struct EnumStats {
   }
 };
 
-/// Single-worker backtracking enumerator over a refined CECI. Accepts
-/// either index layout through IndexView: against the pointer-rich
-/// CeciIndex the hot path is the classic sorted-id intersection; against
-/// a FlatCeciIndex it runs in *rank space* — TE/NTE entries store ranks
-/// into the child's candidate array, arrays go through the same SIMD
-/// sorted-u32 kernels, bitmap entries through word-wise AND/popcount, and
-/// ids materialize only for survivors.
+/// Single-worker backtracking enumerator over a refined CECI frozen into
+/// its arena (FlatCeciIndex). It runs in *rank space*: TE/NTE entries
+/// store ranks into the child's candidate array, arrays go through the
+/// SIMD sorted-u32 kernels, bitmap entries through word-wise AND/popcount,
+/// and ids materialize only for survivors.
 class Enumerator {
  public:
-  Enumerator(const Graph& data, const QueryTree& tree, IndexView index,
-             const EnumOptions& options);
+  Enumerator(const Graph& data, const QueryTree& tree,
+             const FlatCeciIndex& index, const EnumOptions& options);
 
   /// Graph-free variant: enumeration by intersection never touches the
   /// data graph, so index-only callers (e.g. the out-of-core §5 path,
   /// where no in-memory Graph exists) can omit it. Requires
   /// options.nte_intersection == true.
-  Enumerator(const QueryTree& tree, IndexView index,
+  Enumerator(const QueryTree& tree, const FlatCeciIndex& index,
              const EnumOptions& options);
+
+  // The enumerator reads the index in place; it must outlive the worker.
+  Enumerator(const Graph&, const QueryTree&, FlatCeciIndex&&,
+             const EnumOptions&) = delete;
+  Enumerator(const QueryTree&, FlatCeciIndex&&, const EnumOptions&) = delete;
 
   /// Installs a cross-worker emission budget: enumeration stops once
   /// `counter` (shared by all workers) reaches `limit`.
@@ -169,11 +171,15 @@ class Enumerator {
   std::span<const std::uint64_t> used_bitmap() const { return used_; }
 
  private:
+  Enumerator(const Graph* data, const QueryTree& tree,
+             const FlatCeciIndex& index, const EnumOptions& options);
+
   bool Recurse(std::size_t pos);
   bool Emit();
   bool LimitReached() const;
-  // Shared candidate-generation core; scratch is the per-depth buffer.
-  // Requires used_ to mirror the data vertices present in `mapping`.
+  // Shared candidate-generation core, in rank space (see class comment);
+  // scratch is the per-depth buffer. Requires used_ to mirror the data
+  // vertices present in `mapping`.
   void Candidates(std::span<const VertexId> mapping, VertexId u,
                   std::vector<VertexId>* out);
   // Counting twin of Candidates for the last matching-order position:
@@ -184,15 +190,10 @@ class Enumerator {
   // options_.nte_intersection (the edge-verification ablation must probe
   // each candidate).
   std::uint64_t CountLeafCandidates(VertexId u);
-  // Flat-layout twins of Candidates / CountLeafCandidates, operating in
-  // rank space (see class comment). Dispatched to when flat_ != nullptr.
-  void CandidatesFlat(std::span<const VertexId> mapping, VertexId u,
-                      std::vector<VertexId>* out);
   // The edge-verification ablation filter over `out` (no-op when
   // options_.nte_intersection is on or u has no incoming NTEs).
   void ApplyEdgeVerification(std::span<const VertexId> mapping, VertexId u,
                              std::vector<VertexId>* out);
-  std::uint64_t CountLeafCandidatesFlat(VertexId u);
   // Collects the TE (+ NTE when `with_nte`) entry refs for u into
   // entry_scratch_ and computes the symmetry id window [lo, hi) — kept in
   // id space; consumers clamp rank arrays through the cand[] projection.
@@ -217,7 +218,6 @@ class Enumerator {
   // (hi == kInvalidVertex when unbounded above).
   void SymmetryRange(std::span<const VertexId> mapping, VertexId u,
                      VertexId* lo, VertexId* hi) const;
-  void InitUsedBitmap();
 
   // Injectivity bitmap over data vertex ids, kept in sync with mapping_ by
   // Recurse / EnumerateFromPrefix (and mirrored temporarily by
@@ -238,8 +238,7 @@ class Enumerator {
 
   const Graph* data_;  // null only in the graph-free intersection mode
   const QueryTree& tree_;
-  const CeciIndex* index_;       // exactly one of index_ / flat_ is set
-  const FlatCeciIndex* flat_;
+  const FlatCeciIndex& flat_;
   EnumOptions options_;
   const SymmetryConstraints* symmetry_;
 
@@ -248,8 +247,8 @@ class Enumerator {
   std::vector<VertexId> flipped_scratch_;     // CollectExtensions bookkeeping
   std::vector<std::vector<VertexId>> scratch_;  // per matching-order depth
   std::vector<std::span<const VertexId>> span_scratch_;
-  // Flat-path scratch: gathered entry refs, surviving ranks, the array-side
-  // intersection result, and the bitmap accumulator.
+  // Gathered entry refs, surviving ranks, the array-side intersection
+  // result, and the bitmap accumulator.
   std::vector<FlatCeciIndex::EntryRef> entry_scratch_;
   std::vector<VertexId> rank_scratch_;
   std::vector<VertexId> rank_tmp_;

@@ -11,7 +11,8 @@ namespace {
 
 class Decomposer {
  public:
-  Decomposer(const Graph& data, const QueryTree& tree, IndexView index,
+  Decomposer(const Graph& data, const QueryTree& tree,
+             const FlatCeciIndex& index,
              const EnumOptions& enum_options, Cardinality threshold,
              std::vector<WorkUnit>* out)
       : tree_(tree),
@@ -72,7 +73,7 @@ class Decomposer {
 
  private:
   const QueryTree& tree_;
-  IndexView index_;
+  const FlatCeciIndex& index_;
   const Cardinality threshold_;
   std::vector<WorkUnit>* out_;
   Enumerator helper_;
@@ -82,7 +83,7 @@ class Decomposer {
 }  // namespace
 
 std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
-                                     IndexView index,
+                                     const FlatCeciIndex& index,
                                      const EnumOptions& enum_options,
                                      std::size_t workers, double beta,
                                      bool decompose, bool sort_by_cardinality,

@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "ceci/ceci_index.h"
 #include "ceci/enumerator.h"
 #include "ceci/query_tree.h"
 
@@ -40,7 +39,7 @@ struct DecomposeStats {
 /// the paper's naive static distribution does not. `beta` trades
 /// decomposition overhead for balance.
 std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
-                                     IndexView index,
+                                     const FlatCeciIndex& index,
                                      const EnumOptions& enum_options,
                                      std::size_t workers, double beta,
                                      bool decompose, bool sort_by_cardinality,

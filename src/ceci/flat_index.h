@@ -204,7 +204,7 @@ class FlatCeciIndex {
   /// Visits every (list, key) pair in vertex order: TE list first (absent
   /// for the root), then NTE lists in paper order. `nte_slot` is -1 for
   /// the TE list, else the index into QueryTree::nte_in(owner). Used by
-  /// index inflation and layout diagnostics.
+  /// layout diagnostics and tests.
   template <typename Fn>  // Fn(VertexId owner, std::int32_t nte_slot,
                           //    VertexId key, const EntryRef& ref)
   void ForEachList(Fn&& fn) const {
@@ -303,44 +303,10 @@ class FlatCeciIndex {
   std::span<const std::uint64_t> bitmap_pool_;
 };
 
-/// Cheap two-pointer view over either index layout. Scheduler, work-unit
-/// decomposition, and the enumerator take IndexView so call sites pass a
-/// CeciIndex or a FlatCeciIndex interchangeably (implicit conversion);
-/// exactly one of pointer()/flat() is non-null.
-class IndexView {
- public:
-  IndexView(const CeciIndex& index) : index_(&index) {}        // NOLINT
-  IndexView(const FlatCeciIndex& flat) : flat_(&flat) {}       // NOLINT
-
-  const CeciIndex* pointer() const { return index_; }
-  const FlatCeciIndex* flat() const { return flat_; }
-
-  std::size_t num_query_vertices() const {
-    return flat_ != nullptr ? flat_->num_query_vertices()
-                            : index_->num_query_vertices();
-  }
-  std::span<const VertexId> candidates(VertexId u) const {
-    return flat_ != nullptr ? flat_->candidates(u)
-                            : std::span<const VertexId>(index_->at(u).candidates);
-  }
-  std::span<const Cardinality> cardinalities(VertexId u) const {
-    return flat_ != nullptr
-               ? flat_->cardinalities(u)
-               : std::span<const Cardinality>(index_->at(u).cardinalities);
-  }
-  Cardinality CardinalityOf(VertexId u, VertexId v) const {
-    return flat_ != nullptr ? flat_->CardinalityOf(u, v)
-                            : index_->CardinalityOf(u, v);
-  }
-  /// Cluster pivots: the root's candidate set.
-  std::span<const VertexId> pivots(const QueryTree& tree) const {
-    return candidates(tree.root());
-  }
-
- private:
-  const CeciIndex* index_ = nullptr;
-  const FlatCeciIndex* flat_ = nullptr;
-};
+/// The enumeration layer's index type. Enumerator, RunParallelEnumeration
+/// and BuildWorkUnits take `const FlatCeciIndex&`; this alias keeps the
+/// older spelling `IndexView(flat)` compiling for perfbench/driver.cc.
+using IndexView = const FlatCeciIndex&;
 
 }  // namespace ceci
 

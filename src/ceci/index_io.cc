@@ -7,7 +7,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "util/bitmap.h"
 #include "util/crc32.h"
 
 namespace ceci {
@@ -261,54 +260,6 @@ Result<FlatCeciIndex> ReadFlatIndex(const QueryTree& tree,
         "index was built for a different matching order");
   }
   return flat;
-}
-
-CeciIndex InflateFlatIndex(const FlatCeciIndex& flat) {
-  const std::size_t nq = flat.num_query_vertices();
-  CeciIndex index(nq);
-  std::vector<std::uint32_t> rank_scratch;
-  for (VertexId u = 0; u < nq; ++u) {
-    CeciVertexData& ud = index.at(u);
-    const std::span<const VertexId> cand = flat.candidates(u);
-    const std::span<const Cardinality> card = flat.cardinalities(u);
-    ud.candidates.assign(cand.begin(), cand.end());
-    ud.cardinalities.assign(card.begin(), card.end());
-    ud.nte.resize(flat.nte_count(u));
-  }
-  flat.ForEachList([&](VertexId owner, std::int32_t nte_slot, VertexId key,
-                       const FlatCeciIndex::EntryRef& ref) {
-    const std::span<const VertexId> cand = flat.candidates(owner);
-    std::vector<VertexId> values;
-    values.reserve(ref.count);
-    if (ref.is_bitmap()) {
-      rank_scratch.clear();
-      BitmapExtract(ref.bits, &rank_scratch);
-      for (std::uint32_t r : rank_scratch) values.push_back(cand[r]);
-    } else {
-      for (std::uint32_t r : ref.ranks) values.push_back(cand[r]);
-    }
-    CeciVertexData& ud = index.at(owner);
-    if (nte_slot < 0) {
-      ud.te.Append(key, std::move(values));
-    } else {
-      ud.nte[static_cast<std::size_t>(nte_slot)].Append(key,
-                                                        std::move(values));
-    }
-  });
-  return index;
-}
-
-Status WriteCeciIndex(const CeciIndex& index, const QueryTree& tree,
-                      const std::string& path) {
-  const FlatCeciIndex flat = FlatCeciIndex::Build(index, tree);
-  return WriteFlatIndex(flat, "", path);
-}
-
-Result<CeciIndex> ReadCeciIndex(const QueryTree& tree,
-                                const std::string& path) {
-  Result<FlatCeciIndex> flat = ReadFlatIndex(tree, path);
-  if (!flat.ok()) return flat.status();
-  return InflateFlatIndex(*flat);
 }
 
 }  // namespace ceci

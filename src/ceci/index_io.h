@@ -29,7 +29,6 @@
 
 #include <string>
 
-#include "ceci/ceci_index.h"
 #include "ceci/flat_index.h"
 #include "ceci/query_tree.h"
 #include "util/status.h"
@@ -77,21 +76,6 @@ Result<QueryTree> ImageQueryTree(const FlatCeciIndex& flat,
 Result<FlatCeciIndex> ReadFlatIndex(const QueryTree& tree,
                                     const std::string& path,
                                     const IndexLoadOptions& options = {});
-
-/// Reconstructs the mutable pointer-rich form from a flat image (ranks
-/// decoded back to data-vertex ids). For tooling and tests that want to
-/// resume refinement or compare layouts; enumeration should use the flat
-/// form directly.
-CeciIndex InflateFlatIndex(const FlatCeciIndex& flat);
-
-/// Compatibility wrappers around the flat format for callers holding the
-/// mutable form: Write freezes to flat (the index must satisfy the
-/// refinement postcondition that every TE/NTE value is an alive candidate
-/// of its child vertex), Read inflates back.
-Status WriteCeciIndex(const CeciIndex& index, const QueryTree& tree,
-                      const std::string& path);
-Result<CeciIndex> ReadCeciIndex(const QueryTree& tree,
-                                const std::string& path);
 
 }  // namespace ceci
 

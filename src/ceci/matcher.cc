@@ -1,11 +1,11 @@
 #include "ceci/matcher.h"
 
 #include <memory>
+#include <optional>
 
 #include "ceci/ceci_builder.h"
 #include "ceci/preprocess.h"
 #include "ceci/refinement.h"
-#include "ceci/symmetry.h"
 #include "util/intersection.h"
 #include "util/metrics_registry.h"
 #include "util/timer.h"
@@ -14,13 +14,10 @@
 namespace ceci {
 namespace {
 
-// Mirrors one query's statistics into the process-cumulative registry.
-// Done once per Match() from accumulated locals so the per-candidate hot
-// paths never touch shared metric cells.
-void ExportMatchMetrics(const MatchResult& result) {
+// Mirrors the build stage's counters into the process-cumulative
+// registry, once per Prepare (a cache hit builds nothing, so adds nothing).
+void ExportBuildMetrics(const MatchStats& s) {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  static Counter& queries = reg.GetCounter("ceci.match.queries");
-  static Counter& embeddings = reg.GetCounter("ceci.match.embeddings");
   static Counter& rejected_label = reg.GetCounter("ceci.build.rejected_label");
   static Counter& rejected_degree =
       reg.GetCounter("ceci.build.rejected_degree");
@@ -36,6 +33,24 @@ void ExportMatchMetrics(const MatchResult& result) {
   static Counter& pruned_candidates =
       reg.GetCounter("ceci.refine.pruned_candidates");
   static Counter& pruned_edges = reg.GetCounter("ceci.refine.pruned_edges");
+  rejected_label.Add(s.build.rejected_label);
+  rejected_degree.Add(s.build.rejected_degree);
+  rejected_nlc.Add(s.build.rejected_nlc);
+  cascade_removals.Add(s.build.cascade_removals);
+  nte_cascade_removals.Add(s.build.nte_cascade_removals);
+  frontier_expansions.Add(s.build.frontier_expansions);
+  neighbors_scanned.Add(s.build.neighbors_scanned);
+  pruned_candidates.Add(s.refine.pruned_candidates);
+  pruned_edges.Add(s.refine.pruned_edges);
+}
+
+// Mirrors one answered query into the process-cumulative registry, once
+// per Execute, from accumulated locals so the per-candidate hot paths
+// never touch shared metric cells.
+void ExportMatchMetrics(const MatchResult& result) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  static Counter& queries = reg.GetCounter("ceci.match.queries");
+  static Counter& embeddings = reg.GetCounter("ceci.match.embeddings");
   static Counter& recursive_calls =
       reg.GetCounter("ceci.enumerate.recursive_calls");
   static Counter& intersections =
@@ -66,15 +81,6 @@ void ExportMatchMetrics(const MatchResult& result) {
   const MatchStats& s = result.stats;
   queries.Increment();
   embeddings.Add(result.embedding_count);
-  rejected_label.Add(s.build.rejected_label);
-  rejected_degree.Add(s.build.rejected_degree);
-  rejected_nlc.Add(s.build.rejected_nlc);
-  cascade_removals.Add(s.build.cascade_removals);
-  nte_cascade_removals.Add(s.build.nte_cascade_removals);
-  frontier_expansions.Add(s.build.frontier_expansions);
-  neighbors_scanned.Add(s.build.neighbors_scanned);
-  pruned_candidates.Add(s.refine.pruned_candidates);
-  pruned_edges.Add(s.refine.pruned_edges);
   recursive_calls.Add(s.enumeration.recursive_calls);
   intersections.Add(s.enumeration.intersections);
   elements_in.Add(s.enumeration.intersection_elements_in);
@@ -92,36 +98,153 @@ void ExportMatchMetrics(const MatchResult& result) {
   budget_polls.Add(s.budget.polls);
 }
 
+// Assembles the EXPLAIN profile from the prepared query's per-vertex
+// counts, the arena footprints, and this execution's schedule.
+QueryProfile BuildProfile(const PreparedQuery& prepared,
+                          const MatchStats& stats,
+                          const ScheduleResult& sched) {
+  QueryProfile profile;
+  const VertexPipelineCounts& counts = prepared.counts;
+  const auto& order = prepared.tree.matching_order();
+  profile.vertices.resize(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    VertexProfile& vp = profile.vertices[i];
+    const VertexId u = order[i];
+    vp.u = u;
+    vp.order_position = i;
+    if (i < counts.filtered.size()) {
+      // Build records arrive in matching order, root first.
+      vp.candidates_filtered = counts.filtered[i].candidates_filtered;
+      vp.rejected_label = counts.filtered[i].rejected_label;
+      vp.rejected_degree = counts.filtered[i].rejected_degree;
+      vp.rejected_nlc = counts.filtered[i].rejected_nlc;
+    }
+    if (u < counts.built.size()) vp.candidates_built = counts.built[u];
+    vp.candidates_refined = prepared.flat.candidates(u).size();
+    if (u < counts.pruned.size()) vp.refine_pruned = counts.pruned[u];
+    const CeciIndex::VertexFootprint f = prepared.flat.MemoryFootprint(u);
+    vp.te_keys = f.te_keys;
+    vp.te_edges = f.te_edges;
+    vp.te_bytes = f.te_bytes;
+    vp.nte_lists = f.nte_lists;
+    vp.nte_edges = f.nte_edges;
+    vp.nte_bytes = f.nte_bytes;
+    vp.candidate_bytes = f.candidate_bytes;
+    if (i < stats.enumeration.calls_per_position.size()) {
+      vp.recursive_calls = stats.enumeration.calls_per_position[i];
+    }
+    profile.te_bytes += f.te_bytes;
+    profile.nte_bytes += f.nte_bytes;
+    profile.candidate_bytes += f.candidate_bytes;
+  }
+  profile.index_bytes =
+      profile.te_bytes + profile.nte_bytes + profile.candidate_bytes;
+  profile.clusters = sched.cluster_skew;
+  profile.work_units = sched.unit_skew;
+  profile.enumerate_wall_seconds = stats.enumerate_seconds;
+  profile.workers.resize(stats.worker_seconds.size());
+  for (std::size_t w = 0; w < profile.workers.size(); ++w) {
+    profile.workers[w].worker = w;
+    profile.workers[w].busy_seconds = stats.worker_seconds[w];
+    if (w < sched.worker_units.size()) {
+      profile.workers[w].units = sched.worker_units[w];
+    }
+  }
+  return profile;
+}
+
 }  // namespace
+
+FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
+                                const Graph& query, const QueryTree& tree,
+                                const BuildOptions& build, MatchStats* stats,
+                                const IndexInspector& inspector,
+                                VertexPipelineCounts* counts) {
+  BudgetTracker* budget = build.budget;
+  auto tripped = [budget] { return budget != nullptr && budget->Exhausted(); };
+
+  // --- CECI creation + BFS filtering (§3.2) ---
+  Timer phase;
+  BuildOptions build_options = build;
+  if (counts != nullptr) build_options.vertex_stats = &counts->filtered;
+  CeciIndex index = [&] {
+    TraceSpan span("build");
+    return CeciBuilder(data, nlc).Build(query, tree, build_options,
+                                        &stats->build);
+  }();
+  if (build.filter_table != nullptr) build.filter_table->Release();
+  stats->build_seconds = phase.Seconds();
+  stats->ceci_bytes_unrefined = index.MemoryBytes();
+  stats->candidate_edges_unrefined = index.TotalCandidateEdges();
+  // A partial index skips the inspector (its invariants assume a complete
+  // build) and everything downstream.
+  if (tripped()) return FlatCeciIndex();
+  if (inspector) inspector(tree, index, /*refined=*/false);
+  if (counts != nullptr) {
+    counts->built.resize(query.num_vertices());
+    for (VertexId u = 0; u < query.num_vertices(); ++u) {
+      counts->built[u] = index.at(u).candidates.size();
+    }
+  }
+
+  // --- Reverse-BFS refinement (§3.3) ---
+  phase.Reset();
+  {
+    TraceSpan span("refine");
+    RefineCeci(tree, data.num_vertices(), &index, &stats->refine,
+               counts != nullptr ? &counts->pruned : nullptr, budget);
+  }
+  stats->refine_seconds = phase.Seconds();
+  // A semi-refined index has incomplete cardinalities: neither the
+  // inspector nor the freeze may consume it.
+  if (tripped()) return FlatCeciIndex();
+  if (inspector) inspector(tree, index, /*refined=*/true);
+  stats->ceci_bytes = index.MemoryBytes();
+  stats->candidate_edges = index.TotalCandidateEdges();
+  stats->embedding_clusters = index.pivots(tree).size();
+  stats->total_cardinality = stats->refine.total_cardinality;
+
+  // --- Freeze to the flat arena, the layout enumeration reads ---
+  phase.Reset();
+  FlatCeciIndex flat = [&] {
+    TraceSpan span("freeze_flat");
+    return FlatCeciIndex::Build(index, tree);
+  }();
+  stats->freeze_seconds = phase.Seconds();
+  stats->flat_bytes = flat.ArenaBytes();
+  stats->flat_array_entries = flat.ArrayEntries();
+  stats->flat_bitmap_entries = flat.BitmapEntries();
+  if (budget != nullptr) {
+    budget->ChargeBytes(flat.ArenaBytes());
+    if (budget->Poll()) return FlatCeciIndex();
+  }
+  return flat;
+}
 
 CeciMatcher::CeciMatcher(const Graph& data) : data_(data), nlc_(data) {}
 
 Result<MatchResult> CeciMatcher::Match(const Graph& query,
                                        const MatchOptions& options,
                                        const EmbeddingVisitor* visitor) const {
-  Timer total_timer;
   TraceSpan match_span("match");
-  MatchResult result;
-  MatchStats& stats = result.stats;
-
-  // Resilient execution layer: one tracker per call, shared by every
-  // phase and worker. Inactive (null below) when options.budget is
-  // default — the pipeline then pays nothing.
+  // One tracker for both stages: the deadline runs from here.
   BudgetTracker tracker(options.budget);
-  BudgetTracker* budget = tracker.active() ? &tracker : nullptr;
-  bool visitor_abort = false;
-  // Stamps the outcome on the result; every exit path funnels through
-  // here so partial results are always labelled.
-  auto finalize = [&](TerminationReason reason) {
-    result.termination = reason;
-    stats.budget = tracker.ToStats();
-    if (visitor_abort) stats.budget.cancelled = true;
-    stats.total_seconds = total_timer.Seconds();
-    ExportMatchMetrics(result);
-  };
+  auto prepared = Prepare(query, options, &tracker);
+  if (!prepared.ok()) return prepared.status();
+  return Execute(*prepared, options, visitor, &tracker);
+}
+
+Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
+                                           const MatchOptions& options,
+                                           BudgetTracker* tracker) const {
+  Timer phase;
+  std::optional<BudgetTracker> own_tracker;
+  if (tracker == nullptr) tracker = &own_tracker.emplace(options.budget);
+  // Inactive (null) when options.budget is default: the pipeline then
+  // pays nothing.
+  BudgetTracker* budget = tracker->active() ? tracker : nullptr;
 
   // --- Preprocessing (§2.2) ---
-  Timer phase;
   PreprocessOptions pre_options;
   pre_options.order = options.order;
   auto pre = [&] {
@@ -129,40 +252,40 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
     return Preprocess(data_, nlc_, query, pre_options);
   }();
   if (!pre.ok()) return pre.status();
-  SymmetryConstraints symmetry =
-      options.break_automorphisms ? SymmetryConstraints::Compute(query)
-                                  : SymmetryConstraints::None(
-                                        query.num_vertices());
-  stats.automorphisms_broken = symmetry.automorphism_count();
-  stats.preprocess_seconds = phase.Seconds();
-
-  // Initial poll: an already-cancelled token or pre-expired deadline
-  // stops the query before any index work starts.
-  if (budget != nullptr && budget->Poll()) {
-    finalize(tracker.reason());
-    return result;
-  }
-
+  PreparedQuery prepared;
+  MatchStats& stats = prepared.stats;
+  prepared.tree = std::move(pre->tree);
+  prepared.symmetry = options.break_automorphisms
+                          ? SymmetryConstraints::Compute(query)
+                          : SymmetryConstraints::None(query.num_vertices());
+  prepared.infeasible = pre->infeasible;
+  stats.automorphisms_broken = prepared.symmetry.automorphism_count();
   // Directed adjacency entries: every undirected data edge can serve a
   // query edge in either orientation, so the §3.4 bound counts 2|E_g|
   // candidate entries per query edge.
   stats.theoretical_bytes = CeciIndex::TheoreticalBytes(
       query.num_edges(), data_.num_directed_edges());
+  stats.preprocess_seconds = phase.Seconds();
 
+  // Stamps a budget trip on the prepared query; Execute returns it as a
+  // labelled partial result.
+  auto partial = [&] {
+    prepared.termination = tracker->reason();
+    stats.budget = tracker->ToStats();
+    return std::move(prepared);
+  };
+  // Initial poll: an already-cancelled token or pre-expired deadline stops
+  // the query before any index work starts.
+  if (budget != nullptr && budget->Poll()) return partial();
   if (pre->infeasible) {
-    // Some query vertex has no candidates at all: zero embeddings. This
-    // is a *complete* answer, so the termination reason stays kCompleted.
+    // Some query vertex has no candidates at all: zero embeddings, and no
+    // index to build.
     static Counter& infeasible =
         MetricsRegistry::Global().GetCounter("ceci.match.infeasible");
     infeasible.Increment();
-    // Empty-but-present profile: no index exists to walk.
-    if (options.profile) result.profile.emplace();
-    finalize(TerminationReason::kCompleted);
-    return result;
+    return prepared;
   }
 
-  // --- CECI creation + BFS filtering (§3.2) ---
-  phase.Reset();
   ThreadPool* pool = options.pool;
   std::unique_ptr<ThreadPool> owned_pool;
   if (pool == nullptr && options.threads > 1) {
@@ -174,82 +297,65 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
   build_options.budget = budget;
   build_options.root_candidates = &pre->root_candidates;
   build_options.filter_table = &pre->filter;
-  std::vector<BuildVertexStats> vertex_stats;
-  if (options.profile) build_options.vertex_stats = &vertex_stats;
-  CeciBuilder builder(data_, nlc_);
-  CeciIndex index = [&] {
-    TraceSpan span("build");
-    return builder.Build(query, pre->tree, build_options, &stats.build);
-  }();
-  pre->ReleaseBuildInputs();
-  stats.build_seconds = phase.Seconds();
-  stats.ceci_bytes_unrefined = index.MemoryBytes();
-  stats.candidate_edges_unrefined = index.TotalCandidateEdges();
-  if (budget != nullptr && budget->Exhausted()) {
-    // Partial index: skip the inspector (its invariants assume a complete
-    // build) and everything downstream.
-    finalize(tracker.reason());
+  prepared.flat = BuildRefineFreeze(data_, nlc_, query, prepared.tree,
+                                    build_options, &stats,
+                                    options.index_inspector, &prepared.counts);
+  ExportBuildMetrics(stats);
+  if (budget != nullptr && budget->Exhausted()) return partial();
+  return prepared;
+}
+
+MatchResult CeciMatcher::Execute(const PreparedQuery& prepared,
+                                 const MatchOptions& options,
+                                 const EmbeddingVisitor* visitor,
+                                 BudgetTracker* tracker,
+                                 bool cache_hit) const {
+  std::optional<BudgetTracker> own_tracker;
+  if (tracker == nullptr) tracker = &own_tracker.emplace(options.budget);
+  BudgetTracker* budget = tracker->active() ? tracker : nullptr;
+
+  MatchResult result;
+  result.stats = prepared.stats;
+  MatchStats& stats = result.stats;
+  stats.index_cache_hit = cache_hit;
+  if (cache_hit) {
+    // The prepare ran for an earlier request; this one only enumerates.
+    // Index-size accounting still describes the prepared index.
+    stats.preprocess_seconds = 0.0;
+    stats.build_seconds = 0.0;
+    stats.refine_seconds = 0.0;
+    stats.freeze_seconds = 0.0;
+  }
+  // Stamps the outcome on the result; every exit path funnels through here
+  // so partial results are always labelled.
+  bool visitor_abort = false;
+  auto finalize = [&](TerminationReason reason) {
+    result.termination = reason;
+    // A partial prepare carries the budget flags stamped when it tripped.
+    if (prepared.complete()) stats.budget = tracker->ToStats();
+    if (visitor_abort) stats.budget.cancelled = true;
+    stats.total_seconds = stats.preprocess_seconds + stats.build_seconds +
+                          stats.refine_seconds + stats.freeze_seconds +
+                          stats.enumerate_seconds;
+    ExportMatchMetrics(result);
     return result;
-  }
-  if (options.index_inspector) {
-    options.index_inspector(pre->tree, index, /*refined=*/false);
-  }
+  };
 
-  // Candidate-set sizes after build (post-cascade, pre-refinement); a
-  // read-only walk taken only under profiling.
-  std::vector<std::size_t> built_sizes;
-  if (options.profile) {
-    built_sizes.resize(query.num_vertices());
-    for (VertexId u = 0; u < query.num_vertices(); ++u) {
-      built_sizes[u] = index.at(u).candidates.size();
-    }
+  // The budget tripped mid-Prepare: a partial index has no meaningful
+  // enumeration and no EXPLAIN.
+  if (!prepared.complete()) return finalize(prepared.termination);
+  if (prepared.infeasible) {
+    // A complete zero answer; empty-but-present profile, as no index
+    // exists to walk.
+    if (options.profile) result.profile.emplace();
+    return finalize(TerminationReason::kCompleted);
   }
-
-  // --- Reverse-BFS refinement (§3.3) ---
-  phase.Reset();
-  std::vector<std::uint64_t> pruned_per_vertex;
-  {
-    TraceSpan span("refine");
-    RefineCeci(pre->tree, data_.num_vertices(), &index, &stats.refine,
-               options.profile ? &pruned_per_vertex : nullptr, budget);
-  }
-  stats.refine_seconds = phase.Seconds();
-  if (budget != nullptr && budget->Exhausted()) {
-    // Semi-refined index: cardinalities are incomplete, so neither the
-    // inspector nor the enumerator may consume it.
-    finalize(tracker.reason());
-    return result;
-  }
-  if (options.index_inspector) {
-    options.index_inspector(pre->tree, index, /*refined=*/true);
-  }
-  stats.ceci_bytes = index.MemoryBytes();
-  stats.candidate_edges = index.TotalCandidateEdges();
-  stats.embedding_clusters = index.pivots(pre->tree).size();
-  stats.total_cardinality = stats.refine.total_cardinality;
-
-  // --- Freeze to the flat arena layout (the enumeration hot path) ---
-  FlatCeciIndex flat;
-  if (options.flat_index) {
-    TraceSpan span("freeze_flat");
-    phase.Reset();
-    flat = FlatCeciIndex::Build(index, pre->tree);
-    stats.freeze_seconds = phase.Seconds();
-    stats.flat_bytes = flat.ArenaBytes();
-    stats.flat_array_entries = flat.ArrayEntries();
-    stats.flat_bitmap_entries = flat.BitmapEntries();
-    if (budget != nullptr) {
-      budget->ChargeBytes(flat.ArenaBytes());
-      if (budget->Poll()) {
-        finalize(tracker.reason());
-        return result;
-      }
-    }
-    if (options.flat_inspector) options.flat_inspector(pre->tree, flat);
-  }
+  // A deadline that expired while the query sat in a queue (or between
+  // the stages) stops it before enumeration starts.
+  if (budget != nullptr && budget->Poll()) return finalize(tracker->reason());
 
   // --- Parallel enumeration (§4) ---
-  phase.Reset();
+  Timer phase;
   ScheduleOptions schedule;
   schedule.threads = options.threads;
   schedule.distribution = options.distribution;
@@ -258,19 +364,16 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
   schedule.enumeration.nte_intersection = options.nte_intersection;
   schedule.enumeration.leaf_count_shortcut =
       options.leaf_count_shortcut && visitor == nullptr;
-  schedule.enumeration.symmetry = &symmetry;
+  schedule.enumeration.symmetry = &prepared.symmetry;
   schedule.enumeration.per_position_stats = options.profile;
   schedule.collect_profile = options.profile;
   schedule.budget = budget;
-  // Only an external (shared) pool is routed to the scheduler: the
-  // per-query owned pool keeps the original dedicated-thread path so
-  // single-query behaviour and its worker accounting stay unchanged.
+  // Only an external (shared) pool is routed to the scheduler: without
+  // one, enumeration runs on dedicated per-query threads.
   schedule.pool = options.pool;
   ScheduleResult sched = [&] {
     TraceSpan span("enumerate");
-    return RunParallelEnumeration(data_, pre->tree,
-                                  options.flat_index ? IndexView(flat)
-                                                     : IndexView(index),
+    return RunParallelEnumeration(data_, prepared.tree, prepared.flat,
                                   schedule, visitor);
   }();
   stats.enumerate_seconds = phase.Seconds();
@@ -279,77 +382,18 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
   stats.worker_embeddings = std::move(sched.worker_embeddings);
   stats.decomposition = sched.decomposition;
   visitor_abort = sched.visitor_abort;
-
   result.embedding_count = sched.embeddings;
+  if (options.profile) result.profile = BuildProfile(prepared, stats, sched);
 
   // Termination resolution, most-specific first: a tripped budget names
   // its cap; a visitor that returned false is an external cancellation;
   // reaching the emission limit is the paper's first-k mode.
-  TerminationReason reason = TerminationReason::kCompleted;
   if (budget != nullptr && budget->Exhausted()) {
-    reason = tracker.reason();
-  } else if (sched.visitor_abort) {
-    reason = TerminationReason::kCancelled;
-  } else if (sched.limit_hit) {
-    reason = TerminationReason::kLimit;
+    return finalize(tracker->reason());
   }
-
-  if (options.profile) {
-    QueryProfile& profile = result.profile.emplace();
-    const auto& order = pre->tree.matching_order();
-    profile.vertices.resize(order.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      VertexProfile& vp = profile.vertices[i];
-      const VertexId u = order[i];
-      vp.u = u;
-      vp.order_position = i;
-      if (i < vertex_stats.size()) {
-        // Build records arrive in matching order, root first.
-        vp.candidates_filtered = vertex_stats[i].candidates_filtered;
-        vp.rejected_label = vertex_stats[i].rejected_label;
-        vp.rejected_degree = vertex_stats[i].rejected_degree;
-        vp.rejected_nlc = vertex_stats[i].rejected_nlc;
-      }
-      vp.candidates_built = built_sizes[u];
-      vp.candidates_refined = index.at(u).candidates.size();
-      if (u < pruned_per_vertex.size()) {
-        vp.refine_pruned = pruned_per_vertex[u];
-      }
-      // Footprints reflect the layout enumeration actually read.
-      const CeciIndex::VertexFootprint f = options.flat_index
-                                               ? flat.MemoryFootprint(u)
-                                               : index.MemoryFootprint(u);
-      vp.te_keys = f.te_keys;
-      vp.te_edges = f.te_edges;
-      vp.te_bytes = f.te_bytes;
-      vp.nte_lists = f.nte_lists;
-      vp.nte_edges = f.nte_edges;
-      vp.nte_bytes = f.nte_bytes;
-      vp.candidate_bytes = f.candidate_bytes;
-      if (i < stats.enumeration.calls_per_position.size()) {
-        vp.recursive_calls = stats.enumeration.calls_per_position[i];
-      }
-      profile.te_bytes += f.te_bytes;
-      profile.nte_bytes += f.nte_bytes;
-      profile.candidate_bytes += f.candidate_bytes;
-    }
-    profile.index_bytes =
-        profile.te_bytes + profile.nte_bytes + profile.candidate_bytes;
-    profile.clusters = sched.cluster_skew;
-    profile.work_units = sched.unit_skew;
-    profile.enumerate_wall_seconds = stats.enumerate_seconds;
-    profile.workers.resize(stats.worker_seconds.size());
-    for (std::size_t w = 0; w < profile.workers.size(); ++w) {
-      profile.workers[w].worker = w;
-      profile.workers[w].busy_seconds = stats.worker_seconds[w];
-      if (w < sched.worker_units.size()) {
-        profile.workers[w].units = sched.worker_units[w];
-      }
-    }
-  }
-
-  finalize(reason);
-  return result;
+  if (sched.visitor_abort) return finalize(TerminationReason::kCancelled);
+  if (sched.limit_hit) return finalize(TerminationReason::kLimit);
+  return finalize(TerminationReason::kCompleted);
 }
 
 Result<std::uint64_t> CeciMatcher::Count(const Graph& query,

@@ -1,8 +1,12 @@
 // CeciMatcher: the library's top-level subgraph-matching API.
 //
-// Runs the full CECI pipeline of the paper: preprocessing (§2.2) → CECI
+// Runs the full CECI pipeline of the paper in two stages. Prepare() does
+// everything that depends only on the query: preprocessing (§2.2) → CECI
 // creation with BFS filtering (§3.2) → reverse-BFS refinement (§3.3) →
-// parallel set-intersection enumeration with workload balancing (§4).
+// freeze into the flat arena (ceci/flat_index.h). Its PreparedQuery is
+// immutable, so it can be enumerated any number of times. Execute() runs
+// parallel set-intersection enumeration with workload balancing (§4) over
+// it. Match() is Execute(Prepare()).
 //
 // Typical use:
 //
@@ -16,10 +20,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
+#include "ceci/flat_index.h"
 #include "ceci/matching_order.h"
 #include "ceci/scheduler.h"
 #include "ceci/stats.h"
+#include "ceci/symmetry.h"
 #include "graph/graph.h"
 #include "graph/nlc_index.h"
 #include "util/budget.h"
@@ -27,6 +34,12 @@
 #include "util/thread_pool.h"
 
 namespace ceci {
+
+/// Read-only hook on the mutable CECI, called right after construction
+/// (refined == false) and again after refinement (refined == true).
+using IndexInspector = std::function<void(const QueryTree& tree,
+                                          const CeciIndex& index,
+                                          bool refined)>;
 
 struct MatchOptions {
   /// Worker threads for filtering and enumeration.
@@ -60,27 +73,14 @@ struct MatchOptions {
   /// runs (every profiled quantity is a counter delta or a post-hoc walk,
   /// same discipline as TraceSpan). See src/ceci/profiler.h.
   bool profile = false;
-  /// Enumerate from the arena-backed flat layout (ceci/flat_index.h): after
-  /// refinement the index is frozen into one contiguous arena with hybrid
-  /// array/bitmap candidate sets, and the enumerator runs in rank space.
-  /// Default on — it is the production hot path. Off reproduces the
-  /// pointer-layout behaviour exactly (layout A/B comparisons, Table 2).
-  bool flat_index = true;
-  /// Invoked with the CECI right after construction (refined == false) and
-  /// again after refinement (refined == true). Hook for the
-  /// invariant auditor (analysis/invariant_auditor.h, `ceci_query --audit`)
-  /// and debug-run validation; must not mutate the index. Not called when
-  /// preprocessing proves the query infeasible (no index is built), nor
-  /// with a partial index after the execution budget trips mid-pipeline.
-  std::function<void(const QueryTree& tree, const CeciIndex& index,
-                     bool refined)>
-      index_inspector;
-  /// Invoked with the frozen flat index right after it is built (only when
-  /// `flat_index` is set and the pipeline reaches enumeration). Hook for
-  /// flat-layout auditing and `ceci_query --save-index`; must not mutate
-  /// or retain the reference past the call (Clone() to keep it).
-  std::function<void(const QueryTree& tree, const FlatCeciIndex& flat)>
-      flat_inspector;
+  /// Invoked with the mutable CECI after construction and after
+  /// refinement (IndexInspector). Hook for the invariant auditor
+  /// (analysis/invariant_auditor.h, `ceci_query --audit`) and debug-run
+  /// validation; must not mutate the index. Not called when preprocessing
+  /// proves the query infeasible (no index is built), nor with a partial
+  /// index after the execution budget trips mid-pipeline. The frozen arena
+  /// enumeration reads is PreparedQuery::flat.
+  IndexInspector index_inspector;
   /// Per-query resource caps: wall-clock deadline, index + enumeration
   /// byte budget, external cancellation token (util/budget.h). Default =
   /// unbounded, zero overhead. When a cap trips, Match() returns a
@@ -98,20 +98,102 @@ struct MatchOptions {
   ThreadPool* pool = nullptr;
 };
 
+/// Per-vertex build and refine counts behind QueryProfile. O(|V_q|) and
+/// read off counters the pipeline keeps anyway, so every Prepare collects
+/// them and any later Execute can report a profile.
+struct VertexPipelineCounts {
+  /// One record per matching-order position, root first
+  /// (BuildOptions::vertex_stats).
+  std::vector<BuildVertexStats> filtered;
+  /// |C(u)| after build (post-cascade, pre-refinement), by query vertex.
+  std::vector<std::size_t> built;
+  /// Candidates refinement pruned, by query vertex.
+  std::vector<std::uint64_t> pruned;
+};
+
+/// What CeciMatcher::Prepare hands to Execute: the query's tree, symmetry
+/// constraints and frozen index, plus the accounting of the work that
+/// produced them. Immutable once returned; a cache shares one as
+/// std::shared_ptr<const PreparedQuery> across concurrent Execute calls.
+struct PreparedQuery {
+  QueryTree tree;
+  SymmetryConstraints symmetry;
+  /// The refined CECI frozen into its arena. Empty when `infeasible` or
+  /// when the budget tripped before the freeze.
+  FlatCeciIndex flat;
+  /// Some query vertex has no candidates: zero embeddings, a complete
+  /// answer.
+  bool infeasible = false;
+  /// kCompleted, or the cap that tripped mid-Prepare. A partial prepare is
+  /// never enumerated; Execute returns it labelled.
+  TerminationReason termination = TerminationReason::kCompleted;
+  /// Preprocess/build/refine/freeze times, their counters, and the index
+  /// accounting (§3.4); enumeration fields stay zero.
+  MatchStats stats;
+  VertexPipelineCounts counts;
+
+  bool complete() const {
+    return termination == TerminationReason::kCompleted;
+  }
+};
+
+/// The build → refine → freeze stage of CeciMatcher::Prepare (§3.2-§3.3),
+/// public for callers that preprocess once and build one index per
+/// partition (dist/supervisor.h, distsim/dist_matcher.h). Builds the CECI
+/// of `query` on `tree` from `build`'s pivots and filter verdicts
+/// (releasing `*build.filter_table` once the build has read it), refines
+/// it, and freezes it; the mutable index is dropped on return. Fills the
+/// build, refine and freeze fields of `stats`: `ceci_bytes` is the refined
+/// mutable index's MemoryBytes(), taken before the freeze. `inspector`
+/// sees the mutable index after build and after refinement; `counts`, when
+/// non-null, receives the per-vertex profile counts. Returns an empty
+/// index when `build.budget` trips before the frozen arena is charged.
+FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
+                                const Graph& query, const QueryTree& tree,
+                                const BuildOptions& build, MatchStats* stats,
+                                const IndexInspector& inspector = {},
+                                VertexPipelineCounts* counts = nullptr);
+
 /// Reusable matcher over one data graph. Thread-compatible: concurrent
-/// Match() calls on the same instance are safe (all mutable state is
-/// per-call); building the NLC index happens once in the constructor.
+/// Prepare/Execute/Match calls on the same instance are safe (all mutable
+/// state is per-call); building the NLC index happens once in the
+/// constructor.
 class CeciMatcher {
  public:
   /// Indexes `data` (neighborhood label counts). The graph must outlive
   /// the matcher.
   explicit CeciMatcher(const Graph& data);
 
-  /// Finds embeddings of `query` in the data graph. `visitor`, when given,
+  /// Finds embeddings of `query` in the data graph: Execute(Prepare()),
+  /// with one budget tracker spanning both stages. `visitor`, when given,
   /// receives each embedding (thread-safe callback required if
   /// options.threads > 1).
   Result<MatchResult> Match(const Graph& query, const MatchOptions& options,
                             const EmbeddingVisitor* visitor = nullptr) const;
+
+  /// Stage 1: preprocess, build, refine and freeze `query`. Reads
+  /// options.order, break_automorphisms, threads/pool (parallel build),
+  /// index_inspector and budget. `budget` is the tracker to run under —
+  /// pass the same one to Execute so the deadline spans both stages; null
+  /// makes a fresh one from options.budget. A tripped budget returns a
+  /// PreparedQuery whose `termination` names the cap. Fails only on
+  /// malformed queries.
+  Result<PreparedQuery> Prepare(const Graph& query, const MatchOptions& options,
+                                BudgetTracker* budget = nullptr) const;
+
+  /// Stage 2: enumerate `prepared` (built by this matcher's data graph)
+  /// under the runtime options — threads, pool, distribution, beta, limit,
+  /// nte_intersection, leaf_count_shortcut, profile, budget. Fills the
+  /// termination reason, the enumeration stats and, under
+  /// options.profile, the QueryProfile, and exports the query to the
+  /// global MetricsRegistry. `cache_hit` marks a prepared query served
+  /// again from a cache: its preprocess/build/refine/freeze times then
+  /// report zero. stats.total_seconds is the sum of the phase times.
+  MatchResult Execute(const PreparedQuery& prepared,
+                      const MatchOptions& options,
+                      const EmbeddingVisitor* visitor = nullptr,
+                      BudgetTracker* budget = nullptr,
+                      bool cache_hit = false) const;
 
   /// Convenience: count all embeddings with default options and `threads`.
   Result<std::uint64_t> Count(const Graph& query,

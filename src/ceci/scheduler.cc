@@ -26,7 +26,7 @@ std::string DistributionName(Distribution d) {
 }
 
 ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
-                                      IndexView index,
+                                      const FlatCeciIndex& index,
                                       const ScheduleOptions& options,
                                       const EmbeddingVisitor* visitor) {
   CECI_CHECK(options.threads >= 1);

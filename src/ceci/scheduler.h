@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "ceci/ceci_index.h"
 #include "ceci/enumerator.h"
 #include "ceci/extreme_cluster.h"
 #include "ceci/profiler.h"
@@ -93,11 +92,10 @@ struct ScheduleResult {
   }
 };
 
-/// Runs parallel enumeration over either index layout (IndexView converts
-/// implicitly from CeciIndex or FlatCeciIndex). `visitor` may be null
+/// Runs parallel enumeration over a frozen CECI. `visitor` may be null
 /// (count only); it is invoked concurrently from worker threads when set.
 ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
-                                      IndexView index,
+                                      const FlatCeciIndex& index,
                                       const ScheduleOptions& options,
                                       const EmbeddingVisitor* visitor);
 

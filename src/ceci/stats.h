@@ -23,8 +23,8 @@ struct MatchStats {
   double preprocess_seconds = 0.0;
   double build_seconds = 0.0;
   double refine_seconds = 0.0;
-  /// Conversion of the refined index to the flat arena (zero when
-  /// MatchOptions::flat_index is off or the index came from a cache).
+  /// Conversion of the refined index to the flat arena (zero when the
+  /// index came from a cache).
   double freeze_seconds = 0.0;
   double enumerate_seconds = 0.0;
   double total_seconds = 0.0;
@@ -36,10 +36,10 @@ struct MatchStats {
   std::size_t candidate_edges = 0;
   std::size_t candidate_edges_unrefined = 0;
 
-  // Flat-layout accounting (arena-backed index; all zero when
-  // MatchOptions::flat_index is off). flat_bytes is *exact* — the arena
-  // size enumeration reads — where ceci_bytes is the pointer layout's
-  // estimate; the entry split shows how the hybrid rule fell.
+  // Flat-layout accounting (arena-backed index). flat_bytes is *exact* —
+  // the arena size enumeration reads — where ceci_bytes estimates the
+  // mutable pointer-rich index build and refinement hold; the entry split
+  // shows how the hybrid rule fell.
   std::size_t flat_bytes = 0;
   std::size_t flat_array_entries = 0;
   std::size_t flat_bitmap_entries = 0;
@@ -63,8 +63,8 @@ struct MatchStats {
   // Symmetry.
   std::size_t automorphisms_broken = 0;
 
-  /// The refined index came from the CachedMatcher's memo (no build or
-  /// refine ran for this query); always false for uncached matchers.
+  /// The prepared query came from the CachedMatcher's memo (no prepare ran
+  /// for this request); always false for uncached matchers.
   bool index_cache_hit = false;
 
   /// Execution-budget outcome (resilient execution layer); budget.active

@@ -17,13 +17,12 @@
 #include <unordered_map>
 #include <utility>
 
-#include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
 #include "ceci/extreme_cluster.h"
 #include "ceci/flat_index.h"
 #include "ceci/index_io.h"
+#include "ceci/matcher.h"
 #include "ceci/preprocess.h"
-#include "ceci/refinement.h"
 #include "ceci/symmetry.h"
 #include "dist/messages.h"
 #include "dist/worker.h"
@@ -491,21 +490,20 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     BuildOptions build_options;
     build_options.root_candidates = &part.pivots;
     build_options.filter_table = &part.filter;
-    CeciBuilder builder(data, nlc);
-    CeciIndex index =
-        builder.Build(query, pre->tree, build_options, &part.build_stats);
-    part.filter.Release();
-    RefineCeci(pre->tree, data.num_vertices(), &index, nullptr);
-    part.units = BuildWorkUnits(data, pre->tree, index, enum_options,
+    MatchStats stats;
+    const FlatCeciIndex flat = BuildRefineFreeze(data, nlc, query, pre->tree,
+                                                 build_options, &stats);
+    part.build_stats = stats.build;
+    part.units = BuildWorkUnits(data, pre->tree, flat, enum_options,
                                 /*workers=*/1, options.beta,
                                 options.decompose_extreme_clusters,
                                 /*sort_by_cardinality=*/true, nullptr);
+    // The modeled steal payload stays the mutable index's per-unit share.
     part.steal_unit_bytes =
         part.units.empty()
             ? 0.0
-            : static_cast<double>(index.MemoryBytes()) /
+            : static_cast<double>(stats.ceci_bytes) /
                   static_cast<double>(part.units.size());
-    FlatCeciIndex flat = FlatCeciIndex::Build(index, pre->tree);
     part.image_bytes = flat.ArenaBytes();
     part.status = WriteFlatIndex(
         flat, pattern_text,

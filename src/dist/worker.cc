@@ -64,7 +64,7 @@ Status BuildContext(const WorkerOptions& options, std::uint32_t origin,
   EnumOptions enum_options;
   enum_options.symmetry = &ctx->symmetry;
   ctx->enumerator = std::make_unique<Enumerator>(
-      ctx->tree, IndexView(ctx->loaded.index), enum_options);
+      ctx->tree, ctx->loaded.index, enum_options);
   return Status::Ok();
 }
 

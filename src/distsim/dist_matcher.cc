@@ -10,10 +10,9 @@
 #include <thread>
 #include <unordered_map>
 
-#include "ceci/ceci_builder.h"
 #include "ceci/extreme_cluster.h"
+#include "ceci/matcher.h"
 #include "ceci/preprocess.h"
-#include "ceci/refinement.h"
 #include "ceci/symmetry.h"
 #include "distsim/shared_store.h"
 #include "util/json_writer.h"
@@ -31,7 +30,7 @@ struct MachineState {
   /// This machine's copy of the coordinator's filter verdicts; Build()
   /// writes its alive flags into it. Released once the build returns.
   FilterTable filter;
-  CeciIndex index;
+  FlatCeciIndex flat;  // the machine's frozen CECI, enumerated in place
   BuildStats build_stats;
   std::vector<WorkUnit> units;
   /// Physical per-unit embedding counts, parallel to `units`. The failure
@@ -487,12 +486,11 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
     BuildOptions build_options;
     build_options.root_candidates = &self.pivots;
     build_options.filter_table = &self.filter;
-    CeciBuilder builder(data, nlc);
-    self.index =
-        builder.Build(query, pre->tree, build_options, &self.build_stats);
-    self.filter.Release();
-    RefineCeci(pre->tree, data.num_vertices(), &self.index, nullptr);
-    self.units = BuildWorkUnits(data, pre->tree, self.index, enum_options,
+    MatchStats stats;
+    self.flat = BuildRefineFreeze(data, nlc, query, pre->tree, build_options,
+                                   &stats);
+    self.build_stats = stats.build;
+    self.units = BuildWorkUnits(data, pre->tree, self.flat, enum_options,
                                 options.threads_per_machine, options.beta,
                                 options.decompose_extreme_clusters,
                                 /*sort_by_cardinality=*/true, nullptr);
@@ -517,13 +515,13 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
     self.steal_unit_bytes =
         self.units.empty()
             ? 0.0
-            : static_cast<double>(self.index.MemoryBytes()) /
+            : static_cast<double>(stats.ceci_bytes) /
                   static_cast<double>(self.units.size());
 
     // Enumerate the machine's own pool; the work-stealing replay below
     // redistributes tail units analytically.
     const double enum_cpu_start = ThreadCpuSeconds();
-    Enumerator enumerator(data, pre->tree, self.index, enum_options);
+    Enumerator enumerator(data, pre->tree, self.flat, enum_options);
     std::uint64_t emitted = 0;
     self.unit_embeddings.reserve(self.units.size());
     for (const WorkUnit& unit : self.units) {

@@ -144,10 +144,15 @@ void TcpServer::ServeConnection(int fd) {
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t newline;
-    while (open && (newline = buffer.find('\n')) != std::string::npos) {
+    while (open && (newline = buffer.find('\n')) != std::string::npos &&
+           newline <= kMaxLineBytes) {
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       open = HandleLine(fd, line);
+    }
+    if (open && buffer.size() > kMaxLineBytes) {
+      SendLine(fd, "ERR line_too_long");
+      open = false;
     }
   }
   {

@@ -40,6 +40,12 @@ struct TcpServerOptions {
 /// service must outlive the server.
 class TcpServer {
  public:
+  /// Longest request line a connection buffers, far above any pattern
+  /// line. A client that sends more without a newline is answered
+  /// `ERR line_too_long` and disconnected, so no connection's buffer grows
+  /// without bound.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   TcpServer(QueryService& service, const TcpServerOptions& options);
   /// Stops and joins (equivalent to Stop()).
   ~TcpServer();

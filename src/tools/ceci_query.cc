@@ -50,8 +50,6 @@
 //                     `ceci_serve --index P`. The query is renumbered as
 //                     that text parses (first appearance), which --print's
 //                     u-ids then follow
-//   --no-flat-index   enumerate from the pointer-rich CECI layout instead
-//                     of the arena-backed flat layout (A/B comparisons)
 //   --dist N          run the query across N real ceci_worker processes
 //                     (dist/supervisor.h) instead of in-process threads;
 //                     prints per-worker and recovery accounting
@@ -80,7 +78,6 @@
 #include "ceci/index_io.h"
 #include "ceci/matcher.h"
 #include "ceci/stats_json.h"
-#include "ceci/symmetry.h"
 #include "dist/plan_io.h"
 #include "dist/supervisor.h"
 #include "graphio/binary_csr.h"
@@ -114,7 +111,6 @@ struct Args {
   std::string metrics_json;
   std::string trace_chrome;
   std::string save_index;
-  bool flat_index = true;
   std::size_t dist_workers = 0;
   std::string failure_plan;
   std::string worker_binary;
@@ -135,7 +131,7 @@ void Usage(std::FILE* out, const char* argv0) {
                "          [--metrics-json PATH|-] [--audit]\n"
                "          [--deadline-ms N] [--memory-budget-mb F]\n"
                "          [--cancel-after N] [--save-index PATH]\n"
-               "          [--no-flat-index] [--dist N] [--failure-plan PATH]\n"
+               "          [--dist N] [--failure-plan PATH]\n"
                "          [--worker-binary PATH] [--dist-json PATH|-]\n"
                "          [--no-work-stealing] [--heartbeat-ms MS] [--help]\n"
                "exit codes: 0 ok (completed/cancelled/limit), 1 I/O or "
@@ -230,8 +226,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next();
       if (!v) return false;
       args->save_index = v;
-    } else if (flag == "--no-flat-index") {
-      args->flat_index = false;
     } else if (flag == "--dist") {
       const char* v = next();
       if (!v) return false;
@@ -271,11 +265,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   if (args->data.empty()) return false;
   if (args->pattern.empty() == args->query_file.empty()) {
     std::fprintf(stderr, "pass exactly one of --pattern / --query\n");
-    return false;
-  }
-  if (!args->save_index.empty() && !args->flat_index) {
-    std::fprintf(stderr, "--save-index requires the flat index layout "
-                         "(drop --no-flat-index)\n");
     return false;
   }
   if (!args->failure_plan.empty() && args->dist_workers == 0) {
@@ -339,7 +328,6 @@ int main(int argc, char** argv) {
   options.limit = args.limit;
   options.beta = args.beta;
   options.break_automorphisms = args.symmetry;
-  options.flat_index = args.flat_index;
   if (args.order == "bfs") {
     options.order = OrderStrategy::kBfs;
   } else if (args.order == "edge-ranked") {
@@ -468,24 +456,14 @@ int main(int argc, char** argv) {
   }
 
   // --audit: validate both input graphs up front, then hook the matcher
-  // pipeline to audit the index after build and after refinement, plus the
-  // work-unit partition the scheduler would enumerate from.
+  // pipeline to audit the mutable index after build and after refinement.
+  // The refined index is kept to cross-check the frozen arena against.
   AuditReport audit_report;
-  SymmetryConstraints audit_symmetry;
-  // For the profile and flat-layout cross-checks the refined tree/index
-  // (and the frozen flat arena) must outlive Match(); all are plain
-  // copyable data, and copying is acceptable at audit cost.
-  QueryTree audited_tree;
   CeciIndex audited_index;
-  FlatCeciIndex audited_flat;
   bool audited_refined_captured = false;
-  bool audited_flat_captured = false;
   if (args.audit) {
     audit_report.Merge(AuditGraph(*data));
     audit_report.Merge(AuditGraph(*query));
-    audit_symmetry = args.symmetry
-                         ? SymmetryConstraints::Compute(*query)
-                         : SymmetryConstraints::None(query->num_vertices());
     options.index_inspector = [&](const QueryTree& tree,
                                   const CeciIndex& index, bool refined) {
       AuditOptions audit_options;
@@ -493,43 +471,8 @@ int main(int argc, char** argv) {
       audit_report.Merge(
           AuditCeciIndex(*data, *query, tree, index, audit_options));
       if (refined) {
-        EnumOptions enum_options;
-        enum_options.nte_intersection = options.nte_intersection;
-        enum_options.symmetry = &audit_symmetry;
-        const bool fine = options.distribution == Distribution::kFineDynamic;
-        const bool sorted =
-            options.distribution != Distribution::kStatic;
-        std::vector<WorkUnit> units = BuildWorkUnits(
-            *data, tree, index, enum_options, options.threads, options.beta,
-            fine, sorted, nullptr);
-        AuditWorkUnits(*data, tree, index, enum_options, units,
-                       &audit_report);
-        audited_tree = tree;
         audited_index = index;
         audited_refined_captured = true;
-      }
-    };
-  }
-
-  // The flat inspector serves --audit (layout invariants + pointer/flat
-  // agreement) and --save-index; it fires once, right after the freeze.
-  Status save_status;
-  bool index_saved = false;
-  if (args.audit || !args.save_index.empty()) {
-    options.flat_inspector = [&](const QueryTree& tree,
-                                 const FlatCeciIndex& flat) {
-      if (args.audit) {
-        AuditFlatIndex(tree, flat, &audit_report);
-        if (audited_refined_captured) {
-          AuditFlatAgainstIndex(tree, audited_index, flat, &audit_report);
-        }
-        audited_flat = flat.Clone();
-        audited_flat_captured = true;
-      }
-      if (!args.save_index.empty()) {
-        save_status =
-            WriteFlatIndex(flat, pattern_text, args.save_index);
-        index_saved = save_status.ok();
       }
     };
   }
@@ -571,46 +514,69 @@ int main(int argc, char** argv) {
     return true;
   };
   const bool need_visitor = args.print || args.cancel_after > 0;
-  auto result = matcher.Match(*query, options,
-                              need_visitor ? &visitor : nullptr);
-  if (!result.ok()) {
-    std::fprintf(stderr, "match: %s\n", result.status().ToString().c_str());
-    return 1;
-  }
-
-  if (!args.save_index.empty()) {
-    if (!save_status.ok()) {
-      std::fprintf(stderr, "save-index: %s\n",
-                   save_status.ToString().c_str());
+  // Both stages run under one tracker, so the deadline spans them, and
+  // under one "match" span, as in CeciMatcher::Match. Between them the
+  // frozen arena is audited (layout invariants, agreement with the refined
+  // index, the work-unit partition) and saved.
+  MatchResult result;
+  {
+    TraceSpan match_span("match");
+    BudgetTracker tracker(options.budget);
+    auto prepared = matcher.Prepare(*query, options, &tracker);
+    if (!prepared.ok()) {
+      std::fprintf(stderr, "match: %s\n",
+                   prepared.status().ToString().c_str());
       return 1;
     }
-    if (!index_saved) {
-      std::fprintf(stderr, "save-index: the query terminated before the "
-                           "index was frozen (infeasible or budget)\n");
-      return 1;
+    const bool frozen = prepared->complete() && !prepared->infeasible;
+    if (args.audit && frozen) {
+      const QueryTree& tree = prepared->tree;
+      AuditFlatIndex(tree, prepared->flat, &audit_report);
+      if (audited_refined_captured) {
+        AuditFlatAgainstIndex(tree, audited_index, prepared->flat,
+                              &audit_report);
+      }
+      EnumOptions enum_options;
+      enum_options.nte_intersection = options.nte_intersection;
+      enum_options.symmetry = &prepared->symmetry;
+      const bool fine = options.distribution == Distribution::kFineDynamic;
+      const bool sorted = options.distribution != Distribution::kStatic;
+      const std::vector<WorkUnit> units =
+          BuildWorkUnits(*data, tree, prepared->flat, enum_options,
+                         options.threads, options.beta, fine, sorted, nullptr);
+      AuditWorkUnits(*data, tree, prepared->flat, enum_options, units,
+                     &audit_report);
     }
-    std::printf("index saved: %s\n", args.save_index.c_str());
-  }
-
-  if (args.audit && result->profile.has_value()) {
-    // The profile's footprints reflect the layout enumeration read.
-    if (args.flat_index && audited_flat_captured) {
-      AuditQueryProfile(audited_tree, audited_flat, *result->profile,
-                        &audit_report);
-    } else if (!args.flat_index && audited_refined_captured) {
-      AuditQueryProfile(audited_tree, audited_index, *result->profile,
+    if (!args.save_index.empty()) {
+      if (!frozen) {
+        std::fprintf(stderr, "save-index: the query terminated before the "
+                             "index was frozen (infeasible or budget)\n");
+        return 1;
+      }
+      const Status saved =
+          WriteFlatIndex(prepared->flat, pattern_text, args.save_index);
+      if (!saved.ok()) {
+        std::fprintf(stderr, "save-index: %s\n", saved.ToString().c_str());
+        return 1;
+      }
+      std::printf("index saved: %s\n", args.save_index.c_str());
+    }
+    result = matcher.Execute(*prepared, options,
+                             need_visitor ? &visitor : nullptr, &tracker);
+    if (args.audit && frozen && result.profile.has_value()) {
+      AuditQueryProfile(prepared->tree, prepared->flat, *result.profile,
                         &audit_report);
     }
   }
   if (args.audit) {
-    AuditMatchResult(*result, &audit_report);
+    AuditMatchResult(result, &audit_report);
   }
 
   std::printf("embeddings: %llu\n",
-              static_cast<unsigned long long>(result->embedding_count));
+              static_cast<unsigned long long>(result.embedding_count));
   std::printf("termination: %s\n",
-              TerminationReasonName(result->termination).c_str());
-  const MatchStats& s = result->stats;
+              TerminationReasonName(result.termination).c_str());
+  const MatchStats& s = result.stats;
   std::printf("time: %.3fs (preprocess %.3f, build %.3f, refine %.3f, "
               "freeze %.3f, enumerate %.3f)\n",
               s.total_seconds, s.preprocess_seconds, s.build_seconds,
@@ -640,8 +606,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.build.cascade_removals));
     std::printf("automorphisms broken: %zu\n", s.automorphisms_broken);
   }
-  if (args.explain && result->profile.has_value()) {
-    std::printf("%s", FormatExplain(*result->profile, s).c_str());
+  if (args.explain && result.profile.has_value()) {
+    std::printf("%s", FormatExplain(*result.profile, s).c_str());
   }
   if (args.audit) {
     std::printf("audit: %s\n", audit_report.ToString().c_str());
@@ -650,7 +616,7 @@ int main(int argc, char** argv) {
     std::printf("trace:\n%s", Tracer::Global().FormatTree().c_str());
   }
   if (!args.metrics_json.empty()) {
-    const std::string json = MetricsReportJson(*result);
+    const std::string json = MetricsReportJson(result);
     if (args.metrics_json == "-") {
       std::printf("%s\n", json.c_str());
     } else {
@@ -676,8 +642,8 @@ int main(int argc, char** argv) {
     std::fclose(f);
   }
   if (args.audit && !audit_report.ok()) return 3;
-  if (result->termination == TerminationReason::kDeadline ||
-      result->termination == TerminationReason::kMemoryBudget) {
+  if (result.termination == TerminationReason::kDeadline ||
+      result.termination == TerminationReason::kMemoryBudget) {
     return 4;
   }
   return 0;

@@ -365,8 +365,4 @@ std::size_t IntersectionSize(std::span<const std::uint32_t> a,
   return CountCore(a.data(), a.size(), b.data(), b.size());
 }
 
-bool SortedContains(std::span<const std::uint32_t> sorted, std::uint32_t x) {
-  return std::binary_search(sorted.begin(), sorted.end(), x);
-}
-
 }  // namespace ceci

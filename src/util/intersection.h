@@ -41,9 +41,6 @@ void IntersectSortedMulti(std::span<const std::span<const std::uint32_t>> lists,
 std::size_t IntersectionSize(std::span<const std::uint32_t> a,
                              std::span<const std::uint32_t> b);
 
-/// Binary search membership test on a sorted list.
-bool SortedContains(std::span<const std::uint32_t> sorted, std::uint32_t x);
-
 /// Instruction-set tiers the pairwise kernels exist for.
 enum class IntersectionArch { kScalar, kSse4, kAvx2 };
 

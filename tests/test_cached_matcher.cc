@@ -4,6 +4,7 @@
 #include <atomic>
 #include <thread>
 
+#include "analysis/invariant_auditor.h"
 #include "baselines/quicksi.h"
 #include "ceci/cached_matcher.h"
 #include "gen/labels.h"
@@ -11,6 +12,7 @@
 #include "gen/random_graphs.h"
 #include "graphio/pattern_parser.h"
 #include "test_support.h"
+#include "util/metrics_registry.h"
 
 namespace ceci {
 namespace {
@@ -132,20 +134,74 @@ TEST(CachedMatcherTest, InfeasibleQueryCachedAsZero) {
   EXPECT_EQ(matcher.cache_misses(), 1u);
 }
 
-TEST(CachedMatcherTest, CachedEntriesCarryNoFilterTable) {
-  // Preprocess's nq x |V| verdict table feeds one build; an entry that
-  // kept it would hold it for the life of the cache.
+// Every request, hit or miss, is one answered query in the registry; only
+// a miss builds an index, and both enumerate.
+TEST(CachedMatcherTest, HitsAndMissesExportMatchMetrics) {
   Graph data = GenerateSocialGraph(400, 8, 1);
   CachedMatcher matcher(data);
-  MatchOptions pointer_layout;
-  pointer_layout.flat_index = false;
-  ASSERT_TRUE(matcher.Match(MakePaperQuery(PaperQuery::kQG1), {}).ok());
-  ASSERT_TRUE(
-      matcher.Match(MakePaperQuery(PaperQuery::kQG2), pointer_layout).ok());
-  Graph infeasible = testing::MakeGraph({7, 7, 7}, {{0, 1}, {1, 2}, {0, 2}});
-  ASSERT_TRUE(matcher.Match(infeasible, {}).ok());
-  EXPECT_EQ(matcher.cache_entries(), 3u);
-  EXPECT_EQ(matcher.cached_filter_bytes(), 0u);
+  Graph query = MakePaperQuery(PaperQuery::kQG3);
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  Counter& queries = reg.GetCounter("ceci.match.queries");
+  Counter& scanned = reg.GetCounter("ceci.build.neighbors_scanned");
+  Counter& frontier = reg.GetCounter("ceci.build.frontier_expansions");
+  Counter& calls = reg.GetCounter("ceci.enumerate.recursive_calls");
+  Counter& elements_in =
+      reg.GetCounter("ceci.enumerate.intersection_elements_in");
+  for (bool hit : {false, true}) {
+    SCOPED_TRACE(hit ? "hit" : "miss");
+    const std::uint64_t queries0 = queries.Value();
+    const std::uint64_t scanned0 = scanned.Value();
+    const std::uint64_t frontier0 = frontier.Value();
+    const std::uint64_t calls0 = calls.Value();
+    const std::uint64_t elements_in0 = elements_in.Value();
+    auto result = matcher.Match(query, MatchOptions{});
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->stats.index_cache_hit, hit);
+    const EnumStats& e = result->stats.enumeration;
+    ASSERT_GT(e.recursive_calls, 0u);
+    ASSERT_GT(e.intersection_elements_in, 0u);
+    EXPECT_EQ(queries.Value() - queries0, 1u);
+    EXPECT_EQ(calls.Value() - calls0, e.recursive_calls);
+    EXPECT_EQ(elements_in.Value() - elements_in0, e.intersection_elements_in);
+    const BuildStats& b = result->stats.build;
+    ASSERT_GT(b.neighbors_scanned, 0u);
+    EXPECT_EQ(scanned.Value() - scanned0, hit ? 0u : b.neighbors_scanned);
+    EXPECT_EQ(frontier.Value() - frontier0,
+              hit ? 0u : b.frontier_expansions);
+  }
+}
+
+// The profile of a cached request describes the entry's frozen arena,
+// whether this request built it or not.
+TEST(CachedMatcherTest, ProfileOnMissAndHitPassesTheAudit) {
+  Graph data = GenerateSocialGraph(500, 8, 2);
+  Graph query = MakePaperQuery(PaperQuery::kQG2);
+  CeciMatcher reference(data);
+  auto prepared = reference.Prepare(query, MatchOptions{});
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(prepared->complete());
+  ASSERT_FALSE(prepared->infeasible);
+
+  CachedMatcher matcher(data);
+  MatchOptions options;
+  options.profile = true;
+  for (bool hit : {false, true}) {
+    SCOPED_TRACE(hit ? "hit" : "miss");
+    auto result = matcher.Match(query, options);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->stats.index_cache_hit, hit);
+    ASSERT_TRUE(result->profile.has_value());
+    const QueryProfile& profile = *result->profile;
+    AuditReport report;
+    AuditQueryProfile(prepared->tree, prepared->flat, profile, &report);
+    EXPECT_TRUE(report.ok()) << report.ToString();
+    // The build counts survive the cache: the root's filtered count is
+    // never below its refined count.
+    ASSERT_FALSE(profile.vertices.empty());
+    EXPECT_GE(profile.vertices[0].candidates_filtered,
+              profile.vertices[0].candidates_refined);
+    EXPECT_GT(profile.vertices[0].candidates_refined, 0u);
+  }
 }
 
 TEST(CachedMatcherTest, ClearCacheForcesRebuild) {

@@ -116,9 +116,9 @@ TEST(LeafShortcutTest, MatchesOracleOnDenseGraph) {
 
 // QG2, QG3 and QG5 close a cycle at their last vertex: a matched vertex
 // adjacent to both of the leaf's matched neighbours lies in the leaf's
-// intersection, and the count must leave it out. Both layouts, with and
-// without symmetry breaking, on a sparse graph (rank-array entries) and a
-// dense one (bitmap entries).
+// intersection, and the count must leave it out. With and without
+// symmetry breaking, on a sparse graph (rank-array entries) and a dense one
+// (bitmap entries).
 TEST(LeafShortcutTest, MatchedVertexInsideTheLeafIntersection) {
   const Graph sparse = GenerateSocialGraph(500, 8, 11);
   const Graph dense = GenerateErdosRenyi(150, 2000, 12);
@@ -127,32 +127,26 @@ TEST(LeafShortcutTest, MatchedVertexInsideTheLeafIntersection) {
     for (PaperQuery pq :
          {PaperQuery::kQG2, PaperQuery::kQG3, PaperQuery::kQG5}) {
       const Graph query = MakePaperQuery(pq);
-      for (bool flat : {true, false}) {
-        for (bool symmetry : {true, false}) {
-          SCOPED_TRACE(::testing::Message()
-                       << (data == &sparse ? "sparse " : "dense ")
-                       << PaperQueryName(pq) << (flat ? " flat" : " pointer")
-                       << (symmetry ? " sym" : " nosym"));
-          MatchOptions plain;
-          plain.flat_index = flat;
-          plain.break_automorphisms = symmetry;
-          plain.leaf_count_shortcut = false;
-          MatchOptions fast = plain;
-          fast.leaf_count_shortcut = true;
-          auto a = matcher.Match(query, plain);
-          auto b = matcher.Match(query, fast);
-          ASSERT_TRUE(a.ok());
-          ASSERT_TRUE(b.ok());
-          ASSERT_GT(a->embedding_count, 0u);
-          EXPECT_EQ(b->embedding_count, a->embedding_count);
-          EXPECT_LT(b->stats.enumeration.recursive_calls,
-                    a->stats.enumeration.recursive_calls);
-          if (flat) {
-            EXPECT_GT(data == &sparse ? b->stats.flat_array_entries
-                                      : b->stats.flat_bitmap_entries,
-                      0u);
-          }
-        }
+      for (bool symmetry : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (data == &sparse ? "sparse " : "dense ")
+                     << PaperQueryName(pq) << (symmetry ? " sym" : " nosym"));
+        MatchOptions plain;
+        plain.break_automorphisms = symmetry;
+        plain.leaf_count_shortcut = false;
+        MatchOptions fast = plain;
+        fast.leaf_count_shortcut = true;
+        auto a = matcher.Match(query, plain);
+        auto b = matcher.Match(query, fast);
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        ASSERT_GT(a->embedding_count, 0u);
+        EXPECT_EQ(b->embedding_count, a->embedding_count);
+        EXPECT_LT(b->stats.enumeration.recursive_calls,
+                  a->stats.enumeration.recursive_calls);
+        EXPECT_GT(data == &sparse ? b->stats.flat_array_entries
+                                  : b->stats.flat_bitmap_entries,
+                  0u);
       }
     }
   }

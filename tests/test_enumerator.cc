@@ -26,8 +26,9 @@ struct Fixture {
     CECI_CHECK(t.ok());
     tree = std::move(t).value();
     CeciBuilder builder(data, nlc);
-    index = builder.Build(query, tree, BuildOptions{}, nullptr);
-    RefineCeci(tree, data.num_vertices(), &index, nullptr);
+    refined = builder.Build(query, tree, BuildOptions{}, nullptr);
+    RefineCeci(tree, data.num_vertices(), &refined, nullptr);
+    index = FlatCeciIndex::Build(refined, tree);
     symmetry = SymmetryConstraints::Compute(query);
     none = SymmetryConstraints::None(query.num_vertices());
   }
@@ -43,7 +44,8 @@ struct Fixture {
   Graph query;
   NlcIndex nlc;
   QueryTree tree;
-  CeciIndex index;
+  CeciIndex refined;    // the mutable form, for independent reference rules
+  FlatCeciIndex index;  // the frozen form the enumerator reads
   SymmetryConstraints symmetry;
   SymmetryConstraints none;
 };
@@ -134,7 +136,7 @@ TEST(EnumeratorTest, ClusterEnumerationPartitionsWork) {
   auto opts = f.Options();
   Enumerator e(f.data, f.tree, f.index, opts);
   std::uint64_t total = 0;
-  for (VertexId pivot : f.index.pivots(f.tree)) {
+  for (VertexId pivot : f.index.candidates(f.tree.root())) {
     total += e.EnumerateCluster(pivot, nullptr);
   }
   EXPECT_EQ(total, 4u);
@@ -193,7 +195,7 @@ TEST(EnumeratorTest, NoEmbeddingsWhenQueryTooDense) {
 std::vector<VertexId> OldPathCandidates(const Fixture& f,
                                         std::span<const VertexId> mapping,
                                         VertexId u) {
-  const CeciVertexData& ud = f.index.at(u);
+  const CeciVertexData& ud = f.refined.at(u);
   auto te = ud.te.Find(mapping[f.tree.parent(u)]);
   std::vector<VertexId> out(te.begin(), te.end());
   const auto nte_ids = f.tree.nte_in(u);
@@ -245,7 +247,7 @@ void CheckCandidatesAgainstOldPath(Fixture& f, std::size_t budget) {
       mapping[u] = kInvalidVertex;
     }
   };
-  for (VertexId pivot : f.index.pivots(f.tree)) {
+  for (VertexId pivot : f.index.candidates(f.tree.root())) {
     if (checked >= budget) break;
     mapping[order[0]] = pivot;
     dfs(1);

@@ -23,8 +23,9 @@ struct Fixture {
     CECI_CHECK(t.ok());
     tree = std::move(t).value();
     CeciBuilder builder(data, nlc);
-    index = builder.Build(query, tree, BuildOptions{}, nullptr);
-    RefineCeci(tree, data.num_vertices(), &index, nullptr);
+    CeciIndex built = builder.Build(query, tree, BuildOptions{}, nullptr);
+    RefineCeci(tree, data.num_vertices(), &built, nullptr);
+    index = FlatCeciIndex::Build(built, tree);
     symmetry = SymmetryConstraints::Compute(query);
     enum_options.symmetry = &symmetry;
   }
@@ -39,7 +40,7 @@ struct Fixture {
   Graph query;
   NlcIndex nlc;
   QueryTree tree;
-  CeciIndex index;
+  FlatCeciIndex index;
   SymmetryConstraints symmetry;
   EnumOptions enum_options;
 };

@@ -104,7 +104,8 @@ std::vector<std::size_t> CandidateCounts(const Graph& data,
   return pre->candidate_counts;
 }
 
-// Production path: CeciMatcher::Match hands Preprocess's table to Build.
+// Production path: CeciMatcher::Prepare hands Preprocess's table to Build;
+// the frozen arena is read between Prepare and Execute.
 Observation ObserveMatch(const Graph& data, const Graph& query) {
   Observation o;
   o.candidate_counts = CandidateCounts(data, NlcIndex(data), query);
@@ -118,13 +119,12 @@ Observation ObserveMatch(const Graph& data, const Graph& query) {
       o.built_sizes.push_back(index.at(u).candidates.size());
     }
   };
-  options.flat_inspector = [&](const QueryTree&, const FlatCeciIndex& flat) {
-    RecordArena(flat, &o);
-  };
-  auto result = matcher.Match(query, options);
-  CECI_CHECK(result.ok()) << result.status().ToString();
-  RecordBuild(result->stats.build, &o);
-  o.embeddings = result->embedding_count;
+  auto prepared = matcher.Prepare(query, options);
+  CECI_CHECK(prepared.ok()) << prepared.status().ToString();
+  RecordArena(prepared->flat, &o);
+  const MatchResult result = matcher.Execute(*prepared, options);
+  RecordBuild(result.stats.build, &o);
+  o.embeddings = result.embedding_count;
   return o;
 }
 
@@ -153,8 +153,8 @@ Observation ObserveBareBuild(const Graph& data, const Graph& query,
   const SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
   ScheduleOptions schedule;
   schedule.enumeration.symmetry = &symmetry;
-  o.embeddings = RunParallelEnumeration(data, pre->tree, IndexView(flat),
-                                        schedule, nullptr)
+  o.embeddings = RunParallelEnumeration(data, pre->tree, flat, schedule,
+                                        nullptr)
                      .embeddings;
   return o;
 }

@@ -44,31 +44,38 @@ struct Built {
     CeciBuilder builder(data, nlc);
     index = builder.Build(query, tree, BuildOptions{}, nullptr);
     RefineCeci(tree, data.num_vertices(), &index, nullptr);
+    flat = FlatCeciIndex::Build(index, tree);
   }
 
   NlcIndex nlc;
   QueryTree tree;
-  CeciIndex index;
+  CeciIndex index;     // the refined mutable form
+  FlatCeciIndex flat;  // its frozen arena, what the image stores
 };
 
 TEST_F(IndexIoTest, RoundTripPreservesStructure) {
   Graph data = GenerateSocialGraph(500, 8, 3);
   Graph query = MakePaperQuery(PaperQuery::kQG3);
   Built b(data, query, 0);
-  ASSERT_TRUE(WriteCeciIndex(b.index, b.tree, File("q.idx")).ok());
-  auto loaded = ReadCeciIndex(b.tree, File("q.idx"));
+  ASSERT_TRUE(WriteFlatIndex(b.flat, "", File("q.idx")).ok());
+  auto loaded = ReadFlatIndex(b.tree, File("q.idx"));
   ASSERT_TRUE(loaded.ok());
+  // Checked against the mutable index the arena was frozen from.
   for (VertexId u = 0; u < 4; ++u) {
-    EXPECT_EQ(loaded->at(u).candidates, b.index.at(u).candidates);
-    EXPECT_EQ(loaded->at(u).cardinalities, b.index.at(u).cardinalities);
-    EXPECT_EQ(loaded->at(u).te.num_keys(), b.index.at(u).te.num_keys());
-    EXPECT_EQ(loaded->at(u).te.TotalValues(),
-              b.index.at(u).te.TotalValues());
-    ASSERT_EQ(loaded->at(u).nte.size(), b.index.at(u).nte.size());
-    for (std::size_t k = 0; k < loaded->at(u).nte.size(); ++k) {
-      EXPECT_EQ(loaded->at(u).nte[k].TotalValues(),
-                b.index.at(u).nte[k].TotalValues());
-    }
+    const CeciVertexData& want = b.index.at(u);
+    const auto cands = loaded->candidates(u);
+    const auto cards = loaded->cardinalities(u);
+    EXPECT_EQ(std::vector<VertexId>(cands.begin(), cands.end()),
+              want.candidates);
+    EXPECT_EQ(std::vector<Cardinality>(cards.begin(), cards.end()),
+              want.cardinalities);
+    const CeciIndex::VertexFootprint f = loaded->MemoryFootprint(u);
+    EXPECT_EQ(f.te_keys, want.te.num_keys());
+    EXPECT_EQ(f.te_edges, want.te.TotalValues());
+    ASSERT_EQ(loaded->nte_count(u), want.nte.size());
+    std::size_t nte_edges = 0;
+    for (const CandidateList& list : want.nte) nte_edges += list.TotalValues();
+    EXPECT_EQ(f.nte_edges, nte_edges);
   }
 }
 
@@ -76,14 +83,14 @@ TEST_F(IndexIoTest, LoadedIndexEnumeratesIdentically) {
   Graph data = GenerateSocialGraph(600, 10, 5);
   Graph query = MakePaperQuery(PaperQuery::kQG5);
   Built b(data, query, 0);
-  ASSERT_TRUE(WriteCeciIndex(b.index, b.tree, File("q.idx")).ok());
-  auto loaded = ReadCeciIndex(b.tree, File("q.idx"));
+  ASSERT_TRUE(WriteFlatIndex(b.flat, "", File("q.idx")).ok());
+  auto loaded = ReadFlatIndex(b.tree, File("q.idx"));
   ASSERT_TRUE(loaded.ok());
 
   SymmetryConstraints sym = SymmetryConstraints::Compute(query);
   EnumOptions eo;
   eo.symmetry = &sym;
-  Enumerator original(data, b.tree, b.index, eo);
+  Enumerator original(data, b.tree, b.flat, eo);
   Enumerator restored(data, b.tree, *loaded, eo);
   EXPECT_EQ(restored.EnumerateAll(nullptr), original.EnumerateAll(nullptr));
 }
@@ -91,11 +98,11 @@ TEST_F(IndexIoTest, LoadedIndexEnumeratesIdentically) {
 TEST_F(IndexIoTest, RejectsWrongQuerySize) {
   Graph data = testing::PaperExample::Data();
   Built b(data, testing::PaperExample::Query(), 0);
-  ASSERT_TRUE(WriteCeciIndex(b.index, b.tree, File("q.idx")).ok());
+  ASSERT_TRUE(WriteFlatIndex(b.flat, "", File("q.idx")).ok());
   Graph other = MakePaperQuery(PaperQuery::kQG1);
   auto tree = QueryTree::Build(other, 0);
   ASSERT_TRUE(tree.ok());
-  auto loaded = ReadCeciIndex(*tree, File("q.idx"));
+  auto loaded = ReadFlatIndex(*tree, File("q.idx"));
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument);
 }
@@ -104,11 +111,11 @@ TEST_F(IndexIoTest, RejectsWrongMatchingOrder) {
   Graph data = testing::PaperExample::Data();
   Graph query = testing::PaperExample::Query();
   Built b(data, query, 0);
-  ASSERT_TRUE(WriteCeciIndex(b.index, b.tree, File("q.idx")).ok());
+  ASSERT_TRUE(WriteFlatIndex(b.flat, "", File("q.idx")).ok());
   // Same query, different root → different order.
   auto other_tree = QueryTree::Build(query, 2);
   ASSERT_TRUE(other_tree.ok());
-  auto loaded = ReadCeciIndex(*other_tree, File("q.idx"));
+  auto loaded = ReadFlatIndex(*other_tree, File("q.idx"));
   EXPECT_FALSE(loaded.ok());
 }
 
@@ -118,7 +125,7 @@ TEST_F(IndexIoTest, RejectsCorruptFile) {
   std::ofstream out(File("junk.idx"), std::ios::binary);
   out << "NOTANINDEXATALL____________________";
   out.close();
-  auto loaded = ReadCeciIndex(b.tree, File("junk.idx"));
+  auto loaded = ReadFlatIndex(b.tree, File("junk.idx"));
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
 }
@@ -126,7 +133,7 @@ TEST_F(IndexIoTest, RejectsCorruptFile) {
 TEST_F(IndexIoTest, RejectsMissingFile) {
   Graph data = testing::PaperExample::Data();
   Built b(data, testing::PaperExample::Query(), 0);
-  auto loaded = ReadCeciIndex(b.tree, File("absent.idx"));
+  auto loaded = ReadFlatIndex(b.tree, File("absent.idx"));
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), Status::Code::kIoError);
 }
@@ -135,14 +142,14 @@ TEST_F(IndexIoTest, RejectsTruncatedFile) {
   Graph data = GenerateSocialGraph(300, 6, 7);
   Graph query = MakePaperQuery(PaperQuery::kQG2);
   Built b(data, query, 0);
-  ASSERT_TRUE(WriteCeciIndex(b.index, b.tree, File("full.idx")).ok());
+  ASSERT_TRUE(WriteFlatIndex(b.flat, "", File("full.idx")).ok());
   std::ifstream in(File("full.idx"), std::ios::binary);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   std::ofstream out(File("half.idx"), std::ios::binary);
   out.write(content.data(), static_cast<std::streamsize>(content.size() / 2));
   out.close();
-  auto loaded = ReadCeciIndex(b.tree, File("half.idx"));
+  auto loaded = ReadFlatIndex(b.tree, File("half.idx"));
   EXPECT_FALSE(loaded.ok());
 }
 
@@ -161,15 +168,14 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// A written flat image plus its ground-truth embedding count.
+// A written flat image plus its ground-truth embedding count, enumerated
+// from the in-memory arena before the image is written.
 struct FlatImage {
   FlatImage(const Graph& data_graph, const Graph& query_graph,
             const std::string& path)
       : data(data_graph), query(query_graph), built(data, query, 0) {
-    flat = FlatCeciIndex::Build(built.index, built.tree);
-    CECI_CHECK(WriteFlatIndex(flat, "(a)-(b)", path).ok());
-    Enumerator e(data, built.tree, built.index, Options());
-    embeddings = e.EnumerateAll(nullptr);
+    embeddings = Enumerate(built.flat);
+    CECI_CHECK(WriteFlatIndex(built.flat, "(a)-(b)", path).ok());
   }
 
   EnumOptions Options() {
@@ -187,7 +193,6 @@ struct FlatImage {
   Graph data;
   Graph query;
   Built built;
-  FlatCeciIndex flat;
   SymmetryConstraints sym;
   std::uint64_t embeddings = 0;
 };
@@ -199,7 +204,7 @@ TEST_F(IndexIoTest, FlatRoundTripOwnedAndMapped) {
   auto owned = ReadFlatIndex(img.built.tree, File("f.idx"), copy);
   ASSERT_TRUE(owned.ok()) << owned.status().ToString();
   EXPECT_FALSE(owned->mapped());
-  EXPECT_EQ(owned->ArenaBytes(), img.flat.ArenaBytes());
+  EXPECT_EQ(owned->ArenaBytes(), img.built.flat.ArenaBytes());
   EXPECT_EQ(img.Enumerate(*owned), img.embeddings);
 
   IndexLoadOptions mmapped;
@@ -217,7 +222,7 @@ TEST_F(IndexIoTest, OpenFlatIndexRecoversThePattern) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->pattern, "(a)-(b)");
   EXPECT_EQ(loaded->index.num_query_vertices(),
-            img.flat.num_query_vertices());
+            img.built.flat.num_query_vertices());
 }
 
 TEST_F(IndexIoTest, FlatRoundTripDegenerateEmptyIndex) {
@@ -226,8 +231,7 @@ TEST_F(IndexIoTest, FlatRoundTripDegenerateEmptyIndex) {
   Graph data = testing::PaperExample::Data();
   Graph query = testing::MakeGraph({0, 9}, {{0, 1}});
   Built b(data, query, 0);
-  FlatCeciIndex flat = FlatCeciIndex::Build(b.index, b.tree);
-  ASSERT_TRUE(WriteFlatIndex(flat, "", File("empty.idx")).ok());
+  ASSERT_TRUE(WriteFlatIndex(b.flat, "", File("empty.idx")).ok());
   auto loaded = ReadFlatIndex(b.tree, File("empty.idx"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->candidates(0).empty());

@@ -287,19 +287,20 @@ class AuditWorkUnitsTest : public ::testing::Test {
   }
 
   std::vector<WorkUnit> Build(bool decompose, double beta = 0.2) {
-    return BuildWorkUnits(fixture_.data, fixture_.tree, fixture_.index,
-                          enum_options_, /*workers=*/2, beta, decompose,
+    return BuildWorkUnits(fixture_.data, fixture_.tree, flat_, enum_options_,
+                          /*workers=*/2, beta, decompose,
                           /*sort_by_cardinality=*/false, nullptr);
   }
 
   AuditReport Audit(const std::vector<WorkUnit>& units) {
     AuditReport report;
-    AuditWorkUnits(fixture_.data, fixture_.tree, fixture_.index,
-                   enum_options_, units, &report);
+    AuditWorkUnits(fixture_.data, fixture_.tree, flat_, enum_options_, units,
+                   &report);
     return report;
   }
 
   Fixture fixture_;
+  FlatCeciIndex flat_ = FlatCeciIndex::Build(fixture_.index, fixture_.tree);
   SymmetryConstraints symmetry_;
   EnumOptions enum_options_;
 };
@@ -464,54 +465,32 @@ TEST(AuditFlatIndexTest, DetectsDriftFromThePointerIndex) {
   EXPECT_GE(against.CountOf(InvariantClass::kFlatRepresentation), 1u);
 }
 
-// Fixture running a full profiled Match() and capturing the refined
-// tree/index — and the frozen flat arena — through the inspector hooks,
-// exactly what `ceci_query --explain --audit` does. `flat_layout` selects
-// which layout the enumeration (and so the profile's footprints) used.
+// Fixture running a full profiled Prepare + Execute and keeping the
+// prepared query, whose frozen arena the profile describes — exactly what
+// `ceci_query --explain --audit` does.
 struct ProfiledMatch {
-  explicit ProfiledMatch(bool flat_layout = true)
-      : data(PaperExample::Data()), query(PaperExample::Query()) {
+  ProfiledMatch() : data(PaperExample::Data()), query(PaperExample::Query()) {
     CeciMatcher matcher(data);
     MatchOptions options;
     options.profile = true;
-    options.flat_index = flat_layout;
-    options.index_inspector = [this](const QueryTree& t, const CeciIndex& i,
-                                     bool refined) {
-      if (refined) {
-        tree = t;
-        index = i;
-      }
-    };
-    options.flat_inspector = [this](const QueryTree&,
-                                    const FlatCeciIndex& f) {
-      flat = f.Clone();
-    };
-    auto result = matcher.Match(query, options);
-    CECI_CHECK(result.ok());
-    CECI_CHECK(result->profile.has_value());
-    profile = *result->profile;
+    auto p = matcher.Prepare(query, options);
+    CECI_CHECK(p.ok());
+    prepared = std::move(p).value();
+    MatchResult result = matcher.Execute(prepared, options);
+    CECI_CHECK(result.profile.has_value());
+    profile = *result.profile;
   }
 
   Graph data;
   Graph query;
-  QueryTree tree;
-  CeciIndex index;
-  FlatCeciIndex flat;
+  PreparedQuery prepared;
   QueryProfile profile;
 };
 
 TEST(AuditQueryProfileTest, AcceptsProfileFromRealMatch) {
   ProfiledMatch m;
   AuditReport report;
-  AuditQueryProfile(m.tree, m.flat, m.profile, &report);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-  EXPECT_GT(report.checks_run, 0u);
-}
-
-TEST(AuditQueryProfileTest, AcceptsPointerLayoutProfile) {
-  ProfiledMatch m(/*flat_layout=*/false);
-  AuditReport report;
-  AuditQueryProfile(m.tree, m.index, m.profile, &report);
+  AuditQueryProfile(m.prepared.tree, m.prepared.flat, m.profile, &report);
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_GT(report.checks_run, 0u);
 }
@@ -520,7 +499,7 @@ TEST(AuditQueryProfileTest, DetectsTamperedCandidateCount) {
   ProfiledMatch m;
   m.profile.vertices[2].candidates_refined += 1;
   AuditReport report;
-  AuditQueryProfile(m.tree, m.flat, m.profile, &report);
+  AuditQueryProfile(m.prepared.tree, m.prepared.flat, m.profile, &report);
   EXPECT_FALSE(report.ok());
   EXPECT_GT(report.CountOf(InvariantClass::kProfileMismatch), 0u);
 }
@@ -529,7 +508,7 @@ TEST(AuditQueryProfileTest, DetectsTamperedTeEdgeCount) {
   ProfiledMatch m;
   m.profile.vertices[1].te_edges += 5;
   AuditReport report;
-  AuditQueryProfile(m.tree, m.flat, m.profile, &report);
+  AuditQueryProfile(m.prepared.tree, m.prepared.flat, m.profile, &report);
   EXPECT_GT(report.CountOf(InvariantClass::kProfileMismatch), 0u);
 }
 
@@ -537,7 +516,7 @@ TEST(AuditQueryProfileTest, DetectsTamperedByteTotal) {
   ProfiledMatch m;
   m.profile.index_bytes += 64;
   AuditReport report;
-  AuditQueryProfile(m.tree, m.flat, m.profile, &report);
+  AuditQueryProfile(m.prepared.tree, m.prepared.flat, m.profile, &report);
   EXPECT_GT(report.CountOf(InvariantClass::kProfileMismatch), 0u);
 }
 
@@ -545,7 +524,7 @@ TEST(AuditQueryProfileTest, DetectsVertexCountMismatch) {
   ProfiledMatch m;
   m.profile.vertices.pop_back();
   AuditReport report;
-  AuditQueryProfile(m.tree, m.flat, m.profile, &report);
+  AuditQueryProfile(m.prepared.tree, m.prepared.flat, m.profile, &report);
   EXPECT_GT(report.CountOf(InvariantClass::kProfileMismatch), 0u);
 }
 

@@ -112,7 +112,8 @@ TEST_F(PaperCeciTest, EnumerationFindsTheTwoEmbeddings) {
   auto symmetry = SymmetryConstraints::Compute(query_);
   EnumOptions options;
   options.symmetry = &symmetry;
-  Enumerator enumerator(data_, tree_, index_, options);
+  const FlatCeciIndex flat = FlatCeciIndex::Build(index_, tree_);
+  Enumerator enumerator(data_, tree_, flat, options);
   EmbeddingCollector collector;
   EmbeddingVisitor visitor = std::ref(collector);
   std::uint64_t count = enumerator.EnumerateAll(&visitor);
@@ -126,7 +127,8 @@ TEST_F(PaperCeciTest, EdgeVerificationModeAgrees) {
   EnumOptions options;
   options.symmetry = &symmetry;
   options.nte_intersection = false;
-  Enumerator enumerator(data_, tree_, index_, options);
+  const FlatCeciIndex flat = FlatCeciIndex::Build(index_, tree_);
+  Enumerator enumerator(data_, tree_, flat, options);
   EXPECT_EQ(enumerator.EnumerateAll(nullptr), 2u);
   EXPECT_GT(enumerator.stats().edge_verifications, 0u);
   EXPECT_EQ(enumerator.stats().intersections, 0u);

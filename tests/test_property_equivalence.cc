@@ -12,6 +12,7 @@
 #include "baselines/quicksi.h"
 #include "baselines/turbo_iso.h"
 #include "baselines/vf2.h"
+#include "ceci/cached_matcher.h"
 #include "ceci/matcher.h"
 #include "gen/labels.h"
 #include "gen/paper_queries.h"
@@ -122,6 +123,20 @@ TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
   EXPECT_EQ(ceci_collector.AsSet(), oracle_collector.AsSet()) << s.name;
   // No duplicates either.
   EXPECT_EQ(ceci_collector.raw().size(), ceci_collector.AsSet().size());
+
+  // The serving path: a cache miss prepares the entry, a hit on the same
+  // instance only executes it. Both must list the oracle's set.
+  CachedMatcher cached(s.data);
+  for (bool hit : {false, true}) {
+    EmbeddingCollector collector;
+    EmbeddingVisitor visitor = std::ref(collector);
+    auto cached_result = cached.Match(s.query, MatchOptions{}, &visitor);
+    ASSERT_TRUE(cached_result.ok());
+    ASSERT_EQ(cached_result->stats.index_cache_hit, hit);
+    EXPECT_EQ(collector.AsSet(), oracle_collector.AsSet())
+        << s.name << (hit ? " (cache hit)" : " (cache miss)");
+    EXPECT_EQ(collector.raw().size(), collector.AsSet().size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomScenarios, EmbeddingSetTest,

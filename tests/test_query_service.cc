@@ -4,6 +4,10 @@
 // Submit() is exactly what the test arranged.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -26,6 +30,7 @@
 #include "gen/random_graphs.h"
 #include "graphio/pattern_parser.h"
 #include "serve/query_service.h"
+#include "serve/tcp_server.h"
 #include "telemetry/access_log.h"
 #include "util/json_parser.h"
 
@@ -600,6 +605,64 @@ TEST(QueryServiceTest, PerRequestLimitIsHonored) {
   ASSERT_TRUE(response.status.ok());
   EXPECT_EQ(response.termination, TerminationReason::kLimit);
   EXPECT_GE(response.embeddings, 7u);
+}
+
+// Reads from `fd` until the peer closes it or the receive timeout fires.
+std::string ReadUntilClosed(int fd) {
+  std::string got;
+  char chunk[256];
+  ssize_t n;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    got.append(chunk, static_cast<std::size_t>(n));
+  }
+  return got;
+}
+
+// A client that never sends a newline must not grow its connection's
+// buffer without bound: past TcpServer::kMaxLineBytes the server answers
+// ERR line_too_long and hangs up.
+TEST(TcpServerTest, OversizedRequestLineIsRejected) {
+  const Graph data = TestData();
+  ServiceOptions options;
+  options.pool_threads = 1;
+  QueryService service(data, options);
+  TcpServer server(service, TcpServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 10;  // bounds the test if the server never answers
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // Lines under the cap are served as usual on the same connection.
+  const std::string ping = "PING\n";
+  ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(ping.size()));
+  char pong[5] = {};
+  ASSERT_EQ(::recv(fd, pong, sizeof(pong), MSG_WAITALL), 5);
+  EXPECT_EQ(std::string(pong, 5), "PONG\n");
+
+  const std::string oversized(TcpServer::kMaxLineBytes + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < oversized.size()) {
+    const ssize_t n = ::send(fd, oversized.data() + sent,
+                             oversized.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(ReadUntilClosed(fd), "ERR line_too_long\n");
+  ::close(fd);
+  server.Stop();
 }
 
 }  // namespace

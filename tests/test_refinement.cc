@@ -3,6 +3,7 @@
 
 #include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
+#include "ceci/flat_index.h"
 #include "ceci/refinement.h"
 #include "ceci/symmetry.h"
 #include "gen/paper_queries.h"
@@ -104,7 +105,8 @@ TEST(RefinementTest, CompleteButNotMinimal) {
   SymmetryConstraints sym = SymmetryConstraints::Compute(query);
   EnumOptions eo;
   eo.symmetry = &sym;
-  Enumerator e(data, b.tree, b.index, eo);
+  const FlatCeciIndex flat = FlatCeciIndex::Build(b.index, b.tree);
+  Enumerator e(data, b.tree, flat, eo);
   EXPECT_EQ(e.EnumerateAll(nullptr), 0u);  // verification catches them
 }
 
@@ -117,7 +119,8 @@ TEST(RefinementTest, CardinalityUpperBoundsTrueCount) {
   SymmetryConstraints none = SymmetryConstraints::None(4);
   EnumOptions eo;
   eo.symmetry = &none;
-  Enumerator e(data, b.tree, b.index, eo);
+  const FlatCeciIndex flat = FlatCeciIndex::Build(b.index, b.tree);
+  Enumerator e(data, b.tree, flat, eo);
   const auto& root = b.index.at(b.tree.root());
   for (std::size_t i = 0; i < root.candidates.size(); ++i) {
     std::uint64_t actual = e.EnumerateCluster(root.candidates[i], nullptr);
@@ -136,12 +139,16 @@ TEST(RefinementTest, RefinementNeverLosesEmbeddings) {
   eo.symmetry = &sym;
 
   Built unrefined(data, query, 0);
-  Enumerator e1(data, unrefined.tree, unrefined.index, eo);
+  const FlatCeciIndex unrefined_flat =
+      FlatCeciIndex::Build(unrefined.index, unrefined.tree);
+  Enumerator e1(data, unrefined.tree, unrefined_flat, eo);
   std::uint64_t count_unrefined = e1.EnumerateAll(nullptr);
 
   Built refined(data, query, 0);
   RefineCeci(refined.tree, data.num_vertices(), &refined.index, nullptr);
-  Enumerator e2(data, refined.tree, refined.index, eo);
+  const FlatCeciIndex refined_flat =
+      FlatCeciIndex::Build(refined.index, refined.tree);
+  Enumerator e2(data, refined.tree, refined_flat, eo);
   std::uint64_t count_refined = e2.EnumerateAll(nullptr);
 
   EXPECT_EQ(count_refined, count_unrefined);

@@ -24,8 +24,9 @@ struct Fixture {
     CECI_CHECK(t.ok());
     tree = std::move(t).value();
     CeciBuilder builder(data, nlc);
-    index = builder.Build(query, tree, BuildOptions{}, nullptr);
-    RefineCeci(tree, data.num_vertices(), &index, nullptr);
+    CeciIndex built = builder.Build(query, tree, BuildOptions{}, nullptr);
+    RefineCeci(tree, data.num_vertices(), &built, nullptr);
+    index = FlatCeciIndex::Build(built, tree);
     symmetry = SymmetryConstraints::Compute(query);
   }
 
@@ -41,7 +42,7 @@ struct Fixture {
   Graph query;
   NlcIndex nlc;
   QueryTree tree;
-  CeciIndex index;
+  FlatCeciIndex index;
   SymmetryConstraints symmetry;
 };
 
@@ -59,7 +60,7 @@ TEST(WorkUnitTest, OnePerPivotWithoutDecomposition) {
   auto units = BuildWorkUnits(f.data, f.tree, f.index, eo, 4, 0.2,
                               /*decompose=*/false,
                               /*sort_by_cardinality=*/true, &stats);
-  EXPECT_EQ(units.size(), f.index.pivots(f.tree).size());
+  EXPECT_EQ(units.size(), f.index.candidates(f.tree.root()).size());
   EXPECT_EQ(stats.extreme_clusters, 0u);
   // Sorted descending by cardinality.
   for (std::size_t i = 1; i < units.size(); ++i) {
@@ -76,7 +77,7 @@ TEST(WorkUnitTest, DecompositionSplitsExtremeClusters) {
                               /*decompose=*/true,
                               /*sort_by_cardinality=*/true, &stats);
   EXPECT_GT(stats.extreme_clusters, 0u);
-  EXPECT_GT(units.size(), f.index.pivots(f.tree).size());
+  EXPECT_GT(units.size(), f.index.candidates(f.tree.root()).size());
   for (const WorkUnit& unit : units) {
     EXPECT_GE(unit.prefix.size(), 1u);
     EXPECT_LE(unit.prefix.size(), f.query.num_vertices());

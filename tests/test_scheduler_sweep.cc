@@ -20,8 +20,9 @@ struct Fixture {
     CECI_CHECK(t.ok());
     tree = std::move(t).value();
     CeciBuilder builder(data, nlc);
-    index = builder.Build(query, tree, BuildOptions{}, nullptr);
-    RefineCeci(tree, data.num_vertices(), &index, nullptr);
+    CeciIndex built = builder.Build(query, tree, BuildOptions{}, nullptr);
+    RefineCeci(tree, data.num_vertices(), &built, nullptr);
+    index = FlatCeciIndex::Build(built, tree);
     symmetry = SymmetryConstraints::Compute(query);
 
     ScheduleOptions serial;
@@ -34,7 +35,7 @@ struct Fixture {
   Graph query;
   NlcIndex nlc;
   QueryTree tree;
-  CeciIndex index;
+  FlatCeciIndex index;
   SymmetryConstraints symmetry;
   std::uint64_t reference = 0;
 };

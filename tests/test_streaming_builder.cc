@@ -10,6 +10,7 @@
 
 #include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
+#include "ceci/flat_index.h"
 #include "ceci/refinement.h"
 #include "ceci/streaming_builder.h"
 #include "ceci/symmetry.h"
@@ -106,7 +107,8 @@ TEST_F(StreamingBuilderTest, GraphFreeMatchEndToEnd) {
   RefineCeci(*tree, data.num_vertices(), &reference, nullptr);
   EnumOptions eo;
   eo.symmetry = &sym;
-  Enumerator ref_enum(data, *tree, reference, eo);
+  const FlatCeciIndex reference_flat = FlatCeciIndex::Build(reference, *tree);
+  Enumerator ref_enum(data, *tree, reference_flat, eo);
   std::uint64_t expected = ref_enum.EnumerateAll(nullptr);
 
   // Streaming count (graph-free enumerator overload).
@@ -117,7 +119,8 @@ TEST_F(StreamingBuilderTest, GraphFreeMatchEndToEnd) {
   auto index = streaming.Build(query, *tree, nullptr, nullptr);
   ASSERT_TRUE(index.ok());
   RefineCeci(*tree, store->num_vertices(), &index.value(), nullptr);
-  Enumerator stream_enum(*tree, *index, eo);
+  const FlatCeciIndex stream_flat = FlatCeciIndex::Build(*index, *tree);
+  Enumerator stream_enum(*tree, stream_flat, eo);
   EXPECT_EQ(stream_enum.EnumerateAll(nullptr), expected);
   EXPECT_GT(expected, 0u);
 }
@@ -171,14 +174,16 @@ TEST_F(StreamingBuilderTest, PivotRestrictionWorks) {
     auto index = streaming.Build(query, *tree, pivots, nullptr);
     ASSERT_TRUE(index.ok());
     RefineCeci(*tree, store->num_vertices(), &index.value(), nullptr);
-    Enumerator e(*tree, *index, eo);
+    const FlatCeciIndex flat = FlatCeciIndex::Build(*index, *tree);
+    Enumerator e(*tree, flat, eo);
     total += e.EnumerateAll(nullptr);
   }
 
   auto whole = streaming.Build(query, *tree, nullptr, nullptr);
   ASSERT_TRUE(whole.ok());
   RefineCeci(*tree, store->num_vertices(), &whole.value(), nullptr);
-  Enumerator e(*tree, *whole, eo);
+  const FlatCeciIndex whole_flat = FlatCeciIndex::Build(*whole, *tree);
+  Enumerator e(*tree, whole_flat, eo);
   EXPECT_EQ(total, e.EnumerateAll(nullptr));
 }
 

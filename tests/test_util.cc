@@ -153,13 +153,6 @@ TEST(IntersectionTest, MultiWayShortCircuitsOnEmpty) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(IntersectionTest, SortedContains) {
-  std::vector<std::uint32_t> a = {2, 4, 8};
-  EXPECT_TRUE(SortedContains(a, 4));
-  EXPECT_FALSE(SortedContains(a, 5));
-  EXPECT_FALSE(SortedContains({}, 5));
-}
-
 class IntersectionRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IntersectionRandomTest, MatchesStdSetIntersection) {
