@@ -151,6 +151,19 @@ if [[ -n "$hits" ]]; then
     "$hits"
 fi
 
+# --- Rule: one distributed core. The work-stealing replay and the
+# at-most-once adoption rule live only in src/distsim/replay.{h,cc}; the
+# simulator and the process supervisor are thin callers of it. An event
+# queue, a pending-crash set or a cluster -> adopter map in either caller
+# is a second copy of the replay growing back, which then has to be kept
+# in step by hand.
+hits=$(grep -nE '\bpriority_queue\b|future_crashes|cluster_adopter|map<\s*VertexId' \
+  src/dist/supervisor.cc src/distsim/dist_matcher.cc 2>/dev/null || true)
+if [[ -n "$hits" ]]; then
+  fail "replay event loop or adoption map outside the shared core (use distsim::Replay / distsim::AdopterMap)" \
+    "$hits"
+fi
+
 # --- Rule: every registered ceci.* / dist.* metric is documented. The
 # counter tables in docs/observability.md are the operator-facing contract
 # for /metrics and /varz; a metric registered in src/ but absent from the

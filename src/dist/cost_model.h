@@ -8,16 +8,20 @@
 // §1.4). Costs are the classic latency + size/bandwidth form; defaults
 // approximate 10 GbE and a busy parallel file system.
 //
-// The real-process supervisor reuses the same model for two jobs: scripted
-// FailurePlan crashes are scheduled against the modeled timeline (so sim
-// and process runs agree on which units a doomed worker completes), and
-// orphan re-adoption picks the survivor with the least modeled remaining
-// work. scripts/bench_dist.sh regresses enum_seconds_per_cardinality
-// against measured per-worker times into BENCH_dist.json.
+// Both runtimes feed this model to the one replay (distsim/replay.h):
+// scripted FailurePlan crashes are scheduled against the modeled timeline
+// (so sim and process runs agree on which units a doomed worker
+// completes), and orphan re-adoption picks the survivor with the least
+// modeled remaining work. scripts/bench_dist.sh regresses
+// enum_seconds_per_cardinality against measured per-worker times into
+// BENCH_dist.json.
 #ifndef CECI_DIST_COST_MODEL_H_
 #define CECI_DIST_COST_MODEL_H_
 
+#include <algorithm>
 #include <cstdint>
+
+#include "graph/types.h"
 
 namespace ceci::dist {
 
@@ -36,11 +40,18 @@ struct CostModel {
   /// Deterministic compute rates used only when a FailurePlan is active:
   /// the work-stealing replay then runs on fully modeled times instead of
   /// measured thread CPU, so same plan + same seed reproduces the exact
-  /// same crash/recovery schedule (distsim/failure.h). Units: seconds per
+  /// same crash/recovery schedule (distsim/replay.h). Units: seconds per
   /// adjacency entry scanned during CECI build, and seconds per unit of
   /// refined cardinality enumerated.
   double build_seconds_per_scanned_entry = 2e-9;
   double enum_seconds_per_cardinality = 5e-9;
+
+  /// Modeled seconds to enumerate one work unit of refined cardinality
+  /// `cardinality`; an empty unit still costs one step.
+  double UnitSeconds(Cardinality cardinality) const {
+    return std::max(static_cast<double>(cardinality), 1.0) *
+           enum_seconds_per_cardinality;
+  }
 
   /// Simulated seconds to move one message of `bytes` over the network.
   double MessageSeconds(std::uint64_t bytes) const {

@@ -1,29 +1,31 @@
 // Multi-process CECI matching: a supervisor partitioning embedding
 // clusters across real `ceci_worker` processes, with crash recovery.
 //
-// The supervisor plays the coordinator role of §5 for real processes: it
-// preprocesses the query, distributes cluster pivots with the same
-// workload/Jaccard policy as the simulation (distsim/cluster.h), builds
-// one refined CECI per worker over that worker's pivots, freezes each to
-// a CEIX image, and spawns `ceci_worker` processes that mmap the images —
-// workers never hold the data graph, and co-hosted workers share arena
-// pages through the page cache. Work units travel over framed Unix-domain
-// socketpair channels (util/frame_transport.h) carrying the message types
-// the simulation accounts.
+// The supervisor plays the coordinator role of §5 for real processes.
+// Its front end is the distributed core it shares with the simulation:
+// PlanPartitions (distsim/partition_plan.h) preprocesses the query,
+// distributes cluster pivots with the workload/Jaccard policy, and builds
+// one refined CECI per worker, each build thread freezing its index to a
+// CEIX image. `ceci_worker` processes mmap the images — workers never
+// hold the data graph, and co-hosted workers share arena pages through
+// the page cache. Work units travel over framed Unix-domain socketpair
+// channels (util/frame_transport.h) carrying the message types the
+// simulation accounts.
 //
 // Failure handling has two modes:
 //  * Reactive (no FailurePlan): units are pipelined per worker, each
 //    window refill written as one batch of frames; a worker that hangs
 //    up, gets reaped, or misses the heartbeat deadline is SIGKILLed to be
 //    sure, its channel drained to EOF (buffered results still count —
-//    exactly once), and its unfinished units re-adopted by the
-//    least-loaded survivors, at most once per cluster.
-//  * Scripted (FailurePlan active): the supervisor first replays the
-//    plan against the modeled timeline — the same deterministic replay
-//    the simulation runs — to fix each worker's execution order, the
+//    exactly once), and its unfinished units re-adopted under the shared
+//    adoption rule (distsim::AdopterMap): least-loaded survivor, at most
+//    once per cluster. Idle workers steal under the shared victim rule.
+//  * Scripted (FailurePlan active): the supervisor first runs the one
+//    replay (distsim/replay.h) on modeled times — the same call the
+//    simulation makes — to fix each worker's execution order, the
 //    durable prefix a doomed worker completes before dying, and the
 //    adopter of every orphaned cluster. The real run then follows that
-//    script in lockstep (dispatch window 1) and injects a genuine
+//    schedule in lockstep (dispatch window 1) and injects a genuine
 //    `kill -9` at each scripted crash point, so recovery accounting is
 //    bit-identical between the simulation and the process run, and
 //    embedding totals exactly equal the failure-free run.

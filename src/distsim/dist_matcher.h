@@ -12,6 +12,13 @@
 // When a machine drains its own work pool it steals unexplored clusters
 // from the machine with the most remaining work (MPI_Get in the paper),
 // paying a modeled communication charge per steal.
+//
+// DistributedMatch is a thin caller of the distributed core it shares
+// with the process supervisor (dist/supervisor.h): PlanPartitions
+// (distsim/partition_plan.h) runs the coordinator and the per-machine
+// builds, each machine thread enumerating its own units, and Replay
+// (distsim/replay.h) turns the per-unit times into the simulated
+// schedule — measured times without a failure plan, modeled ones with.
 #ifndef CECI_DISTSIM_DIST_MATCHER_H_
 #define CECI_DISTSIM_DIST_MATCHER_H_
 
@@ -19,11 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "ceci/matcher.h"
-#include "distsim/cluster.h"
-#include "distsim/cost_model.h"
+#include "dist/cost_model.h"
 #include "distsim/failure.h"
-#include "distsim/machine.h"
 #include "graph/graph.h"
 #include "util/status.h"
 
@@ -35,7 +39,7 @@ struct DistOptions {
   std::size_t num_machines = 4;
   std::size_t threads_per_machine = 1;
   GraphStorage storage = GraphStorage::kReplicated;
-  CostModel cost_model;
+  dist::CostModel cost_model;
   /// Extreme-cluster decomposition inside each machine (§4.3).
   double beta = 0.2;
   bool decompose_extreme_clusters = true;

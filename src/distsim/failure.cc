@@ -84,37 +84,38 @@ double FailurePlan::Slowdown(std::size_t machine) const {
   return factor;
 }
 
-std::uint64_t FailureRng::Next() {
-  // SplitMix64 (Steele, Lea & Flood): full-period 64-bit mix.
-  state_ += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state_;
+namespace {
+
+/// SplitMix64 (Steele, Lea & Flood): tiny, deterministic, seedable and
+/// independent of the host's std::random implementation. Returns the top
+/// 53 bits of the next output as a uniform double in [0, 1).
+double NextUnit(std::uint64_t* state) {
+  *state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = *state;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return static_cast<double>((z ^ (z >> 31)) >> 11) * 0x1.0p-53;
 }
 
-double FailureRng::NextUnit() {
-  // Top 53 bits -> uniform double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
+}  // namespace
 
 StorageRetrySim SimulateStorageRetries(const FailurePlan& plan,
                                        std::size_t machine,
-                                       std::uint64_t round_trips,
-                                       const CostModel& model) {
+                                       std::uint64_t requests,
+                                       const dist::CostModel& model) {
   StorageRetrySim sim;
-  if (!plan.enabled || plan.storage_error_rate <= 0.0 || round_trips == 0) {
-    return sim;
-  }
+  if (!plan.enabled || plan.storage_error_rate <= 0.0) return sim;
+  const std::uint64_t round_trips =
+      (requests + model.storage_batch - 1) / model.storage_batch;
   // Key the stream on (seed, machine) so machines draw independent flakes
   // and adding a machine never perturbs another machine's outcome.
-  FailureRng rng(plan.seed ^ (0x9e3779b97f4a7c15ULL *
-                              static_cast<std::uint64_t>(machine + 1)));
+  std::uint64_t rng = plan.seed ^ (0x9e3779b97f4a7c15ULL *
+                                   static_cast<std::uint64_t>(machine + 1));
   for (std::uint64_t r = 0; r < round_trips; ++r) {
     double backoff = plan.retry_backoff_seconds;
     for (std::size_t attempt = 0; attempt < plan.max_storage_retries;
          ++attempt) {
-      if (rng.NextUnit() >= plan.storage_error_rate) break;
+      if (NextUnit(&rng) >= plan.storage_error_rate) break;
       ++sim.retries;
       sim.seconds += model.storage_latency + backoff;
       backoff *= 2.0;

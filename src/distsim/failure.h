@@ -1,15 +1,16 @@
-// Deterministic fault injection for the simulated cluster (§5 + the
-// resilient execution layer).
+// Deterministic fault injection for the §5 runtime, simulated
+// (distsim/dist_matcher.h) and real (dist/supervisor.h).
 //
 // A FailurePlan scripts failures against the *modeled* timeline: machine
 // crashes at modeled time t, straggler slowdown factors, and a shared-
-// store read error rate. To keep same-seed runs bit-identical, an
-// enabled plan switches the work-stealing replay from measured CPU times
-// to fully modeled ones (CostModel::build_seconds_per_scanned_entry /
-// enum_seconds_per_cardinality) — measured thread times jitter run to
-// run, which would make recovery decisions (which clusters a machine
-// finished before dying) nondeterministic. Physical enumeration still
-// happens once on host threads; the plan only decides which simulated
+// store read error rate. Crash times and slowdowns become the inputs of
+// the one replay both runtimes share (distsim/replay.h). To keep
+// same-seed runs bit-identical, an enabled plan feeds that replay fully
+// modeled times (CostModel::build_seconds_per_scanned_entry /
+// enum_seconds_per_cardinality) instead of measured CPU times — measured
+// thread times jitter run to run, which would make recovery decisions
+// (which clusters a machine finished before dying) nondeterministic.
+// Physical enumeration still happens once; the plan only decides which
 // machine gets credited (and charged) for each unit, so embedding totals
 // are exactly those of the failure-free run. See docs/robustness.md.
 #ifndef CECI_DISTSIM_FAILURE_H_
@@ -19,7 +20,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "distsim/cost_model.h"
+#include "dist/cost_model.h"
 #include "util/status.h"
 
 namespace ceci::distsim {
@@ -72,34 +73,22 @@ struct FailurePlan {
   double Slowdown(std::size_t machine) const;
 };
 
-/// SplitMix64 — tiny, deterministic, seedable; good enough for failure
-/// sampling and independent of the host's std::random implementation.
-class FailureRng {
- public:
-  explicit FailureRng(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t Next();
-  /// Uniform double in [0, 1).
-  double NextUnit();
-
- private:
-  std::uint64_t state_;
-};
-
 /// Outcome of the deterministic storage-flake simulation for one machine.
 struct StorageRetrySim {
   std::uint64_t retries = 0;
   double seconds = 0.0;
 };
 
-/// Simulates `round_trips` shared-store reads for `machine` under the
-/// plan's error rate: per-round-trip failures are drawn from a SplitMix64
-/// stream keyed on (plan.seed, machine), each retry charging the store
-/// latency plus exponential backoff. Deterministic by construction.
+/// Simulates the shared-store read round trips of `requests` adjacency
+/// requests (storage_batch per round trip) for `machine` under the plan's
+/// error rate: failures are drawn from a SplitMix64 stream keyed on
+/// (plan.seed, machine), each retry charging the store latency plus
+/// exponential backoff. Deterministic by construction; zero without an
+/// active plan or error rate.
 StorageRetrySim SimulateStorageRetries(const FailurePlan& plan,
                                        std::size_t machine,
-                                       std::uint64_t round_trips,
-                                       const CostModel& model);
+                                       std::uint64_t requests,
+                                       const dist::CostModel& model);
 
 }  // namespace ceci::distsim
 

@@ -1,27 +1,30 @@
-// One simulated machine of the cluster: accumulates measured compute time
-// and modeled communication/storage time, plus traffic counters.
+// Modeled traffic one machine of the §5 runtime is charged: network
+// messages and shared-store reads, timed through the CostModel.
 #ifndef CECI_DISTSIM_MACHINE_H_
 #define CECI_DISTSIM_MACHINE_H_
 
 #include <cstdint>
 
-#include "distsim/cost_model.h"
+#include "dist/cost_model.h"
 
 namespace ceci::distsim {
 
-class Machine {
- public:
-  Machine() = default;
-  Machine(std::uint32_t id, const CostModel* model)
-      : id_(id), model_(model) {}
-
-  std::uint32_t id() const { return id_; }
+struct Machine {
+  std::uint64_t messages = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t messages_received = 0;
+  std::uint64_t bytes_received = 0;
+  std::uint64_t bytes_read = 0;
+  /// Shared-store round trips that failed and were retried.
+  std::uint64_t storage_retries = 0;
+  double comm_seconds = 0.0;
+  double io_seconds = 0.0;
 
   /// Charges a network message of `bytes` to this machine's comm budget.
-  void ChargeMessage(std::uint64_t bytes) {
-    comm_seconds_ += model_->MessageSeconds(bytes);
-    bytes_sent_ += bytes;
-    ++messages_;
+  void ChargeMessage(const dist::CostModel& model, std::uint64_t bytes) {
+    comm_seconds += model.MessageSeconds(bytes);
+    bytes_sent += bytes;
+    ++messages;
   }
 
   /// Records an inbound message. Counters only: the modeled transfer time
@@ -29,53 +32,16 @@ class Machine {
   /// model bills both ends of a pivot send and the stealing side of an
   /// MPI_Get), so receive tracking must not move any makespan.
   void RecordReceive(std::uint64_t bytes) {
-    bytes_received_ += bytes;
-    ++messages_received_;
+    bytes_received += bytes;
+    ++messages_received;
   }
 
   /// Charges shared-store reads (requests totalling `bytes`).
-  void ChargeStorage(std::uint64_t requests, std::uint64_t bytes) {
-    io_seconds_ += model_->StorageSeconds(requests, bytes);
-    bytes_read_ += bytes;
+  void ChargeStorage(const dist::CostModel& model, std::uint64_t requests,
+                     std::uint64_t bytes) {
+    io_seconds += model.StorageSeconds(requests, bytes);
+    bytes_read += bytes;
   }
-
-  /// Charges `retries` failed-then-retried shared-store round trips whose
-  /// modeled latency + backoff totals `seconds` (distsim/failure.h). Time
-  /// lands in the io budget; the counter feeds recovery reporting.
-  void ChargeStorageRetries(std::uint64_t retries, double seconds) {
-    storage_retries_ += retries;
-    io_seconds_ += seconds;
-  }
-
-  void AddCompute(double seconds) { compute_seconds_ += seconds; }
-
-  double compute_seconds() const { return compute_seconds_; }
-  double comm_seconds() const { return comm_seconds_; }
-  double io_seconds() const { return io_seconds_; }
-  /// Modeled end-to-end busy time of this machine.
-  double total_seconds() const {
-    return compute_seconds_ + comm_seconds_ + io_seconds_;
-  }
-
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
-  std::uint64_t bytes_received() const { return bytes_received_; }
-  std::uint64_t bytes_read() const { return bytes_read_; }
-  std::uint64_t messages() const { return messages_; }
-  std::uint64_t messages_received() const { return messages_received_; }
-  std::uint64_t storage_retries() const { return storage_retries_; }
-
- private:
-  std::uint32_t id_ = 0;
-  const CostModel* model_ = nullptr;
-  double compute_seconds_ = 0.0;
-  double comm_seconds_ = 0.0;
-  double io_seconds_ = 0.0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t bytes_received_ = 0;
-  std::uint64_t bytes_read_ = 0;
-  std::uint64_t messages_ = 0;
-  std::uint64_t messages_received_ = 0;
-  std::uint64_t storage_retries_ = 0;
 };
 
 }  // namespace ceci::distsim

@@ -4,8 +4,8 @@
 // data graph in CSR form on a lustre file system, located through a
 // beginning_position array. This module provides that on-disk format: a
 // small header, the offsets (beginning_position) array, the adjacency
-// array, and the label arrays. distsim's SharedStore reads adjacency lists
-// through it with per-read IO accounting.
+// array, and the label arrays. distsim charges a build's adjacency reads
+// against this layout through its cost model (Machine::ChargeStorage).
 #ifndef CECI_GRAPHIO_BINARY_CSR_H_
 #define CECI_GRAPHIO_BINARY_CSR_H_
 

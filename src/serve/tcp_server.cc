@@ -123,6 +123,15 @@ void TcpServer::AcceptLoop(int listen_fd) {
     }
     ConnectionCounter().Increment();
     MutexLock lock(mutex_);
+    // Join the threads of connections that have ended, so held threads
+    // stay within max_connections. A finished thread no longer takes the
+    // lock (at most it is closing its fd), so joining under it is safe.
+    for (std::thread& t : conn_threads_) {
+      if (finished_ids_.count(t.get_id()) != 0) t.join();
+    }
+    std::erase_if(conn_threads_,
+                  [](const std::thread& t) { return !t.joinable(); });
+    finished_ids_.clear();
     if (stopping_.load(std::memory_order_acquire) ||
         live_fds_.size() >= options_.max_connections) {
       SendLine(fd, "ERR too_many_connections");
@@ -133,6 +142,11 @@ void TcpServer::AcceptLoop(int listen_fd) {
     LiveConnectionGauge().Set(static_cast<std::int64_t>(live_fds_.size()));
     conn_threads_.emplace_back(&TcpServer::ServeConnection, this, fd);
   }
+}
+
+std::size_t TcpServer::held_threads() const {
+  MutexLock lock(mutex_);
+  return conn_threads_.size();
 }
 
 void TcpServer::ServeConnection(int fd) {
@@ -158,6 +172,7 @@ void TcpServer::ServeConnection(int fd) {
   {
     MutexLock lock(mutex_);
     live_fds_.erase(fd);
+    finished_ids_.insert(std::this_thread::get_id());
     LiveConnectionGauge().Set(static_cast<std::int64_t>(live_fds_.size()));
   }
   ::close(fd);
@@ -211,6 +226,7 @@ void TcpServer::Stop() {
     MutexLock lock(mutex_);
     for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
     to_join.swap(conn_threads_);
+    finished_ids_.clear();
   }
   // Threads close their own fds on the way out.
   for (std::thread& t : to_join) {

@@ -65,6 +65,10 @@ class TcpServer {
   /// threads. Idempotent. Does not shut down the service.
   void Stop();
 
+  /// Connection threads not yet joined. Finished ones are joined as new
+  /// connections arrive, so this stays at most max_connections.
+  std::size_t held_threads() const;
+
  private:
   /// Takes the listener by value so Stop() closing/resetting listen_fd_
   /// never races the accept thread's reads of it.
@@ -81,9 +85,11 @@ class TcpServer {
   int bound_port_ = 0;    // lint: unguarded
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
-  Mutex mutex_;
+  mutable Mutex mutex_;
   std::set<int> live_fds_ CECI_GUARDED_BY(mutex_);
   std::vector<std::thread> conn_threads_ CECI_GUARDED_BY(mutex_);
+  /// Connection threads that have left ServeConnection and can be joined.
+  std::set<std::thread::id> finished_ids_ CECI_GUARDED_BY(mutex_);
 };
 
 }  // namespace ceci

@@ -352,5 +352,72 @@ TEST_F(DistProcessTest, ReportJsonCarriesRecoveryFields) {
   }
 }
 
+// Golden pin of the scripted schedule the supervisor follows: orphan
+// events in order, and the per-worker counters and modeled seconds that
+// come from the replay rather than from real timing. Worker 0 dies
+// mid-enumeration; worker 2 dies later and passes on what it adopted.
+TEST(DistReplayGoldenTest, SupervisorScriptedOrphanEvents) {
+  Graph data = GenerateErdosRenyi(240, 1500, 13);
+  auto query = ParsePattern("(a)-(b); (b)-(c); (a)-(c)");
+  ASSERT_TRUE(query.ok());
+  auto options = BaseOptions(3);
+  options.failure_plan.enabled = true;
+  options.failure_plan.seed = 5;
+  options.failure_plan.crashes = {{0, 8e-5}, {2, 1.05e-4}};
+  auto report = dist::RunDistributed(data, *query, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->embeddings, 394u);
+  EXPECT_TRUE(report->audit_ok) << report->audit_summary;
+
+  const std::vector<std::pair<std::uint32_t, VertexId>> expected_events = {
+      {0, 1}, {0, 21}, {0, 67}, {0, 92}, {0, 115}, {0, 138}, {0, 141}, {0, 153},
+      {0, 179}, {0, 180}, {0, 226}, {0, 89}, {0, 95}, {0, 137}, {0, 151},
+      {0, 216}, {0, 23}, {0, 31}, {0, 34}, {0, 37}, {0, 54}, {0, 87}, {0, 128},
+      {0, 149}, {0, 185}, {0, 205}, {0, 208}, {0, 32}, {0, 50}, {0, 76},
+      {0, 111}, {0, 152}, {0, 189}, {0, 213}, {0, 39}, {0, 74}, {0, 129},
+      {0, 132}, {0, 193}, {0, 239}, {0, 10}, {0, 38}, {0, 46}, {0, 59},
+      {0, 182}, {0, 183}, {0, 3}, {0, 16}, {0, 120}, {0, 206}, {0, 210},
+      {0, 221}, {0, 229}, {0, 109}, {0, 121}, {0, 47}, {0, 119}, {0, 60},
+      {0, 196}, {0, 7}, {0, 214}, {2, 92}, {2, 138}, {2, 153}, {2, 180},
+      {2, 89}, {2, 137}, {2, 216}, {2, 31}, {2, 37}, {2, 87}, {2, 149},
+      {2, 205}, {2, 32}, {2, 76}, {2, 152}, {2, 213}, {2, 74}, {2, 132},
+      {2, 239}, {2, 38}, {2, 59}, {2, 183}, {2, 16}, {2, 206}, {2, 221},
+      {2, 109}, {2, 47}, {2, 60}, {2, 7}, {2, 21}};
+  EXPECT_EQ(report->orphan_events, expected_events);
+
+  struct GoldenWorker {
+    bool crashed;
+    std::uint64_t reassigned_clusters;
+    std::uint64_t stolen_units;
+    std::uint64_t adopted_units;
+    std::uint64_t embeddings;
+    double modeled_start_seconds;
+    double modeled_enum_seconds;
+    double recovery_seconds;
+  };
+  const std::vector<GoldenWorker> expected_workers = {
+      {true, 0, 0, 0, 58, 5.0890000000000002e-05, 2.9035000000000002e-05, 0},
+      {false, 61, 0, 61, 197, 3.0627999999999999e-05, 0.0013584351999999997,
+       0.0012873451999999997},
+      {true, 30, 0, 0, 139, 3.065e-05, 7.4154999999999875e-05, 0}};
+  ASSERT_EQ(report->workers.size(), expected_workers.size());
+  for (std::size_t k = 0; k < expected_workers.size(); ++k) {
+    const auto& got = report->workers[k];
+    const GoldenWorker& want = expected_workers[k];
+    EXPECT_EQ(got.crashed, want.crashed) << "worker " << k;
+    EXPECT_EQ(got.reassigned_clusters, want.reassigned_clusters)
+        << "worker " << k;
+    EXPECT_EQ(got.stolen_units, want.stolen_units) << "worker " << k;
+    EXPECT_EQ(got.adopted_units, want.adopted_units) << "worker " << k;
+    EXPECT_EQ(got.embeddings, want.embeddings) << "worker " << k;
+    EXPECT_DOUBLE_EQ(got.modeled_start_seconds, want.modeled_start_seconds)
+        << "worker " << k;
+    EXPECT_DOUBLE_EQ(got.modeled_enum_seconds, want.modeled_enum_seconds)
+        << "worker " << k;
+    EXPECT_DOUBLE_EQ(got.recovery_seconds, want.recovery_seconds)
+        << "worker " << k;
+  }
+}
+
 }  // namespace
 }  // namespace ceci

@@ -3,10 +3,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "baselines/vf2.h"
+#include "dist/cost_model.h"
 #include "distsim/cluster.h"
-#include "distsim/cost_model.h"
 #include "distsim/dist_matcher.h"
 #include "gen/paper_queries.h"
 #include "gen/random_graphs.h"
@@ -16,9 +17,9 @@ namespace ceci {
 namespace {
 
 using ::ceci::testing::PaperExample;
+using dist::CostModel;
 using distsim::AssignOptions;
 using distsim::AssignPivots;
-using distsim::CostModel;
 using distsim::DistOptions;
 using distsim::DistResultJson;
 using distsim::DistributedMatch;
@@ -413,6 +414,174 @@ TEST(DistRecoveryTest, RecoveryCountersSurfaceInJson) {
   EXPECT_NE(json.find("\"reassigned_clusters\""), std::string::npos);
   EXPECT_NE(json.find("\"storage_retries\""), std::string::npos);
   EXPECT_NE(json.find("\"crashed\":true"), std::string::npos);
+}
+
+
+// --- Golden pin of the failure replay ---
+//
+// Exact deterministic fields of failure-plan runs: counters compare
+// exactly, modeled seconds with EXPECT_DOUBLE_EQ. preprocess_seconds and
+// makespan_seconds are measured and are not pinned. Any change to the
+// replay's event order, tie breaks, adoption rule or cost arithmetic
+// shows up here.
+
+struct GoldenMachine {
+  bool crashed;
+  std::uint64_t embeddings;
+  std::uint64_t stolen_units;
+  std::uint64_t reassigned_clusters;
+  std::uint64_t storage_retries;
+  std::uint64_t messages_received;
+  std::uint64_t bytes_received;
+  double build_compute_seconds;
+  double enum_compute_seconds;
+  double io_seconds;
+  double comm_seconds;
+  double recovery_seconds;
+};
+
+struct GoldenScenario {
+  std::size_t machines;
+  std::size_t lanes;
+  GraphStorage storage;
+  bool work_stealing;
+  std::uint64_t seed;
+  std::vector<MachineCrash> crashes;
+  std::vector<MachineStraggler> stragglers;
+  double storage_error_rate;
+};
+
+void ExpectGolden(const GoldenScenario& scenario,
+                  const std::vector<GoldenMachine>& expected) {
+  Graph data = GenerateBarabasiAlbert(300, 3, 7);
+  Graph query = MakePaperQuery(PaperQuery::kQG3);
+  DistOptions options;
+  options.num_machines = scenario.machines;
+  options.threads_per_machine = scenario.lanes;
+  options.storage = scenario.storage;
+  options.work_stealing = scenario.work_stealing;
+  options.failure_plan.enabled = true;
+  options.failure_plan.seed = scenario.seed;
+  options.failure_plan.crashes = scenario.crashes;
+  options.failure_plan.stragglers = scenario.stragglers;
+  options.failure_plan.storage_error_rate = scenario.storage_error_rate;
+  auto result = DistributedMatch(data, query, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->embeddings, 250u);
+  ASSERT_EQ(result->machines.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& got = result->machines[i];
+    const GoldenMachine& want = expected[i];
+    EXPECT_EQ(got.crashed, want.crashed) << "machine " << i;
+    EXPECT_EQ(got.embeddings, want.embeddings) << "machine " << i;
+    EXPECT_EQ(got.stolen_units, want.stolen_units) << "machine " << i;
+    EXPECT_EQ(got.reassigned_clusters, want.reassigned_clusters)
+        << "machine " << i;
+    EXPECT_EQ(got.storage_retries, want.storage_retries) << "machine " << i;
+    EXPECT_EQ(got.messages_received, want.messages_received)
+        << "machine " << i;
+    EXPECT_EQ(got.bytes_received, want.bytes_received) << "machine " << i;
+    EXPECT_DOUBLE_EQ(got.build_compute_seconds, want.build_compute_seconds)
+        << "machine " << i;
+    EXPECT_DOUBLE_EQ(got.enum_compute_seconds, want.enum_compute_seconds)
+        << "machine " << i;
+    EXPECT_DOUBLE_EQ(got.io_seconds, want.io_seconds) << "machine " << i;
+    EXPECT_DOUBLE_EQ(got.comm_seconds, want.comm_seconds) << "machine " << i;
+    EXPECT_DOUBLE_EQ(got.recovery_seconds, want.recovery_seconds)
+        << "machine " << i;
+  }
+}
+
+// A mid-enumeration crash plus a straggler, one lane per machine.
+TEST(DistReplayGoldenTest, ReplicatedOneLaneCrashAndStraggler) {
+  ExpectGolden({4, 1, GraphStorage::kReplicated, true, 11,
+                {{1, 3e-4}}, {{3, 2.5}}, 0.0},
+               {
+                   {false, 77, 0, 8, 0, 40, 14440, 8.4040000000000012e-06,
+                    0.0015686382000000023, 0, 6.0713600000000008e-05,
+                    0.0010419682000000043},
+                   {true, 99, 0, 0, 0, 1, 300, 8.2460000000000003e-06,
+                    0.00027069000000000003, 0, 2.0240000000000003e-05, 0},
+                   {false, 29, 1, 47, 0, 49, 17626, 8.3720000000000005e-06,
+                    0.0016512728000000025, 0, 2.0236800000000002e-05,
+                    0.001025287400000004},
+                   {false, 45, 0, 15, 0, 16, 5711, 2.0635000000000001e-05,
+                    0.0015912319999999999, 0, 2.0236800000000002e-05,
+                    0.00030985700000000062}
+               });
+}
+
+// Machine 1 adopts clusters from machine 0, then dies itself: the
+// orphans follow the adopter chain to machine 2.
+TEST(DistReplayGoldenTest, ReplicatedTwoLanesChainedDoubleCrash) {
+  ExpectGolden({3, 2, GraphStorage::kReplicated, true, 12,
+                {{0, 1e-4}, {1, 2e-4}}, {}, 0.0},
+               {
+                   {true, 1, 0, 0, 0, 0, 0, 9.9180000000000006e-06,
+                    4.6304999999999991e-05, 0, 4.0633600000000003e-05, 0},
+                   {true, 102, 0, 47, 0, 87, 27486, 9.1800000000000002e-06,
+                    0.00016991499999999995, 0, 2.0316800000000002e-05, 0},
+                   {false, 147, 0, 191, 0, 287, 85844, 1.0022e-05,
+                    0.0038227042000000206, 0, 2.0316800000000002e-05,
+                    0.0066644984000000362}
+               });
+}
+
+// Orphans are adopted even with stealing off; nothing is stolen.
+TEST(DistReplayGoldenTest, ReplicatedTwoLanesNoStealing) {
+  ExpectGolden({4, 2, GraphStorage::kReplicated, false, 13,
+                {{3, 1.5e-4}}, {{0, 4.0}}, 0.0},
+               {
+                   {false, 70, 0, 0, 0, 0, 0, 3.3616000000000005e-05,
+                    0.0010533599999999999, 0, 6.0713600000000008e-05, 0},
+                   {false, 109, 0, 41, 0, 56, 17185, 8.2460000000000003e-06,
+                    0.0009270417999999996, 0, 2.0240000000000003e-05,
+                    0.0012624479999999993},
+                   {false, 46, 0, 29, 0, 53, 16260, 8.3720000000000005e-06,
+                    0.00089574059999999989, 0, 2.0236800000000002e-05,
+                    0.0011825112000000003},
+                   {true, 25, 0, 0, 0, 1, 296, 8.2540000000000009e-06,
+                    0.00012005500000000002, 0, 2.0236800000000002e-05, 0}
+               });
+}
+
+// Shared storage with flaky reads, a straggler and a crash.
+TEST(DistReplayGoldenTest, SharedOneLaneFlakyStorage) {
+  ExpectGolden({4, 1, GraphStorage::kShared, true, 7,
+                {{2, 2.1e-3}}, {{1, 3.0}}, 0.2},
+               {
+                   {false, 44, 41, 45, 0, 86, 31910, 8.3720000000000005e-06,
+                    0.0024815106000000073, 0.00056988375000000002,
+                    6.0710400000000007e-05, 0.00098220460000000322},
+                   {false, 60, 0, 7, 1, 8, 2900, 2.5290000000000004e-05,
+                    0.0012739056000000046, 0.0017693725000000001,
+                    2.0236800000000002e-05, 0.00012421560000000151},
+                   {true, 113, 0, 0, 1, 1, 296, 8.3280000000000006e-06,
+                    0.00030362500000000051, 0.00176085, 2.0236800000000002e-05,
+                    0},
+                   {false, 33, 44, 17, 0, 85, 31456, 8.2700000000000004e-06,
+                    0.0025214080000000071, 0.00055735500000000005,
+                    2.0236800000000002e-05, 0.0010021240000000035}
+               });
+}
+
+// Machine 0 dies before doing anything; every unit moves.
+TEST(DistReplayGoldenTest, SharedTwoLanesCrashAtZero) {
+  ExpectGolden({4, 2, GraphStorage::kShared, true, 21,
+                {{0, 0.0}}, {}, 0.1},
+               {
+                   {true, 0, 0, 0, 0, 0, 0, 8.3720000000000005e-06, 0,
+                    0.00056988375000000002, 6.0710400000000007e-05, 0},
+                   {false, 64, 0, 2, 1, 42, 15302, 8.4300000000000006e-06,
+                    0.00027396499999999971, 0.0017693725000000001,
+                    2.0236800000000002e-05, 0},
+                   {false, 139, 50, 37, 0, 88, 29088, 8.3280000000000006e-06,
+                    0.0014996384000000016, 0.00056085, 2.0236800000000002e-05,
+                    0.0014283096000000004},
+                   {false, 47, 48, 36, 0, 85, 28112, 8.2700000000000004e-06,
+                    0.0014892212000000005, 0.00055735500000000005,
+                    2.0236800000000002e-05, 0.0014586946000000006}
+               });
 }
 
 }  // namespace

@@ -665,5 +665,46 @@ TEST(TcpServerTest, OversizedRequestLineIsRejected) {
   server.Stop();
 }
 
+// Each finished connection's thread is joined as later connections
+// arrive, so a long run of short connections holds at most
+// max_connections threads instead of one per connection ever served.
+TEST(TcpServerTest, FinishedConnectionThreadsAreReaped) {
+  const Graph data = TestData();
+  ServiceOptions options;
+  options.pool_threads = 1;
+  QueryService service(data, options);
+  TcpServerOptions server_options;
+  server_options.max_connections = 16;
+  TcpServer server(service, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  const std::string ping = "PING\n";
+  for (int i = 0; i < 200; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_EQ(::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(ping.size()));
+    char pong[5] = {};
+    ASSERT_EQ(::recv(fd, pong, sizeof(pong), MSG_WAITALL), 5) << i;
+    ::close(fd);
+    EXPECT_LE(server.held_threads(), server_options.max_connections)
+        << "after connection " << i;
+  }
+  server.Stop();
+  EXPECT_EQ(server.held_threads(), 0u);
+}
+
 }  // namespace
 }  // namespace ceci
