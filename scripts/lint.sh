@@ -164,6 +164,22 @@ if [[ -n "$hits" ]]; then
     "$hits"
 fi
 
+# --- Rule: one Algorithm-1 builder and one filter table. The LF/DF/NLC
+# verdicts are computed once per query by FilterTable::Compute
+# (src/ceci/preprocess.cc) and only read from the table by CeciBuilder,
+# over a resident Graph and an OnDemandCsr alike. An NLC coverage test
+# elsewhere in src/ceci/ is a second filter chain growing back — the
+# deleted out-of-core copy had one and could not reproduce the per-filter
+# rejection counts — and so is any include of its header.
+hits=$(echo "$sources" | grep -E '^src/ceci/' | grep -v '^src/ceci/preprocess\.cc$' \
+  | xargs grep -nF '.Covers(' 2>/dev/null || true)
+hits+=$(grep -rnE '#include\s*"ceci/streaming_builder\.h"' src tests bench examples \
+  perfbench 2>/dev/null || true)
+if [[ -n "$hits" ]]; then
+  fail "filter verdicts outside the FilterTable (read them from preprocess.cc's table)" \
+    "$hits"
+fi
+
 # --- Rule: every registered ceci.* / dist.* metric is documented. The
 # counter tables in docs/observability.md are the operator-facing contract
 # for /metrics and /varz; a metric registered in src/ but absent from the

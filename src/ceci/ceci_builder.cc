@@ -1,9 +1,10 @@
 #include "ceci/ceci_builder.h"
 
 #include <algorithm>
-
 #include <string>
+#include <type_traits>
 
+#include "graphio/binary_csr.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -28,9 +29,14 @@ constexpr std::uint64_t kBuildPollStride = 1024;
 
 }  // namespace
 
-CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
-                             const BuildOptions& options,
-                             BuildStats* stats) const {
+template <typename Source>
+BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
+                                               const QueryTree& tree,
+                                               const BuildOptions& options,
+                                               BuildStats* stats) const {
+  constexpr bool kStore = !std::is_same_v<Source, Graph>;
+  CECI_CHECK(!kStore || options.pool == nullptr)
+      << "a build over a store runs serially";
   Timer timer;
   BuildStats local_stats;
   if (stats == nullptr) stats = &local_stats;
@@ -301,7 +307,13 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
   }
 
   stats->seconds = timer.Seconds();
+  if constexpr (kStore) {
+    if (!data_.status().ok()) return data_.status();
+  }
   return index;
 }
+
+template class CeciBuilder<Graph>;
+template class CeciBuilder<OnDemandCsr>;
 
 }  // namespace ceci

@@ -14,6 +14,7 @@
 #define CECI_CECI_CECI_BUILDER_H_
 
 #include <cstdint>
+#include <type_traits>
 
 #include "ceci/ceci_index.h"
 #include "ceci/preprocess.h"
@@ -21,6 +22,7 @@
 #include "graph/graph.h"
 #include "graph/nlc_index.h"
 #include "util/budget.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace ceci {
@@ -28,7 +30,7 @@ namespace ceci {
 struct BuildOptions {
   /// Optional pool for parallel frontier expansion (§3.6: dynamic pull
   /// distribution with thread-private bins merged afterwards). Null runs
-  /// serially.
+  /// serially; a build over an OnDemandCsr requires null.
   ThreadPool* pool = nullptr;
   /// Frontiers smaller than this expand serially even with a pool.
   std::size_t parallel_threshold = 2048;
@@ -90,20 +92,34 @@ struct BuildStats {
   double seconds = 0.0;
 };
 
+/// What Build returns: a resident Graph builds infallibly; a store's reads
+/// can fail, so its build returns the first failed read instead.
+template <typename Source>
+using BuildResult = std::conditional_t<std::is_same_v<Source, Graph>,
+                                       CeciIndex, Result<CeciIndex>>;
+
 /// Builds the unrefined CECI for (data, query) under `tree`'s matching
 /// order. Candidate sets are exact w.r.t. completeness (Lemma 1): no true
 /// candidate is ever removed.
+///
+/// `Source` is a resident Graph, or an OnDemandCsr (graphio/binary_csr.h)
+/// for §5's shared-storage mode: each frontier expansion is then one
+/// counted storage read, so BuildStats::frontier_expansions equals the
+/// store's requests. Both are explicitly instantiated in ceci_builder.cc.
+/// A store build runs serially (BuildOptions::pool must be null).
+template <typename Source>
 class CeciBuilder {
  public:
-  CeciBuilder(const Graph& data, const NlcIndex& data_nlc)
+  CeciBuilder(const Source& data, const NlcIndex& data_nlc)
       : data_(data), nlc_(data_nlc) {}
 
   /// Runs Algorithm 1 plus NTE construction. `stats` may be null.
-  CeciIndex Build(const Graph& query, const QueryTree& tree,
-                  const BuildOptions& options, BuildStats* stats) const;
+  BuildResult<Source> Build(const Graph& query, const QueryTree& tree,
+                            const BuildOptions& options,
+                            BuildStats* stats) const;
 
  private:
-  const Graph& data_;
+  const Source& data_;
   const NlcIndex& nlc_;
 };
 

@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <limits>
 
+#include "graphio/binary_csr.h"
 #include "util/logging.h"
 
 namespace ceci {
 namespace {
 
 // Chooses the label bucket to scan: the least frequent label of u.
-Label ScanLabel(const Graph& data, const Graph& query, VertexId u) {
+template <typename Source>
+Label ScanLabel(const Source& data, const Graph& query, VertexId u) {
   Label best = query.label(u);
   std::size_t best_size = std::numeric_limits<std::size_t>::max();
   for (Label l : query.labels(u)) {
@@ -24,7 +26,8 @@ Label ScanLabel(const Graph& data, const Graph& query, VertexId u) {
 
 }  // namespace
 
-FilterTable FilterTable::Compute(const Graph& data, const NlcIndex& data_nlc,
+template <typename Source>
+FilterTable FilterTable::Compute(const Source& data, const NlcIndex& data_nlc,
                                  const Graph& query,
                                  std::vector<std::size_t>* candidate_counts) {
   const std::size_t nq = query.num_vertices();
@@ -57,7 +60,8 @@ FilterTable FilterTable::Compute(const Graph& data, const NlcIndex& data_nlc,
   return table;
 }
 
-std::vector<VertexId> FilterTable::Candidates(const Graph& data,
+template <typename Source>
+std::vector<VertexId> FilterTable::Candidates(const Source& data,
                                               const Graph& query,
                                               VertexId u) const {
   const std::uint8_t* verdicts = row(u);
@@ -69,7 +73,8 @@ std::vector<VertexId> FilterTable::Candidates(const Graph& data,
   return out;
 }
 
-Result<Preprocessed> Preprocess(const Graph& data, const NlcIndex& data_nlc,
+template <typename Source>
+Result<Preprocessed> Preprocess(const Source& data, const NlcIndex& data_nlc,
                                 const Graph& query,
                                 const PreprocessOptions& options) {
   if (query.num_vertices() == 0) {
@@ -109,5 +114,24 @@ Result<Preprocessed> Preprocess(const Graph& data, const NlcIndex& data_nlc,
   CECI_RETURN_IF_ERROR(out.tree.SetMatchingOrder(std::move(order)));
   return out;
 }
+
+template FilterTable FilterTable::Compute(const Graph&, const NlcIndex&,
+                                          const Graph&,
+                                          std::vector<std::size_t>*);
+template FilterTable FilterTable::Compute(const OnDemandCsr&,
+                                          const NlcIndex&, const Graph&,
+                                          std::vector<std::size_t>*);
+template std::vector<VertexId> FilterTable::Candidates(const Graph&,
+                                                       const Graph&,
+                                                       VertexId) const;
+template std::vector<VertexId> FilterTable::Candidates(const OnDemandCsr&,
+                                                       const Graph&,
+                                                       VertexId) const;
+template Result<Preprocessed> Preprocess(const Graph&, const NlcIndex&,
+                                         const Graph&,
+                                         const PreprocessOptions&);
+template Result<Preprocessed> Preprocess(const OnDemandCsr&, const NlcIndex&,
+                                         const Graph&,
+                                         const PreprocessOptions&);
 
 }  // namespace ceci

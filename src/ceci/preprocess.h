@@ -5,6 +5,11 @@
 // The filters run once per query: every (query vertex, data vertex) verdict
 // lands in one FilterTable, which CeciBuilder::Build reads instead of
 // re-testing the filters on every neighbour it scans (§3.2, Algorithm 1).
+//
+// The data source is a template parameter: a resident Graph, or an
+// OnDemandCsr (graphio/binary_csr.h) for §5's shared-storage mode. Both
+// are explicitly instantiated in preprocess.cc. Preprocessing reads only
+// degrees and labels, which the store keeps resident.
 #ifndef CECI_CECI_PREPROCESS_H_
 #define CECI_CECI_PREPROCESS_H_
 
@@ -38,7 +43,8 @@ class FilterTable {
   /// Runs the filters over each query vertex's scan bucket (its least
   /// frequent label's vertices); vertices outside the bucket read kLabel.
   /// `candidate_counts`, when non-null, receives |candidate(u)| per u.
-  static FilterTable Compute(const Graph& data, const NlcIndex& data_nlc,
+  template <typename Source>
+  static FilterTable Compute(const Source& data, const NlcIndex& data_nlc,
                              const Graph& query,
                              std::vector<std::size_t>* candidate_counts);
 
@@ -50,7 +56,8 @@ class FilterTable {
 
   /// Sorted data vertices whose verdict for u is kPass, read from u's
   /// scan bucket.
-  std::vector<VertexId> Candidates(const Graph& data, const Graph& query,
+  template <typename Source>
+  std::vector<VertexId> Candidates(const Source& data, const Graph& query,
                                    VertexId u) const;
 
   /// Frees the buffer.
@@ -88,7 +95,8 @@ struct Preprocessed {
 
 /// Runs the full preprocessing pipeline. Fails only on malformed input
 /// (empty or disconnected query).
-Result<Preprocessed> Preprocess(const Graph& data, const NlcIndex& data_nlc,
+template <typename Source>
+Result<Preprocessed> Preprocess(const Source& data, const NlcIndex& data_nlc,
                                 const Graph& query,
                                 const PreprocessOptions& options);
 

@@ -1,6 +1,7 @@
 #include "graph/graph_builder.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace ceci {
 
@@ -50,42 +51,23 @@ Result<Graph> GraphBuilder::Build() {
   // Labels: sort by (vertex, label), dedupe; default label 0 for unlabeled.
   std::sort(labels_.begin(), labels_.end());
   labels_.erase(std::unique(labels_.begin(), labels_.end()), labels_.end());
-  g.label_offsets_.assign(n + 1, 0);
-  g.vertex_labels_.clear();
+  std::vector<std::uint32_t> label_offsets(n + 1, 0);
+  std::vector<Label> vertex_labels;
   {
     std::size_t li = 0;
     for (std::size_t v = 0; v < n; ++v) {
-      std::size_t begin = g.vertex_labels_.size();
+      std::size_t begin = vertex_labels.size();
       while (li < labels_.size() && labels_[li].first == v) {
-        g.vertex_labels_.push_back(labels_[li].second);
+        vertex_labels.push_back(labels_[li].second);
         ++li;
       }
-      if (g.vertex_labels_.size() == begin) {
-        g.vertex_labels_.push_back(0);  // default label
+      if (vertex_labels.size() == begin) {
+        vertex_labels.push_back(0);  // default label
       }
-      g.label_offsets_[v + 1] =
-          static_cast<std::uint32_t>(g.vertex_labels_.size());
+      label_offsets[v + 1] = static_cast<std::uint32_t>(vertex_labels.size());
     }
   }
-
-  Label max_label = 0;
-  for (Label l : g.vertex_labels_) max_label = std::max(max_label, l);
-  g.num_labels_ = static_cast<std::size_t>(max_label) + 1;
-
-  // Inverted label index: vertices grouped by each label they carry.
-  g.label_index_offsets_.assign(g.num_labels_ + 1, 0);
-  for (Label l : g.vertex_labels_) g.label_index_offsets_[l + 1]++;
-  for (std::size_t l = 0; l < g.num_labels_; ++l) {
-    g.label_index_offsets_[l + 1] += g.label_index_offsets_[l];
-  }
-  g.label_index_.resize(g.vertex_labels_.size());
-  {
-    std::vector<EdgeId> cursor(g.label_index_offsets_.begin(),
-                               g.label_index_offsets_.end() - 1);
-    for (VertexId v = 0; v < n; ++v) {
-      for (Label l : g.labels(v)) g.label_index_[cursor[l]++] = v;
-    }
-  }
+  g.labels_ = VertexLabels(std::move(label_offsets), std::move(vertex_labels));
 
   g.max_degree_ = 0;
   for (std::size_t v = 0; v < n; ++v) {

@@ -4,32 +4,7 @@
 
 namespace ceci {
 
-NlcIndex::NlcIndex(const Graph& g) {
-  const std::size_t n = g.num_vertices();
-  offsets_.assign(n + 1, 0);
-  // One dense counter per label; `touched` lists the labels a vertex's
-  // neighborhood raised from zero, so resetting costs only those slots.
-  std::vector<std::uint32_t> count(g.num_labels(), 0);
-  std::vector<Label> touched;
-  for (VertexId v = 0; v < n; ++v) {
-    for (VertexId w : g.neighbors(v)) {
-      for (Label l : g.labels(w)) {
-        if (count[l]++ == 0) touched.push_back(l);
-      }
-    }
-    std::sort(touched.begin(), touched.end());
-    for (Label l : touched) {
-      entries_.push_back(Entry{l, count[l]});
-      count[l] = 0;
-    }
-    touched.clear();
-    offsets_[v + 1] = entries_.size();
-  }
-  // No shrink_to_fit: the tail past size() is never written, so it costs
-  // address space rather than memory, and the extra copy and free measured
-  // 6 MB more peak RSS over eight 200k-vertex graphs loaded in turn (glibc
-  // then placed the next graph's load temporaries less compactly).
-}
+template NlcIndex::NlcIndex(const Graph&);
 
 bool NlcIndex::Covers(VertexId v, std::span<const Entry> required) const {
   auto have = entries(v);

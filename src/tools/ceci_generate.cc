@@ -12,7 +12,9 @@
 // Flags:
 //   --family F     kronecker | er | ba | social        (required)
 //   --out PATH     output file                         (required)
-//   --format FMT   edgelist | labeled | csr | csrstore (default: labeled)
+//   --format FMT   edgelist | labeled | csr            (default: labeled)
+//                  csr is the binary CSR file (§5's shared-storage layout),
+//                  read resident or with adjacency on demand
 //   --n N          vertices (er/ba/social)
 //   --m M          edges (er)
 //   --attach K     attachment count / cap (ba/social)
@@ -32,7 +34,6 @@
 #include "gen/random_graphs.h"
 #include "graph/metrics.h"
 #include "graphio/binary_csr.h"
-#include "graphio/csr_store.h"
 #include "graphio/edge_list.h"
 
 namespace {
@@ -109,9 +110,11 @@ int main(int argc, char** argv) {
     std::fprintf(
         stderr,
         "usage: ceci_generate --family kronecker|er|ba|social --out PATH\n"
-        "         [--format edgelist|labeled|csr|csrstore] [--n N] [--m M]\n"
+        "         [--format edgelist|labeled|csr] [--n N] [--m M]\n"
         "         [--attach K] [--scale S] [--edge-factor E] [--labels L]\n"
-        "         [--multi-labels K] [--seed S]\n");
+        "         [--multi-labels K] [--seed S]\n"
+        "  csr: binary CSR (offsets, label runs, sorted adjacency), loaded\n"
+        "       resident or read with adjacency on demand\n");
     return 2;
   }
 
@@ -147,8 +150,6 @@ int main(int argc, char** argv) {
     st = WriteLabeledGraph(g, args.out);
   } else if (args.format == "csr") {
     st = WriteBinaryCsr(g, args.out);
-  } else if (args.format == "csrstore") {
-    st = WriteCsrStore(g, args.out);
   } else {
     std::fprintf(stderr, "unknown --format %s\n", args.format.c_str());
     return 2;

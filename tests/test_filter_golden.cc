@@ -4,10 +4,14 @@
 // neighbour. The values below were recorded with the builder that re-ran
 // the filters; every execution path must reproduce them exactly: candidate
 // counts, built candidate-set sizes, every BuildStats counter, the
-// embedding count and the frozen arena image.
+// embedding count and the frozen arena image. The paths include the
+// shared-storage one (§5), which builds from a CSR file read on demand.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -15,6 +19,7 @@
 #include <vector>
 
 #include "ceci/ceci_builder.h"
+#include "ceci/enumerator.h"
 #include "ceci/flat_index.h"
 #include "ceci/matcher.h"
 #include "ceci/preprocess.h"
@@ -23,6 +28,7 @@
 #include "ceci/symmetry.h"
 #include "gen/query_gen.h"
 #include "graph/graph_builder.h"
+#include "graphio/binary_csr.h"
 #include "test_support.h"
 #include "util/crc32.h"
 #include "util/thread_pool.h"
@@ -159,6 +165,49 @@ Observation ObserveBareBuild(const Graph& data, const Graph& query,
   return o;
 }
 
+// Shared-storage path: the data graph is written to a CSR file and only
+// read back through an OnDemandCsr. Preprocess, the NLC index and Build
+// run over the store; refinement, the freeze and enumeration need no data
+// graph.
+Observation ObserveStoreBuild(const Graph& data, const Graph& query) {
+  static int counter = 0;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ceci_golden_" + std::to_string(::getpid()) + "_" +
+        std::to_string(counter++) + ".csr"))
+          .string();
+  CECI_CHECK(WriteBinaryCsr(data, path).ok());
+  auto store = OnDemandCsr::Open(path);
+  std::filesystem::remove(path);  // the open stream keeps it readable
+  CECI_CHECK(store.ok()) << store.status().ToString();
+
+  Observation o;
+  const NlcIndex nlc(*store);
+  auto pre = Preprocess(*store, nlc, query, PreprocessOptions{kGoldenOrder});
+  CECI_CHECK(pre.ok()) << pre.status().ToString();
+  o.candidate_counts = pre->candidate_counts;
+  BuildOptions options;
+  options.filter_table = &pre->filter;
+  options.root_candidates = &pre->root_candidates;
+  BuildStats stats;
+  auto index =
+      CeciBuilder(*store, nlc).Build(query, pre->tree, options, &stats);
+  CECI_CHECK(index.ok()) << index.status().ToString();
+  RecordBuild(stats, &o);
+  for (VertexId u = 0; u < query.num_vertices(); ++u) {
+    o.built_sizes.push_back(index->at(u).candidates.size());
+  }
+  RefineCeci(pre->tree, store->num_vertices(), &index.value(), nullptr);
+  const FlatCeciIndex flat = FlatCeciIndex::Build(*index, pre->tree);
+  RecordArena(flat, &o);
+  const SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
+  EnumOptions enum_options;
+  enum_options.symmetry = &symmetry;
+  o.embeddings =
+      Enumerator(pre->tree, flat, enum_options).EnumerateAll(nullptr);
+  return o;
+}
+
 // The labeled social graph with a rare fifth label 4 added to every fifth
 // vertex: a query vertex carrying {l, 4} scans bucket 4, not its first
 // label l.
@@ -230,6 +279,8 @@ void ExpectEveryPathMatches(const Graph& data, const Graph& query,
   EXPECT_EQ(serial, expected) << "through a bare Build";
   const Observation parallel = ObserveBareBuild(data, query, &pool);
   EXPECT_EQ(parallel, expected) << "through a parallel bare Build";
+  const Observation stored = ObserveStoreBuild(data, query);
+  EXPECT_EQ(stored, expected) << "through a Build over the CSR store";
 }
 
 TEST(FilterOnceGoldenTest, EveryPathReproducesTheRecordedBuild) {

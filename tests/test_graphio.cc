@@ -154,6 +154,24 @@ TEST(BinaryCsrTest, RejectsTruncatedFile) {
   EXPECT_FALSE(loaded.ok());
 }
 
+TEST(BinaryCsrTest, LabelCountBeyondFileIsCorruption) {
+  // The header's label-entry count (bytes 24..31) claims 2^62 entries; the
+  // reader must refuse it before allocating.
+  TempDir dir;
+  const std::string path = dir.File("labels.bin");
+  ASSERT_TRUE(
+      WriteBinaryCsr(MakeGraph({0, 1, 2, 3}, {{0, 1}, {1, 2}, {2, 3}}), path)
+          .ok());
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(24);
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  f.close();
+  auto loaded = ReadBinaryCsr(path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+}
+
 TEST(BinaryCsrTest, MissingFileIsIoError) {
   auto loaded = ReadBinaryCsr("/nonexistent/g.bin");
   EXPECT_FALSE(loaded.ok());

@@ -12,7 +12,6 @@
 #include "gen/labels.h"
 #include "gen/random_graphs.h"
 #include "graphio/binary_csr.h"
-#include "graphio/csr_store.h"
 #include "graphio/edge_list.h"
 #include "graphio/pattern_parser.h"
 #include "test_support.h"
@@ -76,20 +75,19 @@ TEST_F(PipelineTest, BinaryCsrPreservesMatchResults) {
 TEST_F(PipelineTest, CsrStoreRebuildMatchesDirectGraph) {
   // Rebuild a Graph from the on-demand store's reads and match on it.
   Graph original = AssignRandomLabels(GenerateSocialGraph(600, 8, 9), 3, 10);
-  ASSERT_TRUE(WriteCsrStore(original, File("g.csr2")).ok());
-  auto store = OnDemandCsr::Open(File("g.csr2"));
+  ASSERT_TRUE(WriteBinaryCsr(original, File("g.csr")).ok());
+  auto store = OnDemandCsr::Open(File("g.csr"));
   ASSERT_TRUE(store.ok());
 
   GraphBuilder builder;
   builder.ReserveVertices(store->num_vertices());
-  std::vector<VertexId> adj;
   for (VertexId v = 0; v < store->num_vertices(); ++v) {
     for (Label l : store->labels(v)) builder.AddLabel(v, l);
-    ASSERT_TRUE(store->ReadNeighbors(v, &adj).ok());
-    for (VertexId w : adj) {
+    for (VertexId w : store->neighbors(v)) {
       if (v < w) builder.AddEdge(v, w);
     }
   }
+  ASSERT_TRUE(store->status().ok());
   auto rebuilt = builder.Build();
   ASSERT_TRUE(rebuilt.ok());
 

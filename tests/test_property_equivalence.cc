@@ -3,6 +3,9 @@
 // the CECI visitor output must equal the VF2 oracle's embedding set.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <set>
 
 #include "baselines/bare_enumerator.h"
@@ -13,11 +16,17 @@
 #include "baselines/turbo_iso.h"
 #include "baselines/vf2.h"
 #include "ceci/cached_matcher.h"
+#include "ceci/ceci_builder.h"
+#include "ceci/enumerator.h"
+#include "ceci/flat_index.h"
 #include "ceci/matcher.h"
+#include "ceci/preprocess.h"
+#include "ceci/refinement.h"
 #include "gen/labels.h"
 #include "gen/paper_queries.h"
 #include "gen/query_gen.h"
 #include "gen/random_graphs.h"
+#include "graphio/binary_csr.h"
 #include "test_support.h"
 
 namespace ceci {
@@ -137,6 +146,39 @@ TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
         << s.name << (hit ? " (cache hit)" : " (cache miss)");
     EXPECT_EQ(collector.raw().size(), collector.AsSet().size());
   }
+
+  // The shared-storage path (§5): the data graph only in a CSR file read
+  // on demand, through Preprocess → Build → refine → freeze → graph-free
+  // enumeration.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ceci_equiv_" + std::to_string(::getpid()) + "_" +
+        std::to_string(GetParam()) + ".csr"))
+          .string();
+  ASSERT_TRUE(WriteBinaryCsr(s.data, path).ok());
+  auto store = OnDemandCsr::Open(path);
+  std::filesystem::remove(path);  // the open stream keeps it readable
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const NlcIndex store_nlc(*store);
+  auto pre = Preprocess(*store, store_nlc, s.query, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  BuildOptions build_options;
+  build_options.filter_table = &pre->filter;
+  build_options.root_candidates = &pre->root_candidates;
+  auto index = CeciBuilder(*store, store_nlc)
+                   .Build(s.query, pre->tree, build_options, nullptr);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  RefineCeci(pre->tree, store->num_vertices(), &index.value(), nullptr);
+  const FlatCeciIndex flat = FlatCeciIndex::Build(*index, pre->tree);
+  const SymmetryConstraints symmetry = SymmetryConstraints::Compute(s.query);
+  EnumOptions enum_options;
+  enum_options.symmetry = &symmetry;
+  EmbeddingCollector store_collector;
+  EmbeddingVisitor store_visitor = std::ref(store_collector);
+  Enumerator(pre->tree, flat, enum_options).EnumerateAll(&store_visitor);
+  EXPECT_EQ(store_collector.AsSet(), oracle_collector.AsSet())
+      << s.name << " (store-backed build)";
+  EXPECT_EQ(store_collector.raw().size(), store_collector.AsSet().size());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomScenarios, EmbeddingSetTest,

@@ -1,7 +1,7 @@
-// Tests for out-of-core CECI construction: the streaming builder must
-// produce exactly the index the in-memory builder produces, reading only
-// through the on-demand store, and a full match must be able to run with
-// no in-memory data graph at all.
+// Tests for out-of-core CECI construction: CeciBuilder over an OnDemandCsr
+// must produce exactly the index it produces over the resident Graph,
+// reading only through the store, and a full match must be able to run
+// with no in-memory data graph at all.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,14 +11,16 @@
 #include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
 #include "ceci/flat_index.h"
+#include "ceci/preprocess.h"
 #include "ceci/refinement.h"
-#include "ceci/streaming_builder.h"
 #include "ceci/symmetry.h"
 #include "gen/labels.h"
 #include "gen/paper_queries.h"
 #include "gen/query_gen.h"
 #include "gen/random_graphs.h"
+#include "graphio/binary_csr.h"
 #include "test_support.h"
+#include "util/thread_pool.h"
 
 namespace ceci {
 namespace {
@@ -62,11 +64,11 @@ void ExpectIndexesEqual(const CeciIndex& a, const CeciIndex& b,
 
 TEST_F(StreamingBuilderTest, MatchesInMemoryBuilderExactly) {
   Graph data = AssignRandomLabels(GenerateSocialGraph(800, 8, 3), 4, 4);
-  ASSERT_TRUE(WriteCsrStore(data, File("g.csr2")).ok());
-  auto store = OnDemandCsr::Open(File("g.csr2"));
+  ASSERT_TRUE(WriteBinaryCsr(data, File("g.csr")).ok());
+  auto store = OnDemandCsr::Open(File("g.csr"));
   ASSERT_TRUE(store.ok());
-  StreamingCeciBuilder streaming(&store.value());
-  ASSERT_TRUE(streaming.PrepareResidentIndexes().ok());
+  const NlcIndex store_nlc(*store);
+  ASSERT_TRUE(store->status().ok());
 
   for (PaperQuery pq : {PaperQuery::kQG1, PaperQuery::kQG3,
                         PaperQuery::kQG5}) {
@@ -80,7 +82,8 @@ TEST_F(StreamingBuilderTest, MatchesInMemoryBuilderExactly) {
         in_memory.Build(query, *tree, BuildOptions{}, nullptr);
     RefineCeci(*tree, data.num_vertices(), &expected, nullptr);
 
-    auto got = streaming.Build(query, *tree, nullptr, nullptr);
+    auto got = CeciBuilder(*store, store_nlc)
+                   .Build(query, *tree, BuildOptions{}, nullptr);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     RefineCeci(*tree, store->num_vertices(), &got.value(), nullptr);
 
@@ -89,11 +92,11 @@ TEST_F(StreamingBuilderTest, MatchesInMemoryBuilderExactly) {
 }
 
 TEST_F(StreamingBuilderTest, GraphFreeMatchEndToEnd) {
-  // The data graph never exists in memory: store → streaming build →
+  // The data graph never exists in memory: store → store-backed build →
   // refinement → graph-free enumeration. Count checked against the
   // conventional pipeline.
   Graph data = AssignRandomLabels(GenerateSocialGraph(600, 10, 7), 3, 8);
-  ASSERT_TRUE(WriteCsrStore(data, File("g.csr2")).ok());
+  ASSERT_TRUE(WriteBinaryCsr(data, File("g.csr")).ok());
   Graph query = MakePaperQuery(PaperQuery::kQG3);
   auto tree = QueryTree::Build(query, 0);
   ASSERT_TRUE(tree.ok());
@@ -111,13 +114,13 @@ TEST_F(StreamingBuilderTest, GraphFreeMatchEndToEnd) {
   Enumerator ref_enum(data, *tree, reference_flat, eo);
   std::uint64_t expected = ref_enum.EnumerateAll(nullptr);
 
-  // Streaming count (graph-free enumerator overload).
-  auto store = OnDemandCsr::Open(File("g.csr2"));
+  // Store-backed count (graph-free enumerator overload).
+  auto store = OnDemandCsr::Open(File("g.csr"));
   ASSERT_TRUE(store.ok());
-  StreamingCeciBuilder streaming(&store.value());
-  ASSERT_TRUE(streaming.PrepareResidentIndexes().ok());
-  auto index = streaming.Build(query, *tree, nullptr, nullptr);
-  ASSERT_TRUE(index.ok());
+  const NlcIndex store_nlc(*store);
+  auto index = CeciBuilder(*store, store_nlc)
+                   .Build(query, *tree, BuildOptions{}, nullptr);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
   RefineCeci(*tree, store->num_vertices(), &index.value(), nullptr);
   const FlatCeciIndex stream_flat = FlatCeciIndex::Build(*index, *tree);
   Enumerator stream_enum(*tree, stream_flat, eo);
@@ -127,33 +130,33 @@ TEST_F(StreamingBuilderTest, GraphFreeMatchEndToEnd) {
 
 TEST_F(StreamingBuilderTest, CountsStorageTraffic) {
   Graph data = GenerateSocialGraph(400, 6, 9);
-  ASSERT_TRUE(WriteCsrStore(data, File("g.csr2")).ok());
-  auto store = OnDemandCsr::Open(File("g.csr2"));
+  ASSERT_TRUE(WriteBinaryCsr(data, File("g.csr")).ok());
+  auto store = OnDemandCsr::Open(File("g.csr"));
   ASSERT_TRUE(store.ok());
-  StreamingCeciBuilder streaming(&store.value());
-  ASSERT_TRUE(streaming.PrepareResidentIndexes().ok());
-  const std::uint64_t after_prepare = streaming.requests();
+  EXPECT_EQ(store->requests(), 0u);  // opening reads no adjacency
+  const NlcIndex store_nlc(*store);
+  const std::uint64_t after_prepare = store->requests();
   EXPECT_EQ(after_prepare, data.num_vertices());  // one NLC pass
 
   Graph query = MakePaperQuery(PaperQuery::kQG1);
   auto tree = QueryTree::Build(query, 0);
   ASSERT_TRUE(tree.ok());
   BuildStats stats;
-  auto index = streaming.Build(query, *tree, nullptr, &stats);
+  auto index = CeciBuilder(*store, store_nlc)
+                   .Build(query, *tree, BuildOptions{}, &stats);
   ASSERT_TRUE(index.ok());
-  EXPECT_GT(streaming.requests(), after_prepare);
-  EXPECT_EQ(streaming.requests() - after_prepare,
-            stats.frontier_expansions);
+  EXPECT_GT(store->requests(), after_prepare);
+  EXPECT_EQ(store->requests() - after_prepare, stats.frontier_expansions);
   EXPECT_GT(stats.neighbors_scanned, 0u);
 }
 
 TEST_F(StreamingBuilderTest, PivotRestrictionWorks) {
   Graph data = GenerateSocialGraph(500, 8, 11);
-  ASSERT_TRUE(WriteCsrStore(data, File("g.csr2")).ok());
-  auto store = OnDemandCsr::Open(File("g.csr2"));
+  ASSERT_TRUE(WriteBinaryCsr(data, File("g.csr")).ok());
+  auto store = OnDemandCsr::Open(File("g.csr"));
   ASSERT_TRUE(store.ok());
-  StreamingCeciBuilder streaming(&store.value());
-  ASSERT_TRUE(streaming.PrepareResidentIndexes().ok());
+  const NlcIndex store_nlc(*store);
+  const CeciBuilder builder(*store, store_nlc);
 
   Graph query = MakePaperQuery(PaperQuery::kQG1);
   auto tree = QueryTree::Build(query, 0);
@@ -163,7 +166,8 @@ TEST_F(StreamingBuilderTest, PivotRestrictionWorks) {
   eo.symmetry = &sym;
 
   std::vector<VertexId> all =
-      streaming.CollectRootCandidates(query, tree->root());
+      FilterTable::Compute(*store, store_nlc, query, nullptr)
+          .Candidates(*store, query, tree->root());
   ASSERT_GT(all.size(), 2u);
   const std::size_t half = all.size() / 2;
   std::vector<VertexId> first(all.begin(), all.begin() + half);
@@ -171,7 +175,9 @@ TEST_F(StreamingBuilderTest, PivotRestrictionWorks) {
 
   std::uint64_t total = 0;
   for (const auto* pivots : {&first, &second}) {
-    auto index = streaming.Build(query, *tree, pivots, nullptr);
+    BuildOptions options;
+    options.root_candidates = pivots;
+    auto index = builder.Build(query, *tree, options, nullptr);
     ASSERT_TRUE(index.ok());
     RefineCeci(*tree, store->num_vertices(), &index.value(), nullptr);
     const FlatCeciIndex flat = FlatCeciIndex::Build(*index, *tree);
@@ -179,7 +185,7 @@ TEST_F(StreamingBuilderTest, PivotRestrictionWorks) {
     total += e.EnumerateAll(nullptr);
   }
 
-  auto whole = streaming.Build(query, *tree, nullptr, nullptr);
+  auto whole = builder.Build(query, *tree, BuildOptions{}, nullptr);
   ASSERT_TRUE(whole.ok());
   RefineCeci(*tree, store->num_vertices(), &whole.value(), nullptr);
   const FlatCeciIndex whole_flat = FlatCeciIndex::Build(*whole, *tree);
@@ -187,17 +193,41 @@ TEST_F(StreamingBuilderTest, PivotRestrictionWorks) {
   EXPECT_EQ(total, e.EnumerateAll(nullptr));
 }
 
-TEST_F(StreamingBuilderTest, BuildBeforePrepareIsRejected) {
-  Graph data = testing::MakeUnlabeled(4, {{0, 1}, {1, 2}, {2, 3}});
-  ASSERT_TRUE(WriteCsrStore(data, File("g.csr2")).ok());
-  auto store = OnDemandCsr::Open(File("g.csr2"));
+TEST_F(StreamingBuilderTest, FailedReadIsReturnedFromBuild) {
+  Graph data = GenerateSocialGraph(300, 6, 13);
+  ASSERT_TRUE(WriteBinaryCsr(data, File("g.csr")).ok());
+  // Keep the resident sections, drop the adjacency tail.
+  std::filesystem::resize_file(File("g.csr"),
+                               std::filesystem::file_size(File("g.csr")) -
+                                   1024);
+  auto store = OnDemandCsr::Open(File("g.csr"));
   ASSERT_TRUE(store.ok());
-  StreamingCeciBuilder streaming(&store.value());
+  const NlcIndex nlc(data);
   Graph query = MakePaperQuery(PaperQuery::kQG1);
   auto tree = QueryTree::Build(query, 0);
   ASSERT_TRUE(tree.ok());
-  auto index = streaming.Build(query, *tree, nullptr, nullptr);
-  EXPECT_FALSE(index.ok());
+  auto index = CeciBuilder(*store, nlc).Build(query, *tree, BuildOptions{},
+                                              nullptr);
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), Status::Code::kCorruption);
+}
+
+TEST_F(StreamingBuilderTest, StoreBuildWithPoolFailsCheck) {
+  Graph data = testing::MakeUnlabeled(4, {{0, 1}, {1, 2}, {2, 3}});
+  ASSERT_TRUE(WriteBinaryCsr(data, File("g.csr")).ok());
+  auto store = OnDemandCsr::Open(File("g.csr"));
+  ASSERT_TRUE(store.ok());
+  const NlcIndex nlc(*store);
+  Graph query = testing::MakeUnlabeled(2, {{0, 1}});
+  auto tree = QueryTree::Build(query, 0);
+  ASSERT_TRUE(tree.ok());
+  // The pool's threads exist when the death test forks.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ThreadPool pool(2);
+  BuildOptions options;
+  options.pool = &pool;
+  EXPECT_DEATH(CeciBuilder(*store, nlc).Build(query, *tree, options, nullptr),
+               "serially");
 }
 
 }  // namespace

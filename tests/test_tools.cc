@@ -106,12 +106,14 @@ TEST_F(ToolsTest, BinaryFormatsRoundTrip) {
   EXPECT_NE(Slurp(File("out.txt")).find("embeddings:"), std::string::npos);
 }
 
-TEST_F(ToolsTest, CsrStoreFormatWrites) {
-  ASSERT_EQ(Run("ceci_generate",
+TEST_F(ToolsTest, CsrStoreFormatIsGone) {
+  // The on-demand store reads the one binary CSR file (--format csr); the
+  // separate store format no longer exists.
+  EXPECT_EQ(Run("ceci_generate",
                 "--family kronecker --scale 10 --edge-factor 6 --seed 9 "
                 "--out " + File("k.csr2") + " --format csrstore"),
-            0);
-  EXPECT_GT(std::filesystem::file_size(File("k.csr2")), 1024u);
+            2);
+  EXPECT_FALSE(std::filesystem::exists(File("k.csr2")));
 }
 
 TEST_F(ToolsTest, MetricsJsonAndTrace) {
