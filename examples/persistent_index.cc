@@ -37,7 +37,8 @@ int main() {
   double build_s = build_timer.Seconds();
   const QueryTree& tree = prepared->tree;
 
-  Status st = WriteFlatIndex(prepared->flat, "", index_path);
+  Status st = WriteFlatIndex(prepared->flat, tree, prepared->symmetry, "",
+                             index_path);
   CECI_CHECK(st.ok()) << st.ToString();
   std::printf("built + refined + frozen in %.1fms; persisted %zu candidate "
               "edges to %s\n",

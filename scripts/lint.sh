@@ -180,6 +180,22 @@ if [[ -n "$hits" ]]; then
     "$hits"
 fi
 
+# --- Rule: one restriction-set choice per pipeline. The Grochow–Kellis
+# set and its mirror are derived where the plan is chosen — the staged
+# pipeline (src/ceci/matcher.cc) and the partition planner
+# (src/distsim/partition_plan.cc) — and travel from there in the prepared
+# query or the CEIX image. A Compute call anywhere else in the system is a
+# second derivation that ignores the choice and can enumerate a different
+# set of representatives than the index was planned for. The baselines
+# keep their own fixed Grochow–Kellis plan.
+hits=$(echo "$sources" | grep -E '^src/' \
+  | grep -vE '^src/ceci/(symmetry|matcher)\.cc$|^src/distsim/partition_plan\.cc$|^src/baselines/' \
+  | xargs grep -nF 'SymmetryConstraints::Compute(' 2>/dev/null || true)
+if [[ -n "$hits" ]]; then
+  fail "restriction set derived outside a choice site (read the chosen set from the PreparedQuery, PartitionPlan or CEIX image)" \
+    "$hits"
+fi
+
 # --- Rule: every registered ceci.* / dist.* metric is documented. The
 # counter tables in docs/observability.md are the operator-facing contract
 # for /metrics and /varz; a metric registered in src/ but absent from the

@@ -96,7 +96,7 @@ Status CachedMatcher::InstallPrebuilt(const std::string& path,
 
   // The image records the matching order it was built under, which need
   // not be the order the default pipeline picks today: adopt it.
-  auto tree = ImageQueryTree(loaded->index, *query);
+  auto tree = ImageQueryTree(*loaded, *query);
   if (!tree.ok()) return tree.status();
   const Graph& data = matcher_.data();
   auto fresh = std::make_shared<PreparedQuery>();
@@ -129,10 +129,15 @@ Status CachedMatcher::InstallPrebuilt(const std::string& path,
     return Status::InvalidArgument(
         "prebuilt index pattern is infeasible on this data graph: " + path);
   }
-  fresh->symmetry = SymmetryConstraints::Compute(*query);
+  // The image carries the restriction set its writer chose; an image
+  // written with breaking off serves only requests that turn it off too.
+  fresh->symmetry = std::move(loaded->symmetry);
   fresh->flat = std::move(loaded->index);
+  MatchOptions key_options;
+  key_options.break_automorphisms = fresh->symmetry.automorphism_count() != 0;
   MatchStats& stats = fresh->stats;
   stats.automorphisms_broken = fresh->symmetry.automorphism_count();
+  stats.restrictions_mirrored = fresh->symmetry.mirrored();
   stats.theoretical_bytes = CeciIndex::TheoreticalBytes(
       query->num_edges(), data.num_directed_edges());
   stats.ceci_bytes = fresh->flat.ArenaBytes();
@@ -142,7 +147,7 @@ Status CachedMatcher::InstallPrebuilt(const std::string& path,
   stats.candidate_edges = fresh->flat.TotalCandidateEdges();
   stats.embedding_clusters = fresh->flat.candidates(root).size();
 
-  const std::string key = QueryKey(*query, MatchOptions{});
+  const std::string key = QueryKey(*query, key_options);
   {
     MutexLock lock(mutex_);
     cache_[key] = std::move(fresh);  // prebuilt replaces any prior entry

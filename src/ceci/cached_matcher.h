@@ -47,8 +47,10 @@ class CachedMatcher {
   /// Loads a prebuilt flat index image (index_io, written by
   /// `ceci_query --save-index`) and installs it as a pre-warmed cache
   /// entry, keyed exactly as if the image's stored pattern had been
-  /// matched with default MatchOptions — so serving traffic for that
-  /// query shape skips construction and refinement entirely. With
+  /// matched with default MatchOptions (breaking off, when the image was
+  /// written without automorphism breaking) — so serving traffic for that
+  /// query shape skips construction and refinement entirely. The entry
+  /// enumerates under the restriction set stored in the image. With
   /// `use_mmap` the arena stays memory-mapped read-only: every worker,
   /// connection, and process serving the same file shares one physical
   /// copy. The entry enumerates under the matching order stored in the

@@ -26,7 +26,171 @@ std::span<const VertexId> ClampRanksById(std::span<const VertexId> ranks,
   return {begin, end};
 }
 
+// How two query vertices' matches are ordered under `set`: +1 when
+// M[a] < M[b] is required, -1 when M[b] < M[a], 0 when they are free.
+int MatchOrder(const SymmetryConstraints& set, VertexId a, VertexId b) {
+  for (VertexId w : set.must_be_greater(a)) {
+    if (w == b) return 1;
+  }
+  for (VertexId w : set.must_be_less(a)) {
+    if (w == b) return -1;
+  }
+  return 0;
+}
+
+// Clamps `ranks` to the ids a match may take when it is ordered
+// (`order`, as MatchOrder returns with the partner first) against a
+// partner matched to `v`.
+std::span<const VertexId> ClampByOrder(std::span<const VertexId> ranks,
+                                       std::span<const VertexId> cand,
+                                       int order, VertexId v) {
+  return ClampRanksById(ranks, cand, order > 0 ? v + 1 : 0,
+                        order < 0 ? v : kInvalidVertex);
+}
+
+// A value set's ranks as one sorted array: array entries as stored, bitmap
+// entries extracted into `scratch`.
+std::span<const VertexId> EntryRanks(const FlatCeciIndex::EntryRef& ref,
+                                     std::vector<VertexId>* scratch) {
+  if (!ref.is_bitmap()) return ref.ranks;
+  scratch->clear();
+  BitmapExtract(ref.bits, scratch);
+  return *scratch;
+}
+
+// Pairs (a, b) from two ascending id sequences (element k is a(k), b(k))
+// with a < b (order > 0), b < a (order < 0) or in any order (order == 0),
+// counted in one merge walk.
+template <typename IdA, typename IdB>
+std::uint64_t CountOrderedPairs(std::size_t na, IdA a, std::size_t nb,
+                                IdB b, int order) {
+  if (order == 0) return std::uint64_t{na} * nb;
+  std::uint64_t pairs = 0;
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < na; ++i) {
+    const VertexId x = a(i);
+    if (order > 0) {
+      while (j < nb && b(j) <= x) ++j;
+      pairs += nb - j;
+    } else {
+      while (j < nb && b(j) < x) ++j;
+      pairs += j;
+    }
+  }
+  return pairs;
+}
+
 }  // namespace
+
+RestrictionEstimate EstimateRestrictionCost(
+    const QueryTree& tree, const FlatCeciIndex& index,
+    const SymmetryConstraints& min_set, const SymmetryConstraints& max_set) {
+  const auto& order = tree.matching_order();
+  if (order.size() < 2) return {};
+  const SymmetryConstraints* sets[2] = {&min_set, &max_set};
+  std::uint64_t totals[2] = {0, 0};
+  const VertexId root = order[0];
+  const VertexId u1 = order[1];
+  const VertexId u2 = order.size() > 2 ? order[2] : kInvalidVertex;
+  const std::span<const VertexId> cand1 = index.candidates(u1);
+  const std::span<const VertexId> keys1 = index.TeKeys(u1);
+  std::span<const VertexId> cand2, keys2;
+  int order01[2], order02[2] = {0, 0}, order12[2] = {0, 0};
+  for (int s = 0; s < 2; ++s) {
+    order01[s] = MatchOrder(*sets[s], root, u1);
+    if (u2 != kInvalidVertex) {
+      order02[s] = MatchOrder(*sets[s], root, u2);
+      order12[s] = MatchOrder(*sets[s], u1, u2);
+    }
+  }
+  if (u2 != kInvalidVertex) {
+    cand2 = index.candidates(u2);
+    keys2 = index.TeKeys(u2);
+  }
+  std::vector<VertexId> scratch1, scratch2;
+
+  // The matching order is a topological order of the tree, so u2 hangs
+  // off the root or off u1.
+  if (u2 == kInvalidVertex || tree.parent(u2) == root) {
+    // One walk over the root matches, u1's and u2's TE lists in step. For
+    // each root match both lists are fixed; u1's window, when it bounds
+    // u2's, is applied by walking the two sorted lists together.
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < keys1.size(); ++i) {
+      const VertexId v0 = keys1[i];
+      const std::span<const VertexId> ranks1 =
+          EntryRanks(index.TeEntry(u1, i), &scratch1);
+      std::span<const VertexId> l1[2];
+      for (int s = 0; s < 2; ++s) {
+        l1[s] = ClampByOrder(ranks1, cand1, order01[s], v0);
+        totals[s] += l1[s].size();
+      }
+      while (j < keys2.size() && keys2[j] < v0) ++j;
+      if (j == keys2.size() || keys2[j] != v0) continue;
+      const std::span<const VertexId> ranks2 =
+          EntryRanks(index.TeEntry(u2, j), &scratch2);
+      for (int s = 0; s < 2; ++s) {
+        const std::span<const VertexId> l2 =
+            ClampByOrder(ranks2, cand2, order02[s], v0);
+        totals[s] += CountOrderedPairs(
+            l1[s].size(), [&](std::size_t k) { return cand1[l1[s][k]]; },
+            l2.size(), [&](std::size_t k) { return cand2[l2[k]]; },
+            order12[s]);
+      }
+    }
+    return RestrictionEstimate{totals[0], totals[1]};
+  }
+
+  // u2 hangs off u1. Transpose u1's TE lists once — for each u1 candidate,
+  // the root matches whose entry holds it, ascending — so every u1 match
+  // reads its own u2 list once, and the root's bound on u2 becomes a merge
+  // walk instead of a lookup per (root, u1) pair.
+  std::vector<std::uint32_t> offsets(cand1.size() + 1, 0);
+  for (std::size_t i = 0; i < keys1.size(); ++i) {
+    for (VertexId r : EntryRanks(index.TeEntry(u1, i), &scratch1)) {
+      ++offsets[r + 1];
+    }
+  }
+  for (std::size_t r = 0; r < cand1.size(); ++r) offsets[r + 1] += offsets[r];
+  std::vector<VertexId> roots(offsets.back());
+  std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
+  for (std::size_t i = 0; i < keys1.size(); ++i) {
+    for (VertexId r : EntryRanks(index.TeEntry(u1, i), &scratch1)) {
+      roots[fill[r]++] = keys1[i];
+    }
+  }
+  std::size_t j = 0;
+  for (std::size_t r = 0; r < cand1.size(); ++r) {
+    const std::span<const VertexId> bucket(roots.data() + offsets[r],
+                                           offsets[r + 1] - offsets[r]);
+    if (bucket.empty()) continue;
+    const VertexId v1 = cand1[r];
+    while (j < keys2.size() && keys2[j] < v1) ++j;
+    const bool have2 = j < keys2.size() && keys2[j] == v1;
+    const std::span<const VertexId> ranks2 =
+        have2 ? EntryRanks(index.TeEntry(u2, j), &scratch2)
+              : std::span<const VertexId>();
+    for (int s = 0; s < 2; ++s) {
+      // The root matches that admit v1 at position 1.
+      std::span<const VertexId> b0 = bucket;
+      if (order01[s] > 0) {
+        b0 = b0.first(static_cast<std::size_t>(
+            std::lower_bound(b0.begin(), b0.end(), v1) - b0.begin()));
+      } else if (order01[s] < 0) {
+        b0 = b0.subspan(static_cast<std::size_t>(
+            std::upper_bound(b0.begin(), b0.end(), v1) - b0.begin()));
+      }
+      totals[s] += b0.size();
+      if (b0.empty() || ranks2.empty()) continue;
+      const std::span<const VertexId> l2 =
+          ClampByOrder(ranks2, cand2, order12[s], v1);
+      totals[s] += CountOrderedPairs(
+          b0.size(), [&](std::size_t k) { return b0[k]; }, l2.size(),
+          [&](std::size_t k) { return cand2[l2[k]]; }, order02[s]);
+    }
+  }
+  return RestrictionEstimate{totals[0], totals[1]};
+}
 
 Enumerator::Enumerator(const Graph& data, const QueryTree& tree,
                        const FlatCeciIndex& index, const EnumOptions& options)

@@ -88,6 +88,35 @@ struct EnumStats {
   }
 };
 
+/// Cost proxies of the two valid restriction sets for one query (paper
+/// §2.2; see EstimateRestrictionCost). Estimates of disjoint pivot sets
+/// add up, so partitions of one query sum theirs before choosing.
+struct RestrictionEstimate {
+  /// Under the Grochow–Kellis set (SymmetryConstraints::Compute).
+  std::uint64_t min_set = 0;
+  /// Under its mirror (SymmetryConstraints::Mirrored).
+  std::uint64_t max_set = 0;
+
+  /// The choice rule: the mirror only when strictly cheaper, so ties keep
+  /// the Grochow–Kellis set.
+  bool PrefersMirror() const { return max_set < min_set; }
+
+  RestrictionEstimate& operator+=(const RestrictionEstimate& other) {
+    min_set += other.min_set;
+    max_set += other.max_set;
+    return *this;
+  }
+};
+
+/// Estimates the search each restriction set leaves: the partial
+/// embeddings at matching-order positions 1 and 2, read from the TE lists
+/// of `index` and clamped to each set's symmetry window. NTE lists and
+/// injectivity are ignored. One pass over the root candidates serves both
+/// sets; the cost is a small fraction of the build that produced `index`.
+RestrictionEstimate EstimateRestrictionCost(
+    const QueryTree& tree, const FlatCeciIndex& index,
+    const SymmetryConstraints& min_set, const SymmetryConstraints& max_set);
+
 /// Single-worker backtracking enumerator over a refined CECI frozen into
 /// its arena (FlatCeciIndex). It runs in *rank space*: TE/NTE entries
 /// store ranks into the child's candidate array, arrays go through the

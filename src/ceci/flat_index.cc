@@ -460,6 +460,20 @@ FlatCeciIndex::EntryRef FlatCeciIndex::Te(VertexId u,
   return ListFind(m.te_list, parent_match);
 }
 
+std::span<const VertexId> FlatCeciIndex::TeKeys(VertexId u) const {
+  const FlatVertexMeta& m = vertices_[u];
+  if (m.te_list == kNoFlatList) return {};
+  const FlatListMeta& lm = lists_[m.te_list];
+  return keys_.subspan(lm.key_begin, lm.key_count);
+}
+
+FlatCeciIndex::EntryRef FlatCeciIndex::TeEntry(VertexId u,
+                                               std::size_t i) const {
+  const FlatListMeta& lm = lists_[vertices_[u].te_list];
+  CECI_DCHECK(i < lm.key_count);
+  return MakeRef(entries_[lm.entry_begin + i], lm.owner);
+}
+
 FlatCeciIndex::EntryRef FlatCeciIndex::Nte(VertexId u, std::size_t k,
                                            VertexId parent_match) const {
   const FlatVertexMeta& m = vertices_[u];

@@ -227,6 +227,11 @@ class FlatCeciIndex {
   /// TE value set of u for the tree parent's match; count == 0 (both spans
   /// empty) when the key is absent. Binary search over the list's keys.
   EntryRef Te(VertexId u, VertexId parent_match) const;
+  /// Keys of u's TE list (its tree parent's matches), ascending; empty for
+  /// the root. TeEntry(u, i) is the value set of key i — a walk over the
+  /// list without Te()'s binary search per key.
+  std::span<const VertexId> TeKeys(VertexId u) const;
+  EntryRef TeEntry(VertexId u, std::size_t i) const;
   /// NTE value set of u for incoming non-tree edge k (paper order,
   /// parallel to QueryTree::nte_in(u)).
   EntryRef Nte(VertexId u, std::size_t k, VertexId parent_match) const;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/crc32.h"
@@ -13,9 +14,12 @@ namespace ceci {
 namespace {
 
 constexpr char kMagic[4] = {'C', 'E', 'I', 'X'};
-constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kHeaderBytes = 72;
+constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kHeaderBytes = 104;
 constexpr std::uint32_t kSlabCount = FlatCeciIndex::kNumSlabs;
+// plan_flags bit 0: the stored restrictions are the mirror of the
+// Grochow–Kellis set.
+constexpr std::uint32_t kPlanMirrored = 1;
 
 struct Header {
   char magic[4];
@@ -25,12 +29,17 @@ struct Header {
   std::uint64_t num_query_vertices;
   std::uint64_t arena_offset;
   std::uint64_t arena_bytes;
+  std::uint64_t plan_offset;
+  std::uint64_t num_restrictions;
+  std::uint64_t automorphisms;
   std::uint64_t pattern_offset;
   std::uint64_t pattern_bytes;
   std::uint32_t slab_table_crc;
+  std::uint32_t plan_crc;
   std::uint32_t pattern_crc;
+  std::uint32_t plan_flags;
   std::uint32_t reserved;
-  std::uint32_t header_crc;  // over the preceding 68 bytes
+  std::uint32_t header_crc;  // over the preceding 100 bytes
 };
 // File-format contract: the header and slab records are written and read
 // by memcpy, so every field offset below is part of the CEIX format. A
@@ -47,13 +56,18 @@ static_assert(offsetof(Header, slab_count) == 12);
 static_assert(offsetof(Header, num_query_vertices) == 16);
 static_assert(offsetof(Header, arena_offset) == 24);
 static_assert(offsetof(Header, arena_bytes) == 32);
-static_assert(offsetof(Header, pattern_offset) == 40);
-static_assert(offsetof(Header, pattern_bytes) == 48);
-static_assert(offsetof(Header, slab_table_crc) == 56);
-static_assert(offsetof(Header, pattern_crc) == 60);
-static_assert(offsetof(Header, reserved) == 64);
-static_assert(offsetof(Header, header_crc) == 68,
-              "header_crc must be the final word: it covers [0, 68)");
+static_assert(offsetof(Header, plan_offset) == 40);
+static_assert(offsetof(Header, num_restrictions) == 48);
+static_assert(offsetof(Header, automorphisms) == 56);
+static_assert(offsetof(Header, pattern_offset) == 64);
+static_assert(offsetof(Header, pattern_bytes) == 72);
+static_assert(offsetof(Header, slab_table_crc) == 80);
+static_assert(offsetof(Header, plan_crc) == 84);
+static_assert(offsetof(Header, pattern_crc) == 88);
+static_assert(offsetof(Header, plan_flags) == 92);
+static_assert(offsetof(Header, reserved) == 96);
+static_assert(offsetof(Header, header_crc) == 100,
+              "header_crc must be the final word: it covers [0, 100)");
 
 struct SlabRecord {
   std::uint64_t offset;  // into the arena
@@ -71,12 +85,33 @@ static_assert(offsetof(SlabRecord, crc) == 20);
 
 constexpr std::uint64_t kArenaOffset =
     kHeaderBytes + kSlabCount * sizeof(SlabRecord);
-static_assert(kArenaOffset == 288 && kArenaOffset % 8 == 0);
+static_assert(kArenaOffset == 320 && kArenaOffset % 8 == 0);
+
+// The plan region: the tree parent of every query vertex (kInvalidVertex
+// for the root), then each restriction as a (smaller, larger) pair.
+std::vector<std::uint32_t> EncodePlan(const QueryTree& tree,
+                                      const SymmetryConstraints& symmetry) {
+  std::vector<std::uint32_t> plan;
+  plan.reserve(tree.num_vertices() + 2 * symmetry.constraints().size());
+  for (VertexId u = 0; u < tree.num_vertices(); ++u) {
+    plan.push_back(tree.parent(u));
+  }
+  for (const SymmetryConstraints::Constraint& c : symmetry.constraints()) {
+    plan.push_back(c.smaller);
+    plan.push_back(c.larger);
+  }
+  return plan;
+}
 
 }  // namespace
 
-Status WriteFlatIndex(const FlatCeciIndex& flat, const std::string& pattern,
-                      const std::string& path) {
+Status WriteFlatIndex(const FlatCeciIndex& flat, const QueryTree& tree,
+                      const SymmetryConstraints& symmetry,
+                      const std::string& pattern, const std::string& path) {
+  if (tree.num_vertices() != flat.num_query_vertices()) {
+    return Status::InvalidArgument(
+        "query tree does not fit the index it is saved with");
+  }
   const std::span<const std::byte> arena = flat.arena();
 
   SlabRecord table[kSlabCount];
@@ -88,6 +123,8 @@ Status WriteFlatIndex(const FlatCeciIndex& flat, const std::string& pattern,
     table[s].kind = s;
     table[s].crc = Crc32(arena.data() + slab.offset, slab.bytes);
   }
+  const std::vector<std::uint32_t> plan = EncodePlan(tree, symmetry);
+  const std::size_t plan_bytes = plan.size() * sizeof(std::uint32_t);
 
   Header h{};
   std::memcpy(h.magic, kMagic, sizeof(kMagic));
@@ -97,10 +134,15 @@ Status WriteFlatIndex(const FlatCeciIndex& flat, const std::string& pattern,
   h.num_query_vertices = flat.num_query_vertices();
   h.arena_offset = kArenaOffset;
   h.arena_bytes = arena.size();
-  h.pattern_offset = kArenaOffset + arena.size();
+  h.plan_offset = kArenaOffset + arena.size();
+  h.num_restrictions = symmetry.constraints().size();
+  h.automorphisms = symmetry.automorphism_count();
+  h.pattern_offset = h.plan_offset + plan_bytes;
   h.pattern_bytes = pattern.size();
   h.slab_table_crc = Crc32(table, sizeof(table));
+  h.plan_crc = Crc32(plan.data(), plan_bytes);
   h.pattern_crc = Crc32(pattern.data(), pattern.size());
+  h.plan_flags = symmetry.mirrored() ? kPlanMirrored : 0;
   h.header_crc = Crc32(&h, kHeaderBytes - sizeof(std::uint32_t));
 
   std::ofstream out(path, std::ios::binary);
@@ -109,6 +151,8 @@ Status WriteFlatIndex(const FlatCeciIndex& flat, const std::string& pattern,
   out.write(reinterpret_cast<const char*>(table), sizeof(table));
   out.write(reinterpret_cast<const char*>(arena.data()),
             static_cast<std::streamsize>(arena.size()));
+  out.write(reinterpret_cast<const char*>(plan.data()),
+            static_cast<std::streamsize>(plan_bytes));
   out.write(pattern.data(), static_cast<std::streamsize>(pattern.size()));
   out.flush();
   if (!out) return Status::IoError("write failure on " + path);
@@ -140,15 +184,21 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
     data = reinterpret_cast<const std::byte*>(buffer.data());
   }
 
-  if (size < sizeof(Header)) return Status::Corruption("truncated header");
+  // Magic and version come first, so an image of another version is
+  // named as such rather than misread against this version's header.
   Header h{};
-  std::memcpy(&h, data, sizeof(h));
+  if (size < 8) return Status::Corruption("truncated header");
+  std::memcpy(&h, data, 8);
   if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad magic in " + path);
   }
   if (h.version != kVersion) {
-    return Status::Corruption("unsupported index version");
+    return Status::Corruption("unsupported index version " +
+                              std::to_string(h.version) + " (expected " +
+                              std::to_string(kVersion) + "; re-save it)");
   }
+  if (size < sizeof(Header)) return Status::Corruption("truncated header");
+  std::memcpy(&h, data, sizeof(h));
   if (h.header_bytes != kHeaderBytes || h.slab_count != kSlabCount) {
     return Status::Corruption("unexpected header geometry");
   }
@@ -169,7 +219,15 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
   if (h.arena_bytes > size - kArenaOffset) {
     return Status::Corruption("truncated arena");
   }
-  if (h.pattern_offset != kArenaOffset + h.arena_bytes ||
+  if (h.plan_offset != kArenaOffset + h.arena_bytes ||
+      h.num_query_vertices > (size - h.plan_offset) / 4 ||
+      h.num_restrictions >
+          (size - h.plan_offset - 4 * h.num_query_vertices) / 8) {
+    return Status::Corruption("truncated plan");
+  }
+  const std::uint64_t plan_words =
+      h.num_query_vertices + 2 * h.num_restrictions;
+  if (h.pattern_offset != h.plan_offset + 4 * plan_words ||
       h.pattern_bytes > size - h.pattern_offset) {
     return Status::Corruption("truncated pattern");
   }
@@ -195,6 +253,32 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
   }
 
   LoadedFlatIndex loaded;
+  std::vector<std::uint32_t> plan(static_cast<std::size_t>(plan_words));
+  std::memcpy(plan.data(), data + h.plan_offset, plan.size() * 4);
+  if (options.verify_checksums &&
+      Crc32(plan.data(), plan.size() * 4) != h.plan_crc) {
+    return Status::Corruption("plan checksum mismatch");
+  }
+  const std::size_t nq = static_cast<std::size_t>(h.num_query_vertices);
+  loaded.parents.assign(plan.begin(), plan.begin() + nq);
+  for (VertexId p : loaded.parents) {
+    if (p != kInvalidVertex && p >= nq) {
+      return Status::Corruption("tree parent beyond the query");
+    }
+  }
+  std::vector<SymmetryConstraints::Constraint> restrictions;
+  restrictions.reserve(static_cast<std::size_t>(h.num_restrictions));
+  for (std::size_t i = nq; i < plan.size(); i += 2) {
+    if (plan[i] >= nq || plan[i + 1] >= nq || plan[i] == plan[i + 1]) {
+      return Status::Corruption("restriction pair names no two distinct "
+                                "query vertices");
+    }
+    restrictions.push_back({plan[i], plan[i + 1]});
+  }
+  loaded.symmetry = SymmetryConstraints::FromPairs(
+      nq, std::move(restrictions),
+      static_cast<std::size_t>(h.automorphisms),
+      (h.plan_flags & kPlanMirrored) != 0);
   loaded.pattern.assign(
       reinterpret_cast<const char*>(data + h.pattern_offset),
       static_cast<std::size_t>(h.pattern_bytes));
@@ -221,8 +305,9 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
   return loaded;
 }
 
-Result<QueryTree> ImageQueryTree(const FlatCeciIndex& flat,
+Result<QueryTree> ImageQueryTree(const LoadedFlatIndex& image,
                                  const Graph& query) {
+  const FlatCeciIndex& flat = image.index;
   const std::span<const VertexId> order = flat.matching_order();
   if (order.empty() || flat.num_query_vertices() != query.num_vertices()) {
     return Status::InvalidArgument(
@@ -233,8 +318,13 @@ Result<QueryTree> ImageQueryTree(const FlatCeciIndex& flat,
   CECI_RETURN_IF_ERROR(tree->SetMatchingOrder(
       std::vector<VertexId>(order.begin(), order.end())));
   // An order can fit a query whose vertices are numbered otherwise than
-  // the ones the image was built on; the NTE lists per vertex then differ.
+  // the ones the image was built on; the tree parents and the NTE lists
+  // per vertex then differ.
   for (VertexId u = 0; u < query.num_vertices(); ++u) {
+    if (image.parents[u] != tree->parent(u)) {
+      return Status::InvalidArgument(
+          "index image tree parents do not fit its query");
+    }
     if (flat.nte_count(u) != tree->nte_in(u).size()) {
       return Status::InvalidArgument(
           "index image non-tree edges do not fit its query");
@@ -258,6 +348,12 @@ Result<FlatCeciIndex> ReadFlatIndex(const QueryTree& tree,
                   tree.matching_order().begin())) {
     return Status::InvalidArgument(
         "index was built for a different matching order");
+  }
+  for (VertexId u = 0; u < tree.num_vertices(); ++u) {
+    if (loaded->parents[u] != tree.parent(u)) {
+      return Status::InvalidArgument(
+          "index was built for a different query tree");
+    }
   }
   return flat;
 }

@@ -4,33 +4,43 @@
 // to store it in non-volatile memory". This module provides the storage
 // half of that plan: a frozen FlatCeciIndex serializes as one versioned
 // image — fixed header, slab table, the arena verbatim, then the pattern
-// text it was built for — and loads back either by copying (owned arena)
+// text it was built for, with the query plan it was built under — and
+// loads back either by copying (owned arena)
 // or by mmap (ceci_serve --index), where enumeration reads the mapped
 // pages directly and every process serving the same file shares one
 // physical copy.
 //
 // File layout (all little-endian, offsets from file start):
 //
-//   [0,   72)  Header     magic "CEIX", version 2, counts, offsets, CRCs
-//   [72, 288)  slab table 9 × SlabRecord{offset, bytes, kind, crc}
-//   [288,  …)  arena      FlatCeciIndex slabs, byte-for-byte
+//   [0,  104)  Header     magic "CEIX", version 3, counts, offsets, CRCs
+//   [104, 320) slab table 9 × SlabRecord{offset, bytes, kind, crc}
+//   [320,  …)  arena      FlatCeciIndex slabs, byte-for-byte
+//   […,    …)  plan       u32 tree parent per query vertex, then u32
+//                         (smaller, larger) per restriction pair
 //   […,  EOF)  pattern    the query pattern text (optional, may be empty)
 //
 // Every region is checksummed (CRC-32): per-slab, the slab table, the
-// pattern, and the header itself. Loading validates checksums (unless
-// disabled) and then the full slab structure (FlatCeciIndex::FromArena),
-// so a corrupt or truncated file yields a clean kCorruption Status —
-// never a crash or an out-of-bounds read later. The image records the
-// matching order it was built for; ReadFlatIndex validates it against the
-// caller's QueryTree so an index can never be silently used with a
-// mismatched order.
+// plan, the pattern, and the header itself. Loading validates checksums
+// (unless disabled) and then the full slab structure
+// (FlatCeciIndex::FromArena), so a corrupt or truncated file yields a
+// clean kCorruption Status — never a crash or an out-of-bounds read
+// later. The image records the matching order (in the arena) and the
+// tree parents it was built for; ReadFlatIndex and ImageQueryTree
+// validate both, so an index can never be silently used with another
+// tree. It also records the restriction set the writer chose (the
+// Grochow–Kellis set or its mirror), which every reader enumerates under
+// instead of deriving one again. Images of other versions are rejected
+// as unsupported; re-saving one writes the current version.
 #ifndef CECI_CECI_INDEX_IO_H_
 #define CECI_CECI_INDEX_IO_H_
 
 #include <string>
 
+#include <vector>
+
 #include "ceci/flat_index.h"
 #include "ceci/query_tree.h"
+#include "ceci/symmetry.h"
 #include "util/status.h"
 
 namespace ceci {
@@ -44,18 +54,25 @@ struct IndexLoadOptions {
   bool verify_checksums = true;
 };
 
-/// A loaded image: the index plus the pattern text recorded at write time
-/// (empty if the writer supplied none).
+/// A loaded image: the index, the plan and the pattern text recorded at
+/// write time (empty if the writer supplied none).
 struct LoadedFlatIndex {
   FlatCeciIndex index;
+  /// Tree parent of every query vertex; kInvalidVertex for the root.
+  std::vector<VertexId> parents;
+  /// The restriction set the writer enumerated under (empty when it broke
+  /// no automorphisms).
+  SymmetryConstraints symmetry;
   std::string pattern;
 };
 
-/// Serializes a frozen flat index to `path`. `pattern` is the query
-/// pattern text the index was built for (used by `ceci_serve --index` to
+/// Serializes a frozen flat index to `path` with the tree it was built on
+/// and the restriction set chosen for it. `pattern` is the query pattern
+/// text the index was built for (used by `ceci_serve --index` to
 /// reconstruct the query); pass "" if not needed.
-Status WriteFlatIndex(const FlatCeciIndex& flat, const std::string& pattern,
-                      const std::string& path);
+Status WriteFlatIndex(const FlatCeciIndex& flat, const QueryTree& tree,
+                      const SymmetryConstraints& symmetry,
+                      const std::string& pattern, const std::string& path);
 
 /// Loads an image with no query-side validation (the caller reconstructs
 /// the query from the stored pattern, e.g. the serving path).
@@ -67,12 +84,14 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
 /// Images record their order, so a reader follows the writer's choice
 /// rather than re-deriving one. Fails with kInvalidArgument when the
 /// order does not fit `query` (wrong size, or not a topological order of
-/// that tree) or a vertex's NTE list count differs from the tree's.
-Result<QueryTree> ImageQueryTree(const FlatCeciIndex& flat,
+/// that tree), a tree parent differs from the stored one, or a vertex's
+/// NTE list count differs from the tree's.
+Result<QueryTree> ImageQueryTree(const LoadedFlatIndex& image,
                                  const Graph& query);
 
 /// Loads an image for a known query. Fails with kInvalidArgument if the
-/// image's query size or matching order does not match `tree`'s.
+/// image's query size, matching order or tree parents do not match
+/// `tree`'s.
 Result<FlatCeciIndex> ReadFlatIndex(const QueryTree& tree,
                                     const std::string& path,
                                     const IndexLoadOptions& options = {});

@@ -255,6 +255,8 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
   PreparedQuery prepared;
   MatchStats& stats = prepared.stats;
   prepared.tree = std::move(pre->tree);
+  // The Grochow–Kellis set; its mirror may replace it once the index
+  // exists (below).
   prepared.symmetry = options.break_automorphisms
                           ? SymmetryConstraints::Compute(query)
                           : SymmetryConstraints::None(query.num_vertices());
@@ -302,6 +304,20 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
                                     options.index_inspector, &prepared.counts);
   ExportBuildMetrics(stats);
   if (budget != nullptr && budget->Exhausted()) return partial();
+
+  // --- Restriction-set choice: the one choice site of this pipeline ---
+  if (!prepared.symmetry.empty()) {
+    phase.Reset();
+    TraceSpan span("plan");
+    SymmetryConstraints mirrored = prepared.symmetry.Mirrored();
+    stats.restriction_estimate = EstimateRestrictionCost(
+        prepared.tree, prepared.flat, prepared.symmetry, mirrored);
+    if (stats.restriction_estimate.PrefersMirror()) {
+      prepared.symmetry = std::move(mirrored);
+      stats.restrictions_mirrored = true;
+    }
+    stats.plan_seconds = phase.Seconds();
+  }
   return prepared;
 }
 
@@ -325,6 +341,7 @@ MatchResult CeciMatcher::Execute(const PreparedQuery& prepared,
     stats.build_seconds = 0.0;
     stats.refine_seconds = 0.0;
     stats.freeze_seconds = 0.0;
+    stats.plan_seconds = 0.0;
   }
   // Stamps the outcome on the result; every exit path funnels through here
   // so partial results are always labelled.
@@ -336,7 +353,7 @@ MatchResult CeciMatcher::Execute(const PreparedQuery& prepared,
     if (visitor_abort) stats.budget.cancelled = true;
     stats.total_seconds = stats.preprocess_seconds + stats.build_seconds +
                           stats.refine_seconds + stats.freeze_seconds +
-                          stats.enumerate_seconds;
+                          stats.plan_seconds + stats.enumerate_seconds;
     ExportMatchMetrics(result);
     return result;
   };

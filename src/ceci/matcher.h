@@ -3,7 +3,8 @@
 // Runs the full CECI pipeline of the paper in two stages. Prepare() does
 // everything that depends only on the query: preprocessing (§2.2) → CECI
 // creation with BFS filtering (§3.2) → reverse-BFS refinement (§3.3) →
-// freeze into the flat arena (ceci/flat_index.h). Its PreparedQuery is
+// freeze into the flat arena (ceci/flat_index.h) → the choice of the
+// automorphism-breaking restriction set from that arena. Its PreparedQuery is
 // immutable, so it can be enumerated any number of times. Execute() runs
 // parallel set-intersection enumeration with workload balancing (§4) over
 // it. Match() is Execute(Prepare()).
@@ -111,9 +112,9 @@ struct VertexPipelineCounts {
   std::vector<std::uint64_t> pruned;
 };
 
-/// What CeciMatcher::Prepare hands to Execute: the query's tree, symmetry
-/// constraints and frozen index, plus the accounting of the work that
-/// produced them. Immutable once returned; a cache shares one as
+/// What CeciMatcher::Prepare hands to Execute: the query's tree, the
+/// chosen restriction set and the frozen index, plus the accounting of
+/// the work that produced them. Immutable once returned; a cache shares one as
 /// std::shared_ptr<const PreparedQuery> across concurrent Execute calls.
 struct PreparedQuery {
   QueryTree tree;
@@ -127,7 +128,7 @@ struct PreparedQuery {
   /// kCompleted, or the cap that tripped mid-Prepare. A partial prepare is
   /// never enumerated; Execute returns it labelled.
   TerminationReason termination = TerminationReason::kCompleted;
-  /// Preprocess/build/refine/freeze times, their counters, and the index
+  /// Preprocess/build/refine/freeze/plan times, their counters, and the index
   /// accounting (§3.4); enumeration fields stay zero.
   MatchStats stats;
   VertexPipelineCounts counts;
@@ -171,7 +172,9 @@ class CeciMatcher {
   Result<MatchResult> Match(const Graph& query, const MatchOptions& options,
                             const EmbeddingVisitor* visitor = nullptr) const;
 
-  /// Stage 1: preprocess, build, refine and freeze `query`. Reads
+  /// Stage 1: preprocess, build, refine and freeze `query`, then choose
+  /// its restriction set: the Grochow–Kellis set or its mirror, whichever
+  /// EstimateRestrictionCost rates cheaper on the frozen index. Reads
   /// options.order, break_automorphisms, threads/pool (parallel build),
   /// index_inspector and budget. `budget` is the tracker to run under —
   /// pass the same one to Execute so the deadline spans both stages; null
@@ -187,7 +190,7 @@ class CeciMatcher {
   /// termination reason, the enumeration stats and, under
   /// options.profile, the QueryProfile, and exports the query to the
   /// global MetricsRegistry. `cache_hit` marks a prepared query served
-  /// again from a cache: its preprocess/build/refine/freeze times then
+  /// again from a cache: its preprocess/build/refine/freeze/plan times then
   /// report zero. stats.total_seconds is the sum of the phase times.
   MatchResult Execute(const PreparedQuery& prepared,
                       const MatchOptions& options,

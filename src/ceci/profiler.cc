@@ -214,12 +214,19 @@ std::string FormatExplain(const QueryProfile& p, const MatchStats& stats) {
        static_cast<unsigned long long>(stats.decomposition.threshold),
        p.work_units.max_over_mean, p.work_units.gini);
 
-  emit("phases: preprocess %s, build %s, refine %s, freeze %s, "
+  emit("symmetry: %zu automorphisms, %s restriction set (estimates min %s, "
+       "max %s)\n",
+       stats.automorphisms_broken,
+       stats.restrictions_mirrored ? "max" : "min",
+       FmtCount(stats.restriction_estimate.min_set).c_str(),
+       FmtCount(stats.restriction_estimate.max_set).c_str());
+  emit("phases: preprocess %s, build %s, refine %s, freeze %s, plan %s, "
        "enumerate %s; total %s\n",
        FmtSeconds(stats.preprocess_seconds).c_str(),
        FmtSeconds(stats.build_seconds).c_str(),
        FmtSeconds(stats.refine_seconds).c_str(),
        FmtSeconds(stats.freeze_seconds).c_str(),
+       FmtSeconds(stats.plan_seconds).c_str(),
        FmtSeconds(stats.enumerate_seconds).c_str(),
        FmtSeconds(stats.total_seconds).c_str());
   emit("workers: %zu, occupancy %.1f%% over %s enumeration wall\n",

@@ -26,6 +26,9 @@ struct MatchStats {
   /// Conversion of the refined index to the flat arena (zero when the
   /// index came from a cache).
   double freeze_seconds = 0.0;
+  /// Choosing the restriction set from the frozen index (zero when the
+  /// query has no automorphism to break, or came from a cache).
+  double plan_seconds = 0.0;
   double enumerate_seconds = 0.0;
   double total_seconds = 0.0;
 
@@ -62,6 +65,10 @@ struct MatchStats {
 
   // Symmetry.
   std::size_t automorphisms_broken = 0;
+  /// The restriction-set choice (§2.2): both estimates (zero when no
+  /// choice ran) and whether the mirror set won.
+  RestrictionEstimate restriction_estimate;
+  bool restrictions_mirrored = false;
 
   /// The prepared query came from the CachedMatcher's memo (no prepare ran
   /// for this request); always false for uncached matchers.

@@ -16,6 +16,7 @@ void AppendMatchStatsJson(const MatchStats& stats, JsonWriter* w) {
   w->KV("build_seconds", stats.build_seconds);
   w->KV("refine_seconds", stats.refine_seconds);
   w->KV("freeze_seconds", stats.freeze_seconds);
+  w->KV("plan_seconds", stats.plan_seconds);
   w->KV("enumerate_seconds", stats.enumerate_seconds);
   w->KV("total_seconds", stats.total_seconds);
   w->EndObject();
@@ -83,6 +84,9 @@ void AppendMatchStatsJson(const MatchStats& stats, JsonWriter* w) {
   w->BeginObject();
   w->KV("automorphisms_broken",
         static_cast<std::uint64_t>(stats.automorphisms_broken));
+  w->KV("mirrored", stats.restrictions_mirrored);
+  w->KV("estimate_min", stats.restriction_estimate.min_set);
+  w->KV("estimate_max", stats.restriction_estimate.max_set);
   w->EndObject();
 
   w->Key("workers");

@@ -1,6 +1,7 @@
 #include "ceci/symmetry.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace ceci {
 namespace {
@@ -80,9 +81,7 @@ SymmetryConstraints SymmetryConstraints::Compute(const Graph& query) {
   AutomorphismSearch search(query);
   if (!search.Run(&autos)) {
     // Budget exhausted: disable breaking (safe, just redundant listing).
-    SymmetryConstraints none = None(n);
-    none.automorphism_count_ = 0;
-    return none;
+    return None(n);
   }
 
   SymmetryConstraints out;
@@ -119,8 +118,30 @@ SymmetryConstraints SymmetryConstraints::Compute(const Graph& query) {
 
 SymmetryConstraints SymmetryConstraints::None(std::size_t num_query_vertices) {
   SymmetryConstraints out;
+  out.automorphism_count_ = 0;
   out.IndexConstraints(num_query_vertices);
   return out;
+}
+
+SymmetryConstraints SymmetryConstraints::FromPairs(
+    std::size_t num_query_vertices, std::vector<Constraint> constraints,
+    std::size_t automorphism_count, bool mirrored) {
+  SymmetryConstraints out;
+  out.constraints_ = std::move(constraints);
+  out.automorphism_count_ = automorphism_count;
+  out.mirrored_ = mirrored;
+  out.IndexConstraints(num_query_vertices);
+  return out;
+}
+
+SymmetryConstraints SymmetryConstraints::Mirrored() const {
+  std::vector<Constraint> flipped;
+  flipped.reserve(constraints_.size());
+  for (const Constraint& c : constraints_) {
+    flipped.push_back(Constraint{c.larger, c.smaller});
+  }
+  return FromPairs(lower_than_.size(), std::move(flipped), automorphism_count_,
+                   !mirrored_);
 }
 
 void SymmetryConstraints::IndexConstraints(std::size_t n) {

@@ -133,12 +133,14 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   distsim::PartitionPlan plan;
   auto write_image = [&](std::size_t k, const FlatCeciIndex& flat) {
     return WriteFlatIndex(
-        flat, pattern_text,
+        flat, plan.tree, plan.symmetry, pattern_text,
         PartitionImagePath(scratch.path(), static_cast<std::uint32_t>(k)));
   };
   CECI_RETURN_IF_ERROR(
       distsim::PlanPartitions(data, query, plan_options, write_image, &plan));
   report.jaccard_colocations = plan.jaccard_colocations;
+  report.restrictions_mirrored = plan.symmetry.mirrored();
+  report.restriction_estimate = plan.restriction_estimate;
   // The NLC build is the coordinator's first step and counts toward
   // preprocess_seconds.
   report.preprocess_seconds = plan.nlc_seconds + plan.preprocess_seconds;
@@ -213,7 +215,6 @@ Result<DistRunReport> RunDistributed(const Graph& data,
         "--heartbeat-ms", std::to_string(options.heartbeat_seconds * 1000.0),
         "--io-timeout-s", std::to_string(options.io_timeout_seconds)};
     if (!options.use_mmap) args.push_back("--no-mmap");
-    if (!options.break_automorphisms) args.push_back("--no-symmetry");
     auto child = SpawnWithChannel(options.worker_binary, args);
     if (!child.ok()) {
       kill_all();
@@ -704,6 +705,12 @@ std::string DistRunReportJson(const DistRunReport& report) {
   w.KV("heartbeat_timeouts", report.heartbeat_timeouts);
   w.KV("jaccard_colocations",
        static_cast<std::uint64_t>(report.jaccard_colocations));
+  w.Key("symmetry");
+  w.BeginObject();
+  w.KV("mirrored", report.restrictions_mirrored);
+  w.KV("estimate_min", report.restriction_estimate.min_set);
+  w.KV("estimate_max", report.restriction_estimate.max_set);
+  w.EndObject();
   w.KV("preprocess_seconds", report.preprocess_seconds);
   w.KV("build_seconds", report.build_seconds);
   w.KV("wall_seconds", report.wall_seconds);

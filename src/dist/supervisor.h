@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "analysis/invariant_auditor.h"
+#include "ceci/enumerator.h"
 #include "dist/cost_model.h"
 #include "distsim/failure.h"
 #include "graph/graph.h"
@@ -142,6 +143,11 @@ struct DistRunReport {
   std::uint64_t discarded_results = 0;
   std::uint64_t heartbeat_timeouts = 0;
   std::size_t jaccard_colocations = 0;
+  /// The restriction set every worker enumerated under (§2.2): whether the
+  /// mirror of the Grochow–Kellis set won, and both sets' estimates summed
+  /// over the partitions (zero when no automorphism was broken).
+  bool restrictions_mirrored = false;
+  RestrictionEstimate restriction_estimate;
   double preprocess_seconds = 0.0;
   /// Slowest per-partition build (measured, supervisor side).
   double build_seconds = 0.0;

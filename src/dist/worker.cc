@@ -10,7 +10,6 @@
 #include "ceci/enumerator.h"
 #include "ceci/index_io.h"
 #include "ceci/query_tree.h"
-#include "ceci/symmetry.h"
 #include "dist/messages.h"
 #include "graphio/pattern_parser.h"
 #include "util/frame_transport.h"
@@ -21,15 +20,15 @@ namespace ceci::dist {
 namespace {
 
 /// Everything the worker reconstructs from one partition's CEIX image:
-/// the supervisor ships no query object, only the pattern text and
-/// matching order recorded in the image (the same validation
-/// InstallPrebuilt runs, minus the data-graph checks a graph-free
-/// process cannot make). One context per partition the worker has
-/// touched — its own at startup, a crashed peer's on re-adoption.
+/// the supervisor ships no query object, only the pattern text, matching
+/// order, tree parents and chosen restriction set recorded in the image
+/// (the same validation InstallPrebuilt runs, minus the data-graph checks
+/// a graph-free process cannot make). One context per partition the
+/// worker has touched — its own at startup, a crashed peer's on
+/// re-adoption.
 struct PartitionContext {
   Graph query;
   QueryTree tree;
-  SymmetryConstraints symmetry;
   LoadedFlatIndex loaded;
   std::unique_ptr<Enumerator> enumerator;
   std::uint64_t prev_calls = 0;
@@ -49,20 +48,17 @@ Status BuildContext(const WorkerOptions& options, std::uint32_t origin,
   auto query = ParsePattern(loaded->pattern);
   CECI_RETURN_IF_ERROR(query.status());
 
-  auto tree = ImageQueryTree(loaded->index, query.value());
+  auto tree = ImageQueryTree(*loaded, query.value());
   if (!tree.ok()) {
     return Status::Corruption("index image order/query mismatch: " + path +
                               ": " + tree.status().ToString());
   }
 
   ctx->query = std::move(query).value();
-  ctx->symmetry = options.break_automorphisms
-                      ? SymmetryConstraints::Compute(ctx->query)
-                      : SymmetryConstraints::None(ctx->query.num_vertices());
   ctx->tree = std::move(tree).value();
   ctx->loaded = std::move(loaded).value();
   EnumOptions enum_options;
-  enum_options.symmetry = &ctx->symmetry;
+  enum_options.symmetry = &ctx->loaded.symmetry;
   ctx->enumerator = std::make_unique<Enumerator>(
       ctx->tree, ctx->loaded.index, enum_options);
   return Status::Ok();

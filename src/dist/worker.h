@@ -6,14 +6,14 @@
 // workers on the host share one physical copy of each arena page —
 // reconstructs the query from the pattern text stored in the image, and
 // runs the graph-free intersection enumerator (ceci/enumerator.h) over
-// work-unit prefixes. Its own partition (`part<worker_id>.ceix`) is
-// opened at startup; when the supervisor re-adopts a crashed peer's
-// clusters onto this worker (or steals work across partitions), the
-// assignment names the origin partition and the worker lazily maps that
-// image too — the real-process analogue of the simulation's modeled
-// index transfer. Between assignments it sends heartbeats so the
-// supervisor's deadline-based failure detection can tell "idle" from
-// "dead".
+// work-unit prefixes under the restriction set the image records. Its
+// own partition (`part<worker_id>.ceix`) is opened at startup; when the
+// supervisor re-adopts a crashed peer's clusters onto this worker (or
+// steals work across partitions), the assignment names the origin
+// partition and the worker lazily maps that image too — the real-process
+// analogue of the simulation's modeled index transfer. Between
+// assignments it sends heartbeats so the supervisor's deadline-based
+// failure detection can tell "idle" from "dead".
 #ifndef CECI_DIST_WORKER_H_
 #define CECI_DIST_WORKER_H_
 
@@ -31,7 +31,6 @@ struct WorkerOptions {
   int channel_fd = 3;
   std::uint32_t worker_id = 0;
   bool use_mmap = true;
-  bool break_automorphisms = true;
   /// Heartbeat cadence while idle. Must be well under the supervisor's
   /// failure-detection deadline.
   double heartbeat_seconds = 0.05;

@@ -1,6 +1,8 @@
 #include "distsim/partition_plan.h"
 
+#include <barrier>
 #include <thread>
+#include <utility>
 
 #include "ceci/matcher.h"
 #include "ceci/preprocess.h"
@@ -25,6 +27,8 @@ Status PlanPartitions(const Graph& data, const Graph& query,
   Timer phase;
   auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
   if (!pre.ok()) return pre.status();
+  // The Grochow–Kellis set; its mirror may replace it once every
+  // partition has estimated both (below).
   plan->symmetry = options.break_automorphisms
                        ? SymmetryConstraints::Compute(query)
                        : SymmetryConstraints::None(query.num_vertices());
@@ -60,6 +64,20 @@ Status PlanPartitions(const Graph& data, const Graph& query,
     plan->partitions[k].accounting.RecordReceive(bytes);
   }
 
+  // The restriction-set choice: every partition estimates both sets on
+  // its own index, and the last to arrive sums the estimates and chooses
+  // one set for all of them before any work unit is cut. A choice per
+  // partition would list some embeddings twice and others not at all.
+  SymmetryConstraints mirrored = plan->symmetry.Mirrored();
+  std::vector<RestrictionEstimate> estimates(n);
+  auto choose = [&]() noexcept {
+    RestrictionEstimate total;
+    for (const RestrictionEstimate& e : estimates) total += e;
+    plan->restriction_estimate = total;
+    if (total.PrefersMirror()) plan->symmetry = std::move(mirrored);
+  };
+  std::barrier plan_chosen(static_cast<std::ptrdiff_t>(n), choose);
+
   EnumOptions enum_options;
   enum_options.symmetry = &plan->symmetry;
   std::vector<Status> statuses(n, Status::Ok());
@@ -70,7 +88,10 @@ Status PlanPartitions(const Graph& data, const Graph& query,
     TraceSpan span(
         [&] { return options.trace_prefix + std::to_string(k); });
     Partition& part = plan->partitions[k];
-    if (part.pivots.empty()) return;
+    if (part.pivots.empty()) {
+      plan_chosen.arrive_and_drop();
+      return;
+    }
     Timer wall;
     const double cpu_start = ThreadCpuSeconds();
     BuildOptions build_options;
@@ -81,6 +102,11 @@ Status PlanPartitions(const Graph& data, const Graph& query,
                                                  build_options, &stats);
     filters[k].Release();
     part.build_stats = stats.build;
+    if (!mirrored.empty()) {
+      estimates[k] = EstimateRestrictionCost(plan->tree, flat,
+                                             plan->symmetry, mirrored);
+    }
+    plan_chosen.arrive_and_wait();
     part.units = BuildWorkUnits(data, plan->tree, flat, enum_options,
                                 options.unit_workers, options.beta,
                                 options.decompose_extreme_clusters,

@@ -5,10 +5,13 @@
 // PlanPartitions preprocesses the query once, breaks automorphisms,
 // distributes the cluster pivots (distsim/cluster.h), charges the pivot
 // distribution messages, and then builds one refined, frozen CECI per
-// partition on its own thread, cut into work units with a modeled
-// per-unit steal payload. The caller's per-partition step runs on that
-// same thread while the partition's index is alive: the simulator
-// enumerates its units there, the supervisor writes the CEIX image.
+// partition on its own thread. The partitions' summed estimates choose
+// one restriction set for the whole query (the Grochow–Kellis set or its
+// mirror; see EstimateRestrictionCost), and each index is then cut into
+// work units with a modeled per-unit steal payload. The caller's
+// per-partition step runs on that same thread while the partition's
+// index is alive: the simulator enumerates its units there, the
+// supervisor writes the CEIX image.
 #ifndef CECI_DISTSIM_PARTITION_PLAN_H_
 #define CECI_DISTSIM_PARTITION_PLAN_H_
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "ceci/ceci_builder.h"
+#include "ceci/enumerator.h"
 #include "ceci/extreme_cluster.h"
 #include "ceci/flat_index.h"
 #include "ceci/query_tree.h"
@@ -59,15 +63,21 @@ struct Partition {
   /// Modeled MPI_Get payload of one unit: the mutable index's per-unit
   /// share.
   double steal_unit_bytes = 0.0;
-  /// Thread CPU of the build and the work-unit cut, measured.
+  /// Thread CPU of the build, the restriction-set estimate and the
+  /// work-unit cut, measured.
   double build_cpu_seconds = 0.0;
-  /// Wall time of the partition's thread: build, work units and step.
+  /// Wall time of the partition's thread: build, estimate, the wait for
+  /// the other partitions' estimates, work units and step.
   double wall_seconds = 0.0;
 };
 
 struct PartitionPlan {
   QueryTree tree;
+  /// The restriction set every partition enumerates under, chosen from
+  /// the summed estimates: mirrored() when the mirror won.
   SymmetryConstraints symmetry;
+  /// Both sets' estimates, summed over the partitions.
+  RestrictionEstimate restriction_estimate;
   std::vector<Partition> partitions;
   std::size_t jaccard_colocations = 0;
   /// The per-data-graph NLC index build, measured.

@@ -554,7 +554,8 @@ int main(int argc, char** argv) {
         return 1;
       }
       const Status saved =
-          WriteFlatIndex(prepared->flat, pattern_text, args.save_index);
+          WriteFlatIndex(prepared->flat, prepared->tree, prepared->symmetry,
+                         pattern_text, args.save_index);
       if (!saved.ok()) {
         std::fprintf(stderr, "save-index: %s\n", saved.ToString().c_str());
         return 1;
@@ -578,9 +579,10 @@ int main(int argc, char** argv) {
               TerminationReasonName(result.termination).c_str());
   const MatchStats& s = result.stats;
   std::printf("time: %.3fs (preprocess %.3f, build %.3f, refine %.3f, "
-              "freeze %.3f, enumerate %.3f)\n",
+              "freeze %.3f, plan %.3f, enumerate %.3f)\n",
               s.total_seconds, s.preprocess_seconds, s.build_seconds,
-              s.refine_seconds, s.freeze_seconds, s.enumerate_seconds);
+              s.refine_seconds, s.freeze_seconds, s.plan_seconds,
+              s.enumerate_seconds);
   if (args.stats) {
     std::printf("clusters: %zu  cardinality bound: %llu\n",
                 s.embedding_clusters,
@@ -604,7 +606,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.build.rejected_degree),
                 static_cast<unsigned long long>(s.build.rejected_nlc),
                 static_cast<unsigned long long>(s.build.cascade_removals));
-    std::printf("automorphisms broken: %zu\n", s.automorphisms_broken);
+    std::printf("automorphisms broken: %zu, %s restriction set "
+                "(estimates min %llu, max %llu)\n",
+                s.automorphisms_broken,
+                s.restrictions_mirrored ? "max" : "min",
+                static_cast<unsigned long long>(
+                    s.restriction_estimate.min_set),
+                static_cast<unsigned long long>(
+                    s.restriction_estimate.max_set));
   }
   if (args.explain && result.profile.has_value()) {
     std::printf("%s", FormatExplain(*result.profile, s).c_str());

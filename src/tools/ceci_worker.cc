@@ -23,8 +23,7 @@ void Usage() {
   std::fprintf(stderr,
                "usage: ceci_worker --index-dir DIR --worker-id N\n"
                "                   [--channel-fd FD] [--heartbeat-ms MS]\n"
-               "                   [--io-timeout-s S] [--no-mmap]\n"
-               "                   [--no-symmetry]\n");
+               "                   [--io-timeout-s S] [--no-mmap]\n");
 }
 
 }  // namespace
@@ -55,8 +54,6 @@ int main(int argc, char** argv) {
       options.io_timeout_seconds = std::strtod(next(), nullptr);
     } else if (arg == "--no-mmap") {
       options.use_mmap = false;
-    } else if (arg == "--no-symmetry") {
-      options.break_automorphisms = false;
     } else {
       Usage();
       return 2;

@@ -44,7 +44,7 @@ TEST(CachedMatcherTest, HitReportsOnlyItsOwnEnumeration) {
   EXPECT_DOUBLE_EQ(m.total_seconds,
                    m.preprocess_seconds + m.build_seconds +
                        m.refine_seconds + m.freeze_seconds +
-                       m.enumerate_seconds);
+                       m.plan_seconds + m.enumerate_seconds);
 
   auto hit = matcher.Match(query, MatchOptions{});
   ASSERT_TRUE(hit.ok());
@@ -54,6 +54,7 @@ TEST(CachedMatcherTest, HitReportsOnlyItsOwnEnumeration) {
   EXPECT_EQ(h.build_seconds, 0.0);
   EXPECT_EQ(h.refine_seconds, 0.0);
   EXPECT_EQ(h.freeze_seconds, 0.0);
+  EXPECT_EQ(h.plan_seconds, 0.0);
   EXPECT_EQ(h.total_seconds, h.enumerate_seconds);
   // The entry's index-size accounting is still reported on a hit.
   EXPECT_EQ(h.flat_bytes, m.flat_bytes);

@@ -334,7 +334,7 @@ TEST(SharedFlatIndexTest, ManyThreadsEnumerateOneMappedArena) {
       ("ceci_shared_idx_" + std::to_string(::getpid()) + ".idx");
   {
     const FlatCeciIndex flat = FlatCeciIndex::Build(index, *tree);
-    ASSERT_TRUE(WriteFlatIndex(flat, "", path.string()).ok());
+    ASSERT_TRUE(WriteFlatIndex(flat, *tree, sym, "", path.string()).ok());
   }
   IndexLoadOptions load;
   load.use_mmap = true;

@@ -22,12 +22,16 @@
 #include <utility>
 #include <vector>
 
+#include "ceci/cached_matcher.h"
+#include "ceci/index_io.h"
 #include "ceci/matcher.h"
 #include "dist/supervisor.h"
 #include "distsim/dist_matcher.h"
 #include "distsim/failure.h"
+#include "gen/paper_queries.h"
 #include "gen/random_graphs.h"
 #include "graphio/pattern_parser.h"
+#include "test_support.h"
 #include "util/logging.h"
 
 #ifndef CECI_TOOLS_DIR
@@ -281,9 +285,10 @@ TEST_F(DistProcessTest, ScriptedRunMatchesSimulationAccounting) {
 // still count every unit exactly once. The trigger is CPU time, not wall
 // time, so a loaded host cannot let the worker finish before the kill.
 TEST_F(DistProcessTest, ReactiveKillWithDeepWindowRecoversExactTotals) {
-  // The 4-cycle gives each worker about 100 ms of enumeration CPU here.
+  // The house keeps each worker enumerating well past the watcher's 40 ms
+  // CPU threshold here.
   Graph data = GenerateSocialGraph(20000, 8, 21);
-  auto query = ParsePattern("(a:0)-(b:0)-(c:0)-(d:0)-(a)");
+  auto query = ParsePattern("(a:0)-(b:0)-(c:0)-(d:0)-(e:0)-(a); (b)-(e)");
   ASSERT_TRUE(query.ok());
   CeciMatcher matcher(data);
   auto expected = matcher.Count(*query);
@@ -417,6 +422,83 @@ TEST(DistReplayGoldenTest, SupervisorScriptedOrphanEvents) {
     EXPECT_DOUBLE_EQ(got.recovery_seconds, want.recovery_seconds)
         << "worker " << k;
   }
+}
+
+// Every execution path counts the same under whichever restriction set the
+// plan chooses. On a Holme–Kim graph the 4-cycle and the house pick the
+// mirror set; on its id-reversed copy they keep the Grochow–Kellis set.
+TEST(PlanChoiceEveryPathTest, AllPathsAgreeUnderEitherSet) {
+  const Graph original = GenerateSocialGraph(3000, 8, 7000);
+  const Graph reversed = ::ceci::testing::ReverseVertexIds(original);
+  const std::string scratch =
+      (std::filesystem::temp_directory_path() /
+       ("ceci_plan_" + std::to_string(::getpid()) + ".ceix"))
+          .string();
+  std::set<bool> chosen;
+  for (const Graph* data : {&original, &reversed}) {
+    for (const Graph& shape :
+         {ParsePattern("(v0)-(v1); (v0)-(v2); (v1)-(v3); (v2)-(v3)").value(),
+          MakePaperQuery(PaperQuery::kQG5)}) {
+      // The numbering images and workers parse back.
+      const std::string pattern = FormatPattern(shape);
+      const Graph query = ParsePattern(pattern).value();
+      SCOPED_TRACE(pattern + (data == &reversed ? " reversed" : ""));
+
+      CeciMatcher matcher(*data);
+      auto match = matcher.Match(query, MatchOptions{});
+      ASSERT_TRUE(match.ok());
+      const std::uint64_t want = match->embedding_count;
+      const bool mirrored = match->stats.restrictions_mirrored;
+      chosen.insert(mirrored);
+
+      CachedMatcher cached(*data);
+      for (bool hit : {false, true}) {
+        auto got = cached.Match(query, MatchOptions{});
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->stats.index_cache_hit, hit);
+        EXPECT_EQ(got->embedding_count, want);
+      }
+
+      // CEIX save -> mmap -> the prebuilt entry `ceci_serve --index`
+      // installs, enumerating under the stored set.
+      auto prepared = matcher.Prepare(query, MatchOptions{});
+      ASSERT_TRUE(prepared.ok());
+      ASSERT_TRUE(WriteFlatIndex(prepared->flat, prepared->tree,
+                                 prepared->symmetry, pattern, scratch)
+                      .ok());
+      CachedMatcher served(*data);
+      ASSERT_TRUE(served.InstallPrebuilt(scratch, /*use_mmap=*/true).ok());
+      auto from_image = served.Match(query, MatchOptions{});
+      ASSERT_TRUE(from_image.ok());
+      EXPECT_TRUE(from_image->stats.index_cache_hit);
+      EXPECT_EQ(from_image->stats.restrictions_mirrored, mirrored);
+      EXPECT_EQ(from_image->embedding_count, want);
+      std::filesystem::remove(scratch);
+
+      auto options = BaseOptions(3);
+      auto run = dist::RunDistributed(*data, query, options);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->embeddings, want);
+      EXPECT_EQ(run->restrictions_mirrored, mirrored);
+      EXPECT_TRUE(run->audit_ok) << run->audit_summary;
+
+      options.failure_plan.enabled = true;
+      options.failure_plan.crashes = {{1, 1e-5}};
+      auto killed = dist::RunDistributed(*data, query, options);
+      ASSERT_TRUE(killed.ok()) << killed.status().ToString();
+      EXPECT_EQ(killed->embeddings, want);
+      EXPECT_EQ(killed->crashed_workers, 1u);
+      EXPECT_TRUE(killed->audit_ok) << killed->audit_summary;
+
+      distsim::DistOptions sim;
+      sim.num_machines = 3;
+      auto simulated = distsim::DistributedMatch(*data, query, sim);
+      ASSERT_TRUE(simulated.ok()) << simulated.status().ToString();
+      EXPECT_EQ(simulated->embeddings, want);
+    }
+  }
+  // Each set was chosen somewhere.
+  EXPECT_EQ(chosen.size(), 2u);
 }
 
 }  // namespace

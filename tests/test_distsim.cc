@@ -497,17 +497,17 @@ TEST(DistReplayGoldenTest, ReplicatedOneLaneCrashAndStraggler) {
   ExpectGolden({4, 1, GraphStorage::kReplicated, true, 11,
                 {{1, 3e-4}}, {{3, 2.5}}, 0.0},
                {
-                   {false, 77, 0, 8, 0, 40, 14440, 8.4040000000000012e-06,
-                    0.0015686382000000023, 0, 6.0713600000000008e-05,
-                    0.0010419682000000043},
-                   {true, 99, 0, 0, 0, 1, 300, 8.2460000000000003e-06,
-                    0.00027069000000000003, 0, 2.0240000000000003e-05, 0},
-                   {false, 29, 1, 47, 0, 49, 17626, 8.3720000000000005e-06,
-                    0.0016512728000000025, 0, 2.0236800000000002e-05,
-                    0.001025287400000004},
-                   {false, 45, 0, 15, 0, 16, 5711, 2.0635000000000001e-05,
-                    0.0015912319999999999, 0, 2.0236800000000002e-05,
-                    0.00030985700000000062}
+                   {false, 53, 4, 32, 0, 41, 20547, 8.4040000000000012e-06,
+                    0.0013686960000000013, 0, 6.0713600000000008e-05,
+                    0.0010800888000000015},
+                   {true, 32, 0, 0, 0, 1, 300, 8.2460000000000003e-06,
+                    0.00025167500000000003, 0, 2.0240000000000003e-05, 0},
+                   {false, 82, 3, 31, 0, 35, 17328, 8.3720000000000005e-06,
+                    0.0013988332000000007, 0, 2.0236800000000002e-05,
+                    0.00073186780000000144},
+                   {false, 83, 0, 9, 0, 10, 4787, 2.0635000000000001e-05,
+                    0.0013639842999999983, 0, 2.0236800000000002e-05,
+                    8.2946799999999814e-05}
                });
 }
 
@@ -519,11 +519,11 @@ TEST(DistReplayGoldenTest, ReplicatedTwoLanesChainedDoubleCrash) {
                {
                    {true, 1, 0, 0, 0, 0, 0, 9.9180000000000006e-06,
                     4.6304999999999991e-05, 0, 4.0633600000000003e-05, 0},
-                   {true, 102, 0, 47, 0, 87, 27486, 9.1800000000000002e-06,
-                    0.00016991499999999995, 0, 2.0316800000000002e-05, 0},
-                   {false, 147, 0, 191, 0, 287, 85844, 1.0022e-05,
-                    0.0038227042000000206, 0, 2.0316800000000002e-05,
-                    0.0066644984000000362}
+                   {true, 20, 0, 54, 0, 57, 28956, 9.1800000000000002e-06,
+                    0.00016948000000000001, 0, 2.0316800000000002e-05, 0},
+                   {false, 229, 0, 195, 0, 200, 90342, 1.0022e-05,
+                    0.0028060244000000043, 0, 2.0316800000000002e-05,
+                    0.0046441568000000176}
                });
 }
 
@@ -532,16 +532,17 @@ TEST(DistReplayGoldenTest, ReplicatedTwoLanesNoStealing) {
   ExpectGolden({4, 2, GraphStorage::kReplicated, false, 13,
                 {{3, 1.5e-4}}, {{0, 4.0}}, 0.0},
                {
-                   {false, 70, 0, 0, 0, 0, 0, 3.3616000000000005e-05,
-                    0.0010533599999999999, 0, 6.0713600000000008e-05, 0},
-                   {false, 109, 0, 41, 0, 56, 17185, 8.2460000000000003e-06,
-                    0.0009270417999999996, 0, 2.0240000000000003e-05,
-                    0.0012624479999999993},
-                   {false, 46, 0, 29, 0, 53, 16260, 8.3720000000000005e-06,
-                    0.00089574059999999989, 0, 2.0236800000000002e-05,
-                    0.0011825112000000003},
-                   {true, 25, 0, 0, 0, 1, 296, 8.2540000000000009e-06,
-                    0.00012005500000000002, 0, 2.0236800000000002e-05, 0}
+                   {false, 34, 0, 22, 0, 22, 9922, 3.3616000000000005e-05,
+                    0.00066190880000000125, 0, 6.0713600000000008e-05,
+                    0.00049685760000000114},
+                   {false, 76, 0, 30, 0, 31, 13830, 8.2460000000000003e-06,
+                    0.0006385220000000002, 0, 2.0240000000000003e-05,
+                    0.00070197900000000036},
+                   {false, 101, 0, 21, 0, 31, 13826, 8.3720000000000005e-06,
+                    0.0007033870000000003, 0, 2.0236800000000002e-05,
+                    0.00079067400000000043},
+                   {true, 39, 0, 0, 0, 1, 296, 8.2540000000000009e-06,
+                    0.00011998999999999999, 0, 2.0236800000000002e-05, 0}
                });
 }
 
@@ -550,18 +551,18 @@ TEST(DistReplayGoldenTest, SharedOneLaneFlakyStorage) {
   ExpectGolden({4, 1, GraphStorage::kShared, true, 7,
                 {{2, 2.1e-3}}, {{1, 3.0}}, 0.2},
                {
-                   {false, 44, 41, 45, 0, 86, 31910, 8.3720000000000005e-06,
-                    0.0024815106000000073, 0.00056988375000000002,
-                    6.0710400000000007e-05, 0.00098220460000000322},
-                   {false, 60, 0, 7, 1, 8, 2900, 2.5290000000000004e-05,
-                    0.0012739056000000046, 0.0017693725000000001,
-                    2.0236800000000002e-05, 0.00012421560000000151},
-                   {true, 113, 0, 0, 1, 1, 296, 8.3280000000000006e-06,
-                    0.00030362500000000051, 0.00176085, 2.0236800000000002e-05,
+                   {false, 102, 43, 22, 0, 65, 35436, 8.3720000000000005e-06,
+                    0.0020691674000000108, 0.00056988375000000002,
+                    6.0710400000000007e-05, 0.00058473780000000341},
+                   {false, 9, 0, 14, 1, 15, 7534, 2.5290000000000004e-05,
+                    0.00082811680000000184, 0.0017693725000000001,
+                    2.0236800000000002e-05, 0.00028930180000000206},
+                   {true, 37, 0, 0, 1, 1, 296, 8.3280000000000006e-06,
+                    0.00027925499999999995, 0.00176085, 2.0236800000000002e-05,
                     0},
-                   {false, 33, 44, 17, 0, 85, 31456, 8.2700000000000004e-06,
-                    0.0025214080000000071, 0.00055735500000000005,
-                    2.0236800000000002e-05, 0.0010021240000000035}
+                   {false, 102, 47, 17, 0, 68, 37101, 8.2700000000000004e-06,
+                    0.0020822990000000105, 0.00055735500000000005,
+                    2.0236800000000002e-05, 0.00054642200000000257}
                });
 }
 
@@ -572,15 +573,15 @@ TEST(DistReplayGoldenTest, SharedTwoLanesCrashAtZero) {
                {
                    {true, 0, 0, 0, 0, 0, 0, 8.3720000000000005e-06, 0,
                     0.00056988375000000002, 6.0710400000000007e-05, 0},
-                   {false, 64, 0, 2, 1, 42, 15302, 8.4300000000000006e-06,
-                    0.00027396499999999971, 0.0017693725000000001,
+                   {false, 13, 0, 13, 1, 25, 11936, 8.4300000000000006e-06,
+                    0.00010378000000000015, 0.0017693725000000001,
                     2.0236800000000002e-05, 0},
-                   {false, 139, 50, 37, 0, 88, 29088, 8.3280000000000006e-06,
-                    0.0014996384000000016, 0.00056085, 2.0236800000000002e-05,
-                    0.0014283096000000004},
-                   {false, 47, 48, 36, 0, 85, 28112, 8.2700000000000004e-06,
-                    0.0014892212000000005, 0.00055735500000000005,
-                    2.0236800000000002e-05, 0.0014586946000000006}
+                   {false, 133, 45, 31, 0, 77, 40441, 8.3280000000000006e-06,
+                    0.0013261804000000033, 0.00056085, 2.0236800000000002e-05,
+                    0.0011582840000000044},
+                   {false, 104, 45, 31, 0, 77, 40441, 8.2700000000000004e-06,
+                    0.0013363516000000038, 0.00055735500000000005,
+                    2.0236800000000002e-05, 0.0011687290000000042}
                });
 }
 

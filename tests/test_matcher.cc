@@ -207,7 +207,7 @@ TEST(MatcherObservabilityTest, PhaseSecondsSumToTotal) {
   const MatchStats& s = result->stats;
   const double phase_sum = s.preprocess_seconds + s.build_seconds +
                            s.refine_seconds + s.freeze_seconds +
-                           s.enumerate_seconds;
+                           s.plan_seconds + s.enumerate_seconds;
   // The phases partition the match: their sum accounts for nearly all of
   // total_seconds (slack covers stats assembly between phase timers).
   EXPECT_LE(phase_sum, s.total_seconds);
@@ -228,7 +228,7 @@ TEST(MatcherObservabilityTest, FreezeOfAGeneratedQueryIsTimed) {
   ASSERT_GT(s.flat_bytes, 0u);
   EXPECT_GT(s.freeze_seconds, 0.0);
   EXPECT_LE(s.preprocess_seconds + s.build_seconds + s.refine_seconds +
-                s.freeze_seconds + s.enumerate_seconds,
+                s.freeze_seconds + s.plan_seconds + s.enumerate_seconds,
             s.total_seconds);
 }
 
@@ -252,6 +252,15 @@ TEST(MatcherObservabilityTest, MetricsReportJsonRoundTrips) {
   EXPECT_DOUBLE_EQ(phases.Num("total_seconds"), result->stats.total_seconds);
   EXPECT_DOUBLE_EQ(phases.Num("freeze_seconds"),
                    result->stats.freeze_seconds);
+  EXPECT_DOUBLE_EQ(phases.Num("plan_seconds"), result->stats.plan_seconds);
+  const auto& symmetry = stats.At("symmetry");
+  EXPECT_EQ(symmetry.At("mirrored").boolean,
+            result->stats.restrictions_mirrored);
+  EXPECT_EQ(symmetry.Num("estimate_min"),
+            static_cast<double>(result->stats.restriction_estimate.min_set));
+  EXPECT_EQ(symmetry.Num("estimate_max"),
+            static_cast<double>(result->stats.restriction_estimate.max_set));
+  EXPECT_GT(symmetry.Num("estimate_min"), 0.0);  // QG3 has automorphisms
   EXPECT_EQ(stats.At("enumeration").Num("recursive_calls"),
             static_cast<double>(result->stats.enumeration.recursive_calls));
   EXPECT_EQ(stats.At("clusters").Num("embedding_clusters"),

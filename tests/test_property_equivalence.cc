@@ -1,6 +1,7 @@
 // Property-based cross-validation: every matcher in the repository must
 // report the same embedding count on randomized (data, query) pairs, and
-// the CECI visitor output must equal the VF2 oracle's embedding set.
+// the CECI visitor output must equal the VF2 oracle's embedding set under
+// the restriction set CECI's plan chose.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -117,11 +118,39 @@ INSTANTIATE_TEST_SUITE_P(RandomScenarios, EquivalenceTest,
 
 class EmbeddingSetTest : public ::testing::TestWithParam<int> {};
 
+// VF2's embedding set of `query` in `data`, listed under the mirror of
+// the Grochow–Kellis restrictions: the mirror set on `data` is the
+// Grochow–Kellis set on `data` with every id v renamed n-1-v, so VF2 runs
+// on the renamed graph and its embeddings are renamed back.
+std::set<std::vector<VertexId>> MirroredOracleSet(const Graph& data,
+                                                  const Graph& query) {
+  const Graph reversed = ::ceci::testing::ReverseVertexIds(data);
+  EmbeddingCollector collector;
+  EmbeddingVisitor visitor = std::ref(collector);
+  Vf2Count(reversed, query, Vf2Options{}, &visitor);
+  const VertexId last = static_cast<VertexId>(data.num_vertices()) - 1;
+  std::set<std::vector<VertexId>> out;
+  for (std::vector<VertexId> embedding : collector.raw()) {
+    for (VertexId& v : embedding) v = last - v;
+    out.insert(std::move(embedding));
+  }
+  return out;
+}
+
 TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
   Scenario s = MakeScenario(GetParam());
   EmbeddingCollector oracle_collector;
   EmbeddingVisitor oracle_visitor = std::ref(oracle_collector);
   Vf2Count(s.data, s.query, Vf2Options{}, &oracle_visitor);
+  // Each path lists one embedding per automorphism orbit; which one
+  // depends on the restriction set its plan chose.
+  const std::set<std::vector<VertexId>> min_oracle = oracle_collector.AsSet();
+  const std::set<std::vector<VertexId>> max_oracle =
+      MirroredOracleSet(s.data, s.query);
+  ASSERT_EQ(max_oracle.size(), min_oracle.size());
+  auto oracle_for = [&](bool mirrored) -> const auto& {
+    return mirrored ? max_oracle : min_oracle;
+  };
 
   CeciMatcher matcher(s.data);
   EmbeddingCollector ceci_collector;
@@ -129,9 +158,27 @@ TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
   auto result = matcher.Match(s.query, MatchOptions{}, &ceci_visitor);
   ASSERT_TRUE(result.ok());
 
-  EXPECT_EQ(ceci_collector.AsSet(), oracle_collector.AsSet()) << s.name;
+  EXPECT_EQ(ceci_collector.AsSet(),
+            oracle_for(result->stats.restrictions_mirrored))
+      << s.name;
   // No duplicates either.
   EXPECT_EQ(ceci_collector.raw().size(), ceci_collector.AsSet().size());
+
+  // Both valid restriction sets, whichever the plan picks: the mirror set
+  // must list VF2's embedding set of the id-reversed graph, renamed back.
+  for (bool mirror : {false, true}) {
+    auto prepared = matcher.Prepare(s.query, MatchOptions{});
+    ASSERT_TRUE(prepared.ok());
+    if (prepared->symmetry.mirrored() != mirror) {
+      prepared->symmetry = prepared->symmetry.Mirrored();
+    }
+    EmbeddingCollector collector;
+    EmbeddingVisitor visitor = std::ref(collector);
+    matcher.Execute(*prepared, MatchOptions{}, &visitor);
+    EXPECT_EQ(collector.AsSet(), oracle_for(mirror))
+        << s.name << (mirror ? " (max set)" : " (min set)");
+    EXPECT_EQ(collector.raw().size(), collector.AsSet().size());
+  }
 
   // The serving path: a cache miss prepares the entry, a hit on the same
   // instance only executes it. Both must list the oracle's set.
@@ -142,7 +189,8 @@ TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
     auto cached_result = cached.Match(s.query, MatchOptions{}, &visitor);
     ASSERT_TRUE(cached_result.ok());
     ASSERT_EQ(cached_result->stats.index_cache_hit, hit);
-    EXPECT_EQ(collector.AsSet(), oracle_collector.AsSet())
+    EXPECT_EQ(collector.AsSet(),
+              oracle_for(cached_result->stats.restrictions_mirrored))
         << s.name << (hit ? " (cache hit)" : " (cache miss)");
     EXPECT_EQ(collector.raw().size(), collector.AsSet().size());
   }
@@ -176,7 +224,7 @@ TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
   EmbeddingCollector store_collector;
   EmbeddingVisitor store_visitor = std::ref(store_collector);
   Enumerator(pre->tree, flat, enum_options).EnumerateAll(&store_visitor);
-  EXPECT_EQ(store_collector.AsSet(), oracle_collector.AsSet())
+  EXPECT_EQ(store_collector.AsSet(), min_oracle)
       << s.name << " (store-backed build)";
   EXPECT_EQ(store_collector.raw().size(), store_collector.AsSet().size());
 }

@@ -304,7 +304,9 @@ std::string SaveImage(const Graph& data, const Graph& query,
       (std::filesystem::temp_directory_path() /
        (name + "_" + std::to_string(::getpid()) + ".idx"))
           .string();
-  CECI_CHECK(WriteFlatIndex(flat, stored, path).ok());
+  CECI_CHECK(WriteFlatIndex(flat, pre->tree,
+                            SymmetryConstraints::Compute(query), stored, path)
+                 .ok());
   return path;
 }
 

@@ -36,6 +36,27 @@ inline Graph MakeUnlabeled(std::size_t n,
   return MakeGraph(std::vector<Label>(n, 0), edges);
 }
 
+/// `g` with every vertex id v renamed n-1-v (labels and edges follow).
+/// Hubs of a preferential-attachment graph then sit at high ids instead
+/// of low ones, which flips which automorphism-breaking direction is
+/// cheaper.
+inline Graph ReverseVertexIds(const Graph& g) {
+  const VertexId n = static_cast<VertexId>(g.num_vertices());
+  GraphBuilder builder;
+  builder.ReserveVertices(n);
+  for (VertexId v = 0; v < n; ++v) {
+    for (Label l : g.labels(v)) builder.AddLabel(n - 1 - v, l);
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    for (VertexId w : g.neighbors(v)) {
+      if (v < w) builder.AddEdge(n - 1 - v, n - 1 - w);
+    }
+  }
+  auto out = builder.Build();
+  CECI_CHECK(out.ok()) << out.status().ToString();
+  return std::move(out).value();
+}
+
 /// The data graphs of the golden tests (arena images, filter-once builds):
 /// "er", "ba" or "social", optionally with 4 random labels. Their fixed
 /// seeds are part of the recorded values.

@@ -9,6 +9,7 @@
 
 #include "ceci/matcher.h"
 #include "ceci/symmetry.h"
+#include "gen/paper_queries.h"
 #include "gen/random_graphs.h"
 #include "test_support.h"
 
@@ -103,6 +104,96 @@ TEST(SymmetryExtendedTest, BrokenEmbeddingsAreDistinctVertexSets) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(duplicates, 0u);
   EXPECT_EQ(vertex_sets.size(), result->embedding_count);
+}
+
+// The connected 4-vertex shapes with a cycle, numbered as the dist-batch
+// workload writes them, plus the paper's QG1-QG5.
+struct PlanShape {
+  const char* name;
+  Graph query;
+};
+
+std::vector<PlanShape> PlanShapes() {
+  return {
+      {"cycle", MakeUnlabeled(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}})},
+      {"paw", MakeUnlabeled(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}})},
+      {"diamond", MakeUnlabeled(4, {{0, 1}, {0, 2}, {0, 3}, {1, 3}, {2, 3}})},
+      {"clique",
+       MakeUnlabeled(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})},
+      {"QG1", MakePaperQuery(PaperQuery::kQG1)},
+      {"QG2", MakePaperQuery(PaperQuery::kQG2)},
+      {"QG3", MakePaperQuery(PaperQuery::kQG3)},
+      {"QG4", MakePaperQuery(PaperQuery::kQG4)},
+      {"QG5", MakePaperQuery(PaperQuery::kQG5)},
+  };
+}
+
+// Recursive calls of `prepared` under the set it was prepared with and
+// under the other valid set.
+std::pair<std::uint64_t, std::uint64_t> CallsChosenAndOther(
+    const CeciMatcher& matcher, PreparedQuery* prepared) {
+  MatchOptions options;
+  const MatchResult chosen = matcher.Execute(*prepared, options);
+  const std::uint64_t count = chosen.embedding_count;
+  prepared->symmetry = prepared->symmetry.Mirrored();
+  const MatchResult other = matcher.Execute(*prepared, options);
+  EXPECT_EQ(other.embedding_count, count);
+  prepared->symmetry = prepared->symmetry.Mirrored();
+  return {chosen.stats.enumeration.recursive_calls,
+          other.stats.enumeration.recursive_calls};
+}
+
+// The estimator against the deterministic counter: on Holme–Kim graphs,
+// where low ids are hubs, and on their id-reversed copies, the set each
+// query picks never searches more than the one it passed over.
+TEST(PlanChoiceTest, ChosenSetNeverCostsMoreCalls) {
+  for (std::uint64_t g = 0; g < 2; ++g) {
+    const Graph original = GenerateSocialGraph(3000, 8, 7000 + g);
+    const Graph reversed = ::ceci::testing::ReverseVertexIds(original);
+    for (const bool reverse : {false, true}) {
+      const Graph& data = reverse ? reversed : original;
+      CeciMatcher matcher(data);
+      for (const PlanShape& shape : PlanShapes()) {
+        SCOPED_TRACE(std::string(shape.name) + (reverse ? " reversed" : "") +
+                     " graph " + std::to_string(g));
+        auto prepared = matcher.Prepare(shape.query, MatchOptions{});
+        ASSERT_TRUE(prepared.ok());
+        const MatchStats& s = prepared->stats;
+        EXPECT_EQ(prepared->symmetry.mirrored(), s.restrictions_mirrored);
+        EXPECT_EQ(s.restrictions_mirrored,
+                  s.restriction_estimate.max_set <
+                      s.restriction_estimate.min_set);
+        const auto [chosen, other] = CallsChosenAndOther(matcher, &*prepared);
+        EXPECT_LE(chosen, other);
+
+        // Where the hubs sit decides the direction.
+        const std::string name = shape.name;
+        if (name == "cycle" || name == "QG5") {
+          EXPECT_EQ(s.restrictions_mirrored, !reverse);
+        } else if (name == "QG2") {
+          EXPECT_EQ(s.restrictions_mirrored, reverse);
+        } else if (name == "paw") {
+          EXPECT_FALSE(s.restrictions_mirrored);
+        }
+      }
+    }
+  }
+}
+
+// Without automorphisms to break there is nothing to choose: no estimate
+// runs and no plan time is spent.
+TEST(PlanChoiceTest, AsymmetricQuerySkipsTheChoice) {
+  const Graph data = GenerateSocialGraph(500, 6, 3);
+  CeciMatcher matcher(data);
+  MatchOptions unbroken;
+  unbroken.break_automorphisms = false;
+  auto prepared = matcher.Prepare(MakePaperQuery(PaperQuery::kQG2), unbroken);
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_TRUE(prepared->symmetry.empty());
+  EXPECT_EQ(prepared->stats.plan_seconds, 0.0);
+  EXPECT_EQ(prepared->stats.restriction_estimate.min_set, 0u);
+  EXPECT_EQ(prepared->stats.restriction_estimate.max_set, 0u);
+  EXPECT_FALSE(prepared->stats.restrictions_mirrored);
 }
 
 }  // namespace
