@@ -164,6 +164,19 @@ if [[ -n "$hits" ]]; then
     "$hits"
 fi
 
+# --- Rule: one §5 configuration. The knobs both distributed engines
+# honour live in distsim::DistConfig, which DistOptions and
+# DistProcessOptions hold as one member and PlanPartitions reads directly.
+# Assigning one of them field by field in either engine
+# (`plan_options.beta = options.beta`) is a second copy of the
+# configuration growing back, which then has to be kept in step by hand.
+hits=$(grep -nE '\.(beta|break_automorphisms|jaccard_top_k|work_stealing|cost_model|failure_plan|decompose_extreme_clusters)\s*=([^=]|$)' \
+  src/dist/supervisor.cc src/distsim/dist_matcher.cc 2>/dev/null || true)
+if [[ -n "$hits" ]]; then
+  fail "shared dist knob copied field by field (pass distsim::DistConfig whole)" \
+    "$hits"
+fi
+
 # --- Rule: one Algorithm-1 builder and one filter table. The LF/DF/NLC
 # verdicts are computed once per query by FilterTable::Compute
 # (src/ceci/preprocess.cc) and only read from the table by CeciBuilder,

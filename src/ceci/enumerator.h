@@ -106,6 +106,8 @@ struct RestrictionEstimate {
     max_set += other.max_set;
     return *this;
   }
+
+  bool operator==(const RestrictionEstimate&) const = default;
 };
 
 /// Estimates the search each restriction set leaves: the partial

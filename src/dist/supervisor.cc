@@ -83,8 +83,8 @@ struct WorkerState {
   double last_frame_seconds = 0.0;
   bool reaped = false;
   ChildExit exit_info;
-  /// Run tallies, filled as counted results and frames arrive; the rest
-  /// of the report is filled after teardown.
+  /// The planned pivots and units, then run tallies filled as counted
+  /// results and frames arrive; the rest is filled after teardown.
   WorkerReport report;
 };
 
@@ -110,8 +110,9 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     return Status::InvalidArgument("worker binary not executable: " +
                                    options.worker_binary);
   }
-  CECI_RETURN_IF_ERROR(options.failure_plan.Validate(n));
-  const bool scripted = options.failure_plan.active();
+  const distsim::DistConfig& config = options.config;
+  CECI_RETURN_IF_ERROR(config.failure_plan.Validate(n));
+  const bool scripted = config.failure_plan.active();
 
   Timer wall;
   DistRunReport report;
@@ -120,27 +121,20 @@ Result<DistRunReport> RunDistributed(const Graph& data,
 
   // --- Coordinator front end + per-partition builds, each partition
   // writing its CEIX image on its own build thread ---
-  distsim::PartitionPlanOptions plan_options;
-  plan_options.partitions = n;
-  plan_options.neighbors_visible = true;  // images are host-local
-  plan_options.jaccard_top_k = options.jaccard_top_k;
-  plan_options.break_automorphisms = options.break_automorphisms;
-  plan_options.unit_workers = 1;
-  plan_options.beta = options.beta;
-  plan_options.decompose_extreme_clusters = options.decompose_extreme_clusters;
-  plan_options.cost_model = options.cost_model;
-  plan_options.trace_prefix = "dist/partition";
+  // Images are host-local, so pivot workloads see neighbor degrees.
+  const distsim::PlanLayout layout{.partitions = n,
+                                   .neighbors_visible = true,
+                                   .unit_workers = 1,
+                                   .trace_prefix = "dist/partition"};
   distsim::PartitionPlan plan;
   auto write_image = [&](std::size_t k, const FlatCeciIndex& flat) {
     return WriteFlatIndex(
         flat, plan.tree, plan.symmetry, pattern_text,
         PartitionImagePath(scratch.path(), static_cast<std::uint32_t>(k)));
   };
-  CECI_RETURN_IF_ERROR(
-      distsim::PlanPartitions(data, query, plan_options, write_image, &plan));
-  report.jaccard_colocations = plan.jaccard_colocations;
-  report.restrictions_mirrored = plan.symmetry.mirrored();
-  report.restriction_estimate = plan.restriction_estimate;
+  CECI_RETURN_IF_ERROR(distsim::PlanPartitions(data, query, config, layout,
+                                               write_image, &plan));
+  static_cast<distsim::RunReport&>(report) = distsim::PlannedRunReport(plan);
   // The NLC build is the coordinator's first step and counts toward
   // preprocess_seconds.
   report.preprocess_seconds = plan.nlc_seconds + plan.preprocess_seconds;
@@ -151,8 +145,7 @@ Result<DistRunReport> RunDistributed(const Graph& data,
 
   // --- Global unit table, numbered as the replay input numbers them ---
   const std::vector<distsim::ReplayMachine> replay_input =
-      distsim::ModeledReplayInput(plan, options.failure_plan,
-                                  options.cost_model, /*lanes=*/1);
+      distsim::ModeledReplayInput(plan, config, /*lanes=*/1);
   // Per unit: its audited outcome (report.accounting.units) and the work
   // unit itself, owned by the plan.
   std::vector<DistUnitAccount>& units = report.accounting.units;
@@ -166,11 +159,9 @@ Result<DistRunReport> RunDistributed(const Graph& data,
       unit_work.push_back(&parts[k].units[u]);
     }
   }
-  const std::uint64_t total_units = units.size();
-  report.total_units = total_units;
 
   auto unit_cost = [&](std::uint64_t id) {
-    return options.cost_model.UnitSeconds(unit_work[id]->cardinality);
+    return config.cost_model.UnitSeconds(unit_work[id]->cardinality);
   };
 
   // --- Scripted mode: fix the schedule before any process exists. The
@@ -179,8 +170,8 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   // orphaned cluster. ---
   distsim::ReplayOutcome sched;
   if (scripted) {
-    sched = distsim::Replay(replay_input, options.work_stealing,
-                            options.cost_model);
+    sched = distsim::Replay(replay_input, config.work_stealing,
+                            config.cost_model);
     report.orphan_events = sched.orphan_events;
   }
 
@@ -214,7 +205,6 @@ Result<DistRunReport> RunDistributed(const Graph& data,
         "--worker-id",    std::to_string(k),
         "--heartbeat-ms", std::to_string(options.heartbeat_seconds * 1000.0),
         "--io-timeout-s", std::to_string(options.io_timeout_seconds)};
-    if (!options.use_mmap) args.push_back("--no-mmap");
     auto child = SpawnWithChannel(options.worker_binary, args);
     if (!child.ok()) {
       kill_all();
@@ -232,6 +222,8 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   // --- Install queues ---
   for (std::size_t k = 0; k < n; ++k) {
     WorkerState& w = workers[k];
+    static_cast<distsim::PartitionReport&>(w.report) =
+        distsim::PlannedPartitionReport(parts[k]);
     if (scripted) {
       const distsim::ReplayMachineOutcome& script = sched.machines[k];
       w.queue.assign(script.steps.begin(), script.steps.end());
@@ -248,8 +240,7 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     }
   }
 
-  const std::size_t window = scripted ? 1 : std::max<std::size_t>(
-                                                options.pipeline_window, 1);
+  const std::size_t window = scripted ? 1 : kPipelineWindow;
   std::uint64_t done_units = 0;
   std::uint64_t units_dispatched = 0;
   std::uint64_t discarded_results = 0;
@@ -472,7 +463,7 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   };
 
   auto steal_pass = [&]() {
-    if (scripted || !options.work_stealing) return;
+    if (scripted || !config.work_stealing) return;
     for (WorkerState& w : workers) {
       if (!w.live || !w.queue.empty() || !w.inflight.empty()) continue;
       const std::size_t victim = distsim::PickVictim(
@@ -512,7 +503,7 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   };
 
   // --- The supervision loop ---
-  while (done_units < total_units && !fatal) {
+  while (done_units < report.total_units && !fatal) {
     scripted_kill_pass();
     for (WorkerState& w : workers) {
       if (w.live) dispatch(w);
@@ -520,7 +511,7 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     }
     if (fatal) break;
     steal_pass();
-    if (done_units >= total_units) break;
+    if (done_units >= report.total_units) break;
     if (live_count == 0) {
       fatal = true;
       fatal_message = "all workers died with units outstanding";
@@ -551,10 +542,10 @@ Result<DistRunReport> RunDistributed(const Graph& data,
         death(w, /*scripted_kill=*/false);
         continue;
       }
-      if (now - w.last_frame_seconds > options.heartbeat_deadline_seconds) {
+      if (now - w.last_frame_seconds > kHeartbeatDeadlineSeconds) {
         ++heartbeat_timeouts;
         CECI_LOG(Warning) << "dist: worker " << w.id << " silent for "
-                          << options.heartbeat_deadline_seconds
+                          << kHeartbeatDeadlineSeconds
                           << "s; declaring dead";
         death(w, /*scripted_kill=*/false);
       }
@@ -606,25 +597,17 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     WorkerReport wr = w.report;
     wr.worker_id = w.id;
     wr.pid = static_cast<std::int64_t>(w.proc.pid);
-    wr.pivots = parts[k].pivots.size();
-    wr.initial_units = parts[k].units.size();
     wr.build_seconds = parts[k].wall_seconds;
     if (scripted) {
       wr.modeled_enum_seconds = sched.machines[k].busy_seconds;
       wr.modeled_start_seconds = replay_input[k].start_seconds;
       wr.recovery_seconds = sched.machines[k].recovery_seconds;
     }
-    wr.exited = w.exit_info.exited;
-    wr.exit_code = w.exit_info.exit_code;
-    wr.signaled = w.exit_info.signaled;
-    wr.term_signal = w.exit_info.term_signal;
+    static_cast<ChildExit&>(wr) = w.exit_info;
     report.workers.push_back(wr);
 
-    report.embeddings += wr.embeddings;
-    report.total_stolen_units += wr.stolen_units;
+    report.Add(wr);
     report.total_redelivered_units += wr.adopted_units;
-    report.total_reassigned_clusters += wr.reassigned_clusters;
-    if (wr.crashed) ++report.crashed_workers;
     report.accounting.crashed.push_back(wr.crashed ? 1 : 0);
     report.accounting.worker_embeddings.push_back(wr.embeddings);
   }
@@ -636,14 +619,12 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   acc.total_embeddings = report.embeddings;
   acc.orphan_events = report.orphan_events;
   acc.reported_reassigned_clusters = report.total_reassigned_clusters;
-  if (options.audit) {
-    AuditReport audit = AuditDistRun(acc);
-    report.audit_ok = audit.ok();
-    report.audit_summary = audit.ToString();
-    if (!report.audit_ok) {
-      CECI_LOG(Error) << "dist: accounting audit failed: "
-                      << report.audit_summary;
-    }
+  const AuditReport audit = AuditDistRun(acc);
+  report.audit_ok = audit.ok();
+  report.audit_summary = audit.ToString();
+  if (!report.audit_ok) {
+    CECI_LOG(Error) << "dist: accounting audit failed: "
+                    << report.audit_summary;
   }
 
   static Counter& queries =
@@ -683,7 +664,7 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     bytes_sent_counter.Add(wr.bytes_to_worker);
     bytes_received_counter.Add(wr.bytes_from_worker);
   }
-  crashed_counter.Add(report.crashed_workers);
+  crashed_counter.Add(report.crashed_machines);
   reassigned_counter.Add(report.total_reassigned_clusters);
   redelivered_counter.Add(report.total_redelivered_units);
   timeouts_counter.Add(heartbeat_timeouts);
@@ -695,22 +676,12 @@ Result<DistRunReport> RunDistributed(const Graph& data,
 std::string DistRunReportJson(const DistRunReport& report) {
   JsonWriter w;
   w.BeginObject();
-  w.KV("embeddings", report.embeddings);
-  w.KV("total_units", report.total_units);
-  w.KV("crashed_workers", static_cast<std::uint64_t>(report.crashed_workers));
-  w.KV("reassigned_clusters", report.total_reassigned_clusters);
+  distsim::WriteRunReportJson(report, &w);
+  // crashed_machines under the name readers of this report use.
+  w.KV("crashed_workers", static_cast<std::uint64_t>(report.crashed_machines));
   w.KV("redelivered_units", report.total_redelivered_units);
-  w.KV("stolen_units", report.total_stolen_units);
   w.KV("discarded_results", report.discarded_results);
   w.KV("heartbeat_timeouts", report.heartbeat_timeouts);
-  w.KV("jaccard_colocations",
-       static_cast<std::uint64_t>(report.jaccard_colocations));
-  w.Key("symmetry");
-  w.BeginObject();
-  w.KV("mirrored", report.restrictions_mirrored);
-  w.KV("estimate_min", report.restriction_estimate.min_set);
-  w.KV("estimate_max", report.restriction_estimate.max_set);
-  w.EndObject();
   w.KV("preprocess_seconds", report.preprocess_seconds);
   w.KV("build_seconds", report.build_seconds);
   w.KV("wall_seconds", report.wall_seconds);
@@ -728,17 +699,13 @@ std::string DistRunReportJson(const DistRunReport& report) {
   w.BeginArray();
   for (const WorkerReport& wr : report.workers) {
     w.BeginObject();
+    distsim::WritePartitionReportJson(wr, &w);
     w.KV("worker_id", static_cast<std::uint64_t>(wr.worker_id));
     w.KV("pid", static_cast<std::int64_t>(wr.pid));
-    w.KV("pivots", static_cast<std::uint64_t>(wr.pivots));
-    w.KV("initial_units", static_cast<std::uint64_t>(wr.initial_units));
     w.KV("units_executed", wr.units_executed);
-    w.KV("embeddings", wr.embeddings);
     w.KV("recursive_calls", wr.recursive_calls);
     w.KV("cardinality_executed", wr.cardinality_executed);
-    w.KV("stolen_units", wr.stolen_units);
     w.KV("adopted_units", wr.adopted_units);
-    w.KV("reassigned_clusters", wr.reassigned_clusters);
     w.KV("heartbeats", wr.heartbeats);
     w.KV("bytes_to_worker", wr.bytes_to_worker);
     w.KV("bytes_from_worker", wr.bytes_from_worker);
@@ -747,8 +714,6 @@ std::string DistRunReportJson(const DistRunReport& report) {
     w.KV("enum_seconds", wr.enum_seconds);
     w.KV("modeled_enum_seconds", wr.modeled_enum_seconds);
     w.KV("modeled_start_seconds", wr.modeled_start_seconds);
-    w.KV("recovery_seconds", wr.recovery_seconds);
-    w.KV("crashed", wr.crashed);
     w.KV("killed_by_plan", wr.killed_by_plan);
     w.KV("exited", wr.exited);
     w.KV("exit_code", static_cast<std::int64_t>(wr.exit_code));

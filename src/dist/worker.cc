@@ -37,9 +37,7 @@ struct PartitionContext {
 Status BuildContext(const WorkerOptions& options, std::uint32_t origin,
                     PartitionContext* ctx) {
   const std::string path = PartitionImagePath(options.index_dir, origin);
-  IndexLoadOptions load;
-  load.use_mmap = options.use_mmap;
-  auto loaded = OpenFlatIndex(path, load);
+  auto loaded = OpenFlatIndex(path, IndexLoadOptions{.use_mmap = true});
   CECI_RETURN_IF_ERROR(loaded.status());
   if (loaded->pattern.empty()) {
     return Status::InvalidArgument("index image carries no pattern text: " +

@@ -2,7 +2,7 @@
 // supervisor assigns it over a framed channel on an inherited descriptor.
 //
 // The worker never sees the data graph. It opens CEIX partition images
-// the supervisor wrote under a shared directory — mmap by default, so all
+// the supervisor wrote under a shared directory — always mmapped, so all
 // workers on the host share one physical copy of each arena page —
 // reconstructs the query from the pattern text stored in the image, and
 // runs the graph-free intersection enumerator (ceci/enumerator.h) over
@@ -30,7 +30,6 @@ struct WorkerOptions {
   /// Inherited channel descriptor (util/subprocess.h wires 3 by default).
   int channel_fd = 3;
   std::uint32_t worker_id = 0;
-  bool use_mmap = true;
   /// Heartbeat cadence while idle. Must be well under the supervisor's
   /// failure-detection deadline.
   double heartbeat_seconds = 0.05;

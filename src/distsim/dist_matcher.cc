@@ -17,8 +17,7 @@ namespace {
 /// What a machine's own thread measured while enumerating its pool.
 struct OwnEnumeration {
   /// Physical embedding count per unit, parallel to the partition's
-  /// units. Under a failure plan each unit is credited to the machine
-  /// that completes it in the replay.
+  /// units.
   std::vector<std::uint64_t> unit_embeddings;
   std::uint64_t embeddings = 0;
   double cpu_seconds = 0.0;
@@ -31,7 +30,8 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
   if (options.num_machines < 1 || options.threads_per_machine < 1) {
     return Status::InvalidArgument("machine and thread counts must be >= 1");
   }
-  const FailurePlan& failures = options.failure_plan;
+  const DistConfig& config = options.config;
+  const FailurePlan& failures = config.failure_plan;
   if (Status plan_status = failures.Validate(options.num_machines);
       !plan_status.ok()) {
     return plan_status;
@@ -44,17 +44,11 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
   // enumerates its own pool on its thread. The replay below redistributes
   // units analytically, so the simulated makespans stay meaningful on
   // hosts with fewer cores than simulated machines. ---
-  PartitionPlanOptions plan_options;
-  plan_options.partitions = options.num_machines;
-  plan_options.neighbors_visible =
-      options.storage == GraphStorage::kReplicated;
-  plan_options.jaccard_top_k = options.jaccard_top_k;
-  plan_options.break_automorphisms = options.break_automorphisms;
-  plan_options.unit_workers = options.threads_per_machine;
-  plan_options.beta = options.beta;
-  plan_options.decompose_extreme_clusters = options.decompose_extreme_clusters;
-  plan_options.cost_model = options.cost_model;
-  plan_options.trace_prefix = "distsim/machine";
+  const PlanLayout layout{
+      .partitions = options.num_machines,
+      .neighbors_visible = options.storage == GraphStorage::kReplicated,
+      .unit_workers = options.threads_per_machine,
+      .trace_prefix = "distsim/machine"};
   PartitionPlan plan;
   std::vector<OwnEnumeration> own(options.num_machines);
   auto enumerate_own = [&](std::size_t k, const FlatCeciIndex& flat) {
@@ -64,12 +58,12 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
       // plus one 8-byte beginning_position lookup per request.
       const BuildStats& stats = part.build_stats;
       part.accounting.ChargeStorage(
-          options.cost_model, stats.frontier_expansions,
+          config.cost_model, stats.frontier_expansions,
           stats.neighbors_scanned * 4 + stats.frontier_expansions * 8);
       // The build's read requests are a pure function of the deterministic
       // filtering, so the flake draw is reproducible per (seed, machine).
       const StorageRetrySim retries = SimulateStorageRetries(
-          failures, k, stats.frontier_expansions, options.cost_model);
+          failures, k, stats.frontier_expansions, config.cost_model);
       part.accounting.storage_retries += retries.retries;
       part.accounting.io_seconds += retries.seconds;
     }
@@ -89,8 +83,8 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
     return Status::Ok();
   };
   CECI_RETURN_IF_ERROR(
-      PlanPartitions(data, query, plan_options, enumerate_own, &plan));
-  result.jaccard_colocations = plan.jaccard_colocations;
+      PlanPartitions(data, query, config, layout, enumerate_own, &plan));
+  static_cast<RunReport&>(result) = PlannedRunReport(plan);
   // The NLC index is amortized over queries, like the graph load itself,
   // so it is excluded from the per-query preprocess time.
   result.preprocess_seconds = plan.preprocess_seconds;
@@ -100,8 +94,8 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
   // reproducible; without one, each machine's measured build CPU starts
   // its lanes and its measured enumeration CPU is split across its units
   // in proportion to their cardinalities.
-  std::vector<ReplayMachine> input = ModeledReplayInput(
-      plan, failures, options.cost_model, options.threads_per_machine);
+  std::vector<ReplayMachine> input =
+      ModeledReplayInput(plan, config, options.threads_per_machine);
   if (!failures.active()) {
     for (std::size_t k = 0; k < options.num_machines; ++k) {
       const Partition& part = plan.partitions[k];
@@ -123,7 +117,7 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
     }
   }
   const ReplayOutcome replay =
-      Replay(input, options.work_stealing, options.cost_model);
+      Replay(input, config.work_stealing, config.cost_model);
 
   // --- Reports ---
   // Physical embeddings per unit, indexed by the replay's global ids.
@@ -137,9 +131,8 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
   for (std::size_t k = 0; k < options.num_machines; ++k) {
     const Partition& part = plan.partitions[k];
     const ReplayMachineOutcome& replayed = replay.machines[k];
-    result.embeddings += own[k].embeddings;
     MachineReport report;
-    report.pivots = part.pivots.size();
+    static_cast<PartitionReport&>(report) = PlannedPartitionReport(part);
     report.embeddings = own[k].embeddings;
     if (failures.active()) {
       // Credit each unit to the machine that completed it; every unit
@@ -150,42 +143,32 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
       }
     }
     report.stolen_units = replayed.stolen_units;
-    report.messages = part.accounting.messages;
-    report.bytes_sent = part.accounting.bytes_sent;
-    report.messages_received =
-        part.accounting.messages_received + replayed.messages_received;
-    report.bytes_received =
-        part.accounting.bytes_received + replayed.bytes_received;
-    report.bytes_read = part.accounting.bytes_read;
+    report.reassigned_clusters = replayed.reassigned_clusters;
+    report.recovery_seconds = replayed.recovery_seconds;
+    report.crashed = replayed.crashed;
+    static_cast<Machine&>(report) = part.accounting;
+    report.messages_received += replayed.messages_received;
+    report.bytes_received += replayed.bytes_received;
     report.build_compute_seconds =
         failures.active() ? ModeledBuildSeconds(part, failures.Slowdown(k),
-                                                options.cost_model)
+                                                config.cost_model)
                           : part.build_cpu_seconds;
     report.enum_compute_seconds = replayed.busy_seconds;
-    report.io_seconds = part.accounting.io_seconds;
-    report.comm_seconds = part.accounting.comm_seconds;
     report.total_seconds = report.build_compute_seconds +
                            report.enum_compute_seconds + report.io_seconds +
                            report.comm_seconds;
-    report.crashed = replayed.crashed;
-    report.reassigned_clusters = replayed.reassigned_clusters;
-    report.storage_retries = part.accounting.storage_retries;
-    report.recovery_seconds = replayed.recovery_seconds;
     slowest = std::max(slowest, report.total_seconds);
+    result.Add(report);
     result.total_messages += report.messages;
     result.total_bytes_sent += report.bytes_sent;
     result.total_messages_received += report.messages_received;
     result.total_bytes_received += report.bytes_received;
     result.total_bytes_read += report.bytes_read;
-    result.total_stolen_units += report.stolen_units;
+    result.total_storage_retries += report.storage_retries;
     result.build_compute_seconds += report.build_compute_seconds;
     result.build_io_seconds += report.io_seconds;
     // Construction comm (the pivot distribution) of machines that built.
     if (!part.pivots.empty()) result.build_comm_seconds += report.comm_seconds;
-    if (report.crashed) ++result.crashed_machines;
-    result.total_reassigned_clusters += report.reassigned_clusters;
-    result.total_storage_retries += report.storage_retries;
-    result.total_recovery_seconds += report.recovery_seconds;
     result.machines.push_back(report);
   }
   result.makespan_seconds = result.preprocess_seconds + slowest;
@@ -232,9 +215,7 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
 std::string DistResultJson(const DistResult& result) {
   JsonWriter w;
   w.BeginObject();
-  w.KV("embeddings", result.embeddings);
-  w.KV("jaccard_colocations",
-       static_cast<std::uint64_t>(result.jaccard_colocations));
+  WriteRunReportJson(result, &w);
   w.KV("preprocess_seconds", result.preprocess_seconds);
   w.KV("makespan_seconds", result.makespan_seconds);
   w.Key("build");
@@ -243,6 +224,8 @@ std::string DistResultJson(const DistResult& result) {
   w.KV("io_seconds", result.build_io_seconds);
   w.KV("comm_seconds", result.build_comm_seconds);
   w.EndObject();
+  // `traffic` and `recovery` repeat four shared totals so readers of
+  // these blocks keep working.
   w.Key("traffic");
   w.BeginObject();
   w.KV("messages", result.total_messages);
@@ -264,23 +247,18 @@ std::string DistResultJson(const DistResult& result) {
   w.BeginArray();
   for (const MachineReport& m : result.machines) {
     w.BeginObject();
-    w.KV("pivots", static_cast<std::uint64_t>(m.pivots));
-    w.KV("embeddings", m.embeddings);
-    w.KV("stolen_units", m.stolen_units);
+    WritePartitionReportJson(m, &w);
     w.KV("messages", m.messages);
     w.KV("bytes_sent", m.bytes_sent);
     w.KV("messages_received", m.messages_received);
     w.KV("bytes_received", m.bytes_received);
     w.KV("bytes_read", m.bytes_read);
+    w.KV("storage_retries", m.storage_retries);
     w.KV("build_compute_seconds", m.build_compute_seconds);
     w.KV("enum_compute_seconds", m.enum_compute_seconds);
     w.KV("io_seconds", m.io_seconds);
     w.KV("comm_seconds", m.comm_seconds);
     w.KV("total_seconds", m.total_seconds);
-    w.KV("crashed", m.crashed);
-    w.KV("reassigned_clusters", m.reassigned_clusters);
-    w.KV("storage_retries", m.storage_retries);
-    w.KV("recovery_seconds", m.recovery_seconds);
     w.EndObject();
   }
   w.EndArray();

@@ -8,15 +8,16 @@
 #include "ceci/preprocess.h"
 #include "distsim/cluster.h"
 #include "graph/nlc_index.h"
+#include "util/json_writer.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
 namespace ceci::distsim {
 
 Status PlanPartitions(const Graph& data, const Graph& query,
-                      const PartitionPlanOptions& options,
+                      const DistConfig& config, const PlanLayout& layout,
                       const PartitionStep& step, PartitionPlan* plan) {
-  const std::size_t n = options.partitions;
+  const std::size_t n = layout.partitions;
 
   // The NLC index is a one-time per-data-graph structure; callers decide
   // whether its build counts as per-query preprocessing.
@@ -29,15 +30,15 @@ Status PlanPartitions(const Graph& data, const Graph& query,
   if (!pre.ok()) return pre.status();
   // The Grochow–Kellis set; its mirror may replace it once every
   // partition has estimated both (below).
-  plan->symmetry = options.break_automorphisms
+  plan->symmetry = config.break_automorphisms
                        ? SymmetryConstraints::Compute(query)
                        : SymmetryConstraints::None(query.num_vertices());
   std::vector<VertexId> pivots;
   if (!pre->infeasible) pivots = std::move(pre->root_candidates);
   AssignOptions assign_options;
   assign_options.num_machines = n;
-  assign_options.neighbors_visible = options.neighbors_visible;
-  assign_options.jaccard_top_k = options.jaccard_top_k;
+  assign_options.neighbors_visible = layout.neighbors_visible;
+  assign_options.jaccard_top_k = config.jaccard_top_k;
   PivotAssignment assignment = AssignPivots(data, pivots, assign_options);
   plan->jaccard_colocations = assignment.jaccard_colocations;
   plan->preprocess_seconds = phase.Seconds();
@@ -59,8 +60,8 @@ Status PlanPartitions(const Graph& data, const Graph& query,
   for (std::size_t k = 1; k < n; ++k) {
     const std::uint64_t bytes =
         plan->partitions[k].pivots.size() * sizeof(VertexId);
-    plan->partitions[0].accounting.ChargeMessage(options.cost_model, bytes);
-    plan->partitions[k].accounting.ChargeMessage(options.cost_model, bytes);
+    plan->partitions[0].accounting.ChargeMessage(config.cost_model, bytes);
+    plan->partitions[k].accounting.ChargeMessage(config.cost_model, bytes);
     plan->partitions[k].accounting.RecordReceive(bytes);
   }
 
@@ -86,7 +87,7 @@ Status PlanPartitions(const Graph& data, const Graph& query,
     // (lane 0 is the coordinator thread).
     TraceLane lane(static_cast<std::uint32_t>(k) + 1);
     TraceSpan span(
-        [&] { return options.trace_prefix + std::to_string(k); });
+        [&] { return layout.trace_prefix + std::to_string(k); });
     Partition& part = plan->partitions[k];
     if (part.pivots.empty()) {
       plan_chosen.arrive_and_drop();
@@ -108,8 +109,8 @@ Status PlanPartitions(const Graph& data, const Graph& query,
     }
     plan_chosen.arrive_and_wait();
     part.units = BuildWorkUnits(data, plan->tree, flat, enum_options,
-                                options.unit_workers, options.beta,
-                                options.decompose_extreme_clusters,
+                                layout.unit_workers, config.beta,
+                                /*decompose_extreme_clusters=*/true,
                                 /*sort_by_cardinality=*/true, nullptr);
     part.build_cpu_seconds = ThreadCpuSeconds() - cpu_start;
     part.steal_unit_bytes =
@@ -139,9 +140,10 @@ double ModeledBuildSeconds(const Partition& partition, double slowdown,
 }
 
 std::vector<ReplayMachine> ModeledReplayInput(const PartitionPlan& plan,
-                                              const FailurePlan& failures,
-                                              const dist::CostModel& model,
+                                              const DistConfig& config,
                                               std::size_t lanes) {
+  const FailurePlan& failures = config.failure_plan;
+  const dist::CostModel& model = config.cost_model;
   std::vector<ReplayMachine> machines(plan.partitions.size());
   std::uint64_t next_id = 0;
   for (std::size_t k = 0; k < machines.size(); ++k) {
@@ -162,6 +164,60 @@ std::vector<ReplayMachine> ModeledReplayInput(const PartitionPlan& plan,
     }
   }
   return machines;
+}
+
+void RunReport::Add(const PartitionReport& partition) {
+  embeddings += partition.embeddings;
+  total_stolen_units += partition.stolen_units;
+  total_reassigned_clusters += partition.reassigned_clusters;
+  if (partition.crashed) ++crashed_machines;
+  total_recovery_seconds += partition.recovery_seconds;
+}
+
+PartitionReport PlannedPartitionReport(const Partition& partition) {
+  PartitionReport report;
+  report.pivots = partition.pivots.size();
+  report.initial_units = partition.units.size();
+  return report;
+}
+
+RunReport PlannedRunReport(const PartitionPlan& plan) {
+  RunReport report;
+  for (const Partition& part : plan.partitions) {
+    report.total_units += part.units.size();
+  }
+  report.jaccard_colocations = plan.jaccard_colocations;
+  report.restrictions_mirrored = plan.symmetry.mirrored();
+  report.restriction_estimate = plan.restriction_estimate;
+  return report;
+}
+
+void WritePartitionReportJson(const PartitionReport& report, JsonWriter* w) {
+  w->KV("pivots", static_cast<std::uint64_t>(report.pivots));
+  w->KV("initial_units", static_cast<std::uint64_t>(report.initial_units));
+  w->KV("embeddings", report.embeddings);
+  w->KV("stolen_units", report.stolen_units);
+  w->KV("reassigned_clusters", report.reassigned_clusters);
+  w->KV("recovery_seconds", report.recovery_seconds);
+  w->KV("crashed", report.crashed);
+}
+
+void WriteRunReportJson(const RunReport& report, JsonWriter* w) {
+  w->KV("embeddings", report.embeddings);
+  w->KV("total_units", report.total_units);
+  w->KV("stolen_units", report.total_stolen_units);
+  w->KV("reassigned_clusters", report.total_reassigned_clusters);
+  w->KV("crashed_machines",
+        static_cast<std::uint64_t>(report.crashed_machines));
+  w->KV("recovery_seconds", report.total_recovery_seconds);
+  w->KV("jaccard_colocations",
+        static_cast<std::uint64_t>(report.jaccard_colocations));
+  w->Key("symmetry");
+  w->BeginObject();
+  w->KV("mirrored", report.restrictions_mirrored);
+  w->KV("estimate_min", report.restriction_estimate.min_set);
+  w->KV("estimate_max", report.restriction_estimate.max_set);
+  w->EndObject();
 }
 
 }  // namespace ceci::distsim

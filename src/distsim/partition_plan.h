@@ -1,6 +1,7 @@
-// The coordinator front end of the §5 runtime, shared by the simulated
-// cluster (distsim/dist_matcher.h) and the real process supervisor
-// (dist/supervisor.h).
+// The §5 core shared by the simulated cluster (distsim/dist_matcher.h)
+// and the real process supervisor (dist/supervisor.h): one configuration
+// (DistConfig, a member of both engines' options), one coordinator front
+// end, and one report core.
 //
 // PlanPartitions preprocesses the query once, breaks automorphisms,
 // distributes the cluster pivots (distsim/cluster.h), charges the pivot
@@ -12,6 +13,10 @@
 // per-partition step runs on that same thread while the partition's
 // index is alive: the simulator enumerates its units there, the
 // supervisor writes the CEIX image.
+//
+// PartitionReport and RunReport hold what both engines report with the
+// same meaning; each engine's report types inherit them, and one JSON
+// writer serializes them for both.
 #ifndef CECI_DISTSIM_PARTITION_PLAN_H_
 #define CECI_DISTSIM_PARTITION_PLAN_H_
 
@@ -31,23 +36,36 @@
 #include "distsim/machine.h"
 #include "distsim/replay.h"
 #include "graph/graph.h"
+#include "util/json_writer.h"
 #include "util/status.h"
 
 namespace ceci::distsim {
 
-struct PartitionPlanOptions {
+/// The §5 knobs both engines honour, with the same defaults.
+struct DistConfig {
+  /// Extreme-cluster decomposition threshold inside each partition (§4.3).
+  double beta = 0.2;
+  bool break_automorphisms = true;
+  /// The paper evaluates Jaccard similarity over the largest 1,000
+  /// clusters; the default is smaller because the O(k²) coordinator pass
+  /// is serial. Raise it on real clusters.
+  std::size_t jaccard_top_k = 256;
+  /// Idle machines take queued units from the most-loaded peer.
+  bool work_stealing = true;
+  dist::CostModel cost_model;
+  /// Scripted crashes, stragglers and storage flakes (distsim/failure.h),
+  /// validated against the machine count before any work.
+  FailurePlan failure_plan;
+};
+
+/// What each engine derives for itself rather than takes from DistConfig.
+struct PlanLayout {
   std::size_t partitions = 1;
   /// Pivot workloads see neighbor degrees (replicated graph) or only the
   /// pivot's own degree (shared store); see AssignOptions.
   bool neighbors_visible = true;
-  std::size_t jaccard_top_k = 256;
-  bool break_automorphisms = true;
   /// BuildWorkUnits worker count per partition.
   std::size_t unit_workers = 1;
-  double beta = 0.2;
-  bool decompose_extreme_clusters = true;
-  /// Charges the pivot distribution messages.
-  dist::CostModel cost_model;
   /// Partition k's thread traces as span `<trace_prefix><k>` on lane k+1.
   std::string trace_prefix;
 };
@@ -95,7 +113,7 @@ using PartitionStep =
 /// `plan->partitions[k]`, and write only the latter. Returns the first
 /// failing step's status in partition order.
 Status PlanPartitions(const Graph& data, const Graph& query,
-                      const PartitionPlanOptions& options,
+                      const DistConfig& config, const PlanLayout& layout,
                       const PartitionStep& step, PartitionPlan* plan);
 
 /// Modeled construction time of a partition: adjacency entries scanned
@@ -104,13 +122,60 @@ double ModeledBuildSeconds(const Partition& partition, double slowdown,
                            const dist::CostModel& model);
 
 /// Replay input with modeled times: one machine per partition, starting
-/// after its modeled build plus charged io and comm, with `failures`'
-/// slowdowns and crash times. Units keep pool order and are numbered
-/// globally in partition order.
+/// after its modeled build plus charged io and comm, with the failure
+/// plan's slowdowns and crash times. Units keep pool order and are
+/// numbered globally in partition order.
 std::vector<ReplayMachine> ModeledReplayInput(const PartitionPlan& plan,
-                                              const FailurePlan& failures,
-                                              const dist::CostModel& model,
+                                              const DistConfig& config,
                                               std::size_t lanes);
+
+/// What one partition's machine (simulated, or a worker process) was
+/// given and did; field meanings in docs/observability.md.
+struct PartitionReport {
+  std::size_t pivots = 0;
+  std::size_t initial_units = 0;
+  /// Of the units it completed; in a failure-free simulation, whose
+  /// replay runs on measured times, of its own units.
+  std::uint64_t embeddings = 0;
+  std::uint64_t stolen_units = 0;
+  /// Clusters adopted from crashed peers, at most once per crash.
+  std::uint64_t reassigned_clusters = 0;
+  /// Modeled seconds re-running adopted units; 0 without a failure plan.
+  double recovery_seconds = 0.0;
+  bool crashed = false;
+
+  bool operator==(const PartitionReport&) const = default;
+};
+
+/// The plan's outcome and the partition totals.
+struct RunReport {
+  std::uint64_t embeddings = 0;
+  std::uint64_t total_units = 0;
+  std::uint64_t total_stolen_units = 0;
+  std::uint64_t total_reassigned_clusters = 0;
+  std::size_t crashed_machines = 0;
+  double total_recovery_seconds = 0.0;
+  std::size_t jaccard_colocations = 0;
+  /// The restriction set every partition enumerated under (§2.2) and
+  /// both sets' estimates summed over the partitions.
+  bool restrictions_mirrored = false;
+  RestrictionEstimate restriction_estimate;
+
+  /// Adds one partition's counters to the totals.
+  void Add(const PartitionReport& partition);
+
+  bool operator==(const RunReport&) const = default;
+};
+
+/// The shared fields the plan fixes: pivots and units per partition, and
+/// the co-locations, restriction choice and unit total of the run.
+PartitionReport PlannedPartitionReport(const Partition& partition);
+RunReport PlannedRunReport(const PartitionPlan& plan);
+
+/// Write the shared fields as keys of the JSON object `w` has open; schema
+/// in docs/observability.md.
+void WritePartitionReportJson(const PartitionReport& report, JsonWriter* w);
+void WriteRunReportJson(const RunReport& report, JsonWriter* w);
 
 }  // namespace ceci::distsim
 

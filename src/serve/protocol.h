@@ -22,6 +22,9 @@
 //   BUSY queue_full               admission control rejected the request
 //   ERR <message>                 malformed request / pattern / match error
 //
+// A pattern over QueryService::kMaxQueryVertices (64) vertices is an ERR
+// before any matching work, counted in ceci.serve.errors.
+//
 // `rid` is the server-assigned request id (telemetry/access_log.h): the
 // same id appears in the access log and on the request's trace spans, so
 // a slow response can be joined to its server-side records. Present

@@ -286,6 +286,11 @@ void QueryService::Process(Session& session) {
   }
 
   auto query = ParsePattern(session.req.pattern);
+  if (query.ok() && query->num_vertices() > kMaxQueryVertices) {
+    query = Status::InvalidArgument(
+        "pattern has " + std::to_string(query->num_vertices()) +
+        " vertices; the limit is " + std::to_string(kMaxQueryVertices));
+  }
   if (!query.ok()) {
     response.status = query.status();
     ErrorCounter().Increment();

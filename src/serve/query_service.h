@@ -133,6 +133,11 @@ struct ServeResponse {
 /// Submit() may be called from any number of frontend threads.
 class QueryService {
  public:
+  /// Largest pattern a session runs, in vertices (and so edges: patterns
+  /// are simple graphs). Filtering allocates a row per pattern vertex over
+  /// the whole data graph, so a larger one is an error before any work.
+  static constexpr std::size_t kMaxQueryVertices = 64;
+
   /// Starts limits.max_concurrent runner threads and (if pool_threads >
   /// 0) the shared enumeration pool. `data` must outlive the service.
   QueryService(const Graph& data, const ServiceOptions& options);

@@ -373,9 +373,9 @@ int main(int argc, char** argv) {
     dist_options.worker_binary = args.worker_binary.empty()
                                      ? SiblingWorkerBinary(argv[0])
                                      : args.worker_binary;
-    dist_options.beta = args.beta;
-    dist_options.break_automorphisms = args.symmetry;
-    dist_options.work_stealing = args.work_stealing;
+    dist_options.config.beta = args.beta;
+    dist_options.config.break_automorphisms = args.symmetry;
+    dist_options.config.work_stealing = args.work_stealing;
     if (args.heartbeat_ms > 0.0) {
       dist_options.heartbeat_seconds = args.heartbeat_ms / 1000.0;
     }
@@ -386,7 +386,7 @@ int main(int argc, char** argv) {
                      plan.status().ToString().c_str());
         return 1;
       }
-      dist_options.failure_plan = *plan;
+      dist_options.config.failure_plan = *plan;
     }
     auto report = dist::RunDistributed(*data, *query, dist_options);
     if (!report.ok()) {
@@ -404,7 +404,7 @@ int main(int argc, char** argv) {
     std::printf("recovery: %zu crashed, %llu clusters reassigned, "
                 "%llu units redelivered, %llu results discarded, "
                 "%llu heartbeat timeouts\n",
-                report->crashed_workers,
+                report->crashed_machines,
                 static_cast<unsigned long long>(
                     report->total_reassigned_clusters),
                 static_cast<unsigned long long>(

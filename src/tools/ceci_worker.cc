@@ -23,7 +23,7 @@ void Usage() {
   std::fprintf(stderr,
                "usage: ceci_worker --index-dir DIR --worker-id N\n"
                "                   [--channel-fd FD] [--heartbeat-ms MS]\n"
-               "                   [--io-timeout-s S] [--no-mmap]\n");
+               "                   [--io-timeout-s S]\n");
 }
 
 }  // namespace
@@ -52,8 +52,6 @@ int main(int argc, char** argv) {
       options.heartbeat_seconds = std::strtod(next(), nullptr) / 1000.0;
     } else if (arg == "--io-timeout-s") {
       options.io_timeout_seconds = std::strtod(next(), nullptr);
-    } else if (arg == "--no-mmap") {
-      options.use_mmap = false;
     } else {
       Usage();
       return 2;

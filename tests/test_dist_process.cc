@@ -1,11 +1,12 @@
 // End-to-end tests for the real multi-process runtime (dist/supervisor.h):
 // failure-free totals against the single-process matcher, the kill-9 chaos
 // harness (genuine SIGKILL of workers mid-enumeration, 20+ seeded trials),
-// and the sim-vs-real differential — the same FailurePlan must produce
-// identical recovery accounting in distsim::DistributedMatch and
-// dist::RunDistributed — plus an unscripted SIGKILL under the default deep
-// dispatch window. Needs the ceci_worker binary, so this target
-// depends on the tools build (CECI_TOOLS_DIR).
+// and the sim-vs-real differentials — one DistConfig must produce the
+// same shared report (distsim::PartitionReport/RunReport) in
+// distsim::DistributedMatch and dist::RunDistributed, under a scripted
+// FailurePlan and failure-free with stealing off — plus an unscripted
+// SIGKILL under the deep dispatch window. Needs the ceci_worker binary,
+// so this target depends on the tools build (CECI_TOOLS_DIR).
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <random>
 #include <set>
 #include <string>
@@ -32,11 +34,32 @@
 #include "gen/random_graphs.h"
 #include "graphio/pattern_parser.h"
 #include "test_support.h"
+#include "util/json_writer.h"
 #include "util/logging.h"
 
 #ifndef CECI_TOOLS_DIR
 #error "CECI_TOOLS_DIR must point at the built tool binaries"
 #endif
+
+namespace ceci::distsim {
+
+// Failure messages print the shared report core as its JSON.
+void PrintTo(const RunReport& report, std::ostream* os) {
+  JsonWriter w;
+  w.BeginObject();
+  WriteRunReportJson(report, &w);
+  w.EndObject();
+  *os << std::move(w).Take();
+}
+void PrintTo(const PartitionReport& report, std::ostream* os) {
+  JsonWriter w;
+  w.BeginObject();
+  WritePartitionReportJson(report, &w);
+  w.EndObject();
+  *os << std::move(w).Take();
+}
+
+}  // namespace ceci::distsim
 
 namespace ceci {
 namespace {
@@ -47,25 +70,26 @@ dist::DistProcessOptions BaseOptions(std::size_t workers) {
   dist::DistProcessOptions options;
   options.num_workers = workers;
   options.worker_binary = WorkerBinary();
-  options.jaccard_top_k = 64;
+  options.config.jaccard_top_k = 64;
   return options;
 }
 
-/// The matching simulation configuration: same partitioning, same cluster
-/// decomposition, same stealing policy, one lane per machine (the process
-/// runtime enumerates single-threaded per worker).
-distsim::DistOptions MirrorSimOptions(const dist::DistProcessOptions& real) {
+/// The simulation of a process run: the same DistConfig on as many
+/// replicated-graph machines, one lane each (a worker enumerates
+/// single-threaded).
+distsim::DistOptions SimulationOf(const dist::DistProcessOptions& real) {
   distsim::DistOptions sim;
   sim.num_machines = real.num_workers;
-  sim.threads_per_machine = 1;
-  sim.storage = distsim::GraphStorage::kReplicated;
-  sim.beta = real.beta;
-  sim.decompose_extreme_clusters = real.decompose_extreme_clusters;
-  sim.break_automorphisms = real.break_automorphisms;
-  sim.work_stealing = real.work_stealing;
-  sim.jaccard_top_k = real.jaccard_top_k;
-  sim.failure_plan = real.failure_plan;
+  sim.config = real.config;
   return sim;
+}
+
+const distsim::RunReport& Shared(const distsim::RunReport& report) {
+  return report;
+}
+const distsim::PartitionReport& Shared(
+    const distsim::PartitionReport& report) {
+  return report;
 }
 
 class DistProcessTest : public ::testing::Test {
@@ -89,7 +113,7 @@ TEST_F(DistProcessTest, FailureFreeRunMatchesSingleProcessTotals) {
   auto report = dist::RunDistributed(data_, query_, BaseOptions(3));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->embeddings, SingleProcessCount());
-  EXPECT_EQ(report->crashed_workers, 0u);
+  EXPECT_EQ(report->crashed_machines, 0u);
   EXPECT_EQ(report->total_redelivered_units, 0u);
   EXPECT_EQ(report->total_reassigned_clusters, 0u);
   EXPECT_TRUE(report->audit_ok) << report->audit_summary;
@@ -125,10 +149,9 @@ TEST_F(DistProcessTest, QueryThatFormatPatternRenumbersCountsExactly) {
   EXPECT_TRUE(report->audit_ok) << report->audit_summary;
 }
 
-TEST_F(DistProcessTest, CopyModeAndNoStealingStillExact) {
+TEST_F(DistProcessTest, NoStealingStillExact) {
   auto options = BaseOptions(3);
-  options.use_mmap = false;
-  options.work_stealing = false;
+  options.config.work_stealing = false;
   auto report = dist::RunDistributed(data_, query_, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->embeddings, SingleProcessCount());
@@ -142,11 +165,11 @@ TEST_F(DistProcessTest, RejectsInvalidConfigurations) {
   EXPECT_FALSE(dist::RunDistributed(data_, query_, options).ok());
 
   options = BaseOptions(3);
-  options.failure_plan.enabled = true;
+  options.config.failure_plan.enabled = true;
   distsim::MachineCrash crash;
   crash.machine = 9;  // out of range for 3 workers
   crash.at_seconds = 1e-6;
-  options.failure_plan.crashes.push_back(crash);
+  options.config.failure_plan.crashes.push_back(crash);
   EXPECT_FALSE(dist::RunDistributed(data_, query_, options).ok());
 
   options = BaseOptions(0);
@@ -164,16 +187,16 @@ TEST_F(DistProcessTest, TwentySeededKillTrialsRecoverExactTotals) {
   std::uniform_real_distribution<double> slowdown(1.0, 6.0);
   for (int trial = 0; trial < 20; ++trial) {
     auto options = BaseOptions(3);
-    options.failure_plan.enabled = true;
-    options.failure_plan.seed = rng();
+    options.config.failure_plan.enabled = true;
+    options.config.failure_plan.seed = rng();
     distsim::MachineCrash crash;
     crash.machine = static_cast<std::uint32_t>(trial % 3);
     crash.at_seconds = crash_time(rng);
-    options.failure_plan.crashes.push_back(crash);
+    options.config.failure_plan.crashes.push_back(crash);
     distsim::MachineStraggler straggler;
     straggler.machine = static_cast<std::uint32_t>((trial + 1) % 3);
     straggler.slowdown = slowdown(rng);
-    options.failure_plan.stragglers.push_back(straggler);
+    options.config.failure_plan.stragglers.push_back(straggler);
 
     auto report = dist::RunDistributed(data_, query_, options);
     ASSERT_TRUE(report.ok()) << "trial " << trial << ": "
@@ -181,7 +204,7 @@ TEST_F(DistProcessTest, TwentySeededKillTrialsRecoverExactTotals) {
     EXPECT_EQ(report->embeddings, expected)
         << "trial " << trial << " (victim " << crash.machine << " at "
         << crash.at_seconds << "s) lost or duplicated embeddings";
-    EXPECT_EQ(report->crashed_workers, 1u) << "trial " << trial;
+    EXPECT_EQ(report->crashed_machines, 1u) << "trial " << trial;
     EXPECT_TRUE(report->audit_ok)
         << "trial " << trial << ": " << report->audit_summary;
 
@@ -209,18 +232,18 @@ TEST_F(DistProcessTest, TwentySeededKillTrialsRecoverExactTotals) {
 
 TEST_F(DistProcessTest, DoubleCrashWithChainedAdoptionRecovers) {
   auto options = BaseOptions(4);
-  options.failure_plan.enabled = true;
-  options.failure_plan.seed = 99;
+  options.config.failure_plan.enabled = true;
+  options.config.failure_plan.seed = 99;
   for (std::uint32_t machine : {0u, 2u}) {
     distsim::MachineCrash crash;
     crash.machine = machine;
     crash.at_seconds = machine == 0 ? 1e-6 : 5e-5;
-    options.failure_plan.crashes.push_back(crash);
+    options.config.failure_plan.crashes.push_back(crash);
   }
   auto report = dist::RunDistributed(data_, query_, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->embeddings, SingleProcessCount());
-  EXPECT_EQ(report->crashed_workers, 2u);
+  EXPECT_EQ(report->crashed_machines, 2u);
   EXPECT_TRUE(report->audit_ok) << report->audit_summary;
   EXPECT_TRUE(report->workers[0].crashed);
   EXPECT_TRUE(report->workers[2].crashed);
@@ -236,44 +259,56 @@ TEST_F(DistProcessTest, ScriptedRunMatchesSimulationAccounting) {
   std::uniform_real_distribution<double> crash_time(1e-7, 1e-4);
   for (int trial = 0; trial < 6; ++trial) {
     auto options = BaseOptions(3);
-    options.failure_plan.enabled = true;
-    options.failure_plan.seed = rng();
+    options.config.failure_plan.enabled = true;
+    options.config.failure_plan.seed = rng();
     distsim::MachineCrash crash;
     crash.machine = static_cast<std::uint32_t>(trial % 3);
     crash.at_seconds = crash_time(rng);
-    options.failure_plan.crashes.push_back(crash);
+    options.config.failure_plan.crashes.push_back(crash);
     if (trial % 2 == 1) {
       distsim::MachineStraggler straggler;
       straggler.machine = static_cast<std::uint32_t>((trial + 1) % 3);
       straggler.slowdown = 3.5;
-      options.failure_plan.stragglers.push_back(straggler);
+      options.config.failure_plan.stragglers.push_back(straggler);
     }
 
     auto real = dist::RunDistributed(data_, query_, options);
     ASSERT_TRUE(real.ok()) << "trial " << trial << ": "
                            << real.status().ToString();
-    auto sim = distsim::DistributedMatch(data_, query_,
-                                         MirrorSimOptions(options));
+    auto sim = distsim::DistributedMatch(data_, query_, SimulationOf(options));
     ASSERT_TRUE(sim.ok()) << "trial " << trial << ": "
                           << sim.status().ToString();
 
-    EXPECT_EQ(real->embeddings, sim->embeddings) << "trial " << trial;
-    EXPECT_EQ(real->crashed_workers, sim->crashed_machines)
-        << "trial " << trial;
-    EXPECT_EQ(real->total_reassigned_clusters,
-              sim->total_reassigned_clusters)
-        << "trial " << trial;
+    EXPECT_EQ(Shared(*real), Shared(*sim)) << "trial " << trial;
     ASSERT_EQ(real->workers.size(), sim->machines.size());
     for (std::size_t m = 0; m < sim->machines.size(); ++m) {
-      const auto& rw = real->workers[m];
-      const auto& sm = sim->machines[m];
-      EXPECT_EQ(rw.crashed, sm.crashed) << "trial " << trial << " w" << m;
-      EXPECT_EQ(rw.embeddings, sm.embeddings)
+      EXPECT_EQ(Shared(real->workers[m]), Shared(sim->machines[m]))
           << "trial " << trial << " w" << m;
-      EXPECT_EQ(rw.reassigned_clusters, sm.reassigned_clusters)
-          << "trial " << trial << " w" << m;
-      EXPECT_EQ(rw.stolen_units, sm.stolen_units)
-          << "trial " << trial << " w" << m;
+    }
+  }
+}
+
+// Differential without failures: with stealing off every unit runs on its
+// own machine in both engines, so one configuration yields the same
+// shared report per partition — pivots, units, embeddings — and per run.
+TEST_F(DistProcessTest, FailureFreeRunMatchesSimulationPerPartition) {
+  Graph data = GenerateSocialGraph(3000, 8, 21);
+  const Graph query = MakePaperQuery(PaperQuery::kQG5);
+  for (std::size_t workers : {2u, 3u}) {
+    auto options = BaseOptions(workers);
+    options.config.work_stealing = false;
+    auto real = dist::RunDistributed(data, query, options);
+    ASSERT_TRUE(real.ok()) << real.status().ToString();
+    auto sim = distsim::DistributedMatch(data, query, SimulationOf(options));
+    ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+
+    EXPECT_GT(real->embeddings, 0u);
+    EXPECT_EQ(Shared(*real), Shared(*sim)) << workers << " workers";
+    ASSERT_EQ(real->workers.size(), sim->machines.size());
+    for (std::size_t m = 0; m < sim->machines.size(); ++m) {
+      EXPECT_GT(real->workers[m].initial_units, 0u) << "w" << m;
+      EXPECT_EQ(Shared(real->workers[m]), Shared(sim->machines[m]))
+          << workers << " workers, w" << m;
     }
   }
 }
@@ -327,7 +362,7 @@ TEST_F(DistProcessTest, ReactiveKillWithDeepWindowRecoversExactTotals) {
   ASSERT_GT(report->total_units, 1000u);
   EXPECT_EQ(report->embeddings, *expected);
   EXPECT_TRUE(report->audit_ok) << report->audit_summary;
-  EXPECT_EQ(report->crashed_workers, 1u);
+  EXPECT_EQ(report->crashed_machines, 1u);
   EXPECT_TRUE(report->workers[0].crashed);
   EXPECT_FALSE(report->workers[0].killed_by_plan);
   EXPECT_TRUE(report->workers[0].signaled);
@@ -340,12 +375,12 @@ TEST_F(DistProcessTest, ReactiveKillWithDeepWindowRecoversExactTotals) {
 
 TEST_F(DistProcessTest, ReportJsonCarriesRecoveryFields) {
   auto options = BaseOptions(3);
-  options.failure_plan.enabled = true;
-  options.failure_plan.seed = 5;
+  options.config.failure_plan.enabled = true;
+  options.config.failure_plan.seed = 5;
   distsim::MachineCrash crash;
   crash.machine = 1;
   crash.at_seconds = 2e-6;
-  options.failure_plan.crashes.push_back(crash);
+  options.config.failure_plan.crashes.push_back(crash);
   auto report = dist::RunDistributed(data_, query_, options);
   ASSERT_TRUE(report.ok());
   const std::string json = dist::DistRunReportJson(*report);
@@ -366,9 +401,9 @@ TEST(DistReplayGoldenTest, SupervisorScriptedOrphanEvents) {
   auto query = ParsePattern("(a)-(b); (b)-(c); (a)-(c)");
   ASSERT_TRUE(query.ok());
   auto options = BaseOptions(3);
-  options.failure_plan.enabled = true;
-  options.failure_plan.seed = 5;
-  options.failure_plan.crashes = {{0, 8e-5}, {2, 1.05e-4}};
+  options.config.failure_plan.enabled = true;
+  options.config.failure_plan.seed = 5;
+  options.config.failure_plan.crashes = {{0, 8e-5}, {2, 1.05e-4}};
   auto report = dist::RunDistributed(data, *query, options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->embeddings, 394u);
@@ -482,12 +517,12 @@ TEST(PlanChoiceEveryPathTest, AllPathsAgreeUnderEitherSet) {
       EXPECT_EQ(run->restrictions_mirrored, mirrored);
       EXPECT_TRUE(run->audit_ok) << run->audit_summary;
 
-      options.failure_plan.enabled = true;
-      options.failure_plan.crashes = {{1, 1e-5}};
+      options.config.failure_plan.enabled = true;
+      options.config.failure_plan.crashes = {{1, 1e-5}};
       auto killed = dist::RunDistributed(*data, query, options);
       ASSERT_TRUE(killed.ok()) << killed.status().ToString();
       EXPECT_EQ(killed->embeddings, want);
-      EXPECT_EQ(killed->crashed_workers, 1u);
+      EXPECT_EQ(killed->crashed_machines, 1u);
       EXPECT_TRUE(killed->audit_ok) << killed->audit_summary;
 
       distsim::DistOptions sim;
@@ -495,6 +530,7 @@ TEST(PlanChoiceEveryPathTest, AllPathsAgreeUnderEitherSet) {
       auto simulated = distsim::DistributedMatch(*data, query, sim);
       ASSERT_TRUE(simulated.ok()) << simulated.status().ToString();
       EXPECT_EQ(simulated->embeddings, want);
+      EXPECT_EQ(simulated->restrictions_mirrored, mirrored);
     }
   }
   // Each set was chosen somewhere.

@@ -172,7 +172,7 @@ TEST(DistributedMatchTest, WorkStealingCanBeDisabled) {
   DistOptions with;
   with.num_machines = 4;
   DistOptions without = with;
-  without.work_stealing = false;
+  without.config.work_stealing = false;
   auto a = DistributedMatch(data, query, with);
   auto b = DistributedMatch(data, query, without);
   ASSERT_TRUE(a.ok());
@@ -241,7 +241,7 @@ TEST(FailurePlanTest, ValidationRejectsBadPlans) {
       PaperExample::Data(), PaperExample::Query(), [] {
         DistOptions o;
         o.num_machines = 2;
-        o.failure_plan.crashes = {{0, 1.0}};  // enabled left false
+        o.config.failure_plan.crashes = {{0, 1.0}};  // enabled left false
         return o;
       }());
   EXPECT_FALSE(result.ok());
@@ -253,8 +253,8 @@ TEST(DistRecoveryTest, CrashMidEnumerationPreservesEmbeddingTotals) {
 
   DistOptions base;
   base.num_machines = 3;
-  base.failure_plan.enabled = true;  // deterministic replay, no failures
-  base.failure_plan.seed = 42;
+  base.config.failure_plan.enabled = true;  // deterministic replay, no failures
+  base.config.failure_plan.seed = 42;
   auto clean = DistributedMatch(data, query, base);
   ASSERT_TRUE(clean.ok());
   ASSERT_GT(clean->embeddings, 0u);
@@ -268,7 +268,7 @@ TEST(DistRecoveryTest, CrashMidEnumerationPreservesEmbeddingTotals) {
   const double enum_start =
       m0.build_compute_seconds + m0.io_seconds + m0.comm_seconds;
   DistOptions crashed = base;
-  crashed.failure_plan.crashes = {
+  crashed.config.failure_plan.crashes = {
       {0, enum_start + m0.enum_compute_seconds / 2.0}};
   auto recovered = DistributedMatch(data, query, crashed);
   ASSERT_TRUE(recovered.ok());
@@ -300,8 +300,9 @@ TEST(DistRecoveryTest, CrashAtTimeZeroRedistributesEverything) {
   ASSERT_TRUE(clean.ok());
 
   DistOptions options = clean_options;
-  options.failure_plan.enabled = true;
-  options.failure_plan.crashes = {{1, 0.0}};  // dies before doing anything
+  options.config.failure_plan.enabled = true;
+  // Dies before doing anything.
+  options.config.failure_plan.crashes = {{1, 0.0}};
   auto result = DistributedMatch(data, query, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->embeddings, clean->embeddings);
@@ -317,11 +318,11 @@ TEST(DistRecoveryTest, SameSeedReproducesCountersExactly) {
   options.num_machines = 4;
   options.threads_per_machine = 2;
   options.storage = GraphStorage::kShared;
-  options.failure_plan.enabled = true;
-  options.failure_plan.seed = 7;
-  options.failure_plan.crashes = {{2, 0.001}};
-  options.failure_plan.stragglers = {{1, 3.0}};
-  options.failure_plan.storage_error_rate = 0.2;
+  options.config.failure_plan.enabled = true;
+  options.config.failure_plan.seed = 7;
+  options.config.failure_plan.crashes = {{2, 0.001}};
+  options.config.failure_plan.stragglers = {{1, 3.0}};
+  options.config.failure_plan.storage_error_rate = 0.2;
 
   auto a = DistributedMatch(data, query, options);
   auto b = DistributedMatch(data, query, options);
@@ -358,13 +359,14 @@ TEST(DistRecoveryTest, StragglerSlowsItsMachineOnly) {
   Graph query = MakePaperQuery(PaperQuery::kQG3);
   DistOptions nominal;
   nominal.num_machines = 3;
-  nominal.work_stealing = false;  // isolate the slowdown from rebalancing
-  nominal.failure_plan.enabled = true;
+  // Isolate the slowdown from rebalancing.
+  nominal.config.work_stealing = false;
+  nominal.config.failure_plan.enabled = true;
   auto fast = DistributedMatch(data, query, nominal);
   ASSERT_TRUE(fast.ok());
 
   DistOptions dragged = nominal;
-  dragged.failure_plan.stragglers = {{0, 4.0}};
+  dragged.config.failure_plan.stragglers = {{0, 4.0}};
   auto slow = DistributedMatch(data, query, dragged);
   ASSERT_TRUE(slow.ok());
   EXPECT_EQ(slow->embeddings, fast->embeddings);
@@ -383,14 +385,14 @@ TEST(DistRecoveryTest, StorageFlakesRetryWithoutChangingResults) {
   DistOptions stable;
   stable.num_machines = 4;
   stable.storage = GraphStorage::kShared;
-  stable.failure_plan.enabled = true;
-  stable.failure_plan.seed = 3;
+  stable.config.failure_plan.enabled = true;
+  stable.config.failure_plan.seed = 3;
   auto a = DistributedMatch(data, query, stable);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(a->total_storage_retries, 0u);
 
   DistOptions flaky = stable;
-  flaky.failure_plan.storage_error_rate = 0.25;
+  flaky.config.failure_plan.storage_error_rate = 0.25;
   auto b = DistributedMatch(data, query, flaky);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b->embeddings, a->embeddings);
@@ -404,8 +406,8 @@ TEST(DistRecoveryTest, RecoveryCountersSurfaceInJson) {
   Graph query = MakePaperQuery(PaperQuery::kQG3);
   DistOptions options;
   options.num_machines = 3;
-  options.failure_plan.enabled = true;
-  options.failure_plan.crashes = {{0, 0.0}};
+  options.config.failure_plan.enabled = true;
+  options.config.failure_plan.crashes = {{0, 0.0}};
   auto result = DistributedMatch(data, query, options);
   ASSERT_TRUE(result.ok());
   const std::string json = DistResultJson(*result);
@@ -459,12 +461,12 @@ void ExpectGolden(const GoldenScenario& scenario,
   options.num_machines = scenario.machines;
   options.threads_per_machine = scenario.lanes;
   options.storage = scenario.storage;
-  options.work_stealing = scenario.work_stealing;
-  options.failure_plan.enabled = true;
-  options.failure_plan.seed = scenario.seed;
-  options.failure_plan.crashes = scenario.crashes;
-  options.failure_plan.stragglers = scenario.stragglers;
-  options.failure_plan.storage_error_rate = scenario.storage_error_rate;
+  options.config.work_stealing = scenario.work_stealing;
+  options.config.failure_plan.enabled = true;
+  options.config.failure_plan.seed = scenario.seed;
+  options.config.failure_plan.crashes = scenario.crashes;
+  options.config.failure_plan.stragglers = scenario.stragglers;
+  options.config.failure_plan.storage_error_rate = scenario.storage_error_rate;
   auto result = DistributedMatch(data, query, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->embeddings, 250u);

@@ -39,7 +39,7 @@ TEST(DistReplayTest, EmbeddingCountsAreStealingInvariant) {
   DistOptions with;
   with.num_machines = 4;
   DistOptions without = with;
-  without.work_stealing = false;
+  without.config.work_stealing = false;
   auto a = DistributedMatch(data, query, with);
   auto b = DistributedMatch(data, query, without);
   ASSERT_TRUE(a.ok());
@@ -55,7 +55,7 @@ TEST(DistReplayTest, StealingNeverSlowsTheSlowestMachine) {
   DistOptions with;
   with.num_machines = 8;
   DistOptions without = with;
-  without.work_stealing = false;
+  without.config.work_stealing = false;
 
   auto yes = DistributedMatch(data, query, with);
   auto no = DistributedMatch(data, query, without);

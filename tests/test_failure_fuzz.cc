@@ -69,15 +69,16 @@ TEST(FailurePlanFuzzTest, TwoHundredRandomPlansRecoverExactTotals) {
   DistOptions base;
   base.num_machines = 4;
   base.threads_per_machine = 1;
-  base.jaccard_top_k = 64;
+  base.config.jaccard_top_k = 64;
   auto baseline = DistributedMatch(data, *query, base);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   std::mt19937_64 rng(20260809);
   for (int trial = 0; trial < 200; ++trial) {
     DistOptions options = base;
-    options.failure_plan = RandomPlan(&rng, options.num_machines);
-    ASSERT_TRUE(options.failure_plan.Validate(options.num_machines).ok())
+    options.config.failure_plan = RandomPlan(&rng, options.num_machines);
+    ASSERT_TRUE(
+        options.config.failure_plan.Validate(options.num_machines).ok())
         << "trial " << trial;
     auto result = DistributedMatch(data, *query, options);
     ASSERT_TRUE(result.ok()) << "trial " << trial << ": "
@@ -85,7 +86,8 @@ TEST(FailurePlanFuzzTest, TwoHundredRandomPlansRecoverExactTotals) {
 
     EXPECT_EQ(result->embeddings, baseline->embeddings)
         << "trial " << trial << " lost or duplicated embeddings";
-    EXPECT_EQ(result->crashed_machines, options.failure_plan.crashes.size())
+    EXPECT_EQ(result->crashed_machines,
+              options.config.failure_plan.crashes.size())
         << "trial " << trial;
 
     // Crashed machines are exactly the scripted ones. A machine that
@@ -95,7 +97,7 @@ TEST(FailurePlanFuzzTest, TwoHundredRandomPlansRecoverExactTotals) {
     std::set<std::uint32_t> scripted;
     std::uint32_t first_victim = 0;
     double first_crash = std::numeric_limits<double>::infinity();
-    for (const auto& crash : options.failure_plan.crashes) {
+    for (const auto& crash : options.config.failure_plan.crashes) {
       scripted.insert(crash.machine);
       if (crash.at_seconds < first_crash) {
         first_crash = crash.at_seconds;
@@ -129,15 +131,15 @@ TEST(FailurePlanFuzzTest, RandomPlansWithStealingDisabled) {
   DistOptions base;
   base.num_machines = 3;
   base.threads_per_machine = 1;
-  base.work_stealing = false;
-  base.jaccard_top_k = 64;
+  base.config.work_stealing = false;
+  base.config.jaccard_top_k = 64;
   auto baseline = DistributedMatch(data, *query, base);
   ASSERT_TRUE(baseline.ok());
 
   std::mt19937_64 rng(7);
   for (int trial = 0; trial < 40; ++trial) {
     DistOptions options = base;
-    options.failure_plan = RandomPlan(&rng, options.num_machines);
+    options.config.failure_plan = RandomPlan(&rng, options.num_machines);
     auto result = DistributedMatch(data, *query, options);
     ASSERT_TRUE(result.ok()) << "trial " << trial;
     EXPECT_EQ(result->embeddings, baseline->embeddings) << "trial " << trial;

@@ -33,6 +33,7 @@
 #include "serve/tcp_server.h"
 #include "telemetry/access_log.h"
 #include "util/json_parser.h"
+#include "util/metrics_registry.h"
 
 namespace ceci {
 namespace {
@@ -285,6 +286,42 @@ TEST(QueryServiceTest, MalformedPatternReturnsErrorStatus) {
   ServeResponse response = service.Execute(std::move(request));
   EXPECT_EQ(response.admission, Admission::kAccepted);
   EXPECT_FALSE(response.status.ok());
+}
+
+// A pattern over the vertex cap is answered with an error before filtering
+// allocates its per-vertex verdict rows, and is counted as an error; one
+// at the cap still runs. Label 7 occurs nowhere in the data, so the
+// at-cap chain is infeasible and cheap.
+TEST(QueryServiceTest, PatternOverTheVertexCapIsRejected) {
+  const Graph data = TestData();
+  ServiceOptions options;
+  options.pool_threads = 0;
+  QueryService service(data, options);
+  auto chain = [](std::size_t vertices) {
+    std::string pattern = "(v0:7)";
+    for (std::size_t v = 1; v < vertices; ++v) {
+      pattern += "-(v" + std::to_string(v) + ":7)";
+    }
+    return pattern;
+  };
+  const Counter& errors =
+      MetricsRegistry::Global().GetCounter("ceci.serve.errors");
+
+  const std::uint64_t before = errors.Value();
+  ServeRequest over;
+  over.pattern = chain(QueryService::kMaxQueryVertices + 1);
+  const ServeResponse rejected = service.Execute(std::move(over));
+  EXPECT_FALSE(rejected.status.ok());
+  EXPECT_NE(rejected.status.message().find("limit is 64"), std::string::npos)
+      << rejected.status.ToString();
+  EXPECT_EQ(errors.Value(), before + 1);
+
+  ServeRequest at_cap;
+  at_cap.pattern = chain(QueryService::kMaxQueryVertices);
+  const ServeResponse ran = service.Execute(std::move(at_cap));
+  EXPECT_TRUE(ran.status.ok()) << ran.status.ToString();
+  EXPECT_EQ(ran.embeddings, 0u);
+  EXPECT_EQ(errors.Value(), before + 1);
 }
 
 // Writes a flat index image built on `query`'s vertex ids that stores

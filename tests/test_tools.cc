@@ -368,6 +368,19 @@ TEST_F(ToolsTest, HelpFlagsDocumentTheCliContract) {
   }
 }
 
+TEST_F(ToolsTest, WorkerNoMmapFlagIsGone) {
+  // Workers always map their partition images: the copy mode and its
+  // flag are gone, so --no-mmap is an unknown flag (usage, exit 2). The
+  // channel descriptor is closed so no build could block on it.
+  const std::string err = File("worker.err");
+  EXPECT_EQ(Run("ceci_worker", "--index-dir " + dir_.string() +
+                                   " --worker-id 0 --no-mmap 3<&- 2> " + err),
+            2);
+  const std::string usage = Slurp(err);
+  EXPECT_NE(usage.find("usage: ceci_worker"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("--no-mmap"), std::string::npos) << usage;
+}
+
 TEST_F(ToolsTest, ServeToolsRejectBadUsage) {
   EXPECT_EQ(Run("ceci_serve", ""), 2);            // --data is required
   EXPECT_EQ(Run("ceci_loadgen", ""), 2);          // --port is required
