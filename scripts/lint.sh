@@ -143,8 +143,10 @@ fi
 # and clients go through the same funnel so the primitives stay auditable
 # in one place; the pre-existing TCP call sites carry `// lint: raw-socket`
 # with a justification.
+# posix_spawn, vfork and clone are spawning primitives too, matched with
+# or without the `::` (a member call such as `x.clone(` is not one).
 hits=$(echo "$sources" | grep -E '^src/' | grep -v '^src/util/' \
-  | xargs grep -nE '::(fork|socketpair|execv|execve|waitpid|socket)\s*\(' 2>/dev/null \
+  | xargs grep -nE '::(fork|socketpair|execv|execve|waitpid|socket)\s*\(|(^|[^.>:_[:alnum:]]|::)(posix_spawnp?|vfork|clone)\s*\(' 2>/dev/null \
   | grep -v 'lint: raw-socket' || true)
 if [[ -n "$hits" ]]; then
   fail "raw process/socket primitive outside src/util/ (use util/subprocess.h, or annotate // lint: raw-socket)" \

@@ -5,7 +5,6 @@
 #include <bit>
 #include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 
 #include "graph/nlc_index.h"
@@ -1141,111 +1140,6 @@ void AuditMatchResult(const MatchResult& result, AuditReport* report) {
       report->Add(InvariantClass::kTerminationAccounting, d.str());
     }
   }
-}
-
-AuditReport AuditDistRun(const DistRunAccounting& acc) {
-  AuditReport report;
-  const std::size_t n = acc.num_workers;
-
-  auto worker_ok = [&](std::uint32_t w) { return w < n; };
-  auto crashed = [&](std::uint32_t w) {
-    return w < acc.crashed.size() && acc.crashed[w] != 0;
-  };
-
-  std::vector<std::uint64_t> derived_embeddings(n, 0);
-  std::uint64_t derived_total = 0;
-  for (std::size_t i = 0; i < acc.units.size(); ++i) {
-    const DistUnitAccount& unit = acc.units[i];
-
-    // Exact totals hinge on every unit being counted exactly once: a
-    // zero means a lost unit (the crash orphaned it and nobody re-ran
-    // it), more than one means double-counted recovery.
-    ++report.checks_run;
-    if (unit.results_counted != 1) {
-      std::ostringstream d;
-      d << "unit " << i << " counted " << unit.results_counted
-        << " times (origin " << unit.origin << ", executed_by "
-        << unit.executed_by << ")";
-      report.Add(InvariantClass::kDistAccounting, d.str());
-    }
-
-    ++report.checks_run;
-    if (!worker_ok(unit.origin) || !worker_ok(unit.executed_by)) {
-      std::ostringstream d;
-      d << "unit " << i << " references worker ids outside 0.." << n - 1
-        << " (origin " << unit.origin << ", executed_by " << unit.executed_by
-        << ")";
-      report.Add(InvariantClass::kDistAccounting, d.str());
-      continue;
-    }
-
-    // A unit may only leave its origin through stealing or crash
-    // redelivery, and redelivery requires the origin actually died.
-    ++report.checks_run;
-    if (unit.executed_by != unit.origin && !unit.stolen &&
-        !unit.redelivered) {
-      std::ostringstream d;
-      d << "unit " << i << " migrated " << unit.origin << " -> "
-        << unit.executed_by << " without a steal or redelivery";
-      report.Add(InvariantClass::kDistAccounting, d.str());
-    }
-    // Redelivery requires an actual death: the worker that held the unit
-    // when it was orphaned (the origin, or the thief that stole it).
-    ++report.checks_run;
-    if (unit.redelivered && !crashed(unit.released_from)) {
-      std::ostringstream d;
-      d << "unit " << i << " was redelivered out of worker "
-        << unit.released_from << ", which never crashed";
-      report.Add(InvariantClass::kDistAccounting, d.str());
-    }
-
-    if (unit.results_counted == 1) {
-      derived_embeddings[unit.executed_by] += unit.embeddings;
-      derived_total += unit.embeddings;
-    }
-  }
-
-  ++report.checks_run;
-  if (derived_total != acc.total_embeddings) {
-    std::ostringstream d;
-    d << "unit table sums to " << derived_total << " embeddings, run reports "
-      << acc.total_embeddings;
-    report.Add(InvariantClass::kDistAccounting, d.str());
-  }
-  for (std::size_t w = 0; w < n && w < acc.worker_embeddings.size(); ++w) {
-    ++report.checks_run;
-    if (derived_embeddings[w] != acc.worker_embeddings[w]) {
-      std::ostringstream d;
-      d << "worker " << w << " reports " << acc.worker_embeddings[w]
-        << " embeddings, unit table sums to " << derived_embeddings[w];
-      report.Add(InvariantClass::kDistAccounting, d.str());
-    }
-  }
-
-  // At-most-once re-adoption: each (dead worker, cluster) pair picks an
-  // adopter exactly once, so the reported reassignment count must equal
-  // the number of distinct pairs among the orphan events.
-  std::set<std::pair<std::uint32_t, VertexId>> distinct(
-      acc.orphan_events.begin(), acc.orphan_events.end());
-  ++report.checks_run;
-  if (distinct.size() != acc.reported_reassigned_clusters) {
-    std::ostringstream d;
-    d << "run reports " << acc.reported_reassigned_clusters
-      << " reassigned clusters, orphan events cover " << distinct.size()
-      << " distinct (worker, pivot) pairs";
-    report.Add(InvariantClass::kDistAccounting, d.str());
-  }
-  for (const auto& [dead, pivot] : acc.orphan_events) {
-    ++report.checks_run;
-    if (!crashed(dead)) {
-      std::ostringstream d;
-      d << "orphan event for pivot " << pivot << " names worker " << dead
-        << ", which never crashed";
-      report.Add(InvariantClass::kDistAccounting, d.str());
-    }
-  }
-
-  return report;
 }
 
 }  // namespace ceci

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ceci/ceci_index.h"
@@ -87,7 +86,7 @@ enum class InvariantClass {
                            // the budget flags, or per-worker embedding
                            // counts don't sum to the reported total
 
-  // -- Cross-process distributed accounting (src/dist/) --
+  // -- Cross-process distributed accounting (dist::AuditDistRun) --
   kDistAccounting,  // a work unit counted zero or multiple times, a
                     // redelivery whose origin never crashed, per-worker
                     // embedding sums off, or the at-most-once cluster
@@ -151,50 +150,6 @@ void AuditInjectivity(std::span<const VertexId> mapping,
 /// Safe at any point the enumerator is quiescent — including from inside
 /// an embedding visitor, where the mapping is fully instantiated.
 void AuditEnumeratorState(const Enumerator& enumerator, AuditReport* report);
-
-/// Per-unit accounting of one multi-process distributed run, filled by
-/// the supervisor (src/dist/supervisor.h). Plain data so the auditor does
-/// not depend on the dist layer.
-struct DistUnitAccount {
-  /// Worker the unit was initially partitioned to.
-  std::uint32_t origin = 0;
-  /// Worker whose result was counted.
-  std::uint32_t executed_by = 0;
-  /// Cluster identity (root pivot of the unit's prefix).
-  VertexId pivot = kInvalidVertex;
-  /// Results the supervisor counted for this unit — exactly 1 in a
-  /// correct run (at-most-once counting, no lost units).
-  std::uint64_t results_counted = 0;
-  std::uint64_t embeddings = 0;
-  /// Re-executed after its holder crashed.
-  bool redelivered = false;
-  /// Worker whose death released the unit (meaningful iff redelivered;
-  /// usually the origin, but a stolen unit dies with its thief).
-  std::uint32_t released_from = 0;
-  /// Re-dispatched to an idle worker by work stealing (no crash).
-  bool stolen = false;
-};
-
-struct DistRunAccounting {
-  std::size_t num_workers = 0;
-  std::vector<DistUnitAccount> units;
-  /// Per-worker crash flags, 1 = died without a clean shutdown.
-  std::vector<std::uint8_t> crashed;
-  /// Per-worker embedding sums as reported; must match the unit table.
-  std::vector<std::uint64_t> worker_embeddings;
-  std::uint64_t total_embeddings = 0;
-  /// One (dead worker, cluster pivot) entry per orphaned unit; distinct
-  /// pairs must equal reported_reassigned_clusters (at-most-once rule).
-  std::vector<std::pair<std::uint32_t, VertexId>> orphan_events;
-  std::uint64_t reported_reassigned_clusters = 0;
-};
-
-/// Audits the cross-process exact-total accounting of a distributed run:
-/// every unit counted exactly once, redeliveries only out of crashed
-/// workers, per-worker and total embedding sums consistent with the unit
-/// table, and cluster re-adoption at-most-once per (crash, cluster).
-/// Every mismatch reports kDistAccounting.
-AuditReport AuditDistRun(const DistRunAccounting& accounting);
 
 /// Checks that `units` (as produced by BuildWorkUnits with the same
 /// `enum_options`) partition the embedding space: prefixes are valid

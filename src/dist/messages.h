@@ -20,8 +20,8 @@
 namespace ceci::dist {
 
 enum class MsgType : std::uint8_t {
-  /// Worker -> supervisor, once after startup: the index loaded and the
-  /// worker is ready for assignments.
+  /// Worker -> supervisor, once after kStart: its own partition's image
+  /// is open and the worker is enumerating assignments.
   kHello = 1,
   /// Supervisor -> worker: enumerate one work unit (an embedding-cluster
   /// prefix under the matching order).
@@ -33,6 +33,11 @@ enum class MsgType : std::uint8_t {
   kHeartbeat = 4,
   /// Supervisor -> worker: no more work; exit cleanly.
   kShutdown = 5,
+  /// Supervisor -> worker, once, empty payload: every partition image is
+  /// written. Workers are spawned while the supervisor still plans, so a
+  /// worker opens no image before this frame; the supervisor's heartbeat
+  /// deadline for a worker runs from the moment it sends it.
+  kStart = 6,
 };
 
 struct HelloMsg {

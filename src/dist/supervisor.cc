@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -70,10 +71,21 @@ class ScratchDir {
 };
 
 struct WorkerState {
+  WorkerState() = default;
+  WorkerState(const WorkerState&) = delete;
+  WorkerState& operator=(const WorkerState&) = delete;
+  /// Every return path reaps its workers: one still unreaped here belongs
+  /// to a run that failed before teardown (planning, or a fatal loss).
+  ~WorkerState() {
+    if (proc.pid > 0 && !reaped) {
+      SignalChild(proc.pid, SIGKILL);
+      WaitChild(proc.pid);
+    }
+  }
+
   std::uint32_t id = 0;
   ChildProcess proc;
   std::unique_ptr<FrameChannel> channel;
-  bool spawned = false;
   bool live = false;
   bool dead = false;  // death fully handled (gates key off this)
   std::deque<PendingStep> queue;
@@ -119,6 +131,35 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   ScratchDir scratch;
   CECI_RETURN_IF_ERROR(scratch.Create(options.scratch_dir));
 
+  // --- Spawn workers, before planning, so their exec and start-up
+  // overlap the coordinator's work; each waits for kStart before it opens
+  // an image. Every worker is spawned, including empty partitions: the
+  // replay may pick any live machine as an adopter or thief, and a
+  // scripted crash of an idle worker still injects a genuine SIGKILL into
+  // a live process. ---
+  static Gauge& live_gauge =
+      MetricsRegistry::Global().GetGauge("dist.live_workers");
+  std::vector<WorkerState> workers(n);
+  TransportOptions transport;
+  transport.io_timeout_seconds = options.io_timeout_seconds;
+  std::size_t live_count = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    WorkerState& w = workers[k];
+    w.id = static_cast<std::uint32_t>(k);
+    std::vector<std::string> args = {
+        "--index-dir",    scratch.path(),
+        "--worker-id",    std::to_string(k),
+        "--heartbeat-ms", std::to_string(options.heartbeat_seconds * 1000.0),
+        "--io-timeout-s", std::to_string(options.io_timeout_seconds)};
+    auto child = SpawnWithChannel(options.worker_binary, args);
+    if (!child.ok()) return child.status();
+    w.proc = *child;
+    w.channel = std::make_unique<FrameChannel>(child->channel_fd, transport);
+    w.live = true;
+    ++live_count;
+  }
+  live_gauge.Set(static_cast<std::int64_t>(live_count));
+
   // --- Coordinator front end + per-partition builds, each partition
   // writing its CEIX image on its own build thread ---
   // Images are host-local, so pivot workloads see neighbor degrees.
@@ -146,9 +187,9 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   // --- Global unit table, numbered as the replay input numbers them ---
   const std::vector<distsim::ReplayMachine> replay_input =
       distsim::ModeledReplayInput(plan, config, /*lanes=*/1);
-  // Per unit: its audited outcome (report.accounting.units) and the work
-  // unit itself, owned by the plan.
-  std::vector<DistUnitAccount>& units = report.accounting.units;
+  // Per unit: its audited outcome (report.units) and the work unit
+  // itself, owned by the plan.
+  std::vector<DistUnitAccount>& units = report.units;
   std::vector<const WorkUnit*> unit_work;
   for (std::size_t k = 0; k < n; ++k) {
     for (std::size_t u = 0; u < parts[k].units.size(); ++u) {
@@ -164,7 +205,7 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     return config.cost_model.UnitSeconds(unit_work[id]->cardinality);
   };
 
-  // --- Scripted mode: fix the schedule before any process exists. The
+  // --- Scripted mode: fix the schedule before any worker starts. The
   // replay decides each worker's execution order, the durable prefix a
   // doomed worker completes before dying, and the adopter of every
   // orphaned cluster. ---
@@ -174,50 +215,6 @@ Result<DistRunReport> RunDistributed(const Graph& data,
                             config.cost_model);
     report.orphan_events = sched.orphan_events;
   }
-
-  // --- Spawn workers ---
-  // Every worker is spawned, including empty partitions: the replay may
-  // pick any live machine as an adopter or thief, and a scripted crash of
-  // an idle worker still injects a genuine SIGKILL into a live process.
-  static Gauge& live_gauge =
-      MetricsRegistry::Global().GetGauge("dist.live_workers");
-  std::vector<WorkerState> workers(n);
-  TransportOptions transport;
-  transport.io_timeout_seconds = options.io_timeout_seconds;
-  std::size_t live_count = 0;
-  auto kill_all = [&]() {
-    for (WorkerState& w : workers) {
-      if (!w.spawned) continue;
-      if (!w.reaped) {
-        SignalChild(w.proc.pid, SIGKILL);
-        w.exit_info = WaitChild(w.proc.pid);
-        w.reaped = true;
-      }
-      if (w.channel) w.channel->Close();
-      w.live = false;
-    }
-  };
-  for (std::size_t k = 0; k < n; ++k) {
-    WorkerState& w = workers[k];
-    w.id = static_cast<std::uint32_t>(k);
-    std::vector<std::string> args = {
-        "--index-dir",    scratch.path(),
-        "--worker-id",    std::to_string(k),
-        "--heartbeat-ms", std::to_string(options.heartbeat_seconds * 1000.0),
-        "--io-timeout-s", std::to_string(options.io_timeout_seconds)};
-    auto child = SpawnWithChannel(options.worker_binary, args);
-    if (!child.ok()) {
-      kill_all();
-      return child.status();
-    }
-    w.proc = *child;
-    w.channel = std::make_unique<FrameChannel>(child->channel_fd, transport);
-    w.spawned = true;
-    w.live = true;
-    w.last_frame_seconds = wall.Seconds();
-    ++live_count;
-  }
-  live_gauge.Set(static_cast<std::int64_t>(live_count));
 
   // --- Install queues ---
   for (std::size_t k = 0; k < n; ++k) {
@@ -502,6 +499,20 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     }
   };
 
+  // --- Start: every image is written. A worker's heartbeat deadline runs
+  // from here; a worker that died during planning fails this send, or
+  // hangs up at the first poll, and its units are re-adopted. ---
+  for (WorkerState& w : workers) {
+    w.last_frame_seconds = wall.Seconds();
+    if (Status status =
+            w.channel->Send(static_cast<std::uint8_t>(MsgType::kStart), {});
+        !status.ok()) {
+      CECI_LOG(Warning) << "dist: start to worker " << w.id
+                        << " failed: " << status.ToString();
+      death(w, /*scripted_kill=*/false);
+    }
+  }
+
   // --- The supervision loop ---
   while (done_units < report.total_units && !fatal) {
     scripted_kill_pass();
@@ -552,10 +563,7 @@ Result<DistRunReport> RunDistributed(const Graph& data,
     }
   }
 
-  if (fatal) {
-    kill_all();
-    return Status::IoError(fatal_message);
-  }
+  if (fatal) return Status::IoError(fatal_message);
 
   // --- Teardown: polite shutdown to every live worker, then reap them
   // together, so the workers exit in parallel ---
@@ -608,18 +616,11 @@ Result<DistRunReport> RunDistributed(const Graph& data,
 
     report.Add(wr);
     report.total_redelivered_units += wr.adopted_units;
-    report.accounting.crashed.push_back(wr.crashed ? 1 : 0);
-    report.accounting.worker_embeddings.push_back(wr.embeddings);
   }
   report.discarded_results = discarded_results;
   report.heartbeat_timeouts = heartbeat_timeouts;
 
-  DistRunAccounting& acc = report.accounting;
-  acc.num_workers = n;
-  acc.total_embeddings = report.embeddings;
-  acc.orphan_events = report.orphan_events;
-  acc.reported_reassigned_clusters = report.total_reassigned_clusters;
-  const AuditReport audit = AuditDistRun(acc);
+  const AuditReport audit = AuditDistRun(report);
   report.audit_ok = audit.ok();
   report.audit_summary = audit.ToString();
   if (!report.audit_ok) {
@@ -669,6 +670,111 @@ Result<DistRunReport> RunDistributed(const Graph& data,
   redelivered_counter.Add(report.total_redelivered_units);
   timeouts_counter.Add(heartbeat_timeouts);
   discarded_counter.Add(discarded_results);
+
+  return report;
+}
+
+AuditReport AuditDistRun(const DistRunReport& run) {
+  AuditReport report;
+  const std::size_t n = run.workers.size();
+
+  auto worker_ok = [&](std::uint32_t w) { return w < n; };
+  auto crashed = [&](std::uint32_t w) {
+    return worker_ok(w) && run.workers[w].crashed;
+  };
+
+  std::vector<std::uint64_t> derived_embeddings(n, 0);
+  std::uint64_t derived_total = 0;
+  for (std::size_t i = 0; i < run.units.size(); ++i) {
+    const DistUnitAccount& unit = run.units[i];
+
+    // Exact totals hinge on every unit being counted exactly once: a
+    // zero means a lost unit (the crash orphaned it and nobody re-ran
+    // it), more than one means double-counted recovery.
+    ++report.checks_run;
+    if (unit.results_counted != 1) {
+      std::ostringstream d;
+      d << "unit " << i << " counted " << unit.results_counted
+        << " times (origin " << unit.origin << ", executed_by "
+        << unit.executed_by << ")";
+      report.Add(InvariantClass::kDistAccounting, d.str());
+    }
+
+    ++report.checks_run;
+    if (!worker_ok(unit.origin) || !worker_ok(unit.executed_by)) {
+      std::ostringstream d;
+      d << "unit " << i << " references worker ids outside 0.." << n - 1
+        << " (origin " << unit.origin << ", executed_by " << unit.executed_by
+        << ")";
+      report.Add(InvariantClass::kDistAccounting, d.str());
+      continue;
+    }
+
+    // A unit may only leave its origin through stealing or crash
+    // redelivery, and redelivery requires the origin actually died.
+    ++report.checks_run;
+    if (unit.executed_by != unit.origin && !unit.stolen &&
+        !unit.redelivered) {
+      std::ostringstream d;
+      d << "unit " << i << " migrated " << unit.origin << " -> "
+        << unit.executed_by << " without a steal or redelivery";
+      report.Add(InvariantClass::kDistAccounting, d.str());
+    }
+    // Redelivery requires an actual death: the worker that held the unit
+    // when it was orphaned (the origin, or the thief that stole it).
+    ++report.checks_run;
+    if (unit.redelivered && !crashed(unit.released_from)) {
+      std::ostringstream d;
+      d << "unit " << i << " was redelivered out of worker "
+        << unit.released_from << ", which never crashed";
+      report.Add(InvariantClass::kDistAccounting, d.str());
+    }
+
+    if (unit.results_counted == 1) {
+      derived_embeddings[unit.executed_by] += unit.embeddings;
+      derived_total += unit.embeddings;
+    }
+  }
+
+  ++report.checks_run;
+  if (derived_total != run.embeddings) {
+    std::ostringstream d;
+    d << "unit table sums to " << derived_total << " embeddings, run reports "
+      << run.embeddings;
+    report.Add(InvariantClass::kDistAccounting, d.str());
+  }
+  for (std::size_t w = 0; w < n; ++w) {
+    ++report.checks_run;
+    if (derived_embeddings[w] != run.workers[w].embeddings) {
+      std::ostringstream d;
+      d << "worker " << w << " reports " << run.workers[w].embeddings
+        << " embeddings, unit table sums to " << derived_embeddings[w];
+      report.Add(InvariantClass::kDistAccounting, d.str());
+    }
+  }
+
+  // At-most-once re-adoption: each (dead worker, cluster) pair picks an
+  // adopter exactly once, so the reported reassignment count must equal
+  // the number of distinct pairs among the orphan events.
+  std::set<std::pair<std::uint32_t, VertexId>> distinct(
+      run.orphan_events.begin(), run.orphan_events.end());
+  ++report.checks_run;
+  if (distinct.size() != run.total_reassigned_clusters) {
+    std::ostringstream d;
+    d << "run reports " << run.total_reassigned_clusters
+      << " reassigned clusters, orphan events cover " << distinct.size()
+      << " distinct (worker, pivot) pairs";
+    report.Add(InvariantClass::kDistAccounting, d.str());
+  }
+  for (const auto& [dead, pivot] : run.orphan_events) {
+    ++report.checks_run;
+    if (!crashed(dead)) {
+      std::ostringstream d;
+      d << "orphan event for pivot " << pivot << " names worker " << dead
+        << ", which never crashed";
+      report.Add(InvariantClass::kDistAccounting, d.str());
+    }
+  }
 
   return report;
 }

@@ -7,9 +7,11 @@
 // options hold and the report core its reports extend: PlanPartitions
 // preprocesses the query, distributes cluster pivots with the
 // workload/Jaccard policy, and builds one refined CECI per worker, each
-// build thread freezing its index to a CEIX image. `ceci_worker`
-// processes mmap the images — workers never hold the data graph, and
-// co-hosted workers share arena pages through the page cache. Work units
+// build thread freezing its index to a CEIX image. The workers are
+// spawned before that plan, so their start-up overlaps it, and wait for a
+// kStart frame that follows the last image. `ceci_worker` processes mmap
+// the images — workers never hold the data graph, and co-hosted workers
+// share arena pages through the page cache. Work units
 // travel over framed Unix-domain socketpair channels
 // (util/frame_transport.h) carrying the message types the simulation
 // accounts.
@@ -106,6 +108,27 @@ struct WorkerReport : distsim::PartitionReport, ChildExit {
   bool killed_by_plan = false;
 };
 
+/// One work unit's audited outcome in a process run.
+struct DistUnitAccount {
+  /// Worker the unit was initially partitioned to.
+  std::uint32_t origin = 0;
+  /// Worker whose result was counted.
+  std::uint32_t executed_by = 0;
+  /// Cluster identity (root pivot of the unit's prefix).
+  VertexId pivot = kInvalidVertex;
+  /// Results the supervisor counted for this unit — exactly 1 in a
+  /// correct run (at-most-once counting, no lost units).
+  std::uint64_t results_counted = 0;
+  std::uint64_t embeddings = 0;
+  /// Re-executed after its holder crashed.
+  bool redelivered = false;
+  /// Worker whose death released the unit (meaningful iff redelivered;
+  /// usually the origin, but a stolen unit dies with its thief).
+  std::uint32_t released_from = 0;
+  /// Re-dispatched to an idle worker by work stealing (no crash).
+  bool stolen = false;
+};
+
 struct DistRunReport : distsim::RunReport {
   std::uint64_t total_redelivered_units = 0;
   /// Results from killed workers that raced the SIGKILL and were dropped
@@ -122,11 +145,21 @@ struct DistRunReport : distsim::RunReport {
   /// cluster pivot). Distinct pairs == total_reassigned_clusters — the
   /// at-most-once invariant the auditor and differential tests check.
   std::vector<std::pair<std::uint32_t, VertexId>> orphan_events;
-  /// Per-unit exact-total accounting, audited after every run.
-  DistRunAccounting accounting;
+  /// Per-unit outcomes, numbered as the replay input numbers units.
+  std::vector<DistUnitAccount> units;
+  /// AuditDistRun's verdict on this report, taken after every run.
   bool audit_ok = true;
   std::string audit_summary;
 };
+
+/// Audits the exact-total accounting of a process run against its own
+/// report: every unit counted exactly once, units leave their origin only
+/// by a steal or a redelivery out of a crashed worker, the workers' and
+/// the run's embeddings equal the unit table's sums, and cluster
+/// re-adoption is at-most-once per (crash, cluster): the distinct orphan
+/// events number total_reassigned_clusters, each naming a crashed
+/// worker. Every mismatch reports kDistAccounting.
+AuditReport AuditDistRun(const DistRunReport& report);
 
 /// Runs `query` against `data` across real worker processes. Fails up
 /// front on an invalid plan, a missing worker binary, or scratch-dir

@@ -88,6 +88,25 @@ int RunWorker(const WorkerOptions& options) {
     return raw;
   };
 
+  // The supervisor spawns workers before it plans, and writes the images
+  // while they start up; kStart says they are all on disk. The wait is
+  // silent — nobody reads heartbeats during planning — and ends early on
+  // EOF (the planning failed and the supervisor hung up) or kShutdown.
+  for (;;) {
+    auto frame = channel.Recv(options.heartbeat_seconds);
+    if (frame.ok()) {
+      const auto type = static_cast<MsgType>(frame->type);
+      if (type == MsgType::kStart) break;
+      if (type == MsgType::kShutdown) return 0;
+      CECI_LOG(Error) << "worker " << options.worker_id
+                      << ": unexpected frame type "
+                      << static_cast<int>(frame->type) << " before start";
+      return 1;
+    }
+    if (frame.status().code() == Status::Code::kNotFound) continue;
+    return frame.status().message().rfind("eof", 0) == 0 ? 0 : 1;
+  }
+
   // Load this worker's own partition up front so a bad image fails fast.
   // An absent image is legitimate: an empty partition spawned only as a
   // recovery target starts idle and loads peers' images on demand.

@@ -6,12 +6,14 @@
 // workers on the host share one physical copy of each arena page —
 // reconstructs the query from the pattern text stored in the image, and
 // runs the graph-free intersection enumerator (ceci/enumerator.h) over
-// work-unit prefixes under the restriction set the image records. Its
-// own partition (`part<worker_id>.ceix`) is opened at startup; when the
-// supervisor re-adopts a crashed peer's clusters onto this worker (or
-// steals work across partitions), the assignment names the origin
-// partition and the worker lazily maps that image too — the real-process
-// analogue of the simulation's modeled index transfer. Between
+// work-unit prefixes under the restriction set the image records. The
+// supervisor spawns it before the images exist, so it first waits for
+// the kStart frame, then opens its own partition (`part<worker_id>.ceix`)
+// and sends kHello. When the supervisor re-adopts a crashed peer's
+// clusters onto this worker (or steals work across partitions), the
+// assignment names the origin partition and the worker lazily maps that
+// image too — the real-process analogue of the simulation's modeled
+// index transfer. Between
 // assignments it sends heartbeats so the supervisor's deadline-based
 // failure detection can tell "idle" from "dead".
 #ifndef CECI_DIST_WORKER_H_
@@ -38,7 +40,7 @@ struct WorkerOptions {
 };
 
 /// Path of partition `origin`'s image under `index_dir` (shared with the
-/// supervisor, which writes the images before spawning workers).
+/// supervisor, which writes the images before it sends kStart).
 std::string PartitionImagePath(const std::string& index_dir,
                                std::uint32_t origin);
 

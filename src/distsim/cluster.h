@@ -8,7 +8,9 @@
 // introduces. Highly overlapping clusters (Jaccard similarity of pivot
 // neighborhoods ≥ 0.5, checked over the largest `jaccard_top_k` pivots)
 // are co-located on the same machine unless that machine is already at the
-// workload cap.
+// workload cap. The common-neighbour counts of those pivots come from one
+// wedge-counting walk over their adjacency lists into a k×k table, not
+// from a merge per pair.
 #ifndef CECI_DISTSIM_CLUSTER_H_
 #define CECI_DISTSIM_CLUSTER_H_
 
@@ -21,7 +23,7 @@
 namespace ceci::distsim {
 
 struct PivotAssignment {
-  /// Sorted pivot list per machine.
+  /// Pivot list per machine, ascending (the input order).
   std::vector<std::vector<VertexId>> per_machine;
   /// Estimated workload per machine (proxy units).
   std::vector<double> workloads;
@@ -47,7 +49,8 @@ double PivotWorkload(const Graph& data, VertexId v, bool neighbors_visible);
 /// Jaccard similarity of two pivots' neighborhoods.
 double JaccardSimilarity(const Graph& data, VertexId a, VertexId b);
 
-/// Distributes `pivots` over machines.
+/// Distributes `pivots` (ascending, as Preprocess's root candidates are)
+/// over machines.
 PivotAssignment AssignPivots(const Graph& data,
                              const std::vector<VertexId>& pivots,
                              const AssignOptions& options);

@@ -19,7 +19,6 @@ struct OwnEnumeration {
   /// Physical embedding count per unit, parallel to the partition's
   /// units.
   std::vector<std::uint64_t> unit_embeddings;
-  std::uint64_t embeddings = 0;
   double cpu_seconds = 0.0;
 };
 
@@ -74,10 +73,8 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
     Enumerator enumerator(data, plan.tree, flat, enum_options);
     self.unit_embeddings.reserve(part.units.size());
     for (const WorkUnit& unit : part.units) {
-      const std::uint64_t got =
-          enumerator.EnumerateFromPrefix(unit.prefix, nullptr);
-      self.unit_embeddings.push_back(got);
-      self.embeddings += got;
+      self.unit_embeddings.push_back(
+          enumerator.EnumerateFromPrefix(unit.prefix, nullptr));
     }
     self.cpu_seconds = ThreadCpuSeconds() - cpu_start;
     return Status::Ok();
@@ -133,14 +130,11 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
     const ReplayMachineOutcome& replayed = replay.machines[k];
     MachineReport report;
     static_cast<PartitionReport&>(report) = PlannedPartitionReport(part);
-    report.embeddings = own[k].embeddings;
-    if (failures.active()) {
-      // Credit each unit to the machine that completed it; every unit
-      // runs exactly once, so the cluster-wide sum is the physical total.
-      report.embeddings = 0;
-      for (const ReplayStep& step : replayed.steps) {
-        report.embeddings += unit_embeddings[step.unit_id];
-      }
+    // Credit each unit to the machine whose replay steps ran it, as the
+    // process engine credits the worker that ran it; every unit runs
+    // exactly once, so the cluster-wide sum is the physical total.
+    for (const ReplayStep& step : replayed.steps) {
+      report.embeddings += unit_embeddings[step.unit_id];
     }
     report.stolen_units = replayed.stolen_units;
     report.reassigned_clusters = replayed.reassigned_clusters;

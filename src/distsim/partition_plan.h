@@ -47,8 +47,8 @@ struct DistConfig {
   double beta = 0.2;
   bool break_automorphisms = true;
   /// The paper evaluates Jaccard similarity over the largest 1,000
-  /// clusters; the default is smaller because the O(k²) coordinator pass
-  /// is serial. Raise it on real clusters.
+  /// clusters; the default is smaller because the coordinator's serial
+  /// pass fills a k×k common-neighbour table. Raise it on real clusters.
   std::size_t jaccard_top_k = 256;
   /// Idle machines take queued units from the most-loaded peer.
   bool work_stealing = true;
@@ -134,8 +134,7 @@ std::vector<ReplayMachine> ModeledReplayInput(const PartitionPlan& plan,
 struct PartitionReport {
   std::size_t pivots = 0;
   std::size_t initial_units = 0;
-  /// Of the units it completed; in a failure-free simulation, whose
-  /// replay runs on measured times, of its own units.
+  /// Of the units it completed, stolen and adopted ones included.
   std::uint64_t embeddings = 0;
   std::uint64_t stolen_units = 0;
   /// Clusters adopted from crashed peers, at most once per crash.

@@ -1,8 +1,9 @@
 // ceci_worker — one partition executor of the multi-process matcher.
 //
 // Spawned by the supervisor (dist/supervisor.h) with a framed message
-// channel on --channel-fd; maps the CEIX partition images under
-// --index-dir and enumerates the work-unit prefixes it is assigned,
+// channel on --channel-fd; once the kStart frame says the images are
+// written, maps the CEIX partition images under --index-dir and
+// enumerates the work-unit prefixes it is assigned,
 // streaming back one result frame per unit and heartbeating while idle.
 // Result frames are written in batches: before the worker blocks waiting
 // for work, every 64 results, and at least once per heartbeat interval.

@@ -1,7 +1,7 @@
 #include "util/subprocess.h"
 
-#include <fcntl.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -17,50 +17,50 @@ Result<ChildProcess> SpawnWithChannel(const std::string& binary,
   if (child_fd < 0) {
     return Status::InvalidArgument("child_fd must be non-negative");
   }
+  // Both ends start close-on-exec: the parent end must not leak into
+  // later-spawned siblings (a sibling holding a copy would keep the
+  // channel open after this child dies, suppressing the EOF the
+  // supervisor relies on for failure detection), and the child end
+  // reaches the child only through the spawn's dup2, which clears the
+  // flag on the copy (posix_spawn_file_actions_adddup2 clears it even
+  // when the two descriptors are equal).
   int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
     return Status::IoError(std::string("socketpair: ") +
                            std::strerror(errno));
   }
   const int parent_end = fds[0];
   const int child_end = fds[1];
-  // The parent end must not leak into later-spawned siblings: a sibling
-  // holding a copy would keep the channel open after this child dies,
-  // suppressing the EOF the supervisor relies on for failure detection.
-  ::fcntl(parent_end, F_SETFD, FD_CLOEXEC);
 
   std::vector<std::string> argv_storage;
   argv_storage.reserve(args.size() + 1);
   argv_storage.push_back(binary);
   for (const std::string& a : args) argv_storage.push_back(a);
+  std::vector<char*> argv;
+  argv.reserve(argv_storage.size() + 1);
+  for (std::string& a : argv_storage) argv.push_back(a.data());
+  argv.push_back(nullptr);
 
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    Status status = Status::IoError(std::string("fork: ") +
-                                    std::strerror(errno));
-    ::close(parent_end);
-    ::close(child_end);
-    return status;
-  }
-  if (pid == 0) {
-    // Child. Move the channel onto the agreed descriptor and exec. Only
-    // async-signal-safe calls between fork and exec.
-    ::close(parent_end);
-    if (child_end != child_fd) {
-      if (::dup2(child_end, child_fd) < 0) _exit(127);
-      ::close(child_end);
-    } else {
-      // Clear any close-on-exec bit so the descriptor survives the exec.
-      ::fcntl(child_fd, F_SETFD, 0);
+  // posix_spawn runs the child in the parent's address space until the
+  // exec and copies no page tables, so spawning costs the same from a
+  // large supervisor as from a small one; an exec failure is returned
+  // here, with the child already reaped.
+  posix_spawn_file_actions_t actions;
+  int err = ::posix_spawn_file_actions_init(&actions);
+  pid_t pid = -1;
+  if (err == 0) {
+    err = ::posix_spawn_file_actions_adddup2(&actions, child_end, child_fd);
+    if (err == 0) {
+      err = ::posix_spawn(&pid, binary.c_str(), &actions, nullptr,
+                          argv.data(), environ);
     }
-    std::vector<char*> argv;
-    argv.reserve(argv_storage.size() + 1);
-    for (std::string& a : argv_storage) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(binary.c_str(), argv.data());
-    _exit(127);  // exec failed; the parent sees EOF on the channel
+    ::posix_spawn_file_actions_destroy(&actions);
   }
   ::close(child_end);
+  if (err != 0) {
+    ::close(parent_end);
+    return Status::IoError("spawn " + binary + ": " + std::strerror(err));
+  }
   ChildProcess child;
   child.pid = pid;
   child.channel_fd = parent_end;

@@ -1,6 +1,6 @@
 // Child-process management for the multi-process matching runtime
 // (src/dist/). This is the only translation unit allowed to call the raw
-// process and socket primitives (`fork`, `execv`, `socketpair`, `waitpid`,
+// process and socket primitives (`posix_spawn`, `socketpair`, `waitpid`,
 // `kill`) — everything else goes through these wrappers so the lint rule
 // in scripts/lint.sh can keep process handling auditable in one place.
 //
@@ -36,10 +36,11 @@ struct ChildExit {
   int term_signal = 0;    // valid when signaled
 };
 
-/// Forks and execs `binary` with `args` (argv[0] is derived from
-/// `binary`), wiring the child end of a fresh socketpair onto descriptor
-/// `child_fd` in the child. If the exec fails the child exits with
-/// status 127; the parent sees EOF on the channel.
+/// Spawns `binary` with `args` (argv[0] is derived from `binary`) through
+/// posix_spawn, wiring the child end of a fresh socketpair onto
+/// descriptor `child_fd` in the child; the child inherits no other end of
+/// the pair. A binary that cannot be executed (missing, not executable)
+/// fails the call with kIoError and leaves no child behind.
 Result<ChildProcess> SpawnWithChannel(const std::string& binary,
                                       const std::vector<std::string>& args,
                                       int child_fd = 3);

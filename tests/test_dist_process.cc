@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -174,6 +176,53 @@ TEST_F(DistProcessTest, RejectsInvalidConfigurations) {
 
   options = BaseOptions(0);
   EXPECT_FALSE(dist::RunDistributed(data_, query_, options).ok());
+}
+
+// Workers are spawned before the plan, so a query the planner rejects
+// (QueryTree::Build refuses a disconnected pattern) fails after the spawn.
+// The error must come back with every spawned worker reaped.
+TEST_F(DistProcessTest, PlanningFailureReapsTheSpawnedWorkers) {
+  auto query = ParsePattern("(a)-(b); (c)-(d)");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto report = dist::RunDistributed(data_, *query, BaseOptions(3));
+  ASSERT_FALSE(report.ok());
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+// A worker that dies before kStart — here a wrapper that exits instead of
+// exec'ing the worker — is a crash like any other: its partition's units
+// are re-adopted and the totals stay exact.
+TEST_F(DistProcessTest, WorkerThatExitsBeforeStartIsRecovered) {
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "ceci_early_exit.XXXXXX")
+                        .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string wrapper = dir + "/exit_worker1.sh";
+  {
+    std::ofstream script(wrapper);
+    script << "#!/bin/sh\n"
+           << "case \" $* \" in *\" --worker-id 1 \"*) exit 0 ;; esac\n"
+           << "exec " << WorkerBinary() << " \"$@\"\n";
+  }
+  ASSERT_EQ(::chmod(wrapper.c_str(), 0755), 0);
+
+  auto options = BaseOptions(3);
+  options.worker_binary = wrapper;
+  auto report = dist::RunDistributed(data_, query_, options);
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->embeddings, SingleProcessCount());
+  EXPECT_TRUE(report->audit_ok) << report->audit_summary;
+  EXPECT_EQ(report->crashed_machines, 1u);
+  ASSERT_EQ(report->workers.size(), 3u);
+  EXPECT_TRUE(report->workers[1].crashed);
+  EXPECT_EQ(report->workers[1].units_executed, 0u);
+  EXPECT_EQ(report->workers[1].embeddings, 0u);
+  EXPECT_GT(report->workers[1].initial_units, 0u);
+  EXPECT_EQ(report->total_redelivered_units,
+            report->workers[1].initial_units);
 }
 
 // The acceptance gate: SIGKILL of any single worker mid-enumeration, 20
@@ -370,6 +419,32 @@ TEST_F(DistProcessTest, ReactiveKillWithDeepWindowRecoversExactTotals) {
   EXPECT_FALSE(report->orphan_events.empty());
   for (const auto& [dead, pivot] : report->orphan_events) {
     EXPECT_EQ(dead, 0u) << "pivot " << pivot;
+  }
+}
+
+// The audit reads the report's own fields: tampering with any copy a
+// reader sees — a worker's embeddings, the run total, an orphan event —
+// is caught.
+TEST_F(DistProcessTest, AuditReadsTheReportItself) {
+  auto report = dist::RunDistributed(data_, query_, BaseOptions(3));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(dist::AuditDistRun(*report).ok());
+
+  dist::DistRunReport worker_off = *report;
+  worker_off.workers[0].embeddings += 1;
+  dist::DistRunReport total_off = *report;
+  total_off.embeddings += 1;
+  dist::DistRunReport phantom_orphan = *report;
+  phantom_orphan.orphan_events.emplace_back(1u, VertexId{0});
+  phantom_orphan.total_reassigned_clusters = 1;
+  dist::DistRunReport lost_unit = *report;
+  ASSERT_FALSE(lost_unit.units.empty());
+  lost_unit.units[0].results_counted = 0;
+  for (const dist::DistRunReport* bad :
+       {&worker_off, &total_off, &phantom_orphan, &lost_unit}) {
+    const AuditReport audit = dist::AuditDistRun(*bad);
+    EXPECT_FALSE(audit.ok());
+    EXPECT_GT(audit.CountOf(InvariantClass::kDistAccounting), 0u);
   }
 }
 

@@ -1,8 +1,10 @@
 // Tests for the simulated distributed runtime (§5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/vf2.h"
@@ -107,6 +109,121 @@ TEST(AssignPivotsTest, JaccardColocatesTwins) {
     bool has1 = std::binary_search(list.begin(), list.end(), 1u);
     EXPECT_EQ(has0, has1);
   }
+}
+
+/// The pairwise form AssignPivots had before the wedge-counting table:
+/// one JaccardSimilarity merge per candidate pair, then a sort of each
+/// machine's list. Kept here as the reference the table must reproduce.
+distsim::PivotAssignment PairwiseAssignPivots(
+    const Graph& data, const std::vector<VertexId>& pivots,
+    const AssignOptions& options) {
+  distsim::PivotAssignment out;
+  out.per_machine.assign(options.num_machines, {});
+  out.workloads.assign(options.num_machines, 0.0);
+  if (pivots.empty()) return out;
+  std::vector<double> workload(pivots.size());
+  double total = 0.0;
+  for (std::size_t i = 0; i < pivots.size(); ++i) {
+    workload[i] = PivotWorkload(data, pivots[i], options.neighbors_visible);
+    total += workload[i];
+  }
+  const double max_allowed = options.max_load_factor * total /
+                             static_cast<double>(options.num_machines);
+  std::vector<std::size_t> order(pivots.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (workload[a] != workload[b]) return workload[a] > workload[b];
+    return pivots[a] < pivots[b];
+  });
+  std::vector<std::pair<std::size_t, std::size_t>> placed_top;
+  const std::size_t top_k = std::min(options.jaccard_top_k, order.size());
+  for (std::size_t rank = 0; rank < order.size(); ++rank) {
+    const std::size_t i = order[rank];
+    std::size_t target = 0;
+    for (std::size_t m = 1; m < options.num_machines; ++m) {
+      if (out.workloads[m] < out.workloads[target]) target = m;
+    }
+    if (options.neighbors_visible && rank < top_k) {
+      const std::size_t deg_i = data.degree(pivots[i]);
+      for (const auto& [j, machine] : placed_top) {
+        if (out.workloads[machine] + workload[i] > max_allowed) continue;
+        const std::size_t deg_j = data.degree(pivots[j]);
+        const std::size_t lo = std::min(deg_i, deg_j);
+        const std::size_t hi = std::max(deg_i, deg_j);
+        if (hi == 0 || static_cast<double>(lo) <
+                           options.jaccard_threshold *
+                               static_cast<double>(hi)) {
+          continue;
+        }
+        if (JaccardSimilarity(data, pivots[i], pivots[j]) >=
+            options.jaccard_threshold) {
+          target = machine;
+          ++out.jaccard_colocations;
+          break;
+        }
+      }
+      placed_top.emplace_back(i, target);
+    }
+    out.per_machine[target].push_back(pivots[i]);
+    out.workloads[target] += workload[i];
+  }
+  for (auto& list : out.per_machine) std::sort(list.begin(), list.end());
+  return out;
+}
+
+// The wedge-counting table must place every pivot where the pairwise
+// merges placed it. The Holme–Kim graphs co-locate nothing at the default
+// threshold, so dense Erdős–Rényi graphs (m = 0.3·n²) supply the
+// co-locations.
+TEST(AssignPivotsTest, WedgeTableMatchesPairwiseReference) {
+  std::vector<Graph> graphs;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const std::size_t n = 67 + 23 * seed;
+    graphs.push_back(GenerateErdosRenyi(n, 3 * n * n / 10, seed));
+  }
+  graphs.push_back(GenerateSocialGraph(3000, 8, 1));
+  graphs.push_back(GenerateSocialGraph(1500, 4, 2));
+  std::size_t colocations = 0;
+  std::size_t cases = 0;
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const Graph& data = graphs[g];
+    // Every vertex, and every third one (a pivot set that is not a
+    // contiguous id range).
+    std::vector<VertexId> all(data.num_vertices());
+    std::vector<VertexId> thirds;
+    for (VertexId v = 0; v < data.num_vertices(); ++v) {
+      all[v] = v;
+      if (v % 3 == 0) thirds.push_back(v);
+    }
+    for (const std::vector<VertexId>* pivots : {&all, &thirds}) {
+      for (std::size_t machines : {2u, 3u, 5u}) {
+        for (std::size_t top_k : {0u, 16u, 256u}) {
+          for (bool visible : {true, false}) {
+            AssignOptions options;
+            options.num_machines = machines;
+            options.jaccard_top_k = top_k;
+            options.neighbors_visible = visible;
+            const auto got = AssignPivots(data, *pivots, options);
+            const auto want = PairwiseAssignPivots(data, *pivots, options);
+            const std::string where =
+                "graph " + std::to_string(g) + ", " +
+                std::to_string(pivots->size()) + " pivots, " +
+                std::to_string(machines) + " machines, top_k " +
+                std::to_string(top_k) + (visible ? ", visible" : ", shared");
+            EXPECT_EQ(got.per_machine, want.per_machine) << where;
+            EXPECT_EQ(got.workloads, want.workloads) << where;
+            EXPECT_EQ(got.jaccard_colocations, want.jaccard_colocations)
+                << where;
+            colocations += want.jaccard_colocations;
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, graphs.size() * 2 * 3 * 3 * 2);
+  // The sweep must exercise the co-location branch, not only placement.
+  EXPECT_GT(colocations, 20u);
 }
 
 TEST(DistributedMatchTest, PaperExample) {

@@ -48,31 +48,46 @@ TEST(DistReplayTest, EmbeddingCountsAreStealingInvariant) {
 }
 
 TEST(DistReplayTest, StealingNeverSlowsTheSlowestMachine) {
-  // The replay moves tail units to idle machines; the resulting max busy
-  // window must be <= the no-stealing one (modulo the tiny comm charge).
-  Graph data = GenerateSocialGraph(800, 10, 5);
-  Graph query = MakePaperQuery(PaperQuery::kQG1);
-  DistOptions with;
-  with.num_machines = 8;
-  DistOptions without = with;
-  without.config.work_stealing = false;
+  // The replay moves tail units to idle machines; the resulting makespan
+  // must not exceed the no-stealing one. Modeled unit times of 1–20 ms
+  // against a 20 µs steal transfer, and skewed queues so steals do
+  // happen: machine m holds 4·m units, machine 0 none at all.
+  const dist::CostModel model;
+  std::vector<ReplayMachine> input(8);
+  std::uint64_t next_id = 0;
+  for (std::size_t m = 0; m < input.size(); ++m) {
+    input[m].start_seconds = 1e-3 * static_cast<double>(m % 3);
+    input[m].steal_bytes = 4096;
+    for (std::size_t u = 0; u < 4 * m; ++u) {
+      const double seconds = 1e-3 * static_cast<double>(1 + (7 * u + m) % 20);
+      input[m].queue.push_back(
+          ReplayUnit{next_id++, seconds, static_cast<VertexId>(m)});
+    }
+  }
+  auto makespan = [&](const ReplayOutcome& out) {
+    double latest = 0.0;
+    for (std::size_t m = 0; m < input.size(); ++m) {
+      latest = std::max(latest,
+                        input[m].start_seconds + out.machines[m].busy_seconds);
+    }
+    return latest;
+  };
 
-  auto yes = DistributedMatch(data, query, with);
-  auto no = DistributedMatch(data, query, without);
-  ASSERT_TRUE(yes.ok());
-  ASSERT_TRUE(no.ok());
-  // Enum phases come from the same per-unit estimates, so this comparison
-  // is deterministic up to the measured own-enumeration times; allow a
-  // modest tolerance for measurement jitter between the two runs.
-  double max_with = 0.0;
-  double max_without = 0.0;
-  for (const auto& m : yes->machines) {
-    max_with = std::max(max_with, m.enum_compute_seconds);
+  const ReplayOutcome with = Replay(input, /*work_stealing=*/true, model);
+  const ReplayOutcome without = Replay(input, /*work_stealing=*/false, model);
+  std::uint64_t steals = 0;
+  std::size_t steps = 0;
+  for (const auto& machine : with.machines) {
+    steals += machine.stolen_units;
+    steps += machine.steps.size();
   }
-  for (const auto& m : no->machines) {
-    max_without = std::max(max_without, m.enum_compute_seconds);
-  }
-  EXPECT_LE(max_with, max_without * 1.5 + 1e-3);
+  EXPECT_GT(steals, 0u);
+  EXPECT_EQ(steps, next_id);
+  EXPECT_LE(makespan(with), makespan(without));
+  // Without stealing the slowest machine runs its own queue alone.
+  double own = 0.0;
+  for (const ReplayUnit& unit : input.back().queue) own += unit.base_seconds;
+  EXPECT_DOUBLE_EQ(makespan(without), input.back().start_seconds + own);
 }
 
 TEST(DistReplayTest, StealsHappenOnlyWhenImbalanced) {
@@ -158,6 +173,55 @@ TEST(DistReplayTest, ReportsConsistentTotals) {
   }
   EXPECT_EQ(sum, result->embeddings);
   EXPECT_GE(result->makespan_seconds, result->preprocess_seconds);
+}
+
+// A failure-free simulation credits each unit's embeddings to the machine
+// whose replay steps ran it. Two hubs (label 1) with 3000 and 2000 leaves
+// and the edge query (a:1)-(b:0): two pivots on four machines, so
+// machines 2 and 3 own nothing and start first. Each hub's cluster is
+// extreme and splits into one-edge units of exactly one embedding, so an
+// empty machine's steps are its steals and its embeddings equal their
+// number.
+TEST(DistReplayTest, EmbeddingsFollowTheMachineThatRanTheUnit) {
+  std::vector<Label> labels(5002, 0);
+  labels[0] = labels[1] = 1;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId leaf = 2; leaf < 5002; ++leaf) {
+    edges.push_back({leaf < 3002 ? VertexId{0} : VertexId{1}, leaf});
+  }
+  const Graph data = testing::MakeGraph(labels, edges);
+  const Graph query = testing::MakeGraph({1, 0}, {{0, 1}});
+  DistOptions options;
+  options.num_machines = 4;
+  for (bool stealing : {true, false}) {
+    options.config.work_stealing = stealing;
+    auto result = DistributedMatch(data, query, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->machines.size(), 4u);
+    EXPECT_EQ(result->embeddings, 5000u);
+    std::uint64_t sum = 0;
+    std::uint64_t empty_steals = 0;
+    for (std::size_t m = 0; m < 4; ++m) {
+      const auto& machine = result->machines[m];
+      sum += machine.embeddings;
+      if (machine.pivots == 0) {
+        EXPECT_EQ(machine.embeddings, machine.stolen_units) << "m" << m;
+        empty_steals += machine.stolen_units;
+      }
+    }
+    EXPECT_EQ(sum, result->embeddings);
+    if (stealing) {
+      EXPECT_GT(empty_steals, 0u);
+    } else {
+      // Nothing moves: each hub's machine keeps its own cluster.
+      EXPECT_EQ(result->machines[0].embeddings +
+                    result->machines[1].embeddings,
+                5000u);
+      EXPECT_EQ(std::max(result->machines[0].embeddings,
+                         result->machines[1].embeddings),
+                3000u);
+    }
+  }
 }
 
 // --- The shared replay on synthetic unit tables (no graph, no processes) ---
