@@ -62,7 +62,7 @@ if [[ -n "$hits" ]]; then
   fail "raw allocation / owning pointer in arena-backed index code" "$hits"
 fi
 
-# --- Rule: enumeration reads only the frozen arena. The mutable CeciIndex
+# --- Rule: enumeration reads only the frozen arena. The staging CeciIndex
 # is the build/refine structure; the enumerator, the scheduler, the
 # extreme-cluster decomposition and the dist worker take FlatCeciIndex, so
 # a second enumeration layout cannot creep back in (docs/architecture.md).
@@ -70,7 +70,7 @@ enum_sources=$(echo "$sources" \
   | grep -E 'src/ceci/(enumerator|scheduler|extreme_cluster)\.|src/dist/worker\.cc' || true)
 hits=$(echo "$enum_sources" | xargs grep -nw 'CeciIndex' 2>/dev/null || true)
 if [[ -n "$hits" ]]; then
-  fail "mutable CeciIndex in the enumeration layer (take const FlatCeciIndex&)" \
+  fail "staging CeciIndex in the enumeration layer (take const FlatCeciIndex&)" \
     "$hits"
 fi
 
@@ -192,6 +192,23 @@ hits+=$(grep -rnE '#include\s*"ceci/streaming_builder\.h"' src tests bench examp
   perfbench 2>/dev/null || true)
 if [[ -n "$hits" ]]; then
   fail "filter verdicts outside the FilterTable (read them from preprocess.cc's table)" \
+    "$hits"
+fi
+
+# --- Rule: no vector per key. The TE/NTE lists are built and refined as
+# runs into one pool per list (src/ceci/ceci_index.h), the shape the arena
+# stores. The class that held one heap vector per key (CandidateList) is
+# gone, and a vector of vertex-id vectors in src/ceci/ is that layout
+# growing back. An outer vector indexed by query vertex or by depth, never
+# by key, carries `// lint: not-per-key`.
+hits=$(echo "$sources" | grep -E '^src/' \
+  | xargs grep -nw 'CandidateList' 2>/dev/null || true)
+more=$(echo "$sources" | grep -E '^src/ceci/' \
+  | xargs grep -nE 'std::vector<\s*std::vector<\s*VertexId\s*>\s*>' 2>/dev/null \
+  | grep -v 'lint: not-per-key' || true)
+hits=$(printf '%s\n%s' "$hits" "$more" | sed '/^$/d')
+if [[ -n "$hits" ]]; then
+  fail "vector-per-key candidate lists (append runs to a CandidateRuns pool)" \
     "$hits"
 fi
 

@@ -61,6 +61,13 @@
 #                                    # smoke (docs/serving.md). Combine
 #                                    # with --preset tsan for the
 #                                    # data-race gate
+#   scripts/tier1.sh --perfbench     # additionally build the standalone
+#                                    # benchmark project (perfbench/,
+#                                    # Release, in build-perfbench/) and
+#                                    # run a 2-second traced adhoc-labeled
+#                                    # workload, which exits non-zero when
+#                                    # its stage-by-stage pipeline counts
+#                                    # differ from CeciMatcher::Match's
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -77,6 +84,7 @@ dist_pass=0
 serving_pass=0
 index_pass=0
 analyze_pass=0
+perfbench_pass=0
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --clean) clean=1 ;;
@@ -89,6 +97,7 @@ while [[ $# -gt 0 ]]; do
     --serving) serving_pass=1 ;;
     --index) index_pass=1 ;;
     --analyze) analyze_pass=1 ;;
+    --perfbench) perfbench_pass=1 ;;
     --preset) preset="${2:?--preset needs a name}"; shift ;;
     *) echo "unknown option: $1" >&2; exit 2 ;;
   esac
@@ -466,6 +475,18 @@ EOF
   kill -TERM "$serve_pid"
   wait "$serve_pid" || { echo "ceci_serve exited non-zero" >&2; exit 1; }
   grep -q "shut down" "$index_tmp/serve.log"
+fi
+
+if [[ "$perfbench_pass" == 1 ]]; then
+  echo "=== perfbench pass (benchmark driver build + traced adhoc run) ==="
+  # perfbench/ is its own CMake project over ../src; run.py builds it into
+  # $CARGO_TARGET_DIR, here a tree of its own so it never mixes with the
+  # test build.
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-perfbench -j --target ceci_perfbench ceci_serve \
+    ceci_worker
+  CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+    --workload adhoc-labeled --seconds 2 --trace 1
 fi
 
 if [[ "$analyze_pass" == 1 ]]; then

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -135,73 +136,6 @@ std::string Where(const char* what, VertexId u) {
   return out.str();
 }
 
-// Audits one TE/NTE candidate list of child `u` keyed by candidates of
-// `parent` (its tree parent or NTE parent). `require_value_membership`
-// holds only for refined indexes: the builder's empty-key cascade erases a
-// dead vertex from candidates(u) without scrubbing it from the value sets
-// of u's own lists (refinement compaction does that), so values may
-// legitimately reference ex-candidates until then.
-void AuditList(const Graph& data, const CandidateList& list, VertexId u,
-               VertexId parent, std::span<const VertexId> parent_cands,
-               std::span<const VertexId> child_cands, bool is_te,
-               bool require_value_membership, AuditReport* report) {
-  std::ostringstream tag;
-  tag << (is_te ? "TE" : "NTE") << "[u" << u << " keyed by u" << parent
-      << "]";
-  const std::string prefix = tag.str();
-
-  ++report->checks_run;
-  if (!StrictlySorted(list.keys())) {
-    report->Add(InvariantClass::kListUnsorted,
-                prefix + ": keys not strictly ascending");
-  }
-  for (std::size_t i = 0; i < list.num_keys(); ++i) {
-    const VertexId key = list.keys()[i];
-    const auto values = list.values_at(i);
-    ++report->checks_run;
-    if (!SortedMember(parent_cands, key)) {
-      std::ostringstream d;
-      d << prefix << ": key v" << key
-        << " is not a candidate of the parent";
-      report->Add(is_te ? InvariantClass::kTeKeyNotParentCandidate
-                        : InvariantClass::kNteKeyNotParentCandidate,
-                  d.str());
-    }
-    ++report->checks_run;
-    if (values.empty()) {
-      std::ostringstream d;
-      d << prefix << ": key v" << key << " stores an empty value set";
-      report->Add(InvariantClass::kEmptyKeyCascade, d.str());
-    }
-    ++report->checks_run;
-    if (!StrictlySorted(values)) {
-      std::ostringstream d;
-      d << prefix << ": values of key v" << key
-        << " not strictly ascending";
-      report->Add(InvariantClass::kListUnsorted, d.str());
-    }
-    for (VertexId v : values) {
-      if (require_value_membership) {
-        ++report->checks_run;
-        if (!SortedMember(child_cands, v)) {
-          std::ostringstream d;
-          d << prefix << ": value v" << v << " under key v" << key
-            << " is not a candidate of u" << u;
-          report->Add(InvariantClass::kValueNotCandidate, d.str());
-        }
-      }
-      ++report->checks_run;
-      if (v >= data.num_vertices() || key >= data.num_vertices() ||
-          !data.HasEdge(key, v)) {
-        std::ostringstream d;
-        d << prefix << ": candidate edge (v" << key << ", v" << v
-          << ") does not exist in the data graph";
-        report->Add(InvariantClass::kDanglingCandidateEdge, d.str());
-      }
-    }
-  }
-}
-
 }  // namespace
 
 AuditReport AuditGraph(const Graph& g) {
@@ -301,146 +235,6 @@ AuditReport AuditGraph(const Graph& g) {
   return report;
 }
 
-AuditReport AuditCeciIndex(const Graph& data, const Graph& query,
-                           const QueryTree& tree, const CeciIndex& index,
-                           const AuditOptions& options) {
-  AuditReport report;
-  report.max_recorded = options.max_recorded;
-  const std::size_t nq = tree.num_vertices();
-
-  ++report.checks_run;
-  if (index.num_query_vertices() != nq || query.num_vertices() != nq) {
-    std::ostringstream d;
-    d << "index covers " << index.num_query_vertices()
-      << " query vertices, tree has " << nq << ", query graph has "
-      << query.num_vertices();
-    report.Add(InvariantClass::kIndexShape, d.str());
-    return report;  // per-vertex loops below would be meaningless
-  }
-
-  for (VertexId u = 0; u < nq; ++u) {
-    const CeciVertexData& ud = index.at(u);
-    const auto cands = std::span<const VertexId>(ud.candidates);
-
-    ++report.checks_run;
-    if (!StrictlySorted(cands)) {
-      report.Add(InvariantClass::kCandidatesUnsorted,
-                 Where("candidates of", u) +
-                     " are not strictly ascending (unsorted or duplicated)");
-    }
-    for (VertexId v : cands) {
-      ++report.checks_run;
-      if (v >= data.num_vertices()) {
-        std::ostringstream d;
-        d << "candidate v" << v << " of u" << u << " exceeds |V_data|";
-        report.Add(InvariantClass::kCandidateOutOfRange, d.str());
-      }
-    }
-
-    if (options.check_filters) {
-      const auto profile = NlcIndex::Profile(query, u);
-      for (VertexId v : cands) {
-        if (v >= data.num_vertices()) continue;  // reported above
-        ++report.checks_run;
-        if (!data.HasAllLabels(v, query.labels(u)) ||
-            data.degree(v) < query.degree(u)) {
-          std::ostringstream d;
-          d << "candidate v" << v << " of u" << u
-            << " fails the label/degree filter";
-          report.Add(InvariantClass::kCandidateFilterViolation, d.str());
-          continue;
-        }
-        ++report.checks_run;
-        // NLCF (§3.2): v's neighborhood label counts must cover u's.
-        const auto have = NlcIndex::Profile(data, v);
-        std::size_t i = 0;
-        bool covers = true;
-        for (const NlcIndex::Entry& need : profile) {
-          while (i < have.size() && have[i].label < need.label) ++i;
-          if (i == have.size() || have[i].label != need.label ||
-              have[i].count < need.count) {
-            covers = false;
-            break;
-          }
-        }
-        if (!covers) {
-          std::ostringstream d;
-          d << "candidate v" << v << " of u" << u
-            << " fails the neighborhood-label-count filter";
-          report.Add(InvariantClass::kNlcfViolation, d.str());
-        }
-      }
-    }
-
-    if (options.refined) {
-      ++report.checks_run;
-      if (ud.cardinalities.size() != ud.candidates.size()) {
-        std::ostringstream d;
-        d << "u" << u << " stores " << ud.cardinalities.size()
-          << " cardinalities for " << ud.candidates.size() << " candidates";
-        report.Add(InvariantClass::kCardinalityShape, d.str());
-      } else {
-        for (std::size_t i = 0; i < ud.cardinalities.size(); ++i) {
-          ++report.checks_run;
-          if (ud.cardinalities[i] == 0) {
-            std::ostringstream d;
-            d << "refined candidate v" << ud.candidates[i] << " of u" << u
-              << " has zero cardinality (should have been pruned)";
-            report.Add(InvariantClass::kCardinalityShape, d.str());
-          }
-        }
-      }
-    }
-
-    if (u == tree.root()) {
-      ++report.checks_run;
-      if (!ud.te.empty() || !ud.nte.empty()) {
-        report.Add(InvariantClass::kIndexShape,
-                   "root stores TE/NTE lists (it must not)");
-      }
-      continue;
-    }
-
-    // --- TE list ---
-    const VertexId u_p = tree.parent(u);
-    const auto parent_cands =
-        std::span<const VertexId>(index.at(u_p).candidates);
-    AuditList(data, ud.te, u, u_p, parent_cands, cands, /*is_te=*/true,
-              /*require_value_membership=*/options.refined, &report);
-    // Empty-key cascade (Alg. 1 lines 9-12): every surviving parent
-    // candidate must key a non-empty TE entry — a parent candidate whose
-    // entry emptied must itself have been cascaded away.
-    for (VertexId v_p : parent_cands) {
-      ++report.checks_run;
-      if (ud.te.Find(v_p).empty()) {
-        std::ostringstream d;
-        d << "TE[u" << u << "]: parent candidate v" << v_p << " of u" << u_p
-          << " has no TE entry (empty-key cascade not applied)";
-        report.Add(InvariantClass::kEmptyKeyCascade, d.str());
-      }
-    }
-
-    // --- NTE lists ---
-    const auto nte_ids = tree.nte_in(u);
-    ++report.checks_run;
-    if (!ud.nte.empty() && ud.nte.size() != nte_ids.size()) {
-      std::ostringstream d;
-      d << "u" << u << " stores " << ud.nte.size() << " NTE lists for "
-        << nte_ids.size() << " incoming non-tree edges";
-      report.Add(InvariantClass::kIndexShape, d.str());
-    } else {
-      for (std::size_t k = 0; k < ud.nte.size(); ++k) {
-        const VertexId u_n = tree.non_tree_edges()[nte_ids[k]].parent;
-        AuditList(data, ud.nte[k], u, u_n,
-                  std::span<const VertexId>(index.at(u_n).candidates), cands,
-                  /*is_te=*/false,
-                  /*require_value_membership=*/options.refined, &report);
-      }
-    }
-  }
-  return report;
-}
-
 namespace {
 
 // Element width of each slab, in SlabKind order (mirrors flat_index.cc).
@@ -456,24 +250,32 @@ const char* SlabName(std::size_t kind) {
   return kind < FlatCeciIndex::kNumSlabs ? kNames[kind] : "?";
 }
 
-// Decodes one flat value set to sorted data-vertex ids through the owner's
-// candidate array. Ranks are assumed in-bounds (AuditFlatIndex reports
-// out-of-range ranks separately; callers skip decoding on violations).
+// The ranks one value set stores, in stored order; a bitmap's are
+// extracted into `scratch`.
+std::span<const std::uint32_t> EntryRanks(const FlatCeciIndex::EntryRef& ref,
+                                          std::vector<std::uint32_t>* scratch) {
+  if (!ref.is_bitmap()) return ref.ranks;
+  scratch->clear();
+  BitmapExtract(ref.bits, scratch);
+  return *scratch;
+}
+
+// Decodes one value set of `u`'s lists to data-vertex ids through u's
+// candidate array, in stored order. Ranks at or past the candidate count
+// name no candidate; they are counted in `*dead_ranks` instead.
 std::vector<VertexId> DecodeFlatEntry(const FlatCeciIndex& flat, VertexId u,
-                                      const FlatCeciIndex::EntryRef& ref) {
+                                      const FlatCeciIndex::EntryRef& ref,
+                                      std::size_t* dead_ranks) {
   const auto cands = flat.candidates(u);
+  std::vector<std::uint32_t> scratch;
+  const std::span<const std::uint32_t> ranks = EntryRanks(ref, &scratch);
   std::vector<VertexId> out;
-  out.reserve(ref.count);
-  if (ref.is_bitmap()) {
-    std::vector<std::uint32_t> ranks;
-    ranks.reserve(ref.count);
-    BitmapExtract(ref.bits, &ranks);
-    for (std::uint32_t r : ranks) {
-      if (r < cands.size()) out.push_back(cands[r]);
-    }
-  } else {
-    for (std::uint32_t r : ref.ranks) {
-      if (r < cands.size()) out.push_back(cands[r]);
+  out.reserve(ranks.size());
+  for (std::uint32_t r : ranks) {
+    if (r < cands.size()) {
+      out.push_back(cands[r]);
+    } else {
+      ++*dead_ranks;
     }
   }
   return out;
@@ -687,79 +489,220 @@ void AuditFlatIndex(const QueryTree& tree, const FlatCeciIndex& flat,
   }
 }
 
-void AuditFlatAgainstIndex(const QueryTree& tree, const CeciIndex& index,
-                           const FlatCeciIndex& flat, AuditReport* report) {
+AuditReport AuditCeciIndex(const Graph& data, const Graph& query,
+                           const QueryTree& tree, const FlatCeciIndex& flat,
+                           const AuditOptions& options) {
+  AuditReport report;
+  report.max_recorded = options.max_recorded;
   const std::size_t nq = tree.num_vertices();
-  ++report->checks_run;
-  if (flat.num_query_vertices() != nq ||
-      index.num_query_vertices() != nq) {
+
+  ++report.checks_run;
+  if (query.num_vertices() != nq) {
     std::ostringstream d;
-    d << "flat index covers " << flat.num_query_vertices()
-      << " query vertices, pointer index " << index.num_query_vertices()
-      << ", tree " << nq;
-    report->Add(InvariantClass::kFlatRepresentation, d.str());
-    return;
+    d << "query graph has " << query.num_vertices()
+      << " vertices, tree has " << nq;
+    report.Add(InvariantClass::kIndexShape, d.str());
+    return report;  // per-vertex loops below would be meaningless
   }
 
+  // Layout first. The index checks below read the arena through its
+  // offsets, so they run only when every offset stays inside its slab.
+  AuditReport layout;
+  layout.max_recorded = std::numeric_limits<std::size_t>::max();
+  AuditFlatIndex(tree, flat, &layout);
+  const bool offsets_safe =
+      layout.CountOf(InvariantClass::kFlatOffsetBounds) == 0 &&
+      layout.CountOf(InvariantClass::kFlatSlabOrder) == 0;
+  report.Merge(layout);
+  if (!offsets_safe) return report;
+
+  ++report.checks_run;
+  const bool cardinalities_parallel =
+      flat.slab(FlatCeciIndex::kCardinalities).bytes / sizeof(Cardinality) ==
+      flat.slab(FlatCeciIndex::kCandidates).bytes / sizeof(VertexId);
+  if (!cardinalities_parallel) {
+    report.Add(InvariantClass::kCardinalityShape,
+               "cardinality slab is not parallel to the candidate slab");
+  }
+
+  std::vector<std::uint32_t> ranks;  // scratch for EntryRanks
   for (VertexId u = 0; u < nq; ++u) {
-    const CeciVertexData& vd = index.at(u);
-    const auto fc = flat.candidates(u);
-    ++report->checks_run;
-    if (fc.size() != vd.candidates.size() ||
-        !std::equal(fc.begin(), fc.end(), vd.candidates.begin())) {
-      report->Add(InvariantClass::kFlatRepresentation,
-                  Where("flat candidates of", u) +
-                      " disagree with the pointer index");
-      continue;
+    const auto cands = flat.candidates(u);
+
+    ++report.checks_run;
+    if (!StrictlySorted(cands)) {
+      report.Add(InvariantClass::kCandidatesUnsorted,
+                 Where("candidates of", u) +
+                     " are not strictly ascending (unsorted or duplicated)");
     }
-    if (!vd.cardinalities.empty()) {
-      const auto fcard = flat.cardinalities(u);
-      ++report->checks_run;
-      if (fcard.size() != vd.cardinalities.size() ||
-          !std::equal(fcard.begin(), fcard.end(),
-                      vd.cardinalities.begin())) {
-        report->Add(InvariantClass::kFlatRepresentation,
-                    Where("flat cardinalities of", u) +
-                        " disagree with the pointer index");
+    for (VertexId v : cands) {
+      ++report.checks_run;
+      if (v >= data.num_vertices()) {
+        std::ostringstream d;
+        d << "candidate v" << v << " of u" << u << " exceeds |V_data|";
+        report.Add(InvariantClass::kCandidateOutOfRange, d.str());
       }
     }
 
-    // Per-list value-set equality through the decoded rank space.
-    auto check_list = [&](const CandidateList& list, const char* kind,
-                          auto lookup) {
-      for (std::size_t i = 0; i < list.num_keys(); ++i) {
-        const VertexId key = list.keys()[i];
-        const auto want = list.values_at(i);
-        const FlatCeciIndex::EntryRef ref = lookup(key);
-        const std::vector<VertexId> got = DecodeFlatEntry(flat, u, ref);
-        ++report->checks_run;
-        if (got.size() != want.size() ||
-            !std::equal(got.begin(), got.end(), want.begin())) {
+    if (options.check_filters) {
+      const auto profile = NlcIndex::Profile(query, u);
+      for (VertexId v : cands) {
+        if (v >= data.num_vertices()) continue;  // reported above
+        ++report.checks_run;
+        if (!data.HasAllLabels(v, query.labels(u)) ||
+            data.degree(v) < query.degree(u)) {
           std::ostringstream d;
-          d << kind << "[u" << u << "] key v" << key << ": flat decodes "
-            << got.size() << " values, pointer index holds "
-            << want.size();
-          report->Add(InvariantClass::kFlatRepresentation, d.str());
+          d << "candidate v" << v << " of u" << u
+            << " fails the label/degree filter";
+          report.Add(InvariantClass::kCandidateFilterViolation, d.str());
+          continue;
+        }
+        ++report.checks_run;
+        // NLCF (§3.2): v's neighborhood label counts must cover u's.
+        const auto have = NlcIndex::Profile(data, v);
+        std::size_t i = 0;
+        bool covers = true;
+        for (const NlcIndex::Entry& need : profile) {
+          while (i < have.size() && have[i].label < need.label) ++i;
+          if (i == have.size() || have[i].label != need.label ||
+              have[i].count < need.count) {
+            covers = false;
+            break;
+          }
+        }
+        if (!covers) {
+          std::ostringstream d;
+          d << "candidate v" << v << " of u" << u
+            << " fails the neighborhood-label-count filter";
+          report.Add(InvariantClass::kNlcfViolation, d.str());
         }
       }
-    };
-    if (u != tree.root()) {
-      check_list(vd.te, "TE",
-                 [&](VertexId key) { return flat.Te(u, key); });
     }
-    ++report->checks_run;
-    if (flat.nte_count(u) != vd.nte.size()) {
-      std::ostringstream d;
-      d << "u" << u << ": flat stores " << flat.nte_count(u)
-        << " NTE lists, pointer index " << vd.nte.size();
-      report->Add(InvariantClass::kFlatRepresentation, d.str());
-    } else {
-      for (std::size_t k = 0; k < vd.nte.size(); ++k) {
-        check_list(vd.nte[k], "NTE",
-                   [&](VertexId key) { return flat.Nte(u, k, key); });
+
+    // Cardinalities (§3.3): positive, and equal to the product over tree
+    // children u_c of the sum of card(u_c, ·) over the TE entry keyed by
+    // the candidate.
+    if (cardinalities_parallel) {
+      const auto cards = flat.cardinalities(u);
+      for (std::size_t i = 0; i < cards.size(); ++i) {
+        ++report.checks_run;
+        if (cards[i] == 0) {
+          std::ostringstream d;
+          d << "refined candidate v" << cands[i] << " of u" << u
+            << " has zero cardinality (should have been pruned)";
+          report.Add(InvariantClass::kCardinalityShape, d.str());
+          continue;
+        }
+        Cardinality want = 1;
+        for (VertexId u_c : tree.children(u)) {
+          const auto child_cards = flat.cardinalities(u_c);
+          Cardinality sum = 0;
+          for (std::uint32_t r : EntryRanks(flat.Te(u_c, cands[i]), &ranks)) {
+            if (r < child_cards.size()) {
+              sum = SaturatingAdd(sum, child_cards[r]);
+            }
+          }
+          want = SaturatingMul(want, sum);
+        }
+        ++report.checks_run;
+        if (cards[i] != want) {
+          std::ostringstream d;
+          d << "cardinality of v" << cands[i] << " for u" << u << " is "
+            << cards[i] << ", its children's TE entries give " << want;
+          report.Add(InvariantClass::kCardinalityShape, d.str());
+        }
+      }
+    }
+
+    // Empty-key cascade (Alg. 1 lines 9-12): every surviving parent
+    // candidate must key a TE entry — a parent candidate whose entry
+    // emptied must itself have been cascaded away.
+    if (u == tree.root()) continue;
+    const VertexId u_p = tree.parent(u);
+    const auto keys = flat.TeKeys(u);
+    for (VertexId v_p : flat.candidates(u_p)) {
+      ++report.checks_run;
+      if (!SortedMember(keys, v_p)) {
+        std::ostringstream d;
+        d << "TE[u" << u << "]: parent candidate v" << v_p << " of u" << u_p
+          << " has no TE entry (empty-key cascade not applied)";
+        report.Add(InvariantClass::kEmptyKeyCascade, d.str());
       }
     }
   }
+
+  // Every (list, key) entry: the key is a candidate of the list's parent
+  // (tree parent for TE, NTE parent for NTE), keys ascend, and the value
+  // set is non-empty, strictly ascending, made of the child's candidates,
+  // and backed by data-graph edges (§3.1).
+  VertexId list_u = kInvalidVertex;
+  std::int32_t list_slot = 0;
+  VertexId prev_key = 0;
+  flat.ForEachList([&](VertexId u, std::int32_t slot, VertexId key,
+                       const FlatCeciIndex::EntryRef& ref) {
+    const auto nte_ids = tree.nte_in(u);
+    if (slot < 0 ? u == tree.root()
+                 : static_cast<std::size_t>(slot) >= nte_ids.size()) {
+      return;  // a list the tree has no edge for: reported by the layout
+    }
+    const bool is_te = slot < 0;
+    const VertexId parent =
+        is_te ? tree.parent(u) : tree.non_tree_edges()[nte_ids[slot]].parent;
+    auto where = [&] {
+      std::ostringstream tag;
+      tag << (is_te ? "TE" : "NTE") << "[u" << u << " keyed by u" << parent
+          << "]: key v" << key;
+      return tag.str();
+    };
+
+    ++report.checks_run;
+    const bool same_list = u == list_u && slot == list_slot;
+    if (same_list && prev_key >= key) {
+      report.Add(InvariantClass::kListUnsorted,
+                 where() + " does not ascend past the previous key");
+    }
+    list_u = u;
+    list_slot = slot;
+    prev_key = key;
+
+    ++report.checks_run;
+    if (!SortedMember(flat.candidates(parent), key)) {
+      report.Add(is_te ? InvariantClass::kTeKeyNotParentCandidate
+                       : InvariantClass::kNteKeyNotParentCandidate,
+                 where() + " is not a candidate of the parent");
+    }
+    ++report.checks_run;
+    if (ref.count == 0) {
+      report.Add(InvariantClass::kEmptyKeyCascade,
+                 where() + " stores an empty value set");
+    }
+    std::size_t dead_ranks = 0;
+    const std::vector<VertexId> values =
+        DecodeFlatEntry(flat, u, ref, &dead_ranks);
+    ++report.checks_run;
+    if (dead_ranks > 0) {
+      std::ostringstream d;
+      d << where() << " stores " << dead_ranks
+        << " value(s) that are not candidates of u" << u;
+      report.Add(InvariantClass::kValueNotCandidate, d.str());
+    }
+    ++report.checks_run;
+    if (!StrictlySorted(values)) {
+      report.Add(InvariantClass::kListUnsorted,
+                 where() + ": values not strictly ascending");
+    }
+    for (VertexId v : values) {
+      ++report.checks_run;
+      if (v >= data.num_vertices() || key >= data.num_vertices() ||
+          !data.HasEdge(key, v)) {
+        std::ostringstream d;
+        d << where() << ": candidate edge (v" << key << ", v" << v
+          << ") does not exist in the data graph";
+        report.Add(InvariantClass::kDanglingCandidateEdge, d.str());
+      }
+    }
+  });
+  return report;
 }
 
 void AuditInjectivity(std::span<const VertexId> mapping,
@@ -1022,7 +965,7 @@ void AuditQueryProfile(const QueryTree& tree, const FlatCeciIndex& flat,
         << flat.candidates(vp.u).size();
       report->Add(InvariantClass::kProfileMismatch, d.str());
     }
-    const CeciIndex::VertexFootprint f = flat.MemoryFootprint(vp.u);
+    const FlatCeciIndex::VertexFootprint f = flat.MemoryFootprint(vp.u);
     ++report->checks_run;
     if (vp.te_keys != f.te_keys || vp.te_edges != f.te_edges ||
         vp.te_bytes != f.te_bytes) {

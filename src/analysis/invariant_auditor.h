@@ -11,9 +11,10 @@
 // (`ceci_query --audit`).
 //
 // The full invariant catalog lives in docs/static_analysis.md. Audits are
-// read-only, allocation-light, and safe on both mutable and flat
-// indexes; they are O(index size × log degree) — far too slow for per-query
-// production use, exactly right for debug runs and CI.
+// read-only and allocation-light, and read the index through the frozen
+// arena every consumer reads (PreparedQuery::flat); they are O(index size
+// × log degree) — far too slow for per-query production use, exactly right
+// for debug runs and CI.
 #ifndef CECI_ANALYSIS_INVARIANT_AUDITOR_H_
 #define CECI_ANALYSIS_INVARIANT_AUDITOR_H_
 
@@ -22,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "ceci/ceci_index.h"
 #include "ceci/enumerator.h"
 #include "ceci/flat_index.h"
 #include "ceci/extreme_cluster.h"
@@ -44,8 +44,8 @@ enum class InvariantClass {
   kGraphLabelIndex,           // inverted label index inconsistent
   kGraphDegreeSummary,        // max_degree / edge-count accounting wrong
 
-  // -- CeciIndex --
-  kIndexShape,              // per-vertex slice counts inconsistent with tree
+  // -- CECI (§3.1), read from the arena --
+  kIndexShape,              // query graph inconsistent with the tree
   kCandidatesUnsorted,      // candidate set not strictly ascending
   kCandidateOutOfRange,     // candidate id >= |V_data|
   kCandidateFilterViolation,  // candidate fails the label/degree filter
@@ -57,7 +57,7 @@ enum class InvariantClass {
   kDanglingCandidateEdge,   // (key, value) is not an edge of the data graph
   kEmptyKeyCascade,         // parent candidate without a TE entry, or an
                             // empty value set survived (Alg. 1 lines 9-12)
-  kCardinalityShape,        // refined index with missing/zero cardinalities
+  kCardinalityShape,        // cardinalities missing or zero
 
   // -- FlatCeciIndex (arena layout; ceci/flat_index.h) --
   kFlatOffsetBounds,    // a vertex/list/entry offset range escapes its slab
@@ -65,8 +65,8 @@ enum class InvariantClass {
                         // overlapping, or outside the arena
   kFlatRepresentation,  // hybrid entry inconsistent: bitmap popcount !=
                         // count, rank >= cand_count, unsorted ranks/keys,
-                        // bitmap_words wrong, or flat content disagrees
-                        // with the pointer index it was frozen from
+                        // bitmap_words wrong, or the vertex metas disagree
+                        // with the tree
 
   // -- Enumerator state --
   kInjectivityBitset,  // used-bitset out of sync with the partial mapping
@@ -119,9 +119,6 @@ struct AuditReport {
 };
 
 struct AuditOptions {
-  /// Apply post-refinement strictness: cardinalities must be present and
-  /// positive for every candidate. Leave false for a freshly built index.
-  bool refined = false;
   /// Re-verify every candidate against the label/degree/NLC filters.
   /// Skip when the index was built with externally injected root
   /// candidates that never went through the filters.
@@ -133,10 +130,15 @@ struct AuditOptions {
 /// Audits the CSR, label tables, and inverted label index of `g`.
 AuditReport AuditGraph(const Graph& g);
 
-/// Audits a built (and optionally refined) CECI against the data graph,
-/// query graph, and query tree it was built from.
+/// Audits a frozen CECI against the data graph, query graph, and query
+/// tree it was built from: the arena layout first (AuditFlatIndex), then —
+/// when every offset stays inside its slab — the index itself: sorted,
+/// in-range candidates that pass the label/degree/NLC filters, positive
+/// cardinalities, TE/NTE keys that are parent candidates and ascend, value
+/// sets that are non-empty, sorted, made of the child's candidates and
+/// backed by data-graph edges, and the empty-key cascade.
 AuditReport AuditCeciIndex(const Graph& data, const Graph& query,
-                           const QueryTree& tree, const CeciIndex& index,
+                           const QueryTree& tree, const FlatCeciIndex& flat,
                            const AuditOptions& options = {});
 
 /// Checks that `used_bits` (64-bit blocks, bit v set = data vertex v used)
@@ -171,15 +173,6 @@ void AuditWorkUnits(const Graph& data, const QueryTree& tree,
 /// reported instead of dereferenced. Appends to `report`.
 void AuditFlatIndex(const QueryTree& tree, const FlatCeciIndex& flat,
                     AuditReport* report);
-
-/// Cross-checks a flat index against the refined pointer index it was
-/// frozen from: identical candidate sets and cardinalities, and for every
-/// (list, key) the decoded flat value set (ranks resolved through the
-/// owner's candidate array, bitmaps expanded) must equal the mutable
-/// list's sorted values. Disagreements report kFlatRepresentation.
-/// Appends to `report`.
-void AuditFlatAgainstIndex(const QueryTree& tree, const CeciIndex& index,
-                           const FlatCeciIndex& flat, AuditReport* report);
 
 /// Cross-checks a QueryProfile against the frozen index it was collected
 /// from (PreparedQuery::flat): per-vertex refined candidate counts must

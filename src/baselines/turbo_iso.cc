@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "ceci/candidate_list.h"
+#include "ceci/ceci_index.h"
 #include "ceci/preprocess.h"
 #include "ceci/query_tree.h"
 #include "ceci/symmetry.h"
@@ -49,7 +49,7 @@ class TurboIsoEngine {
                     ? SymmetryConstraints::Compute(query_)
                     : SymmetryConstraints::None(query_.num_vertices());
 
-    region_.assign(query_.num_vertices(), CandidateList{});
+    region_.assign(query_.num_vertices(), CandidateRuns{});
     region_candidates_.assign(query_.num_vertices(), {});
     for (VertexId v_s : starts) {
       ++result_->regions_explored;
@@ -94,17 +94,20 @@ class TurboIsoEngine {
     for (VertexId u : tree_.bfs_order()) {
       if (u == tree_.root()) continue;
       const VertexId u_p = tree_.parent(u);
-      std::vector<char> seen;
+      CandidateRuns& list = region_[u];
       for (VertexId v_f : region_candidates_[u_p]) {
-        std::vector<VertexId> vals;
+        const std::size_t begin = list.pool.size();
         for (VertexId v : data_.neighbors(v_f)) {
-          if (PassesFilters(u, v)) vals.push_back(v);
+          if (PassesFilters(u, v)) list.pool.push_back(v);
         }
-        if (!vals.empty()) {
-          region_[u].Append(v_f, std::move(vals));
-        }
+        if (list.pool.size() > begin) list.CloseRun(v_f, begin);
       }
-      region_candidates_[u] = region_[u].UnionOfValues();
+      // Nothing is pruned from a region, so its pool holds exactly its
+      // runs: the candidates are the pool's distinct values.
+      std::vector<VertexId>& cands = region_candidates_[u];
+      cands = list.pool;
+      std::sort(cands.begin(), cands.end());
+      cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
       if (region_candidates_[u].empty()) return false;
     }
     return true;
@@ -194,7 +197,7 @@ class TurboIsoEngine {
   SymmetryConstraints symmetry_;
   std::vector<std::vector<NlcIndex::Entry>> profiles_;
   std::vector<std::vector<Memo>> memo_;
-  std::vector<CandidateList> region_;
+  std::vector<CandidateRuns> region_;
   std::vector<std::vector<VertexId>> region_candidates_;
   std::vector<VertexId> order_;
   std::vector<std::size_t> pos_of_;

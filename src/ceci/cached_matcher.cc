@@ -140,7 +140,7 @@ Status CachedMatcher::InstallPrebuilt(const std::string& path,
   stats.restrictions_mirrored = fresh->symmetry.mirrored();
   stats.theoretical_bytes = CeciIndex::TheoreticalBytes(
       query->num_edges(), data.num_directed_edges());
-  stats.ceci_bytes = fresh->flat.ArenaBytes();
+  stats.ceci_bytes = CeciBytes(fresh->flat);
   stats.flat_bytes = fresh->flat.ArenaBytes();
   stats.flat_array_entries = fresh->flat.ArrayEntries();
   stats.flat_bitmap_entries = fresh->flat.BitmapEntries();

@@ -14,10 +14,10 @@ namespace ceci {
 namespace {
 
 // Thread-private expansion bin (§3.6): one contiguous chunk of the frontier
-// expands into a private list of (key, values) pairs, merged in chunk order
-// afterwards so the result is identical to serial execution.
+// expands into a private list, appended in chunk order afterwards so the
+// result is identical to serial execution.
 struct ExpansionBin {
-  std::vector<std::pair<VertexId, std::vector<VertexId>>> entries;
+  CandidateRuns entries;
   std::vector<VertexId> dead_frontier;
   BuildStats stats;
 };
@@ -75,8 +75,7 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
 
   BudgetTracker* budget = options.budget;
   if (budget != nullptr) {
-    const CeciIndex::VertexFootprint f = index.MemoryFootprint(root);
-    budget->ChargeBytes(f.te_bytes + f.nte_bytes + f.candidate_bytes);
+    budget->ChargeBytes(CeciBytes(index.at(root)));
     if (budget->Poll()) {
       stats->seconds = timer.Seconds();
       return index;  // partial: root candidates only
@@ -91,23 +90,30 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
     options.vertex_stats->push_back(root_stats);
   }
 
-  // Expands one frontier vertex of u, reading each neighbour's LF / DF /
-  // NLCF verdict from the table.
-  auto expand_te = [&](VertexId u, VertexId v_f, std::vector<VertexId>* vals,
-                       BuildStats* s) {
+  // Expands one frontier vertex of u into the list's pool, reading each
+  // neighbour's LF / DF / NLCF verdict from the table. The frontier vertex
+  // keys the new run unless it found nothing; then it is returned dead.
+  auto expand_te = [&](VertexId u, VertexId v_f, CandidateRuns* list,
+                       std::vector<VertexId>* dead, BuildStats* s) {
     ++s->frontier_expansions;
     s->neighbors_scanned += data_.degree(v_f);
     const std::uint8_t* verdicts = table->row(u);
     std::uint64_t rejected[4] = {};
+    const std::size_t begin = list->pool.size();
     for (VertexId v : data_.neighbors(v_f)) {
       const std::uint8_t verdict = verdicts[v] & FilterTable::kVerdictMask;
       ++rejected[verdict];
-      // Neighbors are sorted, so vals is sorted.
-      if (verdict == FilterTable::kPass) vals->push_back(v);
+      // Neighbors are sorted, so the run is sorted.
+      if (verdict == FilterTable::kPass) list->pool.push_back(v);
     }
     s->rejected_label += rejected[FilterTable::kLabel];
     s->rejected_degree += rejected[FilterTable::kDegree];
     s->rejected_nlc += rejected[FilterTable::kNlc];
+    if (list->pool.size() == begin) {
+      dead->push_back(v_f);
+    } else {
+      list->CloseRun(v_f, begin);
+    }
   };
 
   // Removes `dead` vertices from the candidate set of `u_owner` and drops
@@ -173,13 +179,7 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
     if (!parallel) {
       std::uint64_t since_poll = 0;
       for (VertexId v_f : frontier) {
-        std::vector<VertexId> vals;
-        expand_te(u, v_f, &vals, stats);
-        if (vals.empty()) {
-          dead_frontier.push_back(v_f);
-        } else {
-          ud.te.Append(v_f, std::move(vals));
-        }
+        expand_te(u, v_f, &ud.te, &dead_frontier, stats);
         if (budget != nullptr && ++since_poll == kBuildPollStride) {
           since_poll = 0;
           if (budget->Poll()) break;
@@ -196,14 +196,8 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
         std::size_t end = std::min(begin + per, frontier.size());
         std::uint64_t since_poll = 0;
         for (std::size_t i = begin; i < end; ++i) {
-          VertexId v_f = frontier[i];
-          std::vector<VertexId> vals;
-          expand_te(u, v_f, &vals, &bin.stats);
-          if (vals.empty()) {
-            bin.dead_frontier.push_back(v_f);
-          } else {
-            bin.entries.emplace_back(v_f, std::move(vals));
-          }
+          expand_te(u, frontier[i], &bin.entries, &bin.dead_frontier,
+                    &bin.stats);
           // Each chunk polls on its own stride; an exhausted budget stops
           // every sibling chunk at its next relaxed-flag read.
           if (budget != nullptr && ++since_poll == kBuildPollStride) {
@@ -214,9 +208,7 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
         }
       });
       for (ExpansionBin& bin : bins) {
-        for (auto& [key, vals] : bin.entries) {
-          ud.te.Append(key, std::move(vals));
-        }
+        ud.te.Append(bin.entries);
         dead_frontier.insert(dead_frontier.end(), bin.dead_frontier.begin(),
                              bin.dead_frontier.end());
         stats->rejected_label += bin.stats.rejected_label;
@@ -227,14 +219,13 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
       }
     }
 
-    // Candidate set of u = union of TE values.
+    // Candidate set of u = union of TE values. The pool holds exactly
+    // the runs: nothing has been pruned from this list yet.
     std::uint8_t* u_alive = table->row(u);
-    for (std::size_t i = 0; i < ud.te.num_keys(); ++i) {
-      for (VertexId v : ud.te.values_at(i)) {
-        if (!(u_alive[v] & FilterTable::kAlive)) {
-          u_alive[v] |= FilterTable::kAlive;
-          ud.candidates.push_back(v);
-        }
+    for (VertexId v : ud.te.pool) {
+      if (!(u_alive[v] & FilterTable::kAlive)) {
+        u_alive[v] |= FilterTable::kAlive;
+        ud.candidates.push_back(v);
       }
     }
     std::sort(ud.candidates.begin(), ud.candidates.end());
@@ -270,17 +261,18 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
     for (std::size_t k = 0; k < nte_ids.size(); ++k) {
       const VertexId u_n = tree.non_tree_edges()[nte_ids[k]].parent;
       std::vector<VertexId> dead_nte;
+      CandidateRuns& list = ud.nte[k];
       for (VertexId v_n : index.at(u_n).candidates) {
-        std::vector<VertexId> vals;
         ++stats->frontier_expansions;
         stats->neighbors_scanned += data_.degree(v_n);
+        const std::size_t begin = list.pool.size();
         for (VertexId v : data_.neighbors(v_n)) {
-          if (u_alive[v] & FilterTable::kAlive) vals.push_back(v);
+          if (u_alive[v] & FilterTable::kAlive) list.pool.push_back(v);
         }
-        if (vals.empty()) {
+        if (list.pool.size() == begin) {
           dead_nte.push_back(v_n);
         } else {
-          ud.nte[k].Append(v_n, std::move(vals));
+          list.CloseRun(v_n, begin);
         }
         if (budget != nullptr && ++nte_since_poll == kBuildPollStride) {
           nte_since_poll = 0;
@@ -293,11 +285,10 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
     }
 
     // Incremental byte accounting: the vertex's lists are final now
-    // (later cascades only shrink them), so its measured footprint is an
-    // upper bound on what it will occupy.
+    // (later cascades only shrink them), so their size is an upper bound
+    // on what they will occupy.
     if (budget != nullptr) {
-      const CeciIndex::VertexFootprint f = index.MemoryFootprint(u);
-      if (budget->ChargeBytes(f.te_bytes + f.nte_bytes + f.candidate_bytes)) {
+      if (budget->ChargeBytes(CeciBytes(ud))) {
         processed[u] = 1;
         break;
       }

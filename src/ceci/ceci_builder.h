@@ -9,7 +9,9 @@
 // in sibling lists). The first three are read, one byte per scanned
 // neighbour, from the FilterTable that preprocessing wrote. NTE candidate
 // lists are then built for every non-tree edge by expanding the NTE
-// parent's candidates against the child's candidate set.
+// parent's candidates against the child's candidate set. Every expansion
+// appends its survivors straight to the list's pool as one run
+// (ceci_index.h); the cascades drop keys in place.
 #ifndef CECI_CECI_CECI_BUILDER_H_
 #define CECI_CECI_CECI_BUILDER_H_
 
@@ -55,8 +57,9 @@ struct BuildOptions {
   std::vector<struct BuildVertexStats>* vertex_stats = nullptr;
   /// Cooperative execution budget (util/budget.h); null = unbounded.
   /// Build() polls the deadline/token between frontier chunks and per
-  /// matching-order vertex, and charges each vertex's measured index
-  /// footprint (CeciIndex::MemoryFootprint) as soon as it is built. On
+  /// matching-order vertex, and charges each vertex's slice of the index
+  /// (CeciBytes of its keys, values and candidates) as soon as it is
+  /// built. On
   /// exhaustion the loop exits early and the returned index is partial —
   /// callers must check the tracker before refining or enumerating it.
   BudgetTracker* budget = nullptr;

@@ -1,21 +1,46 @@
 #include "ceci/ceci_index.h"
 
 #include <algorithm>
+#include <limits>
 
-#include "util/heap_bytes.h"
+#include "util/check.h"
+#include "util/logging.h"
 
 namespace ceci {
 
-Cardinality CeciIndex::CardinalityOf(VertexId u, VertexId v) const {
-  const CeciVertexData& data = per_vertex_[u];
-  // Before refinement no cardinalities exist; the documented value is 0
-  // (indexing the empty vector here would read out of bounds).
-  if (data.cardinalities.size() != data.candidates.size()) return 0;
-  auto it =
-      std::lower_bound(data.candidates.begin(), data.candidates.end(), v);
-  if (it == data.candidates.end() || *it != v) return 0;
-  return data.cardinalities[static_cast<std::size_t>(
-      it - data.candidates.begin())];
+void CandidateRuns::Append(const CandidateRuns& other) {
+  const std::size_t base = pool.size();
+  CECI_CHECK(base + other.pool.size() <=
+             std::numeric_limits<std::uint32_t>::max())
+      << "candidate list pool exceeds 32-bit offsets";
+  pool.insert(pool.end(), other.pool.begin(), other.pool.end());
+  keys.insert(keys.end(), other.keys.begin(), other.keys.end());
+  for (ValueRun run : other.runs) {
+    runs.push_back({static_cast<std::uint32_t>(base + run.offset), run.count});
+  }
+}
+
+std::span<const VertexId> CandidateRuns::Find(VertexId key) const {
+  auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it == keys.end() || *it != key) return {};
+  return values_at(static_cast<std::size_t>(it - keys.begin()));
+}
+
+std::size_t CandidateRuns::TotalValues() const {
+  std::size_t total = 0;
+  for (ValueRun run : runs) total += run.count;
+  return total;
+}
+
+std::size_t CeciBytes(const CeciVertexData& slice) {
+  std::size_t keys = slice.te.num_keys();
+  std::size_t values = slice.te.TotalValues();
+  for (const CandidateRuns& list : slice.nte) {
+    keys += list.num_keys();
+    values += list.TotalValues();
+  }
+  return CeciBytes(keys, values, slice.candidates.size(),
+                   /*refined=*/!slice.cardinalities.empty());
 }
 
 std::size_t CeciIndex::TotalCandidateEdges() const {
@@ -25,45 +50,6 @@ std::size_t CeciIndex::TotalCandidateEdges() const {
     for (const auto& list : pv.nte) total += list.TotalValues();
   }
   return total;
-}
-
-std::size_t CeciIndex::MemoryBytes() const {
-  std::size_t bytes = 0;
-  for (const auto& pv : per_vertex_) {
-    bytes += pv.candidates.size() * sizeof(VertexId);
-    bytes += pv.cardinalities.size() * sizeof(Cardinality);
-    bytes += pv.te.MemoryBytes();
-    for (const auto& list : pv.nte) bytes += list.MemoryBytes();
-  }
-  return bytes;
-}
-
-std::size_t CeciIndex::MeasuredHeapBytes() const {
-  std::size_t bytes = MeasuredVectorBytes(per_vertex_);
-  for (const auto& pv : per_vertex_) {
-    bytes += MeasuredVectorBytes(pv.candidates);
-    bytes += MeasuredVectorBytes(pv.cardinalities);
-    bytes += pv.te.MeasuredHeapBytes();
-    bytes += MeasuredVectorBytes(pv.nte);
-    for (const auto& list : pv.nte) bytes += list.MeasuredHeapBytes();
-  }
-  return bytes;
-}
-
-CeciIndex::VertexFootprint CeciIndex::MemoryFootprint(VertexId u) const {
-  const CeciVertexData& pv = per_vertex_[u];
-  VertexFootprint f;
-  f.te_keys = pv.te.num_keys();
-  f.te_edges = pv.te.TotalValues();
-  f.te_bytes = pv.te.MemoryBytes();
-  f.nte_lists = pv.nte.size();
-  for (const auto& list : pv.nte) {
-    f.nte_edges += list.TotalValues();
-    f.nte_bytes += list.MemoryBytes();
-  }
-  f.candidate_bytes = pv.candidates.size() * sizeof(VertexId) +
-                      pv.cardinalities.size() * sizeof(Cardinality);
-  return f;
 }
 
 }  // namespace ceci

@@ -276,7 +276,8 @@ class Enumerator {
   std::vector<VertexId> mapping_;             // by query vertex id
   std::vector<std::uint64_t> used_;           // injectivity bitmap, by data id
   std::vector<VertexId> flipped_scratch_;     // CollectExtensions bookkeeping
-  std::vector<std::vector<VertexId>> scratch_;  // per matching-order depth
+  // One candidate buffer per matching-order depth.
+  std::vector<std::vector<VertexId>> scratch_;  // lint: not-per-key
   std::vector<std::span<const VertexId>> span_scratch_;
   // Gathered entry refs, surviving ranks, the array-side intersection
   // result, and the bitmap accumulator.

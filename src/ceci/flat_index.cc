@@ -86,7 +86,7 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     const CeciVertexData& ud = index.at(u);
     const auto words =
         static_cast<std::uint32_t>(BitmapWords(ud.candidates.size()));
-    auto count_list = [&](const CandidateList& list) {
+    auto count_list = [&](const CandidateRuns& list) {
       ++counts[kListMeta];
       counts[kKeys] += list.num_keys();
       for (std::size_t i = 0; i < list.num_keys(); ++i) {
@@ -100,7 +100,7 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     };
     counts[kCandidates] += ud.candidates.size();
     if (u != root) count_list(ud.te);
-    for (const CandidateList& list : ud.nte) count_list(list);
+    for (const CandidateRuns& list : ud.nte) count_list(list);
     if (!ud.candidates.empty()) {
       rank_table_size = std::max<std::size_t>(rank_table_size,
                                               ud.candidates.back() + 1);
@@ -154,13 +154,13 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     cand_at += m.cand_count;
 
     ranks.Load(ud.candidates);
-    auto write_list = [&](const CandidateList& list) {
+    auto write_list = [&](const CandidateRuns& list) {
       FlatListMeta& lm = lmeta[list_at];
       lm.key_begin = key_at;
       lm.key_count = static_cast<std::uint32_t>(list.num_keys());
       lm.entry_begin = key_at;
       lm.owner = u;
-      std::copy(list.keys().begin(), list.keys().end(), keys + key_at);
+      std::copy(list.keys.begin(), list.keys.end(), keys + key_at);
       for (std::size_t i = 0; i < list.num_keys(); ++i) {
         const std::span<const VertexId> values = list.values_at(i);
         FlatEntry& e = entries[key_at + i];
@@ -185,7 +185,7 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     m.te_list = u == root ? kNoFlatList : write_list(ud.te);
     m.nte_begin = list_at;
     m.nte_count = static_cast<std::uint32_t>(ud.nte.size());
-    for (const CandidateList& list : ud.nte) write_list(list);
+    for (const CandidateRuns& list : ud.nte) write_list(list);
     ranks.Unload(ud.candidates);
   }
 
@@ -506,9 +506,10 @@ std::size_t FlatCeciIndex::BitmapEntries() const {
   return n;
 }
 
-CeciIndex::VertexFootprint FlatCeciIndex::MemoryFootprint(VertexId u) const {
+FlatCeciIndex::VertexFootprint FlatCeciIndex::MemoryFootprint(
+    VertexId u) const {
   const FlatVertexMeta& m = vertices_[u];
-  CeciIndex::VertexFootprint f;
+  VertexFootprint f;
   f.candidate_bytes =
       static_cast<std::size_t>(m.cand_count) *
           (sizeof(VertexId) + sizeof(Cardinality)) +
@@ -542,6 +543,13 @@ CeciIndex::VertexFootprint FlatCeciIndex::MemoryFootprint(VertexId u) const {
     f.nte_bytes += list_bytes(m.nte_begin + k, &keys, &f.nte_edges);
   }
   return f;
+}
+
+std::size_t CeciBytes(const FlatCeciIndex& flat) {
+  return CeciBytes(flat.all_keys().size(), flat.TotalCandidateEdges(),
+                   flat.slab(FlatCeciIndex::kCandidates).bytes /
+                       sizeof(VertexId),
+                   /*refined=*/true);
 }
 
 VertexId FlatCeciIndex::MaxCandidateId() const {

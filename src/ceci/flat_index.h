@@ -1,13 +1,12 @@
 // Arena-backed flat CECI with hybrid candidate-set entries.
 //
-// The mutable CeciIndex (ceci_index.h) is pointer-rich: every TE/NTE value
-// set is its own heap vector, so the "compact" index of paper §3.4 spends
-// much of its bytes on allocator metadata and its enumeration time on
-// pointer chasing. FlatCeciIndex is the frozen form the enumerator actually
-// reads: the entire index lives in ONE contiguous 8-byte-aligned arena cut
+// FlatCeciIndex is the form the enumerator, CEIX files and dist workers
+// read: the entire index lives in ONE contiguous 8-byte-aligned arena cut
 // into nine typed slabs addressed by `uint32` offsets (the katana
-// LargeArray idiom). Built from a *refined* CeciIndex by Build(); the
-// builder and refinement keep their mutable working form untouched.
+// LargeArray idiom). Build() writes it from the *refined* staging index
+// (ceci_index.h), whose lists already are sorted keys with (offset, count)
+// runs of data-vertex ids; the one pass maps those ids to ranks and picks
+// each entry's representation.
 //
 // Layout (canonical slab order; see docs/index_layout.md for the full map):
 //
@@ -160,7 +159,7 @@ class FlatCeciIndex {
   FlatCeciIndex(const FlatCeciIndex&) = delete;
   FlatCeciIndex& operator=(const FlatCeciIndex&) = delete;
 
-  /// Freezes a *refined* mutable index into the flat form. Every TE/NTE
+  /// Freezes a *refined* staging index into the flat form. Every TE/NTE
   /// value must be an alive candidate of its child vertex (the refinement
   /// postcondition the auditor calls kValueNotCandidate) — ranks are not
   /// defined otherwise (checked).
@@ -250,11 +249,22 @@ class FlatCeciIndex {
   std::size_t ArrayEntries() const;
   std::size_t BitmapEntries() const;
 
+  /// One query vertex's share of the arena, split by structure; the
+  /// profiler reports it per vertex (Table 2 from measurement).
+  struct VertexFootprint {
+    std::size_t te_keys = 0;
+    std::size_t te_edges = 0;
+    std::size_t te_bytes = 0;
+    std::size_t nte_lists = 0;
+    std::size_t nte_edges = 0;
+    std::size_t nte_bytes = 0;
+    std::size_t candidate_bytes = 0;  // candidates + cardinalities + meta
+  };
   /// Exact per-vertex byte accounting over the slabs: every slab element
   /// is attributed to the query vertex that owns it (vertex meta + order
   /// entry count as candidate_bytes). Summed over all vertices this equals
   /// ArenaBytes() minus inter-slab alignment padding (< 8 bytes per slab).
-  CeciIndex::VertexFootprint MemoryFootprint(VertexId u) const;
+  VertexFootprint MemoryFootprint(VertexId u) const;
 
   /// Raw arena for persistence (index_io) and the slab table describing
   /// it. The arena starts 8-aligned and slabs appear in SlabKind order.
@@ -307,6 +317,11 @@ class FlatCeciIndex {
   std::span<const std::uint32_t> array_pool_;
   std::span<const std::uint64_t> bitmap_pool_;
 };
+
+/// MatchStats::ceci_bytes of the refined index `flat` holds (CeciBytes over
+/// its keys, stored values and candidates). A fresh Prepare and an entry
+/// installed from a CEIX image both report it.
+std::size_t CeciBytes(const FlatCeciIndex& flat);
 
 /// The enumeration layer's index type. Enumerator, RunParallelEnumeration
 /// and BuildWorkUnits take `const FlatCeciIndex&`; this alias keeps the

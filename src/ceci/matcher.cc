@@ -122,7 +122,8 @@ QueryProfile BuildProfile(const PreparedQuery& prepared,
     if (u < counts.built.size()) vp.candidates_built = counts.built[u];
     vp.candidates_refined = prepared.flat.candidates(u).size();
     if (u < counts.pruned.size()) vp.refine_pruned = counts.pruned[u];
-    const CeciIndex::VertexFootprint f = prepared.flat.MemoryFootprint(u);
+    const FlatCeciIndex::VertexFootprint f =
+        prepared.flat.MemoryFootprint(u);
     vp.te_keys = f.te_keys;
     vp.te_edges = f.te_edges;
     vp.te_bytes = f.te_bytes;
@@ -158,7 +159,6 @@ QueryProfile BuildProfile(const PreparedQuery& prepared,
 FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
                                 const Graph& query, const QueryTree& tree,
                                 const BuildOptions& build, MatchStats* stats,
-                                const IndexInspector& inspector,
                                 VertexPipelineCounts* counts) {
   BudgetTracker* budget = build.budget;
   auto tripped = [budget] { return budget != nullptr && budget->Exhausted(); };
@@ -174,12 +174,13 @@ FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
   }();
   if (build.filter_table != nullptr) build.filter_table->Release();
   stats->build_seconds = phase.Seconds();
-  stats->ceci_bytes_unrefined = index.MemoryBytes();
+  stats->ceci_bytes_unrefined = 0;
+  for (VertexId u = 0; u < query.num_vertices(); ++u) {
+    stats->ceci_bytes_unrefined += CeciBytes(index.at(u));
+  }
   stats->candidate_edges_unrefined = index.TotalCandidateEdges();
-  // A partial index skips the inspector (its invariants assume a complete
-  // build) and everything downstream.
+  // A partial index skips everything downstream.
   if (tripped()) return FlatCeciIndex();
-  if (inspector) inspector(tree, index, /*refined=*/false);
   if (counts != nullptr) {
     counts->built.resize(query.num_vertices());
     for (VertexId u = 0; u < query.num_vertices(); ++u) {
@@ -195,13 +196,9 @@ FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
                counts != nullptr ? &counts->pruned : nullptr, budget);
   }
   stats->refine_seconds = phase.Seconds();
-  // A semi-refined index has incomplete cardinalities: neither the
-  // inspector nor the freeze may consume it.
+  // A semi-refined index has incomplete cardinalities: the freeze may not
+  // consume it.
   if (tripped()) return FlatCeciIndex();
-  if (inspector) inspector(tree, index, /*refined=*/true);
-  stats->ceci_bytes = index.MemoryBytes();
-  stats->candidate_edges = index.TotalCandidateEdges();
-  stats->embedding_clusters = index.pivots(tree).size();
   stats->total_cardinality = stats->refine.total_cardinality;
 
   // --- Freeze to the flat arena, the layout enumeration reads ---
@@ -211,6 +208,9 @@ FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
     return FlatCeciIndex::Build(index, tree);
   }();
   stats->freeze_seconds = phase.Seconds();
+  stats->ceci_bytes = CeciBytes(flat);
+  stats->candidate_edges = flat.TotalCandidateEdges();
+  stats->embedding_clusters = flat.candidates(tree.root()).size();
   stats->flat_bytes = flat.ArenaBytes();
   stats->flat_array_entries = flat.ArrayEntries();
   stats->flat_bitmap_entries = flat.BitmapEntries();
@@ -243,6 +243,23 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
   // Inactive (null) when options.budget is default: the pipeline then
   // pays nothing.
   BudgetTracker* budget = tracker->active() ? tracker : nullptr;
+  PreparedQuery prepared;
+  MatchStats& stats = prepared.stats;
+
+  // Stamps a budget trip on the prepared query; Execute returns it as a
+  // labelled partial result.
+  auto partial = [&] {
+    prepared.termination = tracker->reason();
+    stats.budget = tracker->ToStats();
+    return std::move(prepared);
+  };
+  // Initial charge and poll, before any index work starts: Preprocess's
+  // filter table holds one byte per (query vertex, data vertex), and an
+  // already-cancelled token or pre-expired deadline stops the query too.
+  if (budget != nullptr) {
+    budget->ChargeBytes(query.num_vertices() * data_.num_vertices());
+    if (budget->Poll()) return partial();
+  }
 
   // --- Preprocessing (§2.2) ---
   PreprocessOptions pre_options;
@@ -252,8 +269,6 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
     return Preprocess(data_, nlc_, query, pre_options);
   }();
   if (!pre.ok()) return pre.status();
-  PreparedQuery prepared;
-  MatchStats& stats = prepared.stats;
   prepared.tree = std::move(pre->tree);
   // The Grochow–Kellis set; its mirror may replace it once the index
   // exists (below).
@@ -268,17 +283,6 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
   stats.theoretical_bytes = CeciIndex::TheoreticalBytes(
       query.num_edges(), data_.num_directed_edges());
   stats.preprocess_seconds = phase.Seconds();
-
-  // Stamps a budget trip on the prepared query; Execute returns it as a
-  // labelled partial result.
-  auto partial = [&] {
-    prepared.termination = tracker->reason();
-    stats.budget = tracker->ToStats();
-    return std::move(prepared);
-  };
-  // Initial poll: an already-cancelled token or pre-expired deadline stops
-  // the query before any index work starts.
-  if (budget != nullptr && budget->Poll()) return partial();
   if (pre->infeasible) {
     // Some query vertex has no candidates at all: zero embeddings, and no
     // index to build.
@@ -300,8 +304,7 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
   build_options.root_candidates = &pre->root_candidates;
   build_options.filter_table = &pre->filter;
   prepared.flat = BuildRefineFreeze(data_, nlc_, query, prepared.tree,
-                                    build_options, &stats,
-                                    options.index_inspector, &prepared.counts);
+                                    build_options, &stats, &prepared.counts);
   ExportBuildMetrics(stats);
   if (budget != nullptr && budget->Exhausted()) return partial();
 

@@ -20,7 +20,6 @@
 #define CECI_CECI_MATCHER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "ceci/flat_index.h"
@@ -35,12 +34,6 @@
 #include "util/thread_pool.h"
 
 namespace ceci {
-
-/// Read-only hook on the mutable CECI, called right after construction
-/// (refined == false) and again after refinement (refined == true).
-using IndexInspector = std::function<void(const QueryTree& tree,
-                                          const CeciIndex& index,
-                                          bool refined)>;
 
 struct MatchOptions {
   /// Worker threads for filtering and enumeration.
@@ -74,14 +67,6 @@ struct MatchOptions {
   /// runs (every profiled quantity is a counter delta or a post-hoc walk,
   /// same discipline as TraceSpan). See src/ceci/profiler.h.
   bool profile = false;
-  /// Invoked with the mutable CECI after construction and after
-  /// refinement (IndexInspector). Hook for the invariant auditor
-  /// (analysis/invariant_auditor.h, `ceci_query --audit`) and debug-run
-  /// validation; must not mutate the index. Not called when preprocessing
-  /// proves the query infeasible (no index is built), nor with a partial
-  /// index after the execution budget trips mid-pipeline. The frozen arena
-  /// enumeration reads is PreparedQuery::flat.
-  IndexInspector index_inspector;
   /// Per-query resource caps: wall-clock deadline, index + enumeration
   /// byte budget, external cancellation token (util/budget.h). Default =
   /// unbounded, zero overhead. When a cap trips, Match() returns a
@@ -143,16 +128,14 @@ struct PreparedQuery {
 /// partition (dist/supervisor.h, distsim/dist_matcher.h). Builds the CECI
 /// of `query` on `tree` from `build`'s pivots and filter verdicts
 /// (releasing `*build.filter_table` once the build has read it), refines
-/// it, and freezes it; the mutable index is dropped on return. Fills the
-/// build, refine and freeze fields of `stats`: `ceci_bytes` is the refined
-/// mutable index's MemoryBytes(), taken before the freeze. `inspector`
-/// sees the mutable index after build and after refinement; `counts`, when
-/// non-null, receives the per-vertex profile counts. Returns an empty
-/// index when `build.budget` trips before the frozen arena is charged.
+/// it, and freezes it; the staging index is dropped on return. Fills the
+/// build, refine and freeze fields of `stats`, with `ceci_bytes{,_unrefined}`
+/// from CeciBytes. `counts`, when non-null, receives the per-vertex
+/// profile counts. Returns an empty index when `build.budget` trips before
+/// the frozen arena is charged.
 FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
                                 const Graph& query, const QueryTree& tree,
                                 const BuildOptions& build, MatchStats* stats,
-                                const IndexInspector& inspector = {},
                                 VertexPipelineCounts* counts = nullptr);
 
 /// Reusable matcher over one data graph. Thread-compatible: concurrent
@@ -175,8 +158,9 @@ class CeciMatcher {
   /// Stage 1: preprocess, build, refine and freeze `query`, then choose
   /// its restriction set: the Grochow–Kellis set or its mirror, whichever
   /// EstimateRestrictionCost rates cheaper on the frozen index. Reads
-  /// options.order, break_automorphisms, threads/pool (parallel build),
-  /// index_inspector and budget. `budget` is the tracker to run under —
+  /// options.order, break_automorphisms, threads/pool (parallel build)
+  /// and budget; the budget is first charged Preprocess's filter table
+  /// (|V_q| × |V_data| bytes) and polled before it is allocated. `budget` is the tracker to run under —
   /// pass the same one to Execute so the deadline spans both stages; null
   /// makes a fresh one from options.budget. A tripped budget returns a
   /// PreparedQuery whose `termination` names the cap. Fails only on

@@ -89,7 +89,7 @@ class QueryTree {
   std::vector<VertexId> matching_order_;
   std::vector<std::size_t> order_pos_;
   std::vector<VertexId> parent_;
-  std::vector<std::vector<VertexId>> children_;
+  std::vector<std::vector<VertexId>> children_;  // lint: not-per-key
   std::vector<std::size_t> depth_;
   std::vector<NonTreeEdge> ntes_;
   std::vector<std::vector<std::uint32_t>> nte_in_;

@@ -95,7 +95,7 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
     if (num_nte > 0) {
       nte_membership.NextGeneration();
       for (std::uint32_t k = 0; k < num_nte; ++k) {
-        const CandidateList& list = ud.nte[k];
+        const CandidateRuns& list = ud.nte[k];
         for (std::size_t i = 0; i < list.num_keys(); ++i) {
           for (VertexId v : list.values_at(i)) {
             if (seen_in_list[v] != k + 1) {
@@ -110,7 +110,7 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
       // stale markers are harmless only if list indices differ. Clear the
       // touched entries explicitly to stay correct.
       for (std::uint32_t k = 0; k < num_nte; ++k) {
-        const CandidateList& list = ud.nte[k];
+        const CandidateRuns& list = ud.nte[k];
         for (std::size_t i = 0; i < list.num_keys(); ++i) {
           for (VertexId v : list.values_at(i)) seen_in_list[v] = 0;
         }
@@ -144,7 +144,7 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
       for (std::size_t i = 0; i < cd.candidates.size(); ++i) {
         child_cards.SetCard(cd.candidates[i], cd.cardinalities[i]);
       }
-      const CandidateList& te = cd.te;
+      const CandidateRuns& te = cd.te;
       for (std::size_t i = 0; i < ud.candidates.size(); ++i) {
         if (partial[i] == 0) continue;
         Cardinality sum = 0;

@@ -32,7 +32,9 @@ struct MatchStats {
   double enumerate_seconds = 0.0;
   double total_seconds = 0.0;
 
-  // Index accounting (§3.4 / Table 2).
+  // Index accounting (§3.4 / Table 2): ceci_bytes{,_unrefined} are
+  // CeciBytes of the counts (ceci_index.h), the same figure whether the
+  // index was built here or installed from a CEIX image.
   std::size_t ceci_bytes = 0;
   std::size_t ceci_bytes_unrefined = 0;
   std::size_t theoretical_bytes = 0;
@@ -40,9 +42,8 @@ struct MatchStats {
   std::size_t candidate_edges_unrefined = 0;
 
   // Flat-layout accounting (arena-backed index). flat_bytes is *exact* —
-  // the arena size enumeration reads — where ceci_bytes estimates the
-  // mutable pointer-rich index build and refinement hold; the entry split
-  // shows how the hybrid rule fell.
+  // the arena size enumeration reads — where ceci_bytes is the paper's
+  // estimate; the entry split shows how the hybrid rule fell.
   std::size_t flat_bytes = 0;
   std::size_t flat_array_entries = 0;
   std::size_t flat_bitmap_entries = 0;

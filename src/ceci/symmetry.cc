@@ -9,12 +9,15 @@ namespace {
 // Backtracking enumerator for Aut(G_q). Queries are small (benchmark
 // queries have 3-50 vertices and labels prune hard), but a budget guards
 // against pathological symmetric inputs.
+// One automorphism of the query: image of every query vertex.
+using Permutation = std::vector<VertexId>;
+
 class AutomorphismSearch {
  public:
   explicit AutomorphismSearch(const Graph& query) : query_(query) {}
 
   // Returns false if the budget was exhausted.
-  bool Run(std::vector<std::vector<VertexId>>* automorphisms) {
+  bool Run(std::vector<Permutation>* automorphisms) {
     const std::size_t n = query_.num_vertices();
     mapping_.assign(n, kInvalidVertex);
     used_.assign(n, 0);
@@ -68,7 +71,7 @@ class AutomorphismSearch {
   const Graph& query_;
   std::vector<VertexId> mapping_;
   std::vector<char> used_;
-  std::vector<std::vector<VertexId>>* automorphisms_ = nullptr;
+  std::vector<Permutation>* automorphisms_ = nullptr;
   std::size_t steps_ = 0;
   bool budget_ok_ = true;
 };
@@ -77,7 +80,7 @@ class AutomorphismSearch {
 
 SymmetryConstraints SymmetryConstraints::Compute(const Graph& query) {
   const std::size_t n = query.num_vertices();
-  std::vector<std::vector<VertexId>> autos;
+  std::vector<Permutation> autos;
   AutomorphismSearch search(query);
   if (!search.Run(&autos)) {
     // Budget exhausted: disable breaking (safe, just redundant listing).
@@ -91,7 +94,7 @@ SymmetryConstraints SymmetryConstraints::Compute(const Graph& query) {
   // current group is the pointwise stabilizer of all previously fixed
   // vertices; emit v < w for every w in v's orbit and keep only
   // permutations fixing v.
-  std::vector<std::vector<VertexId>> group = std::move(autos);
+  std::vector<Permutation> group = std::move(autos);
   for (VertexId v = 0; v < n && group.size() > 1; ++v) {
     std::vector<char> in_orbit(n, 0);
     for (const auto& perm : group) in_orbit[perm[v]] = 1;
@@ -105,7 +108,7 @@ SymmetryConstraints SymmetryConstraints::Compute(const Graph& query) {
       }
     }
     // Restrict to the stabilizer of v.
-    std::vector<std::vector<VertexId>> stab;
+    std::vector<Permutation> stab;
     for (auto& perm : group) {
       if (perm[v] == v) stab.push_back(std::move(perm));
     }

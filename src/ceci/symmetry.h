@@ -82,8 +82,8 @@ class SymmetryConstraints {
   void IndexConstraints(std::size_t n);
 
   std::vector<Constraint> constraints_;
-  std::vector<std::vector<VertexId>> lower_than_;
-  std::vector<std::vector<VertexId>> higher_than_;
+  std::vector<std::vector<VertexId>> lower_than_;  // lint: not-per-key
+  std::vector<std::vector<VertexId>> higher_than_;  // lint: not-per-key
   std::size_t automorphism_count_ = 1;
   bool mirrored_ = false;
 };

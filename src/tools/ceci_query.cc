@@ -32,16 +32,16 @@
 //                     stdout; schema in docs/observability.md. Includes
 //                     the "profile" block (profiling is enabled)
 //   --audit           run the invariant auditor over the data graph, the
-//                     query graph, the CECI after build and after refine,
-//                     the work-unit partition, and the final result's
+//                     query graph, the frozen CECI, the work-unit
+//                     partition, and the final result's
 //                     termination accounting; exit 3 on violations
 //                     (catalog in docs/static_analysis.md)
 //   --deadline-ms N   wall-clock deadline; the query stops cooperatively
 //                     and reports "termination: deadline" (exit 4)
 //   --memory-budget-mb F
-//                     cap on CECI index + enumeration state bytes; on
-//                     exhaustion reports "termination: memory_budget"
-//                     (exit 4)
+//                     cap on filter table + CECI index + enumeration
+//                     state bytes; on exhaustion reports
+//                     "termination: memory_budget" (exit 4)
 //   --cancel-after N  request cancellation after N embeddings have been
 //                     seen (exercises the cooperative cancellation token;
 //                     reports "termination: cancelled", exit 0)
@@ -455,26 +455,12 @@ int main(int argc, char** argv) {
     options.profile = true;
   }
 
-  // --audit: validate both input graphs up front, then hook the matcher
-  // pipeline to audit the mutable index after build and after refinement.
-  // The refined index is kept to cross-check the frozen arena against.
+  // --audit: validate both input graphs up front; the frozen index is
+  // audited between the stages below.
   AuditReport audit_report;
-  CeciIndex audited_index;
-  bool audited_refined_captured = false;
   if (args.audit) {
     audit_report.Merge(AuditGraph(*data));
     audit_report.Merge(AuditGraph(*query));
-    options.index_inspector = [&](const QueryTree& tree,
-                                  const CeciIndex& index, bool refined) {
-      AuditOptions audit_options;
-      audit_options.refined = refined;
-      audit_report.Merge(
-          AuditCeciIndex(*data, *query, tree, index, audit_options));
-      if (refined) {
-        audited_index = index;
-        audited_refined_captured = true;
-      }
-    };
   }
 
   // Resilience caps: deadline / byte budget / cancellation token, all
@@ -516,8 +502,8 @@ int main(int argc, char** argv) {
   const bool need_visitor = args.print || args.cancel_after > 0;
   // Both stages run under one tracker, so the deadline spans them, and
   // under one "match" span, as in CeciMatcher::Match. Between them the
-  // frozen arena is audited (layout invariants, agreement with the refined
-  // index, the work-unit partition) and saved.
+  // frozen arena is audited (layout and index invariants, the work-unit
+  // partition) and saved.
   MatchResult result;
   {
     TraceSpan match_span("match");
@@ -531,11 +517,7 @@ int main(int argc, char** argv) {
     const bool frozen = prepared->complete() && !prepared->infeasible;
     if (args.audit && frozen) {
       const QueryTree& tree = prepared->tree;
-      AuditFlatIndex(tree, prepared->flat, &audit_report);
-      if (audited_refined_captured) {
-        AuditFlatAgainstIndex(tree, audited_index, prepared->flat,
-                              &audit_report);
-      }
+      audit_report.Merge(AuditCeciIndex(*data, *query, tree, prepared->flat));
       EnumOptions enum_options;
       enum_options.nte_intersection = options.nte_intersection;
       enum_options.symmetry = &prepared->symmetry;

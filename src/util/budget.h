@@ -57,9 +57,9 @@ class CancellationToken {
 struct ExecutionBudget {
   /// Wall-clock deadline for the whole Match() call; 0 = none.
   double deadline_seconds = 0.0;
-  /// Byte cap covering the CECI index (charged incrementally per built
-  /// vertex via CeciIndex::MemoryFootprint), the work-unit pool, and
-  /// per-worker enumeration state; 0 = none.
+  /// Byte cap covering Preprocess's filter table, the CECI index (charged
+  /// incrementally per built vertex via CeciBytes, then the frozen arena),
+  /// the work-unit pool, and per-worker enumeration state; 0 = none.
   std::size_t memory_budget_bytes = 0;
   /// External cancellation; null = none. Must outlive the Match() call.
   const CancellationToken* token = nullptr;

@@ -71,7 +71,7 @@ TEST_P(BuilderPropertyTest, StoredCandidateEdgesAreSound) {
     const auto& ud = b.index.at(u);
     // TE values: real edges, label containment, degree bound.
     for (std::size_t k = 0; k < ud.te.num_keys(); ++k) {
-      VertexId key = ud.te.keys()[k];
+      VertexId key = ud.te.keys[k];
       for (VertexId v : ud.te.values_at(k)) {
         EXPECT_TRUE(s.data.HasEdge(key, v));
         EXPECT_TRUE(s.data.HasAllLabels(v, s.query.labels(u)));
@@ -80,7 +80,7 @@ TEST_P(BuilderPropertyTest, StoredCandidateEdgesAreSound) {
     }
     for (const auto& nte : ud.nte) {
       for (std::size_t k = 0; k < nte.num_keys(); ++k) {
-        VertexId key = nte.keys()[k];
+        VertexId key = nte.keys[k];
         for (VertexId v : nte.values_at(k)) {
           EXPECT_TRUE(s.data.HasEdge(key, v));
         }
@@ -156,9 +156,12 @@ TEST_P(BuilderPropertyTest, TeValueUnionsSubsetOfCandidatesAfterRefine) {
   for (VertexId u = 0; u < s.query.num_vertices(); ++u) {
     if (u == b.tree.root()) continue;
     const auto& cands = b.index.at(u).candidates;
-    for (VertexId v : b.index.at(u).te.UnionOfValues()) {
-      EXPECT_TRUE(std::binary_search(cands.begin(), cands.end(), v))
-          << "u" << u << " v" << v;
+    const CandidateRuns& te = b.index.at(u).te;
+    for (std::size_t k = 0; k < te.num_keys(); ++k) {
+      for (VertexId v : te.values_at(k)) {
+        EXPECT_TRUE(std::binary_search(cands.begin(), cands.end(), v))
+            << "u" << u << " v" << v;
+      }
     }
   }
 }

@@ -1,12 +1,17 @@
 // Tests for the memoizing multi-query session.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
+#include <string>
 #include <thread>
 
 #include "analysis/invariant_auditor.h"
 #include "baselines/quicksi.h"
 #include "ceci/cached_matcher.h"
+#include "ceci/index_io.h"
 #include "gen/labels.h"
 #include "gen/paper_queries.h"
 #include "gen/random_graphs.h"
@@ -214,6 +219,37 @@ TEST(CachedMatcherTest, ClearCacheForcesRebuild) {
   EXPECT_EQ(matcher.cache_entries(), 0u);
   ASSERT_TRUE(matcher.Match(query, MatchOptions{}).ok());
   EXPECT_EQ(matcher.cache_misses(), 2u);
+}
+
+TEST(CachedMatcherTest, PrebuiltEntryReportsTheSameCeciBytes) {
+  // EXPLAIN's index_bytes is MatchStats::ceci_bytes: an entry installed
+  // from a CEIX image reports what a fresh Prepare of its pattern does.
+  Graph data = AssignRandomLabels(GenerateSocialGraph(500, 8, 2), 4, 3);
+  const char* kPattern = "(a:0)-(b:1)-(c:2); (a)-(c)";
+  auto query = ParsePattern(kPattern);
+  ASSERT_TRUE(query.ok());
+  auto prepared = CeciMatcher(data).Prepare(*query, MatchOptions{});
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(prepared->complete());
+  ASSERT_FALSE(prepared->infeasible);
+  ASSERT_GT(prepared->stats.ceci_bytes, 0u);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ceci_prebuilt_bytes_" + std::to_string(::getpid()) + ".ceix"))
+          .string();
+  ASSERT_TRUE(WriteFlatIndex(prepared->flat, prepared->tree,
+                             prepared->symmetry, kPattern, path)
+                  .ok());
+
+  CachedMatcher matcher(data);
+  ASSERT_TRUE(matcher.InstallPrebuilt(path).ok());
+  auto hit = matcher.Match(*query, MatchOptions{});
+  std::filesystem::remove(path);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->stats.index_cache_hit);
+  EXPECT_EQ(hit->stats.ceci_bytes, prepared->stats.ceci_bytes);
+  EXPECT_EQ(hit->stats.flat_bytes, prepared->stats.flat_bytes);
+  EXPECT_EQ(hit->stats.candidate_edges, prepared->stats.candidate_edges);
 }
 
 TEST(CachedMatcherTest, ConcurrentMatchesAreConsistent) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <mutex>
 
+#include "baselines/vf2.h"
 #include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
 #include "ceci/refinement.h"
@@ -26,9 +27,9 @@ struct Fixture {
     CECI_CHECK(t.ok());
     tree = std::move(t).value();
     CeciBuilder builder(data, nlc);
-    refined = builder.Build(query, tree, BuildOptions{}, nullptr);
-    RefineCeci(tree, data.num_vertices(), &refined, nullptr);
-    index = FlatCeciIndex::Build(refined, tree);
+    CeciIndex built = builder.Build(query, tree, BuildOptions{}, nullptr);
+    RefineCeci(tree, data.num_vertices(), &built, nullptr);
+    index = FlatCeciIndex::Build(built, tree);
     symmetry = SymmetryConstraints::Compute(query);
     none = SymmetryConstraints::None(query.num_vertices());
   }
@@ -44,7 +45,6 @@ struct Fixture {
   Graph query;
   NlcIndex nlc;
   QueryTree tree;
-  CeciIndex refined;    // the mutable form, for independent reference rules
   FlatCeciIndex index;  // the frozen form the enumerator reads
   SymmetryConstraints symmetry;
   SymmetryConstraints none;
@@ -188,20 +188,25 @@ TEST(EnumeratorTest, NoEmbeddingsWhenQueryTooDense) {
   EXPECT_EQ(e.EnumerateAll(nullptr), 0u);
 }
 
-// Replicates the pre-PR candidate rule with independent primitives:
-// chained std::set_intersection over the full TE/NTE lists, then a symmetry
-// post-filter over the output, then the O(|mapping|) linear injectivity
-// scan that the bitmap replaced.
+// Replicates the candidate rule with independent primitives, without the
+// index's TE/NTE entries: a refined entry keyed by a matched parent holds
+// exactly the parent's data neighbours among u's candidates, so chained
+// std::set_intersection of u's candidate array with the data adjacency of
+// the tree parent's and every NTE parent's match, then a symmetry
+// post-filter, then the O(|mapping|) linear injectivity scan that the
+// bitmap replaced.
 std::vector<VertexId> OldPathCandidates(const Fixture& f,
                                         std::span<const VertexId> mapping,
                                         VertexId u) {
-  const CeciVertexData& ud = f.refined.at(u);
-  auto te = ud.te.Find(mapping[f.tree.parent(u)]);
-  std::vector<VertexId> out(te.begin(), te.end());
+  const auto cands = f.index.candidates(u);
+  const auto te = f.data.neighbors(mapping[f.tree.parent(u)]);
+  std::vector<VertexId> out;
+  std::set_intersection(cands.begin(), cands.end(), te.begin(), te.end(),
+                        std::back_inserter(out));
   const auto nte_ids = f.tree.nte_in(u);
   for (std::size_t k = 0; k < nte_ids.size(); ++k) {
     const VertexId u_n = f.tree.non_tree_edges()[nte_ids[k]].parent;
-    auto list = ud.nte[k].Find(mapping[u_n]);
+    auto list = f.data.neighbors(mapping[u_n]);
     std::vector<VertexId> next;
     std::set_intersection(out.begin(), out.end(), list.begin(), list.end(),
                           std::back_inserter(next));
@@ -224,7 +229,8 @@ std::vector<VertexId> OldPathCandidates(const Fixture& f,
 
 // Walks partial embeddings depth-first and checks CollectExtensions (the
 // clamped-span + bitmap path) against OldPathCandidates at every node, up
-// to `budget` comparisons.
+// to `budget` comparisons; then the whole enumeration against the VF2
+// oracle's embedding set under the same restrictions.
 void CheckCandidatesAgainstOldPath(Fixture& f, std::size_t budget) {
   auto opts = f.Options();
   Enumerator e(f.data, f.tree, f.index, opts);
@@ -254,6 +260,15 @@ void CheckCandidatesAgainstOldPath(Fixture& f, std::size_t budget) {
     mapping[order[0]] = kInvalidVertex;
   }
   EXPECT_GT(checked, 0u);
+
+  EmbeddingCollector oracle;
+  EmbeddingVisitor oracle_visitor = std::ref(oracle);
+  Vf2Count(f.data, f.query, Vf2Options{}, &oracle_visitor);
+  EmbeddingCollector listed;
+  EmbeddingVisitor listed_visitor = std::ref(listed);
+  Enumerator(f.data, f.tree, f.index, opts).EnumerateAll(&listed_visitor);
+  EXPECT_EQ(listed.AsSet(), oracle.AsSet());
+  EXPECT_EQ(listed.raw().size(), listed.AsSet().size());
 }
 
 TEST(EnumeratorRegressionTest, CandidatesMatchOldPathOnRandomGraphs) {

@@ -7,7 +7,10 @@
 #include <thread>
 
 #include "baselines/psgl.h"
+#include "ceci/ceci_builder.h"
 #include "ceci/matcher.h"
+#include "ceci/preprocess.h"
+#include "ceci/refinement.h"
 #include "gen/paper_queries.h"
 #include "gen/random_graphs.h"
 #include "graphio/edge_list.h"
@@ -229,25 +232,33 @@ TEST(ExecutionBudgetTest, ExpiredDeadlineStopsBeforeAnyIndexWork) {
 
 TEST(ExecutionBudgetTest, DeadlineTripsDuringRefinement) {
   Graph data = GenerateSocialGraph(300, 8, 7);
-  CeciMatcher matcher(data);
-  MatchOptions options;
-  options.budget.deadline_seconds = 0.05;
-  options.budget.check_stride = 1;
-  // Burn the deadline between build and refinement: the inspector runs
-  // with the complete unrefined index, so the trip lands in RefineCeci's
-  // first poll.
-  options.index_inspector = [](const QueryTree&, const CeciIndex&,
-                               bool refined) {
-    if (!refined) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-  };
-  auto result = matcher.Match(MakePaperQuery(PaperQuery::kQG1), options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->termination, TerminationReason::kDeadline);
-  EXPECT_EQ(result->embedding_count, 0u);
-  EXPECT_GT(result->stats.ceci_bytes_unrefined, 0u);  // build completed
-  EXPECT_EQ(result->stats.enumerate_seconds, 0.0);    // enumeration skipped
+  Graph query = MakePaperQuery(PaperQuery::kQG1);
+  NlcIndex nlc(data);
+  auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
+  ASSERT_FALSE(pre->infeasible);
+  ExecutionBudget budget;
+  budget.deadline_seconds = 0.05;
+  budget.check_stride = 1;
+  BudgetTracker tracker(budget);
+  BuildOptions build;
+  build.budget = &tracker;
+  build.filter_table = &pre->filter;
+  build.root_candidates = &pre->root_candidates;
+  CeciIndex index =
+      CeciBuilder(data, nlc).Build(query, pre->tree, build, nullptr);
+  ASSERT_FALSE(tracker.Exhausted());  // the build completed
+  ASSERT_GT(index.TotalCandidateEdges(), 0u);
+  // Burn the deadline between build and refinement: the trip lands in
+  // RefineCeci's first poll, before any vertex is refined.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  RefineStats stats;
+  RefineCeci(pre->tree, data.num_vertices(), &index, &stats, nullptr,
+             &tracker);
+  EXPECT_EQ(tracker.reason(), TerminationReason::kDeadline);
+  EXPECT_EQ(stats.pruned_candidates, 0u);
+  EXPECT_EQ(stats.total_cardinality, 0u);
+  EXPECT_TRUE(index.at(pre->tree.root()).cardinalities.empty());
 }
 
 TEST(ExecutionBudgetTest, DeadlineTripsDuringEnumeration) {
@@ -256,22 +267,60 @@ TEST(ExecutionBudgetTest, DeadlineTripsDuringEnumeration) {
   MatchOptions options;
   options.budget.deadline_seconds = 0.05;
   options.budget.check_stride = 1;
-  // Burn the deadline after refinement: build and refine complete, the
-  // trip lands in the enumeration phase.
-  options.index_inspector = [](const QueryTree&, const CeciIndex&,
-                               bool refined) {
-    if (refined) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
+  // Burn the deadline at the first embedding: build and refine complete,
+  // the trip lands in the enumeration phase.
+  bool slept = false;
+  EmbeddingVisitor stall = [&](std::span<const VertexId>) {
+    if (!slept) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    slept = true;
+    return true;
   };
-  auto result = matcher.Match(MakePaperQuery(PaperQuery::kQG1), options);
+  auto result =
+      matcher.Match(MakePaperQuery(PaperQuery::kQG1), options, &stall);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->termination, TerminationReason::kDeadline);
   EXPECT_GT(result->stats.refine_seconds, 0.0);
+  EXPECT_TRUE(slept);
   // The enumeration saw at most a stride's worth of work before stopping.
   const std::uint64_t unbounded =
       matcher.Count(MakePaperQuery(PaperQuery::kQG1)).value();
   EXPECT_LT(result->embedding_count, unbounded);
+}
+
+TEST(ExecutionBudgetTest, FilterTableCountsAgainstTheMemoryBudget) {
+  // 100k data vertices, ten labeled pairs: the index of (a:1)-(b:2) and
+  // the enumeration state take a few KB, Preprocess's filter table one
+  // byte per (query vertex, data vertex) = 200 KB.
+  constexpr VertexId kVertices = 100000;
+  std::vector<Label> labels(kVertices, 0);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId i = 0; i < 10; ++i) {
+    labels[i] = 1;
+    labels[10 + i] = 2;
+    edges.push_back({i, 10 + i});
+  }
+  Graph data = MakeGraph(labels, edges);
+  Graph query = MakeGraph({1, 2}, {{0, 1}});
+  CeciMatcher matcher(data);
+  MatchOptions options;
+  options.budget.memory_budget_bytes = 64 << 10;
+  auto result = matcher.Match(query, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->termination, TerminationReason::kMemoryBudget);
+  EXPECT_TRUE(result->stats.budget.memory_exceeded);
+  EXPECT_EQ(result->stats.budget.charged_bytes, 2u * kVertices);
+  EXPECT_EQ(result->stats.build_seconds, 0.0);  // no build ran
+  EXPECT_EQ(result->stats.ceci_bytes_unrefined, 0u);
+  EXPECT_EQ(result->embedding_count, 0u);
+
+  // With room for the table the same query completes, and the table is
+  // the first charge.
+  options.budget.memory_budget_bytes = 256 << 10;
+  result = matcher.Match(query, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->termination, TerminationReason::kCompleted);
+  EXPECT_EQ(result->embedding_count, 10u);
+  EXPECT_GT(result->stats.budget.charged_bytes, 2u * kVertices);
 }
 
 TEST(ExecutionBudgetTest, MemoryBudgetOfOneByteTripsInBuild) {

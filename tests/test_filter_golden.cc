@@ -111,22 +111,17 @@ std::vector<std::size_t> CandidateCounts(const Graph& data,
 }
 
 // Production path: CeciMatcher::Prepare hands Preprocess's table to Build;
-// the frozen arena is read between Prepare and Execute.
+// the built sizes and the frozen arena are read between Prepare and
+// Execute.
 Observation ObserveMatch(const Graph& data, const Graph& query) {
   Observation o;
   o.candidate_counts = CandidateCounts(data, NlcIndex(data), query);
   CeciMatcher matcher(data);
   MatchOptions options;
   options.order = kGoldenOrder;
-  options.index_inspector = [&](const QueryTree&, const CeciIndex& index,
-                                bool refined) {
-    if (refined) return;
-    for (VertexId u = 0; u < query.num_vertices(); ++u) {
-      o.built_sizes.push_back(index.at(u).candidates.size());
-    }
-  };
   auto prepared = matcher.Prepare(query, options);
   CECI_CHECK(prepared.ok()) << prepared.status().ToString();
+  o.built_sizes = prepared->counts.built;
   RecordArena(prepared->flat, &o);
   const MatchResult result = matcher.Execute(*prepared, options);
   RecordBuild(result.stats.build, &o);

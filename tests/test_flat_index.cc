@@ -103,7 +103,7 @@ TEST(FlatIndexTest, EntriesDecodeToTheMutableLists) {
   for (VertexId u = 0; u < f.query.num_vertices(); ++u) {
     const auto& vi = f.index.at(u);
     for (std::size_t i = 0; i < vi.te.num_keys(); ++i) {
-      const VertexId key = vi.te.keys()[i];
+      const VertexId key = vi.te.keys[i];
       const auto ref = f.flat.Te(u, key);
       const auto values = vi.te.Find(key);
       EXPECT_EQ(ref.count, values.size());
@@ -118,7 +118,7 @@ TEST(FlatIndexTest, EntriesDecodeToTheMutableLists) {
     EXPECT_TRUE(miss.bits.empty());
     for (std::size_t k = 0; k < vi.nte.size(); ++k) {
       for (std::size_t i = 0; i < vi.nte[k].num_keys(); ++i) {
-        const VertexId key = vi.nte[k].keys()[i];
+        const VertexId key = vi.nte[k].keys[i];
         const auto ref = f.flat.Nte(u, k, key);
         const auto values = vi.nte[k].Find(key);
         ASSERT_EQ(ref.count, values.size());
@@ -272,8 +272,11 @@ TEST(FlatIndexDeathTest, NonCandidateValueTripsTheFreezeCheck) {
     CeciIndex index(2);
     index.at(0).candidates = {1, 2};
     index.at(1).candidates = {3, 5};
-    index.at(1).te.Append(1, {3});
-    index.at(1).te.Append(2, {stray});
+    CandidateRuns& te = index.at(1).te;
+    te.pool.push_back(3);
+    te.CloseRun(1, 0);
+    te.pool.push_back(stray);
+    te.CloseRun(2, 1);
     EXPECT_DEATH(FlatCeciIndex::Build(index, *tree),
                  "is not an alive candidate")
         << "stray value v" << stray;

@@ -78,12 +78,12 @@ TEST_F(IndexIoTest, RoundTripPreservesStructure) {
               want.candidates);
     EXPECT_EQ(std::vector<Cardinality>(cards.begin(), cards.end()),
               want.cardinalities);
-    const CeciIndex::VertexFootprint f = loaded->MemoryFootprint(u);
+    const FlatCeciIndex::VertexFootprint f = loaded->MemoryFootprint(u);
     EXPECT_EQ(f.te_keys, want.te.num_keys());
     EXPECT_EQ(f.te_edges, want.te.TotalValues());
     ASSERT_EQ(loaded->nte_count(u), want.nte.size());
     std::size_t nte_edges = 0;
-    for (const CandidateList& list : want.nte) nte_edges += list.TotalValues();
+    for (const CandidateRuns& list : want.nte) nte_edges += list.TotalValues();
     EXPECT_EQ(f.nte_edges, nte_edges);
   }
 }

@@ -137,8 +137,11 @@ std::set<std::vector<VertexId>> MirroredOracleSet(const Graph& data,
   return out;
 }
 
-TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
-  Scenario s = MakeScenario(GetParam());
+// Every CECI path on (data, query) lists VF2's embedding set under the
+// restriction set its plan chose.
+void ExpectOracleSets(const Graph& data, const Graph& query,
+                      const std::string& name, int id) {
+  const Scenario s{data, query, name};
   EmbeddingCollector oracle_collector;
   EmbeddingVisitor oracle_visitor = std::ref(oracle_collector);
   Vf2Count(s.data, s.query, Vf2Options{}, &oracle_visitor);
@@ -197,11 +200,11 @@ TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
 
   // The shared-storage path (§5): the data graph only in a CSR file read
   // on demand, through Preprocess → Build → refine → freeze → graph-free
-  // enumeration.
+  // enumeration, under both restriction sets.
   const std::string path =
       (std::filesystem::temp_directory_path() /
        ("ceci_equiv_" + std::to_string(::getpid()) + "_" +
-        std::to_string(GetParam()) + ".csr"))
+        std::to_string(id) + ".csr"))
           .string();
   ASSERT_TRUE(WriteBinaryCsr(s.data, path).ok());
   auto store = OnDemandCsr::Open(path);
@@ -219,14 +222,29 @@ TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
   RefineCeci(pre->tree, store->num_vertices(), &index.value(), nullptr);
   const FlatCeciIndex flat = FlatCeciIndex::Build(*index, pre->tree);
   const SymmetryConstraints symmetry = SymmetryConstraints::Compute(s.query);
-  EnumOptions enum_options;
-  enum_options.symmetry = &symmetry;
-  EmbeddingCollector store_collector;
-  EmbeddingVisitor store_visitor = std::ref(store_collector);
-  Enumerator(pre->tree, flat, enum_options).EnumerateAll(&store_visitor);
-  EXPECT_EQ(store_collector.AsSet(), min_oracle)
-      << s.name << " (store-backed build)";
-  EXPECT_EQ(store_collector.raw().size(), store_collector.AsSet().size());
+  for (bool mirror : {false, true}) {
+    const SymmetryConstraints chosen =
+        mirror ? symmetry.Mirrored() : symmetry;
+    EnumOptions enum_options;
+    enum_options.symmetry = &chosen;
+    EmbeddingCollector store_collector;
+    EmbeddingVisitor store_visitor = std::ref(store_collector);
+    Enumerator(pre->tree, flat, enum_options).EnumerateAll(&store_visitor);
+    EXPECT_EQ(store_collector.AsSet(), oracle_for(mirror))
+        << s.name << " (store-backed build, "
+        << (mirror ? "max set)" : "min set)");
+    EXPECT_EQ(store_collector.raw().size(), store_collector.AsSet().size());
+  }
+}
+
+TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
+  const Scenario s = MakeScenario(GetParam());
+  ExpectOracleSets(s.data, s.query, s.name, 2 * GetParam());
+  // The id-reversed copy flips which restriction direction is cheaper, so
+  // between the two inputs both directions run through build, refine and
+  // freeze.
+  ExpectOracleSets(::ceci::testing::ReverseVertexIds(s.data), s.query,
+                   s.name + " (ids reversed)", 2 * GetParam() + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomScenarios, EmbeddingSetTest,

@@ -40,7 +40,7 @@ TEST(RefinementTest, LeafCardinalityIsOne) {
     EXPECT_EQ(b.index.at(1).cardinalities[i], 1u);
   }
   // Root: sum over its single child branch = 2.
-  EXPECT_EQ(b.index.CardinalityOf(0, 0), 2u);
+  EXPECT_EQ(FlatCeciIndex::Build(b.index, b.tree).CardinalityOf(0, 0), 2u);
 }
 
 TEST(RefinementTest, CardinalityMultipliesAcrossBranches) {
@@ -56,7 +56,7 @@ TEST(RefinementTest, CardinalityMultipliesAcrossBranches) {
   ASSERT_TRUE(data.ok());
   Built b(*data, query, 0);
   RefineCeci(b.tree, data->num_vertices(), &b.index, nullptr);
-  EXPECT_EQ(b.index.CardinalityOf(0, 0), 9u);
+  EXPECT_EQ(FlatCeciIndex::Build(b.index, b.tree).CardinalityOf(0, 0), 9u);
 }
 
 TEST(RefinementTest, ZeroCardinalityCandidatesPruned) {
@@ -170,7 +170,7 @@ TEST(RefinementTest, CompactionDropsDeadEntries) {
     const auto& parent_cands = b.index.at(b.tree.parent(u)).candidates;
     for (std::size_t k = 0; k < ud.te.num_keys(); ++k) {
       EXPECT_TRUE(std::binary_search(parent_cands.begin(),
-                                     parent_cands.end(), ud.te.keys()[k]));
+                                     parent_cands.end(), ud.te.keys[k]));
       for (VertexId v : ud.te.values_at(k)) {
         EXPECT_TRUE(std::binary_search(ud.candidates.begin(),
                                        ud.candidates.end(), v));

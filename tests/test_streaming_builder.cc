@@ -50,7 +50,7 @@ void ExpectIndexesEqual(const CeciIndex& a, const CeciIndex& b,
     EXPECT_EQ(a.at(u).cardinalities, b.at(u).cardinalities) << "u" << u;
     ASSERT_EQ(a.at(u).te.num_keys(), b.at(u).te.num_keys()) << "u" << u;
     for (std::size_t k = 0; k < a.at(u).te.num_keys(); ++k) {
-      EXPECT_EQ(a.at(u).te.keys()[k], b.at(u).te.keys()[k]);
+      EXPECT_EQ(a.at(u).te.keys[k], b.at(u).te.keys[k]);
       auto va = a.at(u).te.values_at(k);
       auto vb = b.at(u).te.values_at(k);
       EXPECT_TRUE(std::equal(va.begin(), va.end(), vb.begin(), vb.end()));
