@@ -2,7 +2,6 @@
 // paper's running example: cascades, NTE-less builds, completeness.
 #include <cstdint>
 #include <set>
-#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -137,73 +136,6 @@ TEST(CeciBuilderTest, NteFreeBuildHasNoNteLists) {
   // Refinement still works (no NTE union checks) and keeps completeness.
   RefineCeci(*tree, data.num_vertices(), &index, nullptr);
   EXPECT_FALSE(index.at(0).candidates.empty());
-}
-
-// Appends `values` as the run of `key`, the way the builder does.
-void AppendRun(CandidateRuns* list, VertexId key,
-               const std::vector<VertexId>& values) {
-  const std::size_t begin = list->pool.size();
-  list->pool.insert(list->pool.end(), values.begin(), values.end());
-  list->CloseRun(key, begin);
-}
-
-std::vector<VertexId> Values(std::span<const VertexId> s) {
-  return {s.begin(), s.end()};
-}
-
-TEST(CandidateRunsTest, RunsAreFoundByKey) {
-  CandidateRuns list;
-  AppendRun(&list, 2, {5, 7});
-  AppendRun(&list, 4, {1});
-  AppendRun(&list, 9, {3, 5, 8});
-  EXPECT_EQ(list.num_keys(), 3u);
-  EXPECT_EQ(list.TotalValues(), 6u);
-  EXPECT_EQ(list.pool.size(), 6u);  // one pool, no per-key allocation
-  EXPECT_EQ(Values(list.Find(9)), (std::vector<VertexId>{3, 5, 8}));
-  EXPECT_EQ(Values(list.Find(4)), (std::vector<VertexId>{1}));
-  EXPECT_TRUE(list.Find(3).empty());
-  EXPECT_TRUE(list.Find(10).empty());
-  EXPECT_TRUE(CandidateRuns{}.Find(2).empty());
-}
-
-TEST(CandidateRunsTest, PruneCompactsRunsInPlace) {
-  CandidateRuns list;
-  AppendRun(&list, 2, {5, 7});
-  AppendRun(&list, 4, {1, 7});
-  AppendRun(&list, 9, {3, 5, 8});
-  const std::size_t pool_size = list.pool.size();
-  // Key 2 goes with its run, value 7 leaves key 4's run as {1}, and key 9
-  // keeps {3, 5, 8}.
-  const std::size_t removed =
-      list.Prune([](VertexId key) { return key != 2; },
-                 [](VertexId v) { return v != 7; });
-  EXPECT_EQ(removed, 3u);
-  EXPECT_EQ(list.keys, (std::vector<VertexId>{4, 9}));
-  EXPECT_EQ(Values(list.values_at(0)), (std::vector<VertexId>{1}));
-  EXPECT_EQ(Values(list.values_at(1)), (std::vector<VertexId>{3, 5, 8}));
-  EXPECT_EQ(list.TotalValues(), 4u);
-  EXPECT_EQ(list.pool.size(), pool_size);  // runs shrank in their slots
-  // A key whose values all die goes with them.
-  EXPECT_EQ(list.Prune([](VertexId) { return true; },
-                       [](VertexId v) { return v != 1; }),
-            1u);
-  EXPECT_EQ(list.keys, (std::vector<VertexId>{9}));
-}
-
-TEST(CandidateRunsTest, AppendRebasesAnotherListsRuns) {
-  CandidateRuns first;
-  AppendRun(&first, 1, {4, 6});
-  CandidateRuns second;
-  AppendRun(&second, 3, {2});
-  AppendRun(&second, 5, {6, 9});
-  first.Append(second);
-  EXPECT_EQ(first.keys, (std::vector<VertexId>{1, 3, 5}));
-  EXPECT_EQ(Values(first.Find(1)), (std::vector<VertexId>{4, 6}));
-  EXPECT_EQ(Values(first.Find(3)), (std::vector<VertexId>{2}));
-  EXPECT_EQ(Values(first.Find(5)), (std::vector<VertexId>{6, 9}));
-  first.clear();
-  EXPECT_EQ(first.num_keys(), 0u);
-  EXPECT_TRUE(first.pool.empty());
 }
 
 TEST(CeciIndexTest, SizeAccountingAndTheoreticalBound) {
