@@ -9,9 +9,7 @@
 #include <random>
 
 #include "bench/bench_common.h"
-#include "ceci/ceci_builder.h"
 #include "ceci/preprocess.h"
-#include "ceci/refinement.h"
 #include "ceci/scheduler.h"
 #include "util/intersection.h"
 
@@ -61,11 +59,8 @@ struct EnumFixture {
   double Run(PaperQuery pq, bool intersect) {
     Graph query = MakePaperQuery(pq);
     auto pre = Preprocess(dataset.graph, nlc, query, PreprocessOptions{});
-    CeciBuilder builder(dataset.graph, nlc);
-    CeciIndex index =
-        builder.Build(query, pre->tree, BuildOptions{}, nullptr);
-    RefineCeci(pre->tree, dataset.graph.num_vertices(), &index, nullptr);
-    const FlatCeciIndex flat = FlatCeciIndex::Build(index, pre->tree);
+    const FlatCeciIndex flat =
+        BuildPreprocessed(dataset.graph, nlc, query, &pre.value());
     SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
     ScheduleOptions options;
     options.enumeration.symmetry = &symmetry;

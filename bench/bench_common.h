@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "ceci/matcher.h"
+#include "ceci/preprocess.h"
 #include "ceci/profiler.h"
 #include "ceci/stats_json.h"
 #include "gen/kronecker.h"
@@ -33,6 +35,18 @@ struct Dataset {
   std::string analog;  // how the stand-in is generated
   Graph graph;
 };
+
+/// Builds, refines and freezes the CECI of `query` from `pre`'s pivots
+/// and filter table, as CeciMatcher::Prepare does; the build consumes the
+/// table.
+inline FlatCeciIndex BuildPreprocessed(const Graph& data, const NlcIndex& nlc,
+                                       const Graph& query, Preprocessed* pre) {
+  BuildOptions options;
+  options.root_candidates = &pre->root_candidates;
+  options.filter_table = &pre->filter;
+  MatchStats stats;
+  return BuildRefineFreeze(data, nlc, query, pre->tree, options, &stats);
+}
 
 /// Builds one Table-1 analog by abbreviation. Abbreviations follow the
 /// paper: CP, FS, HU, LJ, OK, WG, WT, YH, YT, RD.

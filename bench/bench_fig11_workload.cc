@@ -12,9 +12,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "ceci/ceci_builder.h"
 #include "ceci/preprocess.h"
-#include "ceci/refinement.h"
 #include "ceci/scheduler.h"
 
 int main() {
@@ -40,11 +38,8 @@ int main() {
     for (PaperQuery pq : queries) {
       Graph query = MakePaperQuery(pq);
       auto pre = Preprocess(d.graph, nlc, query, PreprocessOptions{});
-      CeciBuilder builder(d.graph, nlc);
-      CeciIndex index = builder.Build(query, pre->tree, BuildOptions{},
-                                      nullptr);
-      RefineCeci(pre->tree, d.graph.num_vertices(), &index, nullptr);
-      const FlatCeciIndex flat = FlatCeciIndex::Build(index, pre->tree);
+      const FlatCeciIndex flat =
+          BuildPreprocessed(d.graph, nlc, query, &pre.value());
       SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
 
       double makespans[3] = {0, 0, 0};

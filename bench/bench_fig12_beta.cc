@@ -16,9 +16,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "ceci/ceci_builder.h"
 #include "ceci/preprocess.h"
-#include "ceci/refinement.h"
 #include "ceci/scheduler.h"
 
 int main() {
@@ -31,10 +29,8 @@ int main() {
   NlcIndex nlc(d.graph);
   Graph query = MakePaperQuery(PaperQuery::kQG5);
   auto pre = Preprocess(d.graph, nlc, query, PreprocessOptions{});
-  CeciBuilder builder(d.graph, nlc);
-  CeciIndex index = builder.Build(query, pre->tree, BuildOptions{}, nullptr);
-  RefineCeci(pre->tree, d.graph.num_vertices(), &index, nullptr);
-  const FlatCeciIndex flat = FlatCeciIndex::Build(index, pre->tree);
+  const FlatCeciIndex flat =
+      BuildPreprocessed(d.graph, nlc, query, &pre.value());
   SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
 
   std::printf("%6s %9s %10s %10s %10s %9s %12s\n", "beta", "units",

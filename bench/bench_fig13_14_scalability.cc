@@ -12,9 +12,7 @@
 
 #include "baselines/psgl.h"
 #include "bench/bench_common.h"
-#include "ceci/ceci_builder.h"
 #include "ceci/preprocess.h"
-#include "ceci/refinement.h"
 #include "ceci/scheduler.h"
 
 namespace {
@@ -26,10 +24,7 @@ double CeciMakespan(const Graph& data, const NlcIndex& nlc,
                     const Graph& query, std::size_t threads,
                     std::uint64_t* count) {
   auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
-  CeciBuilder builder(data, nlc);
-  CeciIndex index = builder.Build(query, pre->tree, BuildOptions{}, nullptr);
-  RefineCeci(pre->tree, data.num_vertices(), &index, nullptr);
-  const FlatCeciIndex flat = FlatCeciIndex::Build(index, pre->tree);
+  const FlatCeciIndex flat = BuildPreprocessed(data, nlc, query, &pre.value());
   SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
   ScheduleOptions options;
   options.threads = threads;

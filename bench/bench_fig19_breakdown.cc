@@ -14,7 +14,6 @@
 
 #include "baselines/bare_enumerator.h"
 #include "bench/bench_common.h"
-#include "ceci/matcher.h"
 #include "ceci/preprocess.h"
 #include "ceci/scheduler.h"
 #include "util/timer.h"
@@ -39,12 +38,8 @@ int main() {
       // Build the index once (its cost is charged to configs 2-4).
       Timer build_timer;
       auto pre = Preprocess(d.graph, nlc, query, PreprocessOptions{});
-      BuildOptions build_options;
-      build_options.root_candidates = &pre->root_candidates;
-      build_options.filter_table = &pre->filter;
-      MatchStats stats;
-      const FlatCeciIndex flat = BuildRefineFreeze(
-          d.graph, nlc, query, pre->tree, build_options, &stats);
+      const FlatCeciIndex flat =
+          BuildPreprocessed(d.graph, nlc, query, &pre.value());
       double build_s = build_timer.Seconds();
       SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
 

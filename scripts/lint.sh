@@ -212,6 +212,17 @@ if [[ -n "$hits" ]]; then
     "$hits"
 fi
 
+# --- Rule: one candidate-rank map. Refinement and the freeze look a data
+# vertex up among a query vertex's candidates through CandidateRanks
+# (src/ceci/ceci_index.h). The freeze's private RankTable and refinement's
+# stamped DenseScratch maps are gone; either name in src/ is a second
+# dense per-data-vertex map growing back.
+hits=$(echo "$sources" | grep -E '^src/' \
+  | xargs grep -nwE 'DenseScratch|RankTable' 2>/dev/null || true)
+if [[ -n "$hits" ]]; then
+  fail "private per-data-vertex rank map (use CandidateRanks)" "$hits"
+fi
+
 # --- Rule: one restriction-set choice per pipeline. The Grochow–Kellis
 # set and its mirror are derived where the plan is chosen — the staged
 # pipeline (src/ceci/matcher.cc) and the partition planner

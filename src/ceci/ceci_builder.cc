@@ -7,7 +7,6 @@
 #include "graphio/binary_csr.h"
 #include "util/check.h"
 #include "util/logging.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace ceci {
@@ -37,7 +36,6 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
   constexpr bool kStore = !std::is_same_v<Source, Graph>;
   CECI_CHECK(!kStore || options.pool == nullptr)
       << "a build over a store runs serially";
-  Timer timer;
   BuildStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = BuildStats{};
@@ -76,10 +74,7 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
   BudgetTracker* budget = options.budget;
   if (budget != nullptr) {
     budget->ChargeBytes(CeciBytes(index.at(root)));
-    if (budget->Poll()) {
-      stats->seconds = timer.Seconds();
-      return index;  // partial: root candidates only
-    }
+    if (budget->Poll()) return index;  // partial: root candidates only
   }
 
   if (options.vertex_stats != nullptr) {
@@ -297,7 +292,6 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
     processed[u] = 1;
   }
 
-  stats->seconds = timer.Seconds();
   if constexpr (kStore) {
     if (!data_.status().ok()) return data_.status();
   }

@@ -92,7 +92,6 @@ struct BuildStats {
   /// cost model (§5, Fig. 20).
   std::uint64_t frontier_expansions = 0;
   std::uint64_t neighbors_scanned = 0;
-  double seconds = 0.0;
 };
 
 /// What Build returns: a resident Graph builds infallibly; a store's reads

@@ -84,7 +84,8 @@ struct CandidateRuns {
 
   /// Drops keys failing `keep_key` and values failing `keep_value`; keys
   /// left with no values go too. Each surviving run is compacted in its
-  /// own slot. Returns the number of candidate edges removed.
+  /// own slot. `keep_key` sees the keys once each, in ascending order.
+  /// Returns the number of candidate edges removed.
   template <typename KeepKey, typename KeepValue>
   std::size_t Prune(const KeepKey& keep_key, const KeepValue& keep_value) {
     std::size_t removed = 0;
@@ -110,6 +111,38 @@ struct CandidateRuns {
     runs.resize(write);
     return removed;
   }
+};
+
+/// Data vertex → rank in one query vertex's sorted candidate array, O(1)
+/// per lookup; the one such map, shared by refinement and the freeze.
+/// Holds rank + 1 so a zero slot means "not a candidate". Load and Unload
+/// touch only the loaded candidates, so one map sized to the data graph
+/// serves every query vertex in turn.
+class CandidateRanks {
+ public:
+  static constexpr std::uint32_t kAbsent =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// A map for data vertices [0, size), all absent.
+  explicit CandidateRanks(std::size_t size) : rank_plus_one_(size, 0) {}
+
+  void Load(std::span<const VertexId> candidates) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      CECI_DCHECK_LT(candidates[i], rank_plus_one_.size());
+      rank_plus_one_[candidates[i]] = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+  void Unload(std::span<const VertexId> candidates) {
+    for (VertexId v : candidates) rank_plus_one_[v] = 0;
+  }
+
+  /// Rank of `v` among the loaded candidates; kAbsent if it is not one.
+  std::uint32_t Find(VertexId v) const {
+    return (v < rank_plus_one_.size() ? rank_plus_one_[v] : 0) - 1;
+  }
+
+ private:
+  std::vector<std::uint32_t> rank_plus_one_;
 };
 
 /// Per-query-vertex slice of the index.

@@ -34,35 +34,6 @@ bool UseBitmap(std::uint32_t words, std::size_t count) {
              count * sizeof(std::uint32_t);
 }
 
-// Data vertex → rank in one owner vertex's candidate array, O(1) per
-// lookup. Holds rank + 1 so a zero slot means "not a candidate"; Load and
-// Unload touch only the owner's own candidates, so one table serves every
-// owner of a freeze.
-class RankTable {
- public:
-  explicit RankTable(std::size_t size) : rank_plus_one_(size, 0) {}
-
-  void Load(std::span<const VertexId> candidates) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      rank_plus_one_[candidates[i]] = static_cast<std::uint32_t>(i + 1);
-    }
-  }
-  void Unload(std::span<const VertexId> candidates) {
-    for (VertexId v : candidates) rank_plus_one_[v] = 0;
-  }
-
-  std::uint32_t RankOf(VertexId v) const {
-    const std::uint32_t r = v < rank_plus_one_.size() ? rank_plus_one_[v] : 0;
-    CECI_CHECK(r != 0)
-        << "flat freeze: value v" << v
-        << " is not an alive candidate of its child vertex (refine first)";
-    return r - 1;
-  }
-
- private:
-  std::vector<std::uint32_t> rank_plus_one_;
-};
-
 template <typename T>
 T* SlabData(std::byte* base, const FlatCeciIndex::Slab& slab) {
   return reinterpret_cast<T*>(base + slab.offset);
@@ -81,7 +52,7 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
   std::size_t counts[kNumSlabs] = {};
   counts[kVertexMeta] = nq;
   counts[kOrder] = nq;
-  std::size_t rank_table_size = 0;
+  std::size_t ranks_size = 0;
   for (VertexId u = 0; u < nq; ++u) {
     const CeciVertexData& ud = index.at(u);
     const auto words =
@@ -102,8 +73,8 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     if (u != root) count_list(ud.te);
     for (const CandidateRuns& list : ud.nte) count_list(list);
     if (!ud.candidates.empty()) {
-      rank_table_size = std::max<std::size_t>(rank_table_size,
-                                              ud.candidates.back() + 1);
+      ranks_size =
+          std::max<std::size_t>(ranks_size, ud.candidates.back() + 1);
     }
   }
   counts[kCardinalities] = counts[kCandidates];
@@ -135,7 +106,14 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
   std::copy(tree.matching_order().begin(), tree.matching_order().end(),
             SlabData<VertexId>(base, flat.slabs_[kOrder]));
 
-  RankTable ranks(rank_table_size);
+  CandidateRanks ranks(ranks_size);
+  auto rank_of = [&ranks](VertexId v) {
+    const std::uint32_t r = ranks.Find(v);
+    CECI_CHECK(r != CandidateRanks::kAbsent)
+        << "flat freeze: value v" << v
+        << " is not an alive candidate of its child vertex (refine first)";
+    return r;
+  };
   std::uint32_t cand_at = 0, list_at = 0, key_at = 0, array_at = 0,
                 bitmap_at = 0;
   for (VertexId u = 0; u < nq; ++u) {
@@ -170,13 +148,13 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
           e.count_and_tag |= FlatEntry::kBitmapTag;
           std::uint64_t* bits = bitmap_pool + bitmap_at;
           for (VertexId v : values) {
-            const std::uint32_t r = ranks.RankOf(v);
+            const std::uint32_t r = rank_of(v);
             bits[r >> 6] |= std::uint64_t{1} << (r & 63);
           }
           bitmap_at += m.bitmap_words;
         } else {
           e.offset = array_at;
-          for (VertexId v : values) array_pool[array_at++] = ranks.RankOf(v);
+          for (VertexId v : values) array_pool[array_at++] = rank_of(v);
         }
       }
       key_at += lm.key_count;

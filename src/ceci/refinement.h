@@ -10,7 +10,10 @@
 // with leaves at 1, and cardinality forced to 0 when v is missing from the
 // value union of any incoming NTE list. Zero-cardinality candidates are
 // guaranteed to match no embedding and are pruned; the final compaction
-// removes dead keys/values from every list. The root's cardinalities are
+// removes dead keys/values from every list. "Alive" is one lookup in a
+// CandidateRanks map (4 bytes per data vertex, the only O(|V|) scratch):
+// a list value that is no longer a candidate of its owner is absent, adds
+// cardinality 0 and is compacted away. The root's cardinalities are
 // the per-embedding-cluster workload bounds used by extreme-cluster
 // decomposition (§4.3).
 #ifndef CECI_CECI_REFINEMENT_H_
@@ -31,14 +34,14 @@ struct RefineStats {
   std::uint64_t pruned_edges = 0;
   /// Sum of pivot cardinalities (upper bound on total embeddings).
   Cardinality total_cardinality = 0;
-  double seconds = 0.0;
 };
 
 /// Refines `index` in place (reverse matching order) and fills per-candidate
-/// cardinalities. `data_num_vertices` sizes the internal scratch maps.
-/// `stats` may be null. When `pruned_per_vertex` is non-null it is resized
-/// to the query vertex count and receives, per query vertex u, the number
-/// of u's candidates whose cardinality fell to zero (profiler support;
+/// cardinalities. `data_num_vertices` sizes the candidate-rank map; the
+/// rest of the scratch is O(|C(u)|) per query vertex. `stats` may be
+/// null. When `pruned_per_vertex` is non-null it is resized to the query
+/// vertex count and receives, per query vertex u, the number of u's
+/// candidates whose cardinality fell to zero (profiler support;
 /// the totals already counted in `stats` are unaffected). `budget`, when
 /// non-null, is polled once per reverse-BFS vertex and per tree child
 /// scanned; on exhaustion refinement stops early, skipping the compaction

@@ -179,6 +179,99 @@ TEST(RefinementTest, CompactionDropsDeadEntries) {
   }
 }
 
+// Appends the run `key` -> `values` to `list`.
+void AddRun(CandidateRuns* list, VertexId key,
+            const std::vector<VertexId>& values) {
+  const std::size_t begin = list->pool.size();
+  list->pool.insert(list->pool.end(), values.begin(), values.end());
+  list->CloseRun(key, begin);
+}
+
+using RunList = std::vector<std::pair<VertexId, std::vector<VertexId>>>;
+
+// The (key, values) pairs of `list`, in key order.
+RunList Runs(const CandidateRuns& list) {
+  RunList runs;
+  for (std::size_t i = 0; i < list.num_keys(); ++i) {
+    const auto values = list.values_at(i);
+    runs.emplace_back(list.keys[i],
+                      std::vector<VertexId>(values.begin(), values.end()));
+  }
+  return runs;
+}
+
+TEST(RefinementTest, CascadeLeftoversAddNothingAndAreCompacted) {
+  // Triangle query, root u0: tree edges u0-u1 and u0-u2, NTE u1 -> u2.
+  // The index is written by hand the way the build's cascade leaves it:
+  // v5 and v6 were candidates of u1 and u2 and are no longer, yet still
+  // sit among the TE and NTE values (and v5 as an NTE key). v7 is the
+  // last data vertex, the upper bound of the candidate-rank map.
+  Graph query = MakeGraph({0, 1, 2}, {{0, 1}, {0, 2}, {1, 2}});
+  auto tree = QueryTree::Build(query, 0);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ(tree->children(0).size(), 2u);
+  ASSERT_EQ(tree->nte_in(2).size(), 1u);
+  ASSERT_EQ(tree->non_tree_edges()[tree->nte_in(2)[0]].parent, 1u);
+  constexpr std::size_t kDataVertices = 8;
+
+  CeciIndex index(3);
+  index.at(0).candidates = {0, 3};
+  index.at(1).candidates = {1, 4};
+  index.at(2).candidates = {2, 7};
+  AddRun(&index.at(1).te, 0, {1, 5});
+  AddRun(&index.at(1).te, 3, {4, 5});
+  AddRun(&index.at(2).te, 0, {2, 6, 7});
+  AddRun(&index.at(2).te, 3, {6});
+  index.at(2).nte.resize(1);
+  AddRun(&index.at(2).nte[0], 1, {2, 6, 7});
+  AddRun(&index.at(2).nte[0], 4, {6, 7});
+  AddRun(&index.at(2).nte[0], 5, {2});
+
+  RefineStats stats;
+  RefineCeci(*tree, kDataVertices, &index, &stats);
+
+  // The leaves score 1. Pivot v0 reaches u1 through {v1, v5} and u2
+  // through {v2, v6, v7}: 1 × 2, the leftovers adding 0. Pivot v3 reaches
+  // u2 only through v6, so it scores 0 and is pruned.
+  EXPECT_EQ(index.at(1).cardinalities, (std::vector<Cardinality>{1, 1}));
+  EXPECT_EQ(index.at(2).candidates, (std::vector<VertexId>{2, 7}));
+  EXPECT_EQ(index.at(2).cardinalities, (std::vector<Cardinality>{1, 1}));
+  EXPECT_EQ(index.at(0).candidates, (std::vector<VertexId>{0}));
+  EXPECT_EQ(index.at(0).cardinalities, (std::vector<Cardinality>{2}));
+  EXPECT_EQ(stats.total_cardinality, 2u);
+  EXPECT_EQ(stats.pruned_candidates, 1u);
+
+  // Compaction drops every leftover value, the dead pivot's keys and the
+  // leftover NTE key v5: 3 edges from u1's TE, 2 from u2's, 3 from the NTE.
+  EXPECT_EQ(Runs(index.at(1).te), (RunList{{0, {1}}}));
+  EXPECT_EQ(Runs(index.at(2).te), (RunList{{0, {2, 7}}}));
+  EXPECT_EQ(Runs(index.at(2).nte[0]), (RunList{{1, {2, 7}}, {4, {7}}}));
+  EXPECT_EQ(stats.pruned_edges, 8u);
+
+  // The compacted index freezes: every value is an alive candidate.
+  const FlatCeciIndex flat = FlatCeciIndex::Build(index, *tree);
+  EXPECT_EQ(flat.CardinalityOf(0, 0), 2u);
+  EXPECT_EQ(flat.TotalCandidateEdges(), 6u);
+}
+
+TEST(RefinementTest, LastDataVertexIsACandidate) {
+  // u1's only candidate is v5, the data graph's top id and so the last
+  // slot of the map sized by data_num_vertices. Each root puts it in
+  // another role: pivot, TE value and key, NTE value or key.
+  Graph data = MakeGraph({1, 1, 1, 0, 2, 1}, {{3, 4}, {3, 5}, {4, 5}});
+  Graph query = MakeGraph({0, 1, 2}, {{0, 1}, {0, 2}, {1, 2}});
+  for (VertexId root : {0u, 1u, 2u}) {
+    Built b(data, query, root);
+    RefineStats stats;
+    RefineCeci(b.tree, data.num_vertices(), &b.index, &stats);
+    EXPECT_EQ(b.index.at(1).candidates, (std::vector<VertexId>{5}));
+    EXPECT_EQ(stats.total_cardinality, 1u) << "root u" << root;
+    EXPECT_EQ(stats.pruned_edges, 0u);
+    const FlatCeciIndex flat = FlatCeciIndex::Build(b.index, b.tree);
+    EXPECT_EQ(flat.TotalCandidateEdges(), 3u);
+  }
+}
+
 TEST(RefinementTest, SaturationOnDenseGraph) {
   // A clique makes cardinalities explode; saturating arithmetic must cap
   // rather than wrap.
