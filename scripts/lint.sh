@@ -223,6 +223,18 @@ if [[ -n "$hits" ]]; then
   fail "private per-data-vertex rank map (use CandidateRanks)" "$hits"
 fi
 
+# --- Rule: one arena layout check. The slab element widths and every
+# fact that makes an arena valid live in src/ceci/flat_index.cc
+# (FlatCeciIndex::CheckLayout), which the CEIX loader and the auditor both
+# run. The auditor's own width table (kSlabElemBytes) is gone; that name
+# anywhere else in src/ or tests/ is a second layout check growing back.
+hits=$(echo "$sources" | grep -v '^src/ceci/flat_index\.cc$' \
+  | xargs grep -nw 'kSlabElemBytes' 2>/dev/null || true)
+if [[ -n "$hits" ]]; then
+  fail "second slab element-width table (run FlatCeciIndex::CheckLayout)" \
+    "$hits"
+fi
+
 # --- Rule: one restriction-set choice per pipeline. The Grochow–Kellis
 # set and its mirror are derived where the plan is chosen — the staged
 # pipeline (src/ceci/matcher.cc) and the partition planner

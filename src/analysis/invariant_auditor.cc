@@ -237,19 +237,6 @@ AuditReport AuditGraph(const Graph& g) {
 
 namespace {
 
-// Element width of each slab, in SlabKind order (mirrors flat_index.cc).
-constexpr std::size_t kSlabElemBytes[FlatCeciIndex::kNumSlabs] = {
-    sizeof(FlatVertexMeta), sizeof(VertexId),     sizeof(VertexId),
-    sizeof(Cardinality),    sizeof(FlatListMeta), sizeof(VertexId),
-    sizeof(FlatEntry),      sizeof(std::uint32_t), sizeof(std::uint64_t)};
-
-const char* SlabName(std::size_t kind) {
-  static const char* kNames[FlatCeciIndex::kNumSlabs] = {
-      "vertex_meta", "order",   "candidates", "cardinalities", "list_meta",
-      "keys",        "entries", "array_pool", "bitmap_pool"};
-  return kind < FlatCeciIndex::kNumSlabs ? kNames[kind] : "?";
-}
-
 // The ranks one value set stores, in stored order; a bitmap's are
 // extracted into `scratch`.
 std::span<const std::uint32_t> EntryRanks(const FlatCeciIndex::EntryRef& ref,
@@ -295,196 +282,35 @@ void AuditFlatIndex(const QueryTree& tree, const FlatCeciIndex& flat,
     return;  // every per-vertex loop below would misalign
   }
 
-  // --- Slab table (kFlatSlabOrder) ---
-  std::uint64_t prev_end = 0;
-  for (std::size_t k = 0; k < FlatCeciIndex::kNumSlabs; ++k) {
-    const FlatCeciIndex::Slab& s =
-        flat.slab(static_cast<FlatCeciIndex::SlabKind>(k));
-    ++report->checks_run;
-    if (s.offset % 8 != 0 || s.bytes % kSlabElemBytes[k] != 0) {
-      std::ostringstream d;
-      d << "slab " << SlabName(k) << " misaligned (offset " << s.offset
-        << ", " << s.bytes << " bytes, element width "
-        << kSlabElemBytes[k] << ")";
-      report->Add(InvariantClass::kFlatSlabOrder, d.str());
-    }
-    ++report->checks_run;
-    if (s.offset < prev_end || s.offset + s.bytes > flat.ArenaBytes()) {
-      std::ostringstream d;
-      d << "slab " << SlabName(k) << " [" << s.offset << ", "
-        << s.offset + s.bytes << ") is out of canonical order or escapes "
-        << "the " << flat.ArenaBytes() << "-byte arena";
-      report->Add(InvariantClass::kFlatSlabOrder, d.str());
-    }
-    prev_end = std::max(prev_end, s.offset + s.bytes);
-  }
+  // The loader's layout check, run to the end: one check per slab, vertex
+  // record, list record and entry.
+  report->checks_run += FlatCeciIndex::kNumSlabs + nq +
+                        flat.list_metas().size() + flat.all_entries().size();
+  using F = FlatCeciIndex::LayoutFault;
+  flat.CheckLayout([report](F fault, std::string detail) {
+    InvariantClass cls = InvariantClass::kFlatRepresentation;
+    if (fault == F::kSlabOrder) cls = InvariantClass::kFlatSlabOrder;
+    if (fault == F::kOffsetBounds) cls = InvariantClass::kFlatOffsetBounds;
+    report->Add(cls, std::move(detail));
+    return true;
+  });
 
-  const auto vms = flat.vertex_metas();
-  const auto lms = flat.list_metas();
-  const std::uint64_t cand_total =
-      flat.slab(FlatCeciIndex::kCandidates).bytes / sizeof(VertexId);
-
-  // --- Matching order ---
+  // What only the tree knows: the order the arena was built for and the
+  // incoming non-tree edges of each vertex.
   ++report->checks_run;
   const auto& order = tree.matching_order();
-  if (flat.matching_order().size() != order.size() ||
-      !std::equal(order.begin(), order.end(),
-                  flat.matching_order().begin())) {
+  if (!std::equal(order.begin(), order.end(), flat.matching_order().begin(),
+                  flat.matching_order().end())) {
     report->Add(InvariantClass::kFlatRepresentation,
                 "flat matching order disagrees with the query tree");
   }
-
-  // --- Per-vertex metas (bounds first, then representation) ---
   for (VertexId u = 0; u < nq; ++u) {
-    const FlatVertexMeta& m = vms[u];
     ++report->checks_run;
-    if (std::uint64_t{m.cand_begin} + m.cand_count > cand_total) {
+    if (flat.nte_count(u) != tree.nte_in(u).size()) {
       std::ostringstream d;
-      d << "u" << u << ": candidate range [" << m.cand_begin << ", "
-        << m.cand_begin + std::uint64_t{m.cand_count}
-        << ") escapes the candidates slab (" << cand_total << " entries)";
-      report->Add(InvariantClass::kFlatOffsetBounds, d.str());
-      continue;  // candidates(u) would be out of bounds
-    }
-    ++report->checks_run;
-    if (m.te_list != kNoFlatList && m.te_list >= lms.size()) {
-      std::ostringstream d;
-      d << "u" << u << ": TE list index " << m.te_list << " escapes the "
-        << lms.size() << "-entry list_meta slab";
-      report->Add(InvariantClass::kFlatOffsetBounds, d.str());
-    }
-    ++report->checks_run;
-    if (std::uint64_t{m.nte_begin} + m.nte_count > lms.size() &&
-        m.nte_count > 0) {
-      std::ostringstream d;
-      d << "u" << u << ": NTE list range [" << m.nte_begin << ", "
-        << m.nte_begin + std::uint64_t{m.nte_count}
-        << ") escapes the " << lms.size() << "-entry list_meta slab";
-      report->Add(InvariantClass::kFlatOffsetBounds, d.str());
-    }
-    ++report->checks_run;
-    if (m.bitmap_words != BitmapWords(m.cand_count)) {
-      std::ostringstream d;
-      d << "u" << u << ": bitmap_words = " << m.bitmap_words << " for "
-        << m.cand_count << " candidates (expected "
-        << BitmapWords(m.cand_count) << ")";
-      report->Add(InvariantClass::kFlatRepresentation, d.str());
-    }
-    ++report->checks_run;
-    if ((u == tree.root()) != (m.te_list == kNoFlatList)) {
-      std::ostringstream d;
-      d << "u" << u
-        << (u == tree.root() ? " is the root but stores a TE list"
-                             : " is not the root but has no TE list");
-      report->Add(InvariantClass::kFlatRepresentation, d.str());
-    }
-    ++report->checks_run;
-    if (m.nte_count != tree.nte_in(u).size()) {
-      std::ostringstream d;
-      d << "u" << u << ": " << m.nte_count << " NTE lists for "
+      d << "u" << u << ": " << flat.nte_count(u) << " NTE lists for "
         << tree.nte_in(u).size() << " incoming non-tree edges";
       report->Add(InvariantClass::kFlatRepresentation, d.str());
-    }
-    ++report->checks_run;
-    if (!StrictlySorted(flat.candidates(u))) {
-      report->Add(InvariantClass::kFlatRepresentation,
-                  Where("flat candidates of", u) +
-                      " are not strictly ascending");
-    }
-  }
-
-  // --- Per-list metas and entries ---
-  for (std::size_t li = 0; li < lms.size(); ++li) {
-    const FlatListMeta& lm = lms[li];
-    std::ostringstream tag;
-    tag << "flat list #" << li << " (owner u" << lm.owner << ")";
-    const std::string prefix = tag.str();
-
-    ++report->checks_run;
-    if (lm.owner >= nq) {
-      report->Add(InvariantClass::kFlatOffsetBounds,
-                  prefix + ": owner is not a query vertex");
-      continue;
-    }
-    ++report->checks_run;
-    if (std::uint64_t{lm.key_begin} + lm.key_count > flat.all_keys().size() ||
-        std::uint64_t{lm.entry_begin} + lm.key_count >
-            flat.all_entries().size()) {
-      report->Add(InvariantClass::kFlatOffsetBounds,
-                  prefix + ": key/entry range escapes its slab");
-      continue;
-    }
-    const auto keys = flat.all_keys().subspan(lm.key_begin, lm.key_count);
-    ++report->checks_run;
-    if (!StrictlySorted(keys)) {
-      report->Add(InvariantClass::kFlatRepresentation,
-                  prefix + ": keys not strictly ascending");
-    }
-    const FlatVertexMeta& om = vms[lm.owner];
-    for (std::uint32_t i = 0; i < lm.key_count; ++i) {
-      const FlatEntry& e = flat.all_entries()[lm.entry_begin + i];
-      std::ostringstream etag;
-      etag << prefix << ", key v" << keys[i];
-      ++report->checks_run;
-      if (e.count() == 0) {
-        report->Add(InvariantClass::kFlatRepresentation,
-                    etag.str() + ": empty value set stored");
-        continue;
-      }
-      if (e.is_bitmap()) {
-        ++report->checks_run;
-        if (std::uint64_t{e.offset} + om.bitmap_words >
-            flat.bitmap_pool().size()) {
-          report->Add(InvariantClass::kFlatOffsetBounds,
-                      etag.str() + ": bitmap escapes the bitmap pool");
-          continue;
-        }
-        const auto bits =
-            flat.bitmap_pool().subspan(e.offset, om.bitmap_words);
-        ++report->checks_run;
-        if (BitmapPopcount(bits) != e.count()) {
-          std::ostringstream d;
-          d << etag.str() << ": bitmap popcount " << BitmapPopcount(bits)
-            << " != stored count " << e.count();
-          report->Add(InvariantClass::kFlatRepresentation, d.str());
-        }
-        ++report->checks_run;
-        bool past_end = false;
-        for (std::uint32_t b = om.cand_count; b < om.bitmap_words * 64;
-             ++b) {
-          if (BitmapTest(bits, b)) past_end = true;
-        }
-        if (past_end) {
-          report->Add(
-              InvariantClass::kFlatRepresentation,
-              etag.str() + ": bitmap sets a rank past the owner's "
-                           "candidate count");
-        }
-      } else {
-        ++report->checks_run;
-        if (std::uint64_t{e.offset} + e.count() >
-            flat.array_pool().size()) {
-          report->Add(InvariantClass::kFlatOffsetBounds,
-                      etag.str() + ": rank array escapes the array pool");
-          continue;
-        }
-        const auto ranks = flat.array_pool().subspan(e.offset, e.count());
-        ++report->checks_run;
-        bool sorted = true;
-        bool in_range = true;
-        for (std::size_t r = 0; r < ranks.size(); ++r) {
-          if (r > 0 && ranks[r - 1] >= ranks[r]) sorted = false;
-          if (ranks[r] >= om.cand_count) in_range = false;
-        }
-        if (!sorted || !in_range) {
-          std::ostringstream d;
-          d << etag.str() << ": ranks "
-            << (!sorted ? "not strictly ascending" : "")
-            << (!sorted && !in_range ? " and " : "")
-            << (!in_range ? "at or past the owner's candidate count" : "");
-          report->Add(InvariantClass::kFlatRepresentation, d.str());
-        }
-      }
     }
   }
 }

@@ -163,14 +163,13 @@ void AuditWorkUnits(const Graph& data, const QueryTree& tree,
                     std::span<const WorkUnit> units, AuditReport* report);
 
 /// Audits the arena layout of a frozen flat index against the query tree
-/// it claims to serve: slab-table sanity (canonical order, alignment,
-/// arena bounds — kFlatSlabOrder), every vertex/list/entry offset range
-/// inside its slab (kFlatOffsetBounds), and hybrid-representation
-/// consistency — bitmap popcounts equal to entry counts, no rank at or
-/// past the owner's candidate count, strictly ascending ranks and keys,
-/// bitmap_words = ceil(cand_count/64), root without a TE list
-/// (kFlatRepresentation). Checks are ordered so that a corrupt offset is
-/// reported instead of dereferenced. Appends to `report`.
+/// it claims to serve. Runs the CEIX loader's layout check
+/// (FlatCeciIndex::CheckLayout) to the end, reporting its slab-order,
+/// offset-bounds and representation faults as kFlatSlabOrder,
+/// kFlatOffsetBounds and kFlatRepresentation; then checks what only the
+/// tree knows, as kFlatRepresentation: the stored matching order is the
+/// tree's, and each vertex has one NTE list per incoming non-tree edge.
+/// A corrupt offset is reported, never followed. Appends to `report`.
 void AuditFlatIndex(const QueryTree& tree, const FlatCeciIndex& flat,
                     AuditReport* report);
 

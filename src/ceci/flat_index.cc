@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <sstream>
 #include <string>
 
 #include "util/bitmap.h"
@@ -22,6 +24,26 @@ constexpr std::size_t kElemBytes[FlatCeciIndex::kNumSlabs] = {
     sizeof(std::uint32_t),   // kArrayPool
     sizeof(std::uint64_t),   // kBitmapPool
 };
+
+const char* const kSlabNames[FlatCeciIndex::kNumSlabs] = {
+    "vertex_meta", "order",   "candidates", "cardinalities", "list_meta",
+    "keys",        "entries", "array_pool", "bitmap_pool"};
+
+template <typename T>
+bool StrictlyAscending(std::span<const T> s) {
+  return std::adjacent_find(s.begin(), s.end(), std::greater_equal<T>()) ==
+         s.end();
+}
+
+// Reports one layout fault, its detail formatted from `parts`; returns
+// true when the sink stops the check.
+template <typename... Parts>
+bool Stop(const FlatCeciIndex::LayoutFaultSink& sink,
+          FlatCeciIndex::LayoutFault fault, const Parts&... parts) {
+  std::ostringstream detail;
+  (detail << ... << parts);
+  return !sink(fault, detail.str());
+}
 
 std::uint64_t AlignUp8(std::uint64_t n) { return (n + 7) & ~std::uint64_t{7}; }
 
@@ -223,176 +245,236 @@ Result<FlatCeciIndex> FlatCeciIndex::FromArena(
     }
     flat.arena_ = reinterpret_cast<const std::byte*>(flat.owned_.data());
   }
+  std::copy(slabs.begin(), slabs.end(), flat.slabs_);
 
-  // Slab-table sanity precedes span binding: slabs in canonical order,
-  // 8-aligned, whole elements, monotone, inside the arena (the auditor's
-  // kFlatSlabOrder class re-checks the same facts on demand).
-  std::uint64_t cursor = 0;
-  for (std::size_t s = 0; s < kNumSlabs; ++s) {
-    const Slab& slab = slabs[s];
-    if (slab.offset % 8 != 0 || slab.offset < cursor ||
-        slab.bytes % kElemBytes[s] != 0 ||
-        slab.offset + slab.bytes > arena_bytes) {
-      return Status::Corruption("slab " + std::to_string(s) +
-                                " out of order or out of bounds");
-    }
-    cursor = slab.offset + slab.bytes;
-    flat.slabs_[s] = slab;
+  std::string fault;
+  const LayoutFaultSink first_fault = [&fault](LayoutFault,
+                                               std::string detail) {
+    fault = std::move(detail);
+    return false;
+  };
+  if (!CheckSlabTable(flat.slabs_, arena_bytes, first_fault)) {
+    return Status::Corruption(fault);
   }
   flat.BindSpans();
   if (flat.vertices_.size() != num_query_vertices) {
     return Status::Corruption("vertex-meta slab disagrees with header");
   }
-  Status valid = flat.ValidateStructure();
-  if (!valid.ok()) return valid;
+  if (!flat.CheckArena(first_fault)) return Status::Corruption(fault);
   return flat;
 }
 
-Status FlatCeciIndex::ValidateStructure() const {
-  const std::size_t nq = vertices_.size();
-  // Matching order: one entry per query vertex, a permutation.
-  if (order_.size() != nq) {
-    return Status::Corruption("matching-order slab has wrong size");
-  }
-  std::vector<bool> seen(nq, false);
-  for (VertexId u : order_) {
-    if (u >= nq || seen[u]) {
-      return Status::Corruption("matching order is not a permutation");
+bool FlatCeciIndex::CheckLayout(const LayoutFaultSink& sink) const {
+  return CheckSlabTable(slabs_, arena_bytes_, sink) && CheckArena(sink);
+}
+
+bool FlatCeciIndex::CheckSlabTable(std::span<const Slab> slabs,
+                                   std::uint64_t arena_bytes,
+                                   const LayoutFaultSink& sink) {
+  constexpr LayoutFault kOrder = LayoutFault::kSlabOrder;
+  std::uint64_t prev_end = 0;
+  for (std::size_t s = 0; s < kNumSlabs; ++s) {
+    const Slab& slab = slabs[s];
+    if ((slab.offset % 8 != 0 || slab.bytes % kElemBytes[s] != 0) &&
+        Stop(sink, kOrder, "slab ", kSlabNames[s], " misaligned (offset ",
+             slab.offset, ", ", slab.bytes, " bytes)")) {
+      return false;
     }
-    seen[u] = true;
+    const bool inside =
+        slab.offset <= arena_bytes && slab.bytes <= arena_bytes - slab.offset;
+    if ((slab.offset < prev_end || !inside) &&
+        Stop(sink, kOrder, "slab ", kSlabNames[s], " at offset ", slab.offset,
+             " out of order or past the ", arena_bytes, "-byte arena")) {
+      return false;
+    }
+    if (inside) prev_end = std::max(prev_end, slab.offset + slab.bytes);
   }
-  if (cardinalities_.size() != candidates_.size()) {
-    return Status::Corruption("cardinality slab not parallel to candidates");
+  return true;
+}
+
+// Every fact reads `if (bad && Stop(...)) return false;`: the detail is
+// formatted only for a fault, and the sink decides whether the check goes
+// on. A range is followed only once its bound holds, so going on past any
+// fault is safe.
+bool FlatCeciIndex::CheckArena(const LayoutFaultSink& sink) const {
+  constexpr LayoutFault kBounds = LayoutFault::kOffsetBounds;
+  constexpr LayoutFault kRep = LayoutFault::kRepresentation;
+  const std::size_t nq = vertices_.size();
+
+  // The matching order is a permutation; its first vertex is the root.
+  bool permutation = order_.size() == nq;
+  std::vector<bool> seen(nq, false);
+  for (std::size_t i = 0; permutation && i < nq; ++i) {
+    permutation = order_[i] < nq && !seen[order_[i]];
+    if (permutation) seen[order_[i]] = true;
+  }
+  if (!permutation &&
+      Stop(sink, kRep, "matching order is not a permutation")) {
+    return false;
+  }
+  const VertexId root = order_.empty() ? 0 : order_[0];
+  if (cardinalities_.size() != candidates_.size() &&
+      Stop(sink, kRep, "cardinality slab not parallel to candidates")) {
+    return false;
   }
 
-  // Vertex records: contiguous candidate ranges covering the slab, sorted
-  // candidate sets, consistent bitmap width, contiguous list ranges.
-  std::uint64_t cand_cursor = 0;
-  std::uint64_t list_cursor = 0;
-  const VertexId root = order_.empty() ? 0 : order_[0];
+  // Vertex records, in vertex order: candidate ranges back to back, and
+  // each vertex's TE list, then its NTE lists, back to back.
+  std::uint64_t cand_at = 0;
+  std::uint64_t list_at = 0;
   for (VertexId u = 0; u < nq; ++u) {
     const FlatVertexMeta& m = vertices_[u];
-    if (m.cand_begin != cand_cursor ||
-        std::uint64_t{m.cand_begin} + m.cand_count > candidates_.size()) {
-      return Status::Corruption("candidate range of u" + std::to_string(u) +
-                                " not contiguous or out of bounds");
+    const std::uint64_t cand_end = std::uint64_t{m.cand_begin} + m.cand_count;
+    const bool cand_inside = cand_end <= candidates_.size();
+    if (!cand_inside &&
+        Stop(sink, kBounds, "u", u, ": candidate range [", m.cand_begin, ", ",
+             cand_end, ") escapes its slab")) {
+      return false;
     }
-    cand_cursor += m.cand_count;
-    if (m.bitmap_words != BitmapWords(m.cand_count)) {
-      return Status::Corruption("bitmap width of u" + std::to_string(u) +
-                                " inconsistent with candidate count");
+    if (m.cand_begin != cand_at &&
+        Stop(sink, kRep, "u", u, ": candidate range starts at ",
+             m.cand_begin, ", not ", cand_at)) {
+      return false;
     }
-    const auto cand = candidates(u);
-    for (std::size_t i = 1; i < cand.size(); ++i) {
-      if (cand[i - 1] >= cand[i]) {
-        return Status::Corruption("candidates of u" + std::to_string(u) +
-                                  " not strictly ascending");
-      }
+    cand_at = cand_end;
+    if (m.bitmap_words != BitmapWords(m.cand_count) &&
+        Stop(sink, kRep, "u", u, ": bitmap_words ", m.bitmap_words, " for ",
+             m.cand_count, " candidates")) {
+      return false;
     }
-    if (u == root) {
-      if (m.te_list != kNoFlatList) {
-        return Status::Corruption("root carries a TE list");
-      }
-    } else {
-      if (m.te_list != list_cursor) {
-        return Status::Corruption("TE list of u" + std::to_string(u) +
-                                  " not contiguous");
-      }
-      ++list_cursor;
+    if (cand_inside && !StrictlyAscending(candidates(u)) &&
+        Stop(sink, kRep, "u", u, ": candidates not strictly ascending")) {
+      return false;
     }
-    if (m.nte_begin != list_cursor ||
-        std::uint64_t{m.nte_begin} + m.nte_count > lists_.size()) {
-      return Status::Corruption("NTE list range of u" + std::to_string(u) +
-                                " not contiguous or out of bounds");
+    const bool has_te = m.te_list != kNoFlatList;
+    if ((u == root) == has_te &&
+        Stop(sink, kRep, "u", u,
+             has_te ? ": the root stores a TE list"
+                    : ": not the root but has no TE list")) {
+      return false;
     }
-    list_cursor += m.nte_count;
-    // Every list this vertex references must name it as owner.
-    const std::uint32_t first =
-        m.te_list == kNoFlatList ? m.nte_begin : m.te_list;
-    for (std::uint32_t l = first; l < m.nte_begin + m.nte_count; ++l) {
-      if (lists_[l].owner != u) {
-        return Status::Corruption("list " + std::to_string(l) +
-                                  " owner mismatch");
-      }
+    const bool te_inside = has_te && m.te_list < lists_.size();
+    if (has_te && !te_inside &&
+        Stop(sink, kBounds, "u", u, ": TE list ", m.te_list,
+             " escapes its slab")) {
+      return false;
     }
-  }
-  if (cand_cursor != candidates_.size()) {
-    return Status::Corruption("candidate slab has unattributed elements");
-  }
-  if (list_cursor != lists_.size()) {
-    return Status::Corruption("list-meta slab has unattributed lists");
-  }
-
-  // Lists: contiguous key/entry ranges, strictly ascending keys.
-  std::uint64_t key_cursor = 0;
-  for (std::size_t l = 0; l < lists_.size(); ++l) {
-    const FlatListMeta& lm = lists_[l];
-    if (lm.key_begin != key_cursor || lm.entry_begin != key_cursor ||
-        std::uint64_t{lm.key_begin} + lm.key_count > keys_.size()) {
-      return Status::Corruption("key range of list " + std::to_string(l) +
-                                " not contiguous or out of bounds");
+    if (has_te && m.te_list != list_at &&
+        Stop(sink, kRep, "u", u, ": TE list ", m.te_list, ", not ", list_at)) {
+      return false;
     }
-    key_cursor += lm.key_count;
-    for (std::uint32_t i = 1; i < lm.key_count; ++i) {
-      if (keys_[lm.key_begin + i - 1] >= keys_[lm.key_begin + i]) {
-        return Status::Corruption("keys of list " + std::to_string(l) +
-                                  " not strictly ascending");
-      }
+    if (has_te) list_at = std::uint64_t{m.te_list} + 1;
+    const std::uint64_t nte_end = std::uint64_t{m.nte_begin} + m.nte_count;
+    const bool nte_inside = nte_end <= lists_.size();
+    if (!nte_inside && m.nte_count > 0 &&
+        Stop(sink, kBounds, "u", u, ": NTE lists [", m.nte_begin, ", ",
+             nte_end, ") escape their slab")) {
+      return false;
+    }
+    if (m.nte_begin != list_at &&
+        Stop(sink, kRep, "u", u, ": NTE lists start at ", m.nte_begin,
+             ", not ", list_at)) {
+      return false;
+    }
+    list_at = nte_end;
+    // Every list the vertex references names it as owner.
+    auto owned = [&](std::uint64_t l) {
+      return lists_[l].owner == u ||
+             !Stop(sink, kRep, "list ", l, " of u", u, " names u",
+                   lists_[l].owner, " as owner");
+    };
+    if (te_inside && !owned(m.te_list)) return false;
+    for (std::uint64_t l = m.nte_begin; nte_inside && l < nte_end; ++l) {
+      if (!owned(l)) return false;
     }
   }
-  if (key_cursor != keys_.size() || entries_.size() != keys_.size()) {
-    return Status::Corruption("key/entry slabs not parallel");
+  if ((cand_at != candidates_.size() || list_at != lists_.size()) &&
+      Stop(sink, kRep, "candidate and list ranges end at ", cand_at, " and ",
+           list_at, ", not at their slabs' ends")) {
+    return false;
   }
 
-  // Entries: offsets inside their pool, ranks strictly ascending and below
-  // the owner's candidate count, bitmap popcount equal to the stored count.
+  // Lists, in list order: key (and entry) ranges back to back.
+  std::uint64_t key_at = 0;
   for (std::size_t l = 0; l < lists_.size(); ++l) {
     const FlatListMeta& lm = lists_[l];
+    const bool owner_valid = lm.owner < nq;
+    if (!owner_valid &&
+        Stop(sink, kBounds, "list ", l, ": owner u", lm.owner,
+             " is not a query vertex")) {
+      return false;
+    }
+    const std::uint64_t key_end = std::uint64_t{lm.key_begin} + lm.key_count;
+    const bool keys_inside =
+        key_end <= keys_.size() &&
+        std::uint64_t{lm.entry_begin} + lm.key_count <= entries_.size();
+    if (!keys_inside &&
+        Stop(sink, kBounds, "list ", l, ": key/entry range escapes its slab")) {
+      return false;
+    }
+    if ((lm.key_begin != key_at || lm.entry_begin != key_at) &&
+        Stop(sink, kRep, "list ", l, ": keys at ", lm.key_begin,
+             " and entries at ", lm.entry_begin, ", not ", key_at)) {
+      return false;
+    }
+    key_at = key_end;
+    if (!owner_valid || !keys_inside) continue;
+    const auto keys = keys_.subspan(lm.key_begin, lm.key_count);
+    if (!StrictlyAscending(keys) &&
+        Stop(sink, kRep, "list ", l, ": keys not strictly ascending")) {
+      return false;
+    }
+
+    // Entries: the pool range first, then what it holds.
     const FlatVertexMeta& owner = vertices_[lm.owner];
     for (std::uint32_t i = 0; i < lm.key_count; ++i) {
       const FlatEntry& e = entries_[lm.entry_begin + i];
-      // Formatted only on failure: this loop visits every entry on each
-      // image open, so a per-entry string would dominate the validation.
-      auto where = [&] {
-        return "entry " + std::to_string(i) + " of list " + std::to_string(l);
-      };
-      if (e.count() > owner.cand_count) {
-        return Status::Corruption(where() + " stores more values than the "
-                                          "owner has candidates");
+      const std::uint32_t count = e.count();
+      const bool inside =
+          e.is_bitmap()
+              ? std::uint64_t{e.offset} + owner.bitmap_words <=
+                    bitmap_pool_.size()
+              : std::uint64_t{e.offset} + count <= array_pool_.size();
+      if (!inside) {
+        if (Stop(sink, kBounds, "list ", l, ", key v", keys[i],
+                 ": value set escapes its pool")) {
+          return false;
+        }
+        continue;
       }
-      if (e.is_bitmap()) {
-        if (std::uint64_t{e.offset} + owner.bitmap_words >
-            bitmap_pool_.size()) {
-          return Status::Corruption(where() + " bitmap out of pool bounds");
-        }
-        const std::span<const std::uint64_t> bits =
-            bitmap_pool_.subspan(e.offset, owner.bitmap_words);
-        if (BitmapPopcount(bits) != e.count()) {
-          return Status::Corruption(where() + " bitmap popcount != count");
-        }
-        if (owner.bitmap_words > 0 && (owner.cand_count & 63) != 0 &&
-            (bits[owner.bitmap_words - 1] >>
-             (owner.cand_count & 63)) != 0) {
-          return Status::Corruption(where() + " bitmap sets ranks past the "
-                                            "owner's candidate count");
+      const char* fault = nullptr;
+      if (count == 0) {
+        fault = "empty value set";
+      } else if (count > owner.cand_count) {
+        fault = "more values than the owner has candidates";
+      } else if (e.is_bitmap()) {
+        const auto bits = bitmap_pool_.subspan(e.offset, owner.bitmap_words);
+        const std::uint32_t tail = owner.cand_count & 63;
+        if (BitmapPopcount(bits) != count) {
+          fault = "bitmap popcount differs from the stored count";
+        } else if (tail != 0 && !bits.empty() && (bits.back() >> tail) != 0) {
+          fault = "bitmap sets a rank past the owner's candidate count";
         }
       } else {
-        if (std::uint64_t{e.offset} + e.count() > array_pool_.size()) {
-          return Status::Corruption(where() + " array out of pool bounds");
+        const auto ranks = array_pool_.subspan(e.offset, count);
+        if (!StrictlyAscending(ranks)) {
+          fault = "ranks not strictly ascending";
+        } else if (ranks.back() >= owner.cand_count) {
+          fault = "a rank at or past the owner's candidate count";
         }
-        const std::span<const std::uint32_t> ranks =
-            array_pool_.subspan(e.offset, e.count());
-        for (std::size_t r = 0; r < ranks.size(); ++r) {
-          if (ranks[r] >= owner.cand_count ||
-              (r > 0 && ranks[r - 1] >= ranks[r])) {
-            return Status::Corruption(where() + " ranks unsorted or out of "
-                                              "range");
-          }
-        }
+      }
+      if (fault != nullptr &&
+          Stop(sink, kRep, "list ", l, ", key v", keys[i], ": ", fault)) {
+        return false;
       }
     }
   }
-  return Status::Ok();
+  if ((key_at != keys_.size() || entries_.size() != keys_.size()) &&
+      Stop(sink, kRep, "key ranges end at ", key_at, "; the key and entry "
+           "slabs hold ", keys_.size(), " and ", entries_.size())) {
+    return false;
+  }
+  return true;
 }
 
 FlatCeciIndex FlatCeciIndex::Clone() const {

@@ -41,7 +41,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -166,16 +168,38 @@ class FlatCeciIndex {
   static FlatCeciIndex Build(const CeciIndex& index, const QueryTree& tree);
 
   /// Reconstructs the index from an arena image (an owned byte copy or a
-  /// read-only mapping; exactly one is used, the other default). The slab
-  /// table and every structural offset are fully validated so a corrupt
-  /// arena yields kCorruption here, never an out-of-bounds access later.
-  /// Used by index_io; Build() skips this (correct by construction).
+  /// read-only mapping; exactly one is used, the other default). Runs the
+  /// layout check (CheckLayout: the slab table, then the bound arena) and
+  /// returns kCorruption with the first fault's detail, so a corrupt
+  /// arena fails here, never with an out-of-bounds access later. Used by
+  /// index_io; Build() skips this (correct by construction).
   static Result<FlatCeciIndex> FromArena(std::vector<std::uint64_t> owned,
                                          MappedFile mapped,
                                          std::size_t arena_offset,
                                          std::size_t arena_bytes,
                                          std::span<const Slab> slabs,
                                          std::size_t num_query_vertices);
+
+  /// The class of a layout fault. AuditFlatIndex maps them one-to-one
+  /// onto kFlatSlabOrder, kFlatOffsetBounds and kFlatRepresentation.
+  enum class LayoutFault {
+    kSlabOrder,       // slab table misaligned, out of order, or outside
+                      // the arena
+    kOffsetBounds,    // a vertex/list/entry range escapes its slab, or a
+                      // list owner is not a query vertex
+    kRepresentation,  // in bounds but inconsistent: ranges that overlap or
+                      // leave gaps, unsorted or malformed value sets, ...
+  };
+  /// Receives one fault and its detail (built only for a fault); returns
+  /// whether the check goes on.
+  using LayoutFaultSink = std::function<bool(LayoutFault, std::string)>;
+
+  /// The one layout check of the arena: FromArena stops at its first
+  /// fault, the auditor (AuditFlatIndex) runs it to the end. The facts it
+  /// checks, by class, are listed in docs/static_analysis.md ("Flat arena
+  /// layout"). Offsets are bounds-checked before they are followed, so the
+  /// check is safe on any bound arena. Returns false iff `sink` stopped it.
+  bool CheckLayout(const LayoutFaultSink& sink) const;
 
   bool empty() const { return arena_ == nullptr; }
   bool mapped() const { return mapped_.valid() && mapped_.size() > 0; }
@@ -277,24 +301,24 @@ class FlatCeciIndex {
   /// Load-time sanity check against the serving data graph.
   VertexId MaxCandidateId() const;
 
-  /// Raw typed slab views for layout auditing (invariant_auditor.h). The
-  /// auditor re-derives every offset bound from these instead of going
-  /// through the checked accessors, so it can report on corrupt metas
-  /// without tripping them.
+  /// Raw typed slab views (size accounting and tests).
   std::span<const FlatVertexMeta> vertex_metas() const { return vertices_; }
   std::span<const FlatListMeta> list_metas() const { return lists_; }
   std::span<const VertexId> all_keys() const { return keys_; }
   std::span<const FlatEntry> all_entries() const { return entries_; }
   std::span<const std::uint32_t> array_pool() const { return array_pool_; }
-  std::span<const std::uint64_t> bitmap_pool() const { return bitmap_pool_; }
 
  private:
   friend class FlatIndexTestPeer;  // corruption planting (auditor tests)
 
   /// Derives the typed spans from arena_ + slabs_; arena must be set.
   void BindSpans();
-  /// Deep structural validation of a freshly bound arena (see FromArena).
-  Status ValidateStructure() const;
+  /// CheckLayout's two halves. FromArena binds the spans between them:
+  /// the slab table must hold before the arena can be bound.
+  static bool CheckSlabTable(std::span<const Slab> slabs,
+                             std::uint64_t arena_bytes,
+                             const LayoutFaultSink& sink);
+  bool CheckArena(const LayoutFaultSink& sink) const;
 
   EntryRef ListFind(std::uint32_t list_index, VertexId key) const;
   EntryRef MakeRef(const FlatEntry& entry, VertexId owner) const;

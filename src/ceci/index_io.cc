@@ -202,8 +202,7 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
   if (h.header_bytes != kHeaderBytes || h.slab_count != kSlabCount) {
     return Status::Corruption("unexpected header geometry");
   }
-  if (options.verify_checksums &&
-      Crc32(&h, kHeaderBytes - sizeof(std::uint32_t)) != h.header_crc) {
+  if (Crc32(&h, kHeaderBytes - sizeof(std::uint32_t)) != h.header_crc) {
     return Status::Corruption("header checksum mismatch");
   }
   if (h.arena_offset != kArenaOffset) {
@@ -212,8 +211,7 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
   if (size < kArenaOffset) return Status::Corruption("truncated slab table");
   SlabRecord table[kSlabCount];
   std::memcpy(table, data + kHeaderBytes, sizeof(table));
-  if (options.verify_checksums &&
-      Crc32(table, sizeof(table)) != h.slab_table_crc) {
+  if (Crc32(table, sizeof(table)) != h.slab_table_crc) {
     return Status::Corruption("slab table checksum mismatch");
   }
   if (h.arena_bytes > size - kArenaOffset) {
@@ -243,8 +241,7 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
       return Status::Corruption("slab " + std::to_string(s) +
                                 " exceeds the arena");
     }
-    if (options.verify_checksums &&
-        Crc32(arena + table[s].offset, table[s].bytes) != table[s].crc) {
+    if (Crc32(arena + table[s].offset, table[s].bytes) != table[s].crc) {
       return Status::Corruption("slab checksum mismatch (slab " +
                                 std::to_string(s) + ")");
     }
@@ -255,8 +252,7 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
   LoadedFlatIndex loaded;
   std::vector<std::uint32_t> plan(static_cast<std::size_t>(plan_words));
   std::memcpy(plan.data(), data + h.plan_offset, plan.size() * 4);
-  if (options.verify_checksums &&
-      Crc32(plan.data(), plan.size() * 4) != h.plan_crc) {
+  if (Crc32(plan.data(), plan.size() * 4) != h.plan_crc) {
     return Status::Corruption("plan checksum mismatch");
   }
   const std::size_t nq = static_cast<std::size_t>(h.num_query_vertices);
@@ -282,8 +278,7 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
   loaded.pattern.assign(
       reinterpret_cast<const char*>(data + h.pattern_offset),
       static_cast<std::size_t>(h.pattern_bytes));
-  if (options.verify_checksums &&
-      Crc32(loaded.pattern.data(), loaded.pattern.size()) != h.pattern_crc) {
+  if (Crc32(loaded.pattern.data(), loaded.pattern.size()) != h.pattern_crc) {
     return Status::Corruption("pattern checksum mismatch");
   }
 

@@ -20,9 +20,10 @@
 //   […,  EOF)  pattern    the query pattern text (optional, may be empty)
 //
 // Every region is checksummed (CRC-32): per-slab, the slab table, the
-// plan, the pattern, and the header itself. Loading validates checksums
-// (unless disabled) and then the full slab structure
-// (FlatCeciIndex::FromArena), so a corrupt or truncated file yields a
+// plan, the pattern, and the header itself. Loading verifies every
+// checksum and then runs the arena layout check
+// (FlatCeciIndex::CheckLayout, the one the auditor runs, through
+// FlatCeciIndex::FromArena), so a corrupt or truncated file yields a
 // clean kCorruption Status — never a crash or an out-of-bounds read
 // later. The image records the matching order (in the arena) and the
 // tree parents it was built for; ReadFlatIndex and ImageQueryTree
@@ -49,9 +50,6 @@ struct IndexLoadOptions {
   /// Map the file read-only and enumerate straight from the page cache
   /// instead of copying the arena to the heap. The serving path sets this.
   bool use_mmap = false;
-  /// Verify all CRC-32 checksums at load. Structural validation runs
-  /// either way; this only gates bit-rot detection over slab payloads.
-  bool verify_checksums = true;
 };
 
 /// A loaded image: the index, the plan and the pattern text recorded at

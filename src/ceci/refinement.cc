@@ -75,10 +75,18 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
       CECI_DCHECK_EQ(cd.cardinalities.size(), cd.candidates.size())
           << "child u" << u_c << " visited before refinement";
       ranks.Load(cd.candidates);
+      // u's candidates and the child's TE keys both ascend: one forward
+      // cursor over the keys finds each candidate's entry.
+      const std::vector<VertexId>& keys = cd.te.keys;
+      std::size_t at = 0;
       for (std::size_t i = 0; i < cards.size(); ++i) {
         if (cards[i] == 0) continue;
+        const VertexId v = ud.candidates[i];
+        while (at < keys.size() && keys[at] < v) ++at;
+        const bool keyed = at < keys.size() && keys[at] == v;
         Cardinality sum = 0;
-        for (VertexId v_c : cd.te.Find(ud.candidates[i])) {
+        for (VertexId v_c : keyed ? cd.te.values_at(at)
+                                  : std::span<const VertexId>()) {
           const std::uint32_t r = ranks.Find(v_c);
           if (r != CandidateRanks::kAbsent) {
             sum = SaturatingAdd(sum, cd.cardinalities[r]);

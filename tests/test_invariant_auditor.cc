@@ -4,12 +4,18 @@
 // class.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "analysis/invariant_auditor.h"
 #include "ceci/ceci_builder.h"
 #include "ceci/extreme_cluster.h"
+#include "ceci/index_io.h"
 #include "ceci/matcher.h"
 #include "ceci/refinement.h"
 #include "ceci/symmetry.h"
@@ -73,6 +79,20 @@ struct Fixture {
     CECI_CHECK(p.ok());
     tree = std::move(p->tree);
     flat = std::move(p->flat);
+  }
+
+  // Builds, refines and freezes `q` over `d` on the BFS tree rooted at
+  // `root`.
+  Fixture(Graph d, Graph q, VertexId root)
+      : data(std::move(d)), query(std::move(q)) {
+    NlcIndex nlc(data);
+    auto t = QueryTree::Build(query, root);
+    CECI_CHECK(t.ok());
+    tree = std::move(t).value();
+    CeciIndex index =
+        CeciBuilder(data, nlc).Build(query, tree, BuildOptions{}, nullptr);
+    RefineCeci(tree, data.num_vertices(), &index, nullptr);
+    flat = FlatCeciIndex::Build(index, tree);
   }
 
   AuditReport Audit() const { return AuditCeciIndex(data, query, tree, flat); }
@@ -493,6 +513,143 @@ TEST(AuditFlatIndexTest, DetectsDriftFromThePointerIndex) {
   AuditReport report = f.Audit();
   EXPECT_FALSE(report.ok());
   EXPECT_GE(report.CountOf(InvariantClass::kCardinalityShape), 1u);
+}
+
+// ---------------------------------------------------------------------
+// One layout check, two callers: every fault below, planted in an arena,
+// is reported by AuditFlatIndex under its class and refused by the CEIX
+// loader. WriteFlatIndex seals the planted arena (every slab, slab-table
+// and header CRC matches it), so only the loader's layout check can
+// object.
+
+// The paper example's value sets are all sparse; a hub with 70 leaves
+// under a one-edge query rooted at the hub stores its TE entry as a
+// bitmap (2 words beat 70 ranks).
+Fixture DenseFixture() {
+  std::vector<Label> labels(71, 1);
+  labels[0] = 0;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 1; v <= 70; ++v) edges.push_back({0, v});
+  return Fixture(ceci::testing::MakeGraph(labels, edges),
+                 ceci::testing::MakeGraph({0, 1}, {{0, 1}}), 0);
+}
+
+struct LayoutFaultCase {
+  const char* what;
+  bool dense;  // plant into DenseFixture() instead of the paper example
+  InvariantClass cls;
+  std::function<bool(Fixture&)> plant;  // false: no site to plant into
+};
+
+const LayoutFaultCase kLayoutFaults[] = {
+    {"empty value set", false, InvariantClass::kFlatRepresentation,
+     [](Fixture& f) {
+       FlatIndexTestPeer::Entries(&f.flat)[0].count_and_tag = 0;
+       return true;
+     }},
+    // Shift a candidate range one slot left, onto the previous vertex's
+    // last candidate: still in bounds, sorted and as long, but the ranges
+    // overlap.
+    {"overlapping candidate range", false, InvariantClass::kFlatRepresentation,
+     [](Fixture& f) {
+       const VertexId* cands = FlatIndexTestPeer::Candidates(&f.flat);
+       for (FlatVertexMeta& m : std::span<FlatVertexMeta>(
+                FlatIndexTestPeer::VertexMetas(&f.flat),
+                f.flat.num_query_vertices())) {
+         if (m.cand_begin > 0 && m.cand_count > 0 &&
+             cands[m.cand_begin - 1] < cands[m.cand_begin]) {
+           --m.cand_begin;
+           return true;
+         }
+       }
+       return false;
+     }},
+    {"list owned by another vertex", false,
+     InvariantClass::kFlatRepresentation,
+     [](Fixture& f) {
+       FlatListMeta& lm = FlatIndexTestPeer::ListMetas(&f.flat)[0];
+       lm.owner = (lm.owner + 1) % f.flat.num_query_vertices();
+       return true;
+     }},
+    {"bitmap popcount drift", true, InvariantClass::kFlatRepresentation,
+     [](Fixture& f) {
+       if (f.flat.BitmapEntries() == 0) return false;
+       FlatIndexTestPeer::BitmapPool(&f.flat)[0] ^= 1u;
+       return true;
+     }},
+    {"bitmap width", false, InvariantClass::kFlatRepresentation,
+     [](Fixture& f) {
+       ++FlatIndexTestPeer::VertexMetas(&f.flat)[0].bitmap_words;
+       return true;
+     }},
+    {"unsorted ranks", false, InvariantClass::kFlatRepresentation,
+     [](Fixture& f) {
+       for (const auto& e : f.ArrayEntries()) {
+         if (e.ranks.size() < 2) continue;
+         std::uint32_t* pool = FlatIndexTestPeer::ArrayPool(&f.flat);
+         std::swap(pool[e.at], pool[e.at + 1]);
+         return true;
+       }
+       return false;
+     }},
+    {"rank past the candidate count", false,
+     InvariantClass::kFlatRepresentation,
+     [](Fixture& f) {
+       const auto entries = f.ArrayEntries();
+       if (entries.empty()) return false;
+       const auto& e = entries.front();
+       FlatIndexTestPeer::ArrayPool(&f.flat)[e.at + e.ranks.size() - 1] =
+           static_cast<std::uint32_t>(f.flat.candidates(e.owner).size());
+       return true;
+     }},
+    {"tampered matching order", false, InvariantClass::kFlatRepresentation,
+     [](Fixture& f) {
+       VertexId* order = FlatIndexTestPeer::Order(&f.flat);
+       std::swap(order[0], order[1]);
+       return true;
+     }},
+    {"candidate range escaping its slab", false,
+     InvariantClass::kFlatOffsetBounds,
+     [](Fixture& f) {
+       FlatIndexTestPeer::VertexMetas(&f.flat)[1].cand_count += 1000;
+       return true;
+     }},
+    {"misaligned slab", false, InvariantClass::kFlatSlabOrder,
+     [](Fixture& f) {
+       FlatIndexTestPeer::Slab(&f.flat, FlatCeciIndex::kCandidates).offset +=
+           4;
+       return true;
+     }},
+};
+
+TEST(AuditFlatIndexTest, LoaderAndAuditorRefuseEveryLayoutFault) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("ceci_layout_fault_" + std::to_string(::getpid()) + ".idx");
+  auto load = [&](const Fixture& f, bool use_mmap) {
+    CECI_CHECK(WriteFlatIndex(f.flat, f.tree,
+                              SymmetryConstraints::None(f.query.num_vertices()),
+                              "", path.string())
+                   .ok());
+    return OpenFlatIndex(path.string(), IndexLoadOptions{.use_mmap = use_mmap});
+  };
+  for (const bool dense : {false, true}) {
+    Fixture pristine = dense ? DenseFixture() : Fixture();
+    ASSERT_TRUE(pristine.AuditFlat().ok()) << pristine.AuditFlat().ToString();
+    ASSERT_TRUE(load(pristine, false).ok());
+  }
+  for (const LayoutFaultCase& c : kLayoutFaults) {
+    SCOPED_TRACE(c.what);
+    Fixture f = c.dense ? DenseFixture() : Fixture();
+    ASSERT_TRUE(c.plant(f)) << "no site to plant into";
+    const AuditReport report = f.AuditFlat();
+    EXPECT_GE(report.CountOf(c.cls), 1u) << report.ToString();
+    for (const bool use_mmap : {false, true}) {
+      EXPECT_EQ(load(f, use_mmap).status().code(), Status::Code::kCorruption)
+          << "mmap " << use_mmap;
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 // Fixture running a full profiled Prepare + Execute and keeping the
