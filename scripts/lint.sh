@@ -140,16 +140,17 @@ fi
 # close-on-exec socketpair owned by exactly one child (util/subprocess.h);
 # a stray fork or socketpair elsewhere can leak a descriptor into a
 # sibling and suppress the EOF that announces a crash. Network servers
-# and clients go through the same funnel so the primitives stay auditable
-# in one place; the pre-existing TCP call sites carry `// lint: raw-socket`
-# with a justification.
+# and clients go through util/tcp.h, which opens every TCP socket
+# close-on-exec and owns the one accept loop, so socket/accept/bind/
+# listen/connect are banned here too. They match only in the global
+# spelling (`::bind(`), so `std::bind(` passes.
 # posix_spawn, vfork and clone are spawning primitives too, matched with
 # or without the `::` (a member call such as `x.clone(` is not one).
 hits=$(echo "$sources" | grep -E '^src/' | grep -v '^src/util/' \
-  | xargs grep -nE '::(fork|socketpair|execv|execve|waitpid|socket)\s*\(|(^|[^.>:_[:alnum:]]|::)(posix_spawnp?|vfork|clone)\s*\(' 2>/dev/null \
-  | grep -v 'lint: raw-socket' || true)
+  | xargs grep -nE '(^|[^_[:alnum:]])::(fork|socketpair|execv|execve|waitpid|socket|accept4?|bind|listen|connect)\s*\(|(^|[^.>:_[:alnum:]]|::)(posix_spawnp?|vfork|clone)\s*\(' 2>/dev/null \
+  || true)
 if [[ -n "$hits" ]]; then
-  fail "raw process/socket primitive outside src/util/ (use util/subprocess.h, or annotate // lint: raw-socket)" \
+  fail "raw process/socket primitive outside src/util/ (use util/subprocess.h or util/tcp.h)" \
     "$hits"
 fi
 

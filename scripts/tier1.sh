@@ -312,10 +312,11 @@ if [[ "$serving_pass" == 1 ]]; then
   echo "=== serving pass (concurrency, admission control, protocol) ==="
   # -R matches gtest suite names: the shared-pool concurrency suite
   # (test_concurrent_matching), QueryService admission control, and the
-  # wire protocol / workload / latency-summary suites. Under --preset
-  # tsan this is the data-race gate for the serving layer.
+  # wire protocol / workload / latency-summary suites, the TCP server and
+  # its accept loop (TcpServer, TcpListener). Under --preset tsan this is
+  # the data-race gate for the serving layer.
   ctest --test-dir "$build_dir" --output-on-failure \
-    -R '(TaskGroup|ThreadPool|ConcurrentMatching|QueryService|Protocol|Workload|Zipf|LatencySummary|Exposition|WindowDelta|WindowedAggregator|Slo|AccessLog|JsonParser|ServerTelemetry|TelemetryHttp)' -j
+    -R '(TaskGroup|ThreadPool|ConcurrentMatching|QueryService|Protocol|Workload|Zipf|LatencySummary|Exposition|WindowDelta|WindowedAggregator|Slo|AccessLog|JsonParser|ServerTelemetry|TelemetryHttp|TcpServer|TcpListener)' -j
 
   serving_tmp="$(mktemp -d)"
   trap 'rm -rf "$serving_tmp"' EXIT

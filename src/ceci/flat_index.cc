@@ -233,18 +233,17 @@ Result<FlatCeciIndex> FlatCeciIndex::FromArena(
   flat.owned_ = std::move(owned);
   flat.mapped_ = std::move(mapped);
   flat.arena_bytes_ = arena_bytes;
-  if (flat.mapped_.valid() && flat.mapped_.size() > 0) {
-    if (arena_offset % 8 != 0 ||
-        arena_offset + arena_bytes > flat.mapped_.size()) {
-      return Status::Corruption("arena range exceeds mapped file");
-    }
-    flat.arena_ = flat.mapped_.data() + arena_offset;
-  } else {
-    if (arena_offset != 0 || flat.owned_.size() * 8 < arena_bytes) {
-      return Status::Corruption("arena range exceeds owned buffer");
-    }
-    flat.arena_ = reinterpret_cast<const std::byte*>(flat.owned_.data());
+  const bool mapped_arena = flat.mapped();
+  const std::byte* base =
+      mapped_arena ? flat.mapped_.data()
+                   : reinterpret_cast<const std::byte*>(flat.owned_.data());
+  const std::size_t size =
+      mapped_arena ? flat.mapped_.size() : flat.owned_.size() * 8;
+  if (arena_offset % 8 != 0 || arena_offset > size ||
+      arena_bytes > size - arena_offset) {
+    return Status::Corruption("arena range exceeds its buffer");
   }
+  flat.arena_ = base + arena_offset;
   std::copy(slabs.begin(), slabs.end(), flat.slabs_);
 
   std::string fault;

@@ -167,8 +167,10 @@ class FlatCeciIndex {
   /// defined otherwise (checked).
   static FlatCeciIndex Build(const CeciIndex& index, const QueryTree& tree);
 
-  /// Reconstructs the index from an arena image (an owned byte copy or a
-  /// read-only mapping; exactly one is used, the other default). Runs the
+  /// Reconstructs the index from an arena image held in an owned buffer
+  /// or a read-only mapping (exactly one is used, the other default): the
+  /// arena is the `arena_bytes` at `arena_offset` of that buffer, which
+  /// must be 8-aligned and end within it (kCorruption otherwise). Runs the
   /// layout check (CheckLayout: the slab table, then the bound arena) and
   /// returns kCorruption with the first fault's detail, so a corrupt
   /// arena fails here, never with an out-of-bounds access later. Used by

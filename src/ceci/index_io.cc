@@ -161,10 +161,11 @@ Status WriteFlatIndex(const FlatCeciIndex& flat, const QueryTree& tree,
 
 Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
                                       const IndexLoadOptions& options) {
-  // Both load modes validate against the same raw byte view; only the
-  // arena hand-off at the end differs (copy vs borrow the mapping).
+  // Both load modes validate against the same raw byte view, and both
+  // hand the whole file to the index, which keeps it and reads the arena
+  // at kArenaOffset: the mapping, or one u64 buffer the file is read into.
   MappedFile mapped;
-  std::vector<char> buffer;
+  std::vector<std::uint64_t> owned;
   const std::byte* data = nullptr;
   std::size_t size = 0;
   if (options.use_mmap) {
@@ -178,10 +179,11 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
     if (!in) return Status::IoError("cannot open " + path);
     size = static_cast<std::size_t>(in.tellg());
     in.seekg(0);
-    buffer.resize(size);
-    in.read(buffer.data(), static_cast<std::streamsize>(size));
+    owned.resize((size + 7) / 8);
+    in.read(reinterpret_cast<char*>(owned.data()),
+            static_cast<std::streamsize>(size));
     if (!in) return Status::IoError("read failure on " + path);
-    data = reinterpret_cast<const std::byte*>(buffer.data());
+    data = reinterpret_cast<const std::byte*>(owned.data());
   }
 
   // Magic and version come first, so an image of another version is
@@ -282,19 +284,10 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
     return Status::Corruption("pattern checksum mismatch");
   }
 
-  Result<FlatCeciIndex> flat = [&]() -> Result<FlatCeciIndex> {
-    if (options.use_mmap) {
-      return FlatCeciIndex::FromArena(
-          {}, std::move(mapped), kArenaOffset,
-          static_cast<std::size_t>(h.arena_bytes), slabs,
-          static_cast<std::size_t>(h.num_query_vertices));
-    }
-    std::vector<std::uint64_t> owned((h.arena_bytes + 7) / 8, 0);
-    std::memcpy(owned.data(), arena, h.arena_bytes);
-    return FlatCeciIndex::FromArena(
-        std::move(owned), {}, 0, static_cast<std::size_t>(h.arena_bytes),
-        slabs, static_cast<std::size_t>(h.num_query_vertices));
-  }();
+  Result<FlatCeciIndex> flat = FlatCeciIndex::FromArena(
+      std::move(owned), std::move(mapped), kArenaOffset,
+      static_cast<std::size_t>(h.arena_bytes), slabs,
+      static_cast<std::size_t>(h.num_query_vertices));
   if (!flat.ok()) return flat.status();
   loaded.index = std::move(flat).value();
   return loaded;

@@ -48,7 +48,8 @@ namespace ceci {
 
 struct IndexLoadOptions {
   /// Map the file read-only and enumerate straight from the page cache
-  /// instead of copying the arena to the heap. The serving path sets this.
+  /// instead of reading the file into one heap buffer the index keeps.
+  /// The serving path sets this.
   bool use_mmap = false;
 };
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "graph/graph_builder.h"
+#include "graphio/binary_csr.h"
 
 namespace ceci {
 namespace {
@@ -141,6 +142,13 @@ Status WriteLabeledGraph(const Graph& g, const std::string& path) {
   }
   if (!out) return Status::IoError("write failure on " + path);
   return Status::Ok();
+}
+
+Result<Graph> ReadGraph(const std::string& path, const std::string& format) {
+  if (format == "edgelist") return ReadEdgeList(path);
+  if (format == "labeled") return ReadLabeledGraph(path);
+  if (format == "csr") return ReadBinaryCsr(path);
+  return Status::InvalidArgument("unknown --format " + format);
 }
 
 }  // namespace ceci

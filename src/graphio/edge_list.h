@@ -6,6 +6,7 @@
 //  * Labeled graphs ("v <id> <label...>" vertex lines followed by
 //    "e <u> <v>" edge lines), the format used by labeled benchmarks such as
 //    the Human dataset.
+// ReadGraph picks a reader by format name, the binary CSR included.
 #ifndef CECI_GRAPHIO_EDGE_LIST_H_
 #define CECI_GRAPHIO_EDGE_LIST_H_
 
@@ -31,6 +32,10 @@ Result<Graph> ParseLabeledGraph(const std::string& text);
 /// Writes `g` in the labeled "v/e" format (round-trips through
 /// ReadLabeledGraph).
 Status WriteLabeledGraph(const Graph& g, const std::string& path);
+
+/// Reads `path` as a tool's `--format`: "edgelist", "labeled" or "csr"
+/// (ReadBinaryCsr). Any other format is kInvalidArgument.
+Result<Graph> ReadGraph(const std::string& path, const std::string& format);
 
 }  // namespace ceci
 

@@ -1,18 +1,14 @@
 #include "serve/tcp_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "serve/protocol.h"
 #include "telemetry/access_log.h"
 #include "util/metrics_registry.h"
+#include "util/tcp.h"
 
 namespace ceci {
 namespace {
@@ -27,25 +23,11 @@ Gauge& LiveConnectionGauge() {
       MetricsRegistry::Global().GetGauge("ceci.serve.live_connections");
   return g;
 }
-Counter& AcceptErrorCounter() {
-  static Counter& c =
-      MetricsRegistry::Global().GetCounter("ceci.serve.accept_errors");
-  return c;
-}
 
-/// Writes the whole line + LF; MSG_NOSIGNAL keeps a client that hung up
-/// from killing the process with SIGPIPE.
+/// One send of the line and its LF: a reply split over two sends would
+/// meet Nagle's algorithm and the client's delayed ACK on its next request.
 bool SendLine(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
+  return SendAll(fd, line + '\n');
 }
 
 std::string OneLine(std::string s) {
@@ -63,85 +45,30 @@ TcpServer::TcpServer(QueryService& service, const TcpServerOptions& options)
 TcpServer::~TcpServer() { Stop(); }
 
 Status TcpServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);  // lint: raw-socket TCP listener
-  if (listen_fd_ < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  int reuse = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("not an IPv4 address: " + options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status status =
-        Status::IoError(std::string("bind ") + options_.host + ": " +
-                        std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (::listen(listen_fd_, SOMAXCONN) < 0) {
-    Status status =
-        Status::IoError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  bound_port_ = ntohs(bound.sin_port);
-  accept_thread_ = std::thread(&TcpServer::AcceptLoop, this, listen_fd_);
-  return Status::Ok();
+  return listener_.Start(options_.host, options_.port,
+                         [this](int fd) { AdmitConnection(fd); });
 }
 
-void TcpServer::AcceptLoop(int listen_fd) {
-  for (;;) {
-    int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      const int err = errno;
-      if (err == EINTR || err == ECONNABORTED) continue;
-      // Transient resource exhaustion (fd limits, kernel memory) must not
-      // take the listener down: the pending connection stays queued, so
-      // back off briefly and retry once pressure clears. Everything else
-      // (EBADF after close, EINVAL) really is the end of the listener.
-      if (err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM) {
-        AcceptErrorCounter().Increment();
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      AcceptErrorCounter().Increment();
-      return;  // listener closed or unrecoverable
-    }
-    ConnectionCounter().Increment();
-    MutexLock lock(mutex_);
-    // Join the threads of connections that have ended, so held threads
-    // stay within max_connections. A finished thread no longer takes the
-    // lock (at most it is closing its fd), so joining under it is safe.
-    for (std::thread& t : conn_threads_) {
-      if (finished_ids_.count(t.get_id()) != 0) t.join();
-    }
-    std::erase_if(conn_threads_,
-                  [](const std::thread& t) { return !t.joinable(); });
-    finished_ids_.clear();
-    if (stopping_.load(std::memory_order_acquire) ||
-        live_fds_.size() >= options_.max_connections) {
-      SendLine(fd, "ERR too_many_connections");
-      ::close(fd);
-      continue;
-    }
-    live_fds_.insert(fd);
-    LiveConnectionGauge().Set(static_cast<std::int64_t>(live_fds_.size()));
-    conn_threads_.emplace_back(&TcpServer::ServeConnection, this, fd);
+void TcpServer::AdmitConnection(int fd) {
+  ConnectionCounter().Increment();
+  MutexLock lock(mutex_);
+  // Join the threads of connections that have ended, so held threads
+  // stay within max_connections. A finished thread no longer takes the
+  // lock (at most it is closing its fd), so joining under it is safe.
+  for (std::thread& t : conn_threads_) {
+    if (finished_ids_.count(t.get_id()) != 0) t.join();
   }
+  std::erase_if(conn_threads_,
+                [](const std::thread& t) { return !t.joinable(); });
+  finished_ids_.clear();
+  if (live_fds_.size() >= options_.max_connections) {
+    SendLine(fd, "ERR too_many_connections");
+    ::close(fd);
+    return;
+  }
+  live_fds_.insert(fd);
+  LiveConnectionGauge().Set(static_cast<std::int64_t>(live_fds_.size()));
+  conn_threads_.emplace_back(&TcpServer::ServeConnection, this, fd);
 }
 
 std::size_t TcpServer::held_threads() const {
@@ -209,13 +136,7 @@ bool TcpServer::HandleLine(int fd, const std::string& line) {
 }
 
 void TcpServer::Stop() {
-  stopping_.exchange(true, std::memory_order_acq_rel);
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Stop();
   // Claim the connection threads under the lock, then join outside it:
   // exiting connection threads take mutex_ to drop out of live_fds_, so
   // joining while holding it would deadlock. The accept thread is already

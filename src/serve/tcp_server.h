@@ -10,7 +10,6 @@
 #ifndef CECI_SERVE_TCP_SERVER_H_
 #define CECI_SERVE_TCP_SERVER_H_
 
-#include <atomic>
 #include <set>
 #include <string>
 #include <thread>
@@ -20,6 +19,7 @@
 #include "telemetry/server_telemetry.h"
 #include "util/status.h"
 #include "util/sync.h"
+#include "util/tcp.h"
 
 namespace ceci {
 
@@ -36,7 +36,7 @@ struct TcpServerOptions {
   const ServerTelemetry* telemetry = nullptr;
 };
 
-/// Owns the listening socket and one thread per live connection. The
+/// Owns the accept loop and one thread per live connection. The
 /// service must outlive the server.
 class TcpServer {
  public:
@@ -53,13 +53,13 @@ class TcpServer {
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
-  /// Binds, listens, and starts the accept thread. Fails with IoError on
-  /// bind/listen problems (e.g. port in use).
+  /// Binds, listens, and starts the accept loop (util/tcp.h: its errors
+  /// and its policy under descriptor exhaustion).
   Status Start();
 
   /// Bound port (differs from options.port when that was 0). Valid after
   /// a successful Start().
-  int port() const { return bound_port_; }
+  int port() const { return listener_.port(); }
 
   /// Closes the listener, shuts down live connections, joins all
   /// threads. Idempotent. Does not shut down the service.
@@ -70,26 +70,21 @@ class TcpServer {
   std::size_t held_threads() const;
 
  private:
-  /// Takes the listener by value so Stop() closing/resetting listen_fd_
-  /// never races the accept thread's reads of it.
-  void AcceptLoop(int listen_fd);
+  /// Runs on the accept thread: reaps finished connection threads, then
+  /// starts one for `fd` or turns it away at max_connections.
+  void AdmitConnection(int fd);
   void ServeConnection(int fd);
   /// Handles one request line; false ends the connection (QUIT).
   bool HandleLine(int fd, const std::string& line);
 
   QueryService& service_;
   TcpServerOptions options_;
-  // Start()/Stop()/port() are thread-compatible (one controlling thread);
-  // only the fields below the mutex are shared with server threads.
-  int listen_fd_ = -1;    // lint: unguarded
-  int bound_port_ = 0;    // lint: unguarded
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
   mutable Mutex mutex_;
   std::set<int> live_fds_ CECI_GUARDED_BY(mutex_);
   std::vector<std::thread> conn_threads_ CECI_GUARDED_BY(mutex_);
   /// Connection threads that have left ServeConnection and can be joined.
   std::set<std::thread::id> finished_ids_ CECI_GUARDED_BY(mutex_);
+  TcpAcceptLoop listener_;  // last: its thread uses the fields above
 };
 
 }  // namespace ceci

@@ -1,14 +1,8 @@
 #include "telemetry/http_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
-
-#include <cerrno>
-#include <cmath>
-#include <cstring>
 
 #include "util/metrics_registry.h"
 
@@ -19,17 +13,6 @@ Counter& ScrapeCounter() {
   static Counter& c =
       MetricsRegistry::Global().GetCounter("ceci.telemetry.scrapes");
   return c;
-}
-
-bool SendAll(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 std::string HttpResponse(const char* status_line, const char* content_type,
@@ -83,68 +66,16 @@ TelemetryHttpServer::TelemetryHttpServer(const ServerTelemetry& telemetry,
                                          const TelemetryHttpOptions& options)
     : telemetry_(telemetry), options_(options) {}
 
-TelemetryHttpServer::~TelemetryHttpServer() { Stop(); }
-
 Status TelemetryHttpServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);  // lint: raw-socket TCP listener
-  if (listen_fd_ < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  int reuse = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("not an IPv4 address: " + options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    Status status =
-        Status::IoError(std::string("bind ") + options_.host + ": " +
-                        std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  if (::listen(listen_fd_, SOMAXCONN) < 0) {
-    Status status =
-        Status::IoError(std::string("listen: ") + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  bound_port_ = ntohs(bound.sin_port);
-  serve_thread_ = std::thread(&TelemetryHttpServer::ServeLoop, this,
-                              listen_fd_);
-  return Status::Ok();
-}
-
-void TelemetryHttpServer::ServeLoop(int listen_fd) {
-  for (;;) {
-    int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return;  // listener closed or unrecoverable
-    }
+  return listener_.Start(options_.host, options_.port, [this](int fd) {
     ServeConnection(fd);
     ::close(fd);
-  }
+  });
 }
 
 void TelemetryHttpServer::ServeConnection(int fd) {
   timeval timeout{};
-  timeout.tv_sec = static_cast<time_t>(options_.read_timeout_seconds);
-  timeout.tv_usec = static_cast<suseconds_t>(
-      (options_.read_timeout_seconds - std::floor(
-           options_.read_timeout_seconds)) * 1e6);
+  timeout.tv_sec = kReadTimeoutSeconds;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
 
   std::string head;
@@ -171,16 +102,6 @@ void TelemetryHttpServer::ServeConnection(int fd) {
                              "no such endpoint; try /metrics /varz "
                              "/healthz\n"));
   }
-}
-
-void TelemetryHttpServer::Stop() {
-  stopping_.exchange(true, std::memory_order_acq_rel);
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (serve_thread_.joinable()) serve_thread_.join();
 }
 
 }  // namespace ceci

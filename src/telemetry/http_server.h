@@ -15,12 +15,11 @@
 #ifndef CECI_TELEMETRY_HTTP_SERVER_H_
 #define CECI_TELEMETRY_HTTP_SERVER_H_
 
-#include <atomic>
 #include <string>
-#include <thread>
 
 #include "telemetry/server_telemetry.h"
 #include "util/status.h"
+#include "util/tcp.h"
 
 namespace ceci {
 
@@ -28,45 +27,38 @@ struct TelemetryHttpOptions {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral (kernel-assigned; see port()).
   int port = 0;
-  /// Per-connection receive timeout; a client that connects and never
-  /// sends a request line is dropped after this long.
-  double read_timeout_seconds = 2.0;
 };
 
-/// Owns the listening socket and one accept/serve thread. The telemetry
-/// object must outlive the server.
+/// Owns the accept loop, whose thread also serves each connection. The
+/// telemetry object must outlive the server.
 class TelemetryHttpServer {
  public:
+  /// Per-connection receive timeout; a client that connects and never
+  /// sends a request head is dropped after this long.
+  static constexpr int kReadTimeoutSeconds = 2;
+
   TelemetryHttpServer(const ServerTelemetry& telemetry,
                       const TelemetryHttpOptions& options);
-  ~TelemetryHttpServer();
 
   TelemetryHttpServer(const TelemetryHttpServer&) = delete;
   TelemetryHttpServer& operator=(const TelemetryHttpServer&) = delete;
 
-  /// Binds, listens, and starts the serve thread.
+  /// Binds, listens, and starts the accept loop (util/tcp.h).
   Status Start();
 
   /// Bound port (differs from options.port when that was 0). Valid after
   /// a successful Start().
-  int port() const { return bound_port_; }
+  int port() const { return listener_.port(); }
 
-  /// Closes the listener and joins. Idempotent.
-  void Stop();
+  /// Closes the listener and joins. Idempotent; destruction stops too.
+  void Stop() { listener_.Stop(); }
 
  private:
-  /// Takes the listener by value so Stop() closing/resetting listen_fd_
-  /// never races the serve thread's reads of it (same contract as
-  /// TcpServer::AcceptLoop).
-  void ServeLoop(int listen_fd);
   void ServeConnection(int fd);
 
   const ServerTelemetry& telemetry_;
   TelemetryHttpOptions options_;
-  int listen_fd_ = -1;    // lint: unguarded
-  int bound_port_ = 0;    // lint: unguarded
-  std::atomic<bool> stopping_{false};
-  std::thread serve_thread_;
+  TcpAcceptLoop listener_;  // last: stops first, while the rest is alive
 };
 
 }  // namespace ceci

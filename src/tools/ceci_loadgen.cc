@@ -41,26 +41,22 @@
 // server's admission verdict is a valid outcome, tallied as
 // retry_exhausted), 1 I/O / connection error (including connect retries
 // exhausted), 2 usage error.
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "graphio/binary_csr.h"
 #include "graphio/edge_list.h"
 #include "serve/protocol.h"
 #include "serve/workload.h"
+#include "util/tcp.h"
 #include "util/timer.h"
 
 namespace {
@@ -118,8 +114,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->host = v;
     } else if (flag == "--port") {
       const char* v = next();
-      if (!v) return false;
-      args->port = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!v || !ParsePort(v, &args->port)) return false;
     } else if (flag == "--connections") {
       const char* v = next();
       if (!v) return false;
@@ -237,31 +232,6 @@ void BackoffSleep(double base_ms, std::uint64_t attempt, std::mt19937_64* rng) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
-int Connect(const std::string& host, int port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);  // lint: raw-socket TCP client
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-bool SendAll(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 bool ReadLine(int fd, std::string* buffer, std::string* line) {
   for (;;) {
     std::size_t newline = buffer->find('\n');
@@ -290,13 +260,6 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-Result<Graph> LoadData(const Args& args) {
-  if (args.format == "edgelist") return ReadEdgeList(args.data);
-  if (args.format == "labeled") return ReadLabeledGraph(args.data);
-  if (args.format == "csr") return ReadBinaryCsr(args.data);
-  return Status::InvalidArgument("unknown --format " + args.format);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -314,7 +277,7 @@ int main(int argc, char** argv) {
   Graph data;
   const Graph* data_ptr = nullptr;
   if (!args.data.empty()) {
-    auto loaded = LoadData(args);
+    auto loaded = ReadGraph(args.data, args.format);
     if (!loaded.ok()) {
       std::fprintf(stderr, "data graph: %s\n",
                    loaded.status().ToString().c_str());
@@ -358,7 +321,8 @@ int main(int argc, char** argv) {
     // backoff is for. Exhaustion is an I/O error: nothing was measured.
     int fd = -1;
     for (std::uint64_t attempt = 0;; ++attempt) {
-      fd = Connect(args.host, args.port);
+      Result<int> connected = ConnectTcp(args.host, args.port);
+      fd = connected.ok() ? *connected : -1;
       if (fd >= 0 || attempt >= args.retries) break;
       local.retries += 1;
       BackoffSleep(args.retry_backoff_ms, attempt, &rng);

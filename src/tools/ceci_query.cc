@@ -80,7 +80,6 @@
 #include "ceci/stats_json.h"
 #include "dist/plan_io.h"
 #include "dist/supervisor.h"
-#include "graphio/binary_csr.h"
 #include "graphio/edge_list.h"
 #include "graphio/pattern_parser.h"
 #include "util/trace.h"
@@ -291,13 +290,6 @@ std::string SiblingWorkerBinary(const char* argv0) {
   return dir + "/ceci_worker";
 }
 
-Result<Graph> LoadData(const Args& args) {
-  if (args.format == "edgelist") return ReadEdgeList(args.data);
-  if (args.format == "labeled") return ReadLabeledGraph(args.data);
-  if (args.format == "csr") return ReadBinaryCsr(args.data);
-  return Status::InvalidArgument("unknown --format " + args.format);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -311,7 +303,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto data = LoadData(args);
+  auto data = ReadGraph(args.data, args.format);
   if (!data.ok()) {
     std::fprintf(stderr, "data graph: %s\n", data.status().ToString().c_str());
     return 1;

@@ -56,7 +56,6 @@
 #include <thread>
 #include <vector>
 
-#include "graphio/binary_csr.h"
 #include "graphio/edge_list.h"
 #include "serve/query_service.h"
 #include "serve/tcp_server.h"
@@ -64,6 +63,7 @@
 #include "telemetry/http_server.h"
 #include "telemetry/server_telemetry.h"
 #include "util/metrics_registry.h"
+#include "util/tcp.h"
 #include "util/timer.h"
 
 namespace {
@@ -135,8 +135,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->host = v;
     } else if (flag == "--port") {
       const char* v = next();
-      if (!v) return false;
-      args->port = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!v || !ParsePort(v, &args->port)) return false;
     } else if (flag == "--pool-threads") {
       const char* v = next();
       if (!v) return false;
@@ -191,9 +190,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->duration_s = std::strtod(v, nullptr);
     } else if (flag == "--telemetry-port") {
       const char* v = next();
-      if (!v) return false;
-      args->telemetry_port = static_cast<int>(std::strtol(v, nullptr, 10));
-      if (args->telemetry_port < 0) return false;
+      if (!v || !ParsePort(v, &args->telemetry_port)) return false;
     } else if (flag == "--access-log") {
       const char* v = next();
       if (!v) return false;
@@ -222,13 +219,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   return !args->data.empty();
 }
 
-Result<Graph> LoadData(const Args& args) {
-  if (args.format == "edgelist") return ReadEdgeList(args.data);
-  if (args.format == "labeled") return ReadLabeledGraph(args.data);
-  if (args.format == "csr") return ReadBinaryCsr(args.data);
-  return Status::InvalidArgument("unknown --format " + args.format);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -242,7 +232,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  auto data = LoadData(args);
+  auto data = ReadGraph(args.data, args.format);
   if (!data.ok()) {
     std::fprintf(stderr, "data graph: %s\n", data.status().ToString().c_str());
     return 1;

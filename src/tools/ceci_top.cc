@@ -17,19 +17,17 @@
 //   --help           print this help and exit 0
 //
 // Exit codes: 0 clean exit, 1 connection/parse error, 2 usage error.
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
 #include "util/json_parser.h"
+#include "util/tcp.h"
 #include "util/timer.h"
 
 namespace {
@@ -76,8 +74,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->host = v;
     } else if (flag == "--port") {
       const char* v = next();
-      if (!v) return false;
-      args->port = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!v || !ParsePort(v, &args->port)) return false;
     } else if (flag == "--interval-s") {
       const char* v = next();
       if (!v) return false;
@@ -101,30 +98,13 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 /// an error Status on connect/read problems.
 Result<std::string> HttpGet(const std::string& host, int port,
                             const std::string& path) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);  // lint: raw-socket TCP client
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+  Result<int> connected = ConnectTcp(host, port);
+  if (!connected.ok()) return connected.status();
+  const int fd = *connected;
+  if (!SendAll(fd, "GET " + path + " HTTP/1.1\r\nHost: " + host +
+                       "\r\n\r\n")) {
     ::close(fd);
-    return Status::IoError("cannot connect to " + host + ":" +
-                           std::to_string(port));
-  }
-  const std::string request =
-      "GET " + path + " HTTP/1.1\r\nHost: " + host + "\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
-                       MSG_NOSIGNAL);
-    if (n <= 0) {
-      ::close(fd);
-      return Status::IoError("send failed");
-    }
-    sent += static_cast<std::size_t>(n);
+    return Status::IoError("send failed");
   }
   // The server answers Connection: close, so read to EOF.
   std::string response;

@@ -386,6 +386,13 @@ TEST_F(ToolsTest, ServeToolsRejectBadUsage) {
   EXPECT_EQ(Run("ceci_loadgen", ""), 2);          // --port is required
   EXPECT_EQ(Run("ceci_loadgen", "--port 1 --duration-s 0"), 2);
   EXPECT_EQ(Run("ceci_serve", "--data x --wat"), 2);
+  for (const std::string port : {"abc", "80x", "70000", "-5"}) {
+    EXPECT_EQ(Run("ceci_serve", "--data x --port " + port), 2) << port;
+    EXPECT_EQ(Run("ceci_serve", "--data x --telemetry-port " + port), 2)
+        << port;
+    EXPECT_EQ(Run("ceci_loadgen", "--port " + port + " --requests 1"), 2)
+        << port;
+  }
 }
 
 TEST_F(ToolsTest, ServeAndLoadgenEndToEnd) {
@@ -686,6 +693,10 @@ TEST_F(ToolsTest, TelemetryEndpointAccessLogAndTopEndToEnd) {
 TEST_F(ToolsTest, TopRejectsBadUsageAndUnreachableServer) {
   EXPECT_EQ(Run("ceci_top", ""), 2);  // --port is required
   EXPECT_EQ(Run("ceci_top", "--port 1 --interval-s 0"), 2);
+  for (const std::string port : {"abc", "80x", "70000", "-5"}) {
+    EXPECT_EQ(Run("ceci_top", "--port " + port + " --iterations 1"), 2)
+        << port;
+  }
   ASSERT_EQ(Run("ceci_top", "--help", File("t.txt")), 0);
   const std::string help = Slurp(File("t.txt"));
   for (const char* flag : {"--host", "--port", "--interval-s",
