@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -64,7 +65,8 @@ T* SlabData(std::byte* base, const FlatCeciIndex::Slab& slab) {
 }  // namespace
 
 FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
-                                   const QueryTree& tree) {
+                                   const QueryTree& tree,
+                                   CandidateRanks* ranks) {
   const std::size_t nq = index.num_query_vertices();
   CECI_CHECK(nq == tree.num_vertices());
   const VertexId root = tree.root();
@@ -128,9 +130,10 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
   std::copy(tree.matching_order().begin(), tree.matching_order().end(),
             SlabData<VertexId>(base, flat.slabs_[kOrder]));
 
-  CandidateRanks ranks(ranks_size);
-  auto rank_of = [&ranks](VertexId v) {
-    const std::uint32_t r = ranks.Find(v);
+  std::optional<CandidateRanks> own_ranks;
+  if (ranks == nullptr) ranks = &own_ranks.emplace(ranks_size);
+  auto rank_of = [ranks](VertexId v) {
+    const std::uint32_t r = ranks->Find(v);
     CECI_CHECK(r != CandidateRanks::kAbsent)
         << "flat freeze: value v" << v
         << " is not an alive candidate of its child vertex (refine first)";
@@ -153,7 +156,7 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     }
     cand_at += m.cand_count;
 
-    ranks.Load(ud.candidates);
+    ranks->Load(ud.candidates);
     auto write_list = [&](const CandidateRuns& list) {
       FlatListMeta& lm = lmeta[list_at];
       lm.key_begin = key_at;
@@ -186,7 +189,7 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     m.nte_begin = list_at;
     m.nte_count = static_cast<std::uint32_t>(ud.nte.size());
     for (const CandidateRuns& list : ud.nte) write_list(list);
-    ranks.Unload(ud.candidates);
+    ranks->Unload(ud.candidates);
   }
 
   flat.BindSpans();

@@ -164,8 +164,11 @@ class FlatCeciIndex {
   /// Freezes a *refined* staging index into the flat form. Every TE/NTE
   /// value must be an alive candidate of its child vertex (the refinement
   /// postcondition the auditor calls kValueNotCandidate) — ranks are not
-  /// defined otherwise (checked).
-  static FlatCeciIndex Build(const CeciIndex& index, const QueryTree& tree);
+  /// defined otherwise (checked). `ranks`, when non-null, is an all-absent
+  /// map covering every candidate, used as scratch and left all-absent
+  /// (BuildRefineFreeze hands over refinement's); null sizes one here.
+  static FlatCeciIndex Build(const CeciIndex& index, const QueryTree& tree,
+                             CandidateRanks* ranks = nullptr);
 
   /// Reconstructs the index from an arena image held in an owned buffer
   /// or a read-only mapping (exactly one is used, the other default): the

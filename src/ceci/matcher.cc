@@ -189,10 +189,13 @@ FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
   }
 
   // --- Reverse-BFS refinement (§3.3) ---
+  // One all-absent rank map serves refinement and then the freeze; each
+  // leaves it all-absent.
+  CandidateRanks ranks(data.num_vertices());
   phase.Reset();
   {
     TraceSpan span("refine");
-    RefineCeci(tree, data.num_vertices(), &index, &stats->refine,
+    RefineCeci(tree, &ranks, &index, &stats->refine,
                counts != nullptr ? &counts->pruned : nullptr, budget);
   }
   stats->refine_seconds = phase.Seconds();
@@ -205,7 +208,7 @@ FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
   phase.Reset();
   FlatCeciIndex flat = [&] {
     TraceSpan span("freeze_flat");
-    return FlatCeciIndex::Build(index, tree);
+    return FlatCeciIndex::Build(index, tree, &ranks);
   }();
   stats->freeze_seconds = phase.Seconds();
   stats->ceci_bytes = CeciBytes(flat);
@@ -253,12 +256,12 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
     stats.budget = tracker->ToStats();
     return std::move(prepared);
   };
-  // Initial charge and poll, before any index work starts: Preprocess's
-  // filter table holds one byte per (query vertex, data vertex), and an
-  // already-cancelled token or pre-expired deadline stops the query too.
-  if (budget != nullptr) {
-    budget->ChargeBytes(query.num_vertices() * data_.num_vertices());
-    if (budget->Poll()) return partial();
+  // Initial charge, before any index work starts: Preprocess's filter
+  // table holds one byte per (query vertex, data vertex), so a budget too
+  // small for it stops the query before the table is allocated.
+  if (budget != nullptr &&
+      budget->ChargeBytes(query.num_vertices() * data_.num_vertices())) {
+    return partial();
   }
 
   // --- Preprocessing (§2.2) ---
@@ -266,9 +269,17 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
   pre_options.order = options.order;
   auto pre = [&] {
     TraceSpan span("preprocess");
-    return Preprocess(data_, nlc_, query, pre_options);
+    return Preprocess(data_, nlc_, query, pre_options, budget);
   }();
   if (!pre.ok()) return pre.status();
+  // The filter scan polls every stride bucket vertices; this poll also
+  // catches an already-cancelled token or expired deadline that a scan
+  // shorter than one stride never saw. A trip in either place stops the
+  // query before the build starts.
+  if (budget != nullptr && (budget->Exhausted() || budget->Poll())) {
+    stats.preprocess_seconds = phase.Seconds();
+    return partial();
+  }
   prepared.tree = std::move(pre->tree);
   // The Grochow–Kellis set; its mirror may replace it once the index
   // exists (below).

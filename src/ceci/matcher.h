@@ -160,9 +160,10 @@ class CeciMatcher {
   /// EstimateRestrictionCost rates cheaper on the frozen index. Reads
   /// options.order, break_automorphisms, threads/pool (parallel build)
   /// and budget; the budget is first charged Preprocess's filter table
-  /// (|V_q| × |V_data| bytes) and polled before it is allocated. `budget` is the tracker to run under —
-  /// pass the same one to Execute so the deadline spans both stages; null
-  /// makes a fresh one from options.budget. A tripped budget returns a
+  /// (|V_q| × |V_data| bytes) before it is allocated, then polled during
+  /// the filter scan and once before the build. `budget` is the tracker to
+  /// run under — pass the same one to Execute so the deadline spans both
+  /// stages; null makes a fresh one from options.budget. A tripped budget returns a
   /// PreparedQuery whose `termination` names the cap. Fails only on
   /// malformed queries.
   Result<PreparedQuery> Prepare(const Graph& query, const MatchOptions& options,

@@ -29,16 +29,23 @@ Label ScanLabel(const Source& data, const Graph& query, VertexId u) {
 template <typename Source>
 FilterTable FilterTable::Compute(const Source& data, const NlcIndex& data_nlc,
                                  const Graph& query,
-                                 std::vector<std::size_t>* candidate_counts) {
+                                 std::vector<std::size_t>* candidate_counts,
+                                 BudgetTracker* budget) {
   const std::size_t nq = query.num_vertices();
   FilterTable table;
   table.num_data_ = data.num_vertices();
   table.bytes_.assign(nq * table.num_data_, kLabel);
   if (candidate_counts != nullptr) candidate_counts->assign(nq, 0);
+  // Bucket vertices left before the next budget poll.
+  std::uint64_t until_poll = budget != nullptr ? budget->stride() : 0;
   for (VertexId u = 0; u < nq; ++u) {
     const auto labels = query.labels(u);
     const std::size_t degree = query.degree(u);
     const auto profile = NlcIndex::Profile(query, u);
+    // The mask test rejects without the merge; the merge runs only where
+    // folded labels or counts above 1 can still reject a mask pass.
+    const std::uint64_t need = NlcIndex::MaskOf(profile);
+    const bool counts_decide = !data_nlc.PresenceDecides(profile);
     std::uint8_t* verdicts = table.row(u);
     std::size_t count = 0;
     for (VertexId v : data.VerticesWithLabel(ScanLabel(data, query, u))) {
@@ -49,11 +56,16 @@ FilterTable FilterTable::Compute(const Source& data, const NlcIndex& data_nlc,
         verdict = kLabel;
       } else if (data.degree(v) < degree) {
         verdict = kDegree;
-      } else if (!data_nlc.Covers(v, profile)) {
+      } else if ((data_nlc.mask(v) & need) != need ||
+                 (counts_decide && !data_nlc.Covers(v, profile))) {
         verdict = kNlc;
       }
       verdicts[v] = verdict;
       count += verdict == kPass;
+      if (budget != nullptr && --until_poll == 0) {
+        if (budget->Poll()) return table;
+        until_poll = budget->stride();
+      }
     }
     if (candidate_counts != nullptr) (*candidate_counts)[u] = count;
   }
@@ -76,14 +88,17 @@ std::vector<VertexId> FilterTable::Candidates(const Source& data,
 template <typename Source>
 Result<Preprocessed> Preprocess(const Source& data, const NlcIndex& data_nlc,
                                 const Graph& query,
-                                const PreprocessOptions& options) {
+                                const PreprocessOptions& options,
+                                BudgetTracker* budget) {
   if (query.num_vertices() == 0) {
     return Status::InvalidArgument("empty query graph");
   }
   Preprocessed out;
   const std::size_t nq = query.num_vertices();
-  out.filter =
-      FilterTable::Compute(data, data_nlc, query, &out.candidate_counts);
+  out.filter = FilterTable::Compute(data, data_nlc, query,
+                                    &out.candidate_counts, budget);
+  // A trip mid-scan leaves rows unfiltered: nothing below may read them.
+  if (budget != nullptr && budget->Exhausted()) return out;
   out.infeasible = std::find(out.candidate_counts.begin(),
                              out.candidate_counts.end(),
                              0u) != out.candidate_counts.end();
@@ -117,10 +132,12 @@ Result<Preprocessed> Preprocess(const Source& data, const NlcIndex& data_nlc,
 
 template FilterTable FilterTable::Compute(const Graph&, const NlcIndex&,
                                           const Graph&,
-                                          std::vector<std::size_t>*);
+                                          std::vector<std::size_t>*,
+                                          BudgetTracker*);
 template FilterTable FilterTable::Compute(const OnDemandCsr&,
                                           const NlcIndex&, const Graph&,
-                                          std::vector<std::size_t>*);
+                                          std::vector<std::size_t>*,
+                                          BudgetTracker*);
 template std::vector<VertexId> FilterTable::Candidates(const Graph&,
                                                        const Graph&,
                                                        VertexId) const;
@@ -129,9 +146,11 @@ template std::vector<VertexId> FilterTable::Candidates(const OnDemandCsr&,
                                                        VertexId) const;
 template Result<Preprocessed> Preprocess(const Graph&, const NlcIndex&,
                                          const Graph&,
-                                         const PreprocessOptions&);
+                                         const PreprocessOptions&,
+                                         BudgetTracker*);
 template Result<Preprocessed> Preprocess(const OnDemandCsr&, const NlcIndex&,
                                          const Graph&,
-                                         const PreprocessOptions&);
+                                         const PreprocessOptions&,
+                                         BudgetTracker*);
 
 }  // namespace ceci

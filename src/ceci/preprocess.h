@@ -20,6 +20,7 @@
 #include "ceci/query_tree.h"
 #include "graph/graph.h"
 #include "graph/nlc_index.h"
+#include "util/budget.h"
 #include "util/status.h"
 
 namespace ceci {
@@ -42,11 +43,16 @@ class FilterTable {
 
   /// Runs the filters over each query vertex's scan bucket (its least
   /// frequent label's vertices); vertices outside the bucket read kLabel.
+  /// The NLC verdict is the neighbour-label mask test, then the count
+  /// merge only where the mask cannot decide (NlcIndex::PresenceDecides).
   /// `candidate_counts`, when non-null, receives |candidate(u)| per u.
+  /// `budget`, when non-null, is polled every budget->stride() bucket
+  /// vertices; a trip returns at once, the rest of the table unfiltered.
   template <typename Source>
   static FilterTable Compute(const Source& data, const NlcIndex& data_nlc,
                              const Graph& query,
-                             std::vector<std::size_t>* candidate_counts);
+                             std::vector<std::size_t>* candidate_counts,
+                             BudgetTracker* budget = nullptr);
 
   std::uint8_t* row(VertexId u) { return bytes_.data() + u * num_data_; }
   const std::uint8_t* row(VertexId u) const {
@@ -94,11 +100,15 @@ struct Preprocessed {
 };
 
 /// Runs the full preprocessing pipeline. Fails only on malformed input
-/// (empty or disconnected query).
+/// (empty or disconnected query). `budget`, when non-null, is polled
+/// during the filter scan (FilterTable::Compute); when it trips there,
+/// Preprocess returns at once with no tree and no root candidates, and
+/// the caller must check budget->Exhausted() before building anything.
 template <typename Source>
 Result<Preprocessed> Preprocess(const Source& data, const NlcIndex& data_nlc,
                                 const Graph& query,
-                                const PreprocessOptions& options);
+                                const PreprocessOptions& options,
+                                BudgetTracker* budget = nullptr);
 
 }  // namespace ceci
 

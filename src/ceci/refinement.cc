@@ -8,7 +8,7 @@
 
 namespace ceci {
 
-void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
+void RefineCeci(const QueryTree& tree, CandidateRanks* ranks,
                 CeciIndex* index, RefineStats* stats,
                 std::vector<std::uint64_t>* pruned_per_vertex,
                 BudgetTracker* budget) {
@@ -21,8 +21,7 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
   // The one O(|V|) structure: a list value is looked up by its rank among
   // the candidates of the vertex loaded at the time. A value that is no
   // longer a candidate of its owner (left behind by the build's cascade,
-  // or pruned below) is absent.
-  CandidateRanks ranks(data_num_vertices);
+  // or pruned below) is absent. Every Load below is paired with an Unload.
 
   bool budget_tripped = false;
   const auto& order = tree.matching_order();
@@ -46,19 +45,19 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
     // both leave it short of the list count.
     if (!ud.nte.empty()) {
       std::vector<std::uint32_t> lists_seen(ud.candidates.size(), 0);
-      ranks.Load(ud.candidates);
+      ranks->Load(ud.candidates);
       for (std::uint32_t k = 0; k < ud.nte.size(); ++k) {
         const CandidateRuns& list = ud.nte[k];
         for (std::size_t i = 0; i < list.num_keys(); ++i) {
           for (VertexId v : list.values_at(i)) {
-            const std::uint32_t r = ranks.Find(v);
+            const std::uint32_t r = ranks->Find(v);
             if (r != CandidateRanks::kAbsent && lists_seen[r] == k) {
               lists_seen[r] = k + 1;
             }
           }
         }
       }
-      ranks.Unload(ud.candidates);
+      ranks->Unload(ud.candidates);
       for (std::size_t i = 0; i < cards.size(); ++i) {
         if (lists_seen[i] != ud.nte.size()) cards[i] = 0;
       }
@@ -74,7 +73,7 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
       // its cardinalities are present and parallel to its candidates.
       CECI_DCHECK_EQ(cd.cardinalities.size(), cd.candidates.size())
           << "child u" << u_c << " visited before refinement";
-      ranks.Load(cd.candidates);
+      ranks->Load(cd.candidates);
       // u's candidates and the child's TE keys both ascend: one forward
       // cursor over the keys finds each candidate's entry.
       const std::vector<VertexId>& keys = cd.te.keys;
@@ -87,14 +86,14 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
         Cardinality sum = 0;
         for (VertexId v_c : keyed ? cd.te.values_at(at)
                                   : std::span<const VertexId>()) {
-          const std::uint32_t r = ranks.Find(v_c);
+          const std::uint32_t r = ranks->Find(v_c);
           if (r != CandidateRanks::kAbsent) {
             sum = SaturatingAdd(sum, cd.cardinalities[r]);
           }
         }
         cards[i] = SaturatingMul(cards[i], sum);
       }
-      ranks.Unload(cd.candidates);
+      ranks->Unload(cd.candidates);
     }
     if (budget_tripped) break;  // skip the prune for this half-done vertex
     std::size_t write = 0;
@@ -120,9 +119,9 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
     TraceSpan compact_span("refine/compact");
     for (VertexId u = 0; u < nq; ++u) {
       CeciVertexData& ud = index->at(u);
-      ranks.Load(ud.candidates);
-      auto survives = [&ranks](VertexId v) {
-        return ranks.Find(v) != CandidateRanks::kAbsent;
+      ranks->Load(ud.candidates);
+      auto survives = [ranks](VertexId v) {
+        return ranks->Find(v) != CandidateRanks::kAbsent;
       };
       auto prune = [&](CandidateRuns* list, VertexId key_owner) {
         // Prune offers the keys in ascending order: one forward cursor
@@ -141,7 +140,7 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
       for (std::size_t k = 0; k < ud.nte.size(); ++k) {
         prune(&ud.nte[k], tree.non_tree_edges()[nte_ids[k]].parent);
       }
-      ranks.Unload(ud.candidates);
+      ranks->Unload(ud.candidates);
     }
   }
 

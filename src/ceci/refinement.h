@@ -37,7 +37,8 @@ struct RefineStats {
 };
 
 /// Refines `index` in place (reverse matching order) and fills per-candidate
-/// cardinalities. `data_num_vertices` sizes the candidate-rank map; the
+/// cardinalities. `ranks` is an all-absent map covering every data vertex
+/// and is left all-absent, so the caller may hand it on to the freeze; the
 /// rest of the scratch is O(|C(u)|) per query vertex. `stats` may be
 /// null. When `pruned_per_vertex` is non-null it is resized to the query
 /// vertex count and receives, per query vertex u, the number of u's
@@ -47,10 +48,20 @@ struct RefineStats {
 /// scanned; on exhaustion refinement stops early, skipping the compaction
 /// sweep — the index is then semi-refined and must not be enumerated
 /// (the matcher reports the budget's TerminationReason instead).
-void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
+void RefineCeci(const QueryTree& tree, CandidateRanks* ranks,
                 CeciIndex* index, RefineStats* stats,
                 std::vector<std::uint64_t>* pruned_per_vertex = nullptr,
                 BudgetTracker* budget = nullptr);
+
+/// As above, with a rank map of its own for data vertices
+/// [0, data_num_vertices).
+inline void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
+                       CeciIndex* index, RefineStats* stats,
+                       std::vector<std::uint64_t>* pruned_per_vertex = nullptr,
+                       BudgetTracker* budget = nullptr) {
+  CandidateRanks ranks(data_num_vertices);
+  RefineCeci(tree, &ranks, index, stats, pruned_per_vertex, budget);
+}
 
 }  // namespace ceci
 

@@ -19,6 +19,21 @@ bool NlcIndex::Covers(VertexId v, std::span<const Entry> required) const {
   return true;
 }
 
+std::uint64_t NlcIndex::MaskOf(std::span<const Entry> required) {
+  std::uint64_t mask = 0;
+  for (const Entry& need : required) {
+    mask |= std::uint64_t{1} << (need.label % kMaskBits);
+  }
+  return mask;
+}
+
+bool NlcIndex::PresenceDecides(std::span<const Entry> required) const {
+  if (num_labels_ > kMaskBits) return false;
+  return std::all_of(required.begin(), required.end(), [](const Entry& need) {
+    return need.label < kMaskBits && need.count <= 1;
+  });
+}
+
 std::vector<NlcIndex::Entry> NlcIndex::Profile(const Graph& g, VertexId v) {
   std::vector<Label> seen;
   for (VertexId w : g.neighbors(v)) {

@@ -4,7 +4,15 @@
 // and query vertex u, that count_v(l) >= count_u(l) for each label l in u's
 // neighborhood. This index precomputes count_v(l) for every data vertex as
 // sorted (label, count) runs so the check is a merge over two tiny sorted
-// lists instead of an adjacency rescans per candidate.
+// lists instead of an adjacency rescan per candidate.
+//
+// Beside the runs it keeps one 64-bit neighbour-label mask per vertex, bit
+// l mod 64 set for each label in the neighbourhood (after l2Match's
+// neighbouring-label index). A requirement's own mask must be a subset of
+// it: labels folded onto one bit can only make that test pass more often,
+// so a vertex it rejects fails the merge too. Where presence decides --
+// no label reaches 64 and every required count is 1 -- the mask test is
+// the whole verdict and the merge is skipped (PresenceDecides).
 #ifndef CECI_GRAPH_NLC_INDEX_H_
 #define CECI_GRAPH_NLC_INDEX_H_
 
@@ -44,8 +52,20 @@ class NlcIndex {
   /// with label l.
   bool Covers(VertexId v, std::span<const Entry> required) const;
 
+  /// Bit l mod 64 set for each label l among v's neighbours.
+  std::uint64_t mask(VertexId v) const { return masks_[v]; }
+
+  /// The mask of the labels `required` names, folded as mask() folds them.
+  static std::uint64_t MaskOf(std::span<const Entry> required);
+
+  /// True iff `(mask(v) & MaskOf(required)) == MaskOf(required)` is
+  /// exactly Covers(v, required) for every v: no label of the graph or of
+  /// `required` folds onto another's bit, and every required count is 1.
+  bool PresenceDecides(std::span<const Entry> required) const;
+
   std::size_t MemoryBytes() const {
-    return offsets_.size() * sizeof(EdgeId) + entries_.size() * sizeof(Entry);
+    return offsets_.size() * sizeof(EdgeId) + entries_.size() * sizeof(Entry) +
+           masks_.size() * sizeof(std::uint64_t);
   }
 
   /// Computes the (label, count) profile of a single vertex's neighborhood
@@ -53,14 +73,20 @@ class NlcIndex {
   static std::vector<Entry> Profile(const Graph& g, VertexId v);
 
  private:
+  static constexpr std::size_t kMaskBits = 64;
+
   std::vector<EdgeId> offsets_;
   std::vector<Entry> entries_;
+  std::vector<std::uint64_t> masks_;
+  std::size_t num_labels_ = 0;
 };
 
 template <typename Source>
 NlcIndex::NlcIndex(const Source& g) {
   const std::size_t n = g.num_vertices();
   offsets_.assign(n + 1, 0);
+  masks_.assign(n, 0);
+  num_labels_ = g.num_labels();
   // One dense counter per label; `touched` lists the labels a vertex's
   // neighborhood raised from zero, so resetting costs only those slots.
   std::vector<std::uint32_t> count(g.num_labels(), 0);
@@ -72,10 +98,13 @@ NlcIndex::NlcIndex(const Source& g) {
       }
     }
     std::sort(touched.begin(), touched.end());
+    std::uint64_t mask = 0;
     for (Label l : touched) {
       entries_.push_back(Entry{l, count[l]});
       count[l] = 0;
+      mask |= std::uint64_t{1} << (l % kMaskBits);
     }
+    masks_[v] = mask;
     touched.clear();
     offsets_[v + 1] = entries_.size();
   }

@@ -46,11 +46,13 @@
 //   --slo-latency-target F fraction under the threshold  (default: 0.99)
 //   --help                 print this help and exit 0
 //
+// Numeric flags take plain decimals (ParseFlagNumber): N is a count with
+// no sign or suffix, F and millisecond values any finite non-negative
+// number. Anything else is a usage error.
+//
 // Exit codes: 0 clean shutdown, 1 I/O error, 2 usage error.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -118,6 +120,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (i + 1 >= argc) return nullptr;
       return argv[++i];
     };
+    // The next argument as a strict number (ParseFlagNumber).
+    auto number = [&](auto* out) {
+      const char* v = next();
+      return v != nullptr && ParseFlagNumber(v, out);
+    };
+    double ms = 0.0;
     if (flag == "--help") {
       args->help = true;
       return true;
@@ -137,45 +145,30 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next();
       if (!v || !ParsePort(v, &args->port)) return false;
     } else if (flag == "--pool-threads") {
-      const char* v = next();
-      if (!v) return false;
-      args->service.pool_threads = std::strtoul(v, nullptr, 10);
+      if (!number(&args->service.pool_threads)) return false;
     } else if (flag == "--threads-per-query") {
-      const char* v = next();
-      if (!v) return false;
-      args->service.threads_per_query = std::strtoul(v, nullptr, 10);
+      if (!number(&args->service.threads_per_query)) return false;
     } else if (flag == "--max-concurrent") {
-      const char* v = next();
-      if (!v) return false;
-      args->service.limits.max_concurrent = std::strtoul(v, nullptr, 10);
-      if (args->service.limits.max_concurrent == 0) return false;
+      if (!number(&args->service.limits.max_concurrent) ||
+          args->service.limits.max_concurrent == 0) {
+        return false;
+      }
     } else if (flag == "--max-queue") {
-      const char* v = next();
-      if (!v) return false;
-      args->service.limits.max_queue = std::strtoul(v, nullptr, 10);
+      if (!number(&args->service.limits.max_queue)) return false;
     } else if (flag == "--degrade-depth") {
-      const char* v = next();
-      if (!v) return false;
-      args->service.limits.degrade_depth = std::strtoul(v, nullptr, 10);
+      if (!number(&args->service.limits.degrade_depth)) return false;
     } else if (flag == "--default-deadline-ms") {
-      const char* v = next();
-      if (!v) return false;
-      args->service.limits.default_deadline_seconds =
-          std::strtod(v, nullptr) / 1e3;
+      if (!number(&ms)) return false;
+      args->service.limits.default_deadline_seconds = ms / 1e3;
     } else if (flag == "--degraded-deadline-ms") {
-      const char* v = next();
-      if (!v) return false;
-      args->service.limits.degraded_deadline_seconds =
-          std::strtod(v, nullptr) / 1e3;
+      if (!number(&ms)) return false;
+      args->service.limits.degraded_deadline_seconds = ms / 1e3;
     } else if (flag == "--degraded-limit") {
-      const char* v = next();
-      if (!v) return false;
-      args->service.limits.degraded_limit = std::strtoull(v, nullptr, 10);
+      if (!number(&args->service.limits.degraded_limit)) return false;
     } else if (flag == "--max-connections") {
-      const char* v = next();
-      if (!v) return false;
-      args->max_connections = std::strtoul(v, nullptr, 10);
-      if (args->max_connections == 0) return false;
+      if (!number(&args->max_connections) || args->max_connections == 0) {
+        return false;
+      }
     } else if (flag == "--no-cache") {
       args->service.cache_indexes = false;
     } else if (flag == "--index") {
@@ -185,9 +178,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--no-mmap") {
       args->use_mmap = false;
     } else if (flag == "--duration-s") {
-      const char* v = next();
-      if (!v) return false;
-      args->duration_s = std::strtod(v, nullptr);
+      if (!number(&args->duration_s)) return false;
     } else if (flag == "--telemetry-port") {
       const char* v = next();
       if (!v || !ParsePort(v, &args->telemetry_port)) return false;
@@ -196,17 +187,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!v) return false;
       args->access_log = v;
     } else if (flag == "--slo-availability-target") {
-      const char* v = next();
-      if (!v) return false;
-      args->slo.availability_target = std::strtod(v, nullptr);
+      if (!number(&args->slo.availability_target)) return false;
     } else if (flag == "--slo-latency-ms") {
-      const char* v = next();
-      if (!v) return false;
-      args->slo.latency_threshold_us = std::strtod(v, nullptr) * 1e3;
+      if (!number(&ms)) return false;
+      args->slo.latency_threshold_us = ms * 1e3;
     } else if (flag == "--slo-latency-target") {
-      const char* v = next();
-      if (!v) return false;
-      args->slo.latency_target = std::strtod(v, nullptr);
+      if (!number(&args->slo.latency_target)) return false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstring>
 
@@ -36,11 +35,8 @@ Status Errno(const std::string& what) {
 }  // namespace
 
 bool ParsePort(std::string_view text, int* port) {
-  // Unsigned from_chars takes no sign, no space and no prefix.
   unsigned value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end || value > 65535) return false;
+  if (!ParseFlagNumber(text, &value) || value > 65535) return false;
   *port = static_cast<int>(value);
   return true;
 }

@@ -1,18 +1,41 @@
 // TCP for the query service and its tools: the only code outside
 // util/subprocess and util/frame_transport that makes or uses a socket.
-// IPv4 only; every descriptor is close-on-exec.
+// IPv4 only; every descriptor is close-on-exec. Also the tools' strict
+// parsers for port and other numeric flag values.
 #ifndef CECI_UTIL_TCP_H_
 #define CECI_UTIL_TCP_H_
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "util/status.h"
 
 namespace ceci {
+
+/// Parses a numeric flag value into `*value`: all of `text` must be one
+/// decimal number of type T as std::from_chars reads it, so a sign on an
+/// unsigned T, a space, a prefix, a suffix or an overflow fails. A
+/// floating-point value must also be finite and not negative. False (and
+/// `*value` untouched) otherwise.
+template <typename T>
+bool ParseFlagNumber(std::string_view text, T* value) {
+  static_assert(std::is_unsigned_v<T> || std::is_floating_point_v<T>);
+  T parsed{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, parsed);
+  if (error != std::errc() || stop != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(parsed) || parsed < 0) return false;
+  }
+  *value = parsed;
+  return true;
+}
 
 /// Parses a port flag value into `*port`: decimal digits only, at most
 /// 65535. False (and `*port` untouched) otherwise.

@@ -369,6 +369,52 @@ TEST(ExecutionBudgetTest, PreCancelledTokenStopsImmediately) {
   EXPECT_TRUE(result->stats.budget.cancelled);
 }
 
+TEST(ExecutionBudgetTest, CancellationMidFilterScanBuildsNoIndex) {
+  // One label: every query vertex scans all 2000 data vertices, and the
+  // filter scan first polls the (already cancelled) token after one
+  // stride of them.
+  Graph data = GenerateSocialGraph(2000, 6, 5);
+  Graph query = MakePaperQuery(PaperQuery::kQG1);
+  CancellationToken token;
+  token.RequestCancel();
+  ExecutionBudget budget;
+  budget.token = &token;
+  budget.check_stride = 16;
+
+  // Preprocess stops one stride into query vertex 0's bucket and returns
+  // no root and no pivots to build from.
+  NlcIndex nlc(data);
+  BudgetTracker tracker(budget);
+  auto pre = Preprocess(data, nlc, query, PreprocessOptions{}, &tracker);
+  ASSERT_TRUE(pre.ok());
+  EXPECT_EQ(tracker.reason(), TerminationReason::kCancelled);
+  EXPECT_EQ(tracker.polls(), 1u);
+  std::size_t filtered = 0;
+  for (VertexId v = 0; v < data.num_vertices(); ++v) {
+    filtered += pre->filter.row(0)[v] != FilterTable::kLabel;
+  }
+  EXPECT_EQ(filtered, 16u);
+  EXPECT_EQ(pre->root, kInvalidVertex);
+  EXPECT_TRUE(pre->root_candidates.empty());
+
+  // Prepare returns the trip as a labelled partial; the build never ran.
+  CeciMatcher matcher(data);
+  MatchOptions options;
+  options.budget = budget;
+  auto prepared = matcher.Prepare(query, options);
+  ASSERT_TRUE(prepared.ok());
+  EXPECT_EQ(prepared->termination, TerminationReason::kCancelled);
+  EXPECT_TRUE(prepared->stats.budget.cancelled);
+  EXPECT_EQ(prepared->stats.budget.polls, 1u);  // the scan's only
+  EXPECT_EQ(prepared->stats.build_seconds, 0.0);
+  EXPECT_EQ(prepared->stats.ceci_bytes_unrefined, 0u);
+  EXPECT_TRUE(prepared->counts.built.empty());
+  EXPECT_EQ(prepared->flat.ArenaBytes(), 0u);
+  const MatchResult result = matcher.Execute(*prepared, options);
+  EXPECT_EQ(result.termination, TerminationReason::kCancelled);
+  EXPECT_EQ(result.embedding_count, 0u);
+}
+
 TEST(ExecutionBudgetTest, MidEnumerationCancellationRaceIsClean) {
   // Multithreaded cancellation: a visitor requests cancel mid-stream
   // while 4 workers poll the shared token. Must be TSAN-clean and stop

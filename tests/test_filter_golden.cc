@@ -389,5 +389,93 @@ TEST(FilterOnceGoldenTest, InfeasibleQuery) {
   EXPECT_EQ(serial, expected_build);
 }
 
+// The neighbour-label mask prefilter (NlcIndex::mask) must leave every
+// verdict as the count merge alone gives it.
+
+// The verdict of (u, v) with NLC decided by NlcIndex::Covers alone: the
+// filter as it stood before the mask prefilter.
+std::uint8_t CoversOnlyVerdict(const Graph& data, const NlcIndex& nlc,
+                               const Graph& query, VertexId u, VertexId v) {
+  if (!data.HasAllLabels(v, query.labels(u))) return FilterTable::kLabel;
+  if (data.degree(v) < query.degree(u)) return FilterTable::kDegree;
+  if (!nlc.Covers(v, NlcIndex::Profile(query, u))) return FilterTable::kNlc;
+  return FilterTable::kPass;
+}
+
+TEST(NlcMaskFilterTest, FoldedLabelsKeepEveryCoversVerdict) {
+  const Graph data = ::ceci::testing::FoldedLabelGraph();
+  const NlcIndex nlc(data);
+  std::size_t mask_rejects = 0;  // the mask test alone rejected
+  std::size_t fold_passes = 0;   // the mask passed a pair the merge rejects
+  std::size_t pairs = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    QueryGenOptions qopt;
+    qopt.num_vertices = 4 + seed % 4;
+    qopt.seed = seed;
+    const std::optional<Graph> query = GenerateQuery(data, qopt);
+    ASSERT_TRUE(query.has_value()) << "seed " << seed;
+    const FilterTable table = FilterTable::Compute(data, nlc, *query, nullptr);
+    for (VertexId u = 0; u < query->num_vertices(); ++u) {
+      const auto profile = NlcIndex::Profile(*query, u);
+      ASSERT_FALSE(nlc.PresenceDecides(profile));
+      const std::uint64_t need = NlcIndex::MaskOf(profile);
+      for (VertexId v = 0; v < data.num_vertices(); ++v) {
+        const std::uint8_t expected =
+            CoversOnlyVerdict(data, nlc, *query, u, v);
+        ASSERT_EQ(table.row(u)[v], expected)
+            << "seed " << seed << " u" << u << " v" << v;
+        if (expected != FilterTable::kNlc) continue;
+        ++pairs;
+        if ((nlc.mask(v) & need) != need) {
+          ++mask_rejects;
+        } else {
+          ++fold_passes;
+        }
+      }
+    }
+  }
+  // Both branches ran: rejections the mask settles alone, and mask passes
+  // (folded labels among them) that only the merge rejects.
+  EXPECT_GT(mask_rejects, 0u);
+  EXPECT_GT(fold_passes, 0u);
+  EXPECT_EQ(mask_rejects + fold_passes, pairs);
+}
+
+TEST(NlcMaskFilterTest, PresenceDecidedVerdictsMatchCovers) {
+  const Graph data = GoldenDataGraph("social", true);
+  const NlcIndex nlc(data);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    QueryGenOptions qopt;
+    qopt.num_vertices = 4 + seed % 4;
+    qopt.seed = seed;
+    const std::optional<Graph> query = GenerateQuery(data, qopt);
+    ASSERT_TRUE(query.has_value()) << "seed " << seed;
+    const FilterTable table = FilterTable::Compute(data, nlc, *query, nullptr);
+    for (VertexId u = 0; u < query->num_vertices(); ++u) {
+      for (VertexId v = 0; v < data.num_vertices(); ++v) {
+        ASSERT_EQ(table.row(u)[v], CoversOnlyVerdict(data, nlc, *query, u, v))
+            << "seed " << seed << " u" << u << " v" << v;
+      }
+    }
+  }
+}
+
+TEST(NlcMaskFilterTest, TwoNeighboursOfOneLabelRejectAVertexWithOne) {
+  // Data vertex 0 has one label-1 and one label-2 neighbour; query vertex
+  // 0 needs two label-1 neighbours. The mask test passes (bit 1 is set),
+  // so the count merge must reject.
+  const Graph data = MakeGraph({0, 1, 2}, {{0, 1}, {0, 2}});
+  const Graph query = MakeGraph({0, 1, 1}, {{0, 1}, {0, 2}});
+  const NlcIndex nlc(data);
+  const auto profile = NlcIndex::Profile(query, 0);
+  const std::uint64_t need = NlcIndex::MaskOf(profile);
+  ASSERT_EQ(nlc.mask(0) & need, need);
+  ASSERT_FALSE(nlc.PresenceDecides(profile));
+  std::vector<std::size_t> counts;
+  const FilterTable table = FilterTable::Compute(data, nlc, query, &counts);
+  EXPECT_EQ(table.row(0)[0], FilterTable::kNlc);
+  EXPECT_EQ(counts[0], 0u);
+}
+
 }  // namespace
 }  // namespace ceci

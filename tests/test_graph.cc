@@ -1,11 +1,17 @@
 // Unit tests for the Graph CSR representation, builder, and NLC index.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdint>
+#include <filesystem>
 #include <random>
+#include <string>
 
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "graph/nlc_index.h"
+#include "graphio/binary_csr.h"
 #include "test_support.h"
 
 namespace ceci {
@@ -195,7 +201,72 @@ TEST(NlcIndexTest, MatchesProfileForEveryVertex) {
   }
   EXPECT_TRUE(saw_repeat);
   EXPECT_EQ(big_index.MemoryBytes(),
-            (n + 1) * sizeof(EdgeId) + total_entries * sizeof(NlcIndex::Entry));
+            (n + 1) * sizeof(EdgeId) +
+                total_entries * sizeof(NlcIndex::Entry) +
+                n * sizeof(std::uint64_t));
+}
+
+// Neighbour-label masks: bit l mod 64 per neighbour label l.
+
+TEST(NlcMaskTest, MaskFoldsEachNeighbourLabelOntoBitModulo64) {
+  // Vertex 0's neighbours carry labels 1, 65 (bit 1 again) and 2.
+  Graph g = MakeGraph({0, 1, 65, 2}, {{0, 1}, {0, 2}, {0, 3}});
+  NlcIndex index(g);
+  EXPECT_EQ(index.mask(0), 0b110u);
+  for (VertexId leaf = 1; leaf < 4; ++leaf) EXPECT_EQ(index.mask(leaf), 1u);
+  const std::vector<NlcIndex::Entry> both = {{1, 1}, {65, 1}};
+  EXPECT_EQ(NlcIndex::MaskOf(both), 0b10u);
+  // 66 labels: 65 folds onto 1's bit, so counts must still be merged.
+  const std::vector<NlcIndex::Entry> one = {{1, 1}};
+  EXPECT_FALSE(index.PresenceDecides(one));
+}
+
+TEST(NlcMaskTest, PresenceDecidesOnlyUnfoldedSingleCounts) {
+  Graph g = MakeGraph({9, 1, 1, 2}, {{0, 1}, {0, 2}, {0, 3}});
+  NlcIndex index(g);
+  const std::vector<NlcIndex::Entry> singles = {{1, 1}, {2, 1}};
+  const std::vector<NlcIndex::Entry> pair = {{1, 2}};
+  // A label the graph lacks, folded onto label 0's bit.
+  const std::vector<NlcIndex::Entry> folded = {{64, 1}};
+  EXPECT_TRUE(index.PresenceDecides({}));
+  EXPECT_TRUE(index.PresenceDecides(singles));
+  EXPECT_FALSE(index.PresenceDecides(pair));
+  EXPECT_FALSE(index.PresenceDecides(folded));
+}
+
+TEST(NlcMaskTest, MaskEqualsTheFoldedEntryLabels) {
+  const Graph g = ::ceci::testing::FoldedLabelGraph();
+  ASSERT_EQ(g.num_labels(), 72u);
+  NlcIndex index(g);
+  bool saw_fold = false;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto entries = index.entries(v);
+    ASSERT_EQ(index.mask(v), NlcIndex::MaskOf(entries)) << "vertex " << v;
+    for (const NlcIndex::Entry& e : entries) {
+      saw_fold = saw_fold || e.label >= 64;
+    }
+  }
+  EXPECT_TRUE(saw_fold);
+}
+
+TEST(NlcMaskTest, OnDemandCsrBuildsTheResidentMasks) {
+  const Graph g = ::ceci::testing::FoldedLabelGraph();
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ceci_nlc_mask_" + std::to_string(::getpid()) + ".csr"))
+          .string();
+  ASSERT_TRUE(WriteBinaryCsr(g, path).ok());
+  auto store = OnDemandCsr::Open(path);
+  std::filesystem::remove(path);  // the open stream keeps it readable
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const NlcIndex resident(g);
+  const NlcIndex stored(*store);
+  ASSERT_TRUE(store->status().ok()) << store->status().ToString();
+  EXPECT_EQ(stored.MemoryBytes(), resident.MemoryBytes());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(stored.mask(v), resident.mask(v)) << "vertex " << v;
+    ASSERT_EQ(stored.entries(v).size(), resident.entries(v).size());
+  }
 }
 
 }  // namespace

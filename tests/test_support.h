@@ -67,6 +67,25 @@ inline Graph GoldenDataGraph(const std::string& family, bool labeled) {
   return labeled ? AssignRandomLabels(g, 4, 14) : g;
 }
 
+/// A 1500-vertex social graph, one label per vertex from {0..7} and
+/// {64..71}: label l + 64 shares neighbour-label mask bit l with label l
+/// (NlcIndex::mask), and with 72 labels the mask alone never decides NLC.
+inline Graph FoldedLabelGraph() {
+  const Graph g = AssignRandomLabels(GenerateSocialGraph(1500, 5, 31), 16, 32);
+  GraphBuilder builder;
+  builder.ReserveVertices(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const Label l = g.label(v);
+    builder.AddLabel(v, l < 8 ? l : l + 56);
+    for (VertexId w : g.neighbors(v)) {
+      if (v < w) builder.AddEdge(v, w);
+    }
+  }
+  auto out = builder.Build();
+  CECI_CHECK(out.ok()) << out.status().ToString();
+  return std::move(out).value();
+}
+
 /// The paper's running example (Figures 1 and 3), reconstructed from the
 /// narration in §2-§3. Vertices are 0-based: paper's v1 is vertex 0.
 /// Labels: A=0 (v1,v2), B=1 (v3,v5,v7,v9), C=2 (v4,v6,v8,v10),

@@ -386,6 +386,9 @@ TEST_F(ToolsTest, ServeToolsRejectBadUsage) {
   EXPECT_EQ(Run("ceci_loadgen", ""), 2);          // --port is required
   EXPECT_EQ(Run("ceci_loadgen", "--port 1 --duration-s 0"), 2);
   EXPECT_EQ(Run("ceci_serve", "--data x --wat"), 2);
+  // Numeric flags are strict: no sign on a count, no trailing junk.
+  EXPECT_EQ(Run("ceci_serve", "--data x --max-connections -1"), 2);
+  EXPECT_EQ(Run("ceci_serve", "--data x --max-queue 16x"), 2);
   for (const std::string port : {"abc", "80x", "70000", "-5"}) {
     EXPECT_EQ(Run("ceci_serve", "--data x --port " + port), 2) << port;
     EXPECT_EQ(Run("ceci_serve", "--data x --telemetry-port " + port), 2)
