@@ -92,9 +92,10 @@ RestrictionEstimate EstimateRestrictionCost(
   const VertexId root = order[0];
   const VertexId u1 = order[1];
   const VertexId u2 = order.size() > 2 ? order[2] : kInvalidVertex;
+  // TE entry i of a vertex belongs to its parent's candidate at rank i.
+  const std::span<const VertexId> cand0 = index.candidates(root);
   const std::span<const VertexId> cand1 = index.candidates(u1);
-  const std::span<const VertexId> keys1 = index.TeKeys(u1);
-  std::span<const VertexId> cand2, keys2;
+  std::span<const VertexId> cand2;
   int order01[2], order02[2] = {0, 0}, order12[2] = {0, 0};
   for (int s = 0; s < 2; ++s) {
     order01[s] = MatchOrder(*sets[s], root, u1);
@@ -103,10 +104,7 @@ RestrictionEstimate EstimateRestrictionCost(
       order12[s] = MatchOrder(*sets[s], u1, u2);
     }
   }
-  if (u2 != kInvalidVertex) {
-    cand2 = index.candidates(u2);
-    keys2 = index.TeKeys(u2);
-  }
+  if (u2 != kInvalidVertex) cand2 = index.candidates(u2);
   std::vector<VertexId> scratch1, scratch2;
 
   // The matching order is a topological order of the tree, so u2 hangs
@@ -115,9 +113,8 @@ RestrictionEstimate EstimateRestrictionCost(
     // One walk over the root matches, u1's and u2's TE lists in step. For
     // each root match both lists are fixed; u1's window, when it bounds
     // u2's, is applied by walking the two sorted lists together.
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < keys1.size(); ++i) {
-      const VertexId v0 = keys1[i];
+    for (std::size_t i = 0; i < cand0.size(); ++i) {
+      const VertexId v0 = cand0[i];
       const std::span<const VertexId> ranks1 =
           EntryRanks(index.TeEntry(u1, i), &scratch1);
       std::span<const VertexId> l1[2];
@@ -125,10 +122,9 @@ RestrictionEstimate EstimateRestrictionCost(
         l1[s] = ClampByOrder(ranks1, cand1, order01[s], v0);
         totals[s] += l1[s].size();
       }
-      while (j < keys2.size() && keys2[j] < v0) ++j;
-      if (j == keys2.size() || keys2[j] != v0) continue;
+      if (u2 == kInvalidVertex) continue;
       const std::span<const VertexId> ranks2 =
-          EntryRanks(index.TeEntry(u2, j), &scratch2);
+          EntryRanks(index.TeEntry(u2, i), &scratch2);
       for (int s = 0; s < 2; ++s) {
         const std::span<const VertexId> l2 =
             ClampByOrder(ranks2, cand2, order02[s], v0);
@@ -146,7 +142,7 @@ RestrictionEstimate EstimateRestrictionCost(
   // reads its own u2 list once, and the root's bound on u2 becomes a merge
   // walk instead of a lookup per (root, u1) pair.
   std::vector<std::uint32_t> offsets(cand1.size() + 1, 0);
-  for (std::size_t i = 0; i < keys1.size(); ++i) {
+  for (std::size_t i = 0; i < cand0.size(); ++i) {
     for (VertexId r : EntryRanks(index.TeEntry(u1, i), &scratch1)) {
       ++offsets[r + 1];
     }
@@ -154,22 +150,18 @@ RestrictionEstimate EstimateRestrictionCost(
   for (std::size_t r = 0; r < cand1.size(); ++r) offsets[r + 1] += offsets[r];
   std::vector<VertexId> roots(offsets.back());
   std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < keys1.size(); ++i) {
+  for (std::size_t i = 0; i < cand0.size(); ++i) {
     for (VertexId r : EntryRanks(index.TeEntry(u1, i), &scratch1)) {
-      roots[fill[r]++] = keys1[i];
+      roots[fill[r]++] = cand0[i];
     }
   }
-  std::size_t j = 0;
   for (std::size_t r = 0; r < cand1.size(); ++r) {
     const std::span<const VertexId> bucket(roots.data() + offsets[r],
                                            offsets[r + 1] - offsets[r]);
     if (bucket.empty()) continue;
     const VertexId v1 = cand1[r];
-    while (j < keys2.size() && keys2[j] < v1) ++j;
-    const bool have2 = j < keys2.size() && keys2[j] == v1;
     const std::span<const VertexId> ranks2 =
-        have2 ? EntryRanks(index.TeEntry(u2, j), &scratch2)
-              : std::span<const VertexId>();
+        EntryRanks(index.TeEntry(u2, r), &scratch2);
     for (int s = 0; s < 2; ++s) {
       // The root matches that admit v1 at position 1.
       std::span<const VertexId> b0 = bucket;
@@ -211,6 +203,7 @@ Enumerator::Enumerator(const Graph* data, const QueryTree& tree,
   symmetry_ = options.symmetry;
   const std::size_t nq = tree.num_vertices();
   mapping_.assign(nq, kInvalidVertex);
+  ranks_.assign(nq, CandidateRanks::kAbsent);
   scratch_.resize(nq);
   span_scratch_.reserve(nq);
   if (options.per_position_stats) stats_.calls_per_position.assign(nq, 0);
@@ -248,6 +241,8 @@ bool Enumerator::LimitReached() const {
 
 std::size_t Enumerator::StateBytes() const {
   std::size_t bytes = mapping_.capacity() * sizeof(VertexId) +
+                      ranks_.capacity() * sizeof(std::uint32_t) +
+                      collect_ranks_.capacity() * sizeof(std::uint32_t) +
                       used_.capacity() * sizeof(std::uint64_t) +
                       flipped_scratch_.capacity() * sizeof(VertexId) +
                       span_scratch_.capacity() *
@@ -258,7 +253,7 @@ std::size_t Enumerator::StateBytes() const {
                       rank_tmp_.capacity() * sizeof(VertexId) +
                       bitmap_scratch_.capacity() * sizeof(std::uint64_t);
   for (const auto& s : scratch_) {
-    bytes += sizeof(s) + s.capacity() * sizeof(VertexId);
+    bytes += sizeof(s) + s.capacity() * sizeof(std::uint32_t);
   }
   return bytes;
 }
@@ -289,12 +284,14 @@ std::uint64_t Enumerator::EnumerateFromPrefix(
     CECI_DCHECK(!IsUsed(prefix[i]))
         << "prefix repeats data vertex v" << prefix[i];
     mapping_[order[i]] = prefix[i];
+    ranks_[order[i]] = RankOf(order[i], prefix[i]);
     MarkUsed(prefix[i]);
   }
   const std::uint64_t before = stats_.embeddings;
   Recurse(prefix.size());
   for (std::size_t i = 0; i < prefix.size(); ++i) {
     mapping_[order[i]] = kInvalidVertex;
+    ranks_[order[i]] = CandidateRanks::kAbsent;
     UnmarkUsed(prefix[i]);
   }
   visitor_ = nullptr;
@@ -337,14 +334,23 @@ void Enumerator::SymmetryRange(std::span<const VertexId> mapping, VertexId u,
   *hi = h;
 }
 
+std::uint32_t Enumerator::RankOf(VertexId u, VertexId v) const {
+  const std::span<const VertexId> cand = flat_.candidates(u);
+  const auto it = std::lower_bound(cand.begin(), cand.end(), v);
+  return it != cand.end() && *it == v
+             ? static_cast<std::uint32_t>(it - cand.begin())
+             : CandidateRanks::kAbsent;
+}
+
 bool Enumerator::GatherFlatRefs(std::span<const VertexId> mapping,
+                                std::span<const std::uint32_t> match_ranks,
                                 VertexId u, bool with_nte, VertexId* lo,
                                 VertexId* hi) {
   entry_scratch_.clear();
-  const VertexId parent_match = mapping[tree_.parent(u)];
-  CECI_DCHECK_NE(parent_match, kInvalidVertex)
+  const VertexId u_p = tree_.parent(u);
+  CECI_DCHECK_NE(mapping[u_p], kInvalidVertex)
       << "tree parent of u" << u << " unmatched";
-  const FlatCeciIndex::EntryRef te = flat_.Te(u, parent_match);
+  const FlatCeciIndex::EntryRef te = flat_.TeEntry(u, match_ranks[u_p]);
   if (te.count == 0) return false;
   entry_scratch_.push_back(te);
   if (with_nte) {
@@ -353,7 +359,9 @@ bool Enumerator::GatherFlatRefs(std::span<const VertexId> mapping,
       const VertexId u_n = tree_.non_tree_edges()[nte_ids[k]].parent;
       CECI_DCHECK_NE(mapping[u_n], kInvalidVertex)
           << "NTE parent u" << u_n << " of u" << u << " unmatched";
-      const FlatCeciIndex::EntryRef ref = flat_.Nte(u, k, mapping[u_n]);
+      const FlatCeciIndex::EntryRef ref = flat_.NteAt(
+          u, k, mapping[u_n], match_ranks[u_n],
+          static_cast<std::uint32_t>(flat_.candidates(u_n).size()));
       if (ref.count == 0) return false;
       entry_scratch_.push_back(ref);
     }
@@ -443,11 +451,13 @@ bool Enumerator::AndFlatBitmaps(VertexId u, std::span<const VertexId> cand,
   return true;
 }
 
-void Enumerator::Candidates(std::span<const VertexId> mapping, VertexId u,
-                            std::vector<VertexId>* out) {
+void Enumerator::Candidates(std::span<const VertexId> mapping,
+                            std::span<const std::uint32_t> match_ranks,
+                            VertexId u, std::vector<std::uint32_t>* out) {
   out->clear();
   VertexId lo, hi;
-  if (!GatherFlatRefs(mapping, u, options_.nte_intersection, &lo, &hi)) {
+  if (!GatherFlatRefs(mapping, match_ranks, u, options_.nte_intersection, &lo,
+                      &hi)) {
     return;
   }
   const std::span<const VertexId> cand = flat_.candidates(u);
@@ -471,11 +481,10 @@ void Enumerator::Candidates(std::span<const VertexId> mapping, VertexId u,
     stats_.intersection_elements_out += ranks.size();
   }
 
-  // Decode ranks to data-vertex ids, folding in injectivity.
+  // Keep the ranks whose data vertex is unused (injectivity).
   out->reserve(ranks.size());
   for (VertexId r : ranks) {
-    const VertexId v = cand[r];
-    if (!IsUsed(v)) out->push_back(v);
+    if (!IsUsed(cand[r])) out->push_back(r);
   }
 
   ApplyEdgeVerification(mapping, u, out);
@@ -484,11 +493,13 @@ void Enumerator::Candidates(std::span<const VertexId> mapping, VertexId u,
 // Edge-verification ablation filter (no-op under NTE intersection).
 void Enumerator::ApplyEdgeVerification(std::span<const VertexId> mapping,
                                        VertexId u,
-                                       std::vector<VertexId>* out) {
+                                       std::vector<std::uint32_t>* out) {
   const auto nte_ids = tree_.nte_in(u);
   if (options_.nte_intersection || nte_ids.empty()) return;
+  const std::span<const VertexId> cand = flat_.candidates(u);
   out->erase(std::remove_if(out->begin(), out->end(),
-                            [&](VertexId v) {
+                            [&](std::uint32_t r) {
+                              const VertexId v = cand[r];
                               for (std::uint32_t e : nte_ids) {
                                 const VertexId u_n =
                                     tree_.non_tree_edges()[e].parent;
@@ -504,7 +515,7 @@ void Enumerator::ApplyEdgeVerification(std::span<const VertexId> mapping,
 
 std::uint64_t Enumerator::CountLeafCandidates(VertexId u) {
   VertexId lo, hi;
-  if (!GatherFlatRefs(mapping_, u, true, &lo, &hi)) return 0;
+  if (!GatherFlatRefs(mapping_, ranks_, u, true, &lo, &hi)) return 0;
   const std::span<const VertexId> cand = flat_.candidates(u);
   const bool have_bitmap = SplitFlatRefs(cand, lo, hi);
 
@@ -561,15 +572,23 @@ void Enumerator::CollectExtensions(std::span<const VertexId> mapping,
   // an arbitrary mapping, so mirror it into the bitmap for this call.
   // Only bits this call actually flips are cleared afterwards, which keeps
   // a concurrent invariant (used_ == contents of mapping_) intact when the
-  // two mappings coincide.
+  // two mappings coincide. The matched vertices' ranks are looked up once
+  // here, for Candidates to find entries by.
+  CECI_DCHECK_EQ(mapping.size(), tree_.num_vertices());
   flipped_scratch_.clear();
-  for (VertexId m : mapping) {
-    if (m != kInvalidVertex && !IsUsed(m)) {
+  collect_ranks_.assign(mapping.size(), CandidateRanks::kAbsent);
+  for (VertexId w = 0; w < mapping.size(); ++w) {
+    const VertexId m = mapping[w];
+    if (m == kInvalidVertex) continue;
+    collect_ranks_[w] = RankOf(w, m);
+    if (!IsUsed(m)) {
       MarkUsed(m);
       flipped_scratch_.push_back(m);
     }
   }
-  Candidates(mapping, u, out);
+  Candidates(mapping, collect_ranks_, u, out);
+  const std::span<const VertexId> cand = flat_.candidates(u);
+  for (VertexId& r : *out) r = cand[r];
   for (VertexId m : flipped_scratch_) UnmarkUsed(m);
 }
 
@@ -606,8 +625,8 @@ bool Enumerator::Recurse(std::size_t pos) {
       admit = CountLeafCandidates(u);
     } else {
       // The edge-verification ablation must probe each candidate.
-      std::vector<VertexId>& cands = scratch_[pos];
-      Candidates(mapping_, u, &cands);
+      std::vector<std::uint32_t>& cands = scratch_[pos];
+      Candidates(mapping_, ranks_, u, &cands);
       admit = cands.size();
     }
     if (shared_counter_ != nullptr && admit > 0) {
@@ -624,17 +643,21 @@ bool Enumerator::Recurse(std::size_t pos) {
     stats_.embeddings += admit;
     return !stopped_;
   }
-  std::vector<VertexId>& cands = scratch_[pos];
-  Candidates(mapping_, u, &cands);
-  for (VertexId v : cands) {
+  std::vector<std::uint32_t>& cands = scratch_[pos];
+  Candidates(mapping_, ranks_, u, &cands);
+  const std::span<const VertexId> ids = flat_.candidates(u);
+  for (std::uint32_t r : cands) {
+    const VertexId v = ids[r];
     // Candidates() already dropped used vertices; a hit here means the
     // injectivity bitmap went stale.
     CECI_DCHECK(!IsUsed(v)) << "candidate v" << v << " already used";
     mapping_[u] = v;
+    ranks_[u] = r;
     MarkUsed(v);
     bool keep_going = Recurse(pos + 1);
     UnmarkUsed(v);
     mapping_[u] = kInvalidVertex;
+    ranks_[u] = CandidateRanks::kAbsent;
     if (!keep_going && stopped_) return false;
   }
   return true;

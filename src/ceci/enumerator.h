@@ -123,7 +123,12 @@ RestrictionEstimate EstimateRestrictionCost(
 /// its arena (FlatCeciIndex). It runs in *rank space*: TE/NTE entries
 /// store ranks into the child's candidate array, arrays go through the
 /// SIMD sorted-u32 kernels, bitmap entries through word-wise AND/popcount,
-/// and ids materialize only for survivors.
+/// and ids materialize only for survivors. Each matched query vertex
+/// carries its rank beside its id, and entries are found by rank: a TE
+/// entry is one array read (the list is keyed by exactly the parent's
+/// candidates), an NTE entry a search of the few keys its rank window
+/// allows (FlatCeciIndex::NteAt). Ranks of a prefix or a caller's mapping
+/// are looked up once per call, so no lookup searches a whole key list.
 class Enumerator {
  public:
   Enumerator(const Graph& data, const QueryTree& tree,
@@ -208,11 +213,14 @@ class Enumerator {
   bool Recurse(std::size_t pos);
   bool Emit();
   bool LimitReached() const;
-  // Shared candidate-generation core, in rank space (see class comment);
-  // scratch is the per-depth buffer. Requires used_ to mirror the data
-  // vertices present in `mapping`.
-  void Candidates(std::span<const VertexId> mapping, VertexId u,
-                  std::vector<VertexId>* out);
+  // Shared candidate-generation core, in rank space (see class comment):
+  // writes the ranks into candidates(u) of u's admissible, unused
+  // candidates. `match_ranks[w]` is the rank of mapping[w] in candidates(w)
+  // (CandidateRanks::kAbsent when it is none). Requires used_ to mirror
+  // the data vertices present in `mapping`.
+  void Candidates(std::span<const VertexId> mapping,
+                  std::span<const std::uint32_t> match_ranks, VertexId u,
+                  std::vector<std::uint32_t>* out);
   // Counting twin of Candidates for the last matching-order position:
   // computes |candidates| without building the final level's id list. A
   // lone entry is counted by arithmetic; an intersection of two or more is
@@ -221,17 +229,18 @@ class Enumerator {
   // options_.nte_intersection (the edge-verification ablation must probe
   // each candidate).
   std::uint64_t CountLeafCandidates(VertexId u);
-  // The edge-verification ablation filter over `out` (no-op when
-  // options_.nte_intersection is on or u has no incoming NTEs).
+  // The edge-verification ablation filter over the ranks in `out` (no-op
+  // when options_.nte_intersection is on or u has no incoming NTEs).
   void ApplyEdgeVerification(std::span<const VertexId> mapping, VertexId u,
-                             std::vector<VertexId>* out);
+                             std::vector<std::uint32_t>* out);
   // Collects the TE (+ NTE when `with_nte`) entry refs for u into
   // entry_scratch_ and computes the symmetry id window [lo, hi) — kept in
   // id space; consumers clamp rank arrays through the cand[] projection.
   // Returns false when the result is certainly empty (empty window or an
   // absent/empty entry).
-  bool GatherFlatRefs(std::span<const VertexId> mapping, VertexId u,
-                      bool with_nte, VertexId* lo, VertexId* hi);
+  bool GatherFlatRefs(std::span<const VertexId> mapping,
+                      std::span<const std::uint32_t> match_ranks,
+                      VertexId u, bool with_nte, VertexId* lo, VertexId* hi);
   // Splits entry_scratch_ into span_scratch_ (the rank arrays, the first
   // clamped to [lo, hi) through cand[]) and records the intersection stats
   // when two or more entries take part. Returns whether any entry is a
@@ -249,6 +258,9 @@ class Enumerator {
   // (hi == kInvalidVertex when unbounded above).
   void SymmetryRange(std::span<const VertexId> mapping, VertexId u,
                      VertexId* lo, VertexId* hi) const;
+  // Rank of data vertex v in candidates(u); CandidateRanks::kAbsent when
+  // v is not one, which then yields no entry, as an id lookup would.
+  std::uint32_t RankOf(VertexId u, VertexId v) const;
 
   // Injectivity bitmap over data vertex ids, kept in sync with mapping_ by
   // Recurse / EnumerateFromPrefix (and mirrored temporarily by
@@ -274,10 +286,12 @@ class Enumerator {
   const SymmetryConstraints* symmetry_;
 
   std::vector<VertexId> mapping_;             // by query vertex id
+  std::vector<std::uint32_t> ranks_;          // rank of mapping_[u] in C(u)
+  std::vector<std::uint32_t> collect_ranks_;  // CollectExtensions' ranks
   std::vector<std::uint64_t> used_;           // injectivity bitmap, by data id
   std::vector<VertexId> flipped_scratch_;     // CollectExtensions bookkeeping
-  // One candidate buffer per matching-order depth.
-  std::vector<std::vector<VertexId>> scratch_;  // lint: not-per-key
+  // One candidate-rank buffer per matching-order depth.
+  std::vector<std::vector<std::uint32_t>> scratch_;  // lint: not-per-key
   std::vector<std::span<const VertexId>> span_scratch_;
   // Gathered entry refs, surviving ranks, the array-side intersection
   // result, and the bitmap accumulator.

@@ -193,6 +193,14 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
   }
 
   flat.BindSpans();
+  // TeEntry reads a TE entry by its parent candidate's rank: the staging
+  // index must key every TE list by exactly the parent's candidates (the
+  // build's empty-key cascade and refinement's compaction keep it so).
+  for (VertexId u = 0; u < nq; ++u) {
+    CECI_DCHECK(u == root || flat.TeKeysAreCandidatesOf(u, tree.parent(u)))
+        << "flat freeze: TE keys of u" << u
+        << " are not the candidates of its parent u" << tree.parent(u);
+  }
   return flat;
 }
 
@@ -491,19 +499,6 @@ FlatCeciIndex FlatCeciIndex::Clone() const {
   return copy;
 }
 
-FlatCeciIndex::EntryRef FlatCeciIndex::MakeRef(const FlatEntry& entry,
-                                               VertexId owner) const {
-  EntryRef ref;
-  ref.count = entry.count();
-  if (entry.is_bitmap()) {
-    ref.bits = bitmap_pool_.subspan(entry.offset,
-                                    vertices_[owner].bitmap_words);
-  } else {
-    ref.ranks = array_pool_.subspan(entry.offset, ref.count);
-  }
-  return ref;
-}
-
 FlatCeciIndex::EntryRef FlatCeciIndex::ListFind(std::uint32_t list_index,
                                                 VertexId key) const {
   const FlatListMeta& lm = lists_[list_index];
@@ -529,18 +524,18 @@ std::span<const VertexId> FlatCeciIndex::TeKeys(VertexId u) const {
   return keys_.subspan(lm.key_begin, lm.key_count);
 }
 
-FlatCeciIndex::EntryRef FlatCeciIndex::TeEntry(VertexId u,
-                                               std::size_t i) const {
-  const FlatListMeta& lm = lists_[vertices_[u].te_list];
-  CECI_DCHECK(i < lm.key_count);
-  return MakeRef(entries_[lm.entry_begin + i], lm.owner);
-}
-
 FlatCeciIndex::EntryRef FlatCeciIndex::Nte(VertexId u, std::size_t k,
                                            VertexId parent_match) const {
   const FlatVertexMeta& m = vertices_[u];
   CECI_DCHECK(k < m.nte_count);
   return ListFind(m.nte_begin + static_cast<std::uint32_t>(k), parent_match);
+}
+
+bool FlatCeciIndex::TeKeysAreCandidatesOf(VertexId u, VertexId parent) const {
+  if (vertices_[u].te_list == kNoFlatList) return false;
+  const std::span<const VertexId> keys = TeKeys(u);
+  const std::span<const VertexId> cands = candidates(parent);
+  return std::equal(keys.begin(), keys.end(), cands.begin(), cands.end());
 }
 
 Cardinality FlatCeciIndex::CardinalityOf(VertexId u, VertexId v) const {

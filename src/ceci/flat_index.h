@@ -39,6 +39,7 @@
 #ifndef CECI_CECI_FLAT_INDEX_H_
 #define CECI_CECI_FLAT_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -253,16 +254,35 @@ class FlatCeciIndex {
   }
 
   /// TE value set of u for the tree parent's match; count == 0 (both spans
-  /// empty) when the key is absent. Binary search over the list's keys.
+  /// empty) when the key is absent. Binary search over the list's keys:
+  /// for the auditor and tests, which must read indexes that break the
+  /// rank invariant below. The enumerator reads TeEntry.
   EntryRef Te(VertexId u, VertexId parent_match) const;
-  /// Keys of u's TE list (its tree parent's matches), ascending; empty for
-  /// the root. TeEntry(u, i) is the value set of key i — a walk over the
-  /// list without Te()'s binary search per key.
+  /// Keys of u's TE list, ascending; empty for the root. Every index
+  /// Build() writes or the CEIX loader accepts keys u's TE list by exactly
+  /// its tree parent's candidates, so key i is candidates(parent)[i].
   std::span<const VertexId> TeKeys(VertexId u) const;
+  /// The value set of key i of u's TE list — under the invariant above,
+  /// the entry of the parent candidate at rank i: one array read. Empty
+  /// when i is past the list (CandidateRanks::kAbsent included). u must
+  /// not be the root.
   EntryRef TeEntry(VertexId u, std::size_t i) const;
   /// NTE value set of u for incoming non-tree edge k (paper order,
-  /// parallel to QueryTree::nte_in(u)).
+  /// parallel to QueryTree::nte_in(u)). Binary search over the list's
+  /// keys, for the auditor and tests like Te().
   EntryRef Nte(VertexId u, std::size_t k, VertexId parent_match) const;
+  /// Nte() for an NTE parent match known by its rank among the NTE
+  /// parent's `parent_count` candidates. An NTE list's keys are a sorted
+  /// subset of those candidates, so the key of the candidate at rank r can
+  /// only sit at an index in [r - missing, r], where missing = parent_count
+  /// - key_count: the search covers that window, clipped to the list — one
+  /// probe when no key is missing. A rank at or past parent_count
+  /// (CandidateRanks::kAbsent included) yields the empty entry.
+  EntryRef NteAt(VertexId u, std::size_t k, VertexId parent_match,
+                 std::uint32_t parent_rank, std::uint32_t parent_count) const;
+  /// Whether u's TE list keys are exactly `parent`'s candidates — the fact
+  /// TeEntry relies on. False for the root, which has no TE list.
+  bool TeKeysAreCandidatesOf(VertexId u, VertexId parent) const;
 
   /// cardinality(u, v); zero if v is not an alive candidate of u.
   Cardinality CardinalityOf(VertexId u, VertexId v) const;
@@ -346,6 +366,45 @@ class FlatCeciIndex {
   std::span<const std::uint32_t> array_pool_;
   std::span<const std::uint64_t> bitmap_pool_;
 };
+
+inline FlatCeciIndex::EntryRef FlatCeciIndex::MakeRef(const FlatEntry& entry,
+                                                      VertexId owner) const {
+  EntryRef ref;
+  ref.count = entry.count();
+  if (entry.is_bitmap()) {
+    ref.bits = bitmap_pool_.subspan(entry.offset,
+                                    vertices_[owner].bitmap_words);
+  } else {
+    ref.ranks = array_pool_.subspan(entry.offset, ref.count);
+  }
+  return ref;
+}
+
+inline FlatCeciIndex::EntryRef FlatCeciIndex::TeEntry(VertexId u,
+                                                      std::size_t i) const {
+  const FlatListMeta& lm = lists_[vertices_[u].te_list];
+  if (i >= lm.key_count) return EntryRef{};
+  return MakeRef(entries_[lm.entry_begin + i], lm.owner);
+}
+
+inline FlatCeciIndex::EntryRef FlatCeciIndex::NteAt(
+    VertexId u, std::size_t k, VertexId parent_match,
+    std::uint32_t parent_rank, std::uint32_t parent_count) const {
+  const FlatListMeta& lm =
+      lists_[vertices_[u].nte_begin + static_cast<std::uint32_t>(k)];
+  if (parent_rank >= parent_count || lm.key_count == 0) return EntryRef{};
+  // The window [first, last] is never empty: parent_rank < parent_count
+  // puts first at or below key_count - 1.
+  const std::uint32_t missing =
+      parent_count > lm.key_count ? parent_count - lm.key_count : 0;
+  const std::uint32_t first = parent_rank > missing ? parent_rank - missing : 0;
+  const std::uint32_t last = std::min(parent_rank, lm.key_count - 1);
+  const VertexId* keys = keys_.data() + lm.key_begin;
+  const VertexId* it =
+      std::lower_bound(keys + first, keys + last + 1, parent_match);
+  if (it == keys + last + 1 || *it != parent_match) return EntryRef{};
+  return MakeRef(entries_[lm.entry_begin + (it - keys)], lm.owner);
+}
 
 /// MatchStats::ceci_bytes of the refined index `flat` holds (CeciBytes over
 /// its keys, stored values and candidates). A fresh Prepare and an entry

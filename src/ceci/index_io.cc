@@ -290,6 +290,19 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
       static_cast<std::size_t>(h.num_query_vertices));
   if (!flat.ok()) return flat.status();
   loaded.index = std::move(flat).value();
+  // Enumeration reads a TE entry by its parent candidate's rank
+  // (FlatCeciIndex::TeEntry): every TE list must be keyed by exactly the
+  // recorded tree parent's candidates, or a rank would name another
+  // key's entry or none.
+  for (VertexId u = 0; u < nq; ++u) {
+    if (loaded.index.vertex_metas()[u].te_list == kNoFlatList) continue;
+    const VertexId parent = loaded.parents[u];
+    if (parent == kInvalidVertex ||
+        !loaded.index.TeKeysAreCandidatesOf(u, parent)) {
+      return Status::Corruption("TE keys of u" + std::to_string(u) +
+                                " are not the candidates of its tree parent");
+    }
+  }
   return loaded;
 }
 

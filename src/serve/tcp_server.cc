@@ -3,8 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <thread>
-
 #include "serve/protocol.h"
 #include "telemetry/access_log.h"
 #include "util/metrics_registry.h"
@@ -40,7 +38,11 @@ std::string OneLine(std::string s) {
 }  // namespace
 
 TcpServer::TcpServer(QueryService& service, const TcpServerOptions& options)
-    : service_(service), options_(options) {}
+    : service_(service),
+      options_(options),
+      connections_(options.max_connections, [](std::size_t live) {
+        LiveConnectionGauge().Set(static_cast<std::int64_t>(live));
+      }) {}
 
 TcpServer::~TcpServer() { Stop(); }
 
@@ -51,29 +53,10 @@ Status TcpServer::Start() {
 
 void TcpServer::AdmitConnection(int fd) {
   ConnectionCounter().Increment();
-  MutexLock lock(mutex_);
-  // Join the threads of connections that have ended, so held threads
-  // stay within max_connections. A finished thread no longer takes the
-  // lock (at most it is closing its fd), so joining under it is safe.
-  for (std::thread& t : conn_threads_) {
-    if (finished_ids_.count(t.get_id()) != 0) t.join();
-  }
-  std::erase_if(conn_threads_,
-                [](const std::thread& t) { return !t.joinable(); });
-  finished_ids_.clear();
-  if (live_fds_.size() >= options_.max_connections) {
+  if (!connections_.Admit(fd, [this](int fd) { ServeConnection(fd); })) {
     SendLine(fd, "ERR too_many_connections");
     ::close(fd);
-    return;
   }
-  live_fds_.insert(fd);
-  LiveConnectionGauge().Set(static_cast<std::int64_t>(live_fds_.size()));
-  conn_threads_.emplace_back(&TcpServer::ServeConnection, this, fd);
-}
-
-std::size_t TcpServer::held_threads() const {
-  MutexLock lock(mutex_);
-  return conn_threads_.size();
 }
 
 void TcpServer::ServeConnection(int fd) {
@@ -96,13 +79,6 @@ void TcpServer::ServeConnection(int fd) {
       open = false;
     }
   }
-  {
-    MutexLock lock(mutex_);
-    live_fds_.erase(fd);
-    finished_ids_.insert(std::this_thread::get_id());
-    LiveConnectionGauge().Set(static_cast<std::int64_t>(live_fds_.size()));
-  }
-  ::close(fd);
 }
 
 bool TcpServer::HandleLine(int fd, const std::string& line) {
@@ -136,23 +112,10 @@ bool TcpServer::HandleLine(int fd, const std::string& line) {
 }
 
 void TcpServer::Stop() {
+  // The accept thread first, so no connection is admitted while the live
+  // ones are shut down and joined (their threads close their own fds).
   listener_.Stop();
-  // Claim the connection threads under the lock, then join outside it:
-  // exiting connection threads take mutex_ to drop out of live_fds_, so
-  // joining while holding it would deadlock. The accept thread is already
-  // joined, so nothing appends to conn_threads_ after the swap and a
-  // repeated Stop() finds it empty.
-  std::vector<std::thread> to_join;
-  {
-    MutexLock lock(mutex_);
-    for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-    to_join.swap(conn_threads_);
-    finished_ids_.clear();
-  }
-  // Threads close their own fds on the way out.
-  for (std::thread& t : to_join) {
-    if (t.joinable()) t.join();
-  }
+  connections_.Stop();
 }
 
 }  // namespace ceci

@@ -10,15 +10,11 @@
 #ifndef CECI_SERVE_TCP_SERVER_H_
 #define CECI_SERVE_TCP_SERVER_H_
 
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "serve/query_service.h"
 #include "telemetry/server_telemetry.h"
 #include "util/status.h"
-#include "util/sync.h"
 #include "util/tcp.h"
 
 namespace ceci {
@@ -67,11 +63,11 @@ class TcpServer {
 
   /// Connection threads not yet joined. Finished ones are joined as new
   /// connections arrive, so this stays at most max_connections.
-  std::size_t held_threads() const;
+  std::size_t held_threads() const { return connections_.held_threads(); }
 
  private:
-  /// Runs on the accept thread: reaps finished connection threads, then
-  /// starts one for `fd` or turns it away at max_connections.
+  /// Runs on the accept thread: starts a thread for `fd` or turns it away
+  /// at max_connections.
   void AdmitConnection(int fd);
   void ServeConnection(int fd);
   /// Handles one request line; false ends the connection (QUIT).
@@ -79,11 +75,7 @@ class TcpServer {
 
   QueryService& service_;
   TcpServerOptions options_;
-  mutable Mutex mutex_;
-  std::set<int> live_fds_ CECI_GUARDED_BY(mutex_);
-  std::vector<std::thread> conn_threads_ CECI_GUARDED_BY(mutex_);
-  /// Connection threads that have left ServeConnection and can be joined.
-  std::set<std::thread::id> finished_ids_ CECI_GUARDED_BY(mutex_);
+  ConnectionThreads connections_;
   TcpAcceptLoop listener_;  // last: its thread uses the fields above
 };
 

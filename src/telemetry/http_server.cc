@@ -68,8 +68,12 @@ TelemetryHttpServer::TelemetryHttpServer(const ServerTelemetry& telemetry,
 
 Status TelemetryHttpServer::Start() {
   return listener_.Start(options_.host, options_.port, [this](int fd) {
-    ServeConnection(fd);
-    ::close(fd);
+    if (!connections_.Admit(fd, [this](int fd) { ServeConnection(fd); })) {
+      SendAll(fd, HttpResponse("503 Service Unavailable",
+                               "text/plain; charset=utf-8",
+                               "too many telemetry connections\n"));
+      ::close(fd);
+    }
   });
 }
 

@@ -4,10 +4,12 @@
 //   GET /healthz  -> "ok\n"
 // and 404/400 otherwise. Every response carries Content-Length and
 // `Connection: close` and the socket is closed after it — scrapers open
-// a fresh connection per scrape, which keeps the server a single accept
-// thread handling one connection at a time (a scrape renders in
-// microseconds; there is nothing to pipeline). A read timeout bounds how
-// long a stuck client can hold the thread.
+// a fresh connection per scrape (a scrape renders in microseconds; there
+// is nothing to pipeline). Each connection is served on its own thread,
+// at most kMaxConnections at once, so a client that connects and sends
+// nothing delays no other scrape; past that, a connection is answered
+// 503 and closed at once. A read timeout bounds how long a stuck client
+// can hold its thread.
 //
 // Deliberately NOT a general HTTP server: no keep-alive, no chunked
 // encoding, no request bodies. It exists so `curl` and Prometheus can
@@ -15,6 +17,7 @@
 #ifndef CECI_TELEMETRY_HTTP_SERVER_H_
 #define CECI_TELEMETRY_HTTP_SERVER_H_
 
+#include <cstddef>
 #include <string>
 
 #include "telemetry/server_telemetry.h"
@@ -29,16 +32,20 @@ struct TelemetryHttpOptions {
   int port = 0;
 };
 
-/// Owns the accept loop, whose thread also serves each connection. The
-/// telemetry object must outlive the server.
+/// Owns the accept loop and the connection threads. The telemetry object
+/// must outlive the server.
 class TelemetryHttpServer {
  public:
   /// Per-connection receive timeout; a client that connects and never
   /// sends a request head is dropped after this long.
   static constexpr int kReadTimeoutSeconds = 2;
+  /// Connections served at once; one more is answered 503.
+  static constexpr std::size_t kMaxConnections = 4;
 
   TelemetryHttpServer(const ServerTelemetry& telemetry,
                       const TelemetryHttpOptions& options);
+  /// Stops and joins (equivalent to Stop()).
+  ~TelemetryHttpServer() { Stop(); }
 
   TelemetryHttpServer(const TelemetryHttpServer&) = delete;
   TelemetryHttpServer& operator=(const TelemetryHttpServer&) = delete;
@@ -50,14 +57,19 @@ class TelemetryHttpServer {
   /// a successful Start().
   int port() const { return listener_.port(); }
 
-  /// Closes the listener and joins. Idempotent; destruction stops too.
-  void Stop() { listener_.Stop(); }
+  /// Closes the listener, shuts down live connections and joins every
+  /// thread. Idempotent.
+  void Stop() {
+    listener_.Stop();
+    connections_.Stop();
+  }
 
  private:
   void ServeConnection(int fd);
 
   const ServerTelemetry& telemetry_;
   TelemetryHttpOptions options_;
+  ConnectionThreads connections_{kMaxConnections};
   TcpAcceptLoop listener_;  // last: stops first, while the rest is alive
 };
 

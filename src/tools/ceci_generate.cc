@@ -23,6 +23,9 @@
 //   --labels L     assign L random labels (0 = unlabeled)
 //   --multi-labels K up to K labels per vertex (with --labels)
 //   --seed S       RNG seed (default 1)
+//
+// Every number is a plain decimal count (ParseFlagNumber): a sign, a
+// suffix or an overflow is a usage error (exit 2).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +38,7 @@
 #include "graph/metrics.h"
 #include "graphio/binary_csr.h"
 #include "graphio/edge_list.h"
+#include "util/tcp.h"
 
 namespace {
 
@@ -68,21 +72,21 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--format" && (v = next())) {
       args->format = v;
     } else if (flag == "--n" && (v = next())) {
-      args->n = std::strtoul(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->n)) return false;
     } else if (flag == "--m" && (v = next())) {
-      args->m = std::strtoul(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->m)) return false;
     } else if (flag == "--attach" && (v = next())) {
-      args->attach = std::strtoul(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->attach)) return false;
     } else if (flag == "--scale" && (v = next())) {
-      args->scale = std::atoi(v);
+      if (!ParseFlagNumber(v, &args->scale)) return false;
     } else if (flag == "--edge-factor" && (v = next())) {
-      args->edge_factor = std::atoi(v);
+      if (!ParseFlagNumber(v, &args->edge_factor)) return false;
     } else if (flag == "--labels" && (v = next())) {
-      args->labels = std::strtoul(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->labels)) return false;
     } else if (flag == "--multi-labels" && (v = next())) {
-      args->multi_labels = std::strtoul(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->multi_labels)) return false;
     } else if (flag == "--seed" && (v = next())) {
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->seed)) return false;
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", flag.c_str());
       return false;

@@ -37,6 +37,10 @@
 //   --label STR        free-form tag recorded in the JSON entry
 //   --help             print this help and exit 0
 //
+// Numeric flags take plain decimals (ParseFlagNumber): a count has no
+// sign or suffix, a fraction or duration is any finite non-negative
+// number. Anything else is a usage error.
+//
 // Exit codes: 0 run completed (including BUSY retries exhausted — the
 // server's admission verdict is a valid outcome, tallied as
 // retry_exhausted), 1 I/O / connection error (including connect retries
@@ -118,20 +122,20 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--connections") {
       const char* v = next();
       if (!v) return false;
-      args->connections = std::strtoul(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->connections)) return false;
       if (args->connections == 0) return false;
     } else if (flag == "--duration-s") {
       const char* v = next();
       if (!v) return false;
-      args->duration_s = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(v, &args->duration_s)) return false;
     } else if (flag == "--requests") {
       const char* v = next();
       if (!v) return false;
-      args->requests = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->requests)) return false;
     } else if (flag == "--warmup-s") {
       const char* v = next();
       if (!v) return false;
-      args->warmup_s = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(v, &args->warmup_s)) return false;
     } else if (flag == "--mix") {
       const char* v = next();
       if (!v) return false;
@@ -147,37 +151,37 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--queries") {
       const char* v = next();
       if (!v) return false;
-      args->workload.generated_count = std::strtoul(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->workload.generated_count)) return false;
       if (args->workload.generated_count == 0) return false;
     } else if (flag == "--query-size") {
       const char* v = next();
       if (!v) return false;
-      args->workload.generated_size = std::strtoul(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->workload.generated_size)) return false;
       if (args->workload.generated_size == 0) return false;
     } else if (flag == "--zipf") {
       const char* v = next();
       if (!v) return false;
-      args->zipf = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(v, &args->zipf)) return false;
     } else if (flag == "--seed") {
       const char* v = next();
       if (!v) return false;
-      args->workload.seed = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->workload.seed)) return false;
     } else if (flag == "--limit") {
       const char* v = next();
       if (!v) return false;
-      args->limit = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->limit)) return false;
     } else if (flag == "--deadline-ms") {
       const char* v = next();
       if (!v) return false;
-      args->deadline_ms = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(v, &args->deadline_ms)) return false;
     } else if (flag == "--retries") {
       const char* v = next();
       if (!v) return false;
-      args->retries = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->retries)) return false;
     } else if (flag == "--retry-backoff-ms") {
       const char* v = next();
       if (!v) return false;
-      args->retry_backoff_ms = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(v, &args->retry_backoff_ms)) return false;
       if (args->retry_backoff_ms <= 0.0) return false;
     } else if (flag == "--out") {
       const char* v = next();

@@ -62,6 +62,10 @@
 //                     disable idle-worker re-dispatch in the --dist run
 //   --help            print usage to stdout and exit 0
 //
+// Numeric flags take plain decimals (ParseFlagNumber): a count has no
+// sign or suffix, a fraction or duration is any finite non-negative
+// number. Anything else is a usage error.
+//
 // Exit codes:
 //   0  query ran to completion (or was cancelled / hit --limit)
 //   1  I/O or match error
@@ -82,6 +86,7 @@
 #include "dist/supervisor.h"
 #include "graphio/edge_list.h"
 #include "graphio/pattern_parser.h"
+#include "util/tcp.h"
 #include "util/trace.h"
 
 namespace {
@@ -170,11 +175,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--threads") {
       const char* v = next();
       if (!v) return false;
-      args->threads = std::strtoul(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->threads)) return false;
     } else if (flag == "--limit") {
       const char* v = next();
       if (!v) return false;
-      args->limit = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->limit)) return false;
     } else if (flag == "--order") {
       const char* v = next();
       if (!v) return false;
@@ -186,7 +191,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--beta") {
       const char* v = next();
       if (!v) return false;
-      args->beta = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(v, &args->beta)) return false;
     } else if (flag == "--no-symmetry") {
       args->symmetry = false;
     } else if (flag == "--print") {
@@ -209,17 +214,17 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--deadline-ms") {
       const char* v = next();
       if (!v) return false;
-      args->deadline_ms = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(v, &args->deadline_ms)) return false;
       if (args->deadline_ms <= 0.0) return false;
     } else if (flag == "--memory-budget-mb") {
       const char* v = next();
       if (!v) return false;
-      args->memory_budget_mb = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(v, &args->memory_budget_mb)) return false;
       if (args->memory_budget_mb <= 0.0) return false;
     } else if (flag == "--cancel-after") {
       const char* v = next();
       if (!v) return false;
-      args->cancel_after = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->cancel_after)) return false;
       if (args->cancel_after == 0) return false;
     } else if (flag == "--save-index") {
       const char* v = next();
@@ -228,7 +233,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--dist") {
       const char* v = next();
       if (!v) return false;
-      args->dist_workers = std::strtoul(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->dist_workers)) return false;
       if (args->dist_workers == 0) return false;
     } else if (flag == "--failure-plan") {
       const char* v = next();
@@ -247,7 +252,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--heartbeat-ms") {
       const char* v = next();
       if (!v) return false;
-      args->heartbeat_ms = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(v, &args->heartbeat_ms)) return false;
       if (args->heartbeat_ms <= 0.0) return false;
     } else if (flag == "--metrics-json") {
       const char* v = next();

@@ -16,6 +16,10 @@
 //   --no-clear       append frames instead of redrawing (for logs/tests)
 //   --help           print this help and exit 0
 //
+// Numeric flags take plain decimals (ParseFlagNumber): a count has no
+// sign or suffix, a fraction or duration is any finite non-negative
+// number. Anything else is a usage error.
+//
 // Exit codes: 0 clean exit, 1 connection/parse error, 2 usage error.
 #include <sys/socket.h>
 #include <unistd.h>
@@ -78,12 +82,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--interval-s") {
       const char* v = next();
       if (!v) return false;
-      args->interval_s = std::strtod(v, nullptr);
+      if (!ParseFlagNumber(v, &args->interval_s)) return false;
       if (args->interval_s <= 0.0) return false;
     } else if (flag == "--iterations") {
       const char* v = next();
       if (!v) return false;
-      args->iterations = std::strtoull(v, nullptr, 10);
+      if (!ParseFlagNumber(v, &args->iterations)) return false;
     } else if (flag == "--no-clear") {
       args->clear = false;
     } else {

@@ -8,6 +8,8 @@
 // Result frames are written in batches: before the worker blocks waiting
 // for work, every 64 results, and at least once per heartbeat interval.
 // Not meant to be run by hand; see docs/robustness.md for the protocol.
+// Numeric flags are strict (ParseFlagNumber); a malformed one is a usage
+// error.
 //
 // Exit codes: 0 clean shutdown or supervisor hangup, 1 transport or
 // protocol fault, 2 unreadable/corrupt partition image or bad usage.
@@ -17,6 +19,7 @@
 #include <string>
 
 #include "dist/worker.h"
+#include "util/tcp.h"
 
 namespace {
 
@@ -41,18 +44,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The next argument as a strict number (ParseFlagNumber); anything
+    // else is a usage error.
+    auto number = [&](auto* out) {
+      if (!ceci::ParseFlagNumber(next(), out)) {
+        Usage();
+        std::exit(2);
+      }
+    };
     if (arg == "--index-dir") {
       options.index_dir = next();
       have_dir = true;
     } else if (arg == "--worker-id") {
-      options.worker_id =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      number(&options.worker_id);
     } else if (arg == "--channel-fd") {
-      options.channel_fd = static_cast<int>(std::strtol(next(), nullptr, 10));
+      number(&options.channel_fd);
     } else if (arg == "--heartbeat-ms") {
-      options.heartbeat_seconds = std::strtod(next(), nullptr) / 1000.0;
+      double ms = 0.0;
+      number(&ms);
+      options.heartbeat_seconds = ms / 1000.0;
     } else if (arg == "--io-timeout-s") {
-      options.io_timeout_seconds = std::strtod(next(), nullptr);
+      number(&options.io_timeout_seconds);
     } else {
       Usage();
       return 2;

@@ -100,6 +100,58 @@ void TcpAcceptLoop::Stop() {
   listen_fd_ = -1;
 }
 
+bool ConnectionThreads::Admit(int fd, std::function<void(int fd)> serve) {
+  MutexLock lock(mutex_);
+  // A finished thread no longer takes the lock (at most it is closing its
+  // fd), so joining it under the lock is safe.
+  for (std::thread& t : threads_) {
+    if (finished_ids_.count(t.get_id()) != 0) t.join();
+  }
+  std::erase_if(threads_, [](const std::thread& t) { return !t.joinable(); });
+  finished_ids_.clear();
+  if (live_fds_.size() >= max_live_) return false;
+  live_fds_.insert(fd);
+  if (on_live_) on_live_(live_fds_.size());
+  threads_.emplace_back(&ConnectionThreads::Serve, this, fd,
+                        std::move(serve));
+  return true;
+}
+
+void ConnectionThreads::Serve(int fd,
+                              const std::function<void(int fd)>& serve) {
+  serve(fd);
+  {
+    MutexLock lock(mutex_);
+    live_fds_.erase(fd);
+    finished_ids_.insert(std::this_thread::get_id());
+    if (on_live_) on_live_(live_fds_.size());
+  }
+  // Closed only once out of live_fds_, so Stop() never shuts down a
+  // descriptor number that has been reused.
+  ::close(fd);
+}
+
+void ConnectionThreads::Stop() {
+  // Claim the threads under the lock, then join outside it: an ending
+  // thread takes the lock to leave live_fds_, so joining while holding it
+  // would deadlock.
+  std::vector<std::thread> to_join;
+  {
+    MutexLock lock(mutex_);
+    for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
+    to_join.swap(threads_);
+    finished_ids_.clear();
+  }
+  for (std::thread& t : to_join) {
+    if (t.joinable()) t.join();
+  }
+}
+
+std::size_t ConnectionThreads::held_threads() const {
+  MutexLock lock(mutex_);
+  return threads_.size();
+}
+
 bool SendAll(int fd, std::string_view data) {
   while (!data.empty()) {
     const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);

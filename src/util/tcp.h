@@ -9,29 +9,35 @@
 #include <charconv>
 #include <cmath>
 #include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <type_traits>
+#include <vector>
 
 #include "util/status.h"
+#include "util/sync.h"
 
 namespace ceci {
 
 /// Parses a numeric flag value into `*value`: all of `text` must be one
 /// decimal number of type T as std::from_chars reads it, so a sign on an
-/// unsigned T, a space, a prefix, a suffix or an overflow fails. A
-/// floating-point value must also be finite and not negative. False (and
+/// unsigned T, a space, a prefix, a suffix or an overflow fails. A value
+/// must also be non-negative, and a floating-point one finite. False (and
 /// `*value` untouched) otherwise.
 template <typename T>
 bool ParseFlagNumber(std::string_view text, T* value) {
-  static_assert(std::is_unsigned_v<T> || std::is_floating_point_v<T>);
+  static_assert(std::is_arithmetic_v<T> && !std::is_same_v<T, bool>);
   T parsed{};
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, parsed);
   if (error != std::errc() || stop != end) return false;
   if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(parsed) || parsed < 0) return false;
+    if (!std::isfinite(parsed)) return false;
+  }
+  if constexpr (std::is_signed_v<T>) {
+    if (parsed < 0) return false;
   }
   *value = parsed;
   return true;
@@ -75,6 +81,47 @@ class TcpAcceptLoop {
   std::atomic<bool> stopping_{false};
   std::function<void(int fd)> handler_;
   std::thread thread_;
+};
+
+/// The connection threads of a thread-per-connection server: each
+/// admitted connection is served on its own thread, at most `max_live` at
+/// once. Threads of ended connections are joined as new ones arrive, so
+/// no more than max_live threads are ever held. Thread-safe.
+class ConnectionThreads {
+ public:
+  /// `on_live`, when set, receives the live count after every change, in
+  /// the order of the changes (e.g. to publish it as a gauge).
+  explicit ConnectionThreads(std::size_t max_live,
+                             std::function<void(std::size_t)> on_live = {})
+      : max_live_(max_live), on_live_(std::move(on_live)) {}
+  /// Stops and joins (equivalent to Stop()).
+  ~ConnectionThreads() { Stop(); }
+  ConnectionThreads(const ConnectionThreads&) = delete;
+  ConnectionThreads& operator=(const ConnectionThreads&) = delete;
+
+  /// Serves `fd` with `serve` on a new thread, which closes it afterwards.
+  /// False when max_live connections are live already: `fd` is left to
+  /// the caller, to turn away and close.
+  bool Admit(int fd, std::function<void(int fd)> serve);
+
+  /// Shuts every live connection down, so a serve blocked in recv sees
+  /// the peer gone, and joins every thread. Call once the accept loop has
+  /// stopped. Idempotent.
+  void Stop();
+
+  /// Threads not yet joined.
+  std::size_t held_threads() const;
+
+ private:
+  void Serve(int fd, const std::function<void(int fd)>& serve);
+
+  const std::size_t max_live_;
+  const std::function<void(std::size_t)> on_live_;
+  mutable Mutex mutex_;
+  std::set<int> live_fds_ CECI_GUARDED_BY(mutex_);
+  /// Threads that have left their serve and can be joined.
+  std::set<std::thread::id> finished_ids_ CECI_GUARDED_BY(mutex_);
+  std::vector<std::thread> threads_ CECI_GUARDED_BY(mutex_);
 };
 
 /// Writes all of `data`; false when the peer is gone (MSG_NOSIGNAL: no

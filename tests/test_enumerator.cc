@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <functional>
 #include <mutex>
+#include <set>
 
 #include "baselines/vf2.h"
 #include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
+#include "ceci/extreme_cluster.h"
 #include "ceci/refinement.h"
 #include "gen/paper_queries.h"
 #include "gen/random_graphs.h"
@@ -164,6 +166,47 @@ TEST(EnumeratorTest, CollectExtensionsMatchesRecursionRule) {
   // Candidates of the second query vertex under pivot 0 with symmetry
   // (must exceed 0): {1, 2, 3}.
   EXPECT_EQ(out, (std::vector<VertexId>{1, 2, 3}));
+}
+
+TEST(EnumeratorTest, CollectExtensionsOfANonCandidateMatchIsEmpty) {
+  // A matched data vertex that is no candidate of its query vertex has no
+  // rank, so it keys no TE or NTE entry: nothing extends the mapping.
+  Fixture f(GenerateSocialGraph(150, 4, 11), MakePaperQuery(PaperQuery::kQG4));
+  auto opts = f.Options();
+  Enumerator e(f.data, f.tree, f.index, opts);
+  const auto& order = f.tree.matching_order();
+  // The clique's third vertex hangs off the root and closes a non-tree
+  // edge from the second.
+  ASSERT_EQ(f.tree.parent(order[2]), order[0]);
+  ASSERT_EQ(f.tree.nte_in(order[2]).size(), 1u);
+  auto non_candidate = [&](VertexId u, VertexId not_this) {
+    const auto cands = f.index.candidates(u);
+    for (VertexId v = 0; v < f.data.num_vertices(); ++v) {
+      if (v != not_this && !std::binary_search(cands.begin(), cands.end(), v)) {
+        return v;
+      }
+    }
+    return kInvalidVertex;
+  };
+  std::vector<VertexId> mapping(f.query.num_vertices(), kInvalidVertex);
+  std::vector<VertexId> out;
+
+  mapping[order[0]] = non_candidate(order[0], kInvalidVertex);
+  ASSERT_NE(mapping[order[0]], kInvalidVertex);
+  e.CollectExtensions(mapping, order[1], &out);
+  EXPECT_TRUE(out.empty());
+
+  // A pivot that extends at the second vertex, then a non-candidate there.
+  for (VertexId pivot : f.index.candidates(order[0])) {
+    mapping[order[0]] = pivot;
+    e.CollectExtensions(mapping, order[1], &out);
+    if (!out.empty()) break;
+  }
+  ASSERT_FALSE(out.empty());
+  mapping[order[1]] = non_candidate(order[1], mapping[order[0]]);
+  ASSERT_NE(mapping[order[1]], kInvalidVertex);
+  e.CollectExtensions(mapping, order[2], &out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(EnumeratorTest, SquareQueryOnGrid) {
@@ -329,6 +372,88 @@ TEST(EnumeratorRegressionTest, LeafCountShortcutHonorsSharedLimit) {
   std::atomic<std::uint64_t> counter{0};
   fast.SetSharedLimit(&counter, total - 2);
   EXPECT_EQ(fast.EnumerateAll(nullptr), total - 2);
+}
+
+// Decomposed (FGD) work units hand EnumerateFromPrefix prefixes of two or
+// more vertices, whose ranks it looks up once per unit. Under either
+// restriction set the units together list the oracle's embeddings that
+// the set admits, each once.
+TEST(EnumeratorRegressionTest, DeepWorkUnitsListTheOracleSet) {
+  const Graph data = GenerateBarabasiAlbert(200, 4, 61);
+  for (PaperQuery q : kAllPaperQueries) {
+    Fixture f(data, MakePaperQuery(q));
+    EmbeddingCollector oracle;
+    EmbeddingVisitor oracle_visitor = std::ref(oracle);
+    Vf2Options all;
+    all.break_automorphisms = false;
+    Vf2Count(f.data, f.query, all, &oracle_visitor);
+    for (const bool mirror : {false, true}) {
+      SCOPED_TRACE(PaperQueryName(q) + (mirror ? " mirrored" : ""));
+      const SymmetryConstraints set =
+          mirror ? f.symmetry.Mirrored() : f.symmetry;
+      EnumOptions opts;
+      opts.symmetry = &set;
+      const std::vector<WorkUnit> units =
+          BuildWorkUnits(f.data, f.tree, f.index, opts, /*workers=*/64,
+                         /*beta=*/0.01, /*decompose=*/true,
+                         /*sort_by_cardinality=*/true, nullptr);
+      EXPECT_TRUE(std::any_of(units.begin(), units.end(),
+                              [](const WorkUnit& unit) {
+                                return unit.prefix.size() >= 2;
+                              }));
+      EmbeddingCollector listed;
+      EmbeddingVisitor visitor = std::ref(listed);
+      Enumerator e(f.data, f.tree, f.index, opts);
+      for (const WorkUnit& unit : units) {
+        e.EnumerateFromPrefix(unit.prefix, &visitor);
+      }
+      std::set<std::vector<VertexId>> admitted;
+      for (const std::vector<VertexId>& m : oracle.AsSet()) {
+        if (std::all_of(set.constraints().begin(), set.constraints().end(),
+                        [&](const SymmetryConstraints::Constraint& c) {
+                          return m[c.smaller] < m[c.larger];
+                        })) {
+          admitted.insert(m);
+        }
+      }
+      EXPECT_FALSE(admitted.empty());
+      EXPECT_EQ(listed.AsSet(), admitted);
+      EXPECT_EQ(listed.raw().size(), admitted.size());
+    }
+  }
+}
+
+// Work counters of one seeded graph × QG1–QG5, recorded before TE/NTE
+// lookups moved from keys to ranks. How an entry is found must not change
+// which entries are intersected: the counters stay exactly as recorded.
+TEST(EnumeratorRegressionTest, WorkCountersArePinned) {
+  struct Pinned {
+    PaperQuery query;
+    std::uint64_t embeddings;
+    std::uint64_t recursive_calls;
+    std::uint64_t intersections;
+    std::uint64_t elements_in;
+    std::uint64_t elements_out;
+  };
+  const Pinned kPinned[] = {
+      {PaperQuery::kQG1, 345, 941, 702, 18818, 345},
+      {PaperQuery::kQG2, 1594, 6755, 5814, 91873, 1594},
+      {PaperQuery::kQG3, 1274, 2492, 2300, 74157, 2260},
+      {PaperQuery::kQG4, 47, 1126, 934, 33660, 368},
+      {PaperQuery::kQG5, 18672, 30344, 29119, 720376, 50915},
+  };
+  const Graph data = GenerateSocialGraph(300, 5, 51);
+  for (const Pinned& p : kPinned) {
+    SCOPED_TRACE(PaperQueryName(p.query));
+    Fixture f(data, MakePaperQuery(p.query));
+    Enumerator e(f.data, f.tree, f.index, f.Options());
+    EXPECT_EQ(e.EnumerateAll(nullptr), p.embeddings);
+    const EnumStats& s = e.stats();
+    EXPECT_EQ(s.recursive_calls, p.recursive_calls);
+    EXPECT_EQ(s.intersections, p.intersections);
+    EXPECT_EQ(s.intersection_elements_in, p.elements_in);
+    EXPECT_EQ(s.intersection_elements_out, p.elements_out);
+  }
 }
 
 }  // namespace

@@ -129,6 +129,94 @@ TEST(FlatIndexTest, EntriesDecodeToTheMutableLists) {
   }
 }
 
+// Two entry refs name the same stored value set.
+void ExpectSameEntry(const FlatCeciIndex::EntryRef& got,
+                     const FlatCeciIndex::EntryRef& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.ranks.data(), want.ranks.data());
+  EXPECT_EQ(got.ranks.size(), want.ranks.size());
+  EXPECT_EQ(got.bits.data(), want.bits.data());
+  EXPECT_EQ(got.bits.size(), want.bits.size());
+}
+
+TEST(FlatIndexTest, RankLookupsFindTheEntriesKeyLookupsFind) {
+  // Every TE entry by its parent candidate's rank, every NTE entry inside
+  // its rank window, against the binary search by key.
+  for (const char* family : {"ba", "er"}) {
+    const Graph data = GoldenDataGraph(family, false);
+    for (PaperQuery pq : {PaperQuery::kQG2, PaperQuery::kQG5}) {
+      SCOPED_TRACE(std::string(family) + " " + PaperQueryName(pq));
+      Frozen f(data, MakePaperQuery(pq), 0);
+      std::size_t nte_lists = 0;
+      for (VertexId u = 0; u < f.query.num_vertices(); ++u) {
+        if (u == f.tree.root()) continue;
+        const auto parent_cands = f.flat.candidates(f.tree.parent(u));
+        ASSERT_TRUE(f.flat.TeKeysAreCandidatesOf(u, f.tree.parent(u)));
+        for (std::size_t r = 0; r < parent_cands.size(); ++r) {
+          ExpectSameEntry(f.flat.TeEntry(u, r), f.flat.Te(u, parent_cands[r]));
+        }
+        EXPECT_EQ(f.flat.TeEntry(u, parent_cands.size()).count, 0u);
+        EXPECT_EQ(f.flat.TeEntry(u, CandidateRanks::kAbsent).count, 0u);
+        const auto nte_ids = f.tree.nte_in(u);
+        for (std::size_t k = 0; k < nte_ids.size(); ++k) {
+          ++nte_lists;
+          const VertexId u_n = f.tree.non_tree_edges()[nte_ids[k]].parent;
+          const auto cands = f.flat.candidates(u_n);
+          const auto count = static_cast<std::uint32_t>(cands.size());
+          for (std::uint32_t r = 0; r < count; ++r) {
+            ExpectSameEntry(f.flat.NteAt(u, k, cands[r], r, count),
+                            f.flat.Nte(u, k, cands[r]));
+          }
+        }
+      }
+      EXPECT_GT(nte_lists, 0u);
+    }
+  }
+}
+
+TEST(FlatIndexTest, NteAtSearchesAListMissingKeys) {
+  // Triangle on root u0: u1 and u2 hang off u0, and the non-tree edge
+  // u1 -> u2 keys u2's NTE list by u1's candidates 1..7. The list misses
+  // the first (1), a middle (4) and the last (7) of them.
+  Graph query = MakeGraph({0, 0, 0}, {{0, 1}, {0, 2}, {1, 2}});
+  auto tree = QueryTree::Build(query, 0);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ(tree->nte_in(2).size(), 1u);
+  ASSERT_EQ(tree->non_tree_edges()[tree->nte_in(2)[0]].parent, 1u);
+  CeciIndex index(3);
+  index.at(0).candidates = {10, 11};
+  index.at(1).candidates = {1, 2, 3, 4, 5, 6, 7};
+  index.at(2).candidates = {20, 21, 22};
+  auto add_run = [](CandidateRuns* list, VertexId key,
+                    std::vector<VertexId> values) {
+    const std::size_t begin = list->pool.size();
+    list->pool.insert(list->pool.end(), values.begin(), values.end());
+    list->CloseRun(key, begin);
+  };
+  add_run(&index.at(1).te, 10, {1, 2, 3, 4});
+  add_run(&index.at(1).te, 11, {4, 5, 6, 7});
+  add_run(&index.at(2).te, 10, {20, 21});
+  add_run(&index.at(2).te, 11, {21, 22});
+  index.at(2).nte.resize(1);
+  add_run(&index.at(2).nte[0], 2, {20});
+  add_run(&index.at(2).nte[0], 3, {21});
+  add_run(&index.at(2).nte[0], 5, {20, 22});
+  add_run(&index.at(2).nte[0], 6, {22});
+  const FlatCeciIndex flat = FlatCeciIndex::Build(index, *tree);
+
+  const auto cands = flat.candidates(1);
+  const auto count = static_cast<std::uint32_t>(cands.size());
+  std::size_t found = 0;
+  for (std::uint32_t r = 0; r < count; ++r) {
+    const FlatCeciIndex::EntryRef want = flat.Nte(2, 0, cands[r]);
+    ExpectSameEntry(flat.NteAt(2, 0, cands[r], r, count), want);
+    found += want.count > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(found, 4u);
+  EXPECT_EQ(flat.NteAt(2, 0, 8, CandidateRanks::kAbsent, count).count, 0u);
+  EXPECT_EQ(flat.NteAt(2, 0, 8, count, count).count, 0u);
+}
+
 TEST(FlatIndexTest, HybridRulePicksTheSmallerRepresentation) {
   Frozen f(PaperExample::Data(), PaperExample::Query(), 0);
   std::size_t arrays = 0, bitmaps = 0, entries = 0;

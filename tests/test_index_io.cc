@@ -347,6 +347,60 @@ void PatchPlanWord(std::string* bytes, std::size_t word, std::uint32_t value) {
   std::memcpy(bytes->data() + 100, &header_crc, sizeof(header_crc));
 }
 
+// Overwrites u32 element `index` of arena slab `kind` and re-seals that
+// slab's checksum, the slab table's and the header's, so only the
+// structural checks can object.
+void PatchArenaWord(std::string* bytes, FlatCeciIndex::SlabKind kind,
+                    std::size_t index, std::uint32_t value) {
+  constexpr std::size_t kSlabTable = 104, kRecordBytes = 24, kArena = 320;
+  const std::size_t record = kSlabTable + kRecordBytes * kind;
+  std::uint64_t offset, slab_bytes;
+  std::memcpy(&offset, bytes->data() + record, sizeof(offset));
+  std::memcpy(&slab_bytes, bytes->data() + record + 8, sizeof(slab_bytes));
+  std::memcpy(bytes->data() + kArena + offset + 4 * index, &value,
+              sizeof(value));
+  const std::uint32_t slab_crc =
+      Crc32(bytes->data() + kArena + offset, slab_bytes);
+  std::memcpy(bytes->data() + record + 20, &slab_crc, sizeof(slab_crc));
+  const std::uint32_t table_crc =
+      Crc32(bytes->data() + kSlabTable,
+            kRecordBytes * FlatCeciIndex::kNumSlabs);
+  std::memcpy(bytes->data() + 80, &table_crc, sizeof(table_crc));
+  const std::uint32_t header_crc = Crc32(bytes->data(), 100);
+  std::memcpy(bytes->data() + 100, &header_crc, sizeof(header_crc));
+}
+
+TEST_F(IndexIoTest, TeListMissingAParentCandidateIsCorruption) {
+  // Enumeration reads a TE entry by its parent candidate's rank, so a TE
+  // list that misses one parent candidate must not load. Here the last
+  // key of u's TE list moves past every parent candidate: the keys still
+  // ascend and every layout fact holds, but the largest parent candidate
+  // keys nothing.
+  Graph data = GenerateSocialGraph(300, 6, 7);
+  Graph query = MakePaperQuery(PaperQuery::kQG2);
+  Built b(data, query, 0);
+  ASSERT_TRUE(b.Write("", File("te.idx")).ok());
+  const std::string pristine = SlurpFile(File("te.idx"));
+  ASSERT_TRUE(OpenFlatIndex(File("te.idx")).ok());
+
+  const VertexId u = b.tree.matching_order()[1];
+  const FlatListMeta& te = b.flat.list_metas()[b.flat.vertex_metas()[u].te_list];
+  ASSERT_GT(te.key_count, 0u);
+  const auto keys = b.flat.TeKeys(u);
+  std::string bytes = pristine;
+  PatchArenaWord(&bytes, FlatCeciIndex::kKeys, te.key_begin + te.key_count - 1,
+                 keys.back() + 1);
+  WriteBytes(File("te.idx"), bytes);
+  for (const bool use_mmap : {false, true}) {
+    auto loaded = OpenFlatIndex(File("te.idx"), IndexLoadOptions{use_mmap});
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+    EXPECT_NE(loaded.status().message().find("TE keys of u"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
 TEST_F(IndexIoTest, RoundTripPreservesParentsAndRestrictions) {
   Graph data = GenerateSocialGraph(500, 8, 3);
   Graph query = MakePaperQuery(PaperQuery::kQG5);

@@ -23,6 +23,7 @@
 #include "telemetry/http_server.h"
 #include "telemetry/server_telemetry.h"
 #include "util/metrics_registry.h"
+#include "util/tcp.h"
 
 namespace ceci {
 namespace {
@@ -151,6 +152,26 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Listener>& info) {
       return ListenerName(info.param);
     });
+
+TEST(ParseFlagNumberTest, TakesOnlyOneNonNegativeDecimal) {
+  int i = 7;
+  EXPECT_TRUE(ParseFlagNumber("42", &i));
+  EXPECT_EQ(i, 42);
+  for (const char* bad : {"-3", "+3", " 3", "3x", "0x10", "", "2147483648"}) {
+    EXPECT_FALSE(ParseFlagNumber(bad, &i)) << bad;
+  }
+  EXPECT_EQ(i, 42);  // untouched by a failed parse
+  std::uint32_t u = 0;
+  EXPECT_TRUE(ParseFlagNumber("4294967295", &u));
+  EXPECT_FALSE(ParseFlagNumber("4294967296", &u));
+  EXPECT_FALSE(ParseFlagNumber("-1", &u));
+  double d = 0.0;
+  EXPECT_TRUE(ParseFlagNumber("0.25", &d));
+  EXPECT_EQ(d, 0.25);
+  for (const char* bad : {"-0.5", "inf", "nan", "1e999", "1.5ms"}) {
+    EXPECT_FALSE(ParseFlagNumber(bad, &d)) << bad;
+  }
+}
 
 }  // namespace
 }  // namespace ceci

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -30,6 +31,7 @@
 #include "util/json_parser.h"
 #include "util/json_writer.h"
 #include "util/metrics_registry.h"
+#include "util/tcp.h"
 
 namespace ceci {
 namespace {
@@ -732,6 +734,66 @@ TEST(TelemetryHttpTest, ServesMetricsVarzHealthzAnd404) {
             2u);
   server.Stop();
   server.Stop();  // idempotent
+}
+
+// A connected client that has sent nothing (the server is blocked
+// reading its request head until kReadTimeoutSeconds).
+int IdleClient(int port) {
+  Result<int> fd = ConnectTcp("127.0.0.1", port);
+  CECI_CHECK(fd.ok()) << fd.status().ToString();
+  return *fd;
+}
+
+TEST(TelemetryHttpTest, IdleClientDoesNotStallOtherScrapes) {
+  MetricsRegistry registry;
+  ServerTelemetry telemetry(registry, ServerTelemetryOptions{});
+  TelemetryHttpServer server(telemetry, TelemetryHttpOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  const int idle = IdleClient(server.port());
+
+  const auto start = std::chrono::steady_clock::now();
+  auto health = RawHttpGet(server.port(),
+                           "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+  const auto waited = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(health.ok());
+  EXPECT_NE(health->find("200 OK"), std::string::npos);
+  EXPECT_LT(waited, std::chrono::milliseconds(100));
+
+  // Stop shuts the idle connection down instead of waiting out its read
+  // timeout.
+  const auto stop_start = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(TelemetryHttpServer::kReadTimeoutSeconds));
+  ::close(idle);
+}
+
+TEST(TelemetryHttpTest, ConnectionsPastTheCapAreTurnedAway) {
+  MetricsRegistry registry;
+  ServerTelemetry telemetry(registry, ServerTelemetryOptions{});
+  TelemetryHttpServer server(telemetry, TelemetryHttpOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<int> idle;
+  for (std::size_t i = 0; i < TelemetryHttpServer::kMaxConnections; ++i) {
+    idle.push_back(IdleClient(server.port()));
+  }
+  // The accept thread admits in arrival order: every slot is taken.
+  auto busy = RawHttpGet(server.port(),
+                         "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+  ASSERT_TRUE(busy.ok());
+  EXPECT_NE(busy->find("503 Service Unavailable"), std::string::npos)
+      << *busy;
+
+  // A slot frees as soon as its client hangs up.
+  for (int fd : idle) ::close(fd);
+  bool served = false;
+  for (int attempt = 0; attempt < 200 && !served; ++attempt) {
+    auto health = RawHttpGet(server.port(),
+                             "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    served = health.ok() && health->find("200 OK") != std::string::npos;
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(served);
 }
 
 }  // namespace

@@ -398,6 +398,32 @@ TEST_F(ToolsTest, ServeToolsRejectBadUsage) {
   }
 }
 
+TEST_F(ToolsTest, NumericFlagsAreStrictInEveryTool) {
+  // A number with a suffix, a sign on a count or a prefix is a usage
+  // error (exit 2), never a silently truncated value.
+  EXPECT_EQ(Run("ceci_loadgen", "--port 1 --requests 5x"), 2);
+  EXPECT_EQ(Run("ceci_loadgen", "--port 1 --connections -2"), 2);
+  EXPECT_EQ(Run("ceci_loadgen", "--port 1 --zipf 0.8s --requests 1"), 2);
+  EXPECT_EQ(Run("ceci_query", "--data x --pattern \"(a)-(b)\" --threads 2x"),
+            2);
+  EXPECT_EQ(Run("ceci_query", "--data x --pattern \"(a)-(b)\" --limit -1"),
+            2);
+  EXPECT_EQ(Run("ceci_query", "--data x --pattern \"(a)-(b)\" --beta x"), 2);
+  EXPECT_EQ(Run("ceci_generate",
+                "--family er --n 10x --out " + File("never.txt") +
+                    " 2>/dev/null"),
+            2);
+  EXPECT_EQ(Run("ceci_generate",
+                "--family kronecker --scale -3 --out " + File("never.txt") +
+                    " 2>/dev/null"),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(File("never.txt")));
+  EXPECT_EQ(Run("ceci_top", "--port 1 --iterations 0x1"), 2);
+  EXPECT_EQ(Run("ceci_worker", "--index-dir " + dir_.string() +
+                                   " --worker-id 1x 3<&- 2>/dev/null"),
+            2);
+}
+
 TEST_F(ToolsTest, ServeAndLoadgenEndToEnd) {
   ASSERT_EQ(Run("ceci_generate",
                 "--family social --n 1500 --attach 5 --labels 4 --seed 23 "
