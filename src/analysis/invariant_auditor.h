@@ -50,13 +50,12 @@ enum class InvariantClass {
   kCandidateOutOfRange,     // candidate id >= |V_data|
   kCandidateFilterViolation,  // candidate fails the label/degree filter
   kNlcfViolation,           // candidate fails the NLC filter (§3.2)
-  kListUnsorted,            // TE/NTE keys or a value set not strictly sorted
-  kTeKeyNotParentCandidate,   // TE key dead in the parent's candidate set
+  kListUnsorted,            // NTE keys or a value set not strictly sorted
   kNteKeyNotParentCandidate,  // NTE key dead in the NTE parent's set
   kValueNotCandidate,       // stored value dead in the child's candidate set
   kDanglingCandidateEdge,   // (key, value) is not an edge of the data graph
-  kEmptyKeyCascade,         // parent candidate without a TE entry, or an
-                            // empty value set survived (Alg. 1 lines 9-12)
+  kEmptyKeyCascade,         // TE list not one entry per parent candidate,
+                            // or an empty value set (Alg. 1 lines 9-12)
   kCardinalityShape,        // cardinalities missing or zero
 
   // -- FlatCeciIndex (arena layout; ceci/flat_index.h) --

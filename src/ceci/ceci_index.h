@@ -182,11 +182,12 @@ class CeciIndex {
   /// Total candidate edges stored across all TE and NTE lists.
   std::size_t TotalCandidateEdges() const;
 
-  /// The paper's theoretical bound: |E_q| × |E_g| candidate edges at
-  /// 8 bytes each (§6.4).
+  /// The paper's theoretical bound (§3.4, §6.4): |E_q| × 2|E_g| candidate
+  /// edges at 8 bytes each. `directed_data_edges` is 2|E_g|, the data
+  /// graph's num_directed_edges().
   static std::size_t TheoreticalBytes(std::size_t query_edges,
-                                      std::size_t data_edges) {
-    return query_edges * data_edges * 8;
+                                      std::size_t directed_data_edges) {
+    return query_edges * directed_data_edges * 8;
   }
 
  private:

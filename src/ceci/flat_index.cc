@@ -83,7 +83,7 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
         static_cast<std::uint32_t>(BitmapWords(ud.candidates.size()));
     auto count_list = [&](const CandidateRuns& list) {
       ++counts[kListMeta];
-      counts[kKeys] += list.num_keys();
+      counts[kEntries] += list.num_keys();
       for (std::size_t i = 0; i < list.num_keys(); ++i) {
         const std::size_t n = list.values_at(i).size();
         if (UseBitmap(words, n)) {
@@ -95,14 +95,16 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     };
     counts[kCandidates] += ud.candidates.size();
     if (u != root) count_list(ud.te);
-    for (const CandidateRuns& list : ud.nte) count_list(list);
+    for (const CandidateRuns& list : ud.nte) {
+      count_list(list);
+      counts[kKeys] += list.num_keys();
+    }
     if (!ud.candidates.empty()) {
       ranks_size =
           std::max<std::size_t>(ranks_size, ud.candidates.back() + 1);
     }
   }
   counts[kCardinalities] = counts[kCandidates];
-  counts[kEntries] = counts[kKeys];
 
   // One zeroed arena, slabs back to back and each 8-aligned.
   FlatCeciIndex flat;
@@ -139,8 +141,8 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
         << " is not an alive candidate of its child vertex (refine first)";
     return r;
   };
-  std::uint32_t cand_at = 0, list_at = 0, key_at = 0, array_at = 0,
-                bitmap_at = 0;
+  std::uint32_t cand_at = 0, list_at = 0, key_at = 0, entry_at = 0,
+                array_at = 0, bitmap_at = 0;
   for (VertexId u = 0; u < nq; ++u) {
     const CeciVertexData& ud = index.at(u);
     FlatVertexMeta& m = vmeta[u];
@@ -157,16 +159,26 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     cand_at += m.cand_count;
 
     ranks->Load(ud.candidates);
-    auto write_list = [&](const CandidateRuns& list) {
+    // A TE list is written without its keys: they are the tree parent's
+    // candidates, so TeEntry reads entry i for the parent's rank i (the
+    // build's empty-key cascade and refinement's compaction keep it so).
+    CECI_DCHECK(u == root ||
+                ud.te.keys == index.at(tree.parent(u)).candidates)
+        << "flat freeze: TE keys of u" << u
+        << " are not the candidates of its parent u" << tree.parent(u);
+    auto write_list = [&](const CandidateRuns& list, bool keyed) {
       FlatListMeta& lm = lmeta[list_at];
       lm.key_begin = key_at;
-      lm.key_count = static_cast<std::uint32_t>(list.num_keys());
-      lm.entry_begin = key_at;
+      lm.entry_count = static_cast<std::uint32_t>(list.num_keys());
+      lm.entry_begin = entry_at;
       lm.owner = u;
-      std::copy(list.keys.begin(), list.keys.end(), keys + key_at);
+      if (keyed) {
+        std::copy(list.keys.begin(), list.keys.end(), keys + key_at);
+        key_at += lm.entry_count;
+      }
       for (std::size_t i = 0; i < list.num_keys(); ++i) {
         const std::span<const VertexId> values = list.values_at(i);
-        FlatEntry& e = entries[key_at + i];
+        FlatEntry& e = entries[entry_at + i];
         e.count_and_tag = static_cast<std::uint32_t>(values.size());
         if (UseBitmap(m.bitmap_words, values.size())) {
           e.offset = bitmap_at;
@@ -182,25 +194,17 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
           for (VertexId v : values) array_pool[array_at++] = rank_of(v);
         }
       }
-      key_at += lm.key_count;
+      entry_at += lm.entry_count;
       return list_at++;
     };
-    m.te_list = u == root ? kNoFlatList : write_list(ud.te);
+    m.te_list = u == root ? kNoFlatList : write_list(ud.te, false);
     m.nte_begin = list_at;
     m.nte_count = static_cast<std::uint32_t>(ud.nte.size());
-    for (const CandidateRuns& list : ud.nte) write_list(list);
+    for (const CandidateRuns& list : ud.nte) write_list(list, true);
     ranks->Unload(ud.candidates);
   }
 
   flat.BindSpans();
-  // TeEntry reads a TE entry by its parent candidate's rank: the staging
-  // index must key every TE list by exactly the parent's candidates (the
-  // build's empty-key cascade and refinement's compaction keep it so).
-  for (VertexId u = 0; u < nq; ++u) {
-    CECI_DCHECK(u == root || flat.TeKeysAreCandidatesOf(u, tree.parent(u)))
-        << "flat freeze: TE keys of u" << u
-        << " are not the candidates of its parent u" << tree.parent(u);
-  }
   return flat;
 }
 
@@ -404,8 +408,10 @@ bool FlatCeciIndex::CheckArena(const LayoutFaultSink& sink) const {
     return false;
   }
 
-  // Lists, in list order: key (and entry) ranges back to back.
+  // Lists, in list order: entry ranges back to back, and so are the key
+  // ranges of the NTE lists. A TE list (its owner's te_list) owns no keys.
   std::uint64_t key_at = 0;
+  std::uint64_t entry_at = 0;
   for (std::size_t l = 0; l < lists_.size(); ++l) {
     const FlatListMeta& lm = lists_[l];
     const bool owner_valid = lm.owner < nq;
@@ -414,22 +420,27 @@ bool FlatCeciIndex::CheckArena(const LayoutFaultSink& sink) const {
              " is not a query vertex")) {
       return false;
     }
-    const std::uint64_t key_end = std::uint64_t{lm.key_begin} + lm.key_count;
-    const bool keys_inside =
-        key_end <= keys_.size() &&
-        std::uint64_t{lm.entry_begin} + lm.key_count <= entries_.size();
-    if (!keys_inside &&
+    const bool keyed = !owner_valid || vertices_[lm.owner].te_list != l;
+    const std::uint64_t key_end =
+        std::uint64_t{lm.key_begin} + (keyed ? lm.entry_count : 0);
+    const std::uint64_t entry_end =
+        std::uint64_t{lm.entry_begin} + lm.entry_count;
+    const bool inside =
+        key_end <= keys_.size() && entry_end <= entries_.size();
+    if (!inside &&
         Stop(sink, kBounds, "list ", l, ": key/entry range escapes its slab")) {
       return false;
     }
-    if ((lm.key_begin != key_at || lm.entry_begin != key_at) &&
+    if ((lm.key_begin != key_at || lm.entry_begin != entry_at) &&
         Stop(sink, kRep, "list ", l, ": keys at ", lm.key_begin,
-             " and entries at ", lm.entry_begin, ", not ", key_at)) {
+             " and entries at ", lm.entry_begin, ", not ", key_at, " and ",
+             entry_at)) {
       return false;
     }
     key_at = key_end;
-    if (!owner_valid || !keys_inside) continue;
-    const auto keys = keys_.subspan(lm.key_begin, lm.key_count);
+    entry_at = entry_end;
+    if (!owner_valid || !inside) continue;
+    const auto keys = keys_.subspan(lm.key_begin, key_end - lm.key_begin);
     if (!StrictlyAscending(keys) &&
         Stop(sink, kRep, "list ", l, ": keys not strictly ascending")) {
       return false;
@@ -437,16 +448,16 @@ bool FlatCeciIndex::CheckArena(const LayoutFaultSink& sink) const {
 
     // Entries: the pool range first, then what it holds.
     const FlatVertexMeta& owner = vertices_[lm.owner];
-    for (std::uint32_t i = 0; i < lm.key_count; ++i) {
+    for (std::uint32_t i = 0; i < lm.entry_count; ++i) {
       const FlatEntry& e = entries_[lm.entry_begin + i];
       const std::uint32_t count = e.count();
-      const bool inside =
+      const bool in_pool =
           e.is_bitmap()
               ? std::uint64_t{e.offset} + owner.bitmap_words <=
                     bitmap_pool_.size()
               : std::uint64_t{e.offset} + count <= array_pool_.size();
-      if (!inside) {
-        if (Stop(sink, kBounds, "list ", l, ", key v", keys[i],
+      if (!in_pool) {
+        if (Stop(sink, kBounds, "list ", l, ", entry ", i,
                  ": value set escapes its pool")) {
           return false;
         }
@@ -474,14 +485,15 @@ bool FlatCeciIndex::CheckArena(const LayoutFaultSink& sink) const {
         }
       }
       if (fault != nullptr &&
-          Stop(sink, kRep, "list ", l, ", key v", keys[i], ": ", fault)) {
+          Stop(sink, kRep, "list ", l, ", entry ", i, ": ", fault)) {
         return false;
       }
     }
   }
-  if ((key_at != keys_.size() || entries_.size() != keys_.size()) &&
-      Stop(sink, kRep, "key ranges end at ", key_at, "; the key and entry "
-           "slabs hold ", keys_.size(), " and ", entries_.size())) {
+  if ((key_at != keys_.size() || entry_at != entries_.size()) &&
+      Stop(sink, kRep, "key and entry ranges end at ", key_at, " and ",
+           entry_at, "; their slabs hold ", keys_.size(), " and ",
+           entries_.size())) {
     return false;
   }
   return true;
@@ -499,43 +511,12 @@ FlatCeciIndex FlatCeciIndex::Clone() const {
   return copy;
 }
 
-FlatCeciIndex::EntryRef FlatCeciIndex::ListFind(std::uint32_t list_index,
-                                                VertexId key) const {
-  const FlatListMeta& lm = lists_[list_index];
-  const std::span<const VertexId> keys =
-      keys_.subspan(lm.key_begin, lm.key_count);
-  auto it = std::lower_bound(keys.begin(), keys.end(), key);
-  if (it == keys.end() || *it != key) return EntryRef{};
-  const auto i = static_cast<std::uint32_t>(it - keys.begin());
-  return MakeRef(entries_[lm.entry_begin + i], lm.owner);
-}
-
-FlatCeciIndex::EntryRef FlatCeciIndex::Te(VertexId u,
-                                          VertexId parent_match) const {
-  const FlatVertexMeta& m = vertices_[u];
-  if (m.te_list == kNoFlatList) return EntryRef{};
-  return ListFind(m.te_list, parent_match);
-}
-
-std::span<const VertexId> FlatCeciIndex::TeKeys(VertexId u) const {
-  const FlatVertexMeta& m = vertices_[u];
-  if (m.te_list == kNoFlatList) return {};
-  const FlatListMeta& lm = lists_[m.te_list];
-  return keys_.subspan(lm.key_begin, lm.key_count);
-}
-
-FlatCeciIndex::EntryRef FlatCeciIndex::Nte(VertexId u, std::size_t k,
-                                           VertexId parent_match) const {
+std::span<const VertexId> FlatCeciIndex::NteKeys(VertexId u,
+                                                 std::size_t k) const {
   const FlatVertexMeta& m = vertices_[u];
   CECI_DCHECK(k < m.nte_count);
-  return ListFind(m.nte_begin + static_cast<std::uint32_t>(k), parent_match);
-}
-
-bool FlatCeciIndex::TeKeysAreCandidatesOf(VertexId u, VertexId parent) const {
-  if (vertices_[u].te_list == kNoFlatList) return false;
-  const std::span<const VertexId> keys = TeKeys(u);
-  const std::span<const VertexId> cands = candidates(parent);
-  return std::equal(keys.begin(), keys.end(), cands.begin(), cands.end());
+  const FlatListMeta& lm = lists_[m.nte_begin + static_cast<std::uint32_t>(k)];
+  return keys_.subspan(lm.key_begin, lm.entry_count);
 }
 
 Cardinality FlatCeciIndex::CardinalityOf(VertexId u, VertexId v) const {
@@ -575,10 +556,11 @@ FlatCeciIndex::VertexFootprint FlatCeciIndex::MemoryFootprint(
   auto list_bytes = [&](std::uint32_t l, std::size_t* key_count,
                         std::size_t* edge_count) {
     const FlatListMeta& lm = lists_[l];
+    const std::size_t key_bytes = l == m.te_list ? 0 : sizeof(VertexId);
     std::size_t bytes = sizeof(FlatListMeta) +
-                        static_cast<std::size_t>(lm.key_count) *
-                            (sizeof(VertexId) + sizeof(FlatEntry));
-    for (std::uint32_t i = 0; i < lm.key_count; ++i) {
+                        static_cast<std::size_t>(lm.entry_count) *
+                            (key_bytes + sizeof(FlatEntry));
+    for (std::uint32_t i = 0; i < lm.entry_count; ++i) {
       const FlatEntry& e = entries_[lm.entry_begin + i];
       bytes += e.is_bitmap()
                    ? static_cast<std::size_t>(m.bitmap_words) *
@@ -587,7 +569,7 @@ FlatCeciIndex::VertexFootprint FlatCeciIndex::MemoryFootprint(
                          sizeof(std::uint32_t);
       *edge_count += e.count();
     }
-    *key_count += lm.key_count;
+    *key_count += lm.entry_count;
     return bytes;
   };
 
@@ -603,7 +585,7 @@ FlatCeciIndex::VertexFootprint FlatCeciIndex::MemoryFootprint(
 }
 
 std::size_t CeciBytes(const FlatCeciIndex& flat) {
-  return CeciBytes(flat.all_keys().size(), flat.TotalCandidateEdges(),
+  return CeciBytes(flat.all_entries().size(), flat.TotalCandidateEdges(),
                    flat.slab(FlatCeciIndex::kCandidates).bytes /
                        sizeof(VertexId),
                    /*refined=*/true);

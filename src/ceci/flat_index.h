@@ -15,8 +15,9 @@
 //   kCandidates    all candidate arrays, concatenated (data-vertex ids)
 //   kCardinalities refinement cardinalities, parallel to kCandidates
 //   kListMeta      FlatListMeta per TE/NTE list
-//   kKeys          all list keys, concatenated (parent data-vertex ids)
-//   kEntries       FlatEntry per key, parallel to kKeys
+//   kKeys          NTE list keys, concatenated (NTE-parent data-vertex ids);
+//                  a TE list's keys are its tree parent's candidates
+//   kEntries       FlatEntry per list entry, lists back to back
 //   kArrayPool     sparse value sets: sorted u32 *ranks* into the owning
 //                  vertex's candidate array
 //   kBitmapPool    dense value sets: fixed-width bitmaps over those ranks
@@ -66,12 +67,13 @@ struct FlatVertexMeta {
   std::uint32_t nte_count = 0;     // == |QueryTree::nte_in(u)|
 };
 
-/// Per-list record (kListMeta slab). Keys and entries are parallel:
-/// key i of this list is kKeys[key_begin + i] with entry
-/// kEntries[entry_begin + i].
+/// Per-list record (kListMeta slab). Entry i of this list is
+/// kEntries[entry_begin + i]. An NTE list keys it by kKeys[key_begin + i];
+/// a TE list owns no keys (its key range [key_begin, key_begin) is empty)
+/// and entry i belongs to the tree parent's candidate at rank i.
 struct FlatListMeta {
   std::uint32_t key_begin = 0;
-  std::uint32_t key_count = 0;
+  std::uint32_t entry_count = 0;
   std::uint32_t entry_begin = 0;
   std::uint32_t owner = 0;  // child query vertex whose ranks the values use
 };
@@ -112,7 +114,7 @@ static_assert(alignof(FlatListMeta) == 4);
 static_assert(std::is_standard_layout_v<FlatListMeta>);
 static_assert(std::is_trivially_copyable_v<FlatListMeta>);
 static_assert(offsetof(FlatListMeta, key_begin) == 0);
-static_assert(offsetof(FlatListMeta, key_count) == 4);
+static_assert(offsetof(FlatListMeta, entry_count) == 4);
 static_assert(offsetof(FlatListMeta, entry_begin) == 8);
 static_assert(offsetof(FlatListMeta, owner) == 12);
 
@@ -230,19 +232,20 @@ class FlatCeciIndex {
   }
   std::uint32_t nte_count(VertexId u) const { return vertices_[u].nte_count; }
 
-  /// Visits every (list, key) pair in vertex order: TE list first (absent
-  /// for the root), then NTE lists in paper order. `nte_slot` is -1 for
-  /// the TE list, else the index into QueryTree::nte_in(owner). Used by
-  /// layout diagnostics and tests.
+  /// Visits every list entry in vertex order: TE list first (absent for
+  /// the root), then NTE lists in paper order. `nte_slot` is -1 for the TE
+  /// list, else the index into QueryTree::nte_in(owner). `key_or_index`
+  /// is an NTE entry's key, or a TE entry's index i, whose key is
+  /// candidates(tree parent)[i]. Used by layout diagnostics and tests.
   template <typename Fn>  // Fn(VertexId owner, std::int32_t nte_slot,
-                          //    VertexId key, const EntryRef& ref)
+                          //    VertexId key_or_index, const EntryRef& ref)
   void ForEachList(Fn&& fn) const {
     for (VertexId u = 0; u < vertices_.size(); ++u) {
       const FlatVertexMeta& m = vertices_[u];
       auto visit = [&](std::uint32_t l, std::int32_t slot) {
         const FlatListMeta& lm = lists_[l];
-        for (std::uint32_t i = 0; i < lm.key_count; ++i) {
-          fn(u, slot, keys_[lm.key_begin + i],
+        for (std::uint32_t i = 0; i < lm.entry_count; ++i) {
+          fn(u, slot, slot < 0 ? i : keys_[lm.key_begin + i],
              MakeRef(entries_[lm.entry_begin + i], lm.owner));
         }
       };
@@ -253,36 +256,30 @@ class FlatCeciIndex {
     }
   }
 
-  /// TE value set of u for the tree parent's match; count == 0 (both spans
-  /// empty) when the key is absent. Binary search over the list's keys:
-  /// for the auditor and tests, which must read indexes that break the
-  /// rank invariant below. The enumerator reads TeEntry.
-  EntryRef Te(VertexId u, VertexId parent_match) const;
-  /// Keys of u's TE list, ascending; empty for the root. Every index
-  /// Build() writes or the CEIX loader accepts keys u's TE list by exactly
-  /// its tree parent's candidates, so key i is candidates(parent)[i].
-  std::span<const VertexId> TeKeys(VertexId u) const;
-  /// The value set of key i of u's TE list — under the invariant above,
-  /// the entry of the parent candidate at rank i: one array read. Empty
-  /// when i is past the list (CandidateRanks::kAbsent included). u must
-  /// not be the root.
+  /// Entries in u's TE list; 0 for the root. Every index Build() writes or
+  /// the CEIX loader accepts holds one per candidate of u's tree parent.
+  std::uint32_t te_count(VertexId u) const {
+    const FlatVertexMeta& m = vertices_[u];
+    return m.te_list == kNoFlatList ? 0 : lists_[m.te_list].entry_count;
+  }
+  /// The TE value set of u for the tree parent's candidate at rank i: one
+  /// array read. Empty when i is past the list (CandidateRanks::kAbsent
+  /// included). u must not be the root.
   EntryRef TeEntry(VertexId u, std::size_t i) const;
-  /// NTE value set of u for incoming non-tree edge k (paper order,
-  /// parallel to QueryTree::nte_in(u)). Binary search over the list's
-  /// keys, for the auditor and tests like Te().
-  EntryRef Nte(VertexId u, std::size_t k, VertexId parent_match) const;
-  /// Nte() for an NTE parent match known by its rank among the NTE
-  /// parent's `parent_count` candidates. An NTE list's keys are a sorted
-  /// subset of those candidates, so the key of the candidate at rank r can
-  /// only sit at an index in [r - missing, r], where missing = parent_count
-  /// - key_count: the search covers that window, clipped to the list — one
+  /// Keys of u's NTE list k (paper order, parallel to
+  /// QueryTree::nte_in(u)), ascending.
+  std::span<const VertexId> NteKeys(VertexId u, std::size_t k) const;
+  /// The value set of u's NTE list k for an NTE parent match known by its
+  /// rank among the NTE parent's `parent_count` candidates; count == 0
+  /// (both spans empty) when the list has no such key. An NTE list's keys
+  /// are a sorted subset of those candidates (the CEIX readers check it
+  /// against the tree), so the key of the candidate at rank r can only sit
+  /// at an index in [r - missing, r], where missing = parent_count -
+  /// entry_count: the search covers that window, clipped to the list — one
   /// probe when no key is missing. A rank at or past parent_count
   /// (CandidateRanks::kAbsent included) yields the empty entry.
   EntryRef NteAt(VertexId u, std::size_t k, VertexId parent_match,
                  std::uint32_t parent_rank, std::uint32_t parent_count) const;
-  /// Whether u's TE list keys are exactly `parent`'s candidates — the fact
-  /// TeEntry relies on. False for the root, which has no TE list.
-  bool TeKeysAreCandidatesOf(VertexId u, VertexId parent) const;
 
   /// cardinality(u, v); zero if v is not an alive candidate of u.
   Cardinality CardinalityOf(VertexId u, VertexId v) const;
@@ -301,7 +298,7 @@ class FlatCeciIndex {
   /// One query vertex's share of the arena, split by structure; the
   /// profiler reports it per vertex (Table 2 from measurement).
   struct VertexFootprint {
-    std::size_t te_keys = 0;
+    std::size_t te_keys = 0;  // TE entries: the parent's candidates
     std::size_t te_edges = 0;
     std::size_t te_bytes = 0;
     std::size_t nte_lists = 0;
@@ -329,7 +326,6 @@ class FlatCeciIndex {
   /// Raw typed slab views (size accounting and tests).
   std::span<const FlatVertexMeta> vertex_metas() const { return vertices_; }
   std::span<const FlatListMeta> list_metas() const { return lists_; }
-  std::span<const VertexId> all_keys() const { return keys_; }
   std::span<const FlatEntry> all_entries() const { return entries_; }
   std::span<const std::uint32_t> array_pool() const { return array_pool_; }
 
@@ -345,7 +341,6 @@ class FlatCeciIndex {
                              const LayoutFaultSink& sink);
   bool CheckArena(const LayoutFaultSink& sink) const;
 
-  EntryRef ListFind(std::uint32_t list_index, VertexId key) const;
   EntryRef MakeRef(const FlatEntry& entry, VertexId owner) const;
 
   // Arena storage: exactly one of owned_ / mapped_ backs arena_.
@@ -383,7 +378,7 @@ inline FlatCeciIndex::EntryRef FlatCeciIndex::MakeRef(const FlatEntry& entry,
 inline FlatCeciIndex::EntryRef FlatCeciIndex::TeEntry(VertexId u,
                                                       std::size_t i) const {
   const FlatListMeta& lm = lists_[vertices_[u].te_list];
-  if (i >= lm.key_count) return EntryRef{};
+  if (i >= lm.entry_count) return EntryRef{};
   return MakeRef(entries_[lm.entry_begin + i], lm.owner);
 }
 
@@ -392,13 +387,13 @@ inline FlatCeciIndex::EntryRef FlatCeciIndex::NteAt(
     std::uint32_t parent_rank, std::uint32_t parent_count) const {
   const FlatListMeta& lm =
       lists_[vertices_[u].nte_begin + static_cast<std::uint32_t>(k)];
-  if (parent_rank >= parent_count || lm.key_count == 0) return EntryRef{};
+  if (parent_rank >= parent_count || lm.entry_count == 0) return EntryRef{};
   // The window [first, last] is never empty: parent_rank < parent_count
-  // puts first at or below key_count - 1.
+  // puts first at or below entry_count - 1.
   const std::uint32_t missing =
-      parent_count > lm.key_count ? parent_count - lm.key_count : 0;
+      parent_count > lm.entry_count ? parent_count - lm.entry_count : 0;
   const std::uint32_t first = parent_rank > missing ? parent_rank - missing : 0;
-  const std::uint32_t last = std::min(parent_rank, lm.key_count - 1);
+  const std::uint32_t last = std::min(parent_rank, lm.entry_count - 1);
   const VertexId* keys = keys_.data() + lm.key_begin;
   const VertexId* it =
       std::lower_bound(keys + first, keys + last + 1, parent_match);
@@ -407,7 +402,8 @@ inline FlatCeciIndex::EntryRef FlatCeciIndex::NteAt(
 }
 
 /// MatchStats::ceci_bytes of the refined index `flat` holds (CeciBytes over
-/// its keys, stored values and candidates). A fresh Prepare and an entry
+/// its list entries, one per key of the paper's layout, its stored values
+/// and its candidates). A fresh Prepare and an entry
 /// installed from a CEIX image both report it.
 std::size_t CeciBytes(const FlatCeciIndex& flat);
 

@@ -14,7 +14,7 @@ namespace ceci {
 namespace {
 
 constexpr char kMagic[4] = {'C', 'E', 'I', 'X'};
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 constexpr std::uint32_t kHeaderBytes = 104;
 constexpr std::uint32_t kSlabCount = FlatCeciIndex::kNumSlabs;
 // plan_flags bit 0: the stored restrictions are the mirror of the
@@ -101,6 +101,37 @@ std::vector<std::uint32_t> EncodePlan(const QueryTree& tree,
     plan.push_back(c.larger);
   }
   return plan;
+}
+
+// What an image of `tree`'s size and order owes the tree: its recorded
+// tree parents, and per vertex one NTE list per incoming non-tree edge,
+// keyed by a subset of that edge's NTE parent's candidates (NteAt finds a
+// key only inside the rank window that subset implies). An order can fit
+// a query whose vertices are numbered otherwise than the ones the image
+// was built on; the tree parents and the NTE lists then differ.
+Status CheckImageFitsTree(const LoadedFlatIndex& image,
+                          const QueryTree& tree) {
+  const FlatCeciIndex& flat = image.index;
+  for (VertexId u = 0; u < tree.num_vertices(); ++u) {
+    const std::span<const std::uint32_t> nte_ids = tree.nte_in(u);
+    if (image.parents[u] != tree.parent(u) ||
+        flat.nte_count(u) != nte_ids.size()) {
+      return Status::InvalidArgument(
+          "index image tree parents or non-tree edges do not fit its query");
+    }
+    for (std::size_t k = 0; k < nte_ids.size(); ++k) {
+      const VertexId parent = tree.non_tree_edges()[nte_ids[k]].parent;
+      const std::span<const VertexId> keys = flat.NteKeys(u, k);
+      const std::span<const VertexId> cands = flat.candidates(parent);
+      if (!std::includes(cands.begin(), cands.end(), keys.begin(),
+                         keys.end())) {
+        return Status::Corruption("NTE keys of u" + std::to_string(u) +
+                                  " are not candidates of u" +
+                                  std::to_string(parent));
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -291,16 +322,16 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
   if (!flat.ok()) return flat.status();
   loaded.index = std::move(flat).value();
   // Enumeration reads a TE entry by its parent candidate's rank
-  // (FlatCeciIndex::TeEntry): every TE list must be keyed by exactly the
-  // recorded tree parent's candidates, or a rank would name another
-  // key's entry or none.
+  // (FlatCeciIndex::TeEntry): every TE list holds one entry per candidate
+  // of the recorded tree parent, or a rank would name another candidate's
+  // entry or none.
   for (VertexId u = 0; u < nq; ++u) {
     if (loaded.index.vertex_metas()[u].te_list == kNoFlatList) continue;
     const VertexId parent = loaded.parents[u];
     if (parent == kInvalidVertex ||
-        !loaded.index.TeKeysAreCandidatesOf(u, parent)) {
-      return Status::Corruption("TE keys of u" + std::to_string(u) +
-                                " are not the candidates of its tree parent");
+        loaded.index.te_count(u) != loaded.index.candidates(parent).size()) {
+      return Status::Corruption("TE list of u" + std::to_string(u) +
+                                " is not as long as its parent's candidates");
     }
   }
   return loaded;
@@ -318,19 +349,7 @@ Result<QueryTree> ImageQueryTree(const LoadedFlatIndex& image,
   if (!tree.ok()) return tree.status();
   CECI_RETURN_IF_ERROR(tree->SetMatchingOrder(
       std::vector<VertexId>(order.begin(), order.end())));
-  // An order can fit a query whose vertices are numbered otherwise than
-  // the ones the image was built on; the tree parents and the NTE lists
-  // per vertex then differ.
-  for (VertexId u = 0; u < query.num_vertices(); ++u) {
-    if (image.parents[u] != tree->parent(u)) {
-      return Status::InvalidArgument(
-          "index image tree parents do not fit its query");
-    }
-    if (flat.nte_count(u) != tree->nte_in(u).size()) {
-      return Status::InvalidArgument(
-          "index image non-tree edges do not fit its query");
-    }
-  }
+  CECI_RETURN_IF_ERROR(CheckImageFitsTree(image, *tree));
   return tree;
 }
 
@@ -339,24 +358,18 @@ Result<FlatCeciIndex> ReadFlatIndex(const QueryTree& tree,
                                     const IndexLoadOptions& options) {
   Result<LoadedFlatIndex> loaded = OpenFlatIndex(path, options);
   if (!loaded.ok()) return loaded.status();
-  FlatCeciIndex flat = std::move(loaded->index);
-  if (flat.num_query_vertices() != tree.num_vertices()) {
+  if (loaded->index.num_query_vertices() != tree.num_vertices()) {
     return Status::InvalidArgument(
         "index was built for a different query size");
   }
-  const std::span<const VertexId> order = flat.matching_order();
+  const std::span<const VertexId> order = loaded->index.matching_order();
   if (!std::equal(order.begin(), order.end(),
                   tree.matching_order().begin())) {
     return Status::InvalidArgument(
         "index was built for a different matching order");
   }
-  for (VertexId u = 0; u < tree.num_vertices(); ++u) {
-    if (loaded->parents[u] != tree.parent(u)) {
-      return Status::InvalidArgument(
-          "index was built for a different query tree");
-    }
-  }
-  return flat;
+  CECI_RETURN_IF_ERROR(CheckImageFitsTree(*loaded, tree));
+  return std::move(loaded->index);
 }
 
 }  // namespace ceci

@@ -12,9 +12,11 @@
 //
 // File layout (all little-endian, offsets from file start):
 //
-//   [0,  104)  Header     magic "CEIX", version 3, counts, offsets, CRCs
+//   [0,  104)  Header     magic "CEIX", version 4, counts, offsets, CRCs
 //   [104, 320) slab table 9 × SlabRecord{offset, bytes, kind, crc}
-//   [320,  …)  arena      FlatCeciIndex slabs, byte-for-byte
+//   [320,  …)  arena      FlatCeciIndex slabs, byte-for-byte; TE lists
+//                         store no keys (entry i is the tree parent's
+//                         candidate at rank i), so kKeys holds NTE keys
 //   […,    …)  plan       u32 tree parent per query vertex, then u32
 //                         (smaller, larger) per restriction pair
 //   […,  EOF)  pattern    the query pattern text (optional, may be empty)
@@ -26,12 +28,14 @@
 // FlatCeciIndex::FromArena), so a corrupt or truncated file yields a
 // clean kCorruption Status — never a crash or an out-of-bounds read
 // later. The image records the matching order (in the arena) and the
-// tree parents it was built for; ReadFlatIndex and ImageQueryTree
-// validate both, so an index can never be silently used with another
-// tree. It also records the restriction set the writer chose (the
-// Grochow–Kellis set or its mirror), which every reader enumerates under
-// instead of deriving one again. Images of other versions are rejected
-// as unsupported; re-saving one writes the current version.
+// tree parents it was built for; the loader checks each TE list against
+// its parent's candidates, ReadFlatIndex and ImageQueryTree check both
+// and each NTE list against the tree, so an index can never be silently
+// used with another tree. It also records the restriction set the writer
+// chose (the Grochow–Kellis set or its mirror), which every reader
+// enumerates under instead of deriving one again. Images of other
+// versions are rejected as unsupported; re-saving one writes the current
+// version.
 #ifndef CECI_CECI_INDEX_IO_H_
 #define CECI_CECI_INDEX_IO_H_
 
@@ -84,13 +88,14 @@ Result<LoadedFlatIndex> OpenFlatIndex(const std::string& path,
 /// rather than re-deriving one. Fails with kInvalidArgument when the
 /// order does not fit `query` (wrong size, or not a topological order of
 /// that tree), a tree parent differs from the stored one, or a vertex's
-/// NTE list count differs from the tree's.
+/// NTE list count differs from the tree's; with kCorruption when an NTE
+/// list's keys are not all candidates of its NTE parent.
 Result<QueryTree> ImageQueryTree(const LoadedFlatIndex& image,
                                  const Graph& query);
 
 /// Loads an image for a known query. Fails with kInvalidArgument if the
-/// image's query size, matching order or tree parents do not match
-/// `tree`'s.
+/// image's query size, matching order, tree parents or NTE list counts do
+/// not match `tree`'s, and with kCorruption on the NTE key fault above.
 Result<FlatCeciIndex> ReadFlatIndex(const QueryTree& tree,
                                     const std::string& path,
                                     const IndexLoadOptions& options = {});

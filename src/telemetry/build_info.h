@@ -14,7 +14,7 @@ namespace ceci {
 inline constexpr const char* kCeciVersion = "0.9.0";
 
 /// On-disk flat-index format this binary reads/writes (ceci/index_io.h).
-inline constexpr const char* kCeciIndexFormat = "CEIX2";
+inline constexpr const char* kCeciIndexFormat = "CEIX4";
 
 /// "gcc 13.2" / "clang 17.0" / "unknown" — the compiler that produced
 /// this binary.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/invariant_auditor.h"
+#include "bench/bench_common.h"
 #include "ceci/ceci_builder.h"
 #include "ceci/matcher.h"
 #include "ceci/profiler.h"
@@ -334,6 +335,23 @@ TEST(CeciPipelineTest, ProfilePresentButEmptyForInfeasibleQuery) {
   EXPECT_EQ(result->embedding_count, 0u);
   ASSERT_TRUE(result->profile.has_value());
   EXPECT_TRUE(result->profile->vertices.empty());
+}
+
+// Table 2 (§3.4, §6.4): the CECI of a query stays under the paper's bound
+// of |E_q| × 2|E_g| candidate edges at 8 bytes each. The skewed WT analog
+// is where the arena comes closest to it; every cell of its column in
+// bench_table2_ceci_size (QG1-QG5) stays under it.
+TEST(CeciPipelineTest, Table2WtArenasStayUnderThePapersBound) {
+  const bench::Dataset wt = bench::MakeDataset("WT");
+  CeciMatcher matcher(wt.graph);
+  MatchOptions options;
+  options.limit = 1;  // index statistics only, as the bench reads them
+  for (PaperQuery pq : kAllPaperQueries) {
+    auto result = matcher.Match(MakePaperQuery(pq), options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_LT(result->stats.flat_bytes, result->stats.theoretical_bytes)
+        << PaperQueryName(pq);
+  }
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "baselines/vf2.h"
@@ -69,6 +71,28 @@ std::vector<VertexId> Decode(const FlatCeciIndex& flat, VertexId owner,
   return out;
 }
 
+// Every NTE entry of the arena by (owner, NTE slot, key), as ForEachList
+// walks them: the reference the rank-window lookup (NteAt) must agree with.
+using NteEntries =
+    std::map<std::tuple<VertexId, std::int32_t, VertexId>,
+             FlatCeciIndex::EntryRef>;
+NteEntries ListNteEntries(const FlatCeciIndex& flat) {
+  NteEntries out;
+  flat.ForEachList([&](VertexId owner, std::int32_t slot, VertexId key,
+                       const FlatCeciIndex::EntryRef& ref) {
+    if (slot >= 0) out.emplace(std::make_tuple(owner, slot, key), ref);
+  });
+  return out;
+}
+
+// The NTE entry of `key` in u's list k; empty when the list has none.
+FlatCeciIndex::EntryRef FindNte(const NteEntries& entries, VertexId u,
+                                std::size_t k, VertexId key) {
+  const auto it =
+      entries.find(std::make_tuple(u, static_cast<std::int32_t>(k), key));
+  return it == entries.end() ? FlatCeciIndex::EntryRef{} : it->second;
+}
+
 TEST(FlatIndexTest, DefaultConstructedIsEmpty) {
   FlatCeciIndex flat;
   EXPECT_TRUE(flat.empty());
@@ -100,26 +124,36 @@ TEST(FlatIndexTest, BuildPreservesCandidatesAndOrder) {
 
 TEST(FlatIndexTest, EntriesDecodeToTheMutableLists) {
   Frozen f(PaperExample::Data(), PaperExample::Query(), 0);
+  const NteEntries nte_entries = ListNteEntries(f.flat);
   for (VertexId u = 0; u < f.query.num_vertices(); ++u) {
     const auto& vi = f.index.at(u);
-    for (std::size_t i = 0; i < vi.te.num_keys(); ++i) {
-      const VertexId key = vi.te.keys[i];
-      const auto ref = f.flat.Te(u, key);
-      const auto values = vi.te.Find(key);
-      EXPECT_EQ(ref.count, values.size());
-      const auto ids = Decode(f.flat, u, ref);
-      EXPECT_TRUE(std::equal(values.begin(), values.end(), ids.begin()))
-          << "u" << u << " key v" << key;
+    if (u != f.tree.root()) {
+      // The TE keys are the parent's candidates, so TE entry i is key i's.
+      const auto parent_cands = f.flat.candidates(f.tree.parent(u));
+      EXPECT_TRUE(std::equal(vi.te.keys.begin(), vi.te.keys.end(),
+                             parent_cands.begin(), parent_cands.end()));
+      ASSERT_EQ(f.flat.te_count(u), vi.te.num_keys());
+      for (std::size_t i = 0; i < vi.te.num_keys(); ++i) {
+        const auto ref = f.flat.TeEntry(u, i);
+        const auto values = vi.te.values_at(i);
+        EXPECT_EQ(ref.count, values.size());
+        const auto ids = Decode(f.flat, u, ref);
+        EXPECT_TRUE(std::equal(values.begin(), values.end(), ids.begin()))
+            << "u" << u << " entry " << i;
+      }
+      // A rank past the list yields an empty ref, both spans empty.
+      const auto miss = f.flat.TeEntry(u, vi.te.num_keys());
+      EXPECT_EQ(miss.count, 0u);
+      EXPECT_TRUE(miss.ranks.empty());
+      EXPECT_TRUE(miss.bits.empty());
     }
-    // Absent keys yield an empty ref, both spans empty.
-    const auto miss = f.flat.Te(u, 9999);
-    EXPECT_EQ(miss.count, 0u);
-    EXPECT_TRUE(miss.ranks.empty());
-    EXPECT_TRUE(miss.bits.empty());
     for (std::size_t k = 0; k < vi.nte.size(); ++k) {
+      const auto keys = f.flat.NteKeys(u, k);
+      EXPECT_TRUE(std::equal(vi.nte[k].keys.begin(), vi.nte[k].keys.end(),
+                             keys.begin(), keys.end()));
       for (std::size_t i = 0; i < vi.nte[k].num_keys(); ++i) {
         const VertexId key = vi.nte[k].keys[i];
-        const auto ref = f.flat.Nte(u, k, key);
+        const auto ref = FindNte(nte_entries, u, k, key);
         const auto values = vi.nte[k].Find(key);
         ASSERT_EQ(ref.count, values.size());
         const auto ids = Decode(f.flat, u, ref);
@@ -140,20 +174,26 @@ void ExpectSameEntry(const FlatCeciIndex::EntryRef& got,
 }
 
 TEST(FlatIndexTest, RankLookupsFindTheEntriesKeyLookupsFind) {
-  // Every TE entry by its parent candidate's rank, every NTE entry inside
-  // its rank window, against the binary search by key.
+  // Every TE entry by its parent candidate's rank, against the staging
+  // index's value set of that key, and every NTE entry inside its rank
+  // window, against the entry listed under that key.
   for (const char* family : {"ba", "er"}) {
     const Graph data = GoldenDataGraph(family, false);
     for (PaperQuery pq : {PaperQuery::kQG2, PaperQuery::kQG5}) {
       SCOPED_TRACE(std::string(family) + " " + PaperQueryName(pq));
       Frozen f(data, MakePaperQuery(pq), 0);
+      const NteEntries nte_entries = ListNteEntries(f.flat);
       std::size_t nte_lists = 0;
       for (VertexId u = 0; u < f.query.num_vertices(); ++u) {
         if (u == f.tree.root()) continue;
         const auto parent_cands = f.flat.candidates(f.tree.parent(u));
-        ASSERT_TRUE(f.flat.TeKeysAreCandidatesOf(u, f.tree.parent(u)));
+        ASSERT_EQ(f.flat.te_count(u), parent_cands.size());
         for (std::size_t r = 0; r < parent_cands.size(); ++r) {
-          ExpectSameEntry(f.flat.TeEntry(u, r), f.flat.Te(u, parent_cands[r]));
+          const auto values = f.index.at(u).te.Find(parent_cands[r]);
+          const auto ids = Decode(f.flat, u, f.flat.TeEntry(u, r));
+          EXPECT_TRUE(std::equal(values.begin(), values.end(), ids.begin(),
+                                 ids.end()))
+              << "u" << u << " rank " << r;
         }
         EXPECT_EQ(f.flat.TeEntry(u, parent_cands.size()).count, 0u);
         EXPECT_EQ(f.flat.TeEntry(u, CandidateRanks::kAbsent).count, 0u);
@@ -165,7 +205,7 @@ TEST(FlatIndexTest, RankLookupsFindTheEntriesKeyLookupsFind) {
           const auto count = static_cast<std::uint32_t>(cands.size());
           for (std::uint32_t r = 0; r < count; ++r) {
             ExpectSameEntry(f.flat.NteAt(u, k, cands[r], r, count),
-                            f.flat.Nte(u, k, cands[r]));
+                            FindNte(nte_entries, u, k, cands[r]));
           }
         }
       }
@@ -204,11 +244,12 @@ TEST(FlatIndexTest, NteAtSearchesAListMissingKeys) {
   add_run(&index.at(2).nte[0], 6, {22});
   const FlatCeciIndex flat = FlatCeciIndex::Build(index, *tree);
 
+  const NteEntries nte_entries = ListNteEntries(flat);
   const auto cands = flat.candidates(1);
   const auto count = static_cast<std::uint32_t>(cands.size());
   std::size_t found = 0;
   for (std::uint32_t r = 0; r < count; ++r) {
-    const FlatCeciIndex::EntryRef want = flat.Nte(2, 0, cands[r]);
+    const FlatCeciIndex::EntryRef want = FindNte(nte_entries, 2, 0, cands[r]);
     ExpectSameEntry(flat.NteAt(2, 0, cands[r], r, count), want);
     found += want.count > 0 ? 1 : 0;
   }
@@ -255,7 +296,7 @@ TEST(FlatIndexTest, DenseValueSetsBecomeBitmaps) {
   Graph data = MakeGraph(labels, edges);
   Graph query = MakeGraph({0, 1}, {{0, 1}});
   Frozen f(data, query, 0);
-  const auto ref = f.flat.Te(1, 0);
+  const auto ref = f.flat.TeEntry(1, 0);  // the hub, u0's only candidate
   ASSERT_EQ(ref.count, 70u);
   EXPECT_TRUE(ref.is_bitmap());
   EXPECT_EQ(f.flat.BitmapEntries(), 1u);
@@ -398,18 +439,18 @@ FlatCeciIndex FreezeThroughPipeline(const Graph& data, const Graph& query) {
 
 TEST(FlatIndexGoldenTest, ArenasAreByteIdenticalToTheRecordedImages) {
   const GoldenArena kCases[] = {
-      {"er", false, 3, 21, 1786602538u, 79144},
-      {"er", false, 5, 22, 3930771242u, 152256},
-      {"er", true, 4, 23, 1594845723u, 13624},
-      {"er", true, 6, 24, 953197325u, 23776},
-      {"ba", false, 3, 25, 575257347u, 56968},
-      {"ba", false, 5, 26, 2947561393u, 107904},
-      {"ba", true, 4, 27, 286613624u, 8648},
-      {"ba", true, 6, 28, 443530311u, 13056},
-      {"social", false, 3, 29, 4264961414u, 52816},
-      {"social", false, 6, 30, 3186728132u, 120648},
-      {"social", true, 4, 31, 4249261606u, 7216},
-      {"social", true, 5, 32, 2809523522u, 7928},
+      {"er", false, 3, 21, 4022510079u, 75144},
+      {"er", false, 5, 22, 3245353499u, 144256},
+      {"er", true, 4, 23, 4243966292u, 12304},
+      {"er", true, 6, 24, 4106282880u, 21408},
+      {"ba", false, 3, 25, 1101613095u, 52968},
+      {"ba", false, 5, 26, 530754087u, 99904},
+      {"ba", true, 4, 27, 469396906u, 7808},
+      {"ba", true, 6, 28, 1084961802u, 11672},
+      {"social", false, 3, 29, 522539935u, 49176},
+      {"social", false, 6, 30, 3470247988u, 112976},
+      {"social", true, 4, 31, 1368039389u, 6552},
+      {"social", true, 5, 32, 1098880707u, 7168},
   };
   std::size_t array_entries = 0, bitmap_entries = 0;
   for (const GoldenArena& c : kCases) {

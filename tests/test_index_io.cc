@@ -3,6 +3,7 @@
 
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -162,7 +163,7 @@ TEST_F(IndexIoTest, RejectsTruncatedFile) {
 }
 
 // ---------------------------------------------------------------------
-// Flat-image hardening: the v3 format served by `ceci_serve --index`.
+// Flat-image hardening: the v4 format served by `ceci_serve --index`.
 
 // Reads the whole file into a byte string.
 std::string SlurpFile(const std::string& path) {
@@ -370,34 +371,103 @@ void PatchArenaWord(std::string* bytes, FlatCeciIndex::SlabKind kind,
   std::memcpy(bytes->data() + 100, &header_crc, sizeof(header_crc));
 }
 
-TEST_F(IndexIoTest, TeListMissingAParentCandidateIsCorruption) {
+TEST_F(IndexIoTest, TeListLengthDiffersFromTheParentsCandidatesIsCorruption) {
   // Enumeration reads a TE entry by its parent candidate's rank, so a TE
-  // list that misses one parent candidate must not load. Here the last
-  // key of u's TE list moves past every parent candidate: the keys still
-  // ascend and every layout fact holds, but the largest parent candidate
-  // keys nothing.
+  // list must hold exactly one entry per candidate of its tree parent.
+  // Here the last entry of one TE list moves to the head of the TE list
+  // after it: entry and key ranges stay back to back and every value set
+  // stays well-formed, so only the two lists' lengths are wrong.
   Graph data = GenerateSocialGraph(300, 6, 7);
   Graph query = MakePaperQuery(PaperQuery::kQG2);
   Built b(data, query, 0);
   ASSERT_TRUE(b.Write("", File("te.idx")).ok());
-  const std::string pristine = SlurpFile(File("te.idx"));
   ASSERT_TRUE(OpenFlatIndex(File("te.idx")).ok());
 
-  const VertexId u = b.tree.matching_order()[1];
-  const FlatListMeta& te = b.flat.list_metas()[b.flat.vertex_metas()[u].te_list];
-  ASSERT_GT(te.key_count, 0u);
-  const auto keys = b.flat.TeKeys(u);
-  std::string bytes = pristine;
-  PatchArenaWord(&bytes, FlatCeciIndex::kKeys, te.key_begin + te.key_count - 1,
-                 keys.back() + 1);
+  // Adjacent TE lists l (of u) and l + 1 (of w), where u's last entry is a
+  // rank array that also names candidates of w.
+  const auto lists = b.flat.list_metas();
+  std::size_t l = lists.size();
+  VertexId u = 0;
+  for (VertexId v = 0; v < query.num_vertices() && l == lists.size(); ++v) {
+    const std::uint32_t te = b.flat.vertex_metas()[v].te_list;
+    if (te == kNoFlatList || te + 1 >= lists.size() ||
+        lists[te].entry_count == 0) {
+      continue;
+    }
+    const VertexId w = lists[te + 1].owner;
+    const FlatCeciIndex::EntryRef last =
+        b.flat.TeEntry(v, lists[te].entry_count - 1);
+    if (b.flat.vertex_metas()[w].te_list == te + 1 && !last.is_bitmap() &&
+        last.ranks.back() < b.flat.candidates(w).size()) {
+      l = te;
+      u = v;
+    }
+  }
+  ASSERT_LT(l, lists.size()) << "no two adjacent TE lists to shift between";
+  std::string bytes = SlurpFile(File("te.idx"));
+  auto patch = [&](std::size_t list, std::size_t field_offset,
+                   std::uint32_t value) {
+    PatchArenaWord(&bytes, FlatCeciIndex::kListMeta,
+                   (list * sizeof(FlatListMeta) + field_offset) / 4, value);
+  };
+  patch(l, offsetof(FlatListMeta, entry_count), lists[l].entry_count - 1);
+  patch(l + 1, offsetof(FlatListMeta, entry_count),
+        lists[l + 1].entry_count + 1);
+  patch(l + 1, offsetof(FlatListMeta, entry_begin),
+        lists[l + 1].entry_begin - 1);
   WriteBytes(File("te.idx"), bytes);
   for (const bool use_mmap : {false, true}) {
     auto loaded = OpenFlatIndex(File("te.idx"), IndexLoadOptions{use_mmap});
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
-    EXPECT_NE(loaded.status().message().find("TE keys of u"),
+    EXPECT_NE(loaded.status().message().find("TE list of u" +
+                                             std::to_string(u)),
               std::string::npos)
         << loaded.status().ToString();
+  }
+}
+
+TEST_F(IndexIoTest, NteKeyOutsideTheParentsCandidatesIsCorruption) {
+  // NteAt finds an NTE key only inside the rank window that the NTE
+  // parent's candidate count implies, which holds when the list's keys are
+  // a subset of those candidates. Here the last key of an NTE list moves
+  // past every candidate of its NTE parent: the keys still ascend and every
+  // layout fact holds, but a rank lookup would miss keys the list holds.
+  // Only the query tree names the NTE parent, so the readers that know it
+  // refuse the image.
+  Graph data = GenerateSocialGraph(300, 6, 7);
+  Graph query = MakePaperQuery(PaperQuery::kQG2);
+  Built b(data, query, 0);
+  ASSERT_TRUE(b.Write("", File("nte.idx")).ok());
+  ASSERT_TRUE(ReadFlatIndex(b.tree, File("nte.idx")).ok());
+
+  VertexId u = 0;
+  while (u < query.num_vertices() && b.flat.nte_count(u) == 0) ++u;
+  ASSERT_LT(u, query.num_vertices());
+  const FlatListMeta& nte =
+      b.flat.list_metas()[b.flat.vertex_metas()[u].nte_begin];
+  ASSERT_GT(nte.entry_count, 0u);
+  const VertexId parent =
+      b.tree.non_tree_edges()[b.tree.nte_in(u)[0]].parent;
+  std::string bytes = SlurpFile(File("nte.idx"));
+  PatchArenaWord(&bytes, FlatCeciIndex::kKeys,
+                 nte.key_begin + nte.entry_count - 1,
+                 b.flat.candidates(parent).back() + 1);
+  WriteBytes(File("nte.idx"), bytes);
+  for (const bool use_mmap : {false, true}) {
+    const IndexLoadOptions load{use_mmap};
+    auto read = ReadFlatIndex(b.tree, File("nte.idx"), load);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), Status::Code::kCorruption);
+    EXPECT_NE(read.status().message().find("NTE keys of u" +
+                                           std::to_string(u)),
+              std::string::npos)
+        << read.status().ToString();
+    auto opened = OpenFlatIndex(File("nte.idx"), load);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto tree = ImageQueryTree(*opened, query);
+    ASSERT_FALSE(tree.ok());
+    EXPECT_EQ(tree.status().code(), Status::Code::kCorruption);
   }
 }
 
@@ -482,19 +552,23 @@ TEST_F(IndexIoTest, ImageQueryTreeRejectsOtherTreeParents) {
   EXPECT_FALSE(ReadFlatIndex(*other_tree, File("tree.idx")).ok());
 }
 
-TEST_F(IndexIoTest, VersionTwoImageIsUnsupported) {
+TEST_F(IndexIoTest, OlderImageVersionsAreUnsupported) {
+  // v2 images lack the plan region; v3 images store TE keys.
   FlatImage img(testing::PaperExample::Data(), testing::PaperExample::Query(),
-                File("v2.idx"));
-  std::string bytes = SlurpFile(File("v2.idx"));
-  const std::uint32_t v2 = 2;
-  std::memcpy(bytes.data() + 4, &v2, sizeof(v2));
-  WriteBytes(File("v2.idx"), bytes);
-  auto loaded = OpenFlatIndex(File("v2.idx"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
-  EXPECT_NE(loaded.status().message().find("unsupported index version 2"),
-            std::string::npos)
-      << loaded.status().ToString();
+                File("old.idx"));
+  const std::string pristine = SlurpFile(File("old.idx"));
+  for (const std::uint32_t version : {2u, 3u}) {
+    std::string bytes = pristine;
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    WriteBytes(File("old.idx"), bytes);
+    auto loaded = OpenFlatIndex(File("old.idx"));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), Status::Code::kCorruption);
+    EXPECT_NE(loaded.status().message().find("unsupported index version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST_F(IndexIoTest, MalformedRestrictionPairsAreCorruption) {

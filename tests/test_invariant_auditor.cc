@@ -109,12 +109,17 @@ struct Fixture {
     std::span<const std::uint32_t> ranks;
     std::size_t at;
   };
-  // Every array entry, in list order.
+  // Every array entry, in list order. A TE entry's key is the tree
+  // parent's candidate of its rank.
   std::vector<ArrayEntry> ArrayEntries() const {
     std::vector<ArrayEntry> out;
-    flat.ForEachList([&](VertexId owner, std::int32_t, VertexId key,
+    flat.ForEachList([&](VertexId owner, std::int32_t slot,
+                         VertexId key_or_index,
                          const FlatCeciIndex::EntryRef& ref) {
       if (ref.is_bitmap()) return;
+      const VertexId key =
+          slot < 0 ? flat.candidates(tree.parent(owner))[key_or_index]
+                   : key_or_index;
       out.push_back({owner, key, ref.ranks,
                      static_cast<std::size_t>(ref.ranks.data() -
                                               flat.array_pool().data())});
@@ -270,18 +275,26 @@ TEST(AuditIndexTest, DetectsStaleValueAfterRefinement) {
 
 TEST(AuditIndexTest, DetectsBrokenEmptyKeyCascade) {
   Fixture f;
-  // Drop the last TE key of some non-root vertex while keeping its parent
-  // candidate alive: the empty-key cascade invariant breaks.
+  // Move the last TE entry of some non-root vertex to the head of the TE
+  // list after it, keeping the ranges back to back: its parent's largest
+  // candidate is left without a TE entry, and the empty-key cascade
+  // invariant breaks.
+  FlatListMeta* lists = FlatIndexTestPeer::ListMetas(&f.flat);
+  const std::size_t num_lists = f.flat.list_metas().size();
   bool planted = false;
   for (VertexId u = 0; u < f.query.num_vertices() && !planted; ++u) {
-    if (u == f.tree.root()) continue;
-    FlatListMeta& lm = FlatIndexTestPeer::ListMetas(
-        &f.flat)[f.flat.vertex_metas()[u].te_list];
-    if (lm.key_count == 0) continue;
-    --lm.key_count;
+    const std::uint32_t l = f.flat.vertex_metas()[u].te_list;
+    if (l == kNoFlatList || l + 1 >= num_lists ||
+        lists[l].entry_count == 0 ||
+        f.flat.vertex_metas()[lists[l + 1].owner].te_list != l + 1) {
+      continue;
+    }
+    --lists[l].entry_count;
+    ++lists[l + 1].entry_count;
+    --lists[l + 1].entry_begin;
     planted = true;
   }
-  ASSERT_TRUE(planted);
+  ASSERT_TRUE(planted) << "paper example lost its adjacent TE lists";
 
   AuditReport report = f.Audit();
   EXPECT_FALSE(report.ok());
@@ -500,7 +513,7 @@ TEST(AuditFlatIndexTest, DetectsDriftFromThePointerIndex) {
     if (u == f.tree.root()) continue;
     const FlatListMeta& lm =
         f.flat.list_metas()[f.flat.vertex_metas()[u].te_list];
-    for (std::uint32_t i = 0; i < lm.key_count && !planted; ++i) {
+    for (std::uint32_t i = 0; i < lm.entry_count && !planted; ++i) {
       FlatEntry& e = FlatIndexTestPeer::Entries(&f.flat)[lm.entry_begin + i];
       if (!e.is_bitmap() && e.count() >= 2) {
         --e.count_and_tag;  // drops the entry's last rank

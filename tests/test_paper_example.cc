@@ -3,6 +3,8 @@
 // filtering and reverse-BFS refinement, and the two embeddings of §4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
 #include "ceci/matcher.h"
@@ -92,8 +94,11 @@ TEST_F(PaperCeciTest, RefinementPrunesV7AndItsEntries) {
   // entries vanish from the lists of u2's children and NTE children.
   EXPECT_EQ(Values(flat_.candidates(1)),
             (std::vector<VertexId>{V(3), V(5)}));
-  EXPECT_EQ(flat_.Te(3, V(7)).count, 0u);      // TE of u4
-  EXPECT_EQ(flat_.Nte(2, 0, V(7)).count, 0u);  // NTE of u3
+  // TE of u4: one entry per surviving u2 candidate (v3, v5), none for v7.
+  EXPECT_TRUE(index_.at(3).te.Find(V(7)).empty());
+  EXPECT_EQ(flat_.te_count(3), 2u);
+  const auto nte_u3 = flat_.NteKeys(2, 0);  // NTE of u3, keyed by u2
+  EXPECT_FALSE(std::binary_search(nte_u3.begin(), nte_u3.end(), V(7)));
   EXPECT_GT(refine_stats_.pruned_candidates, 0u);
 }
 

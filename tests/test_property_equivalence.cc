@@ -20,6 +20,7 @@
 #include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
 #include "ceci/flat_index.h"
+#include "ceci/index_io.h"
 #include "ceci/matcher.h"
 #include "ceci/preprocess.h"
 #include "ceci/refinement.h"
@@ -28,6 +29,7 @@
 #include "gen/query_gen.h"
 #include "gen/random_graphs.h"
 #include "graphio/binary_csr.h"
+#include "graphio/pattern_parser.h"
 #include "test_support.h"
 
 namespace ceci {
@@ -118,6 +120,18 @@ INSTANTIATE_TEST_SUITE_P(RandomScenarios, EquivalenceTest,
 
 class EmbeddingSetTest : public ::testing::TestWithParam<int> {};
 
+// VF2's embedding sets of `query` in `data`: one embedding per
+// automorphism orbit, under the Grochow–Kellis restrictions (min) or their
+// mirror (max). Which one a CECI path lists depends on the restriction set
+// its plan chose.
+struct OracleSets {
+  std::set<std::vector<VertexId>> min;
+  std::set<std::vector<VertexId>> max;
+  const std::set<std::vector<VertexId>>& For(bool mirrored) const {
+    return mirrored ? max : min;
+  }
+};
+
 // VF2's embedding set of `query` in `data`, listed under the mirror of
 // the Grochow–Kellis restrictions: the mirror set on `data` is the
 // Grochow–Kellis set on `data` with every id v renamed n-1-v, so VF2 runs
@@ -137,23 +151,20 @@ std::set<std::vector<VertexId>> MirroredOracleSet(const Graph& data,
   return out;
 }
 
+OracleSets ComputeOracleSets(const Graph& data, const Graph& query) {
+  EmbeddingCollector collector;
+  EmbeddingVisitor visitor = std::ref(collector);
+  Vf2Count(data, query, Vf2Options{}, &visitor);
+  return {collector.AsSet(), MirroredOracleSet(data, query)};
+}
+
 // Every CECI path on (data, query) lists VF2's embedding set under the
 // restriction set its plan chose.
 void ExpectOracleSets(const Graph& data, const Graph& query,
                       const std::string& name, int id) {
   const Scenario s{data, query, name};
-  EmbeddingCollector oracle_collector;
-  EmbeddingVisitor oracle_visitor = std::ref(oracle_collector);
-  Vf2Count(s.data, s.query, Vf2Options{}, &oracle_visitor);
-  // Each path lists one embedding per automorphism orbit; which one
-  // depends on the restriction set its plan chose.
-  const std::set<std::vector<VertexId>> min_oracle = oracle_collector.AsSet();
-  const std::set<std::vector<VertexId>> max_oracle =
-      MirroredOracleSet(s.data, s.query);
-  ASSERT_EQ(max_oracle.size(), min_oracle.size());
-  auto oracle_for = [&](bool mirrored) -> const auto& {
-    return mirrored ? max_oracle : min_oracle;
-  };
+  const OracleSets oracle = ComputeOracleSets(s.data, s.query);
+  ASSERT_EQ(oracle.max.size(), oracle.min.size());
 
   CeciMatcher matcher(s.data);
   EmbeddingCollector ceci_collector;
@@ -162,7 +173,7 @@ void ExpectOracleSets(const Graph& data, const Graph& query,
   ASSERT_TRUE(result.ok());
 
   EXPECT_EQ(ceci_collector.AsSet(),
-            oracle_for(result->stats.restrictions_mirrored))
+            oracle.For(result->stats.restrictions_mirrored))
       << s.name;
   // No duplicates either.
   EXPECT_EQ(ceci_collector.raw().size(), ceci_collector.AsSet().size());
@@ -178,7 +189,7 @@ void ExpectOracleSets(const Graph& data, const Graph& query,
     EmbeddingCollector collector;
     EmbeddingVisitor visitor = std::ref(collector);
     matcher.Execute(*prepared, MatchOptions{}, &visitor);
-    EXPECT_EQ(collector.AsSet(), oracle_for(mirror))
+    EXPECT_EQ(collector.AsSet(), oracle.For(mirror))
         << s.name << (mirror ? " (max set)" : " (min set)");
     EXPECT_EQ(collector.raw().size(), collector.AsSet().size());
   }
@@ -193,7 +204,7 @@ void ExpectOracleSets(const Graph& data, const Graph& query,
     ASSERT_TRUE(cached_result.ok());
     ASSERT_EQ(cached_result->stats.index_cache_hit, hit);
     EXPECT_EQ(collector.AsSet(),
-              oracle_for(cached_result->stats.restrictions_mirrored))
+              oracle.For(cached_result->stats.restrictions_mirrored))
         << s.name << (hit ? " (cache hit)" : " (cache miss)");
     EXPECT_EQ(collector.raw().size(), collector.AsSet().size());
   }
@@ -230,11 +241,49 @@ void ExpectOracleSets(const Graph& data, const Graph& query,
     EmbeddingCollector store_collector;
     EmbeddingVisitor store_visitor = std::ref(store_collector);
     Enumerator(pre->tree, flat, enum_options).EnumerateAll(&store_visitor);
-    EXPECT_EQ(store_collector.AsSet(), oracle_for(mirror))
+    EXPECT_EQ(store_collector.AsSet(), oracle.For(mirror))
         << s.name << " (store-backed build, "
         << (mirror ? "max set)" : "min set)");
     EXPECT_EQ(store_collector.raw().size(), store_collector.AsSet().size());
   }
+
+  // The CEIX path: WriteFlatIndex, then CachedMatcher::InstallPrebuilt,
+  // which opens the image (OpenFlatIndex) in copy or mmap mode; the
+  // installed entry serves the request. The image carries the pattern
+  // text, whose parse may number the query vertices otherwise
+  // (FormatPattern), so this path runs on that parse, against its own
+  // oracle sets when the numbering differs.
+  const std::string pattern = FormatPattern(s.query);
+  auto parsed = ParsePattern(pattern);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const OracleSets parsed_oracle = FormatPattern(*parsed) == pattern
+                                       ? oracle
+                                       : ComputeOracleSets(s.data, *parsed);
+  auto image = matcher.Prepare(*parsed, MatchOptions{});
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  const std::string image_path =
+      (std::filesystem::temp_directory_path() /
+       ("ceci_equiv_" + std::to_string(::getpid()) + "_" +
+        std::to_string(id) + ".ceix"))
+          .string();
+  ASSERT_TRUE(WriteFlatIndex(image->flat, image->tree, image->symmetry,
+                             pattern, image_path)
+                  .ok());
+  for (bool use_mmap : {false, true}) {
+    CachedMatcher served(s.data);
+    const Status installed = served.InstallPrebuilt(image_path, use_mmap);
+    ASSERT_TRUE(installed.ok()) << installed.ToString();
+    EmbeddingCollector collector;
+    EmbeddingVisitor visitor = std::ref(collector);
+    auto hit = served.Match(*parsed, MatchOptions{}, &visitor);
+    ASSERT_TRUE(hit.ok());
+    ASSERT_TRUE(hit->stats.index_cache_hit);
+    EXPECT_EQ(collector.AsSet(),
+              parsed_oracle.For(hit->stats.restrictions_mirrored))
+        << s.name << (use_mmap ? " (CEIX, mmap)" : " (CEIX, copy)");
+    EXPECT_EQ(collector.raw().size(), collector.AsSet().size());
+  }
+  std::filesystem::remove(image_path);
 }
 
 TEST_P(EmbeddingSetTest, CeciEmbeddingSetEqualsOracle) {
