@@ -755,6 +755,30 @@ void AuditWorkUnits(const Graph& data, const QueryTree& tree,
   }
 }
 
+void AuditRootOrder(const Graph& data, const QueryTree& tree,
+                    const FlatCeciIndex& index,
+                    const EnumOptions& enum_options,
+                    std::span<const std::uint32_t> root_order,
+                    AuditReport* report) {
+  const std::span<const VertexId> pivots = index.candidates(tree.root());
+  const std::span<const Cardinality> cards = index.cardinalities(tree.root());
+  std::vector<WorkUnit> units;
+  units.reserve(root_order.size());
+  for (std::size_t i = 0; i < root_order.size(); ++i) {
+    const std::uint32_t r = root_order[i];
+    ++report->checks_run;
+    if (r >= pivots.size() || r >= cards.size()) {
+      std::ostringstream d;
+      d << "root order entry #" << i << " is rank " << r << ", past the "
+        << pivots.size() << " root candidates";
+      report->Add(InvariantClass::kWorkUnitInvalid, d.str());
+      continue;
+    }
+    units.push_back(WorkUnit{{pivots[r]}, cards[r]});
+  }
+  AuditWorkUnits(data, tree, index, enum_options, units, report);
+}
+
 void AuditQueryProfile(const QueryTree& tree, const FlatCeciIndex& flat,
                        const QueryProfile& profile, AuditReport* report) {
   ++report->checks_run;

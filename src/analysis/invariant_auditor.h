@@ -161,6 +161,17 @@ void AuditWorkUnits(const Graph& data, const QueryTree& tree,
                     const EnumOptions& enum_options,
                     std::span<const WorkUnit> units, AuditReport* report);
 
+/// Audits a root order (PreparedQuery::root_order) as the pool ST and CGD
+/// enumerate: one unit per entry, holding the root candidate at that rank,
+/// checked by AuditWorkUnits. A dropped live root is a kClusterGap, a
+/// repeated one a kClusterOverlap, and a rank past the root's candidates a
+/// kWorkUnitInvalid.
+void AuditRootOrder(const Graph& data, const QueryTree& tree,
+                    const FlatCeciIndex& index,
+                    const EnumOptions& enum_options,
+                    std::span<const std::uint32_t> root_order,
+                    AuditReport* report);
+
 /// Audits the arena layout of a frozen flat index against the query tree
 /// it claims to serve. Runs the CEIX loader's layout check
 /// (FlatCeciIndex::CheckLayout) to the end, reporting its slab-order,

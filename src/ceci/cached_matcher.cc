@@ -133,6 +133,7 @@ Status CachedMatcher::InstallPrebuilt(const std::string& path,
   // written with breaking off serves only requests that turn it off too.
   fresh->symmetry = std::move(loaded->symmetry);
   fresh->flat = std::move(loaded->index);
+  fresh->root_order = RootOrder(fresh->flat, root);
   MatchOptions key_options;
   key_options.break_automorphisms = fresh->symmetry.automorphism_count() != 0;
   MatchStats& stats = fresh->stats;

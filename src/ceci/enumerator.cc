@@ -243,6 +243,7 @@ std::size_t Enumerator::StateBytes() const {
   std::size_t bytes = mapping_.capacity() * sizeof(VertexId) +
                       ranks_.capacity() * sizeof(std::uint32_t) +
                       collect_ranks_.capacity() * sizeof(std::uint32_t) +
+                      prefix_ranks_.capacity() * sizeof(std::uint32_t) +
                       used_.capacity() * sizeof(std::uint64_t) +
                       flipped_scratch_.capacity() * sizeof(VertexId) +
                       span_scratch_.capacity() *
@@ -260,8 +261,10 @@ std::size_t Enumerator::StateBytes() const {
 
 std::uint64_t Enumerator::EnumerateAll(const EmbeddingVisitor* visitor) {
   std::uint64_t total = 0;
-  for (VertexId pivot : flat_.candidates(tree_.root())) {
-    total += EnumerateCluster(pivot, visitor);
+  const std::size_t pivots = flat_.candidates(tree_.root()).size();
+  for (std::uint32_t r = 0; r < pivots; ++r) {
+    total += EnumerateFromRanks(std::span<const std::uint32_t>(&r, 1),
+                                visitor);
     if (stopped_ || LimitReached()) break;
   }
   return total;
@@ -276,23 +279,43 @@ std::uint64_t Enumerator::EnumerateCluster(VertexId pivot,
 std::uint64_t Enumerator::EnumerateFromPrefix(
     std::span<const VertexId> prefix, const EmbeddingVisitor* visitor) {
   CECI_CHECK(!prefix.empty() && prefix.size() <= tree_.num_vertices());
+  const auto& order = tree_.matching_order();
+  prefix_ranks_.resize(prefix.size());
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    prefix_ranks_[i] = RankOf(order[i], prefix[i]);
+    // Every match of an embedding is a candidate of its query vertex.
+    if (prefix_ranks_[i] == CandidateRanks::kAbsent) {
+      stopped_ = false;
+      return 0;
+    }
+  }
+  return EnumerateFromRanks(prefix_ranks_, visitor);
+}
+
+std::uint64_t Enumerator::EnumerateFromRanks(
+    std::span<const std::uint32_t> ranks, const EmbeddingVisitor* visitor) {
+  CECI_CHECK(!ranks.empty() && ranks.size() <= tree_.num_vertices());
   visitor_ = visitor;
   stopped_ = false;
-  std::fill(mapping_.begin(), mapping_.end(), kInvalidVertex);
   const auto& order = tree_.matching_order();
-  for (std::size_t i = 0; i < prefix.size(); ++i) {
-    CECI_DCHECK(!IsUsed(prefix[i]))
-        << "prefix repeats data vertex v" << prefix[i];
-    mapping_[order[i]] = prefix[i];
-    ranks_[order[i]] = RankOf(order[i], prefix[i]);
-    MarkUsed(prefix[i]);
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    const VertexId u = order[i];
+    const std::span<const VertexId> cand = flat_.candidates(u);
+    CECI_DCHECK_LT(ranks[i], cand.size())
+        << "prefix rank " << ranks[i] << " past u" << u << "'s candidates";
+    const VertexId v = cand[ranks[i]];
+    CECI_DCHECK(!IsUsed(v)) << "prefix repeats data vertex v" << v;
+    mapping_[u] = v;
+    ranks_[u] = ranks[i];
+    MarkUsed(v);
   }
   const std::uint64_t before = stats_.embeddings;
-  Recurse(prefix.size());
-  for (std::size_t i = 0; i < prefix.size(); ++i) {
-    mapping_[order[i]] = kInvalidVertex;
-    ranks_[order[i]] = CandidateRanks::kAbsent;
-    UnmarkUsed(prefix[i]);
+  Recurse(ranks.size());
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    const VertexId u = order[i];
+    UnmarkUsed(mapping_[u]);
+    mapping_[u] = kInvalidVertex;
+    ranks_[u] = CandidateRanks::kAbsent;
   }
   visitor_ = nullptr;
   return stats_.embeddings - before;

@@ -175,17 +175,28 @@ class Enumerator {
   /// shared limit, or the abort flag).
   bool stopped() const { return stopped_; }
 
-  /// Enumerates every embedding cluster (all pivots). Returns embeddings
-  /// emitted by this call. `visitor` may be null (count only).
+  /// Enumerates every embedding cluster (all pivots, in rank order).
+  /// Returns embeddings emitted by this call. `visitor` may be null (count
+  /// only).
   std::uint64_t EnumerateAll(const EmbeddingVisitor* visitor);
 
-  /// Enumerates the cluster of one pivot.
+  /// Enumerates the cluster of one pivot; 0 when it is no root candidate.
   std::uint64_t EnumerateCluster(VertexId pivot,
                                  const EmbeddingVisitor* visitor);
 
-  /// Enumerates from a partial embedding: prefix[i] is the match of
-  /// matching_order()[i]. The prefix must be a valid partial embedding
-  /// (extreme-cluster decomposition produces exactly these).
+  /// The enumeration core: enumerates from a partial embedding given by
+  /// ranks, ranks[i] being the rank of matching_order()[i]'s match in its
+  /// candidate array. The matches must form a valid partial embedding. A
+  /// one-rank prefix is one embedding cluster: the scheduler enters here
+  /// with an entry of the root order (extreme_cluster.h).
+  std::uint64_t EnumerateFromRanks(std::span<const std::uint32_t> ranks,
+                                   const EmbeddingVisitor* visitor);
+
+  /// Enumerates from a partial embedding given by ids: prefix[i] is the
+  /// match of matching_order()[i]. Looks the ranks up once and runs
+  /// EnumerateFromRanks; 0 when a match is not a candidate of its vertex.
+  /// The prefix must be a valid partial embedding (extreme-cluster
+  /// decomposition produces exactly these).
   std::uint64_t EnumerateFromPrefix(std::span<const VertexId> prefix,
                                     const EmbeddingVisitor* visitor);
 
@@ -263,7 +274,7 @@ class Enumerator {
   std::uint32_t RankOf(VertexId u, VertexId v) const;
 
   // Injectivity bitmap over data vertex ids, kept in sync with mapping_ by
-  // Recurse / EnumerateFromPrefix (and mirrored temporarily by
+  // Recurse / EnumerateFromRanks (and mirrored temporarily by
   // CollectExtensions). Replaces an O(|mapping|) scan per candidate.
   void MarkUsed(VertexId v) {
     const std::size_t w = v >> 6;
@@ -288,6 +299,7 @@ class Enumerator {
   std::vector<VertexId> mapping_;             // by query vertex id
   std::vector<std::uint32_t> ranks_;          // rank of mapping_[u] in C(u)
   std::vector<std::uint32_t> collect_ranks_;  // CollectExtensions' ranks
+  std::vector<std::uint32_t> prefix_ranks_;   // EnumerateFromPrefix's ranks
   std::vector<std::uint64_t> used_;           // injectivity bitmap, by data id
   std::vector<VertexId> flipped_scratch_;     // CollectExtensions bookkeeping
   // One candidate-rank buffer per matching-order depth.

@@ -80,14 +80,19 @@ class Decomposer {
   std::vector<VertexId> mapping_;
 };
 
-}  // namespace
-
-std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
-                                     const FlatCeciIndex& index,
-                                     const EnumOptions& enum_options,
-                                     std::size_t workers, double beta,
-                                     bool decompose, bool sort_by_cardinality,
-                                     DecomposeStats* stats) {
+// The pool over `roots`, live root ranks walked in the given order: one
+// unit per root, or under `decompose` Algorithm 3's split of every root
+// above the threshold. With `sorted` the roots come in RootOrder, which
+// already lists whole-cluster units largest first; split units are then
+// placed among them by cardinality, ties by pivot — pivot order is rank
+// order — and then in split order.
+std::vector<WorkUnit> UnitsOver(const Graph& data, const QueryTree& tree,
+                                const FlatCeciIndex& index,
+                                const EnumOptions& enum_options,
+                                std::span<const std::uint32_t> roots,
+                                std::size_t workers, double beta,
+                                bool decompose, bool sorted,
+                                DecomposeStats* stats) {
   Timer timer;
   DecomposeStats local;
   if (stats == nullptr) stats = &local;
@@ -96,13 +101,9 @@ std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
   const std::span<const VertexId> root_cands = index.candidates(tree.root());
   const std::span<const Cardinality> root_cards =
       index.cardinalities(tree.root());
-  // Cardinalities drive the split decisions; an unrefined index (empty or
-  // mis-sized vector) would silently produce zero work units.
-  CECI_DCHECK_EQ(root_cards.size(), root_cands.size())
-      << "BuildWorkUnits needs a refined index";
   Cardinality total = 0;
-  for (Cardinality c : root_cards) {
-    total = SaturatingAdd(total, c);
+  for (std::uint32_t r : roots) {
+    total = SaturatingAdd(total, root_cards[r]);
   }
   std::vector<WorkUnit> units;
 
@@ -116,10 +117,9 @@ std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
   stats->threshold = threshold;
 
   Decomposer decomposer(data, tree, index, enum_options, threshold, &units);
-  for (std::size_t i = 0; i < root_cands.size(); ++i) {
-    const VertexId pivot = root_cands[i];
-    const Cardinality card = root_cards[i];
-    if (card == 0) continue;
+  for (std::uint32_t r : roots) {
+    const VertexId pivot = root_cands[r];
+    const Cardinality card = root_cards[r];
     if (!decompose || card <= threshold) {
       units.push_back(WorkUnit{{pivot}, card});
     } else {
@@ -132,15 +132,59 @@ std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
   }
 
   // Larger work first so stragglers are small (§4.3).
-  if (sort_by_cardinality) {
+  if (sorted && stats->extreme_clusters > 0) {
     std::stable_sort(units.begin(), units.end(),
                      [](const WorkUnit& a, const WorkUnit& b) {
-                       return a.cardinality > b.cardinality;
+                       if (a.cardinality != b.cardinality) {
+                         return a.cardinality > b.cardinality;
+                       }
+                       return a.prefix[0] < b.prefix[0];
                      });
   }
   stats->work_units = units.size();
   stats->seconds = timer.Seconds();
   return units;
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> RootOrder(const FlatCeciIndex& index,
+                                     VertexId root) {
+  const std::span<const Cardinality> cards = index.cardinalities(root);
+  // Cardinalities rank the clusters; an unrefined index (empty or
+  // mis-sized vector) would silently yield no clusters.
+  CECI_DCHECK_EQ(cards.size(), index.candidates(root).size())
+      << "RootOrder needs a refined index";
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t r = 0; r < cards.size(); ++r) {
+    if (cards[r] > 0) order.push_back(r);
+  }
+  std::sort(order.begin(), order.end(),
+            [cards](std::uint32_t a, std::uint32_t b) {
+              return cards[a] != cards[b] ? cards[a] > cards[b] : a < b;
+            });
+  return order;
+}
+
+std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
+                                     const FlatCeciIndex& index,
+                                     const EnumOptions& enum_options,
+                                     std::size_t workers, double beta,
+                                     bool decompose, bool sort_by_cardinality,
+                                     DecomposeStats* stats) {
+  std::vector<std::uint32_t> roots = RootOrder(index, tree.root());
+  // The live roots in pivot order, which is rank order.
+  if (!sort_by_cardinality) std::sort(roots.begin(), roots.end());
+  return UnitsOver(data, tree, index, enum_options, roots, workers, beta,
+                   decompose, sort_by_cardinality, stats);
+}
+
+std::vector<WorkUnit> DecomposeRootOrder(
+    const Graph& data, const QueryTree& tree, const FlatCeciIndex& index,
+    const EnumOptions& enum_options, std::span<const std::uint32_t> root_order,
+    std::size_t workers, double beta, DecomposeStats* stats) {
+  return UnitsOver(data, tree, index, enum_options, root_order, workers, beta,
+                   /*decompose=*/true, /*sorted=*/true, stats);
 }
 
 }  // namespace ceci

@@ -1,14 +1,24 @@
-// ExtremeCluster detection and decomposition (paper §4.3, Algorithm 3).
+// Embedding clusters as units of parallel work (paper §4.2-§4.3).
 //
-// An embedding cluster whose pivot cardinality exceeds β × (total
-// cardinality / worker count) would dominate parallel listing time. Such
-// clusters are recursively split: the pivot's partial embedding is extended
-// one matching-order position at a time, and each extension becomes its own
-// work unit carrying a proportional share of the parent's estimated
-// workload, until every unit falls under the threshold.
+// An embedding cluster is the search subtree of one root candidate. The
+// root order lists the live clusters largest first; under ST and CGD a
+// cluster is the whole unit of work, so a prepared query computes its root
+// order once (PreparedQuery::root_order) and every Execute walks it by
+// rank, building no unit objects.
+//
+// Under FGD, ExtremeCluster detection and decomposition (§4.3, Algorithm
+// 3) splits a cluster whose pivot cardinality exceeds β × (total
+// cardinality / worker count), since it would dominate parallel listing
+// time: the pivot's partial embedding is extended one matching-order
+// position at a time, and each extension becomes its own work unit
+// carrying a proportional share of the parent's estimated workload, until
+// every unit falls under the threshold. The threshold depends on the
+// worker count and β, so this pool is cut per Execute.
 #ifndef CECI_CECI_EXTREME_CLUSTER_H_
 #define CECI_CECI_EXTREME_CLUSTER_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ceci/enumerator.h"
@@ -32,11 +42,20 @@ struct DecomposeStats {
   double seconds = 0.0;
 };
 
-/// Builds the work pool. With decompose=false (ST/CGD) every pivot is one
-/// unit; with decompose=true (FGD) extreme clusters are split per
-/// Algorithm 3. With sort_by_cardinality=true units are ordered largest
-/// first so big work starts early (§4.3) — the dynamic policies use this;
-/// the paper's naive static distribution does not. `beta` trades
+/// The root order of a refined index: the ranks, in candidates(root), of
+/// the root candidates with a positive cardinality, largest cardinality
+/// first and ties in rank order. This is the one place "live roots,
+/// largest first" is computed; the dynamic policies start big work early
+/// from it (§4.3).
+std::vector<std::uint32_t> RootOrder(const FlatCeciIndex& index,
+                                     VertexId root);
+
+/// Builds a work pool of prefixes. With decompose=false every live root is
+/// one unit; with decompose=true extreme clusters are split per Algorithm
+/// 3. With sort_by_cardinality=true the roots are walked in RootOrder and
+/// the units ordered largest first, ties by pivot and then in split order;
+/// with false the live roots are walked in pivot order (the paper's naive
+/// static distribution) and the units kept in that order. `beta` trades
 /// decomposition overhead for balance.
 std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
                                      const FlatCeciIndex& index,
@@ -44,6 +63,14 @@ std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
                                      std::size_t workers, double beta,
                                      bool decompose, bool sort_by_cardinality,
                                      DecomposeStats* stats);
+
+/// FGD's pool over a root order RootOrder already computed for `index`:
+/// BuildWorkUnits with decompose and sort_by_cardinality set, without
+/// sorting the roots again.
+std::vector<WorkUnit> DecomposeRootOrder(
+    const Graph& data, const QueryTree& tree, const FlatCeciIndex& index,
+    const EnumOptions& enum_options, std::span<const std::uint32_t> root_order,
+    std::size_t workers, double beta, DecomposeStats* stats);
 
 }  // namespace ceci
 

@@ -318,6 +318,16 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
                                     build_options, &stats, &prepared.counts);
   ExportBuildMetrics(stats);
   if (budget != nullptr && budget->Exhausted()) return partial();
+  // The root order completes the layout enumeration reads: timed with the
+  // freeze, charged with the arena.
+  phase.Reset();
+  prepared.root_order = RootOrder(prepared.flat, prepared.tree.root());
+  stats.freeze_seconds += phase.Seconds();
+  if (budget != nullptr &&
+      budget->ChargeBytes(prepared.root_order.capacity() *
+                          sizeof(std::uint32_t))) {
+    return partial();
+  }
 
   // --- Restriction-set choice: the one choice site of this pipeline ---
   if (!prepared.symmetry.empty()) {
@@ -405,7 +415,7 @@ MatchResult CeciMatcher::Execute(const PreparedQuery& prepared,
   ScheduleResult sched = [&] {
     TraceSpan span("enumerate");
     return RunParallelEnumeration(data_, prepared.tree, prepared.flat,
-                                  schedule, visitor);
+                                  prepared.root_order, schedule, visitor);
   }();
   stats.enumerate_seconds = phase.Seconds();
   stats.enumeration = sched.stats;

@@ -107,6 +107,11 @@ struct PreparedQuery {
   /// The refined CECI frozen into its arena. Empty when `infeasible` or
   /// when the budget tripped before the freeze.
   FlatCeciIndex flat;
+  /// RootOrder of `flat`: the live root candidates' ranks, largest
+  /// cardinality first. The work pool of ST and CGD, walked in place by
+  /// every Execute; computed once with the freeze and charged with the
+  /// arena. Empty exactly when `flat` has no live root.
+  std::vector<std::uint32_t> root_order;
   /// Some query vertex has no candidates: zero embeddings, a complete
   /// answer.
   bool infeasible = false;

@@ -1,10 +1,10 @@
 #include "ceci/scheduler.h"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
-#include <thread>
-
 #include <string>
+#include <thread>
 
 #include "util/check.h"
 #include "util/logging.h"
@@ -29,31 +29,50 @@ ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
                                       const FlatCeciIndex& index,
                                       const ScheduleOptions& options,
                                       const EmbeddingVisitor* visitor) {
+  const std::vector<std::uint32_t> root_order = RootOrder(index, tree.root());
+  return RunParallelEnumeration(data, tree, index, root_order, options,
+                                visitor);
+}
+
+ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
+                                      const FlatCeciIndex& index,
+                                      std::span<const std::uint32_t> root_order,
+                                      const ScheduleOptions& options,
+                                      const EmbeddingVisitor* visitor) {
   CECI_CHECK(options.threads >= 1);
+  CECI_DCHECK(root_order.empty() ||
+              *std::max_element(root_order.begin(), root_order.end()) <
+                  index.candidates(tree.root()).size())
+      << "root order rank past the root's candidates";
   Timer wall;
   ScheduleResult result;
+  const std::span<const Cardinality> root_cards =
+      index.cardinalities(tree.root());
 
+  // ST and CGD enumerate whole clusters, one root rank each, so their pool
+  // is the root order itself. FGD cuts its pool per call, since the
+  // extreme-cluster threshold depends on the worker count and β.
   const bool fine = options.distribution == Distribution::kFineDynamic;
-  // The naive static distribution (§4.2) deals clusters out in pivot order
-  // with no workload awareness; the dynamic policies process the pool
-  // largest-cardinality-first (§4.3).
-  const bool sorted = options.distribution != Distribution::kStatic;
-  std::vector<WorkUnit> units = [&] {
+  std::vector<WorkUnit> units;
+  if (fine) {
     TraceSpan span("enumerate/decompose");
-    return BuildWorkUnits(data, tree, index, options.enumeration,
-                          options.threads, options.beta, fine, sorted,
-                          &result.decomposition);
-  }();
-
-  // Every work unit must carry a non-empty prefix rooted at a pivot; an
-  // empty prefix would make EnumerateFromPrefix re-enumerate everything.
-  for (const WorkUnit& unit : units) {
-    CECI_DCHECK(!unit.prefix.empty());
-    CECI_DCHECK_LE(unit.prefix.size(), tree.num_vertices());
+    units = DecomposeRootOrder(data, tree, index, options.enumeration,
+                               root_order, options.threads, options.beta,
+                               &result.decomposition);
+    // Every work unit must carry a non-empty prefix rooted at a pivot; an
+    // empty prefix would make EnumerateFromPrefix re-enumerate everything.
+    for (const WorkUnit& unit : units) {
+      CECI_DCHECK(!unit.prefix.empty());
+      CECI_DCHECK_LE(unit.prefix.size(), tree.num_vertices());
+    }
+  } else {
+    result.decomposition.threshold = kCardinalityCap;
+    result.decomposition.work_units = root_order.size();
   }
+  const std::size_t pool_size = fine ? units.size() : root_order.size();
 
   const std::size_t workers = std::min(options.threads,
-                                       std::max<std::size_t>(units.size(), 1));
+                                       std::max<std::size_t>(pool_size, 1));
   std::atomic<std::uint64_t> emitted{0};
   std::atomic<bool> aborted{false};  // a visitor returned false
   const std::uint64_t limit = options.limit == 0
@@ -85,11 +104,14 @@ ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
     // Cluster skew over pivot cardinalities (before decomposition), unit
     // skew over the work units actually scheduled (after). Read-only walks
     // over structures already built — nothing here touches the hot path.
-    result.cluster_skew =
-        SkewSummary::Of(index.cardinalities(tree.root()));
+    result.cluster_skew = SkewSummary::Of(root_cards);
     std::vector<Cardinality> unit_cards;
-    unit_cards.reserve(units.size());
-    for (const WorkUnit& unit : units) unit_cards.push_back(unit.cardinality);
+    unit_cards.reserve(pool_size);
+    if (fine) {
+      for (const WorkUnit& unit : units) unit_cards.push_back(unit.cardinality);
+    } else {
+      for (std::uint32_t r : root_order) unit_cards.push_back(root_cards[r]);
+    }
     result.unit_skew = SkewSummary::Of(unit_cards);
   }
 
@@ -114,10 +136,14 @@ ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
              (options.budget != nullptr && options.budget->Exhausted());
     };
     if (options.distribution == Distribution::kStatic) {
-      // Round-robin static assignment; no re-adjustment (§4.2).
-      for (std::size_t i = wid; i < units.size(); i += workers) {
+      // Round-robin static assignment of the live roots in pivot order;
+      // no re-adjustment (§4.2).
+      std::size_t live = 0;
+      for (std::uint32_t r = 0; r < root_cards.size(); ++r) {
+        if (root_cards[r] == 0 || live++ % workers != wid) continue;
         ++result.worker_units[wid];
-        enumerator.EnumerateFromPrefix(units[i].prefix, visitor);
+        enumerator.EnumerateFromRanks(std::span<const std::uint32_t>(&r, 1),
+                                      visitor);
         if (should_stop()) break;
       }
     } else {
@@ -125,9 +151,13 @@ ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
       for (;;) {
         const std::size_t i =
             next_unit.fetch_add(1, std::memory_order_relaxed);
-        if (i >= units.size()) break;
+        if (i >= pool_size) break;
         ++result.worker_units[wid];
-        enumerator.EnumerateFromPrefix(units[i].prefix, visitor);
+        if (fine) {
+          enumerator.EnumerateFromPrefix(units[i].prefix, visitor);
+        } else {
+          enumerator.EnumerateFromRanks(root_order.subspan(i, 1), visitor);
+        }
         if (should_stop()) break;
       }
     }

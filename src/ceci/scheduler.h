@@ -1,14 +1,21 @@
 // Parallel embedding enumeration across embedding clusters (paper §4.2).
 //
 // Three workload-distribution policies:
-//  * kStatic (ST): clusters are dealt round-robin to workers up front.
-//  * kCoarseDynamic (CGD): workers pull whole clusters from a shared pool.
+//  * kStatic (ST): clusters are dealt round-robin to workers up front, in
+//    pivot order.
+//  * kCoarseDynamic (CGD): workers pull whole clusters, largest first, from
+//    the root order through one atomic cursor.
 //  * kFineDynamic (FGD): extreme clusters are decomposed first (§4.3) and
 //    the resulting sub-cluster units are pulled dynamically.
+// Under ST and CGD a cluster is one root candidate: workers enter the
+// enumerator with its rank (Enumerator::EnumerateFromRanks), and no work
+// unit is built. The root order comes from the prepared query
+// (PreparedQuery::root_order), so a warm Execute sorts nothing.
 #ifndef CECI_CECI_SCHEDULER_H_
 #define CECI_CECI_SCHEDULER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,9 +44,10 @@ struct ScheduleOptions {
   /// a counter-only run should not pay for.
   bool collect_profile = false;
   /// Cooperative execution budget shared by all workers (util/budget.h);
-  /// null = unbounded. The scheduler charges the work-unit pool and each
+  /// null = unbounded. The scheduler charges FGD's work-unit pool and each
   /// worker's enumeration state against it and stops pulling units once
-  /// it is exhausted.
+  /// it is exhausted. The root order is charged by whoever computed it
+  /// (CeciMatcher::Prepare charges it with the arena).
   BudgetTracker* budget = nullptr;
   /// Shared worker pool (serving mode). When set, the calling thread runs
   /// worker 0 and workers 1..N-1 are dispatched as one TaskGroup on the
@@ -59,9 +67,9 @@ struct ScheduleResult {
   /// the simulated per-core busy time, so max(worker_seconds) is the
   /// simulated parallel makespan and their sum the serial-equivalent work.
   std::vector<double> worker_seconds;
-  /// Work units each worker pulled/executed (one increment per unit; kept
-  /// even without collect_profile — it is as cheap as the existing
-  /// next_unit fetch).
+  /// Work units each worker pulled/executed (one increment per unit — a
+  /// root under ST and CGD; kept even without collect_profile — it is as
+  /// cheap as the cursor fetch).
   std::vector<std::uint64_t> worker_units;
   /// Embeddings each worker emitted; sums to `embeddings` (termination-
   /// accounting invariant, checked by AuditMatchResult).
@@ -70,6 +78,8 @@ struct ScheduleResult {
   bool visitor_abort = false;
   /// The shared emission limit was reached.
   bool limit_hit = false;
+  /// Under ST and CGD: work_units is the root order's length, threshold
+  /// kCardinalityCap, and seconds ≈ 0 (nothing is cut).
   DecomposeStats decomposition;
   /// Skew over embedding-cluster cardinalities (pivot workloads, before
   /// decomposition) and over work-unit cardinalities (after). Filled only
@@ -92,8 +102,18 @@ struct ScheduleResult {
   }
 };
 
-/// Runs parallel enumeration over a frozen CECI. `visitor` may be null
-/// (count only); it is invoked concurrently from worker threads when set.
+/// Runs parallel enumeration over a frozen CECI whose root order
+/// (RootOrder of `index`, as PreparedQuery::root_order holds it) is
+/// `root_order`. `visitor` may be null (count only); it is invoked
+/// concurrently from worker threads when set.
+ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
+                                      const FlatCeciIndex& index,
+                                      std::span<const std::uint32_t> root_order,
+                                      const ScheduleOptions& options,
+                                      const EmbeddingVisitor* visitor);
+
+/// The same for an index without a prepared root order: computes
+/// RootOrder first.
 ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
                                       const FlatCeciIndex& index,
                                       const ScheduleOptions& options,

@@ -518,13 +518,18 @@ int main(int argc, char** argv) {
       EnumOptions enum_options;
       enum_options.nte_intersection = options.nte_intersection;
       enum_options.symmetry = &prepared->symmetry;
-      const bool fine = options.distribution == Distribution::kFineDynamic;
-      const bool sorted = options.distribution != Distribution::kStatic;
-      const std::vector<WorkUnit> units =
-          BuildWorkUnits(*data, tree, prepared->flat, enum_options,
-                         options.threads, options.beta, fine, sorted, nullptr);
-      AuditWorkUnits(*data, tree, prepared->flat, enum_options, units,
-                     &audit_report);
+      // The pool Execute runs: the root order under ST and CGD, its
+      // decomposition under FGD.
+      if (options.distribution == Distribution::kFineDynamic) {
+        const std::vector<WorkUnit> units = DecomposeRootOrder(
+            *data, tree, prepared->flat, enum_options, prepared->root_order,
+            options.threads, options.beta, nullptr);
+        AuditWorkUnits(*data, tree, prepared->flat, enum_options, units,
+                       &audit_report);
+      } else {
+        AuditRootOrder(*data, tree, prepared->flat, enum_options,
+                       prepared->root_order, &audit_report);
+      }
     }
     if (!args.save_index.empty()) {
       if (!frozen) {

@@ -12,6 +12,7 @@
 #include "ceci/enumerator.h"
 #include "ceci/extreme_cluster.h"
 #include "ceci/refinement.h"
+#include "ceci/scheduler.h"
 #include "gen/paper_queries.h"
 #include "gen/random_graphs.h"
 #include "test_support.h"
@@ -455,6 +456,100 @@ TEST(EnumeratorRegressionTest, WorkCountersArePinned) {
     EXPECT_EQ(s.intersection_elements_out, p.elements_out);
   }
 }
+
+// Rank of each prefix match in its query vertex's candidate array.
+std::vector<std::uint32_t> PrefixRanks(const Fixture& f,
+                                       std::span<const VertexId> prefix) {
+  const auto& order = f.tree.matching_order();
+  std::vector<std::uint32_t> ranks;
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    const std::span<const VertexId> cand = f.index.candidates(order[i]);
+    const auto it = std::lower_bound(cand.begin(), cand.end(), prefix[i]);
+    EXPECT_TRUE(it != cand.end() && *it == prefix[i]);
+    ranks.push_back(static_cast<std::uint32_t>(it - cand.begin()));
+  }
+  return ranks;
+}
+
+void ExpectSameStats(const EnumStats& a, const EnumStats& b) {
+  EXPECT_EQ(a.recursive_calls, b.recursive_calls);
+  EXPECT_EQ(a.intersections, b.intersections);
+  EXPECT_EQ(a.intersection_elements_in, b.intersection_elements_in);
+  EXPECT_EQ(a.intersection_elements_out, b.intersection_elements_out);
+  EXPECT_EQ(a.edge_verifications, b.edge_verifications);
+  EXPECT_EQ(a.embeddings, b.embeddings);
+  EXPECT_EQ(a.calls_per_position, b.calls_per_position);
+}
+
+// EnumerateFromPrefix is a rank lookup in front of EnumerateFromRanks:
+// entering at a root's rank or at its id, or at a deep FGD prefix's ranks
+// or ids, lists the same embeddings in the same order and does the same
+// work, listed or counted.
+void ExpectRankEntryEqualsIdEntry(Fixture& f) {
+  const std::span<const VertexId> roots = f.index.candidates(f.tree.root());
+  for (const bool listed : {false, true}) {
+    SCOPED_TRACE(listed ? "listed" : "counted");
+    EnumOptions opts = f.Options();
+    opts.per_position_stats = true;
+    Enumerator by_rank(f.data, f.tree, f.index, opts);
+    Enumerator by_id(f.data, f.tree, f.index, opts);
+    EmbeddingCollector rank_list;
+    EmbeddingCollector id_list;
+    EmbeddingVisitor rank_visitor = std::ref(rank_list);
+    EmbeddingVisitor id_visitor = std::ref(id_list);
+    const EmbeddingVisitor* rv = listed ? &rank_visitor : nullptr;
+    const EmbeddingVisitor* iv = listed ? &id_visitor : nullptr;
+    for (std::uint32_t r = 0; r < roots.size(); ++r) {
+      EXPECT_EQ(
+          by_rank.EnumerateFromRanks(std::span<const std::uint32_t>(&r, 1), rv),
+          by_id.EnumerateFromPrefix(roots.subspan(r, 1), iv));
+    }
+    const std::vector<WorkUnit> units =
+        BuildWorkUnits(f.data, f.tree, f.index, opts, /*workers=*/64,
+                       /*beta=*/0.01, /*decompose=*/true,
+                       /*sort_by_cardinality=*/true, nullptr);
+    for (const WorkUnit& unit : units) {
+      EXPECT_EQ(by_rank.EnumerateFromRanks(PrefixRanks(f, unit.prefix), rv),
+                by_id.EnumerateFromPrefix(unit.prefix, iv));
+    }
+    EXPECT_GT(by_rank.stats().embeddings, 0u);
+    EXPECT_EQ(rank_list.raw(), id_list.raw());
+    ExpectSameStats(by_rank.stats(), by_id.stats());
+  }
+}
+
+TEST(EnumeratorRegressionTest, RankEntryEqualsIdEntry) {
+  {
+    SCOPED_TRACE("triangle in K4");
+    Fixture f = TriangleInK4();
+    ExpectRankEntryEqualsIdEntry(f);
+  }
+  const Graph data = GenerateBarabasiAlbert(200, 4, 61);
+  for (PaperQuery q : kAllPaperQueries) {
+    SCOPED_TRACE(PaperQueryName(q));
+    Fixture f(data, MakePaperQuery(q));
+    ExpectRankEntryEqualsIdEntry(f);
+  }
+}
+
+#ifdef CECI_ENABLE_DCHECKS
+// A root order is ranks into the root's candidates; a rank past them
+// would read another vertex's candidates. The scheduler checks the whole
+// order once, before any worker enters it (a DCHECK, so the test exists
+// only where DCHECKs are compiled in).
+TEST(RootOrderDeathTest, RankPastTheRootCandidatesDies) {
+  Fixture f = TriangleInK4();
+  ScheduleOptions options;
+  options.enumeration = f.Options();
+  std::vector<std::uint32_t> order = RootOrder(f.index, f.tree.root());
+  ASSERT_FALSE(order.empty());
+  order.push_back(
+      static_cast<std::uint32_t>(f.index.candidates(f.tree.root()).size()));
+  EXPECT_DEATH(RunParallelEnumeration(f.data, f.tree, f.index, order,
+                                      options, nullptr),
+               "root order rank past the root's candidates");
+}
+#endif  // CECI_ENABLE_DCHECKS
 
 }  // namespace
 }  // namespace ceci

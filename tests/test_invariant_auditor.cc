@@ -1,14 +1,16 @@
 // Negative tests for the invariant auditor: plant one specific corruption
-// in a Graph, a frozen CECI arena, an injectivity bitmap, or a work-unit
-// partition and assert the auditor reports exactly the expected violation
-// class.
+// in a Graph, a frozen CECI arena, an injectivity bitmap, a work-unit
+// partition or a root order and assert the auditor reports exactly the
+// expected violation class.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -408,6 +410,90 @@ TEST_F(AuditWorkUnitsTest, DetectsDuplicateUnit) {
   AuditReport report = Audit(units);
   EXPECT_FALSE(report.ok());
   EXPECT_GE(report.CountOf(InvariantClass::kClusterOverlap), 1u);
+}
+
+// ST and CGD enumerate the root order itself, one root per unit.
+TEST_F(AuditWorkUnitsTest, AcceptsTheRootOrder) {
+  AuditReport report;
+  AuditRootOrder(fixture_.data, fixture_.tree, fixture_.flat, enum_options_,
+                 RootOrder(fixture_.flat, fixture_.tree.root()), &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_GT(report.checks_run, 0u);
+}
+
+TEST_F(AuditWorkUnitsTest, RootOrderDroppingALiveRootIsAGap) {
+  std::vector<std::uint32_t> order =
+      RootOrder(fixture_.flat, fixture_.tree.root());
+  // Drop a root whose cluster holds an embedding.
+  Enumerator probe(fixture_.data, fixture_.tree, fixture_.flat,
+                   enum_options_);
+  const auto dropped =
+      std::find_if(order.begin(), order.end(), [&](std::uint32_t r) {
+        return probe.EnumerateFromRanks(std::span<const std::uint32_t>(&r, 1),
+                                        nullptr) > 0;
+      });
+  ASSERT_NE(dropped, order.end());
+  order.erase(dropped);
+
+  AuditReport report;
+  AuditRootOrder(fixture_.data, fixture_.tree, fixture_.flat, enum_options_,
+                 order, &report);
+  EXPECT_EQ(report.total_violations, 1u) << report.ToString();
+  EXPECT_EQ(report.CountOf(InvariantClass::kClusterGap), 1u);
+}
+
+TEST_F(AuditWorkUnitsTest, RootOrderRepeatingARootIsAnOverlap) {
+  std::vector<std::uint32_t> order =
+      RootOrder(fixture_.flat, fixture_.tree.root());
+  ASSERT_FALSE(order.empty());
+  order.push_back(order.back());
+
+  AuditReport report;
+  AuditRootOrder(fixture_.data, fixture_.tree, fixture_.flat, enum_options_,
+                 order, &report);
+  EXPECT_EQ(report.total_violations, 1u) << report.ToString();
+  EXPECT_EQ(report.CountOf(InvariantClass::kClusterOverlap), 1u);
+}
+
+TEST_F(AuditWorkUnitsTest, RootOrderRankPastTheCandidatesIsInvalid) {
+  std::vector<std::uint32_t> order =
+      RootOrder(fixture_.flat, fixture_.tree.root());
+  order.push_back(static_cast<std::uint32_t>(
+      fixture_.flat.candidates(fixture_.tree.root()).size()));
+
+  AuditReport report;
+  AuditRootOrder(fixture_.data, fixture_.tree, fixture_.flat, enum_options_,
+                 order, &report);
+  EXPECT_EQ(report.total_violations, 1u) << report.ToString();
+  EXPECT_EQ(report.CountOf(InvariantClass::kWorkUnitInvalid), 1u);
+}
+
+// The catalogue in docs/static_analysis.md names exactly the classes the
+// auditor emits: a table row per InvariantClassName value, and no row for
+// a name the code does not have.
+TEST(InvariantCatalogTest, DocsNameExactlyTheEmittedClasses) {
+  const std::string path = std::string(CECI_DOCS_DIR) + "/static_analysis.md";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "cannot read " << path;
+  std::multiset<std::string> documented;
+  bool in_catalog = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("### ", 0) == 0) {
+      in_catalog = line == "### Invariant catalog";
+    }
+    // Catalogue rows read "| `class_name` | invariant |".
+    if (!in_catalog || line.rfind("| `", 0) != 0) continue;
+    const std::size_t end = line.find('`', 3);
+    ASSERT_NE(end, std::string::npos) << line;
+    documented.insert(line.substr(3, end - 3));
+  }
+  std::multiset<std::string> emitted;
+  // kDistAccounting is the enum's last value.
+  for (int c = 0; c <= static_cast<int>(InvariantClass::kDistAccounting);
+       ++c) {
+    emitted.insert(InvariantClassName(static_cast<InvariantClass>(c)));
+  }
+  EXPECT_EQ(documented, emitted);
 }
 
 // ---------------------------------------------------------------------

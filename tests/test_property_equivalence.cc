@@ -1,12 +1,14 @@
 // Property-based cross-validation: every matcher in the repository must
 // report the same embedding count on randomized (data, query) pairs, and
 // the CECI visitor output must equal the VF2 oracle's embedding set under
-// the restriction set CECI's plan chose.
+// the restriction set CECI's plan chose — on every path: cold and cached,
+// counted and listed, CEIX-served, under each distribution policy.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
+#include <mutex>
 #include <set>
 
 #include "baselines/bare_enumerator.h"
@@ -158,6 +160,45 @@ OracleSets ComputeOracleSets(const Graph& data, const Graph& query) {
   return {collector.AsSet(), MirroredOracleSet(data, query)};
 }
 
+// The ST, CGD and FGD pools at one and at three threads: each serves the
+// same embedding set.
+struct Policy {
+  Distribution distribution;
+  std::size_t threads;
+};
+constexpr Policy kPolicies[] = {
+    {Distribution::kStatic, 1},        {Distribution::kStatic, 3},
+    {Distribution::kCoarseDynamic, 1}, {Distribution::kCoarseDynamic, 3},
+    {Distribution::kFineDynamic, 1},   {Distribution::kFineDynamic, 3},
+};
+
+// Serves `query` from `served`, which already holds its entry, under every
+// policy: each request is a cache hit and lists `oracle`'s set under the
+// restriction set the entry carries, each embedding once.
+void ExpectPoliciesListOracleSets(CachedMatcher* served, const Graph& query,
+                                  const OracleSets& oracle,
+                                  const std::string& what) {
+  for (const Policy& policy : kPolicies) {
+    SCOPED_TRACE(what + " " + DistributionName(policy.distribution) + " x" +
+                 std::to_string(policy.threads));
+    MatchOptions options;
+    options.distribution = policy.distribution;
+    options.threads = policy.threads;
+    std::mutex mu;
+    EmbeddingCollector collector;
+    EmbeddingVisitor visitor = [&](std::span<const VertexId> m) {
+      std::lock_guard<std::mutex> lock(mu);
+      return collector(m);
+    };
+    auto hit = served->Match(query, options, &visitor);
+    ASSERT_TRUE(hit.ok());
+    ASSERT_TRUE(hit->stats.index_cache_hit);
+    EXPECT_EQ(collector.AsSet(),
+              oracle.For(hit->stats.restrictions_mirrored));
+    EXPECT_EQ(collector.raw().size(), collector.AsSet().size());
+  }
+}
+
 // Every CECI path on (data, query) lists VF2's embedding set under the
 // restriction set its plan chose.
 void ExpectOracleSets(const Graph& data, const Graph& query,
@@ -177,6 +218,19 @@ void ExpectOracleSets(const Graph& data, const Graph& query,
       << s.name;
   // No duplicates either.
   EXPECT_EQ(ceci_collector.raw().size(), ceci_collector.AsSet().size());
+
+  // The counting path: without a visitor the leaf shortcut may count the
+  // last level instead of listing it. Either way the count is the size of
+  // the set the chosen restrictions admit.
+  for (bool shortcut : {false, true}) {
+    MatchOptions counting;
+    counting.leaf_count_shortcut = shortcut;
+    auto counted = matcher.Match(s.query, counting);
+    ASSERT_TRUE(counted.ok());
+    EXPECT_EQ(counted->embedding_count,
+              oracle.For(counted->stats.restrictions_mirrored).size())
+        << s.name << (shortcut ? " (counted, shortcut)" : " (counted)");
+  }
 
   // Both valid restriction sets, whichever the plan picks: the mirror set
   // must list VF2's embedding set of the id-reversed graph, renamed back.
@@ -208,6 +262,7 @@ void ExpectOracleSets(const Graph& data, const Graph& query,
         << s.name << (hit ? " (cache hit)" : " (cache miss)");
     EXPECT_EQ(collector.raw().size(), collector.AsSet().size());
   }
+  ExpectPoliciesListOracleSets(&cached, s.query, oracle, s.name + " (cache)");
 
   // The shared-storage path (§5): the data graph only in a CSR file read
   // on demand, through Preprocess → Build → refine → freeze → graph-free
@@ -282,6 +337,9 @@ void ExpectOracleSets(const Graph& data, const Graph& query,
               parsed_oracle.For(hit->stats.restrictions_mirrored))
         << s.name << (use_mmap ? " (CEIX, mmap)" : " (CEIX, copy)");
     EXPECT_EQ(collector.raw().size(), collector.AsSet().size());
+    ExpectPoliciesListOracleSets(
+        &served, *parsed, parsed_oracle,
+        s.name + (use_mmap ? " (CEIX, mmap)" : " (CEIX, copy)"));
   }
   std::filesystem::remove(image_path);
 }
