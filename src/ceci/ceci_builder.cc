@@ -181,8 +181,9 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
         }
       }
     } else {
+      // The calling thread expands chunks too (ThreadPool::ParallelFor).
       const std::size_t chunks =
-          std::min(frontier.size(), options.pool->num_threads() * 4);
+          std::min(frontier.size(), (options.pool->num_threads() + 1) * 4);
       std::vector<ExpansionBin> bins(chunks);
       const std::size_t per = (frontier.size() + chunks - 1) / chunks;
       options.pool->ParallelFor(chunks, 1, [&](std::size_t c) {
@@ -215,18 +216,17 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
     }
 
     // Candidate set of u = union of TE values. The pool holds exactly
-    // the runs: nothing has been pruned from this list yet.
+    // the runs: nothing has been pruned from this list yet. Marking the
+    // alive flags dedups the union; u's scan bucket, walked in id order,
+    // then lists it strictly ascending — the property every binary search
+    // and intersection downstream depends on — without a sort.
     std::uint8_t* u_alive = table->row(u);
+    std::size_t union_size = 0;
     for (VertexId v : ud.te.pool) {
-      if (!(u_alive[v] & FilterTable::kAlive)) {
-        u_alive[v] |= FilterTable::kAlive;
-        ud.candidates.push_back(v);
-      }
+      union_size += !(u_alive[v] & FilterTable::kAlive);
+      u_alive[v] |= FilterTable::kAlive;
     }
-    std::sort(ud.candidates.begin(), ud.candidates.end());
-    // Candidates were deduped through the alive flags, so sorting makes
-    // them strictly ascending — the property every binary search and
-    // intersection downstream depends on.
+    ud.candidates = table->AliveCandidates(data_, query, u, union_size);
     CECI_DCHECK(std::adjacent_find(ud.candidates.begin(),
                                    ud.candidates.end()) ==
                 ud.candidates.end())

@@ -230,11 +230,20 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
                                        const MatchOptions& options,
                                        const EmbeddingVisitor* visitor) const {
   TraceSpan match_span("match");
+  // One helper pool for both stages: the calling thread is worker 0 of
+  // the build's ParallelFor and of enumeration alike, so `threads` counts
+  // every thread the query runs on.
+  MatchOptions run = options;
+  std::unique_ptr<ThreadPool> helpers;
+  if (run.pool == nullptr && run.threads > 1) {
+    helpers = std::make_unique<ThreadPool>(run.threads - 1);
+    run.pool = helpers.get();
+  }
   // One tracker for both stages: the deadline runs from here.
   BudgetTracker tracker(options.budget);
-  auto prepared = Prepare(query, options, &tracker);
+  auto prepared = Prepare(query, run, &tracker);
   if (!prepared.ok()) return prepared.status();
-  return Execute(*prepared, options, visitor, &tracker);
+  return Execute(*prepared, run, visitor, &tracker);
 }
 
 Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
@@ -303,10 +312,12 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
     return prepared;
   }
 
+  // ParallelFor runs the calling thread as one of the workers, so
+  // `threads` workers need `threads - 1` helpers.
   ThreadPool* pool = options.pool;
   std::unique_ptr<ThreadPool> owned_pool;
   if (pool == nullptr && options.threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(options.threads);
+    owned_pool = std::make_unique<ThreadPool>(options.threads - 1);
     pool = owned_pool.get();
   }
   BuildOptions build_options;
@@ -409,8 +420,8 @@ MatchResult CeciMatcher::Execute(const PreparedQuery& prepared,
   schedule.enumeration.per_position_stats = options.profile;
   schedule.collect_profile = options.profile;
   schedule.budget = budget;
-  // Only an external (shared) pool is routed to the scheduler: without
-  // one, enumeration runs on dedicated per-query threads.
+  // With a pool, workers 1..threads-1 run on it; without one, the
+  // scheduler spawns them. Either way the caller runs worker 0.
   schedule.pool = options.pool;
   ScheduleResult sched = [&] {
     TraceSpan span("enumerate");

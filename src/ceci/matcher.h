@@ -79,8 +79,10 @@ struct MatchOptions {
   /// creating a per-query pool/threads: the calling thread always runs
   /// worker 0 inline, so concurrent Match() calls sharing one pool are
   /// work-conserving even when the pool is saturated. The pool must
-  /// outlive the call. When null (default), `threads > 1` spins up
-  /// per-query threads exactly as before.
+  /// outlive the call. When null (default) and `threads > 1`, Match()
+  /// makes one pool of `threads - 1` helpers for both stages; Prepare()
+  /// and Execute() called on their own each make their own helpers. The
+  /// caller is worker 0 in every case.
   ThreadPool* pool = nullptr;
 };
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "graphio/binary_csr.h"
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace ceci {
@@ -86,6 +87,26 @@ std::vector<VertexId> FilterTable::Candidates(const Source& data,
 }
 
 template <typename Source>
+std::vector<VertexId> FilterTable::AliveCandidates(const Source& data,
+                                                   const Graph& query,
+                                                   VertexId u,
+                                                   std::size_t count) const {
+  const std::uint8_t* flags = row(u);
+  const auto bucket = data.VerticesWithLabel(ScanLabel(data, query, u));
+  std::vector<VertexId> out(count);
+  std::size_t n = 0;
+  // Branch-free: every bucket vertex is written to the next free slot,
+  // which advances only past flagged ones.
+  for (std::size_t i = 0; n < count && i < bucket.size(); ++i) {
+    out[n] = bucket[i];
+    n += (flags[bucket[i]] & kAlive) != 0;
+  }
+  CECI_DCHECK_EQ(n, count) << "alive flag outside u" << u
+                           << "'s scan bucket";
+  return out;
+}
+
+template <typename Source>
 Result<Preprocessed> Preprocess(const Source& data, const NlcIndex& data_nlc,
                                 const Graph& query,
                                 const PreprocessOptions& options,
@@ -144,6 +165,10 @@ template std::vector<VertexId> FilterTable::Candidates(const Graph&,
 template std::vector<VertexId> FilterTable::Candidates(const OnDemandCsr&,
                                                        const Graph&,
                                                        VertexId) const;
+template std::vector<VertexId> FilterTable::AliveCandidates(
+    const Graph&, const Graph&, VertexId, std::size_t) const;
+template std::vector<VertexId> FilterTable::AliveCandidates(
+    const OnDemandCsr&, const Graph&, VertexId, std::size_t) const;
 template Result<Preprocessed> Preprocess(const Graph&, const NlcIndex&,
                                          const Graph&,
                                          const PreprocessOptions&,

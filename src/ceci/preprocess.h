@@ -66,6 +66,14 @@ class FilterTable {
   std::vector<VertexId> Candidates(const Source& data, const Graph& query,
                                    VertexId u) const;
 
+  /// Sorted data vertices whose alive flag is set in u's row, given that
+  /// exactly `count` are. Only kPass vertices may carry the flag, and they
+  /// all sit in u's scan bucket, so the walk reads that bucket in id order
+  /// and stops at the `count`th flag.
+  template <typename Source>
+  std::vector<VertexId> AliveCandidates(const Source& data, const Graph& query,
+                                        VertexId u, std::size_t count) const;
+
   /// Frees the buffer.
   void Release() { *this = FilterTable(); }
 

@@ -178,11 +178,13 @@ ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
     worker_fn(0);
     group.Wait();
   } else {
+    // No pool: spawn workers 1..N-1 and run worker 0 on the caller.
     std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
+    threads.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) {
       threads.emplace_back(worker_fn, w);
     }
+    worker_fn(0);
     for (auto& t : threads) t.join();
   }
 

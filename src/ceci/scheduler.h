@@ -54,8 +54,8 @@ struct ScheduleOptions {
   /// pool — the pool may concurrently carry other queries' workers, and a
   /// saturated pool degrades to the caller running every worker loop
   /// sequentially (work-conserving, never deadlocking). When null,
-  /// enumeration spawns `threads` dedicated std::threads per query
-  /// (the original single-query behaviour).
+  /// enumeration spawns `threads - 1` dedicated std::threads for workers
+  /// 1..N-1, and the calling thread still runs worker 0.
   ThreadPool* pool = nullptr;
 };
 

@@ -4,7 +4,9 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <thread>
 
+#include "baselines/vf2.h"
 #include "ceci/matcher.h"
 #include "ceci/stats_json.h"
 #include "gen/labels.h"
@@ -197,6 +199,74 @@ TEST(MatcherTest, ConcurrentMatchCallsAreSafe) {
   }
   for (auto& t : threads) t.join();
   for (std::uint64_t c : counts) EXPECT_EQ(c, *expected);
+}
+
+// Collects embeddings and the ids of the threads that emitted them.
+struct LockedCollector {
+  std::mutex mutex;
+  std::set<std::vector<VertexId>> embeddings;
+  std::set<std::thread::id> threads;
+  EmbeddingVisitor visitor = [this](std::span<const VertexId> m) {
+    std::lock_guard<std::mutex> lock(mutex);
+    embeddings.emplace(m.begin(), m.end());
+    threads.insert(std::this_thread::get_id());
+    return true;
+  };
+};
+
+// `threads` counts every thread a query runs on: without an external
+// pool, Match makes threads - 1 helpers and the caller is worker 0 of the
+// build and of enumeration. Static distribution hands worker 0 a fixed
+// share of the roots, so the caller is sure to emit embeddings there.
+TEST(MatcherThreadsTest, CallerIsOneOfTheWorkers) {
+  const Graph data = GenerateErdosRenyi(300, 1800, 71);
+  const Graph query = MakeUnlabeled(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
+  Vf2Options oracle_options;
+  oracle_options.break_automorphisms = false;
+  LockedCollector oracle;
+  Vf2Count(data, query, oracle_options, &oracle.visitor);
+  ASSERT_FALSE(oracle.embeddings.empty());
+
+  CeciMatcher matcher(data);
+  MatchOptions options;
+  options.break_automorphisms = false;
+  auto serial = matcher.Match(query, options);
+  ASSERT_TRUE(serial.ok());
+  EXPECT_EQ(serial->embedding_count, oracle.embeddings.size());
+
+  const auto caller = std::this_thread::get_id();
+  for (std::size_t threads : {2u, 3u}) {
+    for (Distribution d : {Distribution::kStatic, Distribution::kCoarseDynamic,
+                           Distribution::kFineDynamic}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " " +
+                   DistributionName(d));
+      options.threads = threads;
+      options.distribution = d;
+      auto count = matcher.Match(query, options);
+      ASSERT_TRUE(count.ok());
+      EXPECT_EQ(count->embedding_count, serial->embedding_count);
+      LockedCollector seen;
+      auto listed = matcher.Match(query, options, &seen.visitor);
+      ASSERT_TRUE(listed.ok());
+      EXPECT_EQ(seen.embeddings, oracle.embeddings);
+      EXPECT_LE(seen.threads.size(), threads);
+      if (d == Distribution::kStatic) {
+        EXPECT_TRUE(seen.threads.count(caller));
+      }
+    }
+    // Execute on its own, with no pool, spawns the helpers itself.
+    SCOPED_TRACE("Execute, threads " + std::to_string(threads));
+    options.distribution = Distribution::kStatic;
+    auto prepared = matcher.Prepare(query, options);
+    ASSERT_TRUE(prepared.ok());
+    LockedCollector seen;
+    const MatchResult listed =
+        matcher.Execute(*prepared, options, &seen.visitor);
+    EXPECT_EQ(listed.embedding_count, serial->embedding_count);
+    EXPECT_EQ(seen.embeddings, oracle.embeddings);
+    EXPECT_LE(seen.threads.size(), threads);
+    EXPECT_TRUE(seen.threads.count(caller));
+  }
 }
 
 TEST(MatcherObservabilityTest, PhaseSecondsSumToTotal) {
