@@ -209,15 +209,16 @@ more=$(echo "$sources" | grep -E '^src/ceci/' \
   | grep -v 'lint: not-per-key' || true)
 hits=$(printf '%s\n%s' "$hits" "$more" | sed '/^$/d')
 if [[ -n "$hits" ]]; then
-  fail "vector-per-key candidate lists (append runs to a CandidateRuns pool)" \
+  fail "vector-per-key candidate lists (append runs to a RunPool)" \
     "$hits"
 fi
 
-# --- Rule: one candidate-rank map. Refinement and the freeze look a data
-# vertex up among a query vertex's candidates through CandidateRanks
-# (src/ceci/ceci_index.h). The freeze's private RankTable and refinement's
-# stamped DenseScratch maps are gone; either name in src/ is a second
-# dense per-data-vertex map growing back.
+# --- Rule: one candidate-rank map. Refinement, the one stage that maps
+# data-vertex ids to ranks, looks a data vertex up among a query vertex's
+# candidates through CandidateRanks (src/ceci/ceci_index.h); the freeze
+# copies ranks and needs no map. The freeze's private RankTable and
+# refinement's stamped DenseScratch maps are gone; either name in src/ is
+# a second dense per-data-vertex map growing back.
 hits=$(echo "$sources" | grep -E '^src/' \
   | xargs grep -nwE 'DenseScratch|RankTable' 2>/dev/null || true)
 if [[ -n "$hits" ]]; then

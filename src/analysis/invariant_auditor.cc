@@ -633,7 +633,7 @@ void CheckTrie(const TrieNode& node, const Graph& data, const QueryTree& tree,
   helper->CollectExtensions(*mapping, u_next, &extensions);
 
   // Decomposition only descends into extensions with positive cardinality
-  // (dead ones cannot reach an embedding; BuildWorkUnits drops them).
+  // (dead ones cannot reach an embedding; DecomposeRootOrder drops them).
   std::vector<VertexId> live;
   for (VertexId v : extensions) {
     if (index.CardinalityOf(u_next, v) > 0) live.push_back(v);

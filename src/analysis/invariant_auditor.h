@@ -152,7 +152,7 @@ void AuditInjectivity(std::span<const VertexId> mapping,
 /// an embedding visitor, where the mapping is fully instantiated.
 void AuditEnumeratorState(const Enumerator& enumerator, AuditReport* report);
 
-/// Checks that `units` (as produced by BuildWorkUnits with the same
+/// Checks that `units` (as produced by DecomposeRootOrder with the same
 /// `enum_options`) partition the embedding space: prefixes are valid
 /// partial embeddings, no unit's subtree contains another's (disjoint),
 /// and together they cover every embedding of every pivot (exhaustive).

@@ -52,11 +52,14 @@ class CflEngine {
         visitor_(visitor),
         result_(result) {
     mapping_.assign(tree.num_vertices(), kInvalidVertex);
+    ranks_.assign(tree.num_vertices(), 0);
   }
 
   void Run() {
-    for (VertexId pivot : index_.pivots(tree_)) {
-      mapping_[tree_.root()] = pivot;
+    const auto& pivots = index_.pivots(tree_);
+    for (std::uint32_t r = 0; r < pivots.size(); ++r) {
+      mapping_[tree_.root()] = pivots[r];
+      ranks_[tree_.root()] = r;
       if (!Recurse(1)) break;
     }
     mapping_[tree_.root()] = kInvalidVertex;
@@ -77,9 +80,11 @@ class CflEngine {
       return options_.limit == 0 || result_->embeddings < options_.limit;
     }
     const VertexId u = order[pos];
-    auto te = index_.at(u).te.Find(mapping_[tree_.parent(u)]);
+    // The refined TE run of the parent's rank holds ranks into C(u).
+    const CeciVertexData& ud = index_.at(u);
     const auto nte_ids = tree_.nte_in(u);
-    for (VertexId v : te) {
+    for (std::uint32_t r : ud.te.values_at(ranks_[tree_.parent(u)])) {
+      const VertexId v = ud.candidates[r];
       bool ok = true;
       for (VertexId m : mapping_) {
         if (m == v) {
@@ -111,6 +116,7 @@ class CflEngine {
       }
       if (!ok) continue;
       mapping_[u] = v;
+      ranks_[u] = r;
       bool keep_going = Recurse(pos + 1);
       mapping_[u] = kInvalidVertex;
       if (!keep_going) return false;
@@ -127,6 +133,7 @@ class CflEngine {
   const EmbeddingVisitor* visitor_;
   CflResult* result_;
   std::vector<VertexId> mapping_;
+  std::vector<std::uint32_t> ranks_;  // rank of mapping_[u] in C(u)
 };
 
 }  // namespace

@@ -49,7 +49,7 @@ class TurboIsoEngine {
                     ? SymmetryConstraints::Compute(query_)
                     : SymmetryConstraints::None(query_.num_vertices());
 
-    region_.assign(query_.num_vertices(), CandidateRuns{});
+    region_.assign(query_.num_vertices(), KeyedRuns{});
     region_candidates_.assign(query_.num_vertices(), {});
     for (VertexId v_s : starts) {
       ++result_->regions_explored;
@@ -94,7 +94,7 @@ class TurboIsoEngine {
     for (VertexId u : tree_.bfs_order()) {
       if (u == tree_.root()) continue;
       const VertexId u_p = tree_.parent(u);
-      CandidateRuns& list = region_[u];
+      KeyedRuns& list = region_[u];
       for (VertexId v_f : region_candidates_[u_p]) {
         const std::size_t begin = list.pool.size();
         for (VertexId v : data_.neighbors(v_f)) {
@@ -197,7 +197,7 @@ class TurboIsoEngine {
   SymmetryConstraints symmetry_;
   std::vector<std::vector<NlcIndex::Entry>> profiles_;
   std::vector<std::vector<Memo>> memo_;
-  std::vector<CandidateRuns> region_;
+  std::vector<KeyedRuns> region_;
   std::vector<std::vector<VertexId>> region_candidates_;
   std::vector<VertexId> order_;
   std::vector<std::size_t> pos_of_;

@@ -16,7 +16,7 @@ namespace {
 // expands into a private list, appended in chunk order afterwards so the
 // result is identical to serial execution.
 struct ExpansionBin {
-  CandidateRuns entries;
+  RunPool entries;
   std::vector<VertexId> dead_frontier;
   BuildStats stats;
 };
@@ -86,9 +86,9 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
   }
 
   // Expands one frontier vertex of u into the list's pool, reading each
-  // neighbour's LF / DF / NLCF verdict from the table. The frontier vertex
-  // keys the new run unless it found nothing; then it is returned dead.
-  auto expand_te = [&](VertexId u, VertexId v_f, CandidateRuns* list,
+  // neighbour's LF / DF / NLCF verdict from the table. A frontier vertex
+  // that found nothing gets no run and is returned dead for the cascade.
+  auto expand_te = [&](VertexId u, VertexId v_f, RunPool* list,
                        std::vector<VertexId>* dead, BuildStats* s) {
     ++s->frontier_expansions;
     s->neighbors_scanned += data_.degree(v_f);
@@ -107,12 +107,12 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
     if (list->pool.size() == begin) {
       dead->push_back(v_f);
     } else {
-      list->CloseRun(v_f, begin);
+      list->CloseRun(begin);
     }
   };
 
   // Removes `dead` vertices from the candidate set of `u_owner` and drops
-  // their key entries from the TE lists of u_owner's already-built children
+  // their entries from the TE lists of u_owner's already-built children
   // (Algorithm 1 lines 9-12 / the analogous NTE cascade).
   std::vector<char> processed(nq, 0);
   processed[root] = 1;
@@ -124,14 +124,17 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
     auto is_alive = [owner_alive](VertexId v) {
       return (owner_alive[v] & FilterTable::kAlive) != 0;
     };
+    // A built child's TE run i belongs to candidate i and goes with it.
     auto& cands = index.at(u_owner).candidates;
+    for (VertexId u_c : tree.children(u_owner)) {
+      if (!processed[u_c]) continue;
+      RunPool& te = index.at(u_c).te;
+      CECI_DCHECK_EQ(te.num_runs(), cands.size());
+      te.KeepRuns([&](std::size_t i) { return is_alive(cands[i]); });
+    }
     cands.erase(std::remove_if(cands.begin(), cands.end(),
                                [&](VertexId v) { return !is_alive(v); }),
                 cands.end());
-    for (VertexId u_c : tree.children(u_owner)) {
-      if (!processed[u_c]) continue;
-      index.at(u_c).te.Prune(is_alive, [](VertexId) { return true; });
-    }
     // NTE lists built earlier whose parent is u_owner also key by it.
     for (std::uint32_t e : tree.nte_out(u_owner)) {
       VertexId u_c = tree.non_tree_edges()[e].child;
@@ -139,8 +142,7 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
       auto ids = tree.nte_in(u_c);
       for (std::size_t k = 0; k < ids.size(); ++k) {
         if (ids[k] == e) {
-          index.at(u_c).nte[k].Prune(is_alive,
-                                     [](VertexId) { return true; });
+          index.at(u_c).nte[k].Prune(is_alive, [](VertexId v) { return v; });
         }
       }
     }
@@ -256,7 +258,7 @@ BuildResult<Source> CeciBuilder<Source>::Build(const Graph& query,
     for (std::size_t k = 0; k < nte_ids.size(); ++k) {
       const VertexId u_n = tree.non_tree_edges()[nte_ids[k]].parent;
       std::vector<VertexId> dead_nte;
-      CandidateRuns& list = ud.nte[k];
+      KeyedRuns& list = ud.nte[k];
       for (VertexId v_n : index.at(u_n).candidates) {
         ++stats->frontier_expansions;
         stats->neighbors_scanned += data_.degree(v_n);

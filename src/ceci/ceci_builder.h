@@ -5,13 +5,13 @@
 // parent's candidate set) is expanded through four filters: label (LF),
 // degree (DF), neighborhood label count (NLCF), and the empty-key cascade
 // (a frontier vertex whose expansion yields no candidates can match no
-// embedding and is removed from the parent, together with its key entries
-// in sibling lists). The first three are read, one byte per scanned
+// embedding and is removed from the parent, together with its runs in
+// sibling lists). The first three are read, one byte per scanned
 // neighbour, from the FilterTable that preprocessing wrote. NTE candidate
 // lists are then built for every non-tree edge by expanding the NTE
 // parent's candidates against the child's candidate set. Every expansion
 // appends its survivors straight to the list's pool as one run
-// (ceci_index.h); the cascades drop keys in place.
+// (ceci_index.h); the cascades drop runs and keys in place.
 #ifndef CECI_CECI_CECI_BUILDER_H_
 #define CECI_CECI_CECI_BUILDER_H_
 

@@ -8,34 +8,33 @@
 
 namespace ceci {
 
-void CandidateRuns::Append(const CandidateRuns& other) {
+void RunPool::Append(const RunPool& other) {
   const std::size_t base = pool.size();
   CECI_CHECK(base + other.pool.size() <=
              std::numeric_limits<std::uint32_t>::max())
       << "candidate list pool exceeds 32-bit offsets";
   pool.insert(pool.end(), other.pool.begin(), other.pool.end());
-  keys.insert(keys.end(), other.keys.begin(), other.keys.end());
   for (ValueRun run : other.runs) {
     runs.push_back({static_cast<std::uint32_t>(base + run.offset), run.count});
   }
 }
 
-std::span<const VertexId> CandidateRuns::Find(VertexId key) const {
-  auto it = std::lower_bound(keys.begin(), keys.end(), key);
-  if (it == keys.end() || *it != key) return {};
-  return values_at(static_cast<std::size_t>(it - keys.begin()));
-}
-
-std::size_t CandidateRuns::TotalValues() const {
+std::size_t RunPool::TotalValues() const {
   std::size_t total = 0;
   for (ValueRun run : runs) total += run.count;
   return total;
 }
 
+std::span<const VertexId> KeyedRuns::Find(VertexId key) const {
+  auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it == keys.end() || *it != key) return {};
+  return values_at(static_cast<std::size_t>(it - keys.begin()));
+}
+
 std::size_t CeciBytes(const CeciVertexData& slice) {
-  std::size_t keys = slice.te.num_keys();
+  std::size_t keys = slice.te.num_runs();
   std::size_t values = slice.te.TotalValues();
-  for (const CandidateRuns& list : slice.nte) {
+  for (const KeyedRuns& list : slice.nte) {
     keys += list.num_keys();
     values += list.TotalValues();
   }

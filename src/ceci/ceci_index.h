@@ -1,17 +1,18 @@
 // The Compact Embedding Cluster Index (paper §3.1) in its staging form.
 //
 // CeciBuilder writes it and RefineCeci refines it in place; then
-// FlatCeciIndex::Build maps its values to ranks and writes the arena that
-// enumeration, CEIX files and dist workers read (flat_index.h). Per
-// non-root query vertex there is a TE list keyed by its tree parent's
-// candidates and one NTE list per incoming non-tree edge; the root holds
-// the cluster pivots. Size is O(|E_q| × |E_g|) (§3.4).
+// FlatCeciIndex::Build places its lists in the arena that enumeration,
+// CEIX files and dist workers read (flat_index.h). Per non-root query
+// vertex there is a TE list over its tree parent's candidates and one NTE
+// list per incoming non-tree edge; the root holds the cluster pivots.
+// Size is O(|E_q| × |E_g|) (§3.4).
 //
-// Every list already has the arena's shape: strictly ascending keys, each
-// with one (offset, count) run into the list's single pool of data-vertex
-// ids. The builder appends a key's values to the pool as it scans them;
-// the empty-key cascade and refinement compact keys and runs in place. No
-// key owns an allocation.
+// Every list already has the arena's shape: (offset, count) runs into
+// one pool, appended by the builder as it scans and compacted in place by
+// the empty-key cascade and refinement. A TE list (RunPool) stores no
+// keys: run i belongs to the tree parent's candidate at rank i. An NTE
+// list (KeyedRuns) keys each run by an NTE-parent data-vertex id. Values
+// are data-vertex ids until RefineCeci rewrites them to ranks.
 #ifndef CECI_CECI_CECI_INDEX_H_
 #define CECI_CECI_CECI_INDEX_H_
 
@@ -29,95 +30,11 @@
 
 namespace ceci {
 
-/// One key's value set: `count` sorted ids at `offset` in the list's pool.
-struct ValueRun {
-  std::uint32_t offset = 0;
-  std::uint32_t count = 0;
-};
-
-/// A TE or NTE candidate list (§3.1/§3.6): each key, a candidate v_p of the
-/// parent (tree parent for TE, NTE parent for NTE), maps to the sorted set
-/// of candidates of the child query vertex adjacent to v_p.
-struct CandidateRuns {
-  std::vector<VertexId> keys;  // strictly ascending
-  std::vector<ValueRun> runs;  // parallel to keys
-  /// Every run's values; runs shrunk by Prune leave gaps behind them.
-  std::vector<VertexId> pool;
-
-  std::size_t num_keys() const { return keys.size(); }
-  std::span<const VertexId> values_at(std::size_t i) const {
-    return {pool.data() + runs[i].offset, runs[i].count};
-  }
-
-  /// Makes pool[begin, end) the run of `key`. Keys arrive in strictly
-  /// ascending order and the run must be non-empty and sorted.
-  void CloseRun(VertexId key, std::size_t begin) {
-    CECI_DCHECK(keys.empty() || keys.back() < key)
-        << "keys must be appended in ascending order";
-    CECI_DCHECK(begin < pool.size() &&
-                std::adjacent_find(pool.begin() + begin, pool.end(),
-                                   std::greater_equal<VertexId>()) ==
-                    pool.end())
-        << "runs must be non-empty and strictly sorted";
-    CECI_CHECK(pool.size() <= std::numeric_limits<std::uint32_t>::max())
-        << "candidate list pool exceeds 32-bit offsets";
-    keys.push_back(key);
-    runs.push_back({static_cast<std::uint32_t>(begin),
-                    static_cast<std::uint32_t>(pool.size() - begin)});
-  }
-
-  /// Appends every key of `other`, whose keys all exceed this list's.
-  void Append(const CandidateRuns& other);
-
-  /// Value set of `key`; empty if the key is absent.
-  std::span<const VertexId> Find(VertexId key) const;
-
-  /// Candidate edges stored (the sum of the run counts).
-  std::size_t TotalValues() const;
-
-  /// Empties the list, keeping its allocations for reuse.
-  void clear() {
-    keys.clear();
-    runs.clear();
-    pool.clear();
-  }
-
-  /// Drops keys failing `keep_key` and values failing `keep_value`; keys
-  /// left with no values go too. Each surviving run is compacted in its
-  /// own slot. `keep_key` sees the keys once each, in ascending order.
-  /// Returns the number of candidate edges removed.
-  template <typename KeepKey, typename KeepValue>
-  std::size_t Prune(const KeepKey& keep_key, const KeepValue& keep_value) {
-    std::size_t removed = 0;
-    std::size_t write = 0;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const ValueRun run = runs[i];
-      if (!keep_key(keys[i])) {
-        removed += run.count;
-        continue;
-      }
-      VertexId* values = pool.data() + run.offset;
-      std::uint32_t kept = 0;
-      for (std::uint32_t j = 0; j < run.count; ++j) {
-        if (keep_value(values[j])) values[kept++] = values[j];
-      }
-      removed += run.count - kept;
-      if (kept == 0) continue;
-      keys[write] = keys[i];
-      runs[write] = {run.offset, kept};
-      ++write;
-    }
-    keys.resize(write);
-    runs.resize(write);
-    return removed;
-  }
-};
-
 /// Data vertex → rank in one query vertex's sorted candidate array, O(1)
-/// per lookup; the one such map, shared by refinement and the freeze.
-/// Holds rank + 1 so a zero slot means "not a candidate". Load and Unload
-/// touch only the loaded candidates, so one map sized to the data graph
-/// serves every query vertex in turn.
+/// per lookup; refinement's map from data-vertex ids to ranks. Holds
+/// rank + 1 so a zero slot means "not a candidate". Load and Unload touch
+/// only the loaded candidates, so one map sized to the data graph serves
+/// every query vertex in turn.
 class CandidateRanks {
  public:
   static constexpr std::uint32_t kAbsent =
@@ -145,20 +62,148 @@ class CandidateRanks {
   std::vector<std::uint32_t> rank_plus_one_;
 };
 
+/// One run: `count` strictly ascending values at `offset` in a pool.
+struct ValueRun {
+  std::uint32_t offset = 0;
+  std::uint32_t count = 0;
+};
+
+/// Runs of values back to back in one pool; runs shrunk in place leave
+/// gaps behind them. As a TE list (§3.1), run i holds the owner's
+/// candidates adjacent to the tree parent's candidate at rank i.
+struct RunPool {
+  std::vector<ValueRun> runs;
+  std::vector<VertexId> pool;
+
+  std::size_t num_runs() const { return runs.size(); }
+  std::span<const VertexId> values_at(std::size_t i) const {
+    return {pool.data() + runs[i].offset, runs[i].count};
+  }
+
+  /// Makes pool[begin, end) the next run; it must be non-empty and
+  /// strictly sorted.
+  void CloseRun(std::size_t begin) {
+    CECI_DCHECK(begin < pool.size() &&
+                std::adjacent_find(pool.begin() + begin, pool.end(),
+                                   std::greater_equal<VertexId>()) ==
+                    pool.end())
+        << "runs must be non-empty and strictly sorted";
+    CECI_CHECK(pool.size() <= std::numeric_limits<std::uint32_t>::max())
+        << "candidate list pool exceeds 32-bit offsets";
+    runs.push_back({static_cast<std::uint32_t>(begin),
+                    static_cast<std::uint32_t>(pool.size() - begin)});
+  }
+
+  /// Appends every run of `other` after this pool's.
+  void Append(const RunPool& other);
+
+  /// Candidate edges stored (the sum of the run counts).
+  std::size_t TotalValues() const;
+
+  /// Keeps run i iff `keep(i)`, in order. Returns the values dropped.
+  template <typename Keep>
+  std::size_t KeepRuns(const Keep& keep) {
+    std::size_t dropped = 0;
+    std::size_t write = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (keep(i)) {
+        runs[write++] = runs[i];
+      } else {
+        dropped += runs[i].count;
+      }
+    }
+    runs.resize(write);
+    return dropped;
+  }
+
+  /// Rewrites each value v of run i to `map(v)` in place, dropping those
+  /// mapped to CandidateRanks::kAbsent; `map` must keep the run strictly
+  /// ascending. Returns the values dropped.
+  template <typename Map>
+  std::size_t MapRun(std::size_t i, const Map& map) {
+    ValueRun& run = runs[i];
+    VertexId* values = pool.data() + run.offset;
+    std::uint32_t kept = 0;
+    for (std::uint32_t j = 0; j < run.count; ++j) {
+      const std::uint32_t mapped = map(values[j]);
+      if (mapped != CandidateRanks::kAbsent) values[kept++] = mapped;
+    }
+    const std::uint32_t dropped = run.count - kept;
+    run.count = kept;
+    return dropped;
+  }
+};
+
+/// A keyed candidate list: an NTE list (§3.6), or a TurboIso region list.
+/// Each key, a candidate v_p of the list's parent, owns the run of the
+/// child's candidates adjacent to v_p: run i belongs to keys[i].
+struct KeyedRuns : RunPool {
+  std::vector<VertexId> keys;  // strictly ascending
+
+  std::size_t num_keys() const { return keys.size(); }
+
+  /// Makes pool[begin, end) the run of `key`, above every key so far.
+  void CloseRun(VertexId key, std::size_t begin) {
+    CECI_DCHECK(keys.empty() || keys.back() < key)
+        << "keys must be appended in ascending order";
+    keys.push_back(key);
+    RunPool::CloseRun(begin);
+  }
+
+  /// Value set of `key`; empty if the key is absent.
+  std::span<const VertexId> Find(VertexId key) const;
+
+  /// Empties the list, keeping its allocations for reuse.
+  void clear() {
+    keys.clear();
+    runs.clear();
+    pool.clear();
+  }
+
+  /// Drops the keys failing `keep_key` and maps the other runs' values as
+  /// MapRun does; keys left with no values go too. `keep_key` sees the
+  /// keys once each, in ascending order. Returns the values dropped.
+  template <typename KeepKey, typename Map>
+  std::size_t Prune(const KeepKey& keep_key, const Map& map) {
+    std::size_t dropped = 0;
+    std::size_t write = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (!keep_key(keys[i])) {
+        dropped += runs[i].count;
+        continue;
+      }
+      dropped += MapRun(i, map);
+      if (runs[i].count == 0) continue;
+      keys[write] = keys[i];
+      runs[write] = runs[i];
+      ++write;
+    }
+    keys.resize(write);
+    runs.resize(write);
+    return dropped;
+  }
+};
+
 /// Per-query-vertex slice of the index.
 struct CeciVertexData {
-  /// Alive candidates, sorted. For the root these are the cluster pivots.
+  /// Candidates, sorted. For the root these are the cluster pivots.
   std::vector<VertexId> candidates;
   /// cardinality(u, candidates[i]) as computed by refinement (§3.3);
   /// parallel to `candidates`. Empty before refinement.
   std::vector<Cardinality> cardinalities;
-  /// TE candidates keyed by parent's candidates. Empty for the root.
-  CandidateRuns te;
+  /// TE candidates, one run per tree-parent candidate. Empty for the root.
+  RunPool te;
   /// NTE candidates, parallel to QueryTree::nte_in(u).
-  std::vector<CandidateRuns> nte;
+  std::vector<KeyedRuns> nte;
 };
 
 /// The index. Plain data; lifetime bound to the QueryTree it was built for.
+/// Once built, each non-root vertex's TE list holds one run per candidate
+/// of its tree parent, and values are data-vertex ids, cascade leftovers
+/// (ids no longer candidates of the owner) included. Once refined, that
+/// still holds, every candidate is alive, each NTE key is a candidate of
+/// the NTE parent, and every value is a rank: its id's position in the
+/// owner's `candidates`.
 class CeciIndex {
  public:
   CeciIndex() = default;
@@ -197,8 +242,9 @@ class CeciIndex {
 /// The §3.4 index size that MatchStats::ceci_bytes reports (Table 2's
 /// accounting, on the paper's vector-of-pairs layout): 4 bytes per key
 /// plus a 24-byte value-set header, 4 per stored value, 4 per candidate,
-/// and sizeof(Cardinality) per candidate once refined. A pure function of
-/// the counts, so a freshly built index and the arena it was frozen to
+/// and sizeof(Cardinality) per candidate once refined. A TE run counts as
+/// one key: the paper keys it by the parent's candidate. A pure function
+/// of the counts, so a freshly built index and the arena it was frozen to
 /// (or a CEIX image of it) report the same figure.
 inline std::size_t CeciBytes(std::size_t keys, std::size_t values,
                              std::size_t candidates, bool refined) {

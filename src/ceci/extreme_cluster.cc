@@ -80,72 +80,6 @@ class Decomposer {
   std::vector<VertexId> mapping_;
 };
 
-// The pool over `roots`, live root ranks walked in the given order: one
-// unit per root, or under `decompose` Algorithm 3's split of every root
-// above the threshold. With `sorted` the roots come in RootOrder, which
-// already lists whole-cluster units largest first; split units are then
-// placed among them by cardinality, ties by pivot — pivot order is rank
-// order — and then in split order.
-std::vector<WorkUnit> UnitsOver(const Graph& data, const QueryTree& tree,
-                                const FlatCeciIndex& index,
-                                const EnumOptions& enum_options,
-                                std::span<const std::uint32_t> roots,
-                                std::size_t workers, double beta,
-                                bool decompose, bool sorted,
-                                DecomposeStats* stats) {
-  Timer timer;
-  DecomposeStats local;
-  if (stats == nullptr) stats = &local;
-  *stats = DecomposeStats{};
-
-  const std::span<const VertexId> root_cands = index.candidates(tree.root());
-  const std::span<const Cardinality> root_cards =
-      index.cardinalities(tree.root());
-  Cardinality total = 0;
-  for (std::uint32_t r : roots) {
-    total = SaturatingAdd(total, root_cards[r]);
-  }
-  std::vector<WorkUnit> units;
-
-  Cardinality threshold = kCardinalityCap;
-  if (decompose && workers > 0 && total > 0) {
-    const double expected =
-        static_cast<double>(total) / static_cast<double>(workers);
-    threshold = static_cast<Cardinality>(
-        std::max(beta * expected, 1.0));
-  }
-  stats->threshold = threshold;
-
-  Decomposer decomposer(data, tree, index, enum_options, threshold, &units);
-  for (std::uint32_t r : roots) {
-    const VertexId pivot = root_cands[r];
-    const Cardinality card = root_cards[r];
-    if (!decompose || card <= threshold) {
-      units.push_back(WorkUnit{{pivot}, card});
-    } else {
-      ++stats->extreme_clusters;
-      decomposer.SeedRoot(pivot);
-      std::vector<VertexId> prefix = {pivot};
-      decomposer.Split(&prefix, card);
-      decomposer.ClearRoot();
-    }
-  }
-
-  // Larger work first so stragglers are small (§4.3).
-  if (sorted && stats->extreme_clusters > 0) {
-    std::stable_sort(units.begin(), units.end(),
-                     [](const WorkUnit& a, const WorkUnit& b) {
-                       if (a.cardinality != b.cardinality) {
-                         return a.cardinality > b.cardinality;
-                       }
-                       return a.prefix[0] < b.prefix[0];
-                     });
-  }
-  stats->work_units = units.size();
-  stats->seconds = timer.Seconds();
-  return units;
-}
-
 }  // namespace
 
 std::vector<std::uint32_t> RootOrder(const FlatCeciIndex& index,
@@ -166,25 +100,64 @@ std::vector<std::uint32_t> RootOrder(const FlatCeciIndex& index,
   return order;
 }
 
-std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
-                                     const FlatCeciIndex& index,
-                                     const EnumOptions& enum_options,
-                                     std::size_t workers, double beta,
-                                     bool decompose, bool sort_by_cardinality,
-                                     DecomposeStats* stats) {
-  std::vector<std::uint32_t> roots = RootOrder(index, tree.root());
-  // The live roots in pivot order, which is rank order.
-  if (!sort_by_cardinality) std::sort(roots.begin(), roots.end());
-  return UnitsOver(data, tree, index, enum_options, roots, workers, beta,
-                   decompose, sort_by_cardinality, stats);
-}
-
 std::vector<WorkUnit> DecomposeRootOrder(
     const Graph& data, const QueryTree& tree, const FlatCeciIndex& index,
     const EnumOptions& enum_options, std::span<const std::uint32_t> root_order,
     std::size_t workers, double beta, DecomposeStats* stats) {
-  return UnitsOver(data, tree, index, enum_options, root_order, workers, beta,
-                   /*decompose=*/true, /*sorted=*/true, stats);
+  Timer timer;
+  DecomposeStats local;
+  if (stats == nullptr) stats = &local;
+  *stats = DecomposeStats{};
+
+  const std::span<const VertexId> root_cands = index.candidates(tree.root());
+  const std::span<const Cardinality> root_cards =
+      index.cardinalities(tree.root());
+  Cardinality total = 0;
+  for (std::uint32_t r : root_order) {
+    total = SaturatingAdd(total, root_cards[r]);
+  }
+  std::vector<WorkUnit> units;
+
+  Cardinality threshold = kCardinalityCap;
+  if (workers > 0 && total > 0) {
+    const double expected =
+        static_cast<double>(total) / static_cast<double>(workers);
+    threshold = static_cast<Cardinality>(
+        std::max(beta * expected, 1.0));
+  }
+  stats->threshold = threshold;
+
+  Decomposer decomposer(data, tree, index, enum_options, threshold, &units);
+  for (std::uint32_t r : root_order) {
+    const VertexId pivot = root_cands[r];
+    const Cardinality card = root_cards[r];
+    if (card <= threshold) {
+      units.push_back(WorkUnit{{pivot}, card});
+    } else {
+      ++stats->extreme_clusters;
+      decomposer.SeedRoot(pivot);
+      std::vector<VertexId> prefix = {pivot};
+      decomposer.Split(&prefix, card);
+      decomposer.ClearRoot();
+    }
+  }
+
+  // Larger work first so stragglers are small (§4.3). RootOrder already
+  // lists the whole-cluster units largest first; split units are placed
+  // among them by cardinality, ties by pivot — pivot order is rank order
+  // — and then in split order.
+  if (stats->extreme_clusters > 0) {
+    std::stable_sort(units.begin(), units.end(),
+                     [](const WorkUnit& a, const WorkUnit& b) {
+                       if (a.cardinality != b.cardinality) {
+                         return a.cardinality > b.cardinality;
+                       }
+                       return a.prefix[0] < b.prefix[0];
+                     });
+  }
+  stats->work_units = units.size();
+  stats->seconds = timer.Seconds();
+  return units;
 }
 
 }  // namespace ceci

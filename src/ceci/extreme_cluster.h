@@ -50,23 +50,11 @@ struct DecomposeStats {
 std::vector<std::uint32_t> RootOrder(const FlatCeciIndex& index,
                                      VertexId root);
 
-/// Builds a work pool of prefixes. With decompose=false every live root is
-/// one unit; with decompose=true extreme clusters are split per Algorithm
-/// 3. With sort_by_cardinality=true the roots are walked in RootOrder and
-/// the units ordered largest first, ties by pivot and then in split order;
-/// with false the live roots are walked in pivot order (the paper's naive
-/// static distribution) and the units kept in that order. `beta` trades
+/// FGD's work pool over `root_order`, a RootOrder of `index` (§4.3): one
+/// unit per root, except that Algorithm 3 splits every root whose
+/// cardinality exceeds beta × (total / workers). The units come largest
+/// first, ties by pivot and then in split order. `beta` trades
 /// decomposition overhead for balance.
-std::vector<WorkUnit> BuildWorkUnits(const Graph& data, const QueryTree& tree,
-                                     const FlatCeciIndex& index,
-                                     const EnumOptions& enum_options,
-                                     std::size_t workers, double beta,
-                                     bool decompose, bool sort_by_cardinality,
-                                     DecomposeStats* stats);
-
-/// FGD's pool over a root order RootOrder already computed for `index`:
-/// BuildWorkUnits with decompose and sort_by_cardinality set, without
-/// sorting the roots again.
 std::vector<WorkUnit> DecomposeRootOrder(
     const Graph& data, const QueryTree& tree, const FlatCeciIndex& index,
     const EnumOptions& enum_options, std::span<const std::uint32_t> root_order,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -65,26 +64,24 @@ T* SlabData(std::byte* base, const FlatCeciIndex::Slab& slab) {
 }  // namespace
 
 FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
-                                   const QueryTree& tree,
-                                   CandidateRanks* ranks) {
+                                   const QueryTree& tree) {
   const std::size_t nq = index.num_query_vertices();
   CECI_CHECK(nq == tree.num_vertices());
   const VertexId root = tree.root();
 
   // Counting pass. The hybrid rule needs only a value set's size and its
-  // owner's bitmap width, so every slab is sized before any rank exists.
+  // owner's bitmap width, so every slab is sized before the fill.
   std::size_t counts[kNumSlabs] = {};
   counts[kVertexMeta] = nq;
   counts[kOrder] = nq;
-  std::size_t ranks_size = 0;
   for (VertexId u = 0; u < nq; ++u) {
     const CeciVertexData& ud = index.at(u);
     const auto words =
         static_cast<std::uint32_t>(BitmapWords(ud.candidates.size()));
-    auto count_list = [&](const CandidateRuns& list) {
+    auto count_list = [&](const RunPool& list) {
       ++counts[kListMeta];
-      counts[kEntries] += list.num_keys();
-      for (std::size_t i = 0; i < list.num_keys(); ++i) {
+      counts[kEntries] += list.num_runs();
+      for (std::size_t i = 0; i < list.num_runs(); ++i) {
         const std::size_t n = list.values_at(i).size();
         if (UseBitmap(words, n)) {
           counts[kBitmapPool] += words;
@@ -95,13 +92,9 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     };
     counts[kCandidates] += ud.candidates.size();
     if (u != root) count_list(ud.te);
-    for (const CandidateRuns& list : ud.nte) {
+    for (const KeyedRuns& list : ud.nte) {
       count_list(list);
       counts[kKeys] += list.num_keys();
-    }
-    if (!ud.candidates.empty()) {
-      ranks_size =
-          std::max<std::size_t>(ranks_size, ud.candidates.back() + 1);
     }
   }
   counts[kCardinalities] = counts[kCandidates];
@@ -132,15 +125,6 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
   std::copy(tree.matching_order().begin(), tree.matching_order().end(),
             SlabData<VertexId>(base, flat.slabs_[kOrder]));
 
-  std::optional<CandidateRanks> own_ranks;
-  if (ranks == nullptr) ranks = &own_ranks.emplace(ranks_size);
-  auto rank_of = [ranks](VertexId v) {
-    const std::uint32_t r = ranks->Find(v);
-    CECI_CHECK(r != CandidateRanks::kAbsent)
-        << "flat freeze: value v" << v
-        << " is not an alive candidate of its child vertex (refine first)";
-    return r;
-  };
   std::uint32_t cand_at = 0, list_at = 0, key_at = 0, entry_at = 0,
                 array_at = 0, bitmap_at = 0;
   for (VertexId u = 0; u < nq; ++u) {
@@ -158,25 +142,23 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
     }
     cand_at += m.cand_count;
 
-    ranks->Load(ud.candidates);
-    // A TE list is written without its keys: they are the tree parent's
-    // candidates, so TeEntry reads entry i for the parent's rank i (the
-    // build's empty-key cascade and refinement's compaction keep it so).
-    CECI_DCHECK(u == root ||
-                ud.te.keys == index.at(tree.parent(u)).candidates)
-        << "flat freeze: TE keys of u" << u
-        << " are not the candidates of its parent u" << tree.parent(u);
-    auto write_list = [&](const CandidateRuns& list, bool keyed) {
+    // Refinement wrote the ranks; the check keeps a bad one in its bitmap.
+    auto rank = [&m](VertexId r) {
+      CECI_CHECK(r < m.cand_count)
+          << "flat freeze: rank " << r << " is past the " << m.cand_count
+          << " candidates of its owner (refine first)";
+      return r;
+    };
+    auto write_list = [&](const RunPool& list,
+                          std::span<const VertexId> list_keys) {
       FlatListMeta& lm = lmeta[list_at];
       lm.key_begin = key_at;
-      lm.entry_count = static_cast<std::uint32_t>(list.num_keys());
+      lm.entry_count = static_cast<std::uint32_t>(list.num_runs());
       lm.entry_begin = entry_at;
       lm.owner = u;
-      if (keyed) {
-        std::copy(list.keys.begin(), list.keys.end(), keys + key_at);
-        key_at += lm.entry_count;
-      }
-      for (std::size_t i = 0; i < list.num_keys(); ++i) {
+      std::copy(list_keys.begin(), list_keys.end(), keys + key_at);
+      key_at += static_cast<std::uint32_t>(list_keys.size());
+      for (std::size_t i = 0; i < list.num_runs(); ++i) {
         const std::span<const VertexId> values = list.values_at(i);
         FlatEntry& e = entries[entry_at + i];
         e.count_and_tag = static_cast<std::uint32_t>(values.size());
@@ -185,23 +167,28 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
           e.count_and_tag |= FlatEntry::kBitmapTag;
           std::uint64_t* bits = bitmap_pool + bitmap_at;
           for (VertexId v : values) {
-            const std::uint32_t r = rank_of(v);
+            const std::uint32_t r = rank(v);
             bits[r >> 6] |= std::uint64_t{1} << (r & 63);
           }
           bitmap_at += m.bitmap_words;
         } else {
           e.offset = array_at;
-          for (VertexId v : values) array_pool[array_at++] = rank_of(v);
+          for (VertexId v : values) array_pool[array_at++] = rank(v);
         }
       }
       entry_at += lm.entry_count;
       return list_at++;
     };
-    m.te_list = u == root ? kNoFlatList : write_list(ud.te, false);
+    // A TE list has no keys: TeEntry reads entry i for the tree parent's
+    // candidate at rank i.
+    CECI_CHECK(u == root || ud.te.num_runs() ==
+                                index.at(tree.parent(u)).candidates.size())
+        << "flat freeze: TE list of u" << u
+        << " is not one run per candidate of its parent";
+    m.te_list = u == root ? kNoFlatList : write_list(ud.te, {});
     m.nte_begin = list_at;
     m.nte_count = static_cast<std::uint32_t>(ud.nte.size());
-    for (const CandidateRuns& list : ud.nte) write_list(list, true);
-    ranks->Unload(ud.candidates);
+    for (const KeyedRuns& list : ud.nte) write_list(list, list.keys);
   }
 
   flat.BindSpans();

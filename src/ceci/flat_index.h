@@ -4,9 +4,10 @@
 // read: the entire index lives in ONE contiguous 8-byte-aligned arena cut
 // into nine typed slabs addressed by `uint32` offsets (the katana
 // LargeArray idiom). Build() writes it from the *refined* staging index
-// (ceci_index.h), whose lists already are sorted keys with (offset, count)
-// runs of data-vertex ids; the one pass maps those ids to ranks and picks
-// each entry's representation.
+// (ceci_index.h), whose lists already have the arena's shape — a TE list's
+// run i for the parent's candidate at rank i, NTE keys ascending — and
+// whose values already are ranks; the one pass only places the slabs and
+// picks each entry's representation.
 //
 // Layout (canonical slab order; see docs/index_layout.md for the full map):
 //
@@ -164,14 +165,11 @@ class FlatCeciIndex {
   FlatCeciIndex(const FlatCeciIndex&) = delete;
   FlatCeciIndex& operator=(const FlatCeciIndex&) = delete;
 
-  /// Freezes a *refined* staging index into the flat form. Every TE/NTE
-  /// value must be an alive candidate of its child vertex (the refinement
-  /// postcondition the auditor calls kValueNotCandidate) — ranks are not
-  /// defined otherwise (checked). `ranks`, when non-null, is an all-absent
-  /// map covering every candidate, used as scratch and left all-absent
-  /// (BuildRefineFreeze hands over refinement's); null sizes one here.
-  static FlatCeciIndex Build(const CeciIndex& index, const QueryTree& tree,
-                             CandidateRanks* ranks = nullptr);
+  /// Freezes a *refined* staging index into the flat form, copying its
+  /// ranks (the CeciIndex contract RefineCeci leaves). Checked: each TE
+  /// list holds one run per candidate of the tree parent, and each value
+  /// is below its owner's candidate count.
+  static FlatCeciIndex Build(const CeciIndex& index, const QueryTree& tree);
 
   /// Reconstructs the index from an arena image held in an owned buffer
   /// or a read-only mapping (exactly one is used, the other default): the
@@ -408,7 +406,7 @@ inline FlatCeciIndex::EntryRef FlatCeciIndex::NteAt(
 std::size_t CeciBytes(const FlatCeciIndex& flat);
 
 /// The enumeration layer's index type. Enumerator, RunParallelEnumeration
-/// and BuildWorkUnits take `const FlatCeciIndex&`; this alias keeps the
+/// and DecomposeRootOrder take `const FlatCeciIndex&`; this alias keeps the
 /// older spelling `IndexView(flat)` compiling for perfbench/driver.cc.
 using IndexView = const FlatCeciIndex&;
 

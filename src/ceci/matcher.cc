@@ -189,13 +189,10 @@ FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
   }
 
   // --- Reverse-BFS refinement (§3.3) ---
-  // One all-absent rank map serves refinement and then the freeze; each
-  // leaves it all-absent.
-  CandidateRanks ranks(data.num_vertices());
   phase.Reset();
   {
     TraceSpan span("refine");
-    RefineCeci(tree, &ranks, &index, &stats->refine,
+    RefineCeci(tree, data.num_vertices(), &index, &stats->refine,
                counts != nullptr ? &counts->pruned : nullptr, budget);
   }
   stats->refine_seconds = phase.Seconds();
@@ -208,7 +205,7 @@ FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
   phase.Reset();
   FlatCeciIndex flat = [&] {
     TraceSpan span("freeze_flat");
-    return FlatCeciIndex::Build(index, tree, &ranks);
+    return FlatCeciIndex::Build(index, tree);
   }();
   stats->freeze_seconds = phase.Seconds();
   stats->ceci_bytes = CeciBytes(flat);

@@ -8,7 +8,7 @@
 
 namespace ceci {
 
-void RefineCeci(const QueryTree& tree, CandidateRanks* ranks,
+void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
                 CeciIndex* index, RefineStats* stats,
                 std::vector<std::uint64_t>* pruned_per_vertex,
                 BudgetTracker* budget) {
@@ -19,9 +19,10 @@ void RefineCeci(const QueryTree& tree, CandidateRanks* ranks,
   const std::size_t nq = tree.num_vertices();
   if (pruned_per_vertex != nullptr) pruned_per_vertex->assign(nq, 0);
   // The one O(|V|) structure: a list value is looked up by its rank among
-  // the candidates of the vertex loaded at the time. A value that is no
-  // longer a candidate of its owner (left behind by the build's cascade,
-  // or pruned below) is absent. Every Load below is paired with an Unload.
+  // the candidates of the vertex loaded at the time. A value that is not a
+  // candidate of its owner (left behind by the build's cascade) is absent.
+  // Every Load below is paired with an Unload.
+  CandidateRanks ranks(data_num_vertices);
 
   bool budget_tripped = false;
   const auto& order = tree.matching_order();
@@ -45,19 +46,19 @@ void RefineCeci(const QueryTree& tree, CandidateRanks* ranks,
     // both leave it short of the list count.
     if (!ud.nte.empty()) {
       std::vector<std::uint32_t> lists_seen(ud.candidates.size(), 0);
-      ranks->Load(ud.candidates);
+      ranks.Load(ud.candidates);
       for (std::uint32_t k = 0; k < ud.nte.size(); ++k) {
-        const CandidateRuns& list = ud.nte[k];
-        for (std::size_t i = 0; i < list.num_keys(); ++i) {
-          for (VertexId v : list.values_at(i)) {
-            const std::uint32_t r = ranks->Find(v);
+        const RunPool& values = ud.nte[k];
+        for (std::size_t i = 0; i < values.num_runs(); ++i) {
+          for (VertexId v : values.values_at(i)) {
+            const std::uint32_t r = ranks.Find(v);
             if (r != CandidateRanks::kAbsent && lists_seen[r] == k) {
               lists_seen[r] = k + 1;
             }
           }
         }
       }
-      ranks->Unload(ud.candidates);
+      ranks.Unload(ud.candidates);
       for (std::size_t i = 0; i < cards.size(); ++i) {
         if (lists_seen[i] != ud.nte.size()) cards[i] = 0;
       }
@@ -70,77 +71,84 @@ void RefineCeci(const QueryTree& tree, CandidateRanks* ranks,
       }
       const CeciVertexData& cd = index->at(u_c);
       // Reverse-BFS order guarantees every child was already refined, so
-      // its cardinalities are present and parallel to its candidates.
+      // its cardinalities are present and parallel to its candidates; the
+      // dead ones are still in place and add 0.
       CECI_DCHECK_EQ(cd.cardinalities.size(), cd.candidates.size())
           << "child u" << u_c << " visited before refinement";
-      ranks->Load(cd.candidates);
-      // u's candidates and the child's TE keys both ascend: one forward
-      // cursor over the keys finds each candidate's entry.
-      const std::vector<VertexId>& keys = cd.te.keys;
-      std::size_t at = 0;
+      CECI_CHECK(cd.te.num_runs() == cards.size())
+          << "TE list of u" << u_c << " is not one run per candidate of u"
+          << u;
+      ranks.Load(cd.candidates);
       for (std::size_t i = 0; i < cards.size(); ++i) {
         if (cards[i] == 0) continue;
-        const VertexId v = ud.candidates[i];
-        while (at < keys.size() && keys[at] < v) ++at;
-        const bool keyed = at < keys.size() && keys[at] == v;
         Cardinality sum = 0;
-        for (VertexId v_c : keyed ? cd.te.values_at(at)
-                                  : std::span<const VertexId>()) {
-          const std::uint32_t r = ranks->Find(v_c);
+        for (VertexId v_c : cd.te.values_at(i)) {
+          const std::uint32_t r = ranks.Find(v_c);
           if (r != CandidateRanks::kAbsent) {
             sum = SaturatingAdd(sum, cd.cardinalities[r]);
           }
         }
         cards[i] = SaturatingMul(cards[i], sum);
       }
-      ranks->Unload(cd.candidates);
+      ranks.Unload(cd.candidates);
     }
-    if (budget_tripped) break;  // skip the prune for this half-done vertex
-    std::size_t write = 0;
-    for (std::size_t i = 0; i < cards.size(); ++i) {
-      if (cards[i] == 0) continue;
-      ud.candidates[write] = ud.candidates[i];
-      cards[write] = cards[i];
-      ++write;
-    }
-    stats->pruned_candidates += cards.size() - write;
-    if (pruned_per_vertex != nullptr) {
-      (*pruned_per_vertex)[u] = cards.size() - write;
-    }
-    ud.candidates.resize(write);
-    cards.resize(write);
+    if (budget_tripped) break;  // leave this half-done vertex unrefined
+    const auto pruned = static_cast<std::uint64_t>(
+        std::count(cards.begin(), cards.end(), Cardinality{0}));
+    stats->pruned_candidates += pruned;
+    if (pruned_per_vertex != nullptr) (*pruned_per_vertex)[u] = pruned;
     ud.cardinalities = std::move(cards);
   }
 
-  // Compaction sweep: a key survives iff it is a surviving candidate of
-  // the list's parent, a value iff it is one of u's. Skipped on a budget
-  // trip: the matcher discards the semi-refined index anyway.
+  // Compaction sweep, in reverse matching order again: when u is swept,
+  // its tree parent and NTE parents still hold their dead candidates (at
+  // cardinality 0), and its children are done with its own. Skipped on a
+  // budget trip: the matcher discards the semi-refined index anyway.
   if (!budget_tripped) {
     TraceSpan compact_span("refine/compact");
-    for (VertexId u = 0; u < nq; ++u) {
+    auto alive = [](const CeciVertexData& d, std::size_t i) {
+      return d.cardinalities[i] != 0;
+    };
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const VertexId u = *it;
       CeciVertexData& ud = index->at(u);
-      ranks->Load(ud.candidates);
-      auto survives = [ranks](VertexId v) {
-        return ranks->Find(v) != CandidateRanks::kAbsent;
-      };
-      auto prune = [&](CandidateRuns* list, VertexId key_owner) {
-        // Prune offers the keys in ascending order: one forward cursor
-        // over the key owner's sorted survivors answers them all.
-        const std::vector<VertexId>& keys = index->at(key_owner).candidates;
-        std::size_t at = 0;
-        stats->pruned_edges += list->Prune(
-            [&](VertexId key) {
-              while (at < keys.size() && keys[at] < key) ++at;
-              return at < keys.size() && keys[at] == key;
-            },
-            survives);
-      };
-      if (u != tree.root()) prune(&ud.te, tree.parent(u));
+      std::size_t write = 0;
+      for (std::size_t i = 0; i < ud.candidates.size(); ++i) {
+        if (!alive(ud, i)) continue;
+        ud.candidates[write] = ud.candidates[i];
+        ud.cardinalities[write] = ud.cardinalities[i];
+        ++write;
+      }
+      ud.candidates.resize(write);
+      ud.cardinalities.resize(write);
+      // Every surviving value becomes its rank among the survivors.
+      ranks.Load(ud.candidates);
+      auto to_rank = [&ranks](VertexId v) { return ranks.Find(v); };
+      if (u != tree.root()) {
+        // A TE run survives iff the parent's candidate of its rank does.
+        const CeciVertexData& pd = index->at(tree.parent(u));
+        stats->pruned_edges +=
+            ud.te.KeepRuns([&](std::size_t i) { return alive(pd, i); });
+        for (std::size_t i = 0; i < ud.te.num_runs(); ++i) {
+          stats->pruned_edges += ud.te.MapRun(i, to_rank);
+        }
+      }
       auto nte_ids = tree.nte_in(u);
       for (std::size_t k = 0; k < ud.nte.size(); ++k) {
-        prune(&ud.nte[k], tree.non_tree_edges()[nte_ids[k]].parent);
+        // An NTE key survives iff it names a live NTE-parent candidate.
+        // Prune offers the keys in ascending order: one forward cursor
+        // over the parent's sorted candidates answers them all.
+        const CeciVertexData& nd =
+            index->at(tree.non_tree_edges()[nte_ids[k]].parent);
+        std::size_t at = 0;
+        auto live_key = [&](VertexId key) {
+          while (at < nd.candidates.size() && nd.candidates[at] < key) ++at;
+          return at < nd.candidates.size() && nd.candidates[at] == key &&
+                 alive(nd, at);
+        };
+        stats->pruned_edges += ud.nte[k].Prune(live_key, to_rank);
       }
-      ranks->Unload(ud.candidates);
+      ranks.Unload(ud.candidates);
     }
   }
 

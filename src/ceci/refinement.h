@@ -4,18 +4,18 @@
 // root. For each (query vertex u, candidate v):
 //
 //   cardinality(u, v) = Π over tree children u_c of
-//                       Σ over v_c ∈ TE[u_c].Find(v), v_c alive,
+//                       Σ over v_c ∈ TE[u_c]'s run of v, v_c alive,
 //                       cardinality(u_c, v_c)
 //
 // with leaves at 1, and cardinality forced to 0 when v is missing from the
-// value union of any incoming NTE list. Zero-cardinality candidates are
-// guaranteed to match no embedding and are pruned; the final compaction
-// removes dead keys/values from every list. "Alive" is one lookup in a
-// CandidateRanks map (4 bytes per data vertex, the only O(|V|) scratch):
-// a list value that is no longer a candidate of its owner is absent, adds
-// cardinality 0 and is compacted away. The root's cardinalities are
-// the per-embedding-cluster workload bounds used by extreme-cluster
-// decomposition (§4.3).
+// value union of any incoming NTE list. The run of v is TE[u_c]'s run at
+// v's rank. "Alive" is one lookup in a CandidateRanks map (4 bytes per
+// data vertex, the only O(|V|) scratch): a cascade leftover is absent, a
+// candidate pruned earlier is still in place at cardinality 0. A final
+// sweep drops the dead candidates, their TE runs and NTE keys, and
+// rewrites every surviving value to its rank among the survivors. The
+// root's cardinalities are the per-embedding-cluster workload bounds used
+// by extreme-cluster decomposition (§4.3).
 #ifndef CECI_CECI_REFINEMENT_H_
 #define CECI_CECI_REFINEMENT_H_
 
@@ -37,31 +37,21 @@ struct RefineStats {
 };
 
 /// Refines `index` in place (reverse matching order) and fills per-candidate
-/// cardinalities. `ranks` is an all-absent map covering every data vertex
-/// and is left all-absent, so the caller may hand it on to the freeze; the
-/// rest of the scratch is O(|C(u)|) per query vertex. `stats` may be
+/// cardinalities; afterwards every TE/NTE value is a rank (the CeciIndex
+/// contract). The rank map covers data vertices [0, data_num_vertices);
+/// the rest of the scratch is O(|C(u)|) per query vertex. `stats` may be
 /// null. When `pruned_per_vertex` is non-null it is resized to the query
 /// vertex count and receives, per query vertex u, the number of u's
-/// candidates whose cardinality fell to zero (profiler support;
-/// the totals already counted in `stats` are unaffected). `budget`, when
-/// non-null, is polled once per reverse-BFS vertex and per tree child
-/// scanned; on exhaustion refinement stops early, skipping the compaction
-/// sweep — the index is then semi-refined and must not be enumerated
-/// (the matcher reports the budget's TerminationReason instead).
-void RefineCeci(const QueryTree& tree, CandidateRanks* ranks,
+/// candidates whose cardinality fell to zero (profiler support; the totals
+/// already counted in `stats` are unaffected). `budget`, when non-null, is
+/// polled once per reverse-BFS vertex and per tree child scanned; on
+/// exhaustion refinement stops early, skipping the compaction sweep — the
+/// index is then semi-refined and must not be enumerated (the matcher
+/// reports the budget's TerminationReason instead).
+void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
                 CeciIndex* index, RefineStats* stats,
                 std::vector<std::uint64_t>* pruned_per_vertex = nullptr,
                 BudgetTracker* budget = nullptr);
-
-/// As above, with a rank map of its own for data vertices
-/// [0, data_num_vertices).
-inline void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
-                       CeciIndex* index, RefineStats* stats,
-                       std::vector<std::uint64_t>* pruned_per_vertex = nullptr,
-                       BudgetTracker* budget = nullptr) {
-  CandidateRanks ranks(data_num_vertices);
-  RefineCeci(tree, &ranks, index, stats, pruned_per_vertex, budget);
-}
 
 }  // namespace ceci
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <optional>
 #include <string>
-#include <thread>
 
 #include "util/check.h"
 #include "util/logging.h"
@@ -167,25 +167,21 @@ ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
 
   if (workers == 1) {
     worker_fn(0);
-  } else if (options.pool != nullptr) {
-    // Serving mode: workers 1..N-1 go to the shared pool as one batch;
-    // the caller runs worker 0 and then helps drain its own batch, so a
-    // pool saturated by other queries cannot stall this one.
-    TaskGroup group(options.pool);
+  } else {
+    // Workers 1..N-1 go to the pool as one batch; the caller runs worker
+    // 0 and then helps drain its own batch, so a shared pool saturated by
+    // other queries cannot stall this one. Without a pool, a local one
+    // holds the helpers.
+    std::optional<ThreadPool> local_pool;
+    ThreadPool* pool = options.pool != nullptr
+                           ? options.pool
+                           : &local_pool.emplace(workers - 1);
+    TaskGroup group(pool);
     for (std::size_t w = 1; w < workers; ++w) {
       group.Run([&worker_fn, w] { worker_fn(w); });
     }
     worker_fn(0);
     group.Wait();
-  } else {
-    // No pool: spawn workers 1..N-1 and run worker 0 on the caller.
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) {
-      threads.emplace_back(worker_fn, w);
-    }
-    worker_fn(0);
-    for (auto& t : threads) t.join();
   }
 
   result.worker_embeddings.reserve(workers);

@@ -53,9 +53,9 @@ struct ScheduleOptions {
   /// worker 0 and workers 1..N-1 are dispatched as one TaskGroup on the
   /// pool — the pool may concurrently carry other queries' workers, and a
   /// saturated pool degrades to the caller running every worker loop
-  /// sequentially (work-conserving, never deadlocking). When null,
-  /// enumeration spawns `threads - 1` dedicated std::threads for workers
-  /// 1..N-1, and the calling thread still runs worker 0.
+  /// sequentially (work-conserving, never deadlocking). When null, the
+  /// call makes a ThreadPool of `threads - 1` for workers 1..N-1 and
+  /// dispatches to it the same way.
   ThreadPool* pool = nullptr;
 };
 

@@ -108,10 +108,10 @@ Status PlanPartitions(const Graph& data, const Graph& query,
                                              plan->symmetry, mirrored);
     }
     plan_chosen.arrive_and_wait();
-    part.units = BuildWorkUnits(data, plan->tree, flat, enum_options,
-                                layout.unit_workers, config.beta,
-                                /*decompose_extreme_clusters=*/true,
-                                /*sort_by_cardinality=*/true, nullptr);
+    part.units = DecomposeRootOrder(
+        data, plan->tree, flat, enum_options,
+        RootOrder(flat, plan->tree.root()), layout.unit_workers, config.beta,
+        nullptr);
     part.build_cpu_seconds = ThreadCpuSeconds() - cpu_start;
     part.steal_unit_bytes =
         part.units.empty()

@@ -64,7 +64,7 @@ struct PlanLayout {
   /// Pivot workloads see neighbor degrees (replicated graph) or only the
   /// pivot's own degree (shared store); see AssignOptions.
   bool neighbors_visible = true;
-  /// BuildWorkUnits worker count per partition.
+  /// DecomposeRootOrder worker count per partition.
   std::size_t unit_workers = 1;
   /// Partition k's thread traces as span `<trace_prefix><k>` on lane k+1.
   std::string trace_prefix;

@@ -60,11 +60,14 @@
 //   --dist-json P     write the DistRunReport JSON to P, "-" for stdout
 //   --no-work-stealing
 //                     disable idle-worker re-dispatch in the --dist run
+//   --heartbeat-ms MS heartbeat cadence requested from the --dist run's
+//                     workers (default: 50)
 //   --help            print usage to stdout and exit 0
 //
 // Numeric flags take plain decimals (ParseFlagNumber): a count has no
 // sign or suffix, a fraction or duration is any finite non-negative
-// number. Anything else is a usage error.
+// number. Anything else is a usage error. The five flags after --dist
+// configure a --dist run; without --dist each is a usage error.
 //
 // Exit codes:
 //   0  query ran to completion (or was cancelled / hit --limit)
@@ -271,8 +274,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     std::fprintf(stderr, "pass exactly one of --pattern / --query\n");
     return false;
   }
-  if (!args->failure_plan.empty() && args->dist_workers == 0) {
-    std::fprintf(stderr, "--failure-plan requires --dist N\n");
+  if (args->dist_workers == 0 &&
+      (!args->failure_plan.empty() || !args->worker_binary.empty() ||
+       !args->dist_json.empty() || !args->work_stealing ||
+       args->heartbeat_ms > 0.0)) {
+    std::fprintf(stderr, "the dist-only flags require --dist N\n");
     return false;
   }
   if (args->dist_workers > 0 &&

@@ -83,10 +83,13 @@ TEST_P(BuilderPropertyTest, StoredCandidateEdgesAreSound) {
   Built b(s.data, s.query, /*refine=*/true);
   for (VertexId u = 0; u < s.query.num_vertices(); ++u) {
     const auto& ud = b.index.at(u);
-    // TE values: real edges, label containment, degree bound.
-    for (std::size_t k = 0; k < ud.te.num_keys(); ++k) {
-      VertexId key = ud.te.keys[k];
-      for (VertexId v : ud.te.values_at(k)) {
+    // Refined values are ranks into u's candidates; TE run k belongs to
+    // the parent's candidate at rank k. TE values: real edges, label
+    // containment, degree bound.
+    for (std::size_t k = 0; k < ud.te.num_runs(); ++k) {
+      VertexId key = b.index.at(b.tree.parent(u)).candidates[k];
+      for (VertexId r : ud.te.values_at(k)) {
+        const VertexId v = ud.candidates[r];
         EXPECT_TRUE(s.data.HasEdge(key, v));
         EXPECT_TRUE(s.data.HasAllLabels(v, s.query.labels(u)));
         EXPECT_GE(s.data.degree(v), s.query.degree(u));
@@ -95,8 +98,8 @@ TEST_P(BuilderPropertyTest, StoredCandidateEdgesAreSound) {
     for (const auto& nte : ud.nte) {
       for (std::size_t k = 0; k < nte.num_keys(); ++k) {
         VertexId key = nte.keys[k];
-        for (VertexId v : nte.values_at(k)) {
-          EXPECT_TRUE(s.data.HasEdge(key, v));
+        for (VertexId r : nte.values_at(k)) {
+          EXPECT_TRUE(s.data.HasEdge(key, ud.candidates[r]));
         }
       }
     }
@@ -114,6 +117,13 @@ TEST_P(BuilderPropertyTest, TrueEmbeddingsSurviveFilteringAndRefinement) {
   oracle_options.break_automorphisms = false;
   oracle_options.limit = 2000;  // plenty of pairs, bounded runtime
   std::size_t checked = 0;
+  // Rank of v among u's candidates; the candidate count if it is none.
+  auto rank_of = [&](VertexId u, VertexId v) {
+    const auto& cands = b.index.at(u).candidates;
+    const auto it = std::lower_bound(cands.begin(), cands.end(), v);
+    return static_cast<VertexId>(
+        it != cands.end() && *it == v ? it - cands.begin() : cands.size());
+  };
   EmbeddingVisitor check = [&](std::span<const VertexId> m) {
     ++checked;
     for (VertexId u = 0; u < m.size(); ++u) {
@@ -121,11 +131,17 @@ TEST_P(BuilderPropertyTest, TrueEmbeddingsSurviveFilteringAndRefinement) {
       EXPECT_TRUE(std::binary_search(cands.begin(), cands.end(), m[u]))
           << "matched v" << m[u] << " missing from candidates of u" << u;
     }
-    // Every tree edge of the query must be present as a TE entry.
+    // Every tree edge of the query must be present as a TE entry: the
+    // parent match's run holds the child match's rank.
     for (VertexId u = 0; u < m.size(); ++u) {
       if (u == tree.root()) continue;
-      auto vals = b.index.at(u).te.Find(m[tree.parent(u)]);
-      EXPECT_TRUE(std::binary_search(vals.begin(), vals.end(), m[u]))
+      const RunPool& te = b.index.at(u).te;
+      const VertexId parent_rank = rank_of(tree.parent(u), m[tree.parent(u)]);
+      EXPECT_LT(parent_rank, te.num_runs()) << "TE run missing for u" << u;
+      if (parent_rank >= te.num_runs()) continue;
+      auto vals = te.values_at(parent_rank);
+      EXPECT_TRUE(
+          std::binary_search(vals.begin(), vals.end(), rank_of(u, m[u])))
           << "TE entry missing for u" << u;
     }
     // And every non-tree edge as an NTE entry.
@@ -134,7 +150,8 @@ TEST_P(BuilderPropertyTest, TrueEmbeddingsSurviveFilteringAndRefinement) {
       auto ids = tree.nte_in(u);
       for (std::size_t k = 0; k < ids.size(); ++k) {
         auto vals = b.index.at(u).nte[k].Find(m[ntes[ids[k]].parent]);
-        EXPECT_TRUE(std::binary_search(vals.begin(), vals.end(), m[u]))
+        EXPECT_TRUE(
+            std::binary_search(vals.begin(), vals.end(), rank_of(u, m[u])))
             << "NTE entry missing for u" << u;
       }
     }
@@ -163,18 +180,18 @@ TEST_P(BuilderPropertyTest, ParallelBuildEqualsSerial) {
 
 TEST_P(BuilderPropertyTest, TeValueUnionsSubsetOfCandidatesAfterRefine) {
   // After refinement the compaction can orphan a candidate whose only TE
-  // keys died when the *parent* was processed later in the reverse pass —
-  // harmless (enumeration cannot reach it), so only ⊆ holds.
+  // runs died when the *parent* was processed later in the reverse pass —
+  // harmless (enumeration cannot reach it), so only ⊆ holds: every value
+  // is the rank of a candidate.
   Scenario s = MakeScenario(GetParam());
   Built b(s.data, s.query, /*refine=*/true);
   for (VertexId u = 0; u < s.query.num_vertices(); ++u) {
     if (u == b.tree.root()) continue;
     const auto& cands = b.index.at(u).candidates;
-    const CandidateRuns& te = b.index.at(u).te;
-    for (std::size_t k = 0; k < te.num_keys(); ++k) {
-      for (VertexId v : te.values_at(k)) {
-        EXPECT_TRUE(std::binary_search(cands.begin(), cands.end(), v))
-            << "u" << u << " v" << v;
+    const RunPool& te = b.index.at(u).te;
+    for (std::size_t k = 0; k < te.num_runs(); ++k) {
+      for (VertexId r : te.values_at(k)) {
+        EXPECT_LT(r, cands.size()) << "u" << u << " rank " << r;
       }
     }
   }
@@ -186,11 +203,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BuilderPropertyTest, ::testing::Range(0, 15));
 //
 // Build lists u's candidates by marking alive flags for its TE values and
 // walking u's scan bucket for them. Cascades later shrink a built vertex's
-// candidates (dead frontier vertices) or its TE keys (dead parent
+// candidates (dead frontier vertices) or its TE runs (dead parent
 // candidates), but neither can reach the last vertex a build touched. So
 // wherever a build stops — at its end, or where a budget trips — that
 // vertex's candidates equal the sorted, deduplicated union of its TE run
 // values, and every built vertex's candidates are strictly ascending.
+// Where a build stops between vertices, every built non-root vertex holds
+// one TE run per candidate of its parent: the cascade erases a dead
+// parent candidate and its runs together.
 
 // Writes `g` as a binary CSR and opens it as an on-demand store.
 OnDemandCsr OpenStore(const Graph& g) {
@@ -244,9 +264,9 @@ void ExpectCandidateSets(const CeciIndex& index, const QueryTree& tree,
   for (const BuildVertexStats& vs : built) ascending(vs.u);
   if (built.empty() || built.back().u == tree.root()) return;
   const VertexId last = built.back().u;
-  const CandidateRuns& te = index.at(last).te;
+  const RunPool& te = index.at(last).te;
   std::vector<VertexId> expected;
-  for (std::size_t k = 0; k < te.num_keys(); ++k) {
+  for (std::size_t k = 0; k < te.num_runs(); ++k) {
     const auto run = te.values_at(k);
     expected.insert(expected.end(), run.begin(), run.end());
   }
@@ -282,6 +302,13 @@ void SweepStopPoints(const Source& data, const Graph& query, ThreadPool* pool,
           BuildWith(data, nlc, query, *tree, pool, &tracker, &built);
       ExpectCandidateSets(index, *tree, built,
                           at + " cap " + std::to_string(cap));
+      // A memory cap trips only once a vertex is complete.
+      for (const BuildVertexStats& vs : built) {
+        if (vs.u == tree->root()) continue;
+        EXPECT_EQ(index.at(vs.u).te.num_runs(),
+                  index.at(tree->parent(vs.u)).candidates.size())
+            << at << " cap " << cap << ": TE runs of u" << vs.u;
+      }
       ++stops;
       if (!tracker.Exhausted()) break;
       ASSERT_TRUE(stops == 1 || built.size() > before) << at;

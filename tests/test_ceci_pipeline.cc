@@ -147,8 +147,8 @@ TEST(CeciIndexTest, SizeAccountingAndTheoreticalBound) {
   std::size_t keys = 0;
   std::size_t candidates = 0;
   for (VertexId u = 0; u < query.num_vertices(); ++u) {
-    keys += p.index.at(u).te.num_keys();
-    for (const CandidateRuns& list : p.index.at(u).nte) {
+    keys += p.index.at(u).te.num_runs();
+    for (const KeyedRuns& list : p.index.at(u).nte) {
       keys += list.num_keys();
     }
     candidates += p.index.at(u).candidates.size();

@@ -395,9 +395,9 @@ TEST(EnumeratorRegressionTest, DeepWorkUnitsListTheOracleSet) {
       EnumOptions opts;
       opts.symmetry = &set;
       const std::vector<WorkUnit> units =
-          BuildWorkUnits(f.data, f.tree, f.index, opts, /*workers=*/64,
-                         /*beta=*/0.01, /*decompose=*/true,
-                         /*sort_by_cardinality=*/true, nullptr);
+          DecomposeRootOrder(f.data, f.tree, f.index, opts,
+                             RootOrder(f.index, f.tree.root()),
+                             /*workers=*/64, /*beta=*/0.01, nullptr);
       EXPECT_TRUE(std::any_of(units.begin(), units.end(),
                               [](const WorkUnit& unit) {
                                 return unit.prefix.size() >= 2;
@@ -505,9 +505,9 @@ void ExpectRankEntryEqualsIdEntry(Fixture& f) {
           by_id.EnumerateFromPrefix(roots.subspan(r, 1), iv));
     }
     const std::vector<WorkUnit> units =
-        BuildWorkUnits(f.data, f.tree, f.index, opts, /*workers=*/64,
-                       /*beta=*/0.01, /*decompose=*/true,
-                       /*sort_by_cardinality=*/true, nullptr);
+        DecomposeRootOrder(f.data, f.tree, f.index, opts,
+                           RootOrder(f.index, f.tree.root()),
+                           /*workers=*/64, /*beta=*/0.01, nullptr);
     for (const WorkUnit& unit : units) {
       EXPECT_EQ(by_rank.EnumerateFromRanks(PrefixRanks(f, unit.prefix), rv),
                 by_id.EnumerateFromPrefix(unit.prefix, iv));

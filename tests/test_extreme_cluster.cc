@@ -31,9 +31,10 @@ struct Fixture {
   }
 
   std::vector<WorkUnit> Units(std::size_t workers, double beta,
-                              bool decompose, DecomposeStats* stats) {
-    return BuildWorkUnits(data, tree, index, enum_options, workers, beta,
-                          decompose, /*sort_by_cardinality=*/true, stats);
+                              DecomposeStats* stats) {
+    return DecomposeRootOrder(data, tree, index, enum_options,
+                              RootOrder(index, tree.root()), workers, beta,
+                              stats);
   }
 
   Graph data;
@@ -66,7 +67,7 @@ Fixture HubTriangles() {
 TEST(ExtremeClusterTest, DecompositionConservesEmbeddings) {
   Fixture f = HubTriangles();
   DecomposeStats stats;
-  auto units = f.Units(4, 0.2, /*decompose=*/true, &stats);
+  auto units = f.Units(4, 0.2, &stats);
   ASSERT_GT(stats.extreme_clusters, 0u);
   Enumerator e(f.data, f.tree, f.index, f.enum_options);
   std::uint64_t via_units = 0;
@@ -80,7 +81,7 @@ TEST(ExtremeClusterTest, DecompositionConservesEmbeddings) {
 TEST(ExtremeClusterTest, NoUnitDuplication) {
   Fixture f = HubTriangles();
   DecomposeStats stats;
-  auto units = f.Units(4, 0.1, true, &stats);
+  auto units = f.Units(4, 0.1, &stats);
   // A decomposed cluster's pivot must not also appear as a whole-cluster
   // unit: group units by pivot and check prefix lengths are consistent.
   std::map<VertexId, std::vector<std::size_t>> by_pivot;
@@ -101,7 +102,7 @@ TEST(ExtremeClusterTest, NoUnitDuplication) {
 TEST(ExtremeClusterTest, PrefixesAreValidPartialEmbeddings) {
   Fixture f = HubTriangles();
   DecomposeStats stats;
-  auto units = f.Units(8, 0.05, true, &stats);
+  auto units = f.Units(8, 0.05, &stats);
   for (const WorkUnit& unit : units) {
     const auto& order = f.tree.matching_order();
     // Every consecutive pair respecting a query edge must be a data edge.
@@ -119,9 +120,9 @@ TEST(ExtremeClusterTest, PrefixesAreValidPartialEmbeddings) {
 TEST(ExtremeClusterTest, ThresholdScalesWithBetaAndWorkers) {
   Fixture f = HubTriangles();
   DecomposeStats a, b, c;
-  f.Units(4, 0.2, true, &a);
-  f.Units(4, 0.4, true, &b);
-  f.Units(8, 0.2, true, &c);
+  f.Units(4, 0.2, &a);
+  f.Units(4, 0.4, &b);
+  f.Units(8, 0.2, &c);
   EXPECT_LT(a.threshold, b.threshold);  // bigger beta, bigger threshold
   EXPECT_LT(c.threshold, a.threshold);  // more workers, smaller threshold
 }
@@ -129,7 +130,7 @@ TEST(ExtremeClusterTest, ThresholdScalesWithBetaAndWorkers) {
 TEST(ExtremeClusterTest, WorkloadSharesSumToCluster) {
   Fixture f = HubTriangles();
   DecomposeStats stats;
-  auto units = f.Units(4, 0.2, true, &stats);
+  auto units = f.Units(4, 0.2, &stats);
   // Per pivot, decomposed shares approximate the cluster cardinality.
   std::map<VertexId, Cardinality> share_sum;
   for (const WorkUnit& unit : units) {
@@ -146,9 +147,11 @@ TEST(ExtremeClusterTest, WorkloadSharesSumToCluster) {
 }
 
 TEST(ExtremeClusterTest, NoDecompositionWhenDisabled) {
+  // One worker at β = 1 puts the threshold at the total cardinality, so
+  // no cluster exceeds it.
   Fixture f = HubTriangles();
   DecomposeStats stats;
-  auto units = f.Units(4, 0.2, /*decompose=*/false, &stats);
+  auto units = f.Units(1, 1.0, &stats);
   for (const WorkUnit& unit : units) {
     EXPECT_EQ(unit.prefix.size(), 1u);
   }
@@ -160,18 +163,8 @@ TEST(ExtremeClusterTest, EmptyIndexYieldsNoUnits) {
   Fixture f(MakeUnlabeled(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}),
             MakePaperQuery(PaperQuery::kQG1));
   DecomposeStats stats;
-  auto units = f.Units(4, 0.2, true, &stats);
+  auto units = f.Units(4, 0.2, &stats);
   EXPECT_TRUE(units.empty());
-}
-
-TEST(ExtremeClusterTest, UnsortedKeepsPivotOrder) {
-  Fixture f = HubTriangles();
-  auto units = BuildWorkUnits(f.data, f.tree, f.index, f.enum_options, 4,
-                              0.2, false, /*sort_by_cardinality=*/false,
-                              nullptr);
-  for (std::size_t i = 1; i < units.size(); ++i) {
-    EXPECT_LT(units[i - 1].prefix[0], units[i].prefix[0]);
-  }
 }
 
 }  // namespace

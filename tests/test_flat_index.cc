@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -71,6 +72,14 @@ std::vector<VertexId> Decode(const FlatCeciIndex& flat, VertexId owner,
   return out;
 }
 
+// The data-vertex ids of a staging run of ranks into u's candidates.
+std::vector<VertexId> Ids(const CeciIndex& index, VertexId u,
+                          std::span<const VertexId> ranks) {
+  std::vector<VertexId> out;
+  for (VertexId r : ranks) out.push_back(index.at(u).candidates[r]);
+  return out;
+}
+
 // Every NTE entry of the arena by (owner, NTE slot, key), as ForEachList
 // walks them: the reference the rank-window lookup (NteAt) must agree with.
 using NteEntries =
@@ -128,21 +137,19 @@ TEST(FlatIndexTest, EntriesDecodeToTheMutableLists) {
   for (VertexId u = 0; u < f.query.num_vertices(); ++u) {
     const auto& vi = f.index.at(u);
     if (u != f.tree.root()) {
-      // The TE keys are the parent's candidates, so TE entry i is key i's.
-      const auto parent_cands = f.flat.candidates(f.tree.parent(u));
-      EXPECT_TRUE(std::equal(vi.te.keys.begin(), vi.te.keys.end(),
-                             parent_cands.begin(), parent_cands.end()));
-      ASSERT_EQ(f.flat.te_count(u), vi.te.num_keys());
-      for (std::size_t i = 0; i < vi.te.num_keys(); ++i) {
+      // Run i belongs to the parent's candidate at rank i, and so does TE
+      // entry i.
+      ASSERT_EQ(vi.te.num_runs(),
+                f.flat.candidates(f.tree.parent(u)).size());
+      ASSERT_EQ(f.flat.te_count(u), vi.te.num_runs());
+      for (std::size_t i = 0; i < vi.te.num_runs(); ++i) {
         const auto ref = f.flat.TeEntry(u, i);
-        const auto values = vi.te.values_at(i);
-        EXPECT_EQ(ref.count, values.size());
-        const auto ids = Decode(f.flat, u, ref);
-        EXPECT_TRUE(std::equal(values.begin(), values.end(), ids.begin()))
+        EXPECT_EQ(ref.count, vi.te.values_at(i).size());
+        EXPECT_EQ(Decode(f.flat, u, ref), Ids(f.index, u, vi.te.values_at(i)))
             << "u" << u << " entry " << i;
       }
       // A rank past the list yields an empty ref, both spans empty.
-      const auto miss = f.flat.TeEntry(u, vi.te.num_keys());
+      const auto miss = f.flat.TeEntry(u, vi.te.num_runs());
       EXPECT_EQ(miss.count, 0u);
       EXPECT_TRUE(miss.ranks.empty());
       EXPECT_TRUE(miss.bits.empty());
@@ -156,8 +163,7 @@ TEST(FlatIndexTest, EntriesDecodeToTheMutableLists) {
         const auto ref = FindNte(nte_entries, u, k, key);
         const auto values = vi.nte[k].Find(key);
         ASSERT_EQ(ref.count, values.size());
-        const auto ids = Decode(f.flat, u, ref);
-        EXPECT_TRUE(std::equal(values.begin(), values.end(), ids.begin()));
+        EXPECT_EQ(Decode(f.flat, u, ref), Ids(f.index, u, values));
       }
     }
   }
@@ -175,7 +181,7 @@ void ExpectSameEntry(const FlatCeciIndex::EntryRef& got,
 
 TEST(FlatIndexTest, RankLookupsFindTheEntriesKeyLookupsFind) {
   // Every TE entry by its parent candidate's rank, against the staging
-  // index's value set of that key, and every NTE entry inside its rank
+  // index's run of that rank, and every NTE entry inside its rank
   // window, against the entry listed under that key.
   for (const char* family : {"ba", "er"}) {
     const Graph data = GoldenDataGraph(family, false);
@@ -189,10 +195,8 @@ TEST(FlatIndexTest, RankLookupsFindTheEntriesKeyLookupsFind) {
         const auto parent_cands = f.flat.candidates(f.tree.parent(u));
         ASSERT_EQ(f.flat.te_count(u), parent_cands.size());
         for (std::size_t r = 0; r < parent_cands.size(); ++r) {
-          const auto values = f.index.at(u).te.Find(parent_cands[r]);
-          const auto ids = Decode(f.flat, u, f.flat.TeEntry(u, r));
-          EXPECT_TRUE(std::equal(values.begin(), values.end(), ids.begin(),
-                                 ids.end()))
+          EXPECT_EQ(Decode(f.flat, u, f.flat.TeEntry(u, r)),
+                    Ids(f.index, u, f.index.at(u).te.values_at(r)))
               << "u" << u << " rank " << r;
         }
         EXPECT_EQ(f.flat.TeEntry(u, parent_cands.size()).count, 0u);
@@ -223,25 +227,32 @@ TEST(FlatIndexTest, NteAtSearchesAListMissingKeys) {
   ASSERT_TRUE(tree.ok());
   ASSERT_EQ(tree->nte_in(2).size(), 1u);
   ASSERT_EQ(tree->non_tree_edges()[tree->nte_in(2)[0]].parent, 1u);
+  // Values are ranks: TE run i belongs to u0's candidate at rank i, and
+  // u2's values 0..2 stand for v20..v22.
   CeciIndex index(3);
   index.at(0).candidates = {10, 11};
   index.at(1).candidates = {1, 2, 3, 4, 5, 6, 7};
   index.at(2).candidates = {20, 21, 22};
-  auto add_run = [](CandidateRuns* list, VertexId key,
-                    std::vector<VertexId> values) {
+  auto add_run = [](RunPool* list, std::vector<VertexId> values) {
+    const std::size_t begin = list->pool.size();
+    list->pool.insert(list->pool.end(), values.begin(), values.end());
+    list->CloseRun(begin);
+  };
+  auto add_keyed = [](KeyedRuns* list, VertexId key,
+                      std::vector<VertexId> values) {
     const std::size_t begin = list->pool.size();
     list->pool.insert(list->pool.end(), values.begin(), values.end());
     list->CloseRun(key, begin);
   };
-  add_run(&index.at(1).te, 10, {1, 2, 3, 4});
-  add_run(&index.at(1).te, 11, {4, 5, 6, 7});
-  add_run(&index.at(2).te, 10, {20, 21});
-  add_run(&index.at(2).te, 11, {21, 22});
+  add_run(&index.at(1).te, {0, 1, 2, 3});
+  add_run(&index.at(1).te, {3, 4, 5, 6});
+  add_run(&index.at(2).te, {0, 1});
+  add_run(&index.at(2).te, {1, 2});
   index.at(2).nte.resize(1);
-  add_run(&index.at(2).nte[0], 2, {20});
-  add_run(&index.at(2).nte[0], 3, {21});
-  add_run(&index.at(2).nte[0], 5, {20, 22});
-  add_run(&index.at(2).nte[0], 6, {22});
+  add_keyed(&index.at(2).nte[0], 2, {0});
+  add_keyed(&index.at(2).nte[0], 3, {1});
+  add_keyed(&index.at(2).nte[0], 5, {0, 2});
+  add_keyed(&index.at(2).nte[0], 6, {2});
   const FlatCeciIndex flat = FlatCeciIndex::Build(index, *tree);
 
   const NteEntries nte_entries = ListNteEntries(flat);
@@ -392,23 +403,44 @@ TEST(FlatIndexTest, InfeasibleQueryFreezesToEmptySlabs) {
 }
 
 TEST(FlatIndexDeathTest, NonCandidateValueTripsTheFreezeCheck) {
-  // u1's candidates are v3 and v5. A TE value that is neither has no
-  // rank, whether it sorts below, between, or past them.
+  // u1's candidates are v3 and v5, ranks 0 and 1. A stored rank at or
+  // past 2 names no candidate; in a dense entry it would set a bit past
+  // the bitmap, so the freeze checks every rank.
   Graph query = MakeGraph({0, 0}, {{0, 1}});
   auto tree = QueryTree::Build(query, 0);
   ASSERT_TRUE(tree.ok());
-  for (VertexId stray : {VertexId{0}, VertexId{4}, VertexId{1000}}) {
+  for (VertexId stray : {VertexId{2}, VertexId{64}, VertexId{1000}}) {
     CeciIndex index(2);
     index.at(0).candidates = {1, 2};
     index.at(1).candidates = {3, 5};
-    CandidateRuns& te = index.at(1).te;
-    te.pool.push_back(3);
-    te.CloseRun(1, 0);
+    RunPool& te = index.at(1).te;
+    te.pool.push_back(0);
+    te.CloseRun(0);
     te.pool.push_back(stray);
-    te.CloseRun(2, 1);
+    te.CloseRun(1);
     EXPECT_DEATH(FlatCeciIndex::Build(index, *tree),
-                 "is not an alive candidate")
-        << "stray value v" << stray;
+                 "is past the 2 candidates of its owner")
+        << "stray rank " << stray;
+  }
+}
+
+TEST(FlatIndexDeathTest, TeListOffItsParentTripsTheFreezeCheck) {
+  // u0 has two candidates, so u1's TE list must hold exactly two runs.
+  Graph query = MakeGraph({0, 0}, {{0, 1}});
+  auto tree = QueryTree::Build(query, 0);
+  ASSERT_TRUE(tree.ok());
+  for (std::size_t runs : {1u, 3u}) {
+    CeciIndex index(2);
+    index.at(0).candidates = {1, 2};
+    index.at(1).candidates = {3, 5};
+    RunPool& te = index.at(1).te;
+    for (std::size_t i = 0; i < runs; ++i) {
+      te.pool.push_back(0);
+      te.CloseRun(i);
+    }
+    EXPECT_DEATH(FlatCeciIndex::Build(index, *tree),
+                 "is not one run per candidate of its parent")
+        << runs << " runs";
   }
 }
 

@@ -80,11 +80,11 @@ TEST_F(IndexIoTest, RoundTripPreservesStructure) {
     EXPECT_EQ(std::vector<Cardinality>(cards.begin(), cards.end()),
               want.cardinalities);
     const FlatCeciIndex::VertexFootprint f = loaded->MemoryFootprint(u);
-    EXPECT_EQ(f.te_keys, want.te.num_keys());
+    EXPECT_EQ(f.te_keys, want.te.num_runs());
     EXPECT_EQ(f.te_edges, want.te.TotalValues());
     ASSERT_EQ(loaded->nte_count(u), want.nte.size());
     std::size_t nte_edges = 0;
-    for (const CandidateRuns& list : want.nte) nte_edges += list.TotalValues();
+    for (const KeyedRuns& list : want.nte) nte_edges += list.TotalValues();
     EXPECT_EQ(f.nte_edges, nte_edges);
   }
 }

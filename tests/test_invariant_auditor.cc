@@ -366,10 +366,13 @@ class AuditWorkUnitsTest : public ::testing::Test {
     enum_options_.symmetry = &symmetry_;
   }
 
-  std::vector<WorkUnit> Build(bool decompose, double beta = 0.2) {
-    return BuildWorkUnits(fixture_.data, fixture_.tree, fixture_.flat, enum_options_,
-                          /*workers=*/2, beta, decompose,
-                          /*sort_by_cardinality=*/false, nullptr);
+  // One unit per live root: one worker at β = 1 splits no cluster.
+  std::vector<WorkUnit> Build() { return Build(/*workers=*/1, /*beta=*/1.0); }
+  std::vector<WorkUnit> Build(std::size_t workers, double beta) {
+    return DecomposeRootOrder(
+        fixture_.data, fixture_.tree, fixture_.flat, enum_options_,
+        RootOrder(fixture_.flat, fixture_.tree.root()), workers, beta,
+        nullptr);
   }
 
   AuditReport Audit(const std::vector<WorkUnit>& units) {
@@ -385,15 +388,15 @@ class AuditWorkUnitsTest : public ::testing::Test {
 };
 
 TEST_F(AuditWorkUnitsTest, AcceptsHealthyPartitions) {
-  AuditReport coarse = Audit(Build(/*decompose=*/false));
+  AuditReport coarse = Audit(Build());
   EXPECT_TRUE(coarse.ok()) << coarse.ToString();
   // A tiny beta forces extreme-cluster decomposition into longer prefixes.
-  AuditReport fine = Audit(Build(/*decompose=*/true, /*beta=*/1e-6));
+  AuditReport fine = Audit(Build(/*workers=*/2, /*beta=*/1e-6));
   EXPECT_TRUE(fine.ok()) << fine.ToString();
 }
 
 TEST_F(AuditWorkUnitsTest, DetectsClusterGap) {
-  std::vector<WorkUnit> units = Build(/*decompose=*/false);
+  std::vector<WorkUnit> units = Build();
   ASSERT_FALSE(units.empty());
   // Dropping every unit uncovers each pivot that holds an embedding; the
   // paper example has at least one.
@@ -403,7 +406,7 @@ TEST_F(AuditWorkUnitsTest, DetectsClusterGap) {
 }
 
 TEST_F(AuditWorkUnitsTest, DetectsDuplicateUnit) {
-  std::vector<WorkUnit> units = Build(/*decompose=*/false);
+  std::vector<WorkUnit> units = Build();
   ASSERT_FALSE(units.empty());
   units.push_back(units.front());
 

@@ -58,16 +58,18 @@ class PaperCeciTest : public ::testing::Test {
 TEST_F(PaperCeciTest, TeCandidatesAfterBfsFiltering) {
   // §3.2: after filtering, TE of u2 keeps <v1,{v3,v5,v7}>; the <v2,...>
   // entry dies with the cascade (v2 has no u3 candidates: v8 fails NLCF).
-  const CandidateRuns& te_u2 = index_.at(1).te;
-  EXPECT_EQ(Values(te_u2.Find(V(1))), (std::vector<VertexId>{V(3), V(5), V(7)}));
-  EXPECT_TRUE(te_u2.Find(V(2)).empty());
+  // Pivot set shrank to {v1}: the v2 cluster died during filtering. TE
+  // run i belongs to the pivot at rank i, so v1's run is the only one.
+  EXPECT_EQ(index_.at(0).candidates, (std::vector<VertexId>{V(1)}));
+  const RunPool& te_u2 = index_.at(1).te;
+  ASSERT_EQ(te_u2.num_runs(), 1u);
+  EXPECT_EQ(Values(te_u2.values_at(0)),
+            (std::vector<VertexId>{V(3), V(5), V(7)}));
 
   // TE of u3: <v1,{v4,v6}>.
-  const CandidateRuns& te_u3 = index_.at(2).te;
-  EXPECT_EQ(Values(te_u3.Find(V(1))), (std::vector<VertexId>{V(4), V(6)}));
-
-  // Pivot set shrank to {v1}: the v2 cluster died during filtering.
-  EXPECT_EQ(index_.at(0).candidates, (std::vector<VertexId>{V(1)}));
+  const RunPool& te_u3 = index_.at(2).te;
+  ASSERT_EQ(te_u3.num_runs(), 1u);
+  EXPECT_EQ(Values(te_u3.values_at(0)), (std::vector<VertexId>{V(4), V(6)}));
   EXPECT_GT(build_stats_.cascade_removals, 0u);
 }
 
@@ -75,14 +77,14 @@ TEST_F(PaperCeciTest, NteCandidatesMatchFigure3) {
   // NTE (u2,u3) on node u3: <v3,{v4}>, <v5,{v4,v6}>, <v7,{v6}>
   // (v8 is never a candidate of u3, so it cannot appear as a value).
   ASSERT_EQ(index_.at(2).nte.size(), 1u);
-  const CandidateRuns& nte_u3 = index_.at(2).nte[0];
+  const KeyedRuns& nte_u3 = index_.at(2).nte[0];
   EXPECT_EQ(Values(nte_u3.Find(V(3))), (std::vector<VertexId>{V(4)}));
   EXPECT_EQ(Values(nte_u3.Find(V(5))), (std::vector<VertexId>{V(4), V(6)}));
   EXPECT_EQ(Values(nte_u3.Find(V(7))), (std::vector<VertexId>{V(6)}));
 
   // NTE (u3,u4) on node u4: keys are candidates of u3 = {v4,v6}.
   ASSERT_EQ(index_.at(3).nte.size(), 1u);
-  const CandidateRuns& nte_u4 = index_.at(3).nte[0];
+  const KeyedRuns& nte_u4 = index_.at(3).nte[0];
   EXPECT_EQ(Values(nte_u4.Find(V(4))), (std::vector<VertexId>{V(11)}));
   EXPECT_EQ(Values(nte_u4.Find(V(6))), (std::vector<VertexId>{V(13)}));
 }
@@ -95,7 +97,7 @@ TEST_F(PaperCeciTest, RefinementPrunesV7AndItsEntries) {
   EXPECT_EQ(Values(flat_.candidates(1)),
             (std::vector<VertexId>{V(3), V(5)}));
   // TE of u4: one entry per surviving u2 candidate (v3, v5), none for v7.
-  EXPECT_TRUE(index_.at(3).te.Find(V(7)).empty());
+  EXPECT_EQ(index_.at(3).te.num_runs(), 2u);
   EXPECT_EQ(flat_.te_count(3), 2u);
   const auto nte_u3 = flat_.NteKeys(2, 0);  // NTE of u3, keyed by u2
   EXPECT_FALSE(std::binary_search(nte_u3.begin(), nte_u3.end(), V(7)));

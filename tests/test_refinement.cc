@@ -1,11 +1,17 @@
 // Dedicated tests for reverse-BFS refinement and cardinality (§3.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <span>
+#include <string>
+
 #include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
 #include "ceci/flat_index.h"
 #include "ceci/refinement.h"
 #include "ceci/symmetry.h"
+#include "gen/labels.h"
 #include "gen/paper_queries.h"
 #include "gen/random_graphs.h"
 #include "test_support.h"
@@ -29,6 +35,59 @@ struct Built {
   QueryTree tree;
   CeciIndex index;
 };
+
+// The refined contract: each TE list holds one run per candidate of the
+// parent, and every TE and NTE value is a rank, strictly ascending within
+// its run and below the owner's candidate count.
+void ExpectRankValues(const CeciIndex& index, const QueryTree& tree) {
+  for (VertexId u = 0; u < index.num_query_vertices(); ++u) {
+    const CeciVertexData& ud = index.at(u);
+    auto expect_ranks = [&](std::span<const VertexId> run) {
+      EXPECT_EQ(std::adjacent_find(run.begin(), run.end(),
+                                   std::greater_equal<VertexId>()),
+                run.end())
+          << "u" << u << ": run not strictly ascending";
+      for (VertexId r : run) {
+        EXPECT_LT(r, ud.candidates.size()) << "u" << u;
+      }
+    };
+    if (u != tree.root()) {
+      EXPECT_EQ(ud.te.num_runs(), index.at(tree.parent(u)).candidates.size())
+          << "u" << u;
+      for (std::size_t i = 0; i < ud.te.num_runs(); ++i) {
+        expect_ranks(ud.te.values_at(i));
+      }
+    }
+    for (const KeyedRuns& list : ud.nte) {
+      for (std::size_t i = 0; i < list.num_keys(); ++i) {
+        expect_ranks(list.values_at(i));
+      }
+    }
+  }
+}
+
+// Rewrites every TE and NTE value of an unrefined index from a data-vertex
+// id to its rank among the owner's candidates, the form the freeze copies.
+// Every value must be a candidate (no cascade leftovers).
+void RewriteIdsToRanks(CeciIndex* index, std::size_t data_num_vertices) {
+  CandidateRanks ranks(data_num_vertices);
+  for (VertexId u = 0; u < index->num_query_vertices(); ++u) {
+    CeciVertexData& ud = index->at(u);
+    ranks.Load(ud.candidates);
+    auto to_rank = [&](VertexId v) {
+      const std::uint32_t r = ranks.Find(v);
+      CECI_CHECK(r != CandidateRanks::kAbsent) << "leftover v" << v;
+      return r;
+    };
+    for (std::size_t i = 0; i < ud.te.num_runs(); ++i) {
+      ud.te.MapRun(i, to_rank);
+    }
+    for (KeyedRuns& list : ud.nte) {
+      list.Prune([](VertexId) { return true; }, to_rank);
+    }
+    ranks.Unload(ud.candidates);
+  }
+}
 
 TEST(RefinementTest, LeafCardinalityIsOne) {
   // Path query A-B: B is a leaf; every surviving candidate scores 1.
@@ -139,6 +198,7 @@ TEST(RefinementTest, RefinementNeverLosesEmbeddings) {
   eo.symmetry = &sym;
 
   Built unrefined(data, query, 0);
+  RewriteIdsToRanks(&unrefined.index, data.num_vertices());
   const FlatCeciIndex unrefined_flat =
       FlatCeciIndex::Build(unrefined.index, unrefined.tree);
   Enumerator e1(data, unrefined.tree, unrefined_flat, eo);
@@ -162,35 +222,59 @@ TEST(RefinementTest, CompactionDropsDeadEntries) {
   Built b(data, query, 0);
   RefineStats stats;
   RefineCeci(b.tree, data.num_vertices(), &b.index, &stats);
-  // After compaction, every TE key must be an alive candidate of the
-  // parent and every value an alive candidate of the child.
-  for (VertexId u = 0; u < 4; ++u) {
-    const auto& ud = b.index.at(u);
-    if (u == b.tree.root()) continue;
-    const auto& parent_cands = b.index.at(b.tree.parent(u)).candidates;
-    for (std::size_t k = 0; k < ud.te.num_keys(); ++k) {
-      EXPECT_TRUE(std::binary_search(parent_cands.begin(),
-                                     parent_cands.end(), ud.te.keys[k]));
-      for (VertexId v : ud.te.values_at(k)) {
-        EXPECT_TRUE(std::binary_search(ud.candidates.begin(),
-                                       ud.candidates.end(), v));
-      }
+  // After compaction, every TE run belongs to an alive candidate of the
+  // parent and every value is the rank of an alive candidate of the child.
+  ExpectRankValues(b.index, b.tree);
+}
+
+TEST(RefinementTest, EveryValueIsARankAfterRefinement) {
+  // Labeled data makes the sweep drop runs, keys and values.
+  std::uint64_t pruned_edges = 0;
+  for (std::uint64_t seed : {3u, 13u, 29u}) {
+    Graph data =
+        AssignRandomLabels(GenerateSocialGraph(400, 8, seed), 2, seed + 1);
+    for (PaperQuery pq : kAllPaperQueries) {
+      SCOPED_TRACE(std::string(PaperQueryName(pq)) + " seed " +
+                   std::to_string(seed));
+      Built b(data, MakePaperQuery(pq), 0);
+      RefineStats stats;
+      RefineCeci(b.tree, data.num_vertices(), &b.index, &stats);
+      pruned_edges += stats.pruned_edges;
+      ExpectRankValues(b.index, b.tree);
     }
   }
+  EXPECT_GT(pruned_edges, 0u);
+}
+
+// Appends `values` as the next run of `list`.
+void AddRun(RunPool* list, const std::vector<VertexId>& values) {
+  const std::size_t begin = list->pool.size();
+  list->pool.insert(list->pool.end(), values.begin(), values.end());
+  list->CloseRun(begin);
 }
 
 // Appends the run `key` -> `values` to `list`.
-void AddRun(CandidateRuns* list, VertexId key,
+void AddRun(KeyedRuns* list, VertexId key,
             const std::vector<VertexId>& values) {
   const std::size_t begin = list->pool.size();
   list->pool.insert(list->pool.end(), values.begin(), values.end());
   list->CloseRun(key, begin);
 }
 
+// The runs of `list`, in order.
+std::vector<std::vector<VertexId>> Runs(const RunPool& list) {
+  std::vector<std::vector<VertexId>> runs;
+  for (std::size_t i = 0; i < list.num_runs(); ++i) {
+    const auto values = list.values_at(i);
+    runs.emplace_back(values.begin(), values.end());
+  }
+  return runs;
+}
+
 using RunList = std::vector<std::pair<VertexId, std::vector<VertexId>>>;
 
 // The (key, values) pairs of `list`, in key order.
-RunList Runs(const CandidateRuns& list) {
+RunList Runs(const KeyedRuns& list) {
   RunList runs;
   for (std::size_t i = 0; i < list.num_keys(); ++i) {
     const auto values = list.values_at(i);
@@ -214,14 +298,15 @@ TEST(RefinementTest, CascadeLeftoversAddNothingAndAreCompacted) {
   ASSERT_EQ(tree->non_tree_edges()[tree->nte_in(2)[0]].parent, 1u);
   constexpr std::size_t kDataVertices = 8;
 
+  // TE run i belongs to u0's candidate at rank i: v0, then v3.
   CeciIndex index(3);
   index.at(0).candidates = {0, 3};
   index.at(1).candidates = {1, 4};
   index.at(2).candidates = {2, 7};
-  AddRun(&index.at(1).te, 0, {1, 5});
-  AddRun(&index.at(1).te, 3, {4, 5});
-  AddRun(&index.at(2).te, 0, {2, 6, 7});
-  AddRun(&index.at(2).te, 3, {6});
+  AddRun(&index.at(1).te, {1, 5});
+  AddRun(&index.at(1).te, {4, 5});
+  AddRun(&index.at(2).te, {2, 6, 7});
+  AddRun(&index.at(2).te, {6});
   index.at(2).nte.resize(1);
   AddRun(&index.at(2).nte[0], 1, {2, 6, 7});
   AddRun(&index.at(2).nte[0], 4, {6, 7});
@@ -241,14 +326,19 @@ TEST(RefinementTest, CascadeLeftoversAddNothingAndAreCompacted) {
   EXPECT_EQ(stats.total_cardinality, 2u);
   EXPECT_EQ(stats.pruned_candidates, 1u);
 
-  // Compaction drops every leftover value, the dead pivot's keys and the
+  // Compaction drops every leftover value, the dead pivot's runs and the
   // leftover NTE key v5: 3 edges from u1's TE, 2 from u2's, 3 from the NTE.
-  EXPECT_EQ(Runs(index.at(1).te), (RunList{{0, {1}}}));
-  EXPECT_EQ(Runs(index.at(2).te), (RunList{{0, {2, 7}}}));
-  EXPECT_EQ(Runs(index.at(2).nte[0]), (RunList{{1, {2, 7}}, {4, {7}}}));
+  // What is left is one run per surviving pivot, and ranks: v1 is u1's
+  // rank 0, v2 and v7 are u2's ranks 0 and 1.
+  using Positional = std::vector<std::vector<VertexId>>;
+  EXPECT_EQ(index.at(1).candidates, (std::vector<VertexId>{1, 4}));
+  EXPECT_EQ(Runs(index.at(1).te), (Positional{{0}}));
+  EXPECT_EQ(Runs(index.at(2).te), (Positional{{0, 1}}));
+  EXPECT_EQ(Runs(index.at(2).nte[0]), (RunList{{1, {0, 1}}, {4, {1}}}));
   EXPECT_EQ(stats.pruned_edges, 8u);
+  ExpectRankValues(index, *tree);
 
-  // The compacted index freezes: every value is an alive candidate.
+  // The compacted index freezes: every value is a rank.
   const FlatCeciIndex flat = FlatCeciIndex::Build(index, *tree);
   EXPECT_EQ(flat.CardinalityOf(0, 0), 2u);
   EXPECT_EQ(flat.TotalCandidateEdges(), 6u);

@@ -57,9 +57,10 @@ TEST(WorkUnitTest, OnePerPivotWithoutDecomposition) {
   EnumOptions eo;
   eo.symmetry = &f.symmetry;
   DecomposeStats stats;
-  auto units = BuildWorkUnits(f.data, f.tree, f.index, eo, 4, 0.2,
-                              /*decompose=*/false,
-                              /*sort_by_cardinality=*/true, &stats);
+  // One worker at β = 1: the threshold is the total, so nothing splits.
+  auto units = DecomposeRootOrder(f.data, f.tree, f.index, eo,
+                                  RootOrder(f.index, f.tree.root()), 1, 1.0,
+                                  &stats);
   EXPECT_EQ(units.size(), f.index.candidates(f.tree.root()).size());
   EXPECT_EQ(stats.extreme_clusters, 0u);
   // Sorted descending by cardinality.
@@ -73,9 +74,9 @@ TEST(WorkUnitTest, DecompositionSplitsExtremeClusters) {
   EnumOptions eo;
   eo.symmetry = &f.symmetry;
   DecomposeStats stats;
-  auto units = BuildWorkUnits(f.data, f.tree, f.index, eo, 8, 0.2,
-                              /*decompose=*/true,
-                              /*sort_by_cardinality=*/true, &stats);
+  auto units = DecomposeRootOrder(f.data, f.tree, f.index, eo,
+                                  RootOrder(f.index, f.tree.root()), 8, 0.2,
+                                  &stats);
   EXPECT_GT(stats.extreme_clusters, 0u);
   EXPECT_GT(units.size(), f.index.candidates(f.tree.root()).size());
   for (const WorkUnit& unit : units) {
@@ -90,10 +91,11 @@ TEST(WorkUnitTest, SmallBetaMeansSmallerUnits) {
   eo.symmetry = &f.symmetry;
   DecomposeStats coarse_stats;
   DecomposeStats fine_stats;
-  auto coarse = BuildWorkUnits(f.data, f.tree, f.index, eo, 4, 1.0, true,
-                               true, &coarse_stats);
-  auto fine = BuildWorkUnits(f.data, f.tree, f.index, eo, 4, 0.1, true,
-                             true, &fine_stats);
+  const std::vector<std::uint32_t> roots = RootOrder(f.index, f.tree.root());
+  auto coarse = DecomposeRootOrder(f.data, f.tree, f.index, eo, roots, 4, 1.0,
+                                   &coarse_stats);
+  auto fine = DecomposeRootOrder(f.data, f.tree, f.index, eo, roots, 4, 0.1,
+                                 &fine_stats);
   EXPECT_GE(fine.size(), coarse.size());
   EXPECT_LE(fine_stats.threshold, coarse_stats.threshold);
 }

@@ -48,9 +48,8 @@ void ExpectIndexesEqual(const CeciIndex& a, const CeciIndex& b,
   for (VertexId u = 0; u < nq; ++u) {
     EXPECT_EQ(a.at(u).candidates, b.at(u).candidates) << "u" << u;
     EXPECT_EQ(a.at(u).cardinalities, b.at(u).cardinalities) << "u" << u;
-    ASSERT_EQ(a.at(u).te.num_keys(), b.at(u).te.num_keys()) << "u" << u;
-    for (std::size_t k = 0; k < a.at(u).te.num_keys(); ++k) {
-      EXPECT_EQ(a.at(u).te.keys[k], b.at(u).te.keys[k]);
+    ASSERT_EQ(a.at(u).te.num_runs(), b.at(u).te.num_runs()) << "u" << u;
+    for (std::size_t k = 0; k < a.at(u).te.num_runs(); ++k) {
       auto va = a.at(u).te.values_at(k);
       auto vb = b.at(u).te.values_at(k);
       EXPECT_TRUE(std::equal(va.begin(), va.end(), vb.begin(), vb.end()));

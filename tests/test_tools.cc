@@ -258,6 +258,17 @@ TEST_F(ToolsTest, BadFlagsFailCleanly) {
   EXPECT_NE(Run("ceci_query",
                 "--data /nonexistent --pattern \"(a)-(b)\" --query q"),
             0);
+  // Flags that only configure a --dist run are usage errors (exit 2)
+  // without --dist, before the data graph is read (which exits 1).
+  const std::string query = "--data /nonexistent --pattern \"(a)-(b)\"";
+  EXPECT_EQ(Run("ceci_query", query), 1);
+  for (const std::string& dist_only : std::vector<std::string>{
+           "--failure-plan plan.json", "--worker-binary ./ceci_worker",
+           "--dist-json " + File("dist.json"), "--no-work-stealing",
+           "--heartbeat-ms 500"}) {
+    EXPECT_EQ(Run("ceci_query", query + " " + dist_only), 2) << dist_only;
+  }
+  EXPECT_FALSE(std::filesystem::exists(File("dist.json")));
 }
 
 TEST_F(ToolsTest, DeadlineExhaustionExitsFour) {
