@@ -229,14 +229,44 @@ void Enumerator::SetSharedLimit(std::atomic<std::uint64_t>* counter,
   shared_limit_ = limit;
 }
 
-bool Enumerator::LimitReached() const {
+bool Enumerator::LimitReached() {
   if (abort_flag_ != nullptr &&
       abort_flag_->load(std::memory_order_relaxed)) {
     return true;
   }
   if (budget_ != nullptr && budget_->Exhausted()) return true;
-  return shared_counter_ != nullptr &&
-         shared_counter_->load(std::memory_order_relaxed) >= shared_limit_;
+  if (shared_counter_ == nullptr) return false;
+  seen_ = shared_counter_->load(std::memory_order_relaxed);
+  return seen_ >= shared_limit_;
+}
+
+void Enumerator::Tally(std::uint64_t n) {
+  tally_ += n;
+  // Publishing once the tally reaches half of what the limit leaves, not
+  // all of it, keeps two workers from each counting the whole remainder
+  // alone (20-28% more recursive calls on adhoc-sized first-k queries at
+  // two threads); each early publish halves what is left, so a call makes
+  // at most about log2(limit) of them.
+  if (shared_counter_ != nullptr) {
+    const std::uint64_t left = shared_limit_ - std::min(seen_, shared_limit_);
+    if (tally_ >= left - left / 2) Publish();
+  }
+}
+
+void Enumerator::Publish() {
+  if (tally_ == 0) return;
+  std::uint64_t admit = tally_;
+  if (shared_counter_ != nullptr) {
+    const std::uint64_t before =
+        shared_counter_->fetch_add(tally_, std::memory_order_relaxed);
+    seen_ = before + tally_;
+    admit = before >= shared_limit_
+                ? 0
+                : std::min<std::uint64_t>(tally_, shared_limit_ - before);
+    if (admit < tally_) stopped_ = true;
+  }
+  stats_.embeddings += admit;
+  tally_ = 0;
 }
 
 std::size_t Enumerator::StateBytes() const {
@@ -311,6 +341,7 @@ std::uint64_t Enumerator::EnumerateFromRanks(
   }
   const std::uint64_t before = stats_.embeddings;
   Recurse(ranks.size());
+  Publish();
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     const VertexId u = order[i];
     UnmarkUsed(mapping_[u]);
@@ -322,6 +353,10 @@ std::uint64_t Enumerator::EnumerateFromRanks(
 }
 
 bool Enumerator::Emit() {
+  if (visitor_ == nullptr) {
+    Tally(1);
+    return !stopped_;
+  }
   if (shared_counter_ != nullptr) {
     std::uint64_t ticket =
         shared_counter_->fetch_add(1, std::memory_order_relaxed);
@@ -331,7 +366,7 @@ bool Enumerator::Emit() {
     }
   }
   ++stats_.embeddings;
-  if (visitor_ != nullptr && !(*visitor_)(mapping_)) {
+  if (!(*visitor_)(mapping_)) {
     stopped_ = true;
     if (abort_flag_ != nullptr) {
       abort_flag_->store(true, std::memory_order_relaxed);
@@ -643,27 +678,16 @@ bool Enumerator::Recurse(std::size_t pos) {
       pos + 1 == order.size()) {
     // Counting fast path: every candidate completes exactly one embedding,
     // so count the final level instead of recursing once per candidate.
-    std::uint64_t admit;
+    std::uint64_t leaves;
     if (options_.nte_intersection) {
-      admit = CountLeafCandidates(u);
+      leaves = CountLeafCandidates(u);
     } else {
       // The edge-verification ablation must probe each candidate.
       std::vector<std::uint32_t>& cands = scratch_[pos];
       Candidates(mapping_, ranks_, u, &cands);
-      admit = cands.size();
+      leaves = cands.size();
     }
-    if (shared_counter_ != nullptr && admit > 0) {
-      const std::uint64_t requested = admit;
-      const std::uint64_t ticket =
-          shared_counter_->fetch_add(admit, std::memory_order_relaxed);
-      if (ticket >= shared_limit_) {
-        admit = 0;
-      } else {
-        admit = std::min<std::uint64_t>(admit, shared_limit_ - ticket);
-      }
-      if (admit < requested) stopped_ = true;
-    }
-    stats_.embeddings += admit;
+    Tally(leaves);
     return !stopped_;
   }
   std::vector<std::uint32_t>& cands = scratch_[pos];

@@ -8,7 +8,10 @@
 // falls back to TE-only candidates plus per-edge verification, reproducing
 // the CFLMatch-style behaviour the paper measures 13%-170% slower (§4.1).
 //
-// Workers share an optional atomic emission budget for first-k queries.
+// Workers share an optional atomic emission budget for first-k queries. A
+// counting worker tallies its embeddings locally and publishes the tally
+// to the shared counter in one step, so workers do not trade the
+// counter's cache line on every leaf.
 #ifndef CECI_CECI_ENUMERATOR_H_
 #define CECI_CECI_ENUMERATOR_H_
 
@@ -148,6 +151,19 @@ class Enumerator {
 
   /// Installs a cross-worker emission budget: enumeration stops once
   /// `counter` (shared by all workers) reaches `limit`.
+  ///
+  /// A visitor takes one ticket from `counter` per embedding (Emit). The
+  /// counting path (no visitor) instead adds its embeddings to a local
+  /// tally and *publishes* it with one fetch_add: when EnumerateFromRanks
+  /// returns, and earlier only once the tally reaches half of what the
+  /// limit leaves (tally >= ceil((limit - the counter value last read) /
+  /// 2)). A publish that finds `before` on the counter admits
+  /// min(tally, limit - before) embeddings into stats().embeddings; if
+  /// that clips the tally, the worker stops.
+  /// A worker stops early only after it reads counter >= limit, and the
+  /// counter is the sum of published tallies, so the admitted shares of
+  /// all workers sum to exactly min(total, limit). When any call returns,
+  /// `counter` holds everything that call counted.
   void SetSharedLimit(std::atomic<std::uint64_t>* counter,
                       std::uint64_t limit);
 
@@ -223,7 +239,14 @@ class Enumerator {
 
   bool Recurse(std::size_t pos);
   bool Emit();
-  bool LimitReached() const;
+  // Reads the stop conditions; a shared-counter read refreshes seen_.
+  bool LimitReached();
+  // Counting path: adds `n` embeddings to the unpublished tally, and
+  // publishes it at once when it reaches half of what the limit leaves.
+  void Tally(std::uint64_t n);
+  // Moves the tally into stats_.embeddings, through the shared counter
+  // when one is installed; sets stopped_ when the limit clipped it.
+  void Publish();
   // Shared candidate-generation core, in rank space (see class comment):
   // writes the ranks into candidates(u) of u's admissible, unused
   // candidates. `match_ranks[w]` is the rank of mapping[w] in candidates(w)
@@ -315,6 +338,10 @@ class Enumerator {
   const EmbeddingVisitor* visitor_ = nullptr;
   std::atomic<std::uint64_t>* shared_counter_ = nullptr;
   std::uint64_t shared_limit_ = 0;
+  // Embeddings counted but not yet published, and the shared counter's
+  // value when this worker last read or advanced it.
+  std::uint64_t tally_ = 0;
+  std::uint64_t seen_ = 0;
   std::atomic<bool>* abort_flag_ = nullptr;
   BudgetTracker* budget_ = nullptr;
   std::uint64_t budget_countdown_ = 0;

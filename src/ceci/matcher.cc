@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "ceci/ceci_builder.h"
 #include "ceci/preprocess.h"
@@ -75,7 +76,8 @@ void ExportMatchMetrics(const MatchResult& result) {
   static Counter& budget_polls = reg.GetCounter("ceci.budget.polls");
 
   // The intersection kernels batch their own counters thread-locally;
-  // worker threads flushed at exit, this covers the calling thread.
+  // every enumeration worker flushed its batch when it finished, this
+  // covers the calling thread's other kernel calls.
   FlushIntersectionThreadStats();
 
   const MatchStats& s = result.stats;
@@ -223,24 +225,42 @@ FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
 
 CeciMatcher::CeciMatcher(const Graph& data) : data_(data), nlc_(data) {}
 
+ThreadPool* CeciMatcher::CallPool(const MatchOptions& options,
+                                  std::shared_ptr<ThreadPool>* hold) const {
+  if (options.pool != nullptr) return options.pool;
+  if (options.threads <= 1) return nullptr;
+  const std::size_t helpers = options.threads - 1;
+  {
+    MutexLock lock(helpers_mutex_);
+    // Kept helpers of the right size that no other call holds.
+    if (helpers_ != nullptr && helpers_.use_count() == 1 &&
+        helpers_->num_threads() == helpers) {
+      *hold = helpers_;
+      return hold->get();
+    }
+  }
+  // Made outside the lock. They replace the kept helpers unless another
+  // call still holds those, so concurrent calls each get their own.
+  *hold = std::make_shared<ThreadPool>(helpers);
+  // Declared before the lock, so replaced helpers are joined after it is
+  // released.
+  std::shared_ptr<ThreadPool> replaced;
+  MutexLock lock(helpers_mutex_);
+  if (helpers_ == nullptr || helpers_.use_count() == 1) {
+    replaced = std::exchange(helpers_, *hold);
+  }
+  return hold->get();
+}
+
 Result<MatchResult> CeciMatcher::Match(const Graph& query,
                                        const MatchOptions& options,
                                        const EmbeddingVisitor* visitor) const {
   TraceSpan match_span("match");
-  // One helper pool for both stages: the calling thread is worker 0 of
-  // the build's ParallelFor and of enumeration alike, so `threads` counts
-  // every thread the query runs on.
-  MatchOptions run = options;
-  std::unique_ptr<ThreadPool> helpers;
-  if (run.pool == nullptr && run.threads > 1) {
-    helpers = std::make_unique<ThreadPool>(run.threads - 1);
-    run.pool = helpers.get();
-  }
   // One tracker for both stages: the deadline runs from here.
   BudgetTracker tracker(options.budget);
-  auto prepared = Prepare(query, run, &tracker);
+  auto prepared = Prepare(query, options, &tracker);
   if (!prepared.ok()) return prepared.status();
-  return Execute(*prepared, run, visitor, &tracker);
+  return Execute(*prepared, options, visitor, &tracker);
 }
 
 Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
@@ -270,9 +290,16 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
     return partial();
   }
 
+  // The filter scan and the build run on the call's pool beside the
+  // calling thread (the scan on at most `threads` workers).
+  std::shared_ptr<ThreadPool> helpers;
+  ThreadPool* pool = CallPool(options, &helpers);
+
   // --- Preprocessing (§2.2) ---
   PreprocessOptions pre_options;
   pre_options.order = options.order;
+  pre_options.threads = options.threads;
+  pre_options.pool = pool;
   auto pre = [&] {
     TraceSpan span("preprocess");
     return Preprocess(data_, nlc_, query, pre_options, budget);
@@ -309,14 +336,6 @@ Result<PreparedQuery> CeciMatcher::Prepare(const Graph& query,
     return prepared;
   }
 
-  // ParallelFor runs the calling thread as one of the workers, so
-  // `threads` workers need `threads - 1` helpers.
-  ThreadPool* pool = options.pool;
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && options.threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(options.threads - 1);
-    pool = owned_pool.get();
-  }
   BuildOptions build_options;
   build_options.pool = pool;
   build_options.budget = budget;
@@ -417,9 +436,9 @@ MatchResult CeciMatcher::Execute(const PreparedQuery& prepared,
   schedule.enumeration.per_position_stats = options.profile;
   schedule.collect_profile = options.profile;
   schedule.budget = budget;
-  // With a pool, workers 1..threads-1 run on it; without one, the
-  // scheduler spawns them. Either way the caller runs worker 0.
-  schedule.pool = options.pool;
+  // Workers 1..threads-1 run on the call's pool; the caller runs worker 0.
+  std::shared_ptr<ThreadPool> helpers;
+  schedule.pool = CallPool(options, &helpers);
   ScheduleResult sched = [&] {
     TraceSpan span("enumerate");
     return RunParallelEnumeration(data_, prepared.tree, prepared.flat,

@@ -20,6 +20,7 @@
 #define CECI_CECI_MATCHER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ceci/flat_index.h"
@@ -31,12 +32,15 @@
 #include "graph/nlc_index.h"
 #include "util/budget.h"
 #include "util/status.h"
+#include "util/sync.h"
 #include "util/thread_pool.h"
 
 namespace ceci {
 
 struct MatchOptions {
-  /// Worker threads for filtering and enumeration.
+  /// Threads a call runs on, the calling thread included: the filter
+  /// scan and enumeration each use the caller and `threads - 1` helpers
+  /// (see `pool`), and so does the build unless `pool` is set.
   std::size_t threads = 1;
   /// Workload distribution policy (§4.2).
   Distribution distribution = Distribution::kCoarseDynamic;
@@ -75,14 +79,20 @@ struct MatchOptions {
   /// the profile — a partial index has no meaningful EXPLAIN).
   ExecutionBudget budget;
   /// Shared worker pool (serving mode; see src/serve/query_service.h).
-  /// When set, filtering and enumeration dispatch to this pool instead of
-  /// creating a per-query pool/threads: the calling thread always runs
-  /// worker 0 inline, so concurrent Match() calls sharing one pool are
-  /// work-conserving even when the pool is saturated. The pool must
-  /// outlive the call. When null (default) and `threads > 1`, Match()
-  /// makes one pool of `threads - 1` helpers for both stages; Prepare()
-  /// and Execute() called on their own each make their own helpers. The
-  /// caller is worker 0 in every case.
+  /// When set, the filter scan, the build and enumeration dispatch to
+  /// this pool: the calling thread always runs worker 0 inline, so
+  /// concurrent Match() calls sharing one pool are work-conserving even
+  /// when the pool is saturated. The filter scan and enumeration take at
+  /// most `threads - 1` of its threads; the build's ParallelFor over a
+  /// large frontier may use all of them. The pool must outlive the call.
+  /// When null (default) and `threads > 1`, the call runs on the
+  /// matcher's own helpers: a pool of `threads - 1` threads that the
+  /// CeciMatcher keeps from call to call, so back-to-back calls pay no
+  /// thread start-up. A call that finds the kept helpers held by a
+  /// concurrent call, or of another size, makes its own `threads - 1`
+  /// (kept for later calls unless the old ones are still held), so
+  /// concurrent calls never share helpers. Without a pool a call runs on
+  /// at most `threads` threads.
   ThreadPool* pool = nullptr;
 };
 
@@ -145,10 +155,11 @@ FlatCeciIndex BuildRefineFreeze(const Graph& data, const NlcIndex& nlc,
                                 const BuildOptions& build, MatchStats* stats,
                                 VertexPipelineCounts* counts = nullptr);
 
-/// Reusable matcher over one data graph. Thread-compatible: concurrent
-/// Prepare/Execute/Match calls on the same instance are safe (all mutable
-/// state is per-call); building the NLC index happens once in the
-/// constructor.
+/// Reusable matcher over one data graph. Concurrent Prepare/Execute/Match
+/// calls on the same instance are safe: query state is per-call, and the
+/// kept helper pool (MatchOptions::pool) is handed out under a lock to
+/// one call at a time (a concurrent call makes its own). Building the NLC
+/// index happens once in the constructor.
 class CeciMatcher {
  public:
   /// Indexes `data` (neighborhood label counts). The graph must outlive
@@ -165,14 +176,14 @@ class CeciMatcher {
   /// Stage 1: preprocess, build, refine and freeze `query`, then choose
   /// its restriction set: the Grochow–Kellis set or its mirror, whichever
   /// EstimateRestrictionCost rates cheaper on the frozen index. Reads
-  /// options.order, break_automorphisms, threads/pool (parallel build)
-  /// and budget; the budget is first charged Preprocess's filter table
-  /// (|V_q| × |V_data| bytes) before it is allocated, then polled during
-  /// the filter scan and once before the build. `budget` is the tracker to
-  /// run under — pass the same one to Execute so the deadline spans both
-  /// stages; null makes a fresh one from options.budget. A tripped budget returns a
-  /// PreparedQuery whose `termination` names the cap. Fails only on
-  /// malformed queries.
+  /// options.order, break_automorphisms, threads/pool (parallel filter
+  /// scan and build) and budget; the budget is first charged Preprocess's
+  /// filter table (|V_q| × |V_data| bytes) before it is allocated, then
+  /// polled during the filter scan and once before the build. `budget` is
+  /// the tracker to run under — pass the same one to Execute so the
+  /// deadline spans both stages; null makes a fresh one from
+  /// options.budget. A tripped budget returns a PreparedQuery whose
+  /// `termination` names the cap. Fails only on malformed queries.
   Result<PreparedQuery> Prepare(const Graph& query, const MatchOptions& options,
                                 BudgetTracker* budget = nullptr) const;
 
@@ -198,8 +209,19 @@ class CeciMatcher {
   const NlcIndex& nlc_index() const { return nlc_; }
 
  private:
+  // The pool a call's helpers run on: options.pool when set, else the
+  // kept helpers when they have `options.threads - 1` threads and no
+  // other call holds them, else a new pool of that size, kept in their
+  // place unless they are held (null for one thread). `hold` keeps the
+  // helpers alive through the call, even if a later call replaces them.
+  ThreadPool* CallPool(const MatchOptions& options,
+                       std::shared_ptr<ThreadPool>* hold) const;
+
   const Graph& data_;
   NlcIndex nlc_;
+  mutable Mutex helpers_mutex_;
+  mutable std::shared_ptr<ThreadPool> helpers_
+      CECI_GUARDED_BY(helpers_mutex_);
 };
 
 }  // namespace ceci

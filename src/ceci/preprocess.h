@@ -13,6 +13,7 @@
 #ifndef CECI_CECI_PREPROCESS_H_
 #define CECI_CECI_PREPROCESS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,9 +26,17 @@
 
 namespace ceci {
 
+class ThreadPool;
+
 struct PreprocessOptions {
   /// Matching-order heuristic (§2.2); see MatchOptions::order.
   OrderStrategy order = OrderStrategy::kEdgeRanked;
+  /// Workers of the filter scan (FilterTable::Compute), the calling
+  /// thread included; workers 1..threads-1 run on `pool`.
+  std::size_t threads = 1;
+  /// Pool for the filter scan's extra workers. Null scans on the calling
+  /// thread alone.
+  ThreadPool* pool = nullptr;
 };
 
 /// One contiguous nq × |V| byte buffer, row u holding query vertex u's
@@ -46,13 +55,21 @@ class FilterTable {
   /// The NLC verdict is the neighbour-label mask test, then the count
   /// merge only where the mask cannot decide (NlcIndex::PresenceDecides).
   /// `candidate_counts`, when non-null, receives |candidate(u)| per u.
-  /// `budget`, when non-null, is polled every budget->stride() bucket
-  /// vertices; a trip returns at once, the rest of the table unfiltered.
+  ///
+  /// The buckets are cut into fixed-size chunks, pulled by `threads`
+  /// workers: the calling thread and threads - 1 more on `pool` (one
+  /// worker when `pool` is null). The table and the counts do not depend
+  /// on the workers. `budget`, when non-null, is polled every
+  /// budget->stride() vertices a worker scans, across chunk boundaries;
+  /// after a trip no chunk filters further, and the rest of the table
+  /// stays unfiltered.
   template <typename Source>
   static FilterTable Compute(const Source& data, const NlcIndex& data_nlc,
                              const Graph& query,
                              std::vector<std::size_t>* candidate_counts,
-                             BudgetTracker* budget = nullptr);
+                             BudgetTracker* budget = nullptr,
+                             ThreadPool* pool = nullptr,
+                             std::size_t threads = 1);
 
   std::uint8_t* row(VertexId u) { return bytes_.data() + u * num_data_; }
   const std::uint8_t* row(VertexId u) const {

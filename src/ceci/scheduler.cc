@@ -7,6 +7,7 @@
 #include <string>
 
 #include "util/check.h"
+#include "util/intersection.h"
 #include "util/logging.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -130,6 +131,9 @@ ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
       enumerator.SetBudget(options.budget);
       options.budget->ChargeBytes(enumerator.StateBytes());
     }
+    // Counted here and stored once: neighbouring workers' slots share a
+    // cache line.
+    std::uint64_t units_run = 0;
     auto should_stop = [&] {
       return aborted.load(std::memory_order_relaxed) ||
              emitted.load(std::memory_order_relaxed) >= limit ||
@@ -141,7 +145,7 @@ ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
       std::size_t live = 0;
       for (std::uint32_t r = 0; r < root_cards.size(); ++r) {
         if (root_cards[r] == 0 || live++ % workers != wid) continue;
-        ++result.worker_units[wid];
+        ++units_run;
         enumerator.EnumerateFromRanks(std::span<const std::uint32_t>(&r, 1),
                                       visitor);
         if (should_stop()) break;
@@ -152,7 +156,7 @@ ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
         const std::size_t i =
             next_unit.fetch_add(1, std::memory_order_relaxed);
         if (i >= pool_size) break;
-        ++result.worker_units[wid];
+        ++units_run;
         if (fine) {
           enumerator.EnumerateFromPrefix(units[i].prefix, visitor);
         } else {
@@ -161,7 +165,12 @@ ScheduleResult RunParallelEnumeration(const Graph& data, const QueryTree& tree,
         if (should_stop()) break;
       }
     }
+    result.worker_units[wid] = units_run;
     worker_stats[wid] = enumerator.stats();
+    // Pool threads outlive the query: hand their batched kernel counters
+    // to the registry now rather than at thread exit. Worker 0 is the calling
+    // thread, whose batch its caller flushes (CeciMatcher::Execute does).
+    if (wid != 0) FlushIntersectionThreadStats();
     result.worker_seconds[wid] = ThreadCpuSeconds() - cpu_start;
   };
 

@@ -49,13 +49,14 @@ struct ScheduleOptions {
   /// it is exhausted. The root order is charged by whoever computed it
   /// (CeciMatcher::Prepare charges it with the arena).
   BudgetTracker* budget = nullptr;
-  /// Shared worker pool (serving mode). When set, the calling thread runs
-  /// worker 0 and workers 1..N-1 are dispatched as one TaskGroup on the
-  /// pool — the pool may concurrently carry other queries' workers, and a
-  /// saturated pool degrades to the caller running every worker loop
-  /// sequentially (work-conserving, never deadlocking). When null, the
-  /// call makes a ThreadPool of `threads - 1` for workers 1..N-1 and
-  /// dispatches to it the same way.
+  /// Pool for workers 1..N-1 (CeciMatcher passes its kept helpers or the
+  /// serving pool). The calling thread runs worker 0 and workers 1..N-1
+  /// are dispatched as one TaskGroup on the pool — the pool may
+  /// concurrently carry other queries' workers, and a saturated pool
+  /// degrades to the caller running every worker loop sequentially
+  /// (work-conserving, never deadlocking). When null, the call makes a
+  /// ThreadPool of `threads - 1` for workers 1..N-1 and dispatches to it
+  /// the same way.
   ThreadPool* pool = nullptr;
 };
 

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <set>
+#include <string>
 
 #include "baselines/vf2.h"
 #include "ceci/ceci_builder.h"
@@ -373,6 +375,46 @@ TEST(EnumeratorRegressionTest, LeafCountShortcutHonorsSharedLimit) {
   std::atomic<std::uint64_t> counter{0};
   fast.SetSharedLimit(&counter, total - 2);
   EXPECT_EQ(fast.EnumerateAll(nullptr), total - 2);
+}
+
+// Counting workers tally embeddings locally; the tally reaches the shared
+// counter before EnumerateFromRanks returns, so between calls the counter
+// holds everything counted, and stats().embeddings the share the limit
+// admitted of it.
+TEST(EnumeratorRegressionTest, EveryCallPublishesWhatItCounted) {
+  Fixture f(GenerateSocialGraph(150, 4, 41), MakePaperQuery(PaperQuery::kQG1));
+  const std::uint32_t roots =
+      static_cast<std::uint32_t>(f.index.candidates(f.tree.root()).size());
+  for (const bool shortcut : {true, false}) {
+    auto opts = f.Options();
+    opts.leaf_count_shortcut = shortcut;
+    Enumerator reference(f.data, f.tree, f.index, opts);
+    const std::uint64_t total = reference.EnumerateAll(nullptr);
+    ASSERT_GT(total, 4u);
+    for (const std::uint64_t limit :
+         {std::numeric_limits<std::uint64_t>::max(), total / 2}) {
+      SCOPED_TRACE(std::string(shortcut ? "shortcut" : "per leaf") +
+                   " limit " + std::to_string(limit));
+      Enumerator e(f.data, f.tree, f.index, opts);
+      std::atomic<std::uint64_t> counter{0};
+      e.SetSharedLimit(&counter, limit);
+      Enumerator unlimited(f.data, f.tree, f.index, opts);
+      std::uint64_t returned = 0;
+      std::uint64_t counted = 0;
+      for (std::uint32_t r = 0; r < roots; ++r) {
+        const std::span<const std::uint32_t> rank(&r, 1);
+        returned += e.EnumerateFromRanks(rank, nullptr);
+        // Until the limit stops it, e counts what an unlimited run does.
+        if (counter.load() < limit) {
+          counted += unlimited.EnumerateFromRanks(rank, nullptr);
+          EXPECT_EQ(counter.load(), counted) << "root rank " << r;
+        }
+        EXPECT_EQ(e.stats().embeddings, returned);
+        EXPECT_EQ(returned, std::min(counter.load(), limit));
+      }
+      EXPECT_EQ(returned, std::min(total, limit));
+    }
+  }
 }
 
 // Decomposed (FGD) work units hand EnumerateFromPrefix prefixes of two or

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "baselines/vf2.h"
@@ -267,6 +268,78 @@ TEST(MatcherThreadsTest, CallerIsOneOfTheWorkers) {
     EXPECT_LE(seen.threads.size(), threads);
     EXPECT_TRUE(seen.threads.count(caller));
   }
+}
+
+// Without MatchOptions::pool the matcher keeps its helpers from call to
+// call: twenty calls at two threads run on the caller and one kept helper.
+TEST(MatcherThreadsTest, KeptHelpersServeEveryCall) {
+  const Graph data = GenerateErdosRenyi(300, 1800, 71);
+  const Graph query = MakeUnlabeled(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
+  CeciMatcher matcher(data);
+  MatchOptions options;
+  options.threads = 2;
+  LockedCollector seen;
+  std::size_t listed = 0;
+  for (int call = 0; call < 20; ++call) {
+    options.distribution = call % 2 == 0 ? Distribution::kCoarseDynamic
+                                         : Distribution::kFineDynamic;
+    auto result = matcher.Match(query, options, &seen.visitor);
+    ASSERT_TRUE(result.ok());
+    listed = result->embedding_count;
+  }
+  EXPECT_GT(listed, 0u);
+  EXPECT_EQ(seen.embeddings.size(), listed);
+  EXPECT_LE(seen.threads.size(), 2u);
+}
+
+// Kept helpers follow the call's thread count: calls at two threads
+// after one at three run on at most two, the caller and one helper.
+TEST(MatcherThreadsTest, FewerThreadsAfterMoreStayCapped) {
+  const Graph data = GenerateErdosRenyi(300, 1800, 71);
+  const Graph query = MakeUnlabeled(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
+  CeciMatcher matcher(data);
+  MatchOptions options;
+  options.distribution = Distribution::kStatic;
+  options.threads = 3;
+  LockedCollector wide;
+  auto first = matcher.Match(query, options, &wide.visitor);
+  ASSERT_TRUE(first.ok());
+  EXPECT_LE(wide.threads.size(), 3u);
+  options.threads = 2;
+  LockedCollector narrow;
+  for (int call = 0; call < 10; ++call) {
+    auto result = matcher.Match(query, options, &narrow.visitor);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->embedding_count, first->embedding_count);
+  }
+  EXPECT_LE(narrow.threads.size(), 2u);
+  EXPECT_TRUE(narrow.threads.count(std::this_thread::get_id()));
+}
+
+// Concurrent calls without a pool each run on helpers of their own (the
+// kept ones when idle, else new ones that may replace them, as their
+// thread counts differ); every count still equals the serial one.
+TEST(MatcherThreadsTest, ConcurrentCallsWithoutAPoolCountSerially) {
+  const Graph data = GenerateBarabasiAlbert(400, 4, 43);
+  const Graph query = MakePaperQuery(PaperQuery::kQG3);
+  CeciMatcher matcher(data);
+  auto serial = matcher.Match(query, MatchOptions{});
+  ASSERT_TRUE(serial.ok());
+  ASSERT_GT(serial->embedding_count, 0u);
+  std::vector<std::thread> callers;
+  std::vector<std::uint64_t> counts(4 * 5, 0);
+  for (std::size_t t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      MatchOptions options;
+      options.threads = 2 + t % 2;
+      for (std::size_t i = 0; i < 5; ++i) {
+        auto result = matcher.Match(query, options);
+        counts[t * 5 + i] = result.ok() ? result->embedding_count : 0;
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  for (std::uint64_t c : counts) EXPECT_EQ(c, serial->embedding_count);
 }
 
 TEST(MatcherObservabilityTest, PhaseSecondsSumToTotal) {

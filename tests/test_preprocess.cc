@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "ceci/preprocess.h"
+#include "gen/labels.h"
+#include "gen/random_graphs.h"
+#include "graph/graph_builder.h"
 #include "test_support.h"
+#include "util/budget.h"
+#include "util/thread_pool.h"
 
 namespace ceci {
 namespace {
@@ -168,6 +174,140 @@ TEST(PreprocessTest, MultiLabelScanUsesRarestBucket) {
   // Vertices outside the scanned bucket of label 5 read "label".
   EXPECT_EQ(pre->filter.row(0)[6], FilterTable::kLabel);
   EXPECT_EQ(pre->filter.row(0)[7], FilterTable::kPass);
+}
+
+// A 12000-vertex social graph, labels 0 and 1, every third vertex also
+// carrying label 2: label buckets of several scan chunks each.
+Graph ChunkedScanGraph() {
+  const Graph g = AssignRandomLabels(GenerateSocialGraph(12000, 3, 61), 2, 62);
+  GraphBuilder builder;
+  builder.ReserveVertices(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    builder.AddLabel(v, g.label(v));
+    if (v % 3 == 0) builder.AddLabel(v, 2);
+    for (VertexId w : g.neighbors(v)) {
+      if (v < w) builder.AddEdge(v, w);
+    }
+  }
+  auto out = builder.Build();
+  CECI_CHECK(out.ok()) << out.status().ToString();
+  return std::move(out).value();
+}
+
+// Queries whose filter scans reject by every test: a two-label vertex
+// (label containment), a centre of degree 5 (degree), and a centre that
+// needs two label-1 neighbours (NLC decided by the count merge).
+std::vector<Graph> ChunkedScanQueries() {
+  std::vector<Graph> queries;
+  GraphBuilder multi;
+  multi.AddLabel(0, 1);
+  multi.AddLabel(0, 2);
+  multi.AddLabel(1, 0);
+  multi.AddLabel(2, 0);
+  multi.AddLabel(2, 2);
+  multi.AddEdge(0, 1);
+  multi.AddEdge(1, 2);
+  multi.AddEdge(0, 2);
+  auto built = multi.Build();
+  CECI_CHECK(built.ok()) << built.status().ToString();
+  queries.push_back(std::move(built).value());
+  queries.push_back(MakeGraph({0, 1, 0, 1, 0, 1},
+                              {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}));
+  queries.push_back(MakeGraph({0, 1, 1}, {{0, 1}, {0, 2}}));
+  return queries;
+}
+
+// Bucket vertices the scan gave a verdict other than "label": for
+// single-label query vertices, exactly the vertices it scanned.
+std::size_t ScannedVertices(const FilterTable& table, const Graph& data,
+                            const Graph& query) {
+  std::size_t n = 0;
+  for (VertexId u = 0; u < query.num_vertices(); ++u) {
+    for (VertexId v = 0; v < data.num_vertices(); ++v) {
+      n += table.row(u)[v] != FilterTable::kLabel;
+    }
+  }
+  return n;
+}
+
+// The filter scan runs in chunks across a pool; the table and the counts
+// are those of the inline scan, byte for byte.
+TEST(ParallelFilterScanTest, PoolChangesNoVerdict) {
+  const Graph data = ChunkedScanGraph();
+  const NlcIndex nlc(data);
+  ThreadPool pool(3);
+  std::size_t verdicts[4] = {0, 0, 0, 0};
+  bool counts_decided = false;
+  for (const Graph& query : ChunkedScanQueries()) {
+    std::vector<std::size_t> inline_counts;
+    std::vector<std::size_t> pooled_counts;
+    const FilterTable inline_table =
+        FilterTable::Compute(data, nlc, query, &inline_counts);
+    const FilterTable pooled_table = FilterTable::Compute(
+        data, nlc, query, &pooled_counts, nullptr, &pool, 4);
+    ASSERT_EQ(pooled_table.bytes(), inline_table.bytes());
+    EXPECT_TRUE(std::equal(inline_table.row(0),
+                           inline_table.row(0) + inline_table.bytes(),
+                           pooled_table.row(0)));
+    EXPECT_EQ(pooled_counts, inline_counts);
+    for (VertexId u = 0; u < query.num_vertices(); ++u) {
+      counts_decided |= !nlc.PresenceDecides(NlcIndex::Profile(query, u));
+      for (VertexId v = 0; v < data.num_vertices(); ++v) {
+        ++verdicts[pooled_table.row(u)[v]];
+      }
+    }
+  }
+  // Every verdict occurs, and the count merge decided some vertex.
+  for (std::size_t n : verdicts) EXPECT_GT(n, 0u);
+  EXPECT_TRUE(counts_decided);
+}
+
+TEST(ParallelFilterScanTest, BudgetTripUnderAPoolLeavesItExhausted) {
+  const Graph data = ChunkedScanGraph();
+  const NlcIndex nlc(data);
+  ThreadPool pool(3);
+  CancellationToken token;
+  token.RequestCancel();
+  ExecutionBudget budget;
+  budget.token = &token;
+  budget.check_stride = 16;
+  BudgetTracker tracker(budget);
+  const Graph query = ChunkedScanQueries()[1];
+  const FilterTable table =
+      FilterTable::Compute(data, nlc, query, nullptr, &tracker, &pool, 4);
+  EXPECT_TRUE(tracker.Exhausted());
+  EXPECT_EQ(tracker.reason(), TerminationReason::kCancelled);
+  // Every worker stopped at its first poll, so the scan left nearly all
+  // of the table unfiltered.
+  const std::size_t full = ScannedVertices(
+      FilterTable::Compute(data, nlc, query, nullptr), data, query);
+  EXPECT_LT(ScannedVertices(table, data, query), full / 10);
+}
+
+// At the default stride, longer than a chunk, each worker's poll countdown
+// runs on across chunks: a cancelled token stops every worker within one
+// stride of the vertices it scanned, inline and under a pool alike.
+TEST(ParallelFilterScanTest, DefaultStridePollsAcrossChunks) {
+  const Graph data = ChunkedScanGraph();
+  const NlcIndex nlc(data);
+  const Graph query = ChunkedScanQueries()[1];
+  const std::size_t full = ScannedVertices(
+      FilterTable::Compute(data, nlc, query, nullptr), data, query);
+  ThreadPool pool(3);
+  for (std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    CancellationToken token;
+    token.RequestCancel();
+    ExecutionBudget budget;
+    budget.token = &token;
+    BudgetTracker tracker(budget);
+    ASSERT_GT(full, 4 * tracker.stride());
+    const FilterTable table = FilterTable::Compute(
+        data, nlc, query, nullptr, &tracker, &pool, threads);
+    EXPECT_TRUE(tracker.Exhausted());
+    EXPECT_GT(tracker.polls(), 0u);
+    EXPECT_LE(ScannedVertices(table, data, query), threads * tracker.stride());
+  }
 }
 
 }  // namespace

@@ -217,11 +217,13 @@ TEST(RefinementTest, RefinementNeverLosesEmbeddings) {
 }
 
 TEST(RefinementTest, CompactionDropsDeadEntries) {
-  Graph data = GenerateSocialGraph(600, 6, 21);
-  Graph query = MakePaperQuery(PaperQuery::kQG4);
+  // Labeled data under the 5-clique: the sweep has dead entries to drop.
+  Graph data = AssignRandomLabels(GenerateSocialGraph(600, 8, 21), 2, 22);
+  Graph query = MakePaperQuery(PaperQuery::kQG5);
   Built b(data, query, 0);
   RefineStats stats;
   RefineCeci(b.tree, data.num_vertices(), &b.index, &stats);
+  EXPECT_GT(stats.pruned_edges, 0u);
   // After compaction, every TE run belongs to an alive candidate of the
   // parent and every value is the rank of an alive candidate of the child.
   ExpectRankValues(b.index, b.tree);
